@@ -13,11 +13,9 @@ from .groups import (
     ScaledMetric,
     WindowSizeError,
     WordMetric,
-    entourage_contains,
     entourage_from_json,
     grid_sample,
     make_model,
-    metric_eval,
     metric_from_json,
     model_from_json,
     parse_fraction,
@@ -35,7 +33,6 @@ from .weights import (
     invariance_defect,
     lipschitz_seminorm,
     right_average,
-    seminorm_pd,
 )
 from .matching import (
     BipartiteInstance,

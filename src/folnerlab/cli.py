@@ -37,6 +37,8 @@ from .groups import (
     Entourage,
     FiniteWindow,
     GroupModel,
+    InvariantPseudoMetric,
+    ScaledMetric,
     grid_sample,
     make_model,
     metric_from_json,
@@ -98,14 +100,35 @@ def _load_window(obj, model: GroupModel, path: str) -> FiniteWindow:
         raise ConfigError(path, "expected a list of element encodings")
     try:
         return FiniteWindow.from_json(obj, model)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
+        for k, item in enumerate(obj):  # name the first element that does not parse
+            try:
+                model.parse(item)
+            except (ValueError, ZeroDivisionError) as item_exc:
+                raise ConfigError(f"{path}[{k}]", str(item_exc))
         raise ConfigError(path, str(exc))
+
+
+def _load_metric(obj, model: GroupModel, path: str) -> InvariantPseudoMetric:
+    if isinstance(obj, dict) and obj.get("rule") == "scaled":
+        _expect(obj, path, ("rule", "factor", "base"))
+        base = _load_metric(obj["base"], model, f"{path}.base")
+        factor = _rational(obj["factor"], f"{path}.factor")
+        try:
+            return ScaledMetric(base, factor)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.factor", str(exc))
+    _expect(obj, path, ("rule",))
+    try:
+        return metric_from_json(obj, model)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.rule", str(exc))
 
 
 def _load_entourage(params: dict, model: GroupModel, path: str) -> Entourage:
     radius = _rational(params["radius"], f"{path}.radius")
     metric_obj = params.get("metric")
-    metric = metric_from_json(metric_obj, model) if metric_obj else model.default_metric()
+    metric = _load_metric(metric_obj, model, f"{path}.metric") if metric_obj else model.default_metric()
     return Entourage(metric, radius)
 
 
@@ -160,11 +183,14 @@ def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_defect(config: dict, artifacts: Artifacts, workers: int) -> int:
+def _run_defect(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     if "certificate" in params:
         _expect(params, "params", ("certificate",), ("crosscheck",))
-        cert = FolnerCertificate.from_json(params["certificate"])
+        try:
+            cert = FolnerCertificate.from_json(params["certificate"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError("params.certificate", f"malformed certificate: {exc!r}")
         try:
             cert.verify()
         except ValueError as exc:
@@ -192,7 +218,7 @@ def _run_defect(config: dict, artifacts: Artifacts, workers: int) -> int:
         return 0
     if mode != "topological":
         raise ConfigError("params.mode", f"unknown mode {mode!r}")
-    theta, cert = topological_defect(F, E, U, workers=workers)
+    theta, cert = topological_defect(F, E, U)
     bound = ""
     if params.get("crosscheck") and len(F) <= 200:
         _, limit = seminorm_crosscheck(cert)
@@ -207,7 +233,7 @@ def _run_defect(config: dict, artifacts: Artifacts, workers: int) -> int:
     return 0
 
 
-def _run_search(config: dict, artifacts: Artifacts, workers: int, seed: Optional[int], budget_flag: Optional[int]) -> int:
+def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_flag: Optional[int]) -> int:
     params = config["params"]
     _expect(params, "params", ("E", "theta", "strategy"), ("radius", "metric", "budget", "crosscheck"))
     model = _load_model(config["model"], "model")
@@ -215,9 +241,7 @@ def _run_search(config: dict, artifacts: Artifacts, workers: int, seed: Optional
     U = _load_entourage(params, model, "params")
     theta = _rational(params["theta"], "params.theta")
     budget = budget_flag if budget_flag is not None else int(params.get("budget", 50))
-    result = folner_search(
-        model, E, U, theta, strategy=params["strategy"], budget=budget, seed=seed, workers=workers
-    )
+    result = folner_search(model, E, U, theta, strategy=params["strategy"], budget=budget, seed=seed)
     rows = []
     if result.certificate is not None:
         cert = result.certificate
@@ -244,7 +268,7 @@ def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
     _expect(weight_obj, "params.weight", ("support", "weights"))
     weight = FiniteWeight.from_json(weight_obj, model)
     metric_obj = params.get("metric")
-    metric = metric_from_json(metric_obj, model) if metric_obj else model.default_metric()
+    metric = _load_metric(metric_obj, model, "params.metric") if metric_obj else model.default_metric()
     if "E" in params:
         E = _load_window(params["E"], model, "params.E")
         defect = invariance_defect(weight, E, metric)
@@ -453,7 +477,6 @@ def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
 def run_scenario_config(
     config: dict,
     out_dir: Optional[Path] = None,
-    workers: int = 1,
     seed: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> int:
@@ -477,9 +500,9 @@ def run_scenario_config(
         out_dir = Path(config["out_dir"])
     artifacts = Artifacts(out_dir)
     if task == "defect":
-        code = _run_defect(config, artifacts, workers)
+        code = _run_defect(config, artifacts)
     elif task == "search":
-        code = _run_search(config, artifacts, workers, seed, budget)
+        code = _run_search(config, artifacts, seed, budget)
     elif task == "seminorm":
         code = _run_seminorm(config, artifacts)
     elif task == "matching":
@@ -505,7 +528,6 @@ def run_scenario_config(
 def run_scenario(
     path: Path | str,
     out_dir: Optional[Path] = None,
-    workers: int = 1,
     seed: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> int:
@@ -520,7 +542,7 @@ def run_scenario(
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_scenario_config(config, out_dir=out_dir, workers=workers, seed=seed, budget=budget)
+        return run_scenario_config(config, out_dir=out_dir, seed=seed, budget=budget)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -537,7 +559,6 @@ def run_scenario(
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario JSON (overrides other flags)")
     parser.add_argument("--out-dir", type=Path, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--budget", type=int, default=None)
 
@@ -655,7 +676,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if getattr(args, "config", None) is not None:
-        return run_scenario(args.config, out_dir=args.out_dir, workers=args.workers, seed=args.seed, budget=args.budget)
+        return run_scenario(args.config, out_dir=args.out_dir, seed=args.seed, budget=args.budget)
 
     try:
         config = _config_from_flags(args)
@@ -663,9 +684,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_scenario_config(
-            config, out_dir=args.out_dir, workers=args.workers, seed=args.seed, budget=args.budget
-        )
+        return run_scenario_config(config, out_dir=args.out_dir, seed=args.seed, budget=args.budget)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -693,7 +712,10 @@ def _config_from_flags(args) -> dict:
         }
     if command == "folner-defect":
         if args.verify_cert is not None:
-            cert = json.loads(args.verify_cert.read_text(encoding="utf-8"))
+            try:
+                cert = json.loads(args.verify_cert.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise ConfigError("--verify-cert", str(exc))
             return {"task": "defect", "params": {"certificate": cert}}
         params = {"F": _window_arg(args.F), "E": _window_arg(args.E), "mode": args.mode}
         if args.mode != "discrete":

@@ -12,7 +12,6 @@ return the best candidate found together with budget accounting.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -26,7 +25,6 @@ from .groups import (
     LatticeModel,
     ScaledMetric,
     TorusModel,
-    format_fraction,
     grid_sample,
     translate_window,
     word_ball,
@@ -50,20 +48,21 @@ class FolnerCertificate:
     seminorm_bound: Optional[Fraction] = None
 
     def verify(self) -> None:
-        """Re-derive theta and re-check every stored pairing against (F, gF, U)."""
+        """Re-derive theta over E: build each (F, gF, U) graph once, check the
+        stored pairing, mu and witness on it, and require mu to be maximum.
+
+        Each stored matching is bound to its rebuilt graph."""
         if len(self.F) == 0:
             raise ValueError("certificate with empty window")
-        theta = None
-        for g, stored in self.matchings.items():
-            instance = build_graph(self.F, translate_window(g, self.F), self.U)
-            for i, j in stored.pairing.items():
-                if j not in instance.adjacency[i]:
-                    raise ValueError("stored pairing violates adjacency")
-            fresh = max_matching(instance)
-            if fresh.mu != stored.mu:
+        if set(self.matchings) != set(self.E):
+            raise ValueError("matching keys differ from the pool E")
+        for g in self.E:
+            stored = self.matchings[g]
+            stored.instance = build_graph(self.F, translate_window(g, self.F), self.U)
+            stored.check_valid()
+            if max_matching(stored.instance).mu != stored.mu:
                 raise ValueError("stored matching is not maximum")
-            ratio = Fraction(stored.mu, len(self.F))
-            theta = ratio if theta is None else min(theta, ratio)
+        theta = min((Fraction(self.matchings[g].mu, len(self.F)) for g in self.E), default=ONE)
         if theta != self.theta:
             raise ValueError("theta does not match the stored matchings")
 
@@ -73,7 +72,7 @@ class FolnerCertificate:
             "E": self.E.to_json(),
             "U": self.U.to_json(),
             "F": self.F.to_json(),
-            "theta": format_fraction(self.theta),
+            "theta": str(self.theta),
             "matchings": {
                 self.model.format(g): m.to_json() for g, m in sorted(
                     self.matchings.items(), key=lambda kv: self.model.sort_key(kv[0])
@@ -82,16 +81,15 @@ class FolnerCertificate:
         }
         if self.seminorm_value is not None:
             obj["seminorm_check"] = {
-                "value": format_fraction(self.seminorm_value),
-                "bound": format_fraction(self.seminorm_bound),
+                "value": str(self.seminorm_value),
+                "bound": str(self.seminorm_bound),
             }
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "FolnerCertificate":
-        """Rebuild a certificate from its file form; adjacency is rebuilt
-        from (F, gF, U), so `verify` re-checks the stored pairings against
-        raw data."""
+        """Parse a certificate from its file form.  The matchings carry no
+        graph until `verify` rebuilds it from (F, gF, U)."""
         from .groups import model_from_json, entourage_from_json, parse_fraction
 
         model = model_from_json(obj["model"])
@@ -101,10 +99,14 @@ class FolnerCertificate:
         matchings = {}
         for key, entry in obj["matchings"].items():
             g = model.parse(key)
-            instance = build_graph(F, translate_window(g, F), U)
+            if g in matchings:
+                raise ValueError(f"matching key {key!r} repeats an element")
+            pairing = {int(i): int(j) for i, j in entry["pairing"]}
+            if len(pairing) != len(entry["pairing"]):
+                raise ValueError(f"pairing of {key!r} repeats a left index")
             matchings[g] = MatchingResult(
-                instance=instance,
-                pairing={int(i): int(j) for i, j in entry["pairing"]},
+                instance=None,
+                pairing=pairing,
                 mu=int(entry["mu"]),
                 witness=tuple(int(i) for i in entry["witness"]),
                 perfect=int(entry["mu"]) == len(F),
@@ -137,24 +139,13 @@ def topological_defect(
     F: FiniteWindow,
     E: FiniteWindow,
     U: Entourage,
-    workers: int = 1,
 ) -> tuple[Fraction, FolnerCertificate]:
     """min over g of mu(F, gF, U)/|F| with all matchings retained."""
     if len(F) == 0:
         raise ValueError("defect of an empty window")
-
-    def solve(g: GroupElement) -> MatchingResult:
-        return max_matching(build_graph(F, translate_window(g, F), U))
-
-    elements = list(E)
-    if workers > 1 and len(elements) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, elements))
-    else:
-        results = [solve(g) for g in elements]
-    matchings = dict(zip(elements, results))
+    matchings = {g: max_matching(build_graph(F, translate_window(g, F), U)) for g in E}
     theta = min(
-        (Fraction(m.mu, len(F)) for m in results),
+        (Fraction(m.mu, len(F)) for m in matchings.values()),
         default=ONE,
     )
     cert = FolnerCertificate(
@@ -234,7 +225,7 @@ def seminorm_crosscheck(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
     worst = ZERO
     bound = 1 - cert.theta / 2
     for g in cert.E:
-        restricted, full = matching_seminorm_bound(cert.F, g, cert.theta, metric)
+        restricted, full = matching_seminorm_bound(cert.F, g, metric)
         worst = max(worst, restricted)
         if restricted > bound:
             raise AssertionError(
@@ -266,8 +257,8 @@ class FolnerSearchResult:
     def to_json(self) -> dict:
         return {
             "found": self.found,
-            "theta_target": format_fraction(self.theta_target),
-            "best_theta": format_fraction(self.best_theta),
+            "theta_target": str(self.theta_target),
+            "best_theta": str(self.best_theta),
             "candidates_tried": self.candidates_tried,
             "budget_exhausted": self.budget_exhausted,
             "certificate": self.certificate.to_json() if self.certificate else None,
@@ -303,7 +294,6 @@ def _local_candidates(
     E: FiniteWindow,
     U: Entourage,
     seed: Optional[int],
-    workers: int,
 ) -> Iterator[FiniteWindow]:
     """Hill-climb by single-element swaps in canonical order."""
     import random
@@ -317,14 +307,14 @@ def _local_candidates(
     current = FiniteWindow(model, pool[: max(1, len(pool) // 4)])
     while True:
         yield current
-        theta, _ = topological_defect(current, E, U, workers=workers)
+        theta, _ = topological_defect(current, E, U)
         improved = False
         for out in current:
             for inc in pool:
                 if inc in current:
                     continue
                 trial = FiniteWindow(model, [x for x in current if x != out] + [inc])
-                t2, _ = topological_defect(trial, E, U, workers=workers)
+                t2, _ = topological_defect(trial, E, U)
                 if t2 > theta:
                     current = trial
                     improved = True
@@ -345,7 +335,6 @@ def folner_search(
     strategy: str = "balls",
     budget: int = 50,
     seed: Optional[int] = None,
-    workers: int = 1,
 ) -> FolnerSearchResult:
     """First candidate window meeting the target, or the best-found report."""
     if budget <= 0:
@@ -362,7 +351,7 @@ def folner_search(
             raise ValueError("grid strategy requires circle or torus")
         candidates = _grid_candidates(model)
     elif strategy == "local":
-        candidates = _local_candidates(model, E, U, seed, workers)
+        candidates = _local_candidates(model, E, U, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -380,7 +369,7 @@ def folner_search(
                 budget_exhausted=True,
             )
         tried += 1
-        theta, cert = topological_defect(F, E, U, workers=workers)
+        theta, cert = topological_defect(F, E, U)
         if best_cert is None or theta > best_theta:
             best_theta, best_cert = theta, cert
         if theta >= theta_target:

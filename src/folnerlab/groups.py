@@ -41,10 +41,6 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     return Fraction(s)
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Canonical element of a concrete group model."""
@@ -389,7 +385,7 @@ class CircleModel(GroupModel):
         return self.element(text)
 
     def format(self, g: GroupElement) -> str:
-        return format_fraction(g.data)
+        return str(g.data)
 
     def sort_key(self, g: GroupElement):
         return g.data
@@ -435,7 +431,7 @@ class TorusModel(GroupModel):
         return self.element(text.split(","))
 
     def format(self, g: GroupElement) -> str:
-        return ",".join(format_fraction(x) for x in g.data)
+        return ",".join(str(x) for x in g.data)
 
     def sort_key(self, g: GroupElement):
         return g.data
@@ -630,7 +626,7 @@ class ScaledMetric(InvariantPseudoMetric):
         return self.base.bi_invariant
 
     def to_json(self) -> dict:
-        return {"rule": "scaled", "factor": format_fraction(self.factor), "base": self.base.to_json()}
+        return {"rule": "scaled", "factor": str(self.factor), "base": self.base.to_json()}
 
 
 def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
@@ -644,12 +640,6 @@ def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
     if rule == "scaled":
         return ScaledMetric(metric_from_json(obj["base"], model), parse_fraction(obj["factor"]))
     raise ValueError(f"unknown metric rule {rule!r}")
-
-
-def metric_eval(metric: InvariantPseudoMetric, x: GroupElement, y: GroupElement) -> Fraction:
-    if x.model != metric.model or y.model != metric.model:
-        raise ModelMismatchError("metric evaluated on foreign elements")
-    return metric.eval(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +670,7 @@ class Entourage:
         return Entourage(self.metric, radius)
 
     def to_json(self) -> dict:
-        return {"metric": self.metric.to_json(), "radius": format_fraction(self.radius)}
-
-
-def entourage_contains(entourage: Entourage, g: GroupElement) -> bool:
-    return entourage.contains(g)
+        return {"metric": self.metric.to_json(), "radius": str(self.radius)}
 
 
 def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:

@@ -37,7 +37,7 @@ class BipartiteInstance:
 
 @dataclass
 class MatchingResult:
-    instance: BipartiteInstance
+    instance: Optional[BipartiteInstance]  # None on a parsed certificate until verified
     pairing: dict[int, int]
     mu: int
     witness: tuple[int, ...]
@@ -57,8 +57,11 @@ class MatchingResult:
 
     def check_valid(self) -> None:
         """Re-check pairing and the Hall identity from the raw instance."""
+        n_left, n_right = len(self.instance.left), len(self.instance.right)
         seen_right = set()
         for i, j in self.pairing.items():
+            if not (0 <= i < n_left and 0 <= j < n_right):
+                raise ValueError(f"pairing index out of range: {[i, j]}")
             if j not in self.instance.adjacency[i]:
                 raise ValueError("pairing uses a non-edge")
             if j in seen_right:
@@ -66,7 +69,10 @@ class MatchingResult:
             seen_right.add(j)
         if len(self.pairing) != self.mu:
             raise ValueError("mu does not match the pairing size")
-        if self.mu != len(self.instance.left) - self.witness_deficiency():
+        w = self.witness
+        if any(not 0 <= i < n_left for i in w) or any(a >= b for a, b in zip(w, w[1:])):
+            raise ValueError("witness is not an increasing list of left indices")
+        if self.mu != n_left - self.witness_deficiency():
             raise ValueError("Hall identity violated by the stored witness")
 
     def to_json(self) -> dict:

@@ -34,7 +34,6 @@ from .groups import (
     GroupElement,
     GroupModel,
     TorusModel,
-    format_fraction,
     grid_sample,
     parse_fraction,
     symmetric_closure,
@@ -86,9 +85,12 @@ class PerturbedAction:
     folner_pools: list[FiniteWindow] = field(default_factory=list)
 
     def __post_init__(self):
+        n = len(self.window)
         for g, row in self.rows.items():
-            if len(row) != len(self.window):
+            if len(row) != n:
                 raise ValueError("row length mismatch")
+            if any(j is not None and not 0 <= j < n for j in row):
+                raise ValueError(f"row of {self.window.model.format(g)} has an index outside 0 <= j < {n}")
             images = [j for j in row if j is not None]
             if len(images) != len(set(images)):
                 raise ValueError(f"row of {self.window.model.format(g)} not injective")
@@ -119,7 +121,7 @@ class PerturbedAction:
                 model.format(g): list(self.rows[g])
                 for g in sorted(self.rows, key=model.sort_key)
             },
-            "radius": format_fraction(self.radius),
+            "radius": str(self.radius),
             "involution": {
                 model.format(g): self.involution[g]
                 for g in sorted(self.involution, key=model.sort_key)
@@ -189,20 +191,20 @@ class PerturbationReport:
 
     def to_json(self) -> dict:
         return {
-            "radius": format_fraction(self.radius),
+            "radius": str(self.radius),
             "entries_checked": self.entries_checked,
             "violations": [
                 {
                     "g": v.g.model.format(v.g),
                     "h": v.h.model.format(v.h),
                     "image": v.image.model.format(v.image),
-                    "distance": format_fraction(v.distance),
+                    "distance": str(v.distance),
                 }
                 for v in self.violations
             ],
-            "max_deviation": format_fraction(self.max_deviation),
+            "max_deviation": str(self.max_deviation),
             "rosenblatt": [
-                {"window": i, "ratio": format_fraction(r)} for i, r in self.rosenblatt
+                {"window": i, "ratio": str(r)} for i, r in self.rosenblatt
             ],
         }
 
@@ -386,10 +388,6 @@ class FolnerPackage:
                     raise ConstructionError("injection escapes the entourage")
 
 
-def _supply_for(model: GroupModel, resolution_hint: int) -> FiniteWindow:
-    return grid_sample(model, resolution_hint)
-
-
 def _denominator_lcm(values: list[Fraction]) -> int:
     denom = 1
     for q in values:
@@ -447,7 +445,7 @@ def folner_package(
     attempts = 0
     while True:
         try:
-            supply = _supply_for(model, supply_resolution)
+            supply = grid_sample(model, supply_resolution)
             alpha = moving_injection(F0, pool, W, supply)
             break
         except (ConstructionError, BudgetError):
@@ -631,7 +629,7 @@ class PrecompactResult:
             },
             "group_order": self.group_order,
             "order_bound": self.order_bound,
-            "max_deviation": format_fraction(self.max_deviation),
+            "max_deviation": str(self.max_deviation),
             "lift_mode": self.lift_mode,
         }
 
@@ -644,7 +642,9 @@ def _greedy_separated(window: FiniteWindow, metric, threshold: Fraction) -> list
     return chosen
 
 
-def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> int:
+def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
+    """Sorted elements of the permutation group the generators span; more
+    than `cap` elements is a construction error."""
     n = len(generators[0]) if generators else 0
     identity = tuple(range(n))
     seen = {identity}
@@ -660,7 +660,7 @@ def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> int:
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    return len(seen)
+    return sorted(seen)
 
 
 def _uniform_step(window: FiniteWindow) -> Optional[Fraction]:
@@ -778,7 +778,7 @@ def precompact_perturbation(
 
     perms = [tuple(rows[g]) for g in sample]
     bound = math.factorial(len(centers))
-    order = _perm_closure(perms, cap=bound + 1)
+    order = len(_perm_closure(perms, cap=bound + 1))
     if bound % order != 0:
         raise ConstructionError(f"group order {order} does not divide |F|! = {bound}")
     return PrecompactResult(
@@ -800,7 +800,7 @@ def _lift_rows(model, window, centers, assignment, gammas, sample, U):
     for i, c in enumerate(assignment):
         fibers[c].append(i)
 
-    center_group = _closure_perms(list(gammas.values()), cap=math.factorial(n_centers) + 1)
+    center_group = _perm_closure(list(gammas.values()), cap=math.factorial(n_centers) + 1)
     orbits = _orbits(center_group, n_centers)
     sizes = [len(f) for f in fibers]
     balanced = all(
@@ -854,26 +854,6 @@ def _nearest_rotation(model, g, step, n, U) -> GroupElement:
             f"grid rotation misses {model.format(g)} by {dev} > {U.radius}"
         )
     return shift
-
-
-def _closure_perms(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    if not generators:
-        return []
-    identity = tuple(range(len(generators[0])))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in generators:
-                r = tuple(p[j] for j in q)
-                if r not in seen:
-                    if len(seen) >= cap:
-                        raise ConstructionError("center group closure exceeded cap")
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return sorted(seen)
 
 
 def _orbits(perms: list[tuple[int, ...]], n: int) -> list[list[int]]:

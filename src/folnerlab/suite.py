@@ -509,7 +509,7 @@ def criterion_11_free_paradox(out_dir: Optional[Path] = None) -> CriterionResult
         11,
         "free-paradox",
         ok,
-        f"zero interior violations through radius 8 (|B_8|={len(grid_sample(F2, 8))}); corruption flagged {bad.interior_violations}",
+        f"zero interior violations through radius 8 (|B_8|={len(ball)}); corruption flagged {bad.interior_violations}",
         time.time() - t0,
     )
 
@@ -579,76 +579,47 @@ def criterion_13_determinism(out_dir: Optional[Path] = None) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+# (number, name, function).  Criteria 3-5 also return their Folner
+# certificates, and criterion 6 (the seminorm bridge) checks them, so those
+# three run whenever it does.
+CRITERIA = (
+    (1, "hall-identity", criterion_01_hall_identity),
+    (2, "perfect-iff-hall", criterion_02_perfect_matching),
+    (3, "lattice-boxes", criterion_03_lattice_boxes),
+    (4, "free-profile", criterion_04_free_profile),
+    (5, "circle-rotation", criterion_05_circle_rotation),
+    (6, "seminorm-bridge", criterion_06_seminorm_bridge),
+    (7, "seminorm-oracle", criterion_07_seminorm_oracle),
+    (8, "uniform-approximation", criterion_08_uniform_approx),
+    (9, "precompact-circle", criterion_09_precompact),
+    (10, "perturbation-assembly", criterion_10_assembly),
+    (11, "free-paradox", criterion_11_free_paradox),
+    (12, "amenable-control", criterion_12_amenable_control),
+    (13, "determinism", criterion_13_determinism),
+)
+BRIDGE = 6
+BRIDGE_SOURCES = {3, 4, 5}
+
+
 def run_suite(out_dir: Optional[Path] = None, numbers: Optional[list[int]] = None) -> list[CriterionResult]:
     """Run the requested criteria (all by default) and return their rows."""
+    wanted = {number for number, _, _ in CRITERIA} if numbers is None else set(numbers)
+    needed = wanted | BRIDGE_SOURCES if BRIDGE in wanted else wanted
     results: list[CriterionResult] = []
     shared_certs: list[FolnerCertificate] = []
-
-    def want(k: int) -> bool:
-        return numbers is None or k in numbers
-
-    def guard(fn, *args, **kwargs):
-        number, name = fn_meta[fn]
+    for number, name, criterion in CRITERIA:
+        if number not in needed:
+            continue
         try:
-            return fn(*args, **kwargs)
+            if number in BRIDGE_SOURCES:
+                result, certs = criterion(out_dir)
+                shared_certs.extend(certs)
+            elif number == BRIDGE:
+                result = criterion(shared_certs, out_dir)
+            else:
+                result = criterion(out_dir)
         except Exception as exc:  # criterion failures are rows, not crashes
-            return CriterionResult(number, name, False, f"error: {exc}", 0.0)
-
-    fn_meta = {
-        criterion_01_hall_identity: (1, "hall-identity"),
-        criterion_02_perfect_matching: (2, "perfect-iff-hall"),
-        criterion_06_seminorm_bridge: (6, "seminorm-bridge"),
-        criterion_07_seminorm_oracle: (7, "seminorm-oracle"),
-        criterion_08_uniform_approx: (8, "uniform-approximation"),
-        criterion_09_precompact: (9, "precompact-circle"),
-        criterion_10_assembly: (10, "perturbation-assembly"),
-        criterion_11_free_paradox: (11, "free-paradox"),
-        criterion_12_amenable_control: (12, "amenable-control"),
-        criterion_13_determinism: (13, "determinism"),
-    }
-
-    if want(1):
-        results.append(guard(criterion_01_hall_identity, out_dir))
-    if want(2):
-        results.append(guard(criterion_02_perfect_matching, out_dir))
-    if want(3) or want(6):
-        try:
-            r3, certs3 = criterion_03_lattice_boxes(out_dir)
-            shared_certs.extend(certs3)
-        except Exception as exc:
-            r3 = CriterionResult(3, "lattice-boxes", False, f"error: {exc}", 0.0)
-        if want(3):
-            results.append(r3)
-    if want(4) or want(6):
-        try:
-            r4, certs4 = criterion_04_free_profile(out_dir)
-            shared_certs.extend(certs4)
-        except Exception as exc:
-            r4 = CriterionResult(4, "free-profile", False, f"error: {exc}", 0.0)
-        if want(4):
-            results.append(r4)
-    if want(5) or want(6):
-        try:
-            r5, certs5 = criterion_05_circle_rotation(out_dir)
-            shared_certs.extend(certs5)
-        except Exception as exc:
-            r5 = CriterionResult(5, "circle-rotation", False, f"error: {exc}", 0.0)
-        if want(5):
-            results.append(r5)
-    if want(6):
-        results.append(guard(criterion_06_seminorm_bridge, shared_certs, out_dir))
-    if want(7):
-        results.append(guard(criterion_07_seminorm_oracle, out_dir))
-    if want(8):
-        results.append(guard(criterion_08_uniform_approx, out_dir))
-    if want(9):
-        results.append(guard(criterion_09_precompact, out_dir))
-    if want(10):
-        results.append(guard(criterion_10_assembly, out_dir))
-    if want(11):
-        results.append(guard(criterion_11_free_paradox, out_dir))
-    if want(12):
-        results.append(guard(criterion_12_amenable_control, out_dir))
-    if want(13):
-        results.append(guard(criterion_13_determinism, out_dir))
+            result = CriterionResult(number, name, False, f"error: {exc}", 0.0)
+        if number in wanted:
+            results.append(result)
     return results

@@ -29,7 +29,6 @@ from .groups import (
     GroupModel,
     InvariantPseudoMetric,
     ModelMismatchError,
-    format_fraction,
     parse_fraction,
 )
 from .lp import LpError, min_cost_flow, simplex_max
@@ -127,7 +126,7 @@ class FiniteWeight:
     def to_json(self) -> dict:
         return {
             "support": [self.model.format(g) for g, _ in self.items],
-            "weights": [format_fraction(w) for _, w in self.items],
+            "weights": [str(w) for _, w in self.items],
         }
 
     @classmethod
@@ -326,11 +325,6 @@ def _check_witness(points, witness, dist, lo, hi) -> None:
                 raise LpError("witness violates a Lipschitz constraint")
 
 
-def seminorm_pd(a: FiniteWeight, metric: InvariantPseudoMetric) -> SeminormResult:
-    """Seminorm over 1-Lipschitz functions into [-1, 1]."""
-    return lipschitz_seminorm(a, metric)
-
-
 # ---------------------------------------------------------------------------
 # Invariance defects
 # ---------------------------------------------------------------------------
@@ -481,7 +475,6 @@ def _round_weight(
 def matching_seminorm_bound(
     F: FiniteWindow,
     g: GroupElement,
-    theta: Fraction,
     metric: InvariantPseudoMetric,
 ) -> tuple[Fraction, Fraction]:
     """Exact translation-difference seminorms of uniform(F) against their

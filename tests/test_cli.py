@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from folnerlab.cli import main, run_scenario
 
 
@@ -354,3 +356,21 @@ def test_verify_certificate_roundtrip(tmp_path, capsys):
     bad_path.write_text(json.dumps(payload))
     assert run(["folner-defect", "--verify-cert", bad_path]) == 2
     assert "INVALID" in capsys.readouterr().out
+    # an unreadable file is a usage error, not a traceback
+    assert run(["folner-defect", "--verify-cert", tmp_path / "missing.json"]) == 1
+    assert "--verify-cert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"F": ["0", "1/0"]}, "params.F[1]"),
+        ({"metric": {"rule": "scaled", "factor": "2"}}, "params.metric.base"),
+    ],
+)
+def test_malformed_field_diagnostic(tmp_path, capsys, extra, field):
+    params = {"F": ["0", "1/2"], "E": ["1/4"], "radius": "1/8", **extra}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"model": {"kind": "circle"}, "task": "defect", "params": params}))
+    assert run_scenario(config) == 1
+    assert field in capsys.readouterr().err

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folnerlab import folner
 from folnerlab.folner import (
+    FolnerCertificate,
     action_defect,
     bridge_metric,
     conjugated_entourage,
@@ -25,6 +27,7 @@ from folnerlab.groups import (
     make_model,
     window,
 )
+from folnerlab.matching import build_graph
 
 Z = make_model("lattice", dim=1)
 Z2 = make_model("lattice", dim=2)
@@ -254,14 +257,6 @@ def test_search_result_json():
     assert "certificate" in payload
 
 
-def test_workers_do_not_change_results():
-    E = window(Z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    t1, c1 = topological_defect(box(6), E, U0_Z2, workers=1)
-    t4, c4 = topological_defect(box(6), E, U0_Z2, workers=4)
-    assert t1 == t4
-    assert {g: m.mu for g, m in c1.matchings.items()} == {g: m.mu for g, m in c4.matchings.items()}
-
-
 def test_torus_grid_defect():
     T2 = make_model("torus", dim=2)
     U = Entourage(ArcMetric(T2), Fraction(1, 24))
@@ -291,23 +286,82 @@ def test_local_strategy_seed_deterministic():
         assert a.certificate.F == b.certificate.F
 
 
+def _drop_worst(payload):
+    # remove the (3,0) matching, the worst one, and restate theta over the rest
+    del payload["matchings"]["3,0"]
+    payload["theta"] = "3/4"
+
+
+def _add_foreign_key(payload):
+    # an honest matching for a shift outside E, with theta restated to match
+    payload["matchings"]["5,5"] = {"mu": 0, "pairing": [], "witness": list(range(16))}
+    payload["theta"] = "0"
+
+
+def _truncate_pairing(payload):
+    payload["matchings"]["0,1"]["pairing"].pop()
+
+
+def _junk_witness(payload):
+    payload["matchings"]["0,1"]["witness"] = [0, 1, 2, 99]
+
+
+def _negative_pairing_index(payload):
+    payload["matchings"]["0,1"]["pairing"][0][0] -= 16  # |F| = 16
+
+
+def _pairing_index_past_window(payload):
+    payload["matchings"]["0,1"]["pairing"][0][0] = 99
+
+
+def _raise_mu(payload):
+    payload["matchings"]["0,1"]["mu"] += 1
+
+
+MUTATIONS = [
+    (_drop_worst, "keys differ"),
+    (_add_foreign_key, "keys differ"),
+    (_truncate_pairing, "pairing size"),
+    (_junk_witness, "witness"),
+    (_negative_pairing_index, "out of range"),
+    (_pairing_index_past_window, "out of range"),
+    (_raise_mu, "pairing size"),
+]
+
+
 def test_certificate_reload_and_reverify():
-    import json
-
-    E = window(Z2, [(1, 0), (0, 1)])
-    theta, cert = topological_defect(box(5), E, U0_Z2)
-    payload = json.loads(json.dumps(cert.to_json()))
-    from folnerlab.folner import FolnerCertificate
-
-    restored = FolnerCertificate.from_json(payload)
-    restored.verify()
-    assert restored.theta == theta
+    # the true theta is 1/4, set by the shift (3,0); (1,0) and (0,1) give 3/4
+    E = window(Z2, [(1, 0), (0, 1), (3, 0)])
+    for pool, expected in ((E, Fraction(1, 4)), (window(Z2, []), Fraction(1))):
+        theta, cert = topological_defect(box(4), pool, U0_Z2)
+        assert theta == expected
+        restored = FolnerCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+        restored.verify()
+        assert restored.theta == theta
+        assert restored.to_json() == cert.to_json()
     # a tampered file must fail verification
-    payload_bad = json.loads(json.dumps(cert.to_json()))
-    first_key = sorted(payload_bad["matchings"])[0]
-    payload_bad["matchings"][first_key]["mu"] += 1
-    broken = FolnerCertificate.from_json(payload_bad)
-    import pytest as _pytest
+    _, cert = topological_defect(box(4), E, U0_Z2)
+    for mutate, reason in MUTATIONS:
+        payload = json.loads(json.dumps(cert.to_json()))
+        mutate(payload)
+        broken = FolnerCertificate.from_json(payload)
+        with pytest.raises(ValueError, match=reason):
+            broken.verify()
 
-    with _pytest.raises(ValueError):
-        broken.verify()
+
+def test_certificate_reload_builds_each_graph_once(monkeypatch):
+    calls = []
+
+    def counting_build_graph(*args):
+        calls.append(args)
+        return build_graph(*args)
+
+    monkeypatch.setattr(folner, "build_graph", counting_build_graph)
+    E = window(Z2, [(1, 0), (0, 1), (3, 0)])
+    _, cert = topological_defect(box(4), E, U0_Z2)
+    payload = json.loads(json.dumps(cert.to_json()))
+    calls.clear()
+    restored = FolnerCertificate.from_json(payload)
+    assert calls == []
+    restored.verify()
+    assert len(calls) == len(E)

@@ -381,3 +381,10 @@ def test_perturbed_action_rejects_row_length_mismatch():
     g = C.element(Fraction(1, 4))
     with pytest.raises(ValueError):
         PerturbedAction(window=win, pool=window(C, [g]), rows={g: [0, 1]}, radius=Fraction(1))
+
+
+@pytest.mark.parametrize("row", [[1, 2, 3, -4], [1, 2, 3, 7]])
+def test_perturbed_action_from_json_rejects_noncanonical_index(row):
+    payload = {"window": grid_sample(C, 4).to_json(), "pool": ["1/4"], "rows": {"1/4": row}, "radius": "0"}
+    with pytest.raises(ValueError, match="row of 1/4"):
+        PerturbedAction.from_json(payload, C)
