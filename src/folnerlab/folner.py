@@ -21,10 +21,8 @@ from .groups import (
     FiniteWindow,
     GroupElement,
     GroupModel,
-    CircleModel,
     LatticeModel,
     ScaledMetric,
-    TorusModel,
     grid_sample,
     translate_window,
     word_ball,
@@ -50,6 +48,7 @@ class FolnerCertificate:
     def verify(self) -> None:
         """Re-derive theta over E: build each (F, gF, U) graph once, check the
         stored pairing, mu and witness on it, and require mu to be maximum.
+        A stored seminorm check is re-derived as `seminorm_crosscheck` does.
 
         Each stored matching is bound to its rebuilt graph."""
         if len(self.F) == 0:
@@ -65,6 +64,9 @@ class FolnerCertificate:
         theta = min((Fraction(self.matchings[g].mu, len(self.F)) for g in self.E), default=ONE)
         if theta != self.theta:
             raise ValueError("theta does not match the stored matchings")
+        if self.seminorm_value is not None:
+            if _bridge_values(self) != (self.seminorm_value, self.seminorm_bound):
+                raise ValueError("seminorm_check does not match the re-derived value and bound")
 
     def to_json(self) -> dict:
         obj = {
@@ -90,7 +92,7 @@ class FolnerCertificate:
     def from_json(cls, obj: dict) -> "FolnerCertificate":
         """Parse a certificate from its file form.  The matchings carry no
         graph until `verify` rebuilds it from (F, gF, U)."""
-        from .groups import model_from_json, entourage_from_json, parse_fraction
+        from .groups import model_from_json, entourage_from_json, parse_fraction, parse_index
 
         model = model_from_json(obj["model"])
         E = FiniteWindow.from_json(obj["E"], model)
@@ -101,15 +103,20 @@ class FolnerCertificate:
             g = model.parse(key)
             if g in matchings:
                 raise ValueError(f"matching key {key!r} repeats an element")
-            pairing = {int(i): int(j) for i, j in entry["pairing"]}
+            field = f"matchings[{key!r}]"
+            pairing = {
+                parse_index(i, f"{field}.pairing"): parse_index(j, f"{field}.pairing")
+                for i, j in entry["pairing"]
+            }
             if len(pairing) != len(entry["pairing"]):
                 raise ValueError(f"pairing of {key!r} repeats a left index")
+            mu = parse_index(entry["mu"], f"{field}.mu")
             matchings[g] = MatchingResult(
                 instance=None,
                 pairing=pairing,
-                mu=int(entry["mu"]),
-                witness=tuple(int(i) for i in entry["witness"]),
-                perfect=int(entry["mu"]) == len(F),
+                mu=mu,
+                witness=tuple(parse_index(i, f"{field}.witness") for i in entry["witness"]),
+                perfect=mu == len(F),
             )
         check = obj.get("seminorm_check")
         return cls(
@@ -119,8 +126,8 @@ class FolnerCertificate:
             F=F,
             theta=parse_fraction(obj["theta"]),
             matchings=matchings,
-            seminorm_value=parse_fraction(check["value"]) if check else None,
-            seminorm_bound=parse_fraction(check["bound"]) if check else None,
+            seminorm_value=None if check is None else parse_fraction(check["value"]),
+            seminorm_bound=None if check is None else parse_fraction(check["bound"]),
         )
 
 
@@ -221,6 +228,12 @@ def seminorm_crosscheck(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
     1 - theta/2; the full [-1, 1] seminorm obeys twice that.  Both are
     asserted exactly; the restricted value is stored on the certificate.
     """
+    cert.seminorm_value, cert.seminorm_bound = _bridge_values(cert)
+    return cert.seminorm_value, cert.seminorm_bound
+
+
+def _bridge_values(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
+    """(worst restricted value over E, 1 - theta/2); see seminorm_crosscheck."""
     metric = bridge_metric(cert.U)
     worst = ZERO
     bound = 1 - cert.theta / 2
@@ -235,8 +248,6 @@ def seminorm_crosscheck(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
             raise AssertionError(
                 f"full-range bridge violated at {cert.model.format(g)}: {full} > {2 * bound}"
             )
-    cert.seminorm_value = worst
-    cert.seminorm_bound = bound
     return worst, bound
 
 
@@ -298,7 +309,7 @@ def _local_candidates(
     """Hill-climb by single-element swaps in canonical order."""
     import random
 
-    if isinstance(model, (CircleModel, TorusModel)):
+    if not model.discrete:
         pool = list(grid_sample(model, 24))
     else:
         pool = list(word_ball(model, 4))
@@ -347,7 +358,7 @@ def folner_search(
             raise ValueError("boxes strategy requires a lattice model")
         candidates = _box_candidates(model)
     elif strategy == "grid":
-        if not isinstance(model, (CircleModel, TorusModel)):
+        if model.discrete:
             raise ValueError("grid strategy requires circle or torus")
         candidates = _grid_candidates(model)
     elif strategy == "local":

@@ -14,7 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator
 
 WINDOW_CAP = 100_000
 
@@ -39,6 +39,13 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(s)
+
+
+def parse_index(value, field: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected, naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: expected a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,8 @@ class GroupModel:
 
     Subclasses provide the group law on canonical payloads, a generating set,
     parsing/formatting of the text encoding, and a deterministic sort key.
+    Instances come from `make_model`, which keeps one per (kind, params), so
+    models compare and hash by identity.
     """
 
     kind: str = ""
@@ -92,7 +101,7 @@ class GroupModel:
         raise NotImplementedError
 
     def _check(self, g: GroupElement) -> None:
-        if g.model != self:
+        if g.model is not self:
             raise ModelMismatchError(f"element of {g.model.kind} used in {self.kind}")
 
     # -- encodings -----------------------------------------------------
@@ -126,14 +135,8 @@ class GroupModel:
     def params(self) -> dict:
         return {}
 
-    def _signature(self):
-        return (self.kind, tuple(sorted(self.params().items())))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupModel) and self._signature() == other._signature()
-
-    def __hash__(self) -> int:
-        return hash(self._signature())
+    def __reduce__(self):  # copies and unpickling return the shared instance
+        return model_from_json, ({"kind": self.kind, "params": self.params()},)
 
     def __repr__(self) -> str:
         ps = ",".join(f"{k}={v}" for k, v in sorted(self.params().items()))
@@ -299,9 +302,6 @@ class HeisenbergModel(GroupModel):
         self._length_frontier: deque | None = None
         self._length_radius = 0
 
-    def params(self) -> dict:
-        return {}
-
     def identity(self) -> GroupElement:
         return GroupElement(self, (0, 0, 0))
 
@@ -365,9 +365,6 @@ class CircleModel(GroupModel):
     kind = "circle"
     discrete = False
     abelian = True
-
-    def params(self) -> dict:
-        return {}
 
     def identity(self) -> GroupElement:
         return GroupElement(self, Fraction(0))
@@ -498,20 +495,27 @@ class CyclicModel(GroupModel):
         return WordMetric(self)
 
 
+_MODELS: dict[tuple, GroupModel] = {}
+
+
 def make_model(kind: str, **params) -> GroupModel:
+    """The one shared instance per (kind, params), keyed on the built model's
+    own params so that every spelling of a model gives the same object."""
     if kind == "lattice":
-        return LatticeModel(int(params.get("dim", 1)))
-    if kind == "free":
-        return FreeGroupModel(int(params.get("rank", 2)))
-    if kind == "heisenberg":
-        return HeisenbergModel()
-    if kind == "circle":
-        return CircleModel()
-    if kind == "torus":
-        return TorusModel(int(params.get("dim", 2)))
-    if kind == "cyclic":
-        return CyclicModel(int(params.get("modulus", 12)))
-    raise ValueError(f"unknown model kind {kind!r}")
+        model = LatticeModel(int(params.get("dim", 1)))
+    elif kind == "free":
+        model = FreeGroupModel(int(params.get("rank", 2)))
+    elif kind == "heisenberg":
+        model = HeisenbergModel()
+    elif kind == "circle":
+        model = CircleModel()
+    elif kind == "torus":
+        model = TorusModel(int(params.get("dim", 2)))
+    elif kind == "cyclic":
+        model = CyclicModel(int(params.get("modulus", 12)))
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _MODELS.setdefault((model.kind, tuple(sorted(model.params().items()))), model)
 
 
 def model_from_json(obj: dict) -> GroupModel:
@@ -770,30 +774,26 @@ def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWi
     return FiniteWindow(model, seen)
 
 
-def grid_sample(
-    model: GroupModel, resolution: int, bound: Optional[int] = None, cap: int = WINDOW_CAP
-) -> FiniteWindow:
+def grid_sample(model: GroupModel, resolution: int) -> FiniteWindow:
     """Deterministic finite truncation of a model.
 
     Circle/torus: all points with coordinate denominators dividing the
-    resolution.  Discrete models: the word ball of radius `resolution`
-    (optionally clipped at `bound`).
+    resolution.  Discrete models: the word ball of radius `resolution`.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if isinstance(model, CircleModel):
-        if resolution > cap:
-            raise WindowSizeError(f"grid of size {resolution} exceeds cap {cap}")
+        if resolution > WINDOW_CAP:
+            raise WindowSizeError(f"grid of size {resolution} exceeds cap {WINDOW_CAP}")
         return FiniteWindow(model, (model.element(Fraction(k, resolution)) for k in range(resolution)))
     if isinstance(model, TorusModel):
-        if resolution**model.dim > cap:
+        if resolution**model.dim > WINDOW_CAP:
             raise WindowSizeError("torus grid exceeds cap")
         points = [()]
         for _ in range(model.dim):
             points = [p + (Fraction(k, resolution),) for p in points for k in range(resolution)]
         return FiniteWindow(model, (model.element(p) for p in points))
-    radius = resolution if bound is None else min(resolution, bound)
-    return word_ball(model, radius, cap=cap)
+    return word_ball(model, resolution)
 
 
 def symmetric_closure(model: GroupModel, elements: Iterable[GroupElement]) -> FiniteWindow:

@@ -26,6 +26,8 @@ from .groups import FiniteWindow, FreeGroupModel, GroupElement, GroupModel
 from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
+MIN_PIECES = 4
+DP_STATE_CAP = 300_000
 
 
 class ClassifierError(ValueError):
@@ -447,12 +449,12 @@ class _AssignmentProblem:
             peak = max(peak, live)
         self.live_peak = peak
 
-    def dp_tractable(self, state_cap: int = 300_000) -> bool:
-        """Whether the memoized program's state space fits the cap."""
+    def dp_tractable(self) -> bool:
+        """Whether the memoized program's state space fits DP_STATE_CAP."""
         states = 1
         for _ in range(self.live_peak):
             states *= self.p
-            if states > state_cap:
+            if states > DP_STATE_CAP:
                 return False
         return True
 
@@ -584,7 +586,6 @@ def search_small_paradox(
     pool: FiniteWindow,
     max_pieces: int,
     budget: int = 2_000_000,
-    min_pieces: int = 4,
 ) -> ParadoxSearchReport:
     """Best (lowest interior defect) piece assignment per piece count.
 
@@ -598,7 +599,7 @@ def search_small_paradox(
     tracker = _Budget(budget)
     zero_cap = max(500, 25 * len(window))
     reports: list[PieceCountReport] = []
-    for pieces in range(min_pieces, max_pieces + 1):
+    for pieces in range(MIN_PIECES, max_pieces + 1):
         combos = []
         for m in range(1, pieces // 2 + 1):
             nb = pieces - m  # families are interchangeable, so m <= nb

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .groups import (
     CircleModel,
@@ -36,6 +36,7 @@ from .groups import (
     TorusModel,
     grid_sample,
     parse_fraction,
+    parse_index,
     symmetric_closure,
     translate_window,
 )
@@ -135,7 +136,7 @@ class PerturbedAction:
         window = FiniteWindow.from_json(obj["window"], model)
         pool = FiniteWindow.from_json(obj["pool"], model)
         rows = {
-            model.parse(k): [None if v is None else int(v) for v in row]
+            model.parse(k): [None if v is None else parse_index(v, f"row of {k}") for v in row]
             for k, row in obj["rows"].items()
         }
         inv = {model.parse(k): bool(v) for k, v in obj.get("involution", {}).items()}
@@ -266,7 +267,6 @@ def moving_injection(
     E: FiniteWindow,
     U: Entourage,
     supply: FiniteWindow,
-    step_cap: int = BACKTRACK_CAP,
 ) -> dict[GroupElement, GroupElement]:
     """Injective relocation phi with phi(x) in U.x and phi(F) meeting no
     g phi(F) for g in E off the identity.
@@ -305,8 +305,8 @@ def moving_injection(
             return True
         for y in candidates[i]:
             steps += 1
-            if steps > step_cap:
-                raise BudgetError(f"moving injection exceeded {step_cap} steps")
+            if steps > BACKTRACK_CAP:
+                raise BudgetError(f"moving injection exceeded {BACKTRACK_CAP} steps")
             if not ok(y):
                 continue
             chosen.append(y)
@@ -401,7 +401,6 @@ def folner_package(
     U: Entourage,
     model: GroupModel,
     budget: int = 60,
-    supply_resolution: Optional[int] = None,
 ) -> FolnerPackage:
     """Almost-invariant core D inside a relocated window F, with entourage
     injections of D into every shift gF.
@@ -435,13 +434,12 @@ def folner_package(
     cert = search.certificate
     F0 = cert.F
 
-    if supply_resolution is None:
-        base = _denominator_lcm(
-            [x.data for x in F0]
-            + [g.data for g in pool if isinstance(g.data, Fraction)]
-            + [W.radius]
-        ) if isinstance(model, CircleModel) else 24
-        supply_resolution = max(base, 2 * len(F0) * len(pool))
+    base = _denominator_lcm(
+        [x.data for x in F0]
+        + [g.data for g in pool if isinstance(g.data, Fraction)]
+        + [W.radius]
+    ) if isinstance(model, CircleModel) else 24
+    supply_resolution = max(base, 2 * len(F0) * len(pool))
     attempts = 0
     while True:
         try:
@@ -494,7 +492,6 @@ def build_perturbation(
     index_family: list[tuple[FiniteWindow, int]],
     U: Entourage,
     budget: int = 60,
-    separation_resolution: Optional[int] = None,
 ) -> AssembledPerturbation:
     """Involution-corrected translation table from disjoint Folner packages.
 
@@ -518,7 +515,7 @@ def build_perturbation(
         package = folner_package(theta_i, E_i, U, model, budget=budget)
         footprint = _footprint(model, package.pool, package.F)
 
-        z = _separating_shift(model, footprint, occupied, separation_resolution, budget)
+        z = _separating_shift(model, footprint, occupied)
         F = FiniteWindow(model, [model.mul(x, z) for x in package.F])
         D = FiniteWindow(model, [model.mul(x, z) for x in package.D])
         phis = {
@@ -587,11 +584,10 @@ def _footprint(model, pool, F) -> set[GroupElement]:
     return out
 
 
-def _separating_shift(model, footprint, occupied, resolution, budget) -> GroupElement:
+def _separating_shift(model, footprint, occupied) -> GroupElement:
     if not occupied:
         return model.identity()
-    if resolution is None:
-        resolution = 60
+    resolution = 60
     for _ in range(4):
         for z in grid_sample(model, resolution):
             shifted = {model.mul(x, z) for x in footprint}
@@ -686,7 +682,6 @@ def precompact_perturbation(
     U: Entourage,
     window: FiniteWindow,
     sample: FiniteWindow,
-    closure_center_cap: int = CLOSURE_CENTER_CAP,
 ) -> PrecompactResult:
     """Window permutations near translation whose generated group is finite.
 
@@ -749,9 +744,9 @@ def precompact_perturbation(
         )
         gammas[g] = gamma
 
-    if len(centers) > closure_center_cap:
+    if len(centers) > CLOSURE_CENTER_CAP:
         raise ConstructionError(
-            f"{len(centers)} centers exceed the exact-closure cap {closure_center_cap}"
+            f"{len(centers)} centers exceed the exact-closure cap {CLOSURE_CENTER_CAP}"
         )
 
     rows, lift_mode = _lift_rows(model, window, centers, assignment, gammas, sample, U)
@@ -887,10 +882,9 @@ class WobblingElement:
     permutation: list[int]
     pieces: list[tuple[GroupElement, FiniteWindow]]
 
-    def verify(self, action: Optional[Callable] = None) -> None:
+    def verify(self) -> None:
         """Re-applying each translator on its piece must reproduce the permutation."""
         model = self.window.model
-        apply = action if action is not None else (lambda g, x: model.mul(g, x))
         seen = set()
         for g, piece in self.pieces:
             for x in piece:
@@ -898,7 +892,7 @@ class WobblingElement:
                     raise ValueError("pieces overlap")
                 seen.add(x)
                 expected = self.window[self.permutation[self.window.index(x)]]
-                if apply(g, x) != expected:
+                if model.mul(g, x) != expected:
                     raise ValueError("translator does not reproduce the permutation")
         if len(seen) != len(self.window):
             raise ValueError("pieces do not cover the window")
@@ -908,7 +902,6 @@ def decompose_wobbling(
     permutation: list[int],
     window: FiniteWindow,
     pool: FiniteWindow,
-    action: Optional[Callable[[GroupElement, GroupElement], GroupElement]] = None,
 ) -> WobblingElement:
     """Split a window permutation into pieces moved by single pool translations.
 
@@ -917,14 +910,13 @@ def decompose_wobbling(
     as the witness of non-membership.
     """
     model = window.model
-    apply = action if action is not None else (lambda g, x: model.mul(g, x))
     if sorted(permutation) != list(range(len(window))):
         raise ValueError("not a permutation of the window")
     translator: dict[GroupElement, list[GroupElement]] = {}
     for i, x in enumerate(window):
         target = window[permutation[i]]
         for g in pool:
-            if apply(g, x) == target:
+            if model.mul(g, x) == target:
                 translator.setdefault(g, []).append(x)
                 break
         else:
@@ -937,5 +929,5 @@ def decompose_wobbling(
         for g, xs in sorted(translator.items(), key=lambda kv: model.sort_key(kv[0]))
     ]
     element = WobblingElement(window=window, permutation=list(permutation), pieces=pieces)
-    element.verify(action)
+    element.verify()
     return element

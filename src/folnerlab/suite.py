@@ -288,14 +288,9 @@ def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[Criter
 
 
 def criterion_06_seminorm_bridge(
-    certs: Optional[list[FolnerCertificate]] = None, out_dir: Optional[Path] = None
+    certs: list[FolnerCertificate], out_dir: Optional[Path] = None
 ) -> CriterionResult:
     t0 = time.time()
-    if certs is None:
-        _, c3 = criterion_03_lattice_boxes()
-        _, c4 = criterion_04_free_profile()
-        _, c5 = criterion_05_circle_rotation()
-        certs = c3 + c4 + c5
     checked = 0
     worst_gap = None
     for cert in certs:

@@ -402,7 +402,6 @@ def approx_by_uniform(
     metric: InvariantPseudoMetric,
     epsilon: Fraction,
     supply: FiniteWindow,
-    denominator_cap: int = DENOMINATOR_CAP,
 ) -> UniformApproximation:
     """Find a window F with seminorm(a - uniform(F)) <= epsilon.
 
@@ -417,7 +416,7 @@ def approx_by_uniform(
     if not a.is_stochastic():
         raise ValueError("only stochastic weights can be uniformized")
 
-    counts, denom, round_err = _round_weight(a, epsilon / 2, denominator_cap)
+    counts, denom, round_err = _round_weight(a, epsilon / 2)
     radius = epsilon / 2
     used: set[GroupElement] = set()
     pieces: dict[GroupElement, FiniteWindow] = {}
@@ -449,17 +448,15 @@ def approx_by_uniform(
     return UniformApproximation(window=F, pieces=pieces, defect=defect, epsilon=epsilon)
 
 
-def _round_weight(
-    a: FiniteWeight, budget: Fraction, denominator_cap: int
-) -> tuple[dict[GroupElement, int], int, Fraction]:
+def _round_weight(a: FiniteWeight, budget: Fraction) -> tuple[dict[GroupElement, int], int, Fraction]:
     """Approximate a by c(x)/n with sum c = n <= cap and l1 error <= budget."""
     denom = 1
     for _, w in a.items:
         denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    if denom <= denominator_cap:
+    if denom <= DENOMINATOR_CAP:
         return {g: int(w * denom) for g, w in a.items}, denom, ZERO
 
-    n = denominator_cap
+    n = DENOMINATOR_CAP
     raw = [(g, w * n) for g, w in a.items]
     counts = {g: int(q) for g, q in raw}  # floor
     remainder = n - sum(counts.values())
@@ -468,7 +465,7 @@ def _round_weight(
         counts[g] += 1
     err = sum((abs(w - Fraction(counts[g], n)) for g, w in a.items), ZERO)
     if err > budget:
-        raise SupplyError(f"rounding error {err} exceeds {budget} at denominator cap {denominator_cap}")
+        raise SupplyError(f"rounding error {err} exceeds {budget} at denominator cap {DENOMINATOR_CAP}")
     return counts, n, err
 
 

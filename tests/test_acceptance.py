@@ -1,37 +1,43 @@
 """Acceptance gate: every built-in criterion must pass at its stated
-tolerance; one line is printed per criterion."""
+tolerance; one line is printed per criterion.  The suite runs once per
+session and every test reads its rows."""
 
 import pytest
 
 from folnerlab import suite
 
-CRITERIA = [
-    (1, suite.criterion_01_hall_identity, 10),
-    (2, suite.criterion_02_perfect_matching, 10),
-    (3, lambda: suite.criterion_03_lattice_boxes()[0], 5),
-    (4, lambda: suite.criterion_04_free_profile()[0], 60),
-    (5, lambda: suite.criterion_05_circle_rotation()[0], 5),
-    (6, suite.criterion_06_seminorm_bridge, 60),
-    (7, suite.criterion_07_seminorm_oracle, 30),
-    (8, suite.criterion_08_uniform_approx, 60),
-    (9, suite.criterion_09_precompact, 30),
-    (10, suite.criterion_10_assembly, 60),
-    (11, suite.criterion_11_free_paradox, 120),
-    (12, suite.criterion_12_amenable_control, 120),
-    (13, suite.criterion_13_determinism, 600),
+# (criterion number, time limit in seconds)
+LIMITS = [
+    (1, 10),
+    (2, 10),
+    (3, 5),
+    (4, 60),
+    (5, 5),
+    (6, 60),
+    (7, 30),
+    (8, 60),
+    (9, 30),
+    (10, 60),
+    (11, 120),
+    (12, 120),
+    (13, 600),
 ]
 
 
-@pytest.mark.parametrize("number,runner,limit", CRITERIA, ids=[f"criterion-{n:02d}" for n, _, _ in CRITERIA])
-def test_criterion(number, runner, limit):
-    result = runner()
+@pytest.fixture(scope="module")
+def results():
+    return suite.run_suite()
+
+
+@pytest.mark.parametrize("number,limit", LIMITS, ids=[f"criterion-{n:02d}" for n, _ in LIMITS])
+def test_criterion(results, number, limit):
+    (result,) = [r for r in results if r.number == number]
     print(result.row())
     assert result.passed, result.measured
     assert result.elapsed < limit, f"criterion {number} took {result.elapsed:.1f}s (limit {limit}s)"
 
 
-def test_full_suite_summary():
-    results = suite.run_suite()
+def test_full_suite_summary(results):
     for r in results:
         print(r.row())
     assert len(results) == 13

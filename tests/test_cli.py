@@ -290,7 +290,7 @@ def test_scenario_with_seed_and_local_strategy(tmp_path):
         assert (first / "certificate.json").read_bytes() == (second / "certificate.json").read_bytes()
 
 
-def test_perturb_build_via_config(tmp_path):
+def test_perturb_build_via_config(tmp_path, capsys):
     config = tmp_path / "build.json"
     config.write_text(
         json.dumps(
@@ -312,6 +312,16 @@ def test_perturb_build_via_config(tmp_path):
     assert cert["involution"] and all(cert["involution"].values())
     report = json.loads((out / "report.json").read_text())
     assert report["violations"] == []
+    # a table entry that is not a JSON integer is rejected, not read as an index
+    g, row = next(iter(cert["rows"].items()))
+    k = next(i for i, j in enumerate(row) if j is not None)
+    row[k] = float(row[k])
+    verify = {"model": {"kind": "circle"}, "task": "perturb",
+              "params": {"mode": "verify", "action": cert, "radius": "1/10"}}
+    config.write_text(json.dumps(verify))
+    capsys.readouterr()
+    assert run_scenario(config) == 1
+    assert f"row of {g}: expected a JSON integer" in capsys.readouterr().err
 
 
 def test_perturb_wobble_via_config(tmp_path):
@@ -356,6 +366,12 @@ def test_verify_certificate_roundtrip(tmp_path, capsys):
     bad_path.write_text(json.dumps(payload))
     assert run(["folner-defect", "--verify-cert", bad_path]) == 2
     assert "INVALID" in capsys.readouterr().out
+    # a non-integer mu is a malformed file, named by its field
+    payload["theta"] = json.loads(cert_path.read_text())["theta"]
+    payload["matchings"]["0,1"]["mu"] = float(payload["matchings"]["0,1"]["mu"])
+    bad_path.write_text(json.dumps(payload))
+    assert run(["folner-defect", "--verify-cert", bad_path]) == 1
+    assert "mu: expected a JSON integer" in capsys.readouterr().err
     # an unreadable file is a usage error, not a traceback
     assert run(["folner-defect", "--verify-cert", tmp_path / "missing.json"]) == 1
     assert "--verify-cert" in capsys.readouterr().err

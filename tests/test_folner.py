@@ -318,6 +318,27 @@ def _raise_mu(payload):
     payload["matchings"]["0,1"]["mu"] += 1
 
 
+def _forge_seminorm_check(payload):
+    payload["seminorm_check"] = {"value": "-5", "bound": "100"}
+
+
+def _float_pairing_index(payload):
+    payload["matchings"]["0,1"]["pairing"][0][0] += 0.5
+
+
+def _bool_pairing_index(payload):
+    payload["matchings"]["0,1"]["pairing"][1][1] = True
+
+
+def _float_mu(payload):
+    payload["matchings"]["0,1"]["mu"] = float(payload["matchings"]["0,1"]["mu"])
+
+
+def _string_witness_index(payload):
+    witness = payload["matchings"]["0,1"]["witness"]
+    witness[0] = str(witness[0])
+
+
 MUTATIONS = [
     (_drop_worst, "keys differ"),
     (_add_foreign_key, "keys differ"),
@@ -326,27 +347,47 @@ MUTATIONS = [
     (_negative_pairing_index, "out of range"),
     (_pairing_index_past_window, "out of range"),
     (_raise_mu, "pairing size"),
+    (_forge_seminorm_check, "seminorm_check"),
+]
+
+# indices that are not JSON integers are rejected when the file is read
+PARSE_MUTATIONS = [
+    (_float_pairing_index, "pairing: expected a JSON integer, got 1.5"),
+    (_bool_pairing_index, "pairing: expected a JSON integer, got True"),
+    (_float_mu, "mu: expected a JSON integer"),
+    (_string_witness_index, "witness: expected a JSON integer"),
 ]
 
 
 def test_certificate_reload_and_reverify():
     # the true theta is 1/4, set by the shift (3,0); (1,0) and (0,1) give 3/4
     E = window(Z2, [(1, 0), (0, 1), (3, 0)])
-    for pool, expected in ((E, Fraction(1, 4)), (window(Z2, []), Fraction(1))):
-        theta, cert = topological_defect(box(4), pool, U0_Z2)
-        assert theta == expected
+    _, crosschecked = topological_defect(box(4), E, U0_Z2)
+    seminorm_crosscheck(crosschecked)
+    cases = [
+        (topological_defect(box(4), E, U0_Z2)[1], Fraction(1, 4)),
+        (topological_defect(box(4), window(Z2, []), U0_Z2)[1], Fraction(1)),
+        (crosschecked, Fraction(1, 4)),
+    ]
+    for cert, expected in cases:
+        assert cert.theta == expected
         restored = FolnerCertificate.from_json(json.loads(json.dumps(cert.to_json())))
         restored.verify()
-        assert restored.theta == theta
+        assert restored.theta == expected
         assert restored.to_json() == cert.to_json()
+    assert "seminorm_check" in crosschecked.to_json()
     # a tampered file must fail verification
-    _, cert = topological_defect(box(4), E, U0_Z2)
     for mutate, reason in MUTATIONS:
-        payload = json.loads(json.dumps(cert.to_json()))
+        payload = json.loads(json.dumps(crosschecked.to_json()))
         mutate(payload)
         broken = FolnerCertificate.from_json(payload)
         with pytest.raises(ValueError, match=reason):
             broken.verify()
+    for mutate, reason in PARSE_MUTATIONS:
+        payload = json.loads(json.dumps(crosschecked.to_json()))
+        mutate(payload)
+        with pytest.raises(ValueError, match=reason):
+            FolnerCertificate.from_json(payload)
 
 
 def test_certificate_reload_builds_each_graph_once(monkeypatch):

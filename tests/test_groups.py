@@ -1,5 +1,7 @@
 """Group models: laws, metrics, entourages, windows."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -264,9 +266,17 @@ def test_model_mismatch():
 def test_model_serialization_roundtrip():
     for model in ALL_MODELS:
         restored = model_from_json(model.to_json())
-        assert restored == model
+        assert restored is model
+        assert copy.deepcopy(model) is model
+        assert pickle.loads(pickle.dumps(model)) is model
         metric = metric_from_json(model.to_json()["metric"], restored)
         assert metric == model.default_metric()
+    spellings = [
+        make_model("lattice"),
+        make_model("lattice", dim=1),
+        model_from_json({"kind": "lattice", "params": {"dim": "1"}}),
+    ]
+    assert all(m is Z for m in spellings)
 
 
 def test_element_encoding_roundtrip():
