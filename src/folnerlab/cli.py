@@ -629,7 +629,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_semi = sub.add_parser("seminorm", help="bounded-Lipschitz seminorm / invariance defects")
     _model_flags(p_semi)
     _add_common(p_semi)
-    p_semi.add_argument("--weight", help="weight JSON file")
+    p_semi.add_argument("--weight", type=Path, help="weight JSON file")
     p_semi.add_argument("--E", dest="E")
 
     p_perturb = sub.add_parser("perturb", help="build / verify / precompact / wobble")
@@ -693,6 +693,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
+def _read_json_flag(path: Path, flag: str):
+    """A JSON file named by a CLI flag; unreadable or non-JSON is a ConfigError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(flag, str(exc))
+
+
 def _config_from_flags(args) -> dict:
     command = args.command
     if command == "suite":
@@ -712,10 +720,7 @@ def _config_from_flags(args) -> dict:
         }
     if command == "folner-defect":
         if args.verify_cert is not None:
-            try:
-                cert = json.loads(args.verify_cert.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise ConfigError("--verify-cert", str(exc))
+            cert = _read_json_flag(args.verify_cert, "--verify-cert")
             return {"task": "defect", "params": {"certificate": cert}}
         params = {"F": _window_arg(args.F), "E": _window_arg(args.E), "mode": args.mode}
         if args.mode != "discrete":
@@ -736,8 +741,9 @@ def _config_from_flags(args) -> dict:
             },
         }
     if command == "seminorm":
-        weight = json.loads(Path(args.weight).read_text(encoding="utf-8"))
-        params = {"weight": weight}
+        if args.weight is None:
+            raise ConfigError("--weight", "missing required flag")
+        params = {"weight": _read_json_flag(args.weight, "--weight")}
         if args.E:
             params["E"] = _window_arg(args.E)
         return {"task": "seminorm", "model": model, "params": params}
@@ -756,7 +762,7 @@ def _config_from_flags(args) -> dict:
             if args.standard:
                 params["standard"] = True
             elif args.cert:
-                params["certificate"] = json.loads(args.cert.read_text(encoding="utf-8"))
+                params["certificate"] = _read_json_flag(args.cert, "--cert")
             return {"task": "paradox-verify", "model": model, "params": params}
         params = {
             "window_resolution": args.window_resolution,

@@ -48,6 +48,13 @@ def parse_index(value, field: str) -> int:
     return value
 
 
+def parse_bool(value, field: str) -> bool:
+    """A JSON boolean; strings and numbers are rejected, naming the field."""
+    if type(value) is not bool:
+        raise ValueError(f"{field}: expected a JSON boolean, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Canonical element of a concrete group model."""

@@ -1,7 +1,20 @@
 """Bipartite graphs between finite windows, maximum matchings, and Hall
 deficiency witnesses.
 
-An instance pairs x in E with y in F whenever y x^-1 lies in the entourage.
+An instance pairs x in E with y in F whenever y x^-1 lies in the entourage,
+that is y = u x for some u in U.  `build_graph` divides the scale factors out
+of the radius and then lists each row directly by the base metric:
+
+- word metric on a discrete model: the word ball of the radius, enumerated
+  once by BFS, is applied to x and looked up in F;
+- arc metric on the circle: a closed interval [x - r, x + r] mod 1, cut out
+  of F's sorted payloads by bisection (all of F once r >= 1/2);
+- discrete metric: all of F once r >= 1, otherwise x itself if x is in F.
+
+Every pair is tested against the entourage only when the word ball is larger
+than F, and for the arc metric on the torus and the other combinations
+without a closed form.  Rows are ascending in the index of F either way.
+
 The matching number is computed by Hopcroft-Karp with deterministic vertex
 order; the deficiency witness is the set of left vertices reachable by
 alternating paths from the unmatched ones, which maximizes |S| - |N(S)|.
@@ -9,11 +22,23 @@ alternating paths from the unmatched ones, which maximizes |S| - |N(S)|.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .groups import Entourage, FiniteWindow, GroupElement, ModelMismatchError
+from .groups import (
+    CircleModel,
+    Entourage,
+    FiniteWindow,
+    GroupElement,
+    InvariantPseudoMetric,
+    ModelMismatchError,
+    WindowSizeError,
+    word_ball,
+)
 
 INF = float("inf")
 
@@ -84,21 +109,63 @@ class MatchingResult:
 
 
 def build_graph(E: FiniteWindow, F: FiniteWindow, U: Entourage) -> BipartiteInstance:
-    """Adjacency (i, j) iff F[j] * E[i]^-1 lies in U."""
-    if E.model != F.model or U.model != E.model:
+    """Adjacency (i, j) iff F[j] * E[i]^-1 lies in U, each row ascending in j."""
+    if E.model is not F.model or U.model is not E.model:
         raise ModelMismatchError("windows and entourage over different models")
-    model = E.model
-    adjacency: list[list[int]] = []
-    if U.radius == 0 and U.metric.rule in ("word", "arc", "discrete"):
-        # All built-in base metrics separate points, so radius 0 means equality.
+    metric, radius = U.metric, U.radius
+    while metric.rule == "scaled":
+        metric, radius = metric.base, radius / metric.factor
+    adjacency = _listed_rows(E, F, metric, radius)
+    if adjacency is None:
+        model = E.model
+        adjacency = []
         for x in E:
-            adjacency.append([F.index(x)] if x in F else [])
-        return BipartiteInstance(left=E, right=F, adjacency=adjacency)
-    for x in E:
-        x_inv = model.inv(x)
-        row = [j for j, y in enumerate(F) if U.contains(model.mul(y, x_inv))]
-        adjacency.append(row)
+            x_inv = model.inv(x)
+            adjacency.append([j for j, y in enumerate(F) if U.contains(model.mul(y, x_inv))])
     return BipartiteInstance(left=E, right=F, adjacency=adjacency)
+
+
+def _listed_rows(
+    E: FiniteWindow, F: FiniteWindow, metric: InvariantPseudoMetric, radius: Fraction
+) -> Optional[list[list[int]]]:
+    """The rows of `build_graph` for the ball d(u, e) <= radius of a base
+    metric, listed without testing pairs; None where only the pair test applies."""
+    model, n = E.model, len(F)
+    if metric.rule == "discrete":
+        if radius >= 1:
+            return [list(range(n)) for _ in E]
+        return [[F.index(x)] if x in F else [] for x in E]
+    if metric.rule == "arc" and isinstance(model, CircleModel):
+        if radius >= Fraction(1, 2):
+            return [list(range(n)) for _ in E]
+        # y is within radius of x iff y lies in [x-r, x+r], [x-r+1, 1) or
+        # [0, x+r-1]; for r < 1/2 these pieces are disjoint and in order.
+        points = [y.data for y in F]
+        rows = []
+        for x in E:
+            lo, hi = x.data - radius, x.data + radius
+            rows.append(
+                list(range(bisect_right(points, hi - 1)))
+                + list(range(bisect_left(points, lo), bisect_right(points, hi)))
+                + list(range(bisect_left(points, lo + 1), n))
+            )
+        return rows
+    if metric.rule == "word" and model.discrete:
+        # Word lengths on the discrete models are BFS distances over the same
+        # generators that `word_ball` walks.
+        try:
+            ball = word_ball(model, math.floor(radius), cap=n)
+        except WindowSizeError:
+            return None
+        steps = [u.data for u in ball]
+        index = {y.data: j for j, y in enumerate(F)}
+        mul = model._mul_data
+        rows = []
+        for x in E:
+            found = (index.get(mul(u, x.data)) for u in steps)
+            rows.append(sorted(j for j in found if j is not None))
+        return rows
+    return None
 
 
 def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:

@@ -35,6 +35,7 @@ from .groups import (
     GroupModel,
     TorusModel,
     grid_sample,
+    parse_bool,
     parse_fraction,
     parse_index,
     symmetric_closure,
@@ -139,7 +140,10 @@ class PerturbedAction:
             model.parse(k): [None if v is None else parse_index(v, f"row of {k}") for v in row]
             for k, row in obj["rows"].items()
         }
-        inv = {model.parse(k): bool(v) for k, v in obj.get("involution", {}).items()}
+        inv = {
+            model.parse(k): parse_bool(v, f"involution[{k}]")
+            for k, v in obj.get("involution", {}).items()
+        }
         fw = [FiniteWindow.from_json(w, model) for w in obj.get("folner_windows", [])]
         fp = [FiniteWindow.from_json(w, model) for w in obj.get("folner_pools", [])]
         return cls(

@@ -119,6 +119,27 @@ def test_paradox_verify_subcommand(tmp_path, capsys):
     assert all(line.split(",")[2] == "0" for line in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["seminorm", "--kind", "circle", "--weight"], "--weight"),
+        (["paradox", "verify", "--kind", "free", "--rank", "2", "--cert"], "--cert"),
+    ],
+)
+def test_unreadable_file_flag(tmp_path, capsys, args, flag):
+    # a missing or non-JSON file is a usage error naming the flag, not a traceback
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    for path in (tmp_path / "missing.json", broken):
+        assert run(args + [path]) == 1
+        assert f"error: {flag}:" in capsys.readouterr().err
+
+
+def test_seminorm_without_weight(capsys):
+    assert run(["seminorm", "--kind", "circle"]) == 1
+    assert "--weight: missing required flag" in capsys.readouterr().err
+
+
 def test_paradox_search_subcommand(tmp_path):
     code = run(
         ["paradox", "search", "--kind", "lattice", "--dim", "1",

@@ -2,12 +2,24 @@
 perfect matchings, and the entourage-induced graphs."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folnerlab.groups import ArcMetric, Entourage, WordMetric, make_model, translate_window, window
+from folnerlab.groups import (
+    ArcMetric,
+    DiscreteMetric,
+    Entourage,
+    ScaledMetric,
+    WordMetric,
+    grid_sample,
+    make_model,
+    translate_window,
+    window,
+    word_ball,
+)
 from folnerlab.matching import (
     BipartiteInstance,
     brute_force_matching_number,
@@ -120,16 +132,84 @@ def test_build_graph_empty_left():
     assert max_matching(build_graph(E, F, U)).mu == 0
 
 
-def test_adjacency_reproducible_and_fastpath_consistent():
-    E = window(Z, [(i,) for i in range(6)])
-    F = window(Z, [(i,) for i in range(2, 8)])
-    U = Entourage(WordMetric(Z), Fraction(0))
-    fast = build_graph(E, F, U)
-    slow_adj = []
+def pair_oracle(E, F, U):
+    """Test every pair: the definition that `build_graph` lists rows for."""
+    model = E.model
+    rows = []
     for x in E:
-        x_inv = Z.inv(x)
-        slow_adj.append([j for j, y in enumerate(F) if U.contains(Z.mul(y, x_inv))])
-    assert fast.adjacency == slow_adj
+        x_inv = model.inv(x)
+        rows.append([j for j, y in enumerate(F) if U.contains(model.mul(y, x_inv))])
+    return rows
+
+
+def _listed(E, F, U):
+    return build_graph(E, F, U).adjacency
+
+
+def _outcome(build, E, F, U):
+    try:
+        return build(E, F, U)
+    except Exception as exc:  # both sides must fail the same way
+        return type(exc)
+
+
+ORACLE_POOLS = [
+    (Z, word_ball(Z, 6)),
+    (make_model("lattice", dim=2), word_ball(make_model("lattice", dim=2), 4)),
+    (make_model("free", rank=2), word_ball(make_model("free", rank=2), 3)),
+    (make_model("heisenberg"), word_ball(make_model("heisenberg"), 3)),
+    (C, window(C, [Fraction(k, 24) for k in range(24)] + [Fraction(k, 36) for k in range(0, 36, 5)])),
+    (make_model("torus", dim=2), grid_sample(make_model("torus", dim=2), 6)),
+    (make_model("cyclic", modulus=12), grid_sample(make_model("cyclic", modulus=12), 6)),
+]
+ORACLE_RADII = [Fraction(0), Fraction(1, 24), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
+                Fraction(1), Fraction(5, 3), Fraction(3), Fraction(100)]
+
+
+def test_adjacency_reproducible_and_fastpath_consistent():
+    # Listed rows must equal the pair test's rows as lists, on every model and
+    # metric: radius 0, fractional radii, radii past the window's diameter
+    # (including word balls larger than F, which take the pair path) and arc
+    # radii of 1/2 and more.
+    rng = random.Random(20161)
+    graphs = edges = 0
+    for model, pool in ORACLE_POOLS:
+        bases = [WordMetric(model), ArcMetric(model), DiscreteMetric(model)]
+        metrics = bases + [ScaledMetric(b, Fraction(3, 2)) for b in bases]
+        metrics.append(ScaledMetric(ScaledMetric(WordMetric(model), Fraction(2, 5)), Fraction(3)))
+        for _ in range(3):
+            E = window(model, rng.sample(pool.elements, rng.randint(0, min(8, len(pool)))))
+            F = window(model, rng.sample(pool.elements, rng.randint(0, min(16, len(pool)))))
+            g = rng.choice(pool.elements)
+            for right in (F, translate_window(g, E), pool):
+                for metric in metrics:
+                    for radius in ORACLE_RADII:
+                        U = Entourage(metric, radius)
+                        expected = _outcome(pair_oracle, E, right, U)
+                        got = _outcome(_listed, E, right, U)
+                        assert got == expected, (model, E, right, metric.to_json(), radius)
+                        assert _outcome(_listed, E, right, U) == got
+                        if isinstance(got, list):
+                            graphs += 1
+                            edges += sum(len(row) for row in got)
+    assert graphs > 2500 and edges > 50000
+
+
+def test_word_radius_one_lists_rows_without_pair_tests(monkeypatch):
+    calls = []
+    contains = Entourage.contains
+    monkeypatch.setattr(Entourage, "contains", lambda U, g: calls.append(g) or contains(U, g))
+    Z2 = make_model("lattice", dim=2)
+    box = window(Z2, [(i, j) for i in range(30) for j in range(30)])
+    U = Entourage(WordMetric(Z2), Fraction(1))
+    inst = build_graph(box, translate_window(Z2.element((1, 0)), box), U)
+    assert calls == []
+    # x + u lies in the shifted box for u = 0, +-e1, +-e2: 870 + 900 + 840 + 841 + 841
+    assert inst.edge_count() == 4292
+    # a word ball larger than F still takes the pair test
+    small = window(Z2, [(0, 0), (1, 0), (0, 1)])
+    build_graph(small, small, U.with_radius(Fraction(5)))
+    assert len(calls) == 9
 
 
 def test_mu_monotone_in_radius():

@@ -390,3 +390,12 @@ def test_perturbed_action_from_json_rejects_noncanonical_index(row):
     payload = {"window": grid_sample(C, 4).to_json(), "pool": ["1/4"], "rows": {"1/4": row}, "radius": "0"}
     with pytest.raises(ValueError, match="row of 1/4"):
         PerturbedAction.from_json(payload, C)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, "true"])
+def test_perturbed_action_from_json_rejects_nonboolean_involution(flag):
+    payload = {"window": grid_sample(C, 4).to_json(), "pool": ["1/4"], "rows": {"1/4": [1, 2, 3, 0]}, "radius": "0"}
+    loaded = PerturbedAction.from_json({**payload, "involution": {"1/4": False}}, C)
+    assert loaded.involution == {C.element(Fraction(1, 4)): False}
+    with pytest.raises(ValueError, match=r"involution\[1/4\]"):
+        PerturbedAction.from_json({**payload, "involution": {"1/4": flag}}, C)
