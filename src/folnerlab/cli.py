@@ -46,7 +46,13 @@ from .groups import (
     parse_fraction,
 )
 from .matching import build_graph, max_matching
-from .paradox import ParadoxCertificate, f2_standard_certificate, search_small_paradox, verify_on_window
+from .paradox import (
+    CertificateError,
+    ParadoxCertificate,
+    f2_standard_certificate,
+    search_small_paradox,
+    verify_on_window,
+)
 from .perturb import PerturbedAction, build_perturbation, decompose_wobbling, precompact_perturbation, verify_perturbation
 from .suite import run_suite
 from .weights import FiniteWeight, invariance_defect, lipschitz_seminorm
@@ -394,7 +400,11 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
     if params.get("standard"):
         cert = f2_standard_certificate(model)
     elif "certificate" in params:
-        cert = ParadoxCertificate.from_json(params["certificate"], model)
+        try:
+            cert = ParadoxCertificate.from_json(params["certificate"], model)
+        except CertificateError as exc:
+            path = f"params.certificate.{exc.path}" if exc.path else "params.certificate"
+            raise ConfigError(path, exc.reason)
     else:
         raise ConfigError("params.certificate", "need a certificate or standard: true")
     win = (

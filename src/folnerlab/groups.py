@@ -226,6 +226,11 @@ class FreeGroupModel(GroupModel):
         if not 1 <= rank <= 26:
             raise ValueError("free rank must be between 1 and 26")
         self.rank = rank
+        # text letter -> payload letter: 'a' -> 1, 'A' -> -1, 'b' -> 2, ...
+        self.letters = {}
+        for i, ch in enumerate(_LETTERS[:rank], start=1):
+            self.letters[ch] = i
+            self.letters[ch.upper()] = -i
 
     def params(self) -> dict:
         return {"rank": self.rank}
@@ -261,10 +266,9 @@ class FreeGroupModel(GroupModel):
         letters = []
         for part in text.split(","):
             part = part.strip()
-            if len(part) != 1 or part.lower() not in _LETTERS[: self.rank]:
+            if part not in self.letters:
                 raise ValueError(f"bad free-group letter {part!r}")
-            idx = _LETTERS.index(part.lower()) + 1
-            letters.append(-idx if part.isupper() else idx)
+            letters.append(self.letters[part])
         return self.element(letters)
 
     def format(self, g: GroupElement) -> str:
@@ -763,22 +767,25 @@ def translate_window(g: GroupElement, F: FiniteWindow) -> FiniteWindow:
 
 
 def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWindow:
-    """Closed ball of the word metric over the model generators, by BFS."""
-    gens = model.generators()
-    seen = {model.identity(): 0}
-    frontier = deque([model.identity()])
+    """Closed ball of the word metric over the model generators, by BFS on
+    payloads."""
+    gens = [s.data for s in model.generators()]
+    mul = model._mul_data
+    start = model.identity().data
+    seen = {start: 0}
+    frontier = deque([start])
     while frontier:
         x = frontier.popleft()
         if seen[x] >= radius:
             continue
         for s in gens:
-            y = model.mul(x, s)
+            y = mul(x, s)
             if y not in seen:
                 if len(seen) >= cap:
                     raise WindowSizeError(f"word ball exceeds cap {cap}")
                 seen[y] = seen[x] + 1
                 frontier.append(y)
-    return FiniteWindow(model, seen)
+    return FiniteWindow(model, [GroupElement(model, data) for data in seen])
 
 
 def grid_sample(model: GroupModel, resolution: int) -> FiniteWindow:

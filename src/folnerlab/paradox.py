@@ -3,11 +3,15 @@
 A certificate is pure data: translator words plus piece classifiers, where a
 classifier is a small expression tree over encoding predicates (first letter,
 signed-power test, coordinate sign, residue, membership table) that can be
-re-evaluated without code.  Verification restricts the covering equations to
-a finite window and counts, per equation, how many window points are covered
-exactly once.  A point whose preimages leave the window is a boundary
-defect, never a violation: finite windows cannot witness an infinite
-covering, and the report keeps that distinction explicit.
+re-evaluated without code.  Classifier trees are checked once, when a
+certificate is built or parsed.  Verification restricts the covering
+equations to a finite window and counts, per equation, how many window
+points are covered exactly once.  It works on window indices: each
+translator word becomes one column of preimage indices, and each piece's
+classifier is evaluated at most once per window point.  A point whose
+preimages leave the window is a boundary defect, never a violation: finite
+windows cannot witness an infinite covering, and the report keeps that
+distinction explicit.
 
 `search_small_paradox` looks for piece assignments on a window minimizing
 the interior violations of the combined covering equation at each piece
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import FiniteWindow, FreeGroupModel, GroupElement, GroupModel
+from .groups import FiniteWindow, FreeGroupModel, GroupElement, GroupModel, ModelMismatchError
 from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
@@ -34,20 +38,101 @@ class ClassifierError(ValueError):
     pass
 
 
+class CertificateError(ValueError):
+    """Malformed certificate data; `path` locates the field inside the
+    certificate object (`A[0].args[1].index`), empty for the whole object."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}" if path else reason)
+        self.path = path
+        self.reason = reason
+
+
 # ---------------------------------------------------------------------------
 # Classifier expressions
 # ---------------------------------------------------------------------------
 
 
 def _letter_code(model: FreeGroupModel, letter: str) -> int:
-    g = model.parse(letter)
-    if len(g.data) != 1:
-        raise ClassifierError(f"{letter!r} is not a single letter")
-    return g.data[0]
+    code = model.letters.get(letter) if isinstance(letter, str) else None
+    if code is None:
+        raise ClassifierError(f"{letter!r} is not a letter of {model!r}")
+    return code
+
+
+def _coordinates(model: GroupModel) -> int:
+    """How many coordinates `coord_sign` and `residue` may index: the length
+    of a tuple payload (none for free words, whose identity is empty), else
+    one."""
+    data = model.identity().data
+    return len(data) if isinstance(data, tuple) else 1
+
+
+def _required(clf: dict, key: str, path: str):
+    if key not in clf:
+        raise CertificateError(f"{path}.{key}", "missing required field")
+    return clf[key]
+
+
+def _check_classifier(clf, model: GroupModel, path: str) -> None:
+    """Reject a classifier tree that cannot be evaluated on `model`, naming
+    the field at fault: unknown ops, missing fields, letters outside the free
+    rank, coordinate indices other than JSON integers 0 <= i < coordinates,
+    a `mod` other than a positive JSON integer, and `elements` other than a
+    list of strings."""
+    if not isinstance(clf, dict):
+        raise CertificateError(path, "expected a classifier object")
+    op = _required(clf, "op", path)
+    if op in ("true", "identity"):
+        return
+    if op in ("and", "or"):
+        args = _required(clf, "args", path)
+        if not isinstance(args, list):
+            raise CertificateError(f"{path}.args", "expected a list of classifiers")
+        for i, arg in enumerate(args):
+            _check_classifier(arg, model, f"{path}.args[{i}]")
+    elif op == "not":
+        _check_classifier(_required(clf, "arg", path), model, f"{path}.arg")
+    elif op == "in":
+        elements = _required(clf, "elements", path)
+        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+            raise CertificateError(f"{path}.elements", "expected a list of element strings")
+    elif op in ("first_letter", "power"):
+        if not isinstance(model, FreeGroupModel):
+            raise CertificateError(f"{path}.op", f"{op} needs a free-group model")
+        letter = _required(clf, "letter", path)
+        if not isinstance(letter, str) or letter not in model.letters:
+            raise CertificateError(f"{path}.letter", f"{letter!r} is not a letter of {model!r}")
+    elif op in ("coord_sign", "residue"):
+        index = _required(clf, "index", path)
+        count = _coordinates(model)
+        if type(index) is not int or not 0 <= index < count:
+            raise CertificateError(
+                f"{path}.index", f"expected a JSON integer 0 <= i < {count}, got {index!r}"
+            )
+        if op == "coord_sign":
+            sign = _required(clf, "sign", path)
+            if sign not in ("+", "-", "0"):
+                raise CertificateError(f"{path}.sign", f"expected '+', '-' or '0', got {sign!r}")
+        else:
+            mod = _required(clf, "mod", path)
+            if type(mod) is not int or mod < 1:
+                raise CertificateError(f"{path}.mod", f"expected a positive JSON integer, got {mod!r}")
+            value = _required(clf, "value", path)
+            if type(value) is not int:
+                raise CertificateError(f"{path}.value", f"expected a JSON integer, got {value!r}")
+    else:
+        raise CertificateError(f"{path}.op", f"unknown classifier op {op!r}")
 
 
 def evaluate_classifier(clf: dict, g: GroupElement) -> bool:
     """Evaluate an expression-tree classifier on a canonical element."""
+    # The tree is walked by `_evaluate`, so each call of this function is one
+    # classifier evaluation, however deep the tree.
+    return _evaluate(clf, g)
+
+
+def _evaluate(clf: dict, g: GroupElement) -> bool:
     op = clf["op"]
     model = g.model
     if op == "true":
@@ -55,11 +140,11 @@ def evaluate_classifier(clf: dict, g: GroupElement) -> bool:
     if op == "identity":
         return g == model.identity()
     if op == "and":
-        return all(evaluate_classifier(c, g) for c in clf["args"])
+        return all(_evaluate(c, g) for c in clf["args"])
     if op == "or":
-        return any(evaluate_classifier(c, g) for c in clf["args"])
+        return any(_evaluate(c, g) for c in clf["args"])
     if op == "not":
-        return not evaluate_classifier(clf["arg"], g)
+        return not _evaluate(clf["arg"], g)
     if op == "in":
         return model.format(g) in clf["elements"]
     if op == "first_letter":
@@ -96,10 +181,23 @@ def evaluate_classifier(clf: dict, g: GroupElement) -> bool:
 Word = tuple[GroupElement, ...]
 
 
-def _parse_word(obj, model: GroupModel) -> Word:
+def _parse_word(obj, model: GroupModel, path: str) -> Word:
+    """A translator word: one element string or a list of them."""
     if isinstance(obj, str):
-        obj = [obj]
-    return tuple(model.parse(s) for s in obj)
+        items = [(path, obj)]
+    elif isinstance(obj, list):
+        items = [(f"{path}[{i}]", text) for i, text in enumerate(obj)]
+    else:
+        raise CertificateError(path, "expected an element string or a list of them")
+    word = []
+    for field_path, text in items:
+        if not isinstance(text, str):
+            raise CertificateError(field_path, f"expected an element string, got {text!r}")
+        try:
+            word.append(model.parse(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CertificateError(field_path, str(exc)) from None
+    return tuple(word)
 
 
 def _format_word(word: Word, model: GroupModel) -> list[str]:
@@ -114,6 +212,9 @@ class ParadoxCertificate:
     and each family's translates partition it again (the classical
     free-group shape).  `tarski`: each family partitions the space on its
     own and the combined translates partition it once more.
+
+    Construction checks the form, the counts and every classifier tree
+    against the model, raising `CertificateError` with the field's path.
     """
 
     model: GroupModel
@@ -125,19 +226,24 @@ class ParadoxCertificate:
 
     def __post_init__(self):
         if self.form not in ("two_equation", "tarski"):
-            raise ValueError(f"unknown certificate form {self.form!r}")
-        if len(self.a_words) != len(self.a_pieces) or len(self.b_words) != len(self.b_pieces):
-            raise ValueError("translator and piece counts differ")
+            raise CertificateError("form", f"unknown certificate form {self.form!r}")
+        for key, words, pieces in (("A", self.a_words, self.a_pieces), ("B", self.b_words, self.b_pieces)):
+            if len(words) != len(pieces):
+                raise CertificateError(key, f"{len(pieces)} pieces for {len(words)} translator words")
+            for i, clf in enumerate(pieces):
+                _check_classifier(clf, self.model, f"{key}[{i}]")
 
     def piece_count(self) -> int:
         return len(self.a_pieces) + len(self.b_pieces)
 
-    def equations(self) -> list[tuple[str, list[tuple[Word, dict]]]]:
-        e: Word = ()
-        a_terms = list(zip(self.a_words, self.a_pieces))
-        b_terms = list(zip(self.b_words, self.b_pieces))
-        id_a = [((), clf) for _, clf in a_terms]
-        id_b = [((), clf) for _, clf in b_terms]
+    def equations(self) -> list[tuple[str, list[tuple[Word, int]]]]:
+        """Each covering equation as (name, terms); a term is a translator
+        word and a piece, indexed in `a_pieces + b_pieces`."""
+        m = len(self.a_pieces)
+        a_terms = [(w, i) for i, w in enumerate(self.a_words)]
+        b_terms = [(w, m + i) for i, w in enumerate(self.b_words)]
+        id_a = [((), piece) for _, piece in a_terms]
+        id_b = [((), piece) for _, piece in b_terms]
         if self.form == "two_equation":
             return [
                 ("pieces-partition", id_a + id_b),
@@ -161,12 +267,19 @@ class ParadoxCertificate:
 
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "ParadoxCertificate":
+        if not isinstance(obj, dict):
+            raise CertificateError("", "expected a certificate object")
+        for key in ("g", "h", "A", "B"):
+            if key not in obj:
+                raise CertificateError(key, "missing required field")
+            if not isinstance(obj[key], list):
+                raise CertificateError(key, "expected a list")
         return cls(
             model=model,
             form=obj.get("form", "tarski"),
-            a_words=[_parse_word(w, model) for w in obj["g"]],
+            a_words=[_parse_word(w, model, f"g[{i}]") for i, w in enumerate(obj["g"])],
             a_pieces=list(obj["A"]),
-            b_words=[_parse_word(w, model) for w in obj["h"]],
+            b_words=[_parse_word(w, model, f"h[{i}]") for i, w in enumerate(obj["h"])],
             b_pieces=list(obj["B"]),
         )
 
@@ -238,30 +351,36 @@ class WindowReport:
         return {"equations": [e.to_json() for e in self.equations]}
 
 
-class _DirectEvaluator:
-    def __init__(self, model: GroupModel):
-        self.model = model
+def _preimages(window: FiniteWindow, index: dict, word: Word) -> list[int]:
+    """The window index of word^-1 x for each window point x, by group
+    arithmetic on payloads; -1 where it leaves the window."""
+    model = window.model
+    steps = [model.inv(g).data for g in reversed(word)]
+    mul = model._mul_data
+    column = []
+    for x in window:
+        y = x.data
+        for s in steps:
+            y = mul(s, y)
+        column.append(index.get(y, -1))
+    return column
 
-    def preimage(self, word: Word, x: GroupElement) -> Optional[GroupElement]:
-        y = x
-        for g in reversed(word):
-            y = self.model.mul(self.model.inv(g), y)
-        return y
 
-
-class _ActionEvaluator:
-    """Pushforward of words through a perturbed-action table."""
-
-    def __init__(self, action: PerturbedAction):
-        self.action = action
-
-    def preimage(self, word: Word, x: GroupElement) -> Optional[GroupElement]:
-        y: Optional[GroupElement] = x
-        for g in reversed(word):
-            if y is None:
-                return None
-            y = self.action.apply_inverse(g, y)
-        return y
+def _action_preimages(action: PerturbedAction, window: FiniteWindow, word: Word) -> list[int]:
+    """The window index of word^-1 x for each window point x, pulled back
+    through the table's rows; -1 where a row is undefined or the preimage
+    leaves the window."""
+    if not word:
+        return list(range(len(window)))
+    table = action.window
+    column = [table.index(x) if x in table else -1 for x in window]
+    for g in reversed(word):
+        inverse = action.inverse_rows.get(g)
+        if inverse is None:
+            return [-1] * len(window)
+        column = [-1 if j < 0 or inverse[j] is None else inverse[j] for j in column]
+    back = [window.index(y) if y in window else -1 for y in table]
+    return [-1 if j < 0 else back[j] for j in column]
 
 
 def verify_on_window(
@@ -274,42 +393,56 @@ def verify_on_window(
     A window point is checkable for an equation when every translator
     preimage of it stays inside the window (for table actions: is defined
     and stays inside); checkable points covered other than exactly once are
-    interior violations.
+    interior violations.  Each piece's classifier is evaluated on first use
+    at a point and remembered, so the evaluations that happen, and the first
+    `ClassifierError`, come in the order of an equation-by-equation scan.
     """
-    evaluator = _ActionEvaluator(action) if action is not None else _DirectEvaluator(cert.model)
+    if window.model is not cert.model:
+        raise ModelMismatchError(f"window of {window.model.kind} used in {cert.model.kind}")
+    n = len(window)
+    index = {x.data: i for i, x in enumerate(window)}
+    columns: dict[Word, list[int]] = {}
+    pieces = cert.a_pieces + cert.b_pieces
+    verdicts: list[list[Optional[bool]]] = [[None] * n for _ in pieces]
     reports = []
     for name, terms in cert.equations():
+        for word, _ in terms:
+            if word not in columns:
+                columns[word] = (
+                    _preimages(window, index, word)
+                    if action is None
+                    else _action_preimages(action, window, word)
+                )
+        term_columns = [columns[word] for word, _ in terms]
+        term_pieces = [piece for _, piece in terms]
         checkable = 0
         once = 0
         violations = 0
         boundary = 0
         samples: list[tuple[str, int]] = []
-        for x in window:
-            pres = []
-            ok = True
-            for word, _ in terms:
-                y = evaluator.preimage(word, x)
-                if y is None or y not in window:
-                    ok = False
-                    break
-                pres.append(y)
-            if not ok:
+        for x in range(n):
+            pres = [column[x] for column in term_columns]
+            if -1 in pres:
                 boundary += 1
                 continue
             checkable += 1
-            count = sum(
-                1 for (y, (_, clf)) in zip(pres, terms) if evaluate_classifier(clf, y)
-            )
+            count = 0
+            for y, piece in zip(pres, term_pieces):
+                verdict = verdicts[piece][y]
+                if verdict is None:
+                    verdict = verdicts[piece][y] = evaluate_classifier(pieces[piece], window[y])
+                if verdict:
+                    count += 1
             if count == 1:
                 once += 1
             else:
                 violations += 1
                 if len(samples) < _VIOLATION_SAMPLES:
-                    samples.append((cert.model.format(x), count))
+                    samples.append((cert.model.format(window[x]), count))
         reports.append(
             EquationReport(
                 name=name,
-                window_size=len(window),
+                window_size=n,
                 checkable=checkable,
                 exactly_once=once,
                 interior_violations=violations,
@@ -407,47 +540,41 @@ class _AssignmentProblem:
     still able to influence unscored targets, exact when the budget lasts.
     """
 
-    def __init__(self, window: FiniteWindow, a_words, b_words, budget: _Budget):
-        model = window.model
-        self.n = len(window)
-        self.m = len(a_words)
-        self.p = len(a_words) + len(b_words)
+    def __init__(self, n: int, a_rows: list[list[int]], b_rows: list[list[int]], budget: _Budget):
+        """`a_rows`/`b_rows`: per translator, the preimage row of the window
+        (index of g^-1 y for each window index y, -1 outside the window)."""
+        self.n = n
+        self.m = len(a_rows)
+        self.p = len(a_rows) + len(b_rows)
         self.budget = budget
         self.choices = list(range(self.p))
 
-        # targets: (side, window index); influencers: (source idx, label)
-        self.targets: list[list[tuple[int, int]]] = []
+        # per checkable target: its influencers (source idx, label)
         self.checkable = 0
         target_infl: list[list[tuple[int, int]]] = []
-        for side, words, offset in ((0, a_words, 0), (1, b_words, self.m)):
-            for t, y in enumerate(window):
-                infl = []
-                ok = True
-                for piece, g in enumerate(words):
-                    pre = model.mul(model.inv(g), y)
-                    if pre not in window:
-                        ok = False
-                        break
-                    infl.append((window.index(pre), offset + piece))
-                if ok:
+        for rows, offset in ((a_rows, 0), (b_rows, self.m)):
+            for t in range(n):
+                infl = [(row[t], offset + piece) for piece, row in enumerate(rows)]
+                if all(src >= 0 for src, _ in infl):
                     target_infl.append(infl)
                     self.checkable += 1
 
-        self.finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(self.n)]
-        self.live_until = [-1] * self.n
+        self.finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
+        live_until = [-1] * n
         for infl in target_infl:
             last = max(src for src, _ in infl)
             self.finalize_at[last].append(infl)
             for src, _ in infl:
-                self.live_until[src] = max(self.live_until[src], last)
+                live_until[src] = max(live_until[src], last)
 
-        self.labels = [0] * self.n
-        live = 0
-        peak = 0
-        for k in range(self.n):
-            live = sum(1 for src in range(k + 1) if self.live_until[src] > k)
-            peak = max(peak, live)
-        self.live_peak = peak
+        # live_at[k]: the labeled sources (src < k) that still influence a
+        # target finalized at k or later; their labels are the DP state at k
+        self.live_at: list[list[int]] = [[] for _ in range(n + 1)]
+        for src in range(n):
+            for k in range(src + 1, live_until[src] + 1):
+                self.live_at[k].append(src)
+        self.live_peak = max(len(live) for live in self.live_at)
+        self.labels = [0] * n
 
     def dp_tractable(self) -> bool:
         """Whether the memoized program's state space fits DP_STATE_CAP."""
@@ -468,12 +595,9 @@ class _AssignmentProblem:
             cost += count - 1 if count >= 1 else 1
         return cost
 
-    def _state(self, k: int):
-        return tuple(
-            self.labels[src] if self.live_until[src] >= k else -1
-            for src in range(k)
-            if self.live_until[src] >= k
-        ), tuple(src for src in range(k) if self.live_until[src] >= k)
+    def _state(self, k: int) -> tuple[int, ...]:
+        labels = self.labels
+        return tuple([labels[src] for src in self.live_at[k]])
 
     def zero_search(self, cap: int) -> Optional[bool]:
         """Backtracking that accepts only zero-cost steps.
@@ -596,6 +720,8 @@ def search_small_paradox(
     """
     model = window.model
     identity = model.identity()
+    index = {x.data: i for i, x in enumerate(window)}
+    rows = {g: _preimages(window, index, (g,)) for g in pool}
     tracker = _Budget(budget)
     zero_cap = max(500, 25 * len(window))
     reports: list[PieceCountReport] = []
@@ -622,7 +748,9 @@ def search_small_paradox(
         exhausted = True
         try:
             for a_words, b_words in combos:
-                problem = _AssignmentProblem(window, a_words, b_words, tracker)
+                problem = _AssignmentProblem(
+                    len(window), [rows[g] for g in a_words], [rows[g] for g in b_words], tracker
+                )
                 defect, labels, exact = _solve_combo(problem, zero_cap)
                 if not exact:
                     exhausted = False

@@ -75,7 +75,10 @@ class PerturbedAction:
     Rows are image indices aligned with the window; None marks points outside
     the row's domain.  `involution` records, per g, whether the correction
     psi(g) = alpha(g) o (left translation by g)^-1 is an involution of the
-    window (meaningful for package-built actions).
+    window (meaningful for package-built actions).  `inverse_rows` holds,
+    per g, the preimage index of each window point (None where no point maps
+    to it); it is built from the rows at construction, so rows are not to be
+    changed afterwards.
     """
 
     window: FiniteWindow
@@ -85,17 +88,24 @@ class PerturbedAction:
     involution: dict[GroupElement, bool] = field(default_factory=dict)
     folner_windows: list[FiniteWindow] = field(default_factory=list)
     folner_pools: list[FiniteWindow] = field(default_factory=list)
+    inverse_rows: dict[GroupElement, list[Optional[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.window)
+        self.inverse_rows = {}
         for g, row in self.rows.items():
             if len(row) != n:
                 raise ValueError("row length mismatch")
             if any(j is not None and not 0 <= j < n for j in row):
                 raise ValueError(f"row of {self.window.model.format(g)} has an index outside 0 <= j < {n}")
-            images = [j for j in row if j is not None]
-            if len(images) != len(set(images)):
-                raise ValueError(f"row of {self.window.model.format(g)} not injective")
+            inverse: list[Optional[int]] = [None] * n
+            for i, j in enumerate(row):
+                if j is None:
+                    continue
+                if inverse[j] is not None:
+                    raise ValueError(f"row of {self.window.model.format(g)} not injective")
+                inverse[j] = i
+            self.inverse_rows[g] = inverse
 
     def apply(self, g: GroupElement, x: GroupElement) -> Optional[GroupElement]:
         row = self.rows.get(g)
@@ -105,14 +115,11 @@ class PerturbedAction:
         return None if j is None else self.window[j]
 
     def apply_inverse(self, g: GroupElement, y: GroupElement) -> Optional[GroupElement]:
-        row = self.rows.get(g)
-        if row is None or y not in self.window:
+        inverse = self.inverse_rows.get(g)
+        if inverse is None or y not in self.window:
             return None
-        target = self.window.index(y)
-        for i, j in enumerate(row):
-            if j == target:
-                return self.window[i]
-        return None
+        i = inverse[self.window.index(y)]
+        return None if i is None else self.window[i]
 
     def to_json(self) -> dict:
         model = self.window.model

@@ -2,12 +2,17 @@
 accounting, fault injection, and the defect search."""
 
 import copy
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from folnerlab.cli import ConfigError, run_scenario, run_scenario_config
 from folnerlab.groups import grid_sample, make_model, window
 from folnerlab.paradox import (
+    CertificateError,
     ClassifierError,
     ParadoxCertificate,
     evaluate_classifier,
@@ -19,6 +24,7 @@ from folnerlab.perturb import PerturbedAction
 
 F2 = make_model("free", rank=2)
 Z = make_model("lattice", dim=1)
+Z2 = make_model("lattice", dim=2)
 C = make_model("circle")
 
 
@@ -242,3 +248,323 @@ def test_search_free_b4_zero_defect():
     best = report.best()
     assert best.best_defect == 0
     assert verify_on_window(best.certificate, ball).interior_violations == 0
+
+
+# --- index-based verification against the element loop ---------------------------
+
+
+def _oracle_equations(cert):
+    a_terms = list(zip(cert.a_words, cert.a_pieces))
+    b_terms = list(zip(cert.b_words, cert.b_pieces))
+    id_a = [((), clf) for _, clf in a_terms]
+    id_b = [((), clf) for _, clf in b_terms]
+    if cert.form == "two_equation":
+        return [("pieces-partition", id_a + id_b), ("a-cover", a_terms), ("b-cover", b_terms)]
+    return [("a-partition", id_a), ("b-partition", id_b), ("combined-cover", a_terms + b_terms)]
+
+
+def _oracle_preimage(model, action, word, x):
+    y = x
+    for g in reversed(word):
+        if action is None:
+            y = model.mul(model.inv(g), y)
+            continue
+        row = action.rows.get(g)
+        if y is None or row is None or y not in action.window:
+            return None
+        target = action.window.index(y)
+        y = next((action.window[i] for i, j in enumerate(row) if j == target), None)
+    return y
+
+
+def _oracle_verify(cert, win, action=None):
+    """The element-by-element loop that verify_on_window replaced."""
+    reports = []
+    for name, terms in _oracle_equations(cert):
+        checkable = once = violations = boundary = 0
+        samples = []
+        for x in win:
+            pres = []
+            ok = True
+            for word, _ in terms:
+                y = _oracle_preimage(cert.model, action, word, x)
+                if y is None or y not in win:
+                    ok = False
+                    break
+                pres.append(y)
+            if not ok:
+                boundary += 1
+                continue
+            checkable += 1
+            count = sum(1 for y, (_, clf) in zip(pres, terms) if evaluate_classifier(clf, y))
+            if count == 1:
+                once += 1
+            else:
+                violations += 1
+                if len(samples) < 10:
+                    samples.append({"element": cert.model.format(x), "count": count})
+        reports.append(
+            {
+                "equation": name,
+                "window_size": len(win),
+                "checkable": checkable,
+                "exactly_once": once,
+                "interior_violations": violations,
+                "boundary_defects": boundary,
+                "samples": samples,
+            }
+        )
+    return {"equations": reports}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ClassifierError as exc:
+        return ("ClassifierError", str(exc))
+
+
+def _assert_matches_oracle(cert, win, action=None):
+    got = _outcome(lambda: verify_on_window(cert, win, action).to_json())
+    assert got == _outcome(_oracle_verify, cert, win, action)
+    return got
+
+
+def _random_tree(rng, model, names, depth=0):
+    leaves = ["true", "identity", "in"]
+    if model is F2:
+        leaves += ["first_letter", "power"]
+    else:
+        leaves += ["coord_sign", "residue"]
+    ops = leaves + (["and", "or", "not"] if depth < 3 else [])
+    op = rng.choice(ops)
+    if op in ("true", "identity"):
+        return {"op": op}
+    if op in ("and", "or"):
+        return {"op": op, "args": [_random_tree(rng, model, names, depth + 1) for _ in range(rng.randint(0, 3))]}
+    if op == "not":
+        return {"op": "not", "arg": _random_tree(rng, model, names, depth + 1)}
+    if op == "in":
+        return {"op": "in", "elements": rng.sample(names, rng.randint(0, len(names)))}
+    if op in ("first_letter", "power"):
+        return {"op": op, "letter": rng.choice("aAbB")}
+    index = rng.randrange(2 if model is Z2 else 1)
+    if op == "coord_sign":
+        return {"op": op, "index": index, "sign": rng.choice("+-0")}
+    mod = rng.randint(1, 4)
+    return {"op": op, "index": index, "mod": mod, "value": rng.randint(-1, mod)}
+
+
+def _random_certificate(rng, model, translators, names, pieces=None):
+    def family():
+        k = rng.randint(1, 3)
+        words = [tuple(rng.choice(translators) for _ in range(rng.randint(0, 2))) for _ in range(k)]
+        clfs = [pieces(rng) if pieces else _random_tree(rng, model, names) for _ in range(k)]
+        return words, clfs
+
+    a_words, a_pieces = family()
+    b_words, b_pieces = family()
+    return ParadoxCertificate(
+        model=model,
+        form=rng.choice(["two_equation", "tarski"]),
+        a_words=a_words,
+        a_pieces=a_pieces,
+        b_words=b_words,
+        b_pieces=b_pieces,
+    )
+
+
+
+def _random_window(rng, model):
+    if model is Z:
+        points = [(i,) for i in range(-7, 8) if rng.random() < 0.8]
+    elif model is Z2:
+        points = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if rng.random() < 0.8]
+    else:
+        points = [w for w in grid_sample(F2, 3) if len(w.data) < 2 or rng.random() < 0.7]
+    return window(model, points)
+
+
+@pytest.mark.parametrize("model", [Z, Z2, F2], ids=["Z", "Z2", "F2"])
+def test_verify_on_window_matches_element_loop_on_random_trees(model):
+    rng = random.Random(5)
+    translators = list(grid_sample(model, 1))
+    for _ in range(40):
+        win = _random_window(rng, model)
+        names = [model.format(x) for x in rng.sample(list(win), 6)] + ["9,9"]
+        cert = _random_certificate(rng, model, translators, names)
+        _assert_matches_oracle(cert, win)
+
+
+@pytest.mark.parametrize("model", [Z, Z2, F2], ids=["Z", "Z2", "F2"])
+def test_verify_on_window_matches_element_loop_on_tables(model):
+    rng = random.Random(6)
+    translators = list(grid_sample(model, 1))
+    for _ in range(30):
+        win = _random_window(rng, model)
+        names = [model.format(x) for x in win]
+
+        def table(rng):
+            return {"op": "in", "elements": [s for s in names if rng.random() < 0.4]}
+
+        cert = _random_certificate(rng, model, translators, names, pieces=table)
+        _assert_matches_oracle(cert, win)
+
+
+def test_verify_on_window_matches_element_loop_on_standard_balls():
+    cert = f2_standard_certificate(F2)
+    for n in range(1, 6):
+        report = _assert_matches_oracle(cert, grid_sample(F2, n))
+        assert all(eq["interior_violations"] == 0 for eq in report["equations"])
+
+
+def test_verify_on_window_matches_element_loop_through_tables_on_circle():
+    # partial injective rows on a 12-point grid; verify windows that drop grid
+    # points and add points off the grid; residue classifiers raise on
+    # non-integer points, and the first error must be the loop's
+    rng = random.Random(8)
+    grid = grid_sample(C, 12)
+    pool = [C.element(Fraction(k, 12)) for k in (1, 4, 7)]
+    stray = C.element(Fraction(5, 24))  # has no row, so words through it leave the table
+    errors = 0
+    for _ in range(60):
+        rows = {}
+        for g in pool:
+            images = rng.sample(range(12), 12)
+            rows[g] = [None if rng.random() < 0.2 else j for j in images]
+        action = PerturbedAction(window=grid, pool=window(C, pool), rows=rows, radius=Fraction(1))
+        points = [x for x in grid if rng.random() < 0.85] + [C.element(Fraction(k, 24)) for k in (1, 7) if rng.random() < 0.5]
+        win = window(C, points)
+        names = [C.format(x) for x in rng.sample(list(win), 4)]
+        cert = _random_certificate(rng, C, pool + [stray], names)
+        outcome = _assert_matches_oracle(cert, win, action)
+        errors += isinstance(outcome, tuple)
+    assert 0 < errors < 60
+
+
+def test_classifier_evaluated_once_per_piece_and_point(monkeypatch):
+    from folnerlab import paradox
+
+    calls = []
+    original = paradox.evaluate_classifier
+
+    def counting(clf, g):
+        calls.append(1)
+        return original(clf, g)
+
+    monkeypatch.setattr(paradox, "evaluate_classifier", counting)
+    cert = f2_standard_certificate(F2)
+    ball = grid_sample(F2, 6)
+    report = verify_on_window(cert, ball)
+    assert report.interior_violations == 0
+    assert 0 < len(calls) <= cert.piece_count() * len(ball)
+
+
+# --- the search, pinned to its recorded outputs ------------------------------------
+
+
+def _search_cases():
+    rng = random.Random(20261018)
+    lo = rng.randint(-20, 20)
+    zs = list(range(lo, lo + 9)) + [lo + 10 + rng.randint(0, 2)]
+    yield "z", window(Z, [(v,) for v in zs]), window(Z, [(-1,), (0,), (2,)]), 5, 200_000
+    box = [(i, j) for i in range(4) for j in range(3)]
+    yield "z2", window(Z2, box[:10] + rng.sample(box[10:], 1)), window(Z2, [(0, 0), (0, 1), (1, 0)]), 4, 200_000
+    extra = rng.sample(["a,a", "a,b", "b,a", "a,B", "B,B", "A,b"], 2)
+    f2 = list(grid_sample(F2, 1)) + [F2.parse(w) for w in extra]
+    yield "f2", window(F2, f2), window(F2, [F2.parse(s) for s in ("a", "A", "e")]), 5, 200_000
+    yield "budget", window(Z, [(i,) for i in range(-10, 11)]), window(Z, [(-1,), (0,), (1,)]), 6, 300
+
+
+# name -> (nodes_used, [(pieces, best_defect, checkable, exhausted)], sha256 of to_json())
+SEARCH_PINS = {
+    "z": (
+        52460,
+        [(4, 3, 12, True), (5, 3, 12, True)],
+        "d6620b37c79ba640bd6af914055de4be7bf38f875cc872f361b6c68c4e2bab04",
+    ),
+    "z2": (9913, [(4, 1, 12, True)], "c763bceabcd1b5a89921db713fac35f7fc1b78d3f1b7348aedc0032f098f5c85"),
+    "f2": (
+        1211,
+        [(4, 0, 4, True), (5, 0, 4, True)],
+        "7abf36f9d4c9db3dba0484e13e8074f060e0baa1f4c2ba5bba35ce08bf00d2b1",
+    ),
+    "budget": (
+        304,
+        [(4, 19, 40, False), (5, None, 0, False), (6, None, 0, False)],
+        "08c51aca0f690229ddb44ae804fb99e0b67e7afd38025734dff11da95b4557e3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_search_cases()), ids=lambda c: c[0])
+def test_search_pinned_outputs(case):
+    name, win, pool, pieces, budget = case
+    payload = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
+    rows = [(r["pieces"], r["best_defect"], r["checkable"], r["exhausted"]) for r in payload["per_piece_count"]]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert (payload["nodes_used"], rows, digest) == SEARCH_PINS[name]
+
+
+# --- certificate and classifier schema ---------------------------------------------
+
+
+def _z_certificate(a0):
+    return {"form": "two_equation", "g": [[], ["1"]], "h": [[], ["-1"]], "A": [a0, {"op": "true"}], "B": [{"op": "true"}, {"op": "true"}]}
+
+
+@pytest.mark.parametrize(
+    "cert, field",
+    [
+        (_z_certificate({"args": []}), "params.certificate.A[0].op"),
+        (_z_certificate({"op": "and"}), "params.certificate.A[0].args"),
+        (_z_certificate({"op": "not"}), "params.certificate.A[0].arg"),
+        (
+            _z_certificate({"op": "or", "args": [{"op": "true"}, {"op": "coord_sign", "index": 5, "sign": "+"}]}),
+            "params.certificate.A[0].args[1].index",
+        ),
+        (_z_certificate({"op": "coord_sign", "index": "0", "sign": "+"}), "params.certificate.A[0].index"),
+        (_z_certificate({"op": "coord_sign", "index": -1, "sign": "+"}), "params.certificate.A[0].index"),
+        (_z_certificate({"op": "coord_sign", "index": 0, "sign": "x"}), "params.certificate.A[0].sign"),
+        (_z_certificate({"op": "residue", "index": 0, "mod": 0, "value": 0}), "params.certificate.A[0].mod"),
+        (_z_certificate({"op": "residue", "index": 0, "mod": 2, "value": "1"}), "params.certificate.A[0].value"),
+        (_z_certificate({"op": "in", "elements": "-1"}), "params.certificate.A[0].elements"),
+        (_z_certificate({"op": "first_letter", "letter": "a"}), "params.certificate.A[0].op"),
+        (_z_certificate({"op": "nope"}), "params.certificate.A[0].op"),
+        (_z_certificate("true"), "params.certificate.A[0]"),
+        ([1, 2], "params.certificate"),
+        ({"g": [], "h": [], "A": []}, "params.certificate.B"),
+        ({"h": [], "A": [], "B": []}, "params.certificate.g"),
+        ({"g": [], "h": [], "A": {}, "B": []}, "params.certificate.A"),
+        ({"g": [], "h": [], "A": [], "B": "x"}, "params.certificate.B"),
+        ({"g": [["2", "x"]], "h": [], "A": [{"op": "true"}], "B": []}, "params.certificate.g[0][1]"),
+        ({"g": [[]], "h": [], "A": [], "B": []}, "params.certificate.A"),
+        ({"form": "x", "g": [], "h": [], "A": [], "B": []}, "params.certificate.form"),
+    ],
+)
+def test_malformed_certificate_field_path(cert, field):
+    config = {"task": "paradox-verify", "model": {"kind": "lattice", "params": {"dim": 1}}, "params": {"certificate": cert, "window": ["0", "1"]}}
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+
+
+def test_malformed_free_letter_rejected_at_construction():
+    with pytest.raises(CertificateError) as info:
+        ParadoxCertificate(
+            model=F2,
+            form="two_equation",
+            a_words=[()],
+            a_pieces=[{"op": "and", "args": [{"op": "power", "letter": "c"}]}],
+            b_words=[()],
+            b_pieces=[{"op": "true"}],
+        )
+    assert info.value.path == "A[0].args[0].letter"
+
+
+def test_malformed_certificate_exits_1(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    cert = _z_certificate({"op": "residue", "index": 0, "mod": 0, "value": 0})
+    config.write_text(json.dumps({"task": "paradox-verify", "model": {"kind": "lattice"}, "params": {"certificate": cert}}))
+    assert run_scenario(config) == 1
+    assert "params.certificate.A[0].mod" in capsys.readouterr().err

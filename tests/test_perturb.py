@@ -1,6 +1,7 @@
 """Perturbed actions: moving injections, packages, assembly, the precompact
 construction, and wobbling decompositions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,35 @@ def test_perturbed_action_rejects_duplicate_images():
     g = C.element(Fraction(1, 4))
     with pytest.raises(ValueError):
         PerturbedAction(window=win, pool=window(C, [g]), rows={g: [0, 0, 1, 2]}, radius=Fraction(1))
+
+
+def test_apply_inverse_matches_row_scan():
+    # the inverse rows built at construction against a scan of each row,
+    # on a package-built action and on random partial injective rows
+    def scan(action, g, y):
+        row = action.rows.get(g)
+        if row is None or y not in action.window:
+            return None
+        target = action.window.index(y)
+        return next((action.window[i] for i, j in enumerate(row) if j == target), None)
+
+    rng = random.Random(7)
+    win = grid_sample(C, 12)
+    pool = window(C, [Fraction(k, 12) for k in (1, 5, 7)])
+    rows = {}
+    for g in pool:
+        images = rng.sample(range(12), 12)
+        rows[g] = [None if rng.random() < 0.3 else j for j in images]
+    actions = [
+        _assembled()[0].action,
+        PerturbedAction(window=win, pool=pool, rows=rows, radius=Fraction(1)),
+    ]
+    extra = [C.element(Fraction(1, 24)), C.element(Fraction(1, 3))]  # off the grid, off the pool
+    for action in actions:
+        for g in list(action.rows) + extra:
+            for y in list(action.window) + extra:
+                assert action.apply_inverse(g, y) == scan(action, g, y)
+                assert action.apply_inverse(g, y) is None or action.apply(g, action.apply_inverse(g, y)) == y
 
 
 def test_perturbed_action_rejects_row_length_mismatch():
