@@ -38,7 +38,6 @@ from .matching import (
     BipartiteInstance,
     MatchingResult,
     build_graph,
-    matching_number,
     max_matching,
     perfect_matching,
 )

@@ -44,6 +44,7 @@ from .groups import (
     metric_from_json,
     model_from_json,
     parse_fraction,
+    parse_index,
 )
 from .matching import build_graph, max_matching
 from .paradox import (
@@ -91,6 +92,19 @@ def _rational(obj, path: str) -> Fraction:
         return parse_fraction(obj)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
+
+
+def _integer(obj, path: str) -> int:
+    try:
+        return parse_index(obj, path)
+    except ValueError:
+        raise ConfigError(path, f"expected a JSON integer, got {obj!r}")
+
+
+def _integers(obj, path: str) -> list[int]:
+    if not isinstance(obj, list):
+        raise ConfigError(path, "expected a list of JSON integers")
+    return [_integer(v, f"{path}[{k}]") for k, v in enumerate(obj)]
 
 
 def _load_model(obj, path: str) -> GroupModel:
@@ -246,7 +260,7 @@ def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_
     E = _load_window(params["E"], model, "params.E")
     U = _load_entourage(params, model, "params")
     theta = _rational(params["theta"], "params.theta")
-    budget = budget_flag if budget_flag is not None else int(params.get("budget", 50))
+    budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 50), "params.budget")
     result = folner_search(model, E, U, theta, strategy=params["strategy"], budget=budget, seed=seed)
     rows = []
     if result.certificate is not None:
@@ -333,8 +347,8 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
         family = []
         for k, idx in enumerate(params["indices"]):
             _expect(idx, f"params.indices[{k}]", ("E", "n"))
-            family.append((_load_window(idx["E"], model, f"params.indices[{k}].E"), int(idx["n"])))
-        assembled = build_perturbation(model, family, U, budget=int(params.get("budget", 60)))
+            family.append((_load_window(idx["E"], model, f"params.indices[{k}].E"), _integer(idx["n"], f"params.indices[{k}].n")))
+        assembled = build_perturbation(model, family, U, budget=_integer(params.get("budget", 60), "params.budget"))
         report = verify_perturbation(assembled.action, U)
         artifacts.write_json("certificate.json", assembled.action.to_json())
         artifacts.write_json("report.json", report.to_json())
@@ -356,12 +370,12 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
         win = (
             _load_window(params["window"], model, "params.window")
             if "window" in params
-            else grid_sample(model, int(params.get("window_resolution", 60)))
+            else grid_sample(model, _integer(params.get("window_resolution", 60), "params.window_resolution"))
         )
         sample = (
             _load_window(params["pool"], model, "params.pool")
             if "pool" in params
-            else grid_sample(model, int(params.get("sample_resolution", 12)))
+            else grid_sample(model, _integer(params.get("sample_resolution", 12), "params.sample_resolution"))
         )
         result = precompact_perturbation(model, U, win, sample)
         artifacts.write_json("certificate.json", result.to_json())
@@ -376,7 +390,7 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
                 raise ConfigError(f"params.{key}", "missing required field")
         win = _load_window(params["window"], model, "params.window")
         pool = _load_window(params["pool"], model, "params.pool")
-        permutation = [int(v) for v in params["permutation"]]
+        permutation = _integers(params["permutation"], "params.permutation")
         element = decompose_wobbling(permutation, win, pool)
         artifacts.write_json(
             "certificate.json",
@@ -410,7 +424,7 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
     win = (
         _load_window(params["window"], model, "params.window")
         if "window" in params
-        else grid_sample(model, int(params.get("window_resolution", 4)))
+        else grid_sample(model, _integer(params.get("window_resolution", 4), "params.window_resolution"))
     )
     action = PerturbedAction.from_json(params["action"], model) if "action" in params else None
     report = verify_on_window(cert, win, action)
@@ -432,11 +446,12 @@ def _run_paradox_search(config: dict, artifacts: Artifacts, budget_flag: Optiona
     win = (
         _load_window(params["window"], model, "params.window")
         if "window" in params
-        else grid_sample(model, int(params.get("window_resolution", 4)))
+        else grid_sample(model, _integer(params.get("window_resolution", 4), "params.window_resolution"))
     )
     pool = _load_window(params["pool"], model, "params.pool")
-    budget = budget_flag if budget_flag is not None else int(params.get("budget", 2_000_000))
-    report = search_small_paradox(win, pool, int(params["max_pieces"]), budget=budget)
+    budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 2_000_000), "params.budget")
+    max_pieces = _integer(params["max_pieces"], "params.max_pieces")
+    report = search_small_paradox(win, pool, max_pieces, budget=budget)
     artifacts.write_json("report.json", report.to_json())
     best = report.best()
     if best is not None and best.certificate is not None:
@@ -467,7 +482,7 @@ def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
         for name, code in rows:
             print(f"{name}: exit {code}")
         return status
-    numbers = [int(n) for n in params["criteria"]] if "criteria" in params else None
+    numbers = _integers(params["criteria"], "params.criteria") if "criteria" in params else None
     results = run_suite(out_dir=artifacts.out_dir, numbers=numbers)
     artifacts.write_csv(
         "report.csv",
@@ -505,7 +520,7 @@ def run_scenario_config(
     if task != "suite" and not cert_only and "model" not in config:
         raise ConfigError("model", "missing required field")
     if seed is None and "seed" in config:
-        seed = int(config["seed"])
+        seed = _integer(config["seed"], "seed")
     if out_dir is None and "out_dir" in config:
         out_dir = Path(config["out_dir"])
     artifacts = Artifacts(out_dir)

@@ -4,12 +4,19 @@ Two engines solve the same maximization problem
 
     max c.x   subject to   A x <= b,  x >= 0,   with b >= 0,
 
-exactly over fractions:
+exactly:
 
 * a dense-tableau simplex with Bland's rule (the default for small systems),
 * a successive-shortest-path min-cost flow specialised to the Lipschitz
   seminorm systems produced by :mod:`folnerlab.weights`, used once the
   tableau would be too large for the time budget.
+
+Both take and return `Fraction`s but compute on integers: the data are
+scaled once by the LCM of their denominators, every comparison is made on
+the scaled integers (by cross-multiplication where a ratio is compared),
+and the answers are divided back once at the end.  Scaling by a positive
+factor changes no comparison, so the pivots, paths and answers are the
+ones a computation in fractions would give.
 
 Every solve returns the optimum, a primal witness, and a dual vector; the
 pair is certified by exact feasibility and strong duality, so callers never
@@ -18,6 +25,7 @@ depend on which engine ran.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,26 +75,36 @@ def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: li
 
     Rows are sparse (index, coefficient) lists.  The all-slack basis is
     feasible because b >= 0, so no phase-1 is needed.
+
+    The tableau is kept in integers: A, b and c are scaled by the LCMs of
+    their denominators, and every true entry is the stored one over a
+    running denominator D.  Edmonds-Bareiss pivots keep it integral, and
+    the ratio test compares by cross-multiplication, so the pivot sequence
+    is the one the same tableau would take in fractions.
     """
     n = len(c)
     m = len(rows)
     if any(rhs < 0 for rhs in b):
         raise LpError("simplex_max requires b >= 0")
+    scale_a = math.lcm(*(coef.denominator for coeffs in rows for _, coef in coeffs))
+    scale_b = math.lcm(*(rhs.denominator for rhs in b))
+    scale_c = math.lcm(*(cj.denominator for cj in c))
     # tableau[i] has n structural coefficients, m slacks, and the rhs.
     width = n + m + 1
     tableau = []
     for i, coeffs in enumerate(rows):
-        row = [ZERO] * width
+        row = [0] * width
         for j, coef in coeffs:
-            row[j] = coef
-        row[n + i] = Fraction(1)
-        row[-1] = b[i]
+            row[j] = coef.numerator * (scale_a // coef.denominator)
+        row[n + i] = 1
+        row[-1] = b[i].numerator * (scale_b // b[i].denominator)
         tableau.append(row)
-    obj = [ZERO] * width
+    obj = [0] * width
     for j in range(n):
-        obj[j] = -c[j]
+        obj[j] = -c[j].numerator * (scale_c // c[j].denominator)
     basis = [n + i for i in range(m)]
 
+    D = 1  # positive: it is always the last pivot
     pivots = 0
     while True:
         enter = -1
@@ -96,39 +114,39 @@ def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: li
                 break
         if enter < 0:
             break
-        ratio = None
         leave = -1
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                r = tableau[i][-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
+                rhs = tableau[i][-1]
+                if leave < 0:
+                    leave, best_rhs, best_a = i, rhs, a
+                    continue
+                lhs, bound = rhs * best_a, best_rhs * a  # rhs/a against best_rhs/best_a
+                if lhs < bound or (lhs == bound and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, rhs, a
         if leave < 0:
             raise LpError("LP is unbounded")
         pivots += 1
         piv_row = tableau[leave]
-        piv = piv_row[enter]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            tableau[leave] = piv_row = [v * inv for v in piv_row]
+        p = piv_row[enter]
         for i in range(m):
             if i != leave:
-                factor = tableau[i][enter]
-                if factor:
-                    row = tableau[i]
-                    tableau[i] = [v - factor * p for v, p in zip(row, piv_row)]
+                row = tableau[i]
+                factor = row[enter]
+                if factor or p != D:
+                    tableau[i] = [(p * v - factor * q) // D for v, q in zip(row, piv_row)]
         factor = obj[enter]
-        if factor:
-            obj = [v - factor * p for v, p in zip(obj, piv_row)]
+        if factor or p != D:
+            obj = [(p * v - factor * q) // D for v, q in zip(obj, piv_row)]
+        D = p
         basis[leave] = enter
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][-1]
-    duals = [obj[n + i] for i in range(m)]
+            x[var] = Fraction(tableau[i][-1] * scale_a, D * scale_b)
+    duals = [Fraction(obj[n + i] * scale_a, D * scale_c) for i in range(m)]
     value = sum(cj * xj for cj, xj in zip(c, x))
     sol = LpSolution(value=value, x=x, duals=duals, pivots=pivots)
     sol.verify(c, rows, b)
@@ -146,9 +164,9 @@ class _FlowNetwork:
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.cost: list[Fraction] = []
+        self.cost: list[int] = []
 
-    def add(self, u: int, v: int, cap: int, cost: Fraction) -> int:
+    def add(self, u: int, v: int, cap: int, cost: int) -> int:
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
@@ -175,26 +193,34 @@ def min_cost_flow(
     Bellman-Ford distances in the final residual graph from a root with
     residual arcs to every node, so reduced costs are >= 0: they are the
     exact dual certificate.
+
+    Costs are scaled to integers by the LCM of their denominators; paths,
+    flows and potentials are computed on those and divided back once.
     """
     if sum(supplies) != 0:
         raise LpError("supplies must balance")
+    scale = math.lcm(*(cost.denominator for (_, _, _, cost) in arcs))
     net = _FlowNetwork(n + 2)
     source, sink = n, n + 1
-    arc_ids = [net.add(u, v, cap, cost) for (u, v, cap, cost) in arcs]
+    arc_ids = [
+        net.add(u, v, cap, cost.numerator * (scale // cost.denominator))
+        for (u, v, cap, cost) in arcs
+    ]
     total = 0
     for v, s in enumerate(supplies):
         if s > 0:
-            net.add(source, v, s, ZERO)
+            net.add(source, v, s, 0)
             total += s
         elif s < 0:
-            net.add(v, sink, -s, ZERO)
+            net.add(v, sink, -s, 0)
 
+    head, to, cap, cost = net.head, net.to, net.cap, net.cost
     sent = 0
     while sent < total:
         dist = [None] * net.n
         parent_edge = [-1] * net.n
-        dist[source] = ZERO
-        # Bellman-Ford (queue form); costs are exact fractions.
+        dist[source] = 0
+        # Bellman-Ford (queue form) on the scaled integer costs.
         queue = deque([source])
         in_queue = [False] * net.n
         in_queue[source] = True
@@ -202,11 +228,12 @@ def min_cost_flow(
             u = queue.popleft()
             in_queue[u] = False
             du = dist[u]
-            for e in net.head[u]:
-                if net.cap[e] > 0:
-                    v = net.to[e]
-                    nd = du + net.cost[e]
-                    if dist[v] is None or nd < dist[v]:
+            for e in head[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    nd = du + cost[e]
+                    dv = dist[v]
+                    if dv is None or nd < dv:
                         dist[v] = nd
                         parent_edge[v] = e
                         if not in_queue[v]:
@@ -219,33 +246,33 @@ def min_cost_flow(
         v = sink
         while v != source:
             e = parent_edge[v]
-            push = min(push, net.cap[e])
-            v = net.to[e ^ 1]
+            push = min(push, cap[e])
+            v = to[e ^ 1]
         v = sink
         while v != source:
             e = parent_edge[v]
-            net.cap[e] -= push
-            net.cap[e ^ 1] += push
-            v = net.to[e ^ 1]
+            cap[e] -= push
+            cap[e ^ 1] += push
+            v = to[e ^ 1]
         sent += push
 
-    cost_total = ZERO
+    cost_total = 0
     flows = []
-    for idx, (u, v, cap, cost) in zip(arc_ids, arcs):
-        f = net.cap[idx ^ 1]
+    for idx in arc_ids:
+        f = cap[idx ^ 1]
         flows.append(f)
-        cost_total += cost * f
+        cost_total += cost[idx] * f
 
     # Potentials via Bellman-Ford from a virtual root connected to all nodes.
-    pot: list[Fraction] = [ZERO] * net.n
+    pot = [0] * net.n
     for _ in range(net.n):
         changed = False
         for u in range(net.n):
             pu = pot[u]
-            for e in net.head[u]:
-                if net.cap[e] > 0:
-                    v = net.to[e]
-                    nd = pu + net.cost[e]
+            for e in head[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    nd = pu + cost[e]
                     if nd < pot[v]:
                         pot[v] = nd
                         changed = True
@@ -253,4 +280,4 @@ def min_cost_flow(
             break
     else:
         raise LpError("negative cycle in optimal residual graph")
-    return cost_total, flows, pot[:n]
+    return Fraction(cost_total, scale), flows, [Fraction(pv, scale) for pv in pot[:n]]

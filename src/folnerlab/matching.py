@@ -270,10 +270,6 @@ def max_matching(instance: BipartiteInstance) -> MatchingResult:
     return result
 
 
-def matching_number(E: FiniteWindow, F: FiniteWindow, U: Entourage) -> int:
-    return max_matching(build_graph(E, F, U)).mu
-
-
 def perfect_matching(instance: BipartiteInstance) -> tuple[Optional[dict[int, int]], Optional[tuple[int, ...]]]:
     """Full-domain pairing if Hall's condition holds, else a violating set."""
     result = max_matching(instance)

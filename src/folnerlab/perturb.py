@@ -399,13 +399,6 @@ class FolnerPackage:
                     raise ConstructionError("injection escapes the entourage")
 
 
-def _denominator_lcm(values: list[Fraction]) -> int:
-    denom = 1
-    for q in values:
-        denom = denom * q.denominator // math.gcd(denom, q.denominator)
-    return denom
-
-
 def folner_package(
     theta: Fraction,
     E: FiniteWindow,
@@ -445,10 +438,10 @@ def folner_package(
     cert = search.certificate
     F0 = cert.F
 
-    base = _denominator_lcm(
-        [x.data for x in F0]
-        + [g.data for g in pool if isinstance(g.data, Fraction)]
-        + [W.radius]
+    base = math.lcm(
+        *(x.data.denominator for x in F0),
+        *(g.data.denominator for g in pool if isinstance(g.data, Fraction)),
+        W.radius.denominator,
     ) if isinstance(model, CircleModel) else 24
     supply_resolution = max(base, 2 * len(F0) * len(pool))
     attempts = 0

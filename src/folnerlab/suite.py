@@ -11,6 +11,7 @@ compares byte for byte across fresh runs.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -317,16 +318,16 @@ def criterion_06_seminorm_bridge(
 
 
 def _brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, step: Fraction) -> Fraction:
-    best = None
+    """max mu_x f(x) + mu_y f(y) over the grid -1 + i*step, i = 0..floor(2/step),
+    with |f(x) - f(y)| <= d, scanned in integer grid units: at fx = -1 + i*step,
+    fy = -1 + j*step the value is -(mu_x + mu_y) + step*(ax*i + ay*j)/q for
+    the integer weights ax, ay over their common denominator q."""
     k = int(2 / step)
-    values = [-1 + i * step for i in range(k + 1)]
-    for fx in values:
-        for fy in values:
-            if abs(fx - fy) <= d:
-                v = mu_x * fx + mu_y * fy
-                if best is None or v > best:
-                    best = v
-    return best
+    width = d // step  # |i - j| * step <= d  <=>  |i - j| <= floor(d / step)
+    q = math.lcm(mu_x.denominator, mu_y.denominator)
+    ax, ay = int(mu_x * q), int(mu_y * q)
+    best = max(ax * i + ay * j for i in range(k + 1) for j in range(k + 1) if abs(i - j) <= width)
+    return -(mu_x + mu_y) + step * best / q
 
 
 def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> CriterionResult:

@@ -14,6 +14,8 @@ Redundant Lipschitz constraints are pruned first: a pair (x, y) is dropped
 when some z in the support decomposes it, d(x,z) + d(z,y) = d(x,y) with both
 parts strictly shorter, or when d(x,y) already exceeds the value range.  The
 pruned system is equivalent, which keeps supports near the cap tractable.
+Pruning and the final witness check read one integer matrix per call: the
+distances and the box width times the LCM of their denominators.
 """
 
 from __future__ import annotations
@@ -185,44 +187,33 @@ class SeminormResult:
         return max(vals) - min(vals)
 
 
-def _pair_constraints(
-    points: list[GroupElement],
-    dist: Callable[[int, int], Fraction],
-    span: Fraction,
-) -> list[tuple[int, int, Fraction]]:
-    """Lipschitz pairs that survive pruning (see module docstring).
+def _pair_constraints(dmat: list[list[int]], span: int) -> list[tuple[int, int]]:
+    """Lipschitz pairs (i, j), i < j, that survive pruning (see module docstring).
 
-    Midpoint candidates are probed nearest-to-i first, so on geodesic-like
-    supports a decomposing point is usually hit within a few probes.
+    `dmat` holds the distances and `span` the box width, all scaled to
+    integers by one common factor.  Midpoint candidates are probed
+    nearest-to-i first, so on geodesic-like supports a decomposing point is
+    usually hit within a few probes.
     """
-    n = len(points)
-    dmat = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        row = dmat[i]
-        for j in range(i + 1, n):
-            row[j] = dmat[j][i] = dist(i, j)
-    by_nearness = [
-        sorted((k for k in range(n) if k != i), key=lambda k: dmat[i][k])
-        for i in range(n)
-    ]
+    n = len(dmat)
     kept = []
     for i in range(n):
         row = dmat[i]
+        by_nearness = sorted((k for k in range(n) if k != i), key=row.__getitem__)
         for j in range(i + 1, n):
             d = row[j]
             if d >= span:
                 continue
-            redundant = False
-            for k in by_nearness[i]:
+            for k in by_nearness:
                 dik = row[k]
                 if dik >= d:
-                    break  # later probes are no closer to i
+                    kept.append((i, j))  # later probes are no closer to i
+                    break
                 dkj = dmat[k][j]
                 if dkj < d and dik + dkj == d:
-                    redundant = True
-                    break
-            if not redundant:
-                kept.append((i, j, d))
+                    break  # redundant
+            else:
+                kept.append((i, j))
     return kept
 
 
@@ -254,9 +245,7 @@ def _seminorm_lp(
         return value, f, sol.pivots, "simplex"
 
     # Min-cost-flow dual: transport with creation/destruction priced by the box.
-    denom = 1
-    for m in mu:
-        denom = denom * m.denominator // math.gcd(denom, m.denominator)
+    denom = math.lcm(*(m.denominator for m in mu))
     scaled = [int(m * denom) for m in mu]
     bank = n
     arcs: list[tuple[int, int, int, Fraction]] = []
@@ -299,29 +288,37 @@ def lipschitz_seminorm(
 
     points = [g for g, _ in a.items]
     mu = [w for _, w in a.items]
-    cache: dict[tuple[int, int], Fraction] = {}
+    n = len(points)
+    span = hi - lo
+    upper = [[metric.eval(points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
+    scale = math.lcm(span.denominator, *(d.denominator for row in upper for d in row))
+    dmat = [[0] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, d in enumerate(row, start=i + 1):
+            dmat[i][j] = dmat[j][i] = d.numerator * (scale // d.denominator)
 
-    def dist(i: int, j: int) -> Fraction:
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            cache[key] = metric.eval(points[key[0]], points[key[1]])
-        return cache[key]
-
-    pairs = _pair_constraints(points, dist, hi - lo)
+    kept = _pair_constraints(dmat, span.numerator * (scale // span.denominator))
+    pairs = [(i, j, upper[i][j - i - 1]) for i, j in kept]
     value, f, pivots, engine = _seminorm_lp(mu, pairs, lo, hi)
 
-    witness = dict(zip(points, f))
-    _check_witness(points, witness, dist, lo, hi)
-    return SeminormResult(value=value, witness=witness, pivots=pivots, engine=engine)
+    _check_witness(f, dmat, scale, lo, hi)
+    return SeminormResult(value=value, witness=dict(zip(points, f)), pivots=pivots, engine=engine)
 
 
-def _check_witness(points, witness, dist, lo, hi) -> None:
-    for i, x in enumerate(points):
-        v = witness[x]
-        if v < lo or v > hi:
+def _check_witness(f: list[Fraction], dmat: list[list[int]], scale: int, lo: Fraction, hi: Fraction) -> None:
+    """f lies in [lo, hi] and |f_i - f_j| <= dmat[i][j] / scale for all pairs.
+
+    The values are put over their common denominator and every test is an
+    exact integer cross-multiplication.
+    """
+    den = math.lcm(*(v.denominator for v in f))
+    ints = [v.numerator * (den // v.denominator) for v in f]
+    for i, v in enumerate(ints):
+        if v * lo.denominator < lo.numerator * den or v * hi.denominator > hi.numerator * den:
             raise LpError("witness escapes bounds")
-        for j in range(i + 1, len(points)):
-            if abs(v - witness[points[j]]) > dist(i, j):
+        row = dmat[i]
+        for j in range(i + 1, len(ints)):
+            if abs(v - ints[j]) * scale > row[j] * den:
                 raise LpError("witness violates a Lipschitz constraint")
 
 
@@ -450,9 +447,7 @@ def approx_by_uniform(
 
 def _round_weight(a: FiniteWeight, budget: Fraction) -> tuple[dict[GroupElement, int], int, Fraction]:
     """Approximate a by c(x)/n with sum c = n <= cap and l1 error <= budget."""
-    denom = 1
-    for _, w in a.items:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    denom = math.lcm(*(w.denominator for _, w in a.items))
     if denom <= DENOMINATOR_CAP:
         return {g: int(w * denom) for g, w in a.items}, denom, ZERO
 

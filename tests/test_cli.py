@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from folnerlab.cli import main, run_scenario
+from folnerlab.cli import ConfigError, main, run_scenario, run_scenario_config
 
 
 def run(args):
@@ -411,3 +411,103 @@ def test_malformed_field_diagnostic(tmp_path, capsys, extra, field):
     config.write_text(json.dumps({"model": {"kind": "circle"}, "task": "defect", "params": params}))
     assert run_scenario(config) == 1
     assert field in capsys.readouterr().err
+
+
+F2_MODEL = {"kind": "free", "params": {"rank": 2}}
+CIRCLE = {"kind": "circle", "params": {}}
+INTEGER_FIELDS = {
+    # field path: (valid config holding a JSON integer there, function that
+    # puts another value at that field)
+    "params.budget": (
+        {"task": "search", "model": {"kind": "lattice", "params": {"dim": 1}},
+         "params": {"E": ["1"], "theta": "1/2", "strategy": "balls", "radius": "0", "budget": 5}},
+        lambda c, v: c["params"].update(budget=v),
+    ),
+    "params.indices[0].n": (
+        {"task": "perturb", "model": CIRCLE,
+         "params": {"mode": "build", "indices": [{"E": ["0", "1/5"], "n": 4}], "radius": "1/10"}},
+        lambda c, v: c["params"]["indices"][0].update(n=v),
+    ),
+    "params.window_resolution": (
+        {"task": "paradox-verify", "model": F2_MODEL, "params": {"standard": True, "window_resolution": 1}},
+        lambda c, v: c["params"].update(window_resolution=v),
+    ),
+    "params.sample_resolution": (
+        {"task": "precompact", "model": CIRCLE, "params": {"radius": "1/10", "window_resolution": 8, "sample_resolution": 4}},
+        lambda c, v: c["params"].update(sample_resolution=v),
+    ),
+    "params.max_pieces": (
+        {"task": "paradox-search", "model": F2_MODEL, "params": {"pool": ["a", "b"], "window_resolution": 1, "max_pieces": 2}},
+        lambda c, v: c["params"].update(max_pieces=v),
+    ),
+    "params.permutation[0]": (
+        {"task": "perturb", "model": CIRCLE,
+         "params": {"mode": "wobble", "window": ["0", "1/2"], "pool": ["1/2"], "permutation": [1, 0]}},
+        lambda c, v: c["params"]["permutation"].__setitem__(0, v),
+    ),
+    "params.criteria[0]": (
+        {"task": "suite", "params": {"criteria": [3]}},
+        lambda c, v: c["params"]["criteria"].__setitem__(0, v),
+    ),
+    "seed": (
+        {"task": "paradox-verify", "model": F2_MODEL, "params": {"standard": True, "window_resolution": 1}, "seed": 1},
+        lambda c, v: c.update(seed=v),
+    ),
+}
+
+
+def _with_value(field, value):
+    base, put = INTEGER_FIELDS[field]
+    config = json.loads(json.dumps(base))
+    put(config, value)
+    return config
+
+
+# The probes that bare int() used to accept or crash on: true ran as 1,
+# 12.9 as 12, "4" as 4, [1.0, 0] as [1, 0], and null raised a TypeError.
+PROBES = [
+    ("params.window_resolution", True),
+    ("params.window_resolution", 12.9),
+    ("params.max_pieces", "4"),
+    ("params.permutation[0]", 1.0),
+    ("params.max_pieces", None),
+]
+
+
+INTEGER_CASES = PROBES + [
+    (field, bad)
+    for field in INTEGER_FIELDS
+    for bad in (False, 2.0, "3", None, [1])
+    if (field, bad) not in PROBES
+]
+
+
+@pytest.mark.parametrize("field, value", INTEGER_CASES, ids=[f"{f}={v!r}" for f, v in INTEGER_CASES])
+def test_integer_config_field_rejected(tmp_path, capsys, field, value):
+    config = _with_value(field, value)
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected a JSON integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_config_field_accepted(tmp_path, field):
+    base, _ = INTEGER_FIELDS[field]
+    assert run_scenario_config(json.loads(json.dumps(base)), out_dir=tmp_path) in (0, 2)
+
+
+@pytest.mark.parametrize("field", ["params.permutation", "params.criteria"])
+def test_integer_list_config_field_must_be_a_list(field):
+    base, _ = INTEGER_FIELDS[f"{field}[0]"]
+    config = json.loads(json.dumps(base))
+    config["params"][field.split(".")[1]] = 3
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field

@@ -1,12 +1,16 @@
-"""Exact LP engines: simplex against brute-force vertex checks and the flow
-solver against the simplex."""
+"""Exact LP engines: simplex against brute-force vertex checks, the flow
+solver against the simplex, and both integer engines against the Fraction
+engines they replaced."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from folnerlab.lp import LpError, min_cost_flow, simplex_max
+
+from fraction_oracles import fraction_min_cost_flow, fraction_simplex_max
 
 
 def test_simplex_simple_box():
@@ -128,3 +132,158 @@ def test_flow_matches_simplex_on_transport():
 def test_flow_balance_required():
     with pytest.raises(LpError):
         min_cost_flow(2, [(0, 1, 10, Fraction(1))], [1, 0])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer engines against the Fraction engines
+# ---------------------------------------------------------------------------
+
+
+def _outcome(engine, *args):
+    """An engine's full result as comparable data, or its error."""
+    try:
+        result = engine(*args)
+    except LpError as exc:
+        return ("error", str(exc))
+    if isinstance(result, tuple):
+        return result
+    return (result.value, result.x, result.duals, result.pivots)
+
+
+def _assert_simplex_agrees(c, rows, b):
+    got = _outcome(simplex_max, c, rows, b)
+    assert got == _outcome(fraction_simplex_max, c, rows, b)
+    return got
+
+
+def _assert_flow_agrees(n, arcs, supplies):
+    got = _outcome(min_cost_flow, n, arcs, supplies)
+    assert got == _outcome(fraction_min_cost_flow, n, arcs, supplies)
+    return got
+
+
+def test_simplex_matches_fraction_engine_on_random_general_lps():
+    rng = random.Random(7001)
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 4, 5, 7]))
+
+    fractional_optima = 0
+    errors = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 6)
+        c = [q(-4, 5) for _ in range(n)]
+        rows = [[(j, q(-3, 4)) for j in range(n) if rng.random() < 0.8] for _ in range(m)]
+        b = [q(0, 6) for _ in range(m)]
+        if rng.random() < 0.8:  # mostly bounded; the rest may be unbounded
+            for j in range(n):
+                rows.append([(j, Fraction(1))])
+                b.append(q(0, 5))
+        got = _assert_simplex_agrees(c, rows, b)
+        if got[0] == "error":
+            errors += 1
+        elif any(v.denominator > 1 for v in got[1] + got[2]):
+            fractional_optima += 1
+    # non-unit pivots (running denominator D > 1) and unbounded LPs both occur
+    assert fractional_optima > 100
+    assert errors > 10
+
+
+def test_simplex_matches_fraction_engine_with_non_unit_pivots():
+    # 2x + 3y <= 6, 3x + 2y <= 6 (scaled by 1/5 and 1/7): each pivot is 2 or 3
+    c = [Fraction(1), Fraction(1)]
+    rows = [
+        [(0, Fraction(2, 5)), (1, Fraction(3, 5))],
+        [(0, Fraction(3, 7)), (1, Fraction(2, 7))],
+    ]
+    b = [Fraction(6, 5), Fraction(6, 7)]
+    value, x, duals, pivots = _assert_simplex_agrees(c, rows, b)
+    assert value == Fraction(12, 5)
+    assert x == [Fraction(6, 5), Fraction(6, 5)]
+    assert duals == [Fraction(1), Fraction(7, 5)]
+    assert pivots == 2
+
+
+def _seminorm_system(rng, n):
+    """A Lipschitz-and-box LP in the seminorm's shape, and its flow dual."""
+    d = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[(i, j)] = Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6, 12]))
+    mu = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 5])) for _ in range(n)]
+    lo, hi = rng.choice([(Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(3, 4))])
+    rows, b = [], []
+    for i in range(n):
+        rows.append([(i, Fraction(1))])
+        b.append(hi - lo)
+    for (i, j), dist in d.items():
+        rows.append([(i, Fraction(1)), (j, Fraction(-1))])
+        b.append(dist)
+        rows.append([(j, Fraction(1)), (i, Fraction(-1))])
+        b.append(dist)
+    denom = math.lcm(*(m.denominator for m in mu))
+    scaled = [int(m * denom) for m in mu]
+    arcs = []
+    for (i, j), dist in d.items():
+        arcs.append((i, j, 1 << 60, dist))
+        arcs.append((j, i, 1 << 60, dist))
+    for v in range(n):
+        arcs.append((v, n, 1 << 60, hi))
+        arcs.append((n, v, 1 << 60, -lo))
+    return (mu, rows, b), (n + 1, arcs, scaled + [-sum(scaled)])
+
+
+def test_engines_match_fraction_engines_on_seminorm_systems():
+    rng = random.Random(7002)
+    for _ in range(60):
+        lp, flow = _seminorm_system(rng, rng.randint(2, 6))
+        _assert_simplex_agrees(*lp)
+        _assert_flow_agrees(*flow)
+
+
+def test_simplex_matches_fraction_engine_on_degenerate_ties():
+    rng = random.Random(7003)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        c = [Fraction(rng.randint(-1, 3)) for _ in range(n)]
+        # proportional rows and zero right-hand sides tie the ratio test
+        base = [(j, Fraction(rng.randint(1, 2))) for j in range(n)]
+        rows, b = [], []
+        for _ in range(rng.randint(1, 4)):
+            k = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            rows.append([(j, coef * k) for j, coef in base])
+            b.append(k * rng.choice([0, 2]))
+        for j in range(n):
+            rows.append([(j, Fraction(1))])
+            b.append(Fraction(rng.choice([0, 1, 2])))
+        _assert_simplex_agrees(c, rows, b)
+
+
+def test_engines_raise_the_fraction_engines_errors():
+    # unbounded, and b < 0
+    assert _assert_simplex_agrees([Fraction(1)], [[(0, Fraction(-1, 3))]], [Fraction(1, 2)]) == ("error", "LP is unbounded")
+    assert _assert_simplex_agrees([Fraction(1)], [[(0, Fraction(1))]], [Fraction(-1, 2)])[0] == "error"
+    # unbalanced supplies, and supplies with no route to their demand
+    assert _assert_flow_agrees(2, [(0, 1, 3, Fraction(1, 2))], [1, 0])[0] == "error"
+    assert _assert_flow_agrees(3, [(0, 1, 3, Fraction(1, 2))], [1, 0, -1]) == ("error", "flow infeasible")
+    assert _assert_flow_agrees(2, [(0, 1, 1, Fraction(1, 2))], [2, -2]) == ("error", "flow infeasible")
+
+
+def test_flow_matches_fraction_engine_on_random_networks():
+    rng = random.Random(7004)
+    feasible = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        # cost = nonnegative part + p(u) - p(v): negative arcs, no negative cycle
+        p = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n)]
+        arcs = []
+        for _ in range(rng.randint(1, 16)):
+            u, v = rng.sample(range(n), 2)
+            cost = Fraction(rng.randint(0, 9), rng.choice([1, 2, 4, 6])) + p[u] - p[v]
+            arcs.append((u, v, rng.randint(1, 6), cost))
+        supplies = [rng.randint(-3, 3) for _ in range(n - 1)]
+        supplies.append(-sum(supplies))
+        if _assert_flow_agrees(n, arcs, supplies)[0] != "error":
+            feasible += 1
+    assert feasible > 50

@@ -1,6 +1,7 @@
 """Weighted vectors, convolution, the right-averaging transform, and the
 bounded-Lipschitz seminorm."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,9 +17,13 @@ from folnerlab.groups import (
     make_model,
     window,
 )
+from folnerlab.lp import LpError
+from folnerlab.suite import _brute_force_two_point
 from folnerlab.weights import (
     FiniteWeight,
     SupplyError,
+    _check_witness,
+    _pair_constraints,
     approx_by_uniform,
     convolve,
     invariance_defect,
@@ -26,11 +31,14 @@ from folnerlab.weights import (
     right_average,
 )
 
+from fraction_oracles import fraction_brute_force_two_point, fraction_pair_constraints
+
 Z = make_model("lattice", dim=1)
 F2 = make_model("free", rank=2)
 C = make_model("circle")
 
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 def small_weights(model, elements):
@@ -285,6 +293,117 @@ def test_flow_and_simplex_engines_agree():
         wmod.SIMPLEX_ROW_LIMIT = old
     assert {lo.engine, hi.engine} == {"simplex", "flow"}
     assert lo.value == hi.value
+
+
+def _scaled(frac, span):
+    """Fraction distance closure, integer matrix and common scale of a
+    Fraction distance matrix, built independently of `lipschitz_seminorm`."""
+    scale = math.lcm(span.denominator, *(d.denominator for row in frac for d in row))
+    dmat = [[int(d * scale) for d in row] for row in frac]
+    return (lambda i, j: frac[i][j]), dmat, scale
+
+
+def _scaled_distances(points, metric, span):
+    n = len(points)
+    return _scaled([[metric.eval(points[min(i, j)], points[max(i, j)]) for j in range(n)] for i in range(n)], span)
+
+
+def _random_supports(rng):
+    Z2 = make_model("lattice", dim=2)
+    for _ in range(12):
+        size = rng.randint(2, 14)
+        q = rng.choice([8, 12, 30])
+        pts = sorted({Fraction(rng.randrange(q), q) for _ in range(size)})
+        yield [C.element(x) for x in pts], ArcMetric(C)
+        pts = sorted({(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)})
+        yield [Z2.element(x) for x in pts], WordMetric(Z2)
+        pts = sorted({rng.randint(-9, 9) for _ in range(size)})
+        yield [Z.element((x,)) for x in pts], ScaledMetric(WordMetric(Z), Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+    ball = list(grid_sample(F2, 3))
+    for _ in range(8):
+        yield rng.sample(ball, rng.randint(2, 16)), WordMetric(F2)
+
+
+def test_pair_constraints_match_fraction_version():
+    rng = random.Random(7101)
+    kept_total = pruned_total = 0
+    for points, metric in _random_supports(rng):
+        for span in (Fraction(2), Fraction(1), Fraction(3, 4), Fraction(7, 3)):
+            dist, dmat, scale = _scaled_distances(points, metric, span)
+            expected = [(i, j) for i, j, _ in fraction_pair_constraints(points, dist, span)]
+            assert _pair_constraints(dmat, int(span * scale)) == expected
+            kept_total += len(expected)
+            pruned_total += len(points) * (len(points) - 1) // 2 - len(expected)
+    assert kept_total > 500 and pruned_total > 500  # both branches are exercised
+
+
+def test_pair_constraints_match_fraction_version_on_pseudo_metrics():
+    # L1 distances of points on a coarse line: many distinct points at distance 0
+    rng = random.Random(7103)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        coords = [[Fraction(rng.randint(0, 4), rng.choice([1, 2, 3])) for _ in range(2)] for _ in range(n)]
+        weights = [Fraction(rng.randint(0, 2), rng.choice([1, 3])) for _ in range(2)]
+        frac = [[sum(w * abs(a - b) for w, a, b in zip(weights, x, y)) for y in coords] for x in coords]
+        span = Fraction(rng.randint(1, 6), rng.choice([1, 2]))
+        dist, dmat, scale = _scaled(frac, span)
+        expected = [(i, j) for i, j, _ in fraction_pair_constraints(coords, dist, span)]
+        assert _pair_constraints(dmat, int(span * scale)) == expected
+
+
+def test_check_witness_rejects_one_unit_past_a_bound():
+    # two points at distance 2/5 on the circle, box [-1, 1]
+    points = [C.element(0), C.element(Fraction(2, 5))]
+    lo, hi = Fraction(-1), Fraction(1)
+    _, dmat, scale = _scaled_distances(points, ArcMetric(C), hi - lo)
+    unit = Fraction(1, scale)
+    _check_witness([Fraction(0), Fraction(2, 5)], dmat, scale, lo, hi)
+    with pytest.raises(LpError, match="Lipschitz"):
+        _check_witness([Fraction(0), Fraction(2, 5) + unit], dmat, scale, lo, hi)
+    with pytest.raises(LpError, match="Lipschitz"):
+        _check_witness([Fraction(2, 5) + unit, Fraction(0)], dmat, scale, lo, hi)
+    _check_witness([hi, hi], dmat, scale, lo, hi)
+    with pytest.raises(LpError, match="bounds"):
+        _check_witness([hi + unit, hi + unit], dmat, scale, lo, hi)
+    with pytest.raises(LpError, match="bounds"):
+        _check_witness([lo - unit, lo - unit], dmat, scale, lo, hi)
+
+
+def test_check_witness_rejects_a_real_witness_raised_one_unit_too_far():
+    rng = random.Random(7102)
+    for points, metric in list(_random_supports(rng))[:20]:
+        a = FiniteWeight(metric.model, [(g, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for g in points])
+        if len(a) < 2:
+            continue
+        for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1))):
+            if lo != -hi and a.total() != 0:
+                a = a - FiniteWeight.delta(a.items[0][0]).scale(a.total())
+            result = lipschitz_seminorm(a, metric, bounds=(lo, hi))
+            support = [g for g, _ in a.items]
+            f = [result.witness[g] for g in support]
+            dist, dmat, scale = _scaled_distances(support, metric, hi - lo)
+            unit = Fraction(1, scale)
+            _check_witness(f, dmat, scale, lo, hi)
+            for j in range(len(f)):
+                # the largest feasible value at j, the others fixed
+                top = min([hi] + [f[i] + dist(i, j) for i in range(len(f)) if i != j])
+                _check_witness(f[:j] + [top] + f[j + 1:], dmat, scale, lo, hi)
+                with pytest.raises(LpError):
+                    _check_witness(f[:j] + [top + unit] + f[j + 1:], dmat, scale, lo, hi)
+
+
+def test_grid_oracle_matches_fraction_scan():
+    masses = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 7)]
+    distances = [Fraction(0), Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), Fraction(1), Fraction(3), Fraction(3, 2)]
+    steps = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 10)]
+    for mu_x in masses:
+        for mu_y in masses:
+            for d in distances:
+                for step in steps:
+                    assert _brute_force_two_point(mu_x, mu_y, d, step) == fraction_brute_force_two_point(mu_x, mu_y, d, step)
+    # the criterion's own call
+    for d in (Fraction(3, 10), Fraction(2)):
+        assert _brute_force_two_point(ONE, -ONE, d, Fraction(1, 100)) == fraction_brute_force_two_point(ONE, -ONE, d, Fraction(1, 100))
 
 
 # --- invariance defects -------------------------------------------------------
