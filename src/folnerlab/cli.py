@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .folner import (
@@ -36,6 +36,7 @@ from .folner import (
 from .groups import (
     Entourage,
     FiniteWindow,
+    GroupElement,
     GroupModel,
     InvariantPseudoMetric,
     ScaledMetric,
@@ -115,6 +116,13 @@ def _load_model(obj, path: str) -> GroupModel:
         raise ConfigError(path, str(exc))
 
 
+def _element(obj, model: GroupModel, path: str) -> GroupElement:
+    try:
+        return model.parse(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(path, str(exc))
+
+
 def _load_window(obj, model: GroupModel, path: str) -> FiniteWindow:
     if not isinstance(obj, list):
         raise ConfigError(path, "expected a list of element encodings")
@@ -122,10 +130,38 @@ def _load_window(obj, model: GroupModel, path: str) -> FiniteWindow:
         return FiniteWindow.from_json(obj, model)
     except (ValueError, ZeroDivisionError) as exc:
         for k, item in enumerate(obj):  # name the first element that does not parse
-            try:
-                model.parse(item)
-            except (ValueError, ZeroDivisionError) as item_exc:
-                raise ConfigError(f"{path}[{k}]", str(item_exc))
+            _element(item, model, f"{path}[{k}]")
+        raise ConfigError(path, str(exc))
+
+
+def _window_or_grid(params: dict, model: GroupModel, key: str, resolution_key: str, default: int) -> FiniteWindow:
+    """The window at params[key], else the grid sample at params[resolution_key]."""
+    if key in params:
+        return _load_window(params[key], model, f"params.{key}")
+    return grid_sample(model, _integer(params.get(resolution_key, default), f"params.{resolution_key}"))
+
+
+def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
+    _expect(obj, path, ("support", "weights"))
+    support, weights = obj["support"], obj["weights"]
+    if not isinstance(support, list):
+        raise ConfigError(f"{path}.support", "expected a list of element encodings")
+    if not isinstance(weights, list) or len(weights) != len(support):
+        raise ConfigError(f"{path}.weights", f"expected a list of {len(support)} rationals, one per support point")
+    return FiniteWeight(
+        model,
+        [
+            (_element(x, model, f"{path}.support[{k}]"), _rational(w, f"{path}.weights[{k}]"))
+            for k, (x, w) in enumerate(zip(support, weights))
+        ],
+    )
+
+
+def _load_action(obj, model: GroupModel, path: str) -> PerturbedAction:
+    _expect(obj, path, ("window", "pool", "rows", "radius"), ("involution", "folner_windows", "folner_pools"))
+    try:
+        return PerturbedAction.from_json(obj, model)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
 
 
@@ -146,6 +182,8 @@ def _load_metric(obj, model: GroupModel, path: str) -> InvariantPseudoMetric:
 
 
 def _load_entourage(params: dict, model: GroupModel, path: str) -> Entourage:
+    if "radius" not in params:
+        raise ConfigError(f"{path}.radius", "missing required field")
     radius = _rational(params["radius"], f"{path}.radius")
     metric_obj = params.get("metric")
     metric = _load_metric(metric_obj, model, f"{path}.metric") if metric_obj else model.default_metric()
@@ -284,9 +322,7 @@ def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     _expect(params, "params", ("weight",), ("metric", "E", "radius"))
     model = _load_model(config["model"], "model")
-    weight_obj = params["weight"]
-    _expect(weight_obj, "params.weight", ("support", "weights"))
-    weight = FiniteWeight.from_json(weight_obj, model)
+    weight = _load_weight(params["weight"], model, "params.weight")
     metric_obj = params.get("metric")
     metric = _load_metric(metric_obj, model, "params.metric") if metric_obj else model.default_metric()
     if "E" in params:
@@ -349,16 +385,15 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
             _expect(idx, f"params.indices[{k}]", ("E", "n"))
             family.append((_load_window(idx["E"], model, f"params.indices[{k}].E"), _integer(idx["n"], f"params.indices[{k}].n")))
         assembled = build_perturbation(model, family, U, budget=_integer(params.get("budget", 60), "params.budget"))
-        report = verify_perturbation(assembled.action, U)
         artifacts.write_json("certificate.json", assembled.action.to_json())
-        artifacts.write_json("report.json", report.to_json())
-        print(f"build: window={len(assembled.action.window)} violations={len(report.violations)}")
-        return 0 if report.ok else 2
+        artifacts.write_json("report.json", assembled.report.to_json())
+        print(f"build: window={len(assembled.action.window)} violations={len(assembled.report.violations)}")
+        return 0
     if mode == "verify":
         if "action" not in params:
             raise ConfigError("params.action", "missing required field")
         U = _load_entourage(params, model, "params")
-        action = PerturbedAction.from_json(params["action"], model)
+        action = _load_action(params["action"], model, "params.action")
         report = verify_perturbation(action, U)
         artifacts.write_json("report.json", report.to_json())
         rows = [[v.g.model.format(v.g), v.g.model.format(v.h), str(v.distance)] for v in report.violations]
@@ -367,16 +402,8 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
         return 0 if report.ok else 2
     if mode == "precompact":
         U = _load_entourage(params, model, "params")
-        win = (
-            _load_window(params["window"], model, "params.window")
-            if "window" in params
-            else grid_sample(model, _integer(params.get("window_resolution", 60), "params.window_resolution"))
-        )
-        sample = (
-            _load_window(params["pool"], model, "params.pool")
-            if "pool" in params
-            else grid_sample(model, _integer(params.get("sample_resolution", 12), "params.sample_resolution"))
-        )
+        win = _window_or_grid(params, model, "window", "window_resolution", 60)
+        sample = _window_or_grid(params, model, "pool", "sample_resolution", 12)
         result = precompact_perturbation(model, U, win, sample)
         artifacts.write_json("certificate.json", result.to_json())
         print(
@@ -421,12 +448,8 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
             raise ConfigError(path, exc.reason)
     else:
         raise ConfigError("params.certificate", "need a certificate or standard: true")
-    win = (
-        _load_window(params["window"], model, "params.window")
-        if "window" in params
-        else grid_sample(model, _integer(params.get("window_resolution", 4), "params.window_resolution"))
-    )
-    action = PerturbedAction.from_json(params["action"], model) if "action" in params else None
+    win = _window_or_grid(params, model, "window", "window_resolution", 4)
+    action = _load_action(params["action"], model, "params.action") if "action" in params else None
     report = verify_on_window(cert, win, action)
     artifacts.write_json("certificate.json", cert.to_json())
     artifacts.write_json("report.json", report.to_json())
@@ -443,11 +466,7 @@ def _run_paradox_search(config: dict, artifacts: Artifacts, budget_flag: Optiona
     params = config["params"]
     _expect(params, "params", ("pool", "max_pieces"), ("window", "window_resolution", "budget"))
     model = _load_model(config["model"], "model")
-    win = (
-        _load_window(params["window"], model, "params.window")
-        if "window" in params
-        else grid_sample(model, _integer(params.get("window_resolution", 4), "params.window_resolution"))
-    )
+    win = _window_or_grid(params, model, "window", "window_resolution", 4)
     pool = _load_window(params["pool"], model, "params.pool")
     budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 2_000_000), "params.budget")
     max_pieces = _integer(params["max_pieces"], "params.max_pieces")
@@ -550,30 +569,36 @@ def run_scenario_config(
     return code
 
 
+def _read_config(path: Path | str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config is not valid JSON: {exc}")
+
+
+def _run_reporting_errors(
+    load: Callable[[], dict], out_dir: Optional[Path], seed: Optional[int], budget: Optional[int]
+) -> int:
+    """Load and run a scenario; malformed input (a ConfigError is a ValueError)
+    or a failed construction is one `error:` line on stderr and exit 1."""
+    try:
+        return run_scenario_config(load(), out_dir=out_dir, seed=seed, budget=budget)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 def run_scenario(
     path: Path | str,
     out_dir: Optional[Path] = None,
     seed: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> int:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run_scenario_config(config, out_dir=out_dir, seed=seed, budget=budget)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return _run_reporting_errors(lambda: _read_config(path), out_dir, seed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -702,20 +727,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if getattr(args, "config", None) is not None:
         return run_scenario(args.config, out_dir=args.out_dir, seed=args.seed, budget=args.budget)
-
-    try:
-        config = _config_from_flags(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run_scenario_config(config, out_dir=args.out_dir, seed=args.seed, budget=args.budget)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return _run_reporting_errors(lambda: _config_from_flags(args), args.out_dir, args.seed, args.budget)
 
 
 def _read_json_flag(path: Path, flag: str):

@@ -28,7 +28,7 @@ from .groups import (
     word_ball,
 )
 from .matching import MatchingResult, build_graph, max_matching
-from .weights import matching_seminorm_bound
+from .weights import FiniteWeight, invariance_defect
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -222,11 +222,14 @@ def bridge_metric(U: Entourage):
 def seminorm_crosscheck(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
     """Exact check that every g in E satisfies the matched-transport bound.
 
-    In the rescaled metric a matched point moves by at most 1/2 and an
-    unmatched one by at most the unit value range, so over 1-Lipschitz
-    functions into [0, 1] the translation-difference seminorm is at most
-    1 - theta/2; the full [-1, 1] seminorm obeys twice that.  Both are
-    asserted exactly; the restricted value is stored on the certificate.
+    The translation differences uniform(F) - g.uniform(F) are measured by
+    `invariance_defect` in the `bridge_metric`, where the certificate's
+    entourage is the ball { d(., e) <= 1/2 }.  There a matched point moves
+    by at most 1/2 and an unmatched one by at most the unit value range, so
+    over 1-Lipschitz functions into [0, 1] the seminorm is at most
+    1 - theta/2; splitting a [-1, 1]-valued function into positive and
+    negative parts doubles that for the full seminorm.  Both are asserted
+    exactly; the worst restricted value is stored on the certificate.
     """
     cert.seminorm_value, cert.seminorm_bound = _bridge_values(cert)
     return cert.seminorm_value, cert.seminorm_bound
@@ -234,21 +237,18 @@ def seminorm_crosscheck(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
 
 def _bridge_values(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
     """(worst restricted value over E, 1 - theta/2); see seminorm_crosscheck."""
-    metric = bridge_metric(cert.U)
-    worst = ZERO
+    defect = invariance_defect(FiniteWeight.uniform(cert.F), cert.E, bridge_metric(cert.U))
     bound = 1 - cert.theta / 2
-    for g in cert.E:
-        restricted, full = matching_seminorm_bound(cert.F, g, metric)
-        worst = max(worst, restricted)
-        if restricted > bound:
+    for row in defect.rows:
+        if row.restricted > bound:
             raise AssertionError(
-                f"bridge violated at {cert.model.format(g)}: {restricted} > {bound}"
+                f"bridge violated at {cert.model.format(row.g)}: {row.restricted} > {bound}"
             )
-        if full > 2 * bound:
+        if row.full > 2 * bound:
             raise AssertionError(
-                f"full-range bridge violated at {cert.model.format(g)}: {full} > {2 * bound}"
+                f"full-range bridge violated at {cert.model.format(row.g)}: {row.full} > {2 * bound}"
             )
-    return worst, bound
+    return defect.restricted, bound
 
 
 # ---------------------------------------------------------------------------

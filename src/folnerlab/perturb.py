@@ -16,7 +16,10 @@ tables three ways:
 
 Every constructor re-checks its own postconditions exhaustively; the checks
 are cheap at desk scale and catch construction bugs instead of assuming the
-underlying counting arguments were transcribed correctly.
+underlying counting arguments were transcribed correctly.  The two table
+builders run their deviation scan through `verify_perturbation`, the same
+check that re-verifies a table loaded from file; `build_perturbation` hands
+that report on as `AssembledPerturbation.report`.
 """
 
 from __future__ import annotations
@@ -179,6 +182,7 @@ class Placement:
 class AssembledPerturbation:
     action: PerturbedAction
     placements: list[Placement]
+    report: PerturbationReport  # the postcondition scan, free of violations
 
 
 @dataclass
@@ -374,7 +378,6 @@ class FolnerPackage:
     phis: dict[GroupElement, dict[GroupElement, GroupElement]]
     theta: Fraction
     pool: FiniteWindow  # symmetrized pool including the identity
-    base_window: FiniteWindow
 
     def verify(self, U: Entourage) -> None:
         model = self.F.model
@@ -421,7 +424,7 @@ def folner_package(
     shifts = [g for g in pool if g != model.identity()]
     if not shifts:
         F = FiniteWindow(model, [model.identity()])
-        return FolnerPackage(F=F, D=F, phis={}, theta=theta, pool=pool, base_window=F)
+        return FolnerPackage(F=F, D=F, phis={}, theta=theta, pool=pool)
     if model.discrete:
         raise ConstructionError("packages need a non-discrete model")
 
@@ -479,9 +482,7 @@ def folner_package(
             phi[alpha[x0]] = model.mul(g, alpha[model.mul(g_inv, y)])
         phis[g] = phi
 
-    package = FolnerPackage(
-        F=F, D=D, phis=phis, theta=theta, pool=pool, base_window=F0
-    )
+    package = FolnerPackage(F=F, D=D, phis=phis, theta=theta, pool=pool)
     package.verify(U)
     return package
 
@@ -577,7 +578,7 @@ def build_perturbation(
         Placement(pool=p, F=F, D=D, theta=theta, multiplicity=n)
         for p, F, D, _, theta, n in placed
     ]
-    return AssembledPerturbation(action=action, placements=placements)
+    return AssembledPerturbation(action=action, placements=placements, report=report)
 
 
 def _footprint(model, pool, F) -> set[GroupElement]:
@@ -755,25 +756,21 @@ def precompact_perturbation(
 
     rows, lift_mode = _lift_rows(model, window, centers, assignment, gammas, sample, U)
 
+    if any(j is None for row in rows.values() for j in row):
+        raise ConstructionError("precompact rows must be total")
     action = PerturbedAction(
         window=window,
         pool=sample,
         rows=rows,
         radius=U.radius,
     )
-    max_dev = ZERO
-    for g in sample:
-        row = rows[g]
-        for i, j in enumerate(row):
-            if j is None:
-                raise ConstructionError("precompact rows must be total")
-            dist = metric.eval(window[j], model.mul(g, window[i]))
-            max_dev = max(max_dev, dist)
-            if dist > U.radius:
-                raise ConstructionError(
-                    f"deviation {dist} beyond {U.radius} at "
-                    f"({model.format(g)}, {model.format(window[i])})"
-                )
+    report = verify_perturbation(action, U)
+    if not report.ok:
+        v = report.violations[0]
+        raise ConstructionError(
+            f"deviation {v.distance} beyond {U.radius} at "
+            f"({model.format(v.g)}, {model.format(v.h)})"
+        )
 
     perms = [tuple(rows[g]) for g in sample]
     bound = math.factorial(len(centers))
@@ -787,7 +784,7 @@ def precompact_perturbation(
         gammas=gammas,
         group_order=order,
         order_bound=bound,
-        max_deviation=max_dev,
+        max_deviation=report.max_deviation,
         lift_mode=lift_mode,
     )
 
@@ -799,8 +796,8 @@ def _lift_rows(model, window, centers, assignment, gammas, sample, U):
     for i, c in enumerate(assignment):
         fibers[c].append(i)
 
-    center_group = _perm_closure(list(gammas.values()), cap=math.factorial(n_centers) + 1)
-    orbits = _orbits(center_group, n_centers)
+    # the orbits of the generated center group are those of its generators
+    orbits = _orbits(list(gammas.values()), n_centers)
     sizes = [len(f) for f in fibers]
     balanced = all(
         len({sizes[c] for c in orbit}) == 1 for orbit in orbits

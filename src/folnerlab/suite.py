@@ -1,8 +1,12 @@
 """Built-in verification suite: thirteen exact desk-scale checks.
 
-Each criterion is a standalone function returning a result row; the CLI
-`suite` subcommand and the pytest acceptance module both run these
-functions, so the command line and the test suite cannot drift apart.
+Each criterion is a standalone function returning `(passed, measured)`;
+criteria 3-5 return `(passed, measured, certs)`, handing their Folner
+certificates to criterion 6.  `run_suite` stamps each outcome with the
+criterion's number and name from the `CRITERIA` table and the time the
+call took, so a criterion states none of these itself.  The CLI `suite`
+subcommand and the pytest acceptance module both run `run_suite`, so the
+command line and the test suite cannot drift apart.
 Criteria that emit certificates take an output directory and write
 canonical JSON (sorted keys, no timestamps), which the determinism check
 compares byte for byte across fresh runs.
@@ -17,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .folner import (
     FolnerCertificate,
@@ -114,33 +118,31 @@ def _exhaustive_deficiency(instance: BipartiteInstance) -> int:
     return worst
 
 
-def criterion_01_hall_identity(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_01_hall_identity(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     instances = _random_instances(500, seed=74021)
     checked = 0
     for inst in instances:
         mu = max_matching(inst).mu
         if mu != len(inst.left) - _exhaustive_deficiency(inst):
-            return CriterionResult(1, "hall-identity", False, f"mismatch at instance {checked}", time.time() - t0)
+            return False, f"mismatch at instance {checked}"
         checked += 1
-    return CriterionResult(1, "hall-identity", True, f"{checked} instances exact", time.time() - t0)
+    return True, f"{checked} instances exact"
 
 
-def criterion_02_perfect_matching(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_02_perfect_matching(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     instances = _random_instances(500, seed=74021)
     for k, inst in enumerate(instances):
         pairing, violating = perfect_matching(inst)
         hall_holds = _exhaustive_deficiency(inst) == 0
         if (pairing is not None) != hall_holds:
-            return CriterionResult(2, "perfect-iff-hall", False, f"mismatch at instance {k}", time.time() - t0)
+            return False, f"mismatch at instance {k}"
         if pairing is None:
             neighbours: set[int] = set()
             for i in violating:
                 neighbours.update(inst.adjacency[i])
             if len(violating) <= len(neighbours):
-                return CriterionResult(2, "perfect-iff-hall", False, f"witness not violating at {k}", time.time() - t0)
-    return CriterionResult(2, "perfect-iff-hall", True, "500 instances agree", time.time() - t0)
+                return False, f"witness not violating at {k}"
+    return True, "500 instances agree"
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +161,15 @@ def _box(Z2, n: int) -> FiniteWindow:
     return window(Z2, [(i, j) for i in range(n) for j in range(n)])
 
 
-def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[CriterionResult, list[FolnerCertificate]]:
-    t0 = time.time()
+def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[bool, str, list[FolnerCertificate]]:
     Z2, E, U = _lattice_setup()
     certs = []
     for n in range(2, 31):
         theta, cert = topological_defect(_box(Z2, n), E, U)
         if theta != 1 - Fraction(1, n):
-            result = CriterionResult(3, "lattice-boxes", False, f"defect {theta} at n={n}", time.time() - t0)
-            return result, certs
+            return False, f"defect {theta} at n={n}", certs
         if discrete_defect(_box(Z2, n), E) != theta:
-            result = CriterionResult(3, "lattice-boxes", False, f"discrete defect differs at n={n}", time.time() - t0)
-            return result, certs
+            return False, f"discrete defect differs at n={n}", certs
         if n <= 12:
             certs.append(cert)
     search = folner_search(Z2, E, U, Fraction(9, 10), strategy="boxes", budget=40)
@@ -178,14 +177,8 @@ def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[Criterio
     ok = search.found and search.certificate.F == expected
     if ok:
         _write_json(out_dir, "lattice_box_search.json", search.to_json())
-    result = CriterionResult(
-        3,
-        "lattice-boxes",
-        ok,
-        "defects 1-1/n for n=2..30; search returned the 10x10 box" if ok else "search missed the 10x10 box",
-        time.time() - t0,
-    )
-    return result, certs
+    measured = "defects 1-1/n for n=2..30; search returned the 10x10 box" if ok else "search missed the 10x10 box"
+    return ok, measured, certs
 
 
 def _enumerate_reduced_words(rank: int, radius: int) -> set[tuple[int, ...]]:
@@ -217,8 +210,7 @@ def _free_mul(w1: tuple[int, ...], w2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[CriterionResult, list[FolnerCertificate]]:
-    t0 = time.time()
+def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[bool, str, list[FolnerCertificate]]:
     F2 = make_model("free", rank=2)
     E = window(F2, [F2.parse("a"), F2.parse("b")])
     U = Entourage(WordMetric(F2), ZERO)
@@ -228,31 +220,28 @@ def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[Criterion
         theta, cert = topological_defect(ball, window(F2, [F2.parse("a")]), U)
         expected = Fraction(3**n - 1, 2 * 3**n - 1)
         if theta != expected:
-            return CriterionResult(4, "free-profile", False, f"defect {theta} != {expected} at n={n}", time.time() - t0), certs
+            return False, f"defect {theta} != {expected} at n={n}", certs
         oracle_ball = _enumerate_reduced_words(2, n)
         if len(oracle_ball) != len(ball):
-            return CriterionResult(4, "free-profile", False, f"ball size mismatch at n={n}", time.time() - t0), certs
+            return False, f"ball size mismatch at n={n}", certs
         shifted = {_free_mul((1,), w) for w in oracle_ball}
         if Fraction(len(oracle_ball & shifted), len(oracle_ball)) != expected:
-            return CriterionResult(4, "free-profile", False, f"oracle disagrees at n={n}", time.time() - t0), certs
+            return False, f"oracle disagrees at n={n}", certs
         if len(ball) <= 144:
             certs.append(cert)
     search = folner_search(F2, E, U, Fraction(3, 5), strategy="balls", budget=6)
     ok = (not search.found) and search.best_theta < Fraction(51, 100)
     if ok:
         _write_json(out_dir, "free_ball_search.json", search.to_json())
-    result = CriterionResult(
-        4,
-        "free-profile",
-        ok,
-        f"defects match (3^n-1)/(2*3^n-1); search best {search.best_theta} < 0.51, target not met" if ok else f"search found={search.found} best={search.best_theta}",
-        time.time() - t0,
+    measured = (
+        f"defects match (3^n-1)/(2*3^n-1); search best {search.best_theta} < 0.51, target not met"
+        if ok
+        else f"search found={search.found} best={search.best_theta}"
     )
-    return result, certs
+    return ok, measured, certs
 
 
-def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[CriterionResult, list[FolnerCertificate]]:
-    t0 = time.time()
+def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[bool, str, list[FolnerCertificate]]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(1, 24))
     F = grid_sample(C, 12)
@@ -266,32 +255,23 @@ def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[Criter
         for i, j in matching.pairing.items()
     )
     if theta != 1 or not identity_pairing:
-        return CriterionResult(5, "circle-rotation", False, f"aligned defect {theta}", time.time() - t0), certs
+        return False, f"aligned defect {theta}", certs
     certs.append(cert)
 
     g2 = C.element(Fraction(1, 8))
     theta2, cert2 = topological_defect(F, window(C, [g2]), U)
     oracle = brute_force_matching_number(cert2.matchings[g2].instance)
     if theta2 != Fraction(oracle, len(F)):
-        return CriterionResult(5, "circle-rotation", False, f"off-grid defect {theta2} vs oracle {oracle}/12", time.time() - t0), certs
+        return False, f"off-grid defect {theta2} vs oracle {oracle}/12", certs
     certs.append(cert2)
     _write_json(out_dir, "circle_rotation_certificates.json", [cert.to_json(), cert2.to_json()])
-    return (
-        CriterionResult(
-            5,
-            "circle-rotation",
-            True,
-            f"aligned defect 1 (identity matching); off-grid defect {theta2} equals the exhaustive oracle",
-            time.time() - t0,
-        ),
-        certs,
-    )
+    measured = f"aligned defect 1 (identity matching); off-grid defect {theta2} equals the exhaustive oracle"
+    return True, measured, certs
 
 
 def criterion_06_seminorm_bridge(
     certs: list[FolnerCertificate], out_dir: Optional[Path] = None
-) -> CriterionResult:
-    t0 = time.time()
+) -> tuple[bool, str]:
     checked = 0
     worst_gap = None
     for cert in certs:
@@ -300,16 +280,10 @@ def criterion_06_seminorm_bridge(
         value, bound = seminorm_crosscheck(cert)
         gap = bound - value
         if gap < 0:
-            return CriterionResult(6, "seminorm-bridge", False, f"violated by {-gap}", time.time() - t0)
+            return False, f"violated by {-gap}"
         worst_gap = gap if worst_gap is None else min(worst_gap, gap)
         checked += 1
-    return CriterionResult(
-        6,
-        "seminorm-bridge",
-        True,
-        f"{checked} certificates satisfy p_d <= 1 - theta/2 (smallest slack {worst_gap})",
-        time.time() - t0,
-    )
+    return True, f"{checked} certificates satisfy p_d <= 1 - theta/2 (smallest slack {worst_gap})"
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +304,7 @@ def _brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, step: Fr
     return -(mu_x + mu_y) + step * best / q
 
 
-def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     rng = random.Random(52200)
     C = make_model("circle")
     Z2 = make_model("lattice", dim=2)
@@ -362,23 +335,16 @@ def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> CriterionRes
         result = lipschitz_seminorm(diff, metric)
         expected = min(Fraction(2), d)
         if result.value != expected:
-            return CriterionResult(7, "seminorm-oracle", False, f"case {idx}: {result.value} != {expected}", time.time() - t0)
+            return False, f"case {idx}: {result.value} != {expected}"
         if idx % 10 == 0:
             brute = _brute_force_two_point(ONE, -ONE, d, Fraction(1, 100))
             if abs(result.value - brute) > Fraction(2, 100):
-                return CriterionResult(7, "seminorm-oracle", False, f"grid gap at case {idx}", time.time() - t0)
+                return False, f"grid gap at case {idx}"
             grid_checked += 1
-    return CriterionResult(
-        7,
-        "seminorm-oracle",
-        True,
-        f"100 pairs match min(2, d); {grid_checked} grid cross-checks; optima dual-certified in-solver",
-        time.time() - t0,
-    )
+    return True, f"100 pairs match min(2, d); {grid_checked} grid cross-checks; optima dual-certified in-solver"
 
 
-def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     rng = random.Random(90125)
     C = make_model("circle")
     arc = ArcMetric(C)
@@ -396,15 +362,9 @@ def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> CriterionResu
         approx = approx_by_uniform(a, arc, eps, supply)
         check = lipschitz_seminorm(a - FiniteWeight.uniform(approx.window), arc).value
         if check > eps:
-            return CriterionResult(8, "uniform-approximation", False, f"defect {check} > 1/5 at trial {trial}", time.time() - t0)
+            return False, f"defect {check} > 1/5 at trial {trial}"
         worst = max(worst, check)
-    return CriterionResult(
-        8,
-        "uniform-approximation",
-        True,
-        f"50 weights approximated; worst verified defect {worst} <= 1/5",
-        time.time() - t0,
-    )
+    return True, f"50 weights approximated; worst verified defect {worst} <= 1/5"
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +372,7 @@ def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> CriterionResu
 # ---------------------------------------------------------------------------
 
 
-def criterion_09_precompact(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_09_precompact(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(7, 20))
     result = precompact_perturbation(C, U, grid_sample(C, 60), grid_sample(C, 12))
@@ -425,18 +384,14 @@ def criterion_09_precompact(out_dir: Optional[Path] = None) -> CriterionResult:
         and report.entries_checked == 60 * 12
     )
     _write_json(out_dir, "precompact_circle.json", result.to_json())
-    return CriterionResult(
-        9,
-        "precompact-circle",
+    return (
         ok,
         f"|F|={len(result.centers)}, order {result.group_order} divides {result.order_bound}, "
         f"deviation <= 7/20 on all {report.entries_checked} entries (max {report.max_deviation})",
-        time.time() - t0,
     )
 
 
-def criterion_10_assembly(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(1, 10))
     family = [
@@ -451,13 +406,10 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> CriterionResult:
     )
     ok = report.ok and involutions and cores_ok
     _write_json(out_dir, "assembled_perturbation.json", assembled.action.to_json())
-    return CriterionResult(
-        10,
-        "perturbation-assembly",
+    return (
         ok,
         f"0 violations of {report.entries_checked} entries; involutions hold; "
         f"cores {[f'{len(p.D)}/{len(p.F)}' for p in assembled.placements]} meet 3/4",
-        time.time() - t0,
     )
 
 
@@ -487,31 +439,23 @@ def _involution_check(action) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def criterion_11_free_paradox(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_11_free_paradox(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     F2 = make_model("free", rank=2)
     cert = f2_standard_certificate(F2)
     for n in range(1, 9):
         ball = grid_sample(F2, n)
         report = verify_on_window(cert, ball)
         if report.interior_violations != 0:
-            return CriterionResult(11, "free-paradox", False, f"{report.interior_violations} violations at n={n}", time.time() - t0)
+            return False, f"{report.interior_violations} violations at n={n}"
     corrupted = f2_standard_certificate(F2)
     corrupted.b_pieces[0] = {"op": "first_letter", "letter": "a"}
     bad = verify_on_window(corrupted, grid_sample(F2, 4))
     ok = bad.interior_violations >= 1
     _write_json(out_dir, "free_paradox_certificate.json", cert.to_json())
-    return CriterionResult(
-        11,
-        "free-paradox",
-        ok,
-        f"zero interior violations through radius 8 (|B_8|={len(ball)}); corruption flagged {bad.interior_violations}",
-        time.time() - t0,
-    )
+    return ok, f"zero interior violations through radius 8 (|B_8|={len(ball)}); corruption flagged {bad.interior_violations}"
 
 
-def criterion_12_amenable_control(out_dir: Optional[Path] = None) -> CriterionResult:
-    t0 = time.time()
+def criterion_12_amenable_control(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     Z = make_model("lattice", dim=1)
     win = window(Z, [(i,) for i in range(-10, 11)])
     pool = window(Z, [(-1,), (0,), (1,)])
@@ -519,13 +463,7 @@ def criterion_12_amenable_control(out_dir: Optional[Path] = None) -> CriterionRe
     exhaustive = all(r.exhausted for r in report.reports)
     minimum = min(r.best_defect for r in report.reports)
     ok = exhaustive and minimum >= 1
-    return CriterionResult(
-        12,
-        "amenable-control",
-        ok,
-        f"minimal interior defect {minimum} over piece counts 4..6 (exhaustive={exhaustive})",
-        time.time() - t0,
-    )
+    return ok, f"minimal interior defect {minimum} over piece counts 4..6 (exhaustive={exhaustive})"
 
 
 # ---------------------------------------------------------------------------
@@ -533,41 +471,34 @@ def criterion_12_amenable_control(out_dir: Optional[Path] = None) -> CriterionRe
 # ---------------------------------------------------------------------------
 
 
-def _certificate_writers() -> list[Callable[[Optional[Path]], object]]:
-    return [
-        lambda d: criterion_03_lattice_boxes(d)[0],
-        lambda d: criterion_04_free_profile(d)[0],
-        lambda d: criterion_05_circle_rotation(d)[0],
-        criterion_09_precompact,
-        criterion_10_assembly,
-        criterion_11_free_paradox,
-    ]
+# The criteria that write certificate files; criterion 13 runs each twice.
+CERTIFICATE_WRITERS = (
+    criterion_03_lattice_boxes,
+    criterion_04_free_profile,
+    criterion_05_circle_rotation,
+    criterion_09_precompact,
+    criterion_10_assembly,
+    criterion_11_free_paradox,
+)
 
 
-def criterion_13_determinism(out_dir: Optional[Path] = None) -> CriterionResult:
+def criterion_13_determinism(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     import tempfile
 
-    t0 = time.time()
     with tempfile.TemporaryDirectory() as tmp:
         first = Path(tmp) / "run1"
         second = Path(tmp) / "run2"
         for target in (first, second):
-            for writer in _certificate_writers():
+            for writer in CERTIFICATE_WRITERS:
                 writer(target)
         names1 = sorted(p.name for p in first.glob("*.json"))
         names2 = sorted(p.name for p in second.glob("*.json"))
         if names1 != names2 or not names1:
-            return CriterionResult(13, "determinism", False, "certificate sets differ", time.time() - t0)
+            return False, "certificate sets differ"
         for name in names1:
             if (first / name).read_bytes() != (second / name).read_bytes():
-                return CriterionResult(13, "determinism", False, f"{name} differs between runs", time.time() - t0)
-    return CriterionResult(
-        13,
-        "determinism",
-        True,
-        f"{len(names1)} certificate files byte-identical across two runs",
-        time.time() - t0,
-    )
+                return False, f"{name} differs between runs"
+    return True, f"{len(names1)} certificate files byte-identical across two runs"
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +537,17 @@ def run_suite(out_dir: Optional[Path] = None, numbers: Optional[list[int]] = Non
     for number, name, criterion in CRITERIA:
         if number not in needed:
             continue
+        started = time.time()
         try:
             if number in BRIDGE_SOURCES:
-                result, certs = criterion(out_dir)
+                passed, measured, certs = criterion(out_dir)
                 shared_certs.extend(certs)
             elif number == BRIDGE:
-                result = criterion(shared_certs, out_dir)
+                passed, measured = criterion(shared_certs, out_dir)
             else:
-                result = criterion(out_dir)
+                passed, measured = criterion(out_dir)
         except Exception as exc:  # criterion failures are rows, not crashes
-            result = CriterionResult(number, name, False, f"error: {exc}", 0.0)
+            passed, measured = False, f"error: {exc}"
         if number in wanted:
-            results.append(result)
+            results.append(CriterionResult(number, name, passed, measured, time.time() - started))
     return results

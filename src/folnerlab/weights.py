@@ -135,7 +135,7 @@ class FiniteWeight:
     def from_json(cls, obj: dict, model: GroupModel) -> "FiniteWeight":
         pairs = [
             (model.parse(s), parse_fraction(w))
-            for s, w in zip(obj["support"], obj["weights"])
+            for s, w in zip(obj["support"], obj["weights"], strict=True)
         ]
         return cls(model, pairs)
 
@@ -462,24 +462,3 @@ def _round_weight(a: FiniteWeight, budget: Fraction) -> tuple[dict[GroupElement,
     if err > budget:
         raise SupplyError(f"rounding error {err} exceeds {budget} at denominator cap {DENOMINATOR_CAP}")
     return counts, n, err
-
-
-def matching_seminorm_bound(
-    F: FiniteWindow,
-    g: GroupElement,
-    metric: InvariantPseudoMetric,
-) -> tuple[Fraction, Fraction]:
-    """Exact translation-difference seminorms of uniform(F) against their
-    matched-transport bounds.
-
-    Meaningful when theta was certified by matchings for the entourage
-    { d(., e) <= 1/2 } of the same metric.  Over 1-Lipschitz functions into
-    [0, 1], a matched point contributes at most 1/2 and an unmatched one at
-    most the unit range, so the value is bounded by 1 - theta/2; splitting a
-    [-1, 1]-valued function into positive and negative parts doubles that.
-    Returns (restricted value, full value).
-    """
-    diff = FiniteWeight.uniform(F) - FiniteWeight.uniform(F).left_translate(g)
-    restricted = lipschitz_seminorm(diff, metric, bounds=(ZERO, ONE)).value
-    full = lipschitz_seminorm(diff, metric).value
-    return restricted, full

@@ -511,3 +511,74 @@ def test_integer_list_config_field_must_be_a_list(field):
     with pytest.raises(ConfigError) as info:
         run_scenario_config(config)
     assert info.value.path == field
+
+
+LATTICE_1 = {"kind": "lattice", "params": {"dim": 1}}
+# One config per task that reads params.radius, each without it.
+RADIUS_FREE = {
+    "search": {"task": "search", "model": LATTICE_1,
+               "params": {"E": ["1"], "theta": "1/2", "strategy": "balls"}},
+    "perturb-build": {"task": "perturb", "model": CIRCLE,
+                      "params": {"mode": "build", "indices": [{"E": ["0", "1/5"], "n": 4}]}},
+    "perturb-verify": {"task": "perturb", "model": CIRCLE, "params": {"mode": "verify", "action": {}}},
+    "precompact": {"task": "precompact", "model": CIRCLE, "params": {"window_resolution": 8}},
+    "matching": {"task": "matching", "model": LATTICE_1, "params": {"E": ["0"], "F": ["1"]}},
+    "defect": {"task": "defect", "model": LATTICE_1, "params": {"F": ["0"], "E": ["1"]}},
+}
+
+
+@pytest.mark.parametrize("task", sorted(RADIUS_FREE))
+def test_missing_radius_is_a_config_error(task):
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(RADIUS_FREE[task])
+    assert info.value.path == "params.radius"
+
+
+def test_search_without_radius_exits_1(tmp_path, capsys):
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(RADIUS_FREE["search"]))
+    assert run(["folner-search", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: params.radius: missing required field")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"task": "perturb", "model": CIRCLE,
+         "params": {"mode": "verify", "radius": "0",
+                    "action": {"window": ["0", "1/2"], "pool": ["1/2"], "radius": "0"}}},
+        {"task": "paradox-verify", "model": F2_MODEL,
+         "params": {"standard": True, "window_resolution": 1,
+                    "action": {"window": ["e", "a"], "pool": ["a"], "radius": "0"}}},
+    ],
+    ids=["perturb-verify", "paradox-verify"],
+)
+def test_action_without_rows_exits_1(tmp_path, capsys, config):
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == "params.action.rows"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: params.action.rows: missing required field")
+
+
+@pytest.mark.parametrize(
+    "weights, field",
+    [(["1"], "params.weight.weights"), (["1", "x"], "params.weight.weights[1]")],
+)
+def test_malformed_weight_exits_1(tmp_path, capsys, weights, field):
+    config = {"task": "seminorm", "model": CIRCLE,
+              "params": {"weight": {"support": ["0", "1/2"], "weights": weights}}}
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}: ")
+    assert "seminorm:" not in captured.out

@@ -73,6 +73,12 @@ def test_weight_json_roundtrip():
     assert a.to_json()["weights"] == ["1/3", "2/3"]
 
 
+def test_weight_json_length_mismatch():
+    # lists of different lengths are refused, not truncated to the shorter
+    with pytest.raises(ValueError):
+        FiniteWeight.from_json({"support": ["0", "1/2"], "weights": ["1"]}, C)
+
+
 # --- convolution -------------------------------------------------------------
 
 
