@@ -34,6 +34,7 @@ from .folner import (
     topological_defect,
 )
 from .groups import (
+    CertificateError,
     Entourage,
     FiniteWindow,
     GroupElement,
@@ -49,7 +50,6 @@ from .groups import (
 )
 from .matching import build_graph, max_matching
 from .paradox import (
-    CertificateError,
     ParadoxCertificate,
     f2_standard_certificate,
     search_small_paradox,
@@ -116,9 +116,16 @@ def _load_model(obj, path: str) -> GroupModel:
         raise ConfigError(path, str(exc))
 
 
+def _encoding(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        raise ConfigError(path, f"expected an element encoding (a JSON string), got {obj!r}")
+    return obj
+
+
 def _element(obj, model: GroupModel, path: str) -> GroupElement:
+    text = _encoding(obj, path)
     try:
-        return model.parse(obj)
+        return model.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
 
@@ -126,6 +133,8 @@ def _element(obj, model: GroupModel, path: str) -> GroupElement:
 def _load_window(obj, model: GroupModel, path: str) -> FiniteWindow:
     if not isinstance(obj, list):
         raise ConfigError(path, "expected a list of element encodings")
+    for k, item in enumerate(obj):
+        _encoding(item, f"{path}[{k}]")
     try:
         return FiniteWindow.from_json(obj, model)
     except (ValueError, ZeroDivisionError) as exc:
@@ -157,10 +166,17 @@ def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
     )
 
 
+def _certificate_error(exc: CertificateError, path: str) -> ConfigError:
+    """The certificate's own field path, under the config path it came from."""
+    return ConfigError(f"{path}.{exc.path}" if exc.path else path, exc.reason)
+
+
 def _load_action(obj, model: GroupModel, path: str) -> PerturbedAction:
     _expect(obj, path, ("window", "pool", "rows", "radius"), ("involution", "folner_windows", "folner_pools"))
     try:
         return PerturbedAction.from_json(obj, model)
+    except CertificateError as exc:
+        raise _certificate_error(exc, path)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
 
@@ -444,8 +460,7 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
         try:
             cert = ParadoxCertificate.from_json(params["certificate"], model)
         except CertificateError as exc:
-            path = f"params.certificate.{exc.path}" if exc.path else "params.certificate"
-            raise ConfigError(path, exc.reason)
+            raise _certificate_error(exc, "params.certificate")
     else:
         raise ConfigError("params.certificate", "need a certificate or standard: true")
     win = _window_or_grid(params, model, "window", "window_resolution", 4)

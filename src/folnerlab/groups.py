@@ -6,11 +6,18 @@ touches floating point.  Elements carry a canonical encoding per model, so two
 elements are equal exactly when their encodings coincide, and every window is
 kept in a deterministic canonical order (shortlex for word-like models,
 numeric/lexicographic otherwise).
+
+Each invariant pseudo-metric also builds the integer distance matrix of a
+point list (`distance_matrix`: ints over one common scale), which the
+seminorm reads.  Word metrics build it on payloads: one model check and one
+inverse per point, one product and one int word length per pair.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +34,16 @@ class ModelMismatchError(ValueError):
 
 class WindowSizeError(ValueError):
     """Raised when an enumeration would exceed the configured window cap."""
+
+
+class CertificateError(ValueError):
+    """Malformed certificate data; `path` locates the field inside the
+    certificate object (`A[0].args[1].index`), empty for the whole object."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}" if path else reason)
+        self.path = path
+        self.reason = reason
 
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
@@ -136,6 +153,10 @@ class GroupModel:
         raise NotImplementedError
 
     def word_length(self, g: GroupElement) -> Fraction:
+        return Fraction(self._length_data(g.data))
+
+    def _length_data(self, a) -> int:
+        """Word length of a payload over the model generators."""
         raise NotImplementedError(f"{self.kind} has no word metric")
 
     # -- identity / hashing ---------------------------------------------
@@ -176,10 +197,10 @@ class LatticeModel(GroupModel):
         return GroupElement(self, (0,) * self.dim)
 
     def _mul_data(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def _inv_data(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def _canonical(self, data):
         vec = tuple(int(x) for x in data)
@@ -205,8 +226,8 @@ class LatticeModel(GroupModel):
                 gens.append(self.element(vec))
         return sorted(gens, key=self.sort_key)
 
-    def word_length(self, g: GroupElement) -> Fraction:
-        return Fraction(sum(abs(x) for x in g.data))
+    def _length_data(self, a) -> int:
+        return sum(map(abs, a))
 
     def default_metric(self) -> "InvariantPseudoMetric":
         return WordMetric(self)
@@ -292,8 +313,8 @@ class FreeGroupModel(GroupModel):
             gens.append(self.element((-i,)))
         return sorted(gens, key=self.sort_key)
 
-    def word_length(self, g: GroupElement) -> Fraction:
-        return Fraction(len(g.data))
+    def _length_data(self, a) -> int:
+        return len(a)
 
     def default_metric(self) -> "InvariantPseudoMetric":
         return WordMetric(self)
@@ -341,15 +362,13 @@ class HeisenbergModel(GroupModel):
         gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
         return sorted((self.element(v) for v in gens), key=self.sort_key)
 
-    def word_length(self, g: GroupElement) -> Fraction:
-        data = g.data
-        radius = 0
-        while data not in self._length_cache:
+    def _length_data(self, a) -> int:
+        while a not in self._length_cache:
             radius = self._length_radius + 1
             if radius > 40:
                 raise WindowSizeError("heisenberg word length search exceeded radius 40")
             self._grow_length_cache(radius)
-        return Fraction(self._length_cache[data])
+        return self._length_cache[a]
 
     def _grow_length_cache(self, radius: int) -> None:
         if self._length_frontier is None:
@@ -498,9 +517,8 @@ class CyclicModel(GroupModel):
         gens = {1 % self.modulus, (-1) % self.modulus}
         return [self.element(v) for v in sorted(gens)]
 
-    def word_length(self, g: GroupElement) -> Fraction:
-        r = g.data
-        return Fraction(min(r, self.modulus - r))
+    def _length_data(self, a) -> int:
+        return min(a, self.modulus - a)
 
     def default_metric(self) -> "InvariantPseudoMetric":
         return WordMetric(self)
@@ -556,6 +574,22 @@ class InvariantPseudoMetric:
     def distance_to_identity(self, g: GroupElement) -> Fraction:
         return self.eval(g, self.model.identity())
 
+    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
+        """All pairwise distances as integers over one common scale:
+        `rows[i][j] / scale == eval(points[i], points[j])`.
+
+        This generic body evaluates each pair once and scales by the LCM of
+        the denominators; subclasses may build the same matrix faster.
+        """
+        n = len(points)
+        upper = [[self.eval(points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
+        scale = math.lcm(*(d.denominator for row in upper for d in row))
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(upper):
+            for j, d in enumerate(row, start=i + 1):
+                rows[i][j] = rows[j][i] = d.numerator * (scale // d.denominator)
+        return rows, scale
+
     @property
     def bi_invariant(self) -> bool:
         return self.model.abelian
@@ -584,6 +618,23 @@ class WordMetric(InvariantPseudoMetric):
 
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
         return self.model.word_length(self.model.mul(x, self.model.inv(y)))
+
+    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
+        """Word lengths on payloads: each point is checked and inverted once,
+        and every entry is the int length of one payload product (scale 1)."""
+        model = self.model
+        for p in points:
+            model._check(p)
+        data = [p.data for p in points]
+        inverses = [model._inv_data(y) for y in data]
+        mul, length = model._mul_data, model._length_data
+        n = len(data)
+        rows = [[0] * n for _ in range(n)]
+        for i, x in enumerate(data):
+            row = rows[i]
+            for j in range(i + 1, n):
+                row[j] = rows[j][i] = length(mul(x, inverses[j]))
+        return rows, 1
 
     def integer_valued(self) -> bool:
         return True
@@ -635,6 +686,11 @@ class ScaledMetric(InvariantPseudoMetric):
 
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
         return self.factor * self.base.eval(x, y)
+
+    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
+        rows, scale = self.base.distance_matrix(points)
+        p = self.factor.numerator
+        return [[p * d for d in row] for row in rows], scale * self.factor.denominator
 
     @property
     def bi_invariant(self) -> bool:

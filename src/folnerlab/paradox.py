@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import FiniteWindow, FreeGroupModel, GroupElement, GroupModel, ModelMismatchError
+from .groups import CertificateError, FiniteWindow, FreeGroupModel, GroupElement, GroupModel, ModelMismatchError
 from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
@@ -36,16 +36,6 @@ DP_STATE_CAP = 300_000
 
 class ClassifierError(ValueError):
     pass
-
-
-class CertificateError(ValueError):
-    """Malformed certificate data; `path` locates the field inside the
-    certificate object (`A[0].args[1].index`), empty for the whole object."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}" if path else reason)
-        self.path = path
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------

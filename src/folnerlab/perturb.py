@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .groups import (
+    CertificateError,
     CircleModel,
     CyclicModel,
     Entourage,
@@ -144,27 +145,37 @@ class PerturbedAction:
 
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "PerturbedAction":
-        window = FiniteWindow.from_json(obj["window"], model)
-        pool = FiniteWindow.from_json(obj["pool"], model)
-        rows = {
-            model.parse(k): [None if v is None else parse_index(v, f"row of {k}") for v in row]
-            for k, row in obj["rows"].items()
-        }
-        inv = {
-            model.parse(k): parse_bool(v, f"involution[{k}]")
-            for k, v in obj.get("involution", {}).items()
-        }
-        fw = [FiniteWindow.from_json(w, model) for w in obj.get("folner_windows", [])]
-        fp = [FiniteWindow.from_json(w, model) for w in obj.get("folner_pools", [])]
+        """Parse an action; a field of the wrong JSON shape is a
+        CertificateError naming it."""
+        rows, involution = obj["rows"], obj.get("involution", {})
+        if not isinstance(rows, dict) or not all(isinstance(row, list) for row in rows.values()):
+            raise CertificateError("rows", "expected an object of lists")
+        if not isinstance(involution, dict):
+            raise CertificateError("involution", "expected an object")
         return cls(
-            window=window,
-            pool=pool,
-            rows=rows,
+            window=_window_json(obj["window"], model, "window"),
+            pool=_window_json(obj["pool"], model, "pool"),
+            rows={
+                model.parse(k): [None if v is None else parse_index(v, f"row of {k}") for v in row]
+                for k, row in rows.items()
+            },
             radius=parse_fraction(obj["radius"]),
-            involution=inv,
-            folner_windows=fw,
-            folner_pools=fp,
+            involution={model.parse(k): parse_bool(v, f"involution[{k}]") for k, v in involution.items()},
+            folner_windows=_windows_json(obj.get("folner_windows", []), model, "folner_windows"),
+            folner_pools=_windows_json(obj.get("folner_pools", []), model, "folner_pools"),
         )
+
+
+def _window_json(items, model: GroupModel, field: str) -> FiniteWindow:
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise CertificateError(field, "expected a list of element strings")
+    return FiniteWindow.from_json(items, model)
+
+
+def _windows_json(items, model: GroupModel, field: str) -> list[FiniteWindow]:
+    if not isinstance(items, list):
+        raise CertificateError(field, "expected a list of windows")
+    return [_window_json(w, model, f"{field}[{k}]") for k, w in enumerate(items)]
 
 
 @dataclass

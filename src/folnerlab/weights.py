@@ -14,8 +14,10 @@ Redundant Lipschitz constraints are pruned first: a pair (x, y) is dropped
 when some z in the support decomposes it, d(x,z) + d(z,y) = d(x,y) with both
 parts strictly shorter, or when d(x,y) already exceeds the value range.  The
 pruned system is equivalent, which keeps supports near the cap tractable.
-Pruning and the final witness check read one integer matrix per call: the
-distances and the box width times the LCM of their denominators.
+Pruning and the final witness check read one integer matrix per call, which
+the metric builds (`InvariantPseudoMetric.distance_matrix`: distances as ints
+over one common scale; word metrics work on payloads), and the LP reads the
+kept pairs from it.
 """
 
 from __future__ import annotations
@@ -190,10 +192,11 @@ class SeminormResult:
 def _pair_constraints(dmat: list[list[int]], span: int) -> list[tuple[int, int]]:
     """Lipschitz pairs (i, j), i < j, that survive pruning (see module docstring).
 
-    `dmat` holds the distances and `span` the box width, all scaled to
-    integers by one common factor.  Midpoint candidates are probed
-    nearest-to-i first, so on geodesic-like supports a decomposing point is
-    usually hit within a few probes.
+    `dmat` holds the distances scaled to integers by one common factor, and
+    `span` the box width in the same units, rounded up (an integer distance
+    reaches the width exactly when it reaches its ceiling).  Midpoint
+    candidates are probed nearest-to-i first, so on geodesic-like supports a
+    decomposing point is usually hit within a few probes.
     """
     n = len(dmat)
     kept = []
@@ -288,17 +291,9 @@ def lipschitz_seminorm(
 
     points = [g for g, _ in a.items]
     mu = [w for _, w in a.items]
-    n = len(points)
-    span = hi - lo
-    upper = [[metric.eval(points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
-    scale = math.lcm(span.denominator, *(d.denominator for row in upper for d in row))
-    dmat = [[0] * n for _ in range(n)]
-    for i, row in enumerate(upper):
-        for j, d in enumerate(row, start=i + 1):
-            dmat[i][j] = dmat[j][i] = d.numerator * (scale // d.denominator)
-
-    kept = _pair_constraints(dmat, span.numerator * (scale // span.denominator))
-    pairs = [(i, j, upper[i][j - i - 1]) for i, j in kept]
+    dmat, scale = metric.distance_matrix(points)
+    kept = _pair_constraints(dmat, math.ceil((hi - lo) * scale))
+    pairs = [(i, j, Fraction(dmat[i][j], scale)) for i, j in kept]
     value, f, pivots, engine = _seminorm_lp(mu, pairs, lo, hi)
 
     _check_witness(f, dmat, scale, lo, hi)
@@ -419,10 +414,11 @@ def approx_by_uniform(
     pieces: dict[GroupElement, FiniteWindow] = {}
     for x, _ in a.items:
         need = counts[x]
-        in_ball = [y for y in supply if metric.eval(x, y) <= radius]
-        in_ball.sort(key=lambda y: (metric.eval(x, y), a.model.sort_key(y)))
+        # nearest first; the supply is in canonical order and the sort is stable
+        in_ball = [(d, y) for y in supply if (d := metric.eval(x, y)) <= radius]
+        in_ball.sort(key=lambda item: item[0])
         chosen = []
-        for y in in_ball:
+        for _, y in in_ball:
             if len(chosen) == need:
                 break
             if y in used:

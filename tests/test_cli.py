@@ -582,3 +582,70 @@ def test_malformed_weight_exits_1(tmp_path, capsys, weights, field):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {field}: ")
     assert "seminorm:" not in captured.out
+
+
+# Element encodings that are not JSON strings, each at the field it must name.
+NON_STRING_ENCODINGS = {
+    "seminorm-lattice": (
+        {"task": "seminorm", "model": LATTICE_1,
+         "params": {"weight": {"support": [0, 1], "weights": ["1", "-1"]}}},
+        "params.weight.support[0]",
+    ),
+    "seminorm-circle": (
+        {"task": "seminorm", "model": CIRCLE,
+         "params": {"weight": {"support": ["0", 1], "weights": ["1", "-1"]}}},
+        "params.weight.support[1]",
+    ),
+    "defect-ints": (
+        {"task": "defect", "model": LATTICE_1, "params": {"F": [0, 1], "E": ["1"], "radius": "0"}},
+        "params.F[0]",
+    ),
+    "defect-null": (
+        {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", None], "E": ["1"], "radius": "0"}},
+        "params.F[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_STRING_ENCODINGS))
+def test_non_string_element_encoding_exits_1(tmp_path, capsys, case):
+    config, field = NON_STRING_ENCODINGS[case]
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected an element encoding (a JSON string)")
+    assert "Traceback" not in err
+
+
+GOOD_ACTION = {"window": ["0", "1/2"], "pool": ["1/2"], "rows": {"1/2": [1, 0]}, "radius": "1/2"}
+# One malformed shape per action field: the traceback or the silent
+# character-by-character read that each used to give.
+ACTION_SHAPES = [
+    ("rows", [[1, 0]]),
+    ("rows", {"1/2": 5}),
+    ("window", "0"),
+    ("pool", 5),
+    ("involution", [1]),
+    ("folner_windows", "0"),
+    ("folner_pools", [["0", 1]]),
+]
+
+
+@pytest.mark.parametrize("field, value", ACTION_SHAPES, ids=[f"{f}={v!r}" for f, v in ACTION_SHAPES])
+def test_action_field_shape_exits_1(tmp_path, capsys, field, value):
+    config = {"task": "perturb", "model": CIRCLE,
+              "params": {"mode": "verify", "radius": "1/2", "action": {**GOOD_ACTION, field: value}}}
+    want = f"params.action.{field}" + ("[0]" if field == "folner_pools" else "")
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == want
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {want}: expected")
+    assert "Traceback" not in err

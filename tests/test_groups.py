@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from folnerlab.groups import (
     DiscreteMetric,
     Entourage,
     FiniteWindow,
+    HeisenbergModel,
     ModelMismatchError,
     ScaledMetric,
     WindowSizeError,
@@ -319,3 +321,92 @@ def test_cyclic_generators_reach_everything():
                     nxt.append(h)
         frontier = nxt
     assert len(reached) == 12
+
+
+# ---------------------------------------------------------------------------
+# distance_matrix against per-pair eval
+# ---------------------------------------------------------------------------
+
+
+def _random_payload(model, rng):
+    if model is F2:
+        return [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6))]
+    if model is H:
+        return (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-6, 6))
+    if model is Z12:
+        return rng.randint(0, 11)
+    if model is C:
+        q = rng.randint(1, 24)
+        return Fraction(rng.randrange(q), q)
+    if model is T2:
+        return tuple(Fraction(rng.randrange(q), q) for q in (rng.randint(1, 12), rng.randint(1, 12)))
+    return tuple(rng.randint(-6, 6) for _ in range(model.dim))
+
+
+def _metrics(model):
+    """Every metric rule on the model: word or arc, discrete, and one- and
+    two-level rational rescalings of each."""
+    bases = [model.default_metric(), DiscreteMetric(model)]
+    out = list(bases)
+    for base in bases:
+        out.append(ScaledMetric(base, Fraction(3, 4)))
+        out.append(ScaledMetric(ScaledMetric(base, Fraction(5, 6)), Fraction(2, 7)))
+    return out
+
+
+def _eval_error(metric, points):
+    """The type of the first error that per-pair eval raises, or None."""
+    for x in points:
+        for y in points:
+            try:
+                metric.eval(x, y)
+            except Exception as exc:
+                return type(exc)
+    return None
+
+
+def _assert_matrix_matches_eval(metric, points):
+    error = _eval_error(metric, points)
+    if error is not None:
+        with pytest.raises(error):
+            metric.distance_matrix(points)
+        return
+    rows, scale = metric.distance_matrix(points)
+    n = len(points)
+    assert type(scale) is int and scale >= 1
+    assert len(rows) == n and all(len(row) == n for row in rows)
+    for i in range(n):
+        assert rows[i][i] == 0
+        for j in range(n):
+            assert type(rows[i][j]) is int
+            assert rows[i][j] == rows[j][i]
+            d = metric.eval(points[i], points[j])
+            assert rows[i][j] * d.denominator == d.numerator * scale
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_distance_matrix_matches_eval(model, seed):
+    rng = random.Random(f"{model!r}:{seed}")
+    points = [model.element(_random_payload(model, rng)) for _ in range(rng.randint(0, 12))]
+    if points:
+        points.append(points[0])  # a repeated point is at distance 0
+    for metric in _metrics(model):
+        _assert_matrix_matches_eval(metric, points)
+
+
+@pytest.mark.parametrize("metric", [WordMetric(Z2), ScaledMetric(WordMetric(Z2), Fraction(1, 3))], ids=["word", "scaled"])
+def test_distance_matrix_rejects_a_foreign_point(metric):
+    points = [Z2.element((0, 0)), Z2.element((1, 2)), Z.element((1,))]
+    assert _eval_error(metric, points) is ModelMismatchError
+    _assert_matrix_matches_eval(metric, points)
+
+
+def test_distance_matrix_past_the_heisenberg_length_radius():
+    # A model of its own, so that its radius-40 length table is dropped
+    # after this test.
+    H_own = HeisenbergModel()
+    metric = ScaledMetric(WordMetric(H_own), Fraction(1, 2))
+    points = [H_own.element((0, 0, 0)), H_own.element((1, 0, 0)), H_own.element((0, 0, 10**6))]
+    assert _eval_error(metric, points) is WindowSizeError
+    _assert_matrix_matches_eval(metric, points)
