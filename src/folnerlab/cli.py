@@ -41,6 +41,7 @@ from .groups import (
     GroupModel,
     InvariantPseudoMetric,
     ScaledMetric,
+    canonical_json,
     grid_sample,
     make_model,
     metric_from_json,
@@ -220,9 +221,7 @@ class Artifacts:
         if self.out_dir is None:
             return
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / name).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        (self.out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
         self.written.append(name)
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> None:
@@ -247,14 +246,23 @@ def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
     }
     if artifacts.out_dir is not None:
         artifacts.out_dir.mkdir(parents=True, exist_ok=True)
-        (artifacts.out_dir / "manifest.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        (artifacts.out_dir / "manifest.json").write_text(canonical_json(payload), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Task runners
 # ---------------------------------------------------------------------------
+
+# Largest |F| whose certificate a requested seminorm crosscheck measures.
+CROSSCHECK_MAX_F = 200
+
+
+def _crosscheck_bound(params: dict, cert: FolnerCertificate) -> str:
+    """Run the seminorm crosscheck when asked for and |F| is small enough;
+    the bound it asserted as report text, empty when it did not run."""
+    if not params.get("crosscheck") or len(cert.F) > CROSSCHECK_MAX_F:
+        return ""
+    return str(seminorm_crosscheck(cert)[1])
 
 
 def _run_defect(config: dict, artifacts: Artifacts) -> int:
@@ -263,6 +271,8 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
         _expect(params, "params", ("certificate",), ("crosscheck",))
         try:
             cert = FolnerCertificate.from_json(params["certificate"])
+        except CertificateError as exc:
+            raise _certificate_error(exc, "params.certificate")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError("params.certificate", f"malformed certificate: {exc!r}")
         try:
@@ -270,8 +280,7 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
         except ValueError as exc:
             print(f"certificate INVALID: {exc}")
             return 2
-        if params.get("crosscheck") and len(cert.F) <= 200:
-            seminorm_crosscheck(cert)
+        _crosscheck_bound(params, cert)
         print(f"certificate valid: theta={cert.theta} |F|={len(cert.F)}")
         return 0
     _expect(params, "params", ("F", "E"), ("radius", "metric", "mode", "crosscheck"))
@@ -293,10 +302,7 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
     if mode != "topological":
         raise ConfigError("params.mode", f"unknown mode {mode!r}")
     theta, cert = topological_defect(F, E, U)
-    bound = ""
-    if params.get("crosscheck") and len(F) <= 200:
-        _, limit = seminorm_crosscheck(cert)
-        bound = str(limit)
+    bound = _crosscheck_bound(params, cert)
     artifacts.write_json("certificate.json", cert.to_json())
     artifacts.write_csv(
         "report.csv",
@@ -319,11 +325,8 @@ def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_
     rows = []
     if result.certificate is not None:
         cert = result.certificate
-        bound = ""
         passed = "yes" if result.found else "no"
-        if params.get("crosscheck") and len(cert.F) <= 200:
-            value, limit = seminorm_crosscheck(cert)
-            bound = str(limit)
+        bound = _crosscheck_bound(params, cert)
         rows.append([result.candidates_tried - 1, len(cert.F), str(cert.theta), bound, passed])
         artifacts.write_json("certificate.json", result.to_json())
     artifacts.write_csv("report.csv", ["candidate_id", "|F|", "theta", "seminorm_bound", "passed"], rows)
@@ -733,11 +736,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         descriptor = make_model(args.kind or "lattice", **{
             k: v for k, v in (("dim", args.dim), ("rank", args.rank), ("modulus", args.modulus)) if v is not None
         }).to_json()
-        text = json.dumps(descriptor, sort_keys=True, indent=2)
+        text = canonical_json(descriptor)
         if args.out:
-            args.out.write_text(text + "\n", encoding="utf-8")
+            args.out.write_text(text, encoding="utf-8")
         else:
-            print(text)
+            print(text, end="")
         return 0
 
     if getattr(args, "config", None) is not None:

@@ -23,7 +23,12 @@ from .groups import (
     GroupModel,
     LatticeModel,
     ScaledMetric,
+    entourage_from_json,
     grid_sample,
+    model_from_json,
+    parse_fraction,
+    parse_index,
+    parse_window,
     translate_window,
     word_ball,
 )
@@ -92,11 +97,9 @@ class FolnerCertificate:
     def from_json(cls, obj: dict) -> "FolnerCertificate":
         """Parse a certificate from its file form.  The matchings carry no
         graph until `verify` rebuilds it from (F, gF, U)."""
-        from .groups import model_from_json, entourage_from_json, parse_fraction, parse_index
-
         model = model_from_json(obj["model"])
-        E = FiniteWindow.from_json(obj["E"], model)
-        F = FiniteWindow.from_json(obj["F"], model)
+        E = parse_window(obj["E"], model, "E")
+        F = parse_window(obj["F"], model, "F")
         U = entourage_from_json(obj["U"], model)
         matchings = {}
         for key, entry in obj["matchings"].items():

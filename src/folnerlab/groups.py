@@ -3,9 +3,10 @@ and finite windows.
 
 All arithmetic is integer/rational and every comparison is exact; nothing here
 touches floating point.  Elements carry a canonical encoding per model, so two
-elements are equal exactly when their encodings coincide, and every window is
-kept in a deterministic canonical order (shortlex for word-like models,
-numeric/lexicographic otherwise).
+elements are equal exactly when their encodings coincide.  A window stores
+its elements' payloads sorted by the model's `payload_key` (the payloads' own
+numeric/lexicographic order, shortlex for free words) with one payload ->
+index dict, so translates and lookups run on payloads.
 
 Each invariant pseudo-metric also builds the integer distance matrix of a
 point list (`distance_matrix`: ints over one common scale), which the
@@ -65,6 +66,12 @@ def parse_index(value, field: str) -> int:
     return value
 
 
+def canonical_json(payload) -> str:
+    """The one text form of every JSON artifact: sorted keys, two-space
+    indent, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def parse_bool(value, field: str) -> bool:
     """A JSON boolean; strings and numbers are rejected, naming the field."""
     if type(value) is not bool:
@@ -88,22 +95,25 @@ class GroupElement:
     def __repr__(self) -> str:
         return f"<{self.model.kind}:{self.model.format(self)}>"
 
-    def sort_key(self):
-        return self.model.sort_key(self)
-
 
 class GroupModel:
     """Base class for the built-in group models.
 
-    Subclasses provide the group law on canonical payloads, a generating set,
-    parsing/formatting of the text encoding, and a deterministic sort key.
-    Instances come from `make_model`, which keeps one per (kind, params), so
-    models compare and hash by identity.
+    Subclasses state their law: the product and inverse on canonical
+    payloads, the canonical form, a generating set and, for discrete models,
+    the word length.  The base class orders payloads by `payload_key`, writes
+    tuple payloads as comma-joined coordinates and scalar ones with `str`,
+    parses comma-joined coordinates back (scalar models parse the whole
+    text), and measures discrete models by word length and the others by
+    arc length.  Instances come from `make_model`, which
+    keeps one per (kind, params), so models compare and hash by identity.
     """
 
     kind: str = ""
     discrete: bool = True
     abelian: bool = False
+    # Sort key on payloads for canonical order; None is the payloads' own order.
+    payload_key = None
 
     # -- group law -----------------------------------------------------
     def identity(self) -> GroupElement:
@@ -136,13 +146,13 @@ class GroupModel:
         return data
 
     def parse(self, text: str) -> GroupElement:
-        raise NotImplementedError
+        return self.element(text.split(","))
 
     def format(self, g: GroupElement) -> str:
-        raise NotImplementedError
+        return ",".join(map(str, g.data)) if isinstance(g.data, tuple) else str(g.data)
 
     def sort_key(self, g: GroupElement):
-        raise NotImplementedError
+        return g.data if self.payload_key is None else self.payload_key(g.data)
 
     # -- generators and metric ------------------------------------------
     def generators(self) -> list[GroupElement]:
@@ -150,10 +160,7 @@ class GroupModel:
         raise NotImplementedError
 
     def default_metric(self) -> "InvariantPseudoMetric":
-        raise NotImplementedError
-
-    def word_length(self, g: GroupElement) -> Fraction:
-        return Fraction(self._length_data(g.data))
+        return WordMetric(self) if self.discrete else ArcMetric(self)
 
     def _length_data(self, a) -> int:
         """Word length of a payload over the model generators."""
@@ -208,15 +215,6 @@ class LatticeModel(GroupModel):
             raise ValueError(f"lattice vector of length {len(vec)}, expected {self.dim}")
         return vec
 
-    def parse(self, text: str) -> GroupElement:
-        return self.element(int(part) for part in text.split(","))
-
-    def format(self, g: GroupElement) -> str:
-        return ",".join(str(x) for x in g.data)
-
-    def sort_key(self, g: GroupElement):
-        return g.data
-
     def generators(self) -> list[GroupElement]:
         gens = []
         for i in range(self.dim):
@@ -228,9 +226,6 @@ class LatticeModel(GroupModel):
 
     def _length_data(self, a) -> int:
         return sum(map(abs, a))
-
-    def default_metric(self) -> "InvariantPseudoMetric":
-        return WordMetric(self)
 
 
 class FreeGroupModel(GroupModel):
@@ -301,10 +296,10 @@ class FreeGroupModel(GroupModel):
             out.append(ch.upper() if letter < 0 else ch)
         return ",".join(out)
 
-    def sort_key(self, g: GroupElement):
+    @staticmethod
+    def payload_key(word):
         # Shortlex; for equal lengths a < a^-1 < b < b^-1 ...
-        ranks = tuple(2 * (abs(x) - 1) + (1 if x < 0 else 0) for x in g.data)
-        return (len(g.data), ranks)
+        return (len(word), tuple(2 * (abs(x) - 1) + (1 if x < 0 else 0) for x in word))
 
     def generators(self) -> list[GroupElement]:
         gens = []
@@ -315,9 +310,6 @@ class FreeGroupModel(GroupModel):
 
     def _length_data(self, a) -> int:
         return len(a)
-
-    def default_metric(self) -> "InvariantPseudoMetric":
-        return WordMetric(self)
 
 
 class HeisenbergModel(GroupModel):
@@ -349,20 +341,16 @@ class HeisenbergModel(GroupModel):
             raise ValueError("heisenberg element needs 3 coordinates")
         return vec
 
-    def parse(self, text: str) -> GroupElement:
-        return self.element(int(p) for p in text.split(","))
-
-    def format(self, g: GroupElement) -> str:
-        return ",".join(str(x) for x in g.data)
-
-    def sort_key(self, g: GroupElement):
-        return g.data
-
     def generators(self) -> list[GroupElement]:
         gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
         return sorted((self.element(v) for v in gens), key=self.sort_key)
 
     def _length_data(self, a) -> int:
+        # A word of length n has |a| + |b| <= n and, since each b-letter moves
+        # c by the current a, |c| <= floor(n^2 / 4); past either bound at
+        # n = 40 the search below could only end in this error.
+        if abs(a[0]) + abs(a[1]) > 40 or abs(a[2]) > 400:
+            raise WindowSizeError("heisenberg word length search exceeded radius 40")
         while a not in self._length_cache:
             radius = self._length_radius + 1
             if radius > 40:
@@ -385,9 +373,6 @@ class HeisenbergModel(GroupModel):
         self._length_frontier = next_frontier
         self._length_radius = radius
 
-    def default_metric(self) -> "InvariantPseudoMetric":
-        return WordMetric(self)
-
 
 class CircleModel(GroupModel):
     """Rational circle: addition mod 1 on fractions in [0, 1)."""
@@ -408,20 +393,11 @@ class CircleModel(GroupModel):
     def _canonical(self, data):
         return parse_fraction(data) % 1
 
-    def parse(self, text: str) -> GroupElement:
+    def parse(self, text: str) -> GroupElement:  # a scalar payload: one coordinate
         return self.element(text)
-
-    def format(self, g: GroupElement) -> str:
-        return str(g.data)
-
-    def sort_key(self, g: GroupElement):
-        return g.data
 
     def generators(self) -> list[GroupElement]:
         return [self.element(Fraction(1, 12)), self.element(Fraction(11, 12))]
-
-    def default_metric(self) -> "InvariantPseudoMetric":
-        return ArcMetric(self)
 
 
 class TorusModel(GroupModel):
@@ -454,15 +430,6 @@ class TorusModel(GroupModel):
             raise ValueError(f"torus vector of length {len(vec)}, expected {self.dim}")
         return vec
 
-    def parse(self, text: str) -> GroupElement:
-        return self.element(text.split(","))
-
-    def format(self, g: GroupElement) -> str:
-        return ",".join(str(x) for x in g.data)
-
-    def sort_key(self, g: GroupElement):
-        return g.data
-
     def generators(self) -> list[GroupElement]:
         gens = []
         for i in range(self.dim):
@@ -471,9 +438,6 @@ class TorusModel(GroupModel):
                 vec[i] = q
                 gens.append(self.element(vec))
         return sorted(gens, key=self.sort_key)
-
-    def default_metric(self) -> "InvariantPseudoMetric":
-        return ArcMetric(self)
 
 
 class CyclicModel(GroupModel):
@@ -502,14 +466,7 @@ class CyclicModel(GroupModel):
     def _canonical(self, data):
         return int(data) % self.modulus
 
-    def parse(self, text: str) -> GroupElement:
-        return self.element(int(text))
-
-    def format(self, g: GroupElement) -> str:
-        return str(g.data)
-
-    def sort_key(self, g: GroupElement):
-        return g.data
+    parse = CircleModel.parse
 
     def generators(self) -> list[GroupElement]:
         if self.modulus == 1:
@@ -519,9 +476,6 @@ class CyclicModel(GroupModel):
 
     def _length_data(self, a) -> int:
         return min(a, self.modulus - a)
-
-    def default_metric(self) -> "InvariantPseudoMetric":
-        return WordMetric(self)
 
 
 _MODELS: dict[tuple, GroupModel] = {}
@@ -617,7 +571,8 @@ class WordMetric(InvariantPseudoMetric):
     rule = "word"
 
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
-        return self.model.word_length(self.model.mul(x, self.model.inv(y)))
+        model = self.model
+        return Fraction(model._length_data(model.mul(x, model.inv(y)).data))
 
     def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
         """Word lengths on payloads: each point is checked and inverted once,
@@ -754,19 +709,30 @@ def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:
 
 
 class FiniteWindow:
-    """Duplicate-free ordered set of elements in canonical order."""
+    """Duplicate-free set of elements of one model, kept as a table of
+    canonical payloads sorted by the model's `payload_key`: `elements[i]`
+    wraps the i-th payload and `positions` maps each payload to its index."""
 
     def __init__(self, model: GroupModel, elements: Iterable[GroupElement]):
-        seen = {}
+        payloads = []
         for g in elements:
-            if g.model != model:
+            if g.model is not model:
                 raise ModelMismatchError("window element from a different model")
-            seen[g] = None
+            payloads.append(g.data)
+        self._fill(model, payloads)
+
+    @classmethod
+    def _from_payloads(cls, model: GroupModel, payloads: Iterable) -> "FiniteWindow":
+        """The window of payloads that are already canonical for `model`."""
+        window = cls.__new__(cls)
+        window._fill(model, payloads)
+        return window
+
+    def _fill(self, model: GroupModel, payloads: Iterable) -> None:
+        ordered = sorted(dict.fromkeys(payloads), key=model.payload_key)
         self.model = model
-        self.elements: tuple[GroupElement, ...] = tuple(
-            sorted(seen, key=model.sort_key)
-        )
-        self._index = {g: i for i, g in enumerate(self.elements)}
+        self.elements: tuple[GroupElement, ...] = tuple(GroupElement(model, x) for x in ordered)
+        self.positions: dict[Any, int] = {x: i for i, x in enumerate(ordered)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -775,31 +741,32 @@ class FiniteWindow:
         return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self._index
+        return g.model is self.model and g.data in self.positions
 
     def __getitem__(self, i: int) -> GroupElement:
         return self.elements[i]
 
     def index(self, g: GroupElement) -> int:
-        return self._index[g]
+        if g.model is not self.model:
+            raise KeyError(g)
+        return self.positions[g.data]
 
     def __eq__(self, other) -> bool:
+        # Both tables are sorted by the same key, so equal payload -> index
+        # maps mean equal element sequences.
         return (
             isinstance(other, FiniteWindow)
-            and self.model == other.model
-            and self.elements == other.elements
+            and self.model is other.model
+            and self.positions == other.positions
         )
 
     def __hash__(self) -> int:
-        return hash((self.model, self.elements))
+        return hash((self.model, tuple(self.positions)))
 
     def __repr__(self) -> str:
         inner = ",".join(self.model.format(g) for g in self.elements[:8])
         more = "..." if len(self) > 8 else ""
         return f"Window[{len(self)}]({inner}{more})"
-
-    def union(self, other: "FiniteWindow") -> "FiniteWindow":
-        return FiniteWindow(self.model, list(self.elements) + list(other.elements))
 
     def to_json(self) -> list[str]:
         return [self.model.format(g) for g in self.elements]
@@ -807,6 +774,14 @@ class FiniteWindow:
     @classmethod
     def from_json(cls, items: list[str], model: GroupModel) -> "FiniteWindow":
         return cls(model, [model.parse(s) for s in items])
+
+
+def parse_window(items, model: GroupModel, field: str) -> FiniteWindow:
+    """A window from its file form, a list of element strings; any other
+    shape is a CertificateError naming `field`."""
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise CertificateError(field, "expected a list of element strings")
+    return FiniteWindow.from_json(items, model)
 
 
 def window(model: GroupModel, elements: Iterable) -> FiniteWindow:
@@ -819,7 +794,10 @@ def window(model: GroupModel, elements: Iterable) -> FiniteWindow:
 
 def translate_window(g: GroupElement, F: FiniteWindow) -> FiniteWindow:
     """Left translate gF, re-canonicalized; cardinality is preserved."""
-    return FiniteWindow(F.model, [F.model.mul(g, x) for x in F])
+    model = F.model
+    model._check(g)
+    mul, a = model._mul_data, g.data
+    return FiniteWindow._from_payloads(model, [mul(a, x) for x in F.positions])
 
 
 def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWindow:
@@ -841,7 +819,7 @@ def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWi
                     raise WindowSizeError(f"word ball exceeds cap {cap}")
                 seen[y] = seen[x] + 1
                 frontier.append(y)
-    return FiniteWindow(model, [GroupElement(model, data) for data in seen])
+    return FiniteWindow._from_payloads(model, seen)
 
 
 def grid_sample(model: GroupModel, resolution: int) -> FiniteWindow:

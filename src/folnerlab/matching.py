@@ -140,7 +140,7 @@ def _listed_rows(
             return [list(range(n)) for _ in E]
         # y is within radius of x iff y lies in [x-r, x+r], [x-r+1, 1) or
         # [0, x+r-1]; for r < 1/2 these pieces are disjoint and in order.
-        points = [y.data for y in F]
+        points = list(F.positions)
         rows = []
         for x in E:
             lo, hi = x.data - radius, x.data + radius
@@ -157,12 +157,11 @@ def _listed_rows(
             ball = word_ball(model, math.floor(radius), cap=n)
         except WindowSizeError:
             return None
-        steps = [u.data for u in ball]
-        index = {y.data: j for j, y in enumerate(F)}
+        index = F.positions
         mul = model._mul_data
         rows = []
         for x in E:
-            found = (index.get(mul(u, x.data)) for u in steps)
+            found = (index.get(mul(u, x.data)) for u in ball.positions)
             rows.append(sorted(j for j in found if j is not None))
         return rows
     return None

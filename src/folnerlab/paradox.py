@@ -341,15 +341,14 @@ class WindowReport:
         return {"equations": [e.to_json() for e in self.equations]}
 
 
-def _preimages(window: FiniteWindow, index: dict, word: Word) -> list[int]:
+def _preimages(window: FiniteWindow, word: Word) -> list[int]:
     """The window index of word^-1 x for each window point x, by group
     arithmetic on payloads; -1 where it leaves the window."""
-    model = window.model
+    model, index = window.model, window.positions
     steps = [model.inv(g).data for g in reversed(word)]
     mul = model._mul_data
     column = []
-    for x in window:
-        y = x.data
+    for y in index:
         for s in steps:
             y = mul(s, y)
         column.append(index.get(y, -1))
@@ -390,7 +389,6 @@ def verify_on_window(
     if window.model is not cert.model:
         raise ModelMismatchError(f"window of {window.model.kind} used in {cert.model.kind}")
     n = len(window)
-    index = {x.data: i for i, x in enumerate(window)}
     columns: dict[Word, list[int]] = {}
     pieces = cert.a_pieces + cert.b_pieces
     verdicts: list[list[Optional[bool]]] = [[None] * n for _ in pieces]
@@ -399,7 +397,7 @@ def verify_on_window(
         for word, _ in terms:
             if word not in columns:
                 columns[word] = (
-                    _preimages(window, index, word)
+                    _preimages(window, word)
                     if action is None
                     else _action_preimages(action, window, word)
                 )
@@ -710,8 +708,7 @@ def search_small_paradox(
     """
     model = window.model
     identity = model.identity()
-    index = {x.data: i for i, x in enumerate(window)}
-    rows = {g: _preimages(window, index, (g,)) for g in pool}
+    rows = {g: _preimages(window, (g,)) for g in pool}
     tracker = _Budget(budget)
     zero_cap = max(500, 25 * len(window))
     reports: list[PieceCountReport] = []

@@ -42,6 +42,7 @@ from .groups import (
     parse_bool,
     parse_fraction,
     parse_index,
+    parse_window,
     symmetric_closure,
     translate_window,
 )
@@ -153,8 +154,8 @@ class PerturbedAction:
         if not isinstance(involution, dict):
             raise CertificateError("involution", "expected an object")
         return cls(
-            window=_window_json(obj["window"], model, "window"),
-            pool=_window_json(obj["pool"], model, "pool"),
+            window=parse_window(obj["window"], model, "window"),
+            pool=parse_window(obj["pool"], model, "pool"),
             rows={
                 model.parse(k): [None if v is None else parse_index(v, f"row of {k}") for v in row]
                 for k, row in rows.items()
@@ -166,16 +167,10 @@ class PerturbedAction:
         )
 
 
-def _window_json(items, model: GroupModel, field: str) -> FiniteWindow:
-    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise CertificateError(field, "expected a list of element strings")
-    return FiniteWindow.from_json(items, model)
-
-
 def _windows_json(items, model: GroupModel, field: str) -> list[FiniteWindow]:
     if not isinstance(items, list):
         raise CertificateError(field, "expected a list of windows")
-    return [_window_json(w, model, f"{field}[{k}]") for k, w in enumerate(items)]
+    return [parse_window(w, model, f"{field}[{k}]") for k, w in enumerate(items)]
 
 
 @dataclass

@@ -14,7 +14,6 @@ compares byte for byte across fresh runs.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -35,6 +34,7 @@ from .groups import (
     Entourage,
     FiniteWindow,
     WordMetric,
+    canonical_json,
     grid_sample,
     make_model,
     window,
@@ -70,8 +70,7 @@ def _write_json(out_dir: Optional[Path], name: str, payload) -> None:
     if out_dir is None:
         return
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -649,3 +649,31 @@ def test_action_field_shape_exits_1(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {want}: expected")
     assert "Traceback" not in err
+
+
+# Følner certificate windows of the wrong shape: each used to end in a
+# traceback or to be read one character at a time.
+CERTIFICATE_WINDOW_SHAPES = [
+    ({"F": [0, 1]}, "params.certificate.F"),
+    ({"E": ["1", None]}, "params.certificate.E"),
+    ({"F": "01", "E": "1"}, "params.certificate.E"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, want", CERTIFICATE_WINDOW_SHAPES, ids=[repr(f) for f, _ in CERTIFICATE_WINDOW_SHAPES]
+)
+def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want):
+    produce = {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", "1"], "E": ["1"], "radius": "0"}}
+    assert run_scenario_config(produce, out_dir=tmp_path / "cert") == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    config = {"task": "defect", "params": {"certificate": {**cert, **fields}}}
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == want
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {want}: expected a list of element strings")
+    assert "Traceback" not in err

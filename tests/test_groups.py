@@ -410,3 +410,130 @@ def test_distance_matrix_past_the_heisenberg_length_radius():
     points = [H_own.element((0, 0, 0)), H_own.element((1, 0, 0)), H_own.element((0, 0, 10**6))]
     assert _eval_error(metric, points) is WindowSizeError
     _assert_matrix_matches_eval(metric, points)
+
+
+def test_heisenberg_far_payload_fails_without_growing_the_length_table():
+    H_own = HeisenbergModel()
+    H_own._length_data((3, -2, 5))
+    size = len(H_own._length_cache)
+    for far in [(0, 0, 10**6), (0, 0, -401), (41, 0, 0), (20, -21, 0)]:
+        with pytest.raises(WindowSizeError):
+            H_own._length_data(far)
+    assert len(H_own._length_cache) == size
+
+
+def test_heisenberg_length_bounds_are_tight():
+    # The early refusal in `_length_data` rests on |a| + |b| <= n and
+    # |c| <= floor(n^2 / 4) for words of length n; both are reached.
+    for n in range(1, 11):
+        ball = word_ball(H, n).positions
+        assert max(abs(a) + abs(b) for a, b, _ in ball) == n
+        assert max(abs(c) for _, _, c in ball) == n * n // 4
+
+
+# ---------------------------------------------------------------------------
+# Payload windows against the element-keyed construction
+# ---------------------------------------------------------------------------
+
+DIFFERENTIAL_MODELS = [Z, Z2, F2, H, C, T2, Z12]
+
+
+def _oracle_key(g):
+    if g.model.kind == "free":  # shortlex, a < a^-1 < b < b^-1
+        return (len(g.data), tuple(2 * (abs(x) - 1) + (1 if x < 0 else 0) for x in g.data))
+    return g.data
+
+
+def _oracle(model, elements):
+    """Windows as they were built before payload tables: deduplicated on
+    `GroupElement`s, sorted by a per-element key, indexed by element."""
+    seen = {}
+    for g in elements:
+        if g.model != model:
+            raise ModelMismatchError("window element from a different model")
+        seen[g] = None
+    ordered = tuple(sorted(seen, key=_oracle_key))
+    return ordered, {g: i for i, g in enumerate(ordered)}
+
+
+def _oracle_ball(model, radius):
+    ball = {model.identity()}
+    for _ in range(radius):
+        ball |= {model.mul(x, s) for x in ball for s in model.generators()}
+    return ball
+
+
+def _assert_window_matches(w, model, elements, probes):
+    ordered, index = _oracle(model, elements)
+    assert w.model is model
+    assert w.elements == ordered and list(w) == list(ordered) and len(w) == len(ordered)
+    assert w.positions == {g.data: i for g, i in index.items()}
+    for g, i in index.items():
+        assert g in w and w.index(g) == i and w[i] == g
+    for p in probes:
+        assert (p in w) == (p in index)
+    assert w == FiniteWindow(model, reversed(ordered))
+    assert FiniteWindow.from_json(w.to_json(), model) == w
+
+
+@pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=repr)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_payload_window_matches_element_oracle(model, seed):
+    rng = random.Random(f"window:{model!r}:{seed}")
+    points = [model.element(_random_payload(model, rng)) for _ in range(rng.randint(0, 30))]
+    points += rng.sample(points, len(points) // 3)  # repeats
+    probes = [model.element(_random_payload(model, rng)) for _ in range(20)]
+    w = FiniteWindow(model, points)
+    _assert_window_matches(w, model, points, probes)
+    for g in [model.identity()] + probes[:4]:
+        _assert_window_matches(translate_window(g, w), model, [model.mul(g, x) for x in w], probes)
+
+
+@pytest.mark.parametrize("model", [m for m in DIFFERENTIAL_MODELS if m.discrete], ids=repr)
+def test_word_ball_and_grid_match_element_oracle(model):
+    rng = random.Random(f"ball:{model!r}")
+    probes = [model.element(_random_payload(model, rng)) for _ in range(20)]
+    for radius in range(4):
+        ball = _oracle_ball(model, radius)
+        _assert_window_matches(word_ball(model, radius), model, ball, probes)
+        if radius:
+            _assert_window_matches(grid_sample(model, radius), model, ball, probes)
+
+
+@pytest.mark.parametrize("model, resolution", [(C, 12), (T2, 4)], ids=["circle", "torus"])
+def test_grid_sample_matches_element_oracle(model, resolution):
+    rng = random.Random(f"grid:{model!r}")
+    probes = [model.element(_random_payload(model, rng)) for _ in range(20)]
+    ticks = [Fraction(k, resolution) for k in range(resolution)]
+    points = [model.element(t) for t in ticks] if model is C else [
+        model.element((s, t)) for s in ticks for t in ticks
+    ]
+    _assert_window_matches(grid_sample(model, resolution), model, points, probes)
+
+
+def test_payload_window_with_colliding_free_hashes():
+    # CPython hashes -1 and -2 alike, so a^-1 and b^-1 collide as payloads.
+    inverse_a, inverse_b = F2.parse("A"), F2.parse("B")
+    assert hash(inverse_a.data) == hash(inverse_b.data)
+    words = [F2.element(w) for w in ([-1], [-2], [-1, -2], [-2, -1], [-1, -1], [-2, -2], [], [1])]
+    w = FiniteWindow(F2, words + words[:3])
+    _assert_window_matches(w, F2, words, [inverse_a, inverse_b, F2.parse("a,b")])
+    assert w.index(inverse_a) != w.index(inverse_b)
+    assert w.to_json() == ["e", "a", "A", "B", "A,A", "A,B", "B,A", "B,B"]
+
+
+def test_payload_window_rejects_foreign_elements():
+    # Z and F2 share the payload (1,): only the model tells them apart.
+    w = window(Z, [(0,), (1,)])
+    foreign = F2.element((1,))
+    assert foreign.data in w.positions
+    assert foreign not in w
+    with pytest.raises(KeyError):
+        w.index(foreign)
+    with pytest.raises(ModelMismatchError):
+        FiniteWindow(Z, [Z.element((0,)), foreign])
+    with pytest.raises(ModelMismatchError):
+        translate_window(foreign, w)
+    # Z12 and the circle share the payload 0 == Fraction(0).
+    assert window(Z12, [0]) != window(C, [0])
+    assert C.identity() not in window(Z12, [0])
