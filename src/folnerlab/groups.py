@@ -11,7 +11,9 @@ index dict, so translates and lookups run on payloads.
 Each invariant pseudo-metric also builds the integer distance matrix of a
 point list (`distance_matrix`: ints over one common scale), which the
 seminorm reads.  Word metrics build it on payloads: one model check and one
-inverse per point, one product and one int word length per pair.
+inverse per point, one product and one int word length per pair.  Arc
+metrics put every coordinate over one common denominator and take each arc
+on ints.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from typing import Any, Iterable, Iterator
 WINDOW_CAP = 100_000
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# shortlex rank of each free-group letter: a < a^-1 < b < b^-1 ...
+_SHORTLEX_RANK = {sign * i: 2 * (i - 1) + (sign < 0) for i in range(1, len(_LETTERS) + 1) for sign in (1, -1)}
 
 
 class ModelMismatchError(ValueError):
@@ -299,7 +303,7 @@ class FreeGroupModel(GroupModel):
     @staticmethod
     def payload_key(word):
         # Shortlex; for equal lengths a < a^-1 < b < b^-1 ...
-        return (len(word), tuple(2 * (abs(x) - 1) + (1 if x < 0 else 0) for x in word))
+        return (len(word), tuple(map(_SHORTLEX_RANK.__getitem__, word)))
 
     def generators(self) -> list[GroupElement]:
         gens = []
@@ -609,6 +613,24 @@ class ArcMetric(InvariantPseudoMetric):
         if isinstance(self.model, CircleModel):
             return self._arc(x.data, y.data)
         return max(self._arc(a, b) for a, b in zip(x.data, y.data))
+
+    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
+        """Arcs on ints: each point is checked once, every coordinate is put
+        over the common denominator L of all coordinates, and each arc is
+        min(|a - b|, L - |a - b|) (max over coordinates), at scale L."""
+        model = self.model
+        for p in points:
+            model._check(p)
+        coords = [(p.data,) if isinstance(model, CircleModel) else p.data for p in points]
+        scale = math.lcm(*(c.denominator for xs in coords for c in xs))
+        ints = [[c.numerator * (scale // c.denominator) for c in xs] for xs in coords]
+        n = len(ints)
+        rows = [[0] * n for _ in range(n)]
+        for i, x in enumerate(ints):
+            row = rows[i]
+            for j in range(i + 1, n):
+                row[j] = rows[j][i] = max(min(d, scale - d) for d in map(abs, map(operator.sub, x, ints[j])))
+        return rows, scale
 
 
 class DiscreteMetric(InvariantPseudoMetric):

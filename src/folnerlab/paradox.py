@@ -21,9 +21,10 @@ assignments at that scale, a zero minimum claims nothing about the group.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from typing import Optional, Sequence
 
 from .groups import CertificateError, FiniteWindow, FreeGroupModel, GroupElement, GroupModel, ModelMismatchError
@@ -497,6 +498,14 @@ class _Budget:
         self.used += 1
         return self.used <= self.limit
 
+    def spend_many(self, count: int) -> bool:
+        """`count` calls of `spend` that stop at the first refusal."""
+        if count == 0 or self.used + count <= self.limit:
+            self.used += count
+            return True
+        self.used = max(self.used, self.limit) + 1
+        return False
+
 
 def _sorted_multisets(items: Sequence[GroupElement], k: int, model) -> list[tuple[GroupElement, ...]]:
     items = sorted(items, key=model.sort_key)
@@ -524,8 +533,11 @@ class _AssignmentProblem:
     equation scores its checkable targets once their last influencing
     preimage is labeled.  Three passes: an exact-cover style descent that
     only accepts zero-cost steps (settling the zero-defect case), a greedy
-    incumbent, and a memoized dynamic program whose state is the labels
-    still able to influence unscored targets, exact when the budget lasts.
+    incumbent, and a bottom-up dynamic program whose state at element k is
+    the labels of `live_at[k]`, the sources still able to influence
+    unscored targets.  No labeling is forbidden, so every label tuple of
+    `live_at[k]` is a state; the program charges the budget one node per
+    state, all at once, and is exact when the budget covers them.
     """
 
     def __init__(self, n: int, a_rows: list[list[int]], b_rows: list[list[int]], budget: _Budget):
@@ -565,7 +577,7 @@ class _AssignmentProblem:
         self.labels = [0] * n
 
     def dp_tractable(self) -> bool:
-        """Whether the memoized program's state space fits DP_STATE_CAP."""
+        """Whether the dynamic program's widest layer fits DP_STATE_CAP."""
         states = 1
         for _ in range(self.live_peak):
             states *= self.p
@@ -582,10 +594,6 @@ class _AssignmentProblem:
                 count += labels[src] == piece
             cost += count - 1 if count >= 1 else 1
         return cost
-
-    def _state(self, k: int) -> tuple[int, ...]:
-        labels = self.labels
-        return tuple([labels[src] for src in self.live_at[k]])
 
     def zero_search(self, cap: int) -> Optional[bool]:
         """Backtracking that accepts only zero-cost steps.
@@ -635,43 +643,85 @@ class _AssignmentProblem:
         return total, self.labels.copy()
 
     def exact(self) -> int:
-        memo: dict = {}
+        """Minimum total step cost; leaves the minimizing labels in `labels`.
 
-        def solve(k: int) -> int:
-            if k == self.n:
-                return 0
-            key = (k, self._state(k))
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            if not self.budget.spend():
-                raise _BudgetExhausted
-            value = None
+        Every labeling is allowed, so the states at layer k are all
+        p^|live_at[k]| label tuples of `live_at[k]`.  The budget is charged
+        one node per state, all layers up front, and `_BudgetExhausted` is
+        raised before any array is built.  A state's index is its labels
+        read as base-p digits over `live_at[k]`, first source most
+        significant.  Layers are solved from the last one back: per label
+        at k, a column over the layer's states of step cost plus the next
+        layer's value, and the layer's values are the columns' pointwise
+        min.  Only the value arrays are kept; the labels are then rebuilt
+        forward, taking at each k the first label that keeps to the optimum.
+        """
+        n, p, live_at = self.n, self.p, self.live_at
+        if not self.budget.spend_many(sum(p ** len(live_at[k]) for k in range(n))):
+            raise _BudgetExhausted
+        zeros = [0] * p
+        values: list[list[int]] = [[] for _ in range(n)] + [[0]]
+        for k in range(n - 1, -1, -1):
+            # per source, per label: its share of the next state's index,
+            # and its matches of the targets finalized here, packed as
+            # mixed-radix digits (one digit per target, base len(infl) + 1)
+            following = live_at[k + 1]
+            top = len(following) - 1
+            shift = {src: [d * p ** (top - j) for d in range(p)] for j, src in enumerate(following)}
+            matches: dict[int, list[int]] = {}
+            bases = []
+            scale = 1
+            for infl in self.finalize_at[k]:
+                for src, piece in infl:
+                    matches.setdefault(src, [0] * p)[piece] += scale
+                bases.append(len(infl) + 1)
+                scale *= len(infl) + 1
+            # per state of layer k, in index order: both, summed over live_at[k]
+            nxt = packed = [0]
+            for src in live_at[k]:
+                step, match = shift.get(src, zeros), matches.get(src, zeros)
+                nxt = [i + d for i in nxt for d in step]
+                packed = [c + d for c in packed for d in match]
+            # one lazy column of step cost plus next value per label at k
+            step, match = shift.get(k, zeros), matches.get(k, zeros)
+            cost = {c: _packed_cost(c, bases) for c in {c + d for c in set(packed) for d in match}}
+            after = values[k + 1]
+            columns = [
+                map(
+                    add,
+                    map(cost.__getitem__, map(add, packed, repeat(m))),
+                    map(after.__getitem__, map(add, nxt, repeat(d))),
+                )
+                for d, m in zip(step, match)
+            ]
+            values[k] = list(map(min, zip(*columns)))
+
+        labels = self.labels
+        target = values[0][0]
+        for k in range(n):
+            after = values[k + 1]
             for label in self.choices:
-                self.labels[k] = label
-                total = self._step_cost(k) + solve(k + 1)
-                if value is None or total < value:
-                    value = total
-            memo[key] = value
-            return value
+                labels[k] = label
+                state = 0
+                for src in live_at[k + 1]:
+                    state = state * p + labels[src]
+                rest = after[state]
+                if self._step_cost(k) + rest == target:
+                    target = rest
+                    break
+            else:
+                raise AssertionError("reconstruction failed")
+        return values[0][0]
 
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 4 * self.n + 100))
-        try:
-            minimum = solve(0)
-            target = minimum
-            for k in range(self.n):
-                for label in self.choices:
-                    self.labels[k] = label
-                    rest = solve(k + 1)
-                    if self._step_cost(k) + rest == target:
-                        target = rest
-                        break
-                else:
-                    raise AssertionError("reconstruction failed")
-            return minimum
-        finally:
-            sys.setrecursionlimit(old)
+
+def _packed_cost(packed: int, bases: list[int]) -> int:
+    """Step cost of match counts packed as mixed-radix digits over `bases`:
+    a target matched `count` times costs |count - 1|."""
+    cost = 0
+    for base in bases:
+        packed, count = divmod(packed, base)
+        cost += abs(count - 1)
+    return cost
 
 
 def _solve_combo(problem: _AssignmentProblem, zero_cap: int) -> tuple[int, list[int], bool]:
@@ -707,7 +757,7 @@ def search_small_paradox(
     minimum at that piece count.
     """
     model = window.model
-    identity = model.identity()
+    identity = model.identity().data
     rows = {g: _preimages(window, (g,)) for g in pool}
     tracker = _Budget(budget)
     zero_cap = max(500, 25 * len(window))
@@ -726,7 +776,8 @@ def search_small_paradox(
         # identity-bearing families first: tilings almost always keep a piece
         # in place, and hitting one early settles the piece count at zero
         combos.sort(
-            key=lambda ab: (identity not in ab[0]) + (identity not in ab[1])
+            key=lambda ab: (identity not in [g.data for g in ab[0]])
+            + (identity not in [g.data for g in ab[1]])
         )
 
         best_defect: Optional[int] = None

@@ -444,6 +444,17 @@ def _oracle_key(g):
     return g.data
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 26])
+def test_free_payload_key_sorts_as_the_arithmetic_shortlex_key(rank):
+    model = make_model("free", rank=rank)
+    rng = random.Random(rank)
+    letters = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
+    words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 8))) for _ in range(2000)]
+    oracle = [(len(w), tuple(2 * (abs(x) - 1) + (1 if x < 0 else 0) for x in w)) for w in words]
+    assert [model.payload_key(w) for w in words] == oracle
+    assert sorted(words, key=model.payload_key) == [w for _, w in sorted(zip(oracle, words))]
+
+
 def _oracle(model, elements):
     """Windows as they were built before payload tables: deduplicated on
     `GroupElement`s, sorted by a per-element key, indexed by element."""

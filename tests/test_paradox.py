@@ -15,12 +15,16 @@ from folnerlab.paradox import (
     CertificateError,
     ClassifierError,
     ParadoxCertificate,
+    _AssignmentProblem,
+    _Budget,
+    _BudgetExhausted,
     evaluate_classifier,
     f2_standard_certificate,
     search_small_paradox,
     verify_on_window,
 )
 from folnerlab.perturb import PerturbedAction
+from paradox_oracles import topdown_exact
 
 F2 = make_model("free", rank=2)
 Z = make_model("lattice", dim=1)
@@ -504,6 +508,92 @@ def test_search_pinned_outputs(case):
     rows = [(r["pieces"], r["best_defect"], r["checkable"], r["exhausted"]) for r in payload["per_piece_count"]]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert (payload["nodes_used"], rows, digest) == SEARCH_PINS[name]
+
+
+# --- the assignment DP against its top-down form -----------------------------------
+
+
+def _spend_one_by_one(budget, count):
+    for _ in range(count):
+        if not budget.spend():
+            return False
+    return True
+
+
+def test_spend_many_matches_repeated_spend():
+    rng = random.Random(7)
+    for _ in range(500):
+        limit, used, count = rng.randint(0, 30), rng.randint(0, 40), rng.randint(0, 40)
+        many, one = _Budget(limit), _Budget(limit)
+        many.used = one.used = used
+        assert (many.spend_many(count), many.used) == (_spend_one_by_one(one, count), one.used)
+
+
+def _random_rows(rng, n, p):
+    """p translator rows over n window indices, drawn with repeats.  Each
+    is a partial injection, -1 where the preimage leaves the window: a
+    shift of an interval, or a shuffle with a few points sent outside."""
+    distinct = []
+    for _ in range(rng.randint(2, p)):
+        shift = rng.randint(-2, 2)
+        row = [t - shift if 0 <= t - shift < n else -1 for t in range(n)]
+        if rng.random() < 0.3:
+            row = list(range(n))
+            rng.shuffle(row)
+            for t in rng.sample(range(n), rng.randint(0, n // 4)):
+                row[t] = -1
+        distinct.append(row)
+    return [list(rng.choice(distinct)) for _ in range(p)]
+
+
+def _run_exact(solve, n, a_rows, b_rows, limit, used):
+    budget = _Budget(limit)
+    budget.used = used
+    problem = _AssignmentProblem(n, a_rows, b_rows, budget)
+    try:
+        minimum = solve(problem)
+    except _BudgetExhausted:
+        return "exhausted", budget.used
+    return minimum, problem.labels, budget.used
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_matches_topdown_oracle(seed):
+    rng = random.Random(f"exact:{seed}")
+    seen = {"p": set(), "repeated": 0, "outside": 0, "preset": 0, "exhausted": 0, "solved": 0}
+    while seen["solved"] < 120:
+        n, p = rng.randint(1, 12), rng.randint(2, 7)
+        m = rng.randint(1, p // 2)
+        rows = _random_rows(rng, n, p)
+        problem = _AssignmentProblem(n, rows[:m], rows[m:], _Budget(0))
+        if p ** problem.live_peak > 1000:
+            continue
+        states = sum(p ** len(problem.live_at[k]) for k in range(n))
+        limit = rng.choice([10**9, states, states - 1, rng.randint(0, states)])
+        used = rng.choice([0, 0, rng.randint(1, 60)])
+        want = _run_exact(topdown_exact, n, rows[:m], rows[m:], limit, used)
+        got = _run_exact(_AssignmentProblem.exact, n, rows[:m], rows[m:], limit, used)
+        assert got == want, (n, rows[:m], rows[m:], limit, used)
+        seen["p"].add(p)
+        seen["repeated"] += len({tuple(r) for r in rows}) < p
+        seen["outside"] += any(-1 in r for r in rows)
+        seen["preset"] += used > 0
+        seen["exhausted" if want[0] == "exhausted" else "solved"] += 1
+    assert seen["p"] == set(range(2, 8))
+    assert min(seen["repeated"], seen["outside"], seen["preset"], seen["exhausted"]) > 0
+
+
+def test_exact_charges_one_node_per_state():
+    rng = random.Random(11)
+    rows = _random_rows(rng, 10, 5)
+    problem = _AssignmentProblem(10, rows[:2], rows[2:], _Budget(10**9))
+    states = sum(5 ** len(problem.live_at[k]) for k in range(10))
+    problem.exact()
+    assert problem.budget.used == states
+    short = _AssignmentProblem(10, rows[:2], rows[2:], _Budget(states - 1))
+    with pytest.raises(_BudgetExhausted):
+        short.exact()
+    assert short.budget.used == states
 
 
 # --- certificate and classifier schema ---------------------------------------------
