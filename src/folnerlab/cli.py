@@ -51,6 +51,7 @@ from .groups import (
 )
 from .matching import build_graph, max_matching
 from .paradox import (
+    ClassifierError,
     ParadoxCertificate,
     f2_standard_certificate,
     search_small_paradox,
@@ -468,7 +469,10 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
         raise ConfigError("params.certificate", "need a certificate or standard: true")
     win = _window_or_grid(params, model, "window", "window_resolution", 4)
     action = _load_action(params["action"], model, "params.action") if "action" in params else None
-    report = verify_on_window(cert, win, action)
+    try:
+        report = verify_on_window(cert, win, action)
+    except ClassifierError as exc:
+        raise _certificate_error(exc, "params.certificate")
     artifacts.write_json("certificate.json", cert.to_json())
     artifacts.write_json("report.json", report.to_json())
     artifacts.write_csv(

@@ -8,10 +8,14 @@ certificate is built or parsed.  Verification restricts the covering
 equations to a finite window and counts, per equation, how many window
 points are covered exactly once.  It works on window indices: each
 translator word becomes one column of preimage indices, and each piece's
-classifier is evaluated at most once per window point.  A point whose
-preimages leave the window is a boundary defect, never a violation: finite
-windows cannot witness an infinite covering, and the report keeps that
-distinction explicit.
+classifier is evaluated once over the whole window into a column of
+verdicts, node by node, with `and`, `or` and `not` combining whole columns.
+Where a tree cannot be evaluated (`residue` off the integers) the column
+carries an error mark instead of raising; the mark raises a
+`ClassifierError` naming the piece only when a checkable point reads it.  A
+point whose preimages leave the window is a boundary defect, never a
+violation: finite windows cannot witness an infinite covering, and the
+report keeps that distinction explicit.
 
 `search_small_paradox` looks for piece assignments on a window minimizing
 the interior violations of the combined covering equation at each piece
@@ -35,20 +39,14 @@ MIN_PIECES = 4
 DP_STATE_CAP = 300_000
 
 
-class ClassifierError(ValueError):
-    pass
+class ClassifierError(CertificateError):
+    """A classifier that cannot be evaluated: `path` names the piece
+    (`A[0]`) in a certificate, `classifier` for a bare tree."""
 
 
 # ---------------------------------------------------------------------------
 # Classifier expressions
 # ---------------------------------------------------------------------------
-
-
-def _letter_code(model: FreeGroupModel, letter: str) -> int:
-    code = model.letters.get(letter) if isinstance(letter, str) else None
-    if code is None:
-        raise ClassifierError(f"{letter!r} is not a letter of {model!r}")
-    return code
 
 
 def _coordinates(model: GroupModel) -> int:
@@ -116,57 +114,119 @@ def _check_classifier(clf, model: GroupModel, path: str) -> None:
         raise CertificateError(f"{path}.op", f"unknown classifier op {op!r}")
 
 
+_NON_INTEGER = "residue classifier needs integer coordinates"
+
+
+def _pack(verdicts) -> int:
+    """A column from one truth value per window point."""
+    return int.from_bytes(bytes(verdicts), "little")
+
+
+class _Columns:
+    """Classifiers evaluated over a whole window at once.
+
+    A column holds one verdict per window point, in `positions` order, as
+    0/1 bytes packed into a Python int (byte i for point i), so `and`, `or`
+    and `not` combine whole columns with `&`, `|` and `^`.  Each node also
+    carries an error column: the points where walking its tree would raise
+    (today only `residue` on a non-integer coordinate).  `and` and `or` keep
+    an arg's error marks only where no earlier arg has decided the point,
+    which is where the walk, stopping at the first deciding arg, would reach
+    it.  Verdicts at marked points are unspecified; a reader of a column must
+    consult its marks first.
+    """
+
+    def __init__(self, window: FiniteWindow):
+        self.model = window.model
+        self.window = window
+        self.payloads = list(window.positions)
+        self.size = len(self.payloads)
+        self.ones = int.from_bytes(b"\x01" * self.size, "little")
+        self._names: Optional[dict[str, int]] = None
+
+    def piece(self, clf: dict) -> tuple[bytes, Optional[bytes]]:
+        """A checked classifier's verdicts at each window point, and its
+        error marks (None when it raises nowhere), as 0/1 bytes."""
+        value, errors = self._node(clf)
+        marks = errors.to_bytes(self.size, "little") if errors else None
+        return value.to_bytes(self.size, "little"), marks
+
+    def _coordinate(self, index: int) -> list:
+        """Coordinate `index` of each payload; a scalar payload is its own
+        only coordinate."""
+        if isinstance(self.model.identity().data, tuple):
+            return [p[index] for p in self.payloads]
+        return self.payloads
+
+    def _node(self, clf: dict) -> tuple[int, int]:
+        op = clf["op"]
+        if op == "true":
+            return self.ones, 0
+        if op in ("and", "or"):
+            conjunction = op == "and"
+            value = self.ones if conjunction else 0
+            errors = 0
+            undecided = self.ones
+            for arg in clf["args"]:
+                if not undecided:
+                    break
+                v, e = self._node(arg)
+                errors |= e & undecided
+                if conjunction:
+                    value &= v
+                    undecided &= v & ~e
+                else:
+                    value |= v
+                    undecided &= ~(v | e)
+            return value, errors
+        if op == "not":
+            value, errors = self._node(clf["arg"])
+            return value ^ self.ones, errors
+        if op == "identity":
+            at = self.window.positions.get(self.model.identity().data)
+            return (0 if at is None else 1 << 8 * at), 0
+        if op == "in":
+            if self._names is None:
+                self._names = {self.model.format(g): i for i, g in enumerate(self.window)}
+            hits = bytearray(self.size)
+            for text in set(clf["elements"]).intersection(self._names):
+                hits[self._names[text]] = 1
+            return int.from_bytes(hits, "little"), 0
+        if op == "first_letter":
+            head = (self.model.letters[clf["letter"]],)
+            return _pack([p[:1] == head for p in self.payloads]), 0
+        if op == "power":
+            # non-negative powers of the signed letter, identity included
+            code = self.model.letters[clf["letter"]]
+            return _pack([p.count(code) == len(p) for p in self.payloads]), 0
+        values = self._coordinate(clf["index"])
+        if op == "coord_sign":
+            sign = clf["sign"]
+            if sign == "+":
+                return _pack([v > 0 for v in values]), 0
+            if sign == "-":
+                return _pack([v < 0 for v in values]), 0
+            return _pack([v == 0 for v in values]), 0
+        # residue
+        bad = [isinstance(v, Fraction) and v.denominator != 1 for v in values]
+        mod, want = clf["mod"], clf["value"]
+        verdicts = [not b and int(v) % mod == want for v, b in zip(values, bad)]
+        return _pack(verdicts), _pack(bad)
+
+
 def evaluate_classifier(clf: dict, g: GroupElement) -> bool:
-    """Evaluate an expression-tree classifier on a canonical element."""
-    # The tree is walked by `_evaluate`, so each call of this function is one
-    # classifier evaluation, however deep the tree.
-    return _evaluate(clf, g)
-
-
-def _evaluate(clf: dict, g: GroupElement) -> bool:
-    op = clf["op"]
-    model = g.model
-    if op == "true":
-        return True
-    if op == "identity":
-        return g == model.identity()
-    if op == "and":
-        return all(_evaluate(c, g) for c in clf["args"])
-    if op == "or":
-        return any(_evaluate(c, g) for c in clf["args"])
-    if op == "not":
-        return not _evaluate(clf["arg"], g)
-    if op == "in":
-        return model.format(g) in clf["elements"]
-    if op == "first_letter":
-        if not isinstance(model, FreeGroupModel):
-            raise ClassifierError("first_letter needs a free-group model")
-        code = _letter_code(model, clf["letter"])
-        return bool(g.data) and g.data[0] == code
-    if op == "power":
-        # non-negative powers of the signed letter, identity included
-        if not isinstance(model, FreeGroupModel):
-            raise ClassifierError("power needs a free-group model")
-        code = _letter_code(model, clf["letter"])
-        return all(letter == code for letter in g.data)
-    if op == "coord_sign":
-        data = g.data if isinstance(g.data, tuple) else (g.data,)
-        value = data[clf["index"]]
-        sign = clf["sign"]
-        if sign == "+":
-            return value > 0
-        if sign == "-":
-            return value < 0
-        if sign == "0":
-            return value == 0
-        raise ClassifierError(f"bad sign {sign!r}")
-    if op == "residue":
-        data = g.data if isinstance(g.data, tuple) else (g.data,)
-        value = data[clf["index"]]
-        if isinstance(value, Fraction) and value.denominator != 1:
-            raise ClassifierError("residue classifier needs integer coordinates")
-        return int(value) % clf["mod"] == clf["value"]
-    raise ClassifierError(f"unknown classifier op {op!r}")
+    """Evaluate an expression-tree classifier on a canonical element: the
+    window kernel on the one-point window of `g`.  A tree that fails the
+    certificate check, or that cannot be evaluated at `g`, raises
+    `ClassifierError`."""
+    try:
+        _check_classifier(clf, g.model, "classifier")
+    except CertificateError as exc:
+        raise ClassifierError(exc.path, exc.reason) from None
+    value, errors = _Columns(FiniteWindow._from_payloads(g.model, [g.data])).piece(clf)
+    if errors:
+        raise ClassifierError("classifier", _NON_INTEGER)
+    return bool(value[0])
 
 
 Word = tuple[GroupElement, ...]
@@ -345,6 +405,8 @@ class WindowReport:
 def _preimages(window: FiniteWindow, word: Word) -> list[int]:
     """The window index of word^-1 x for each window point x, by group
     arithmetic on payloads; -1 where it leaves the window."""
+    if not word:
+        return list(range(len(window)))
     model, index = window.model, window.positions
     steps = [model.inv(g).data for g in reversed(word)]
     mul = model._mul_data
@@ -383,16 +445,20 @@ def verify_on_window(
     A window point is checkable for an equation when every translator
     preimage of it stays inside the window (for table actions: is defined
     and stays inside); checkable points covered other than exactly once are
-    interior violations.  Each piece's classifier is evaluated on first use
-    at a point and remembered, so the evaluations that happen, and the first
-    `ClassifierError`, come in the order of an equation-by-equation scan.
+    interior violations.  Each piece's classifier is evaluated once, over the
+    whole window, into a verdict column with error marks (see `_Columns`);
+    each equation then reads the piece columns through its preimage columns.
+    A `ClassifierError` naming the piece is raised only when a checkable
+    point reads a marked preimage, and it is the first such read of an
+    equation-by-equation scan over the window, terms in order.
     """
     if window.model is not cert.model:
         raise ModelMismatchError(f"window of {window.model.kind} used in {cert.model.kind}")
     n = len(window)
+    m = len(cert.a_pieces)
+    kernel = _Columns(window)
+    compiled = [kernel.piece(clf) for clf in cert.a_pieces + cert.b_pieces]
     columns: dict[Word, list[int]] = {}
-    pieces = cert.a_pieces + cert.b_pieces
-    verdicts: list[list[Optional[bool]]] = [[None] * n for _ in pieces]
     reports = []
     for name, terms in cert.equations():
         for word, _ in terms:
@@ -403,40 +469,35 @@ def verify_on_window(
                     else _action_preimages(action, window, word)
                 )
         term_columns = [columns[word] for word, _ in terms]
-        term_pieces = [piece for _, piece in terms]
-        checkable = 0
-        once = 0
-        violations = 0
-        boundary = 0
-        samples: list[tuple[str, int]] = []
-        for x in range(n):
-            pres = [column[x] for column in term_columns]
-            if -1 in pres:
-                boundary += 1
-                continue
-            checkable += 1
-            count = 0
-            for y, piece in zip(pres, term_pieces):
-                verdict = verdicts[piece][y]
-                if verdict is None:
-                    verdict = verdicts[piece][y] = evaluate_classifier(pieces[piece], window[y])
-                if verdict:
-                    count += 1
-            if count == 1:
-                once += 1
-            else:
-                violations += 1
-                if len(samples) < _VIOLATION_SAMPLES:
-                    samples.append((cert.model.format(window[x]), count))
+        # the least preimage index of each point over the terms: -1 marks a
+        # boundary point
+        if len(term_columns) > 1:
+            lows = list(map(min, *term_columns))
+        else:
+            lows = term_columns[0] if term_columns else [0] * n
+        if any(compiled[piece][1] for _, piece in terms):
+            for x, low in enumerate(lows):
+                if low < 0:
+                    continue
+                for column, (_, piece) in zip(term_columns, terms):
+                    marks = compiled[piece][1]
+                    if marks and marks[column[x]]:
+                        raise ClassifierError(f"A[{piece}]" if piece < m else f"B[{piece - m}]", _NON_INTEGER)
+        counts = [0] * n
+        for column, (_, piece) in zip(term_columns, terms):
+            # boundary points read the last verdict through -1; they are skipped below
+            counts = list(map(add, counts, map(compiled[piece][0].__getitem__, column)))
+        interior = [x for x, low in enumerate(lows) if low >= 0]
+        bad = [x for x in interior if counts[x] != 1]
         reports.append(
             EquationReport(
                 name=name,
                 window_size=n,
-                checkable=checkable,
-                exactly_once=once,
-                interior_violations=violations,
-                boundary_defects=boundary,
-                samples=samples,
+                checkable=len(interior),
+                exactly_once=len(interior) - len(bad),
+                interior_violations=len(bad),
+                boundary_defects=n - len(interior),
+                samples=[(cert.model.format(window[x]), counts[x]) for x in bad[:_VIOLATION_SAMPLES]],
             )
         )
     return WindowReport(equations=reports)

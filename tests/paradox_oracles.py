@@ -1,4 +1,10 @@
-"""The top-down form of the paradox assignment DP.
+"""Slow forms of the paradox layer, kept as differential oracles.
+
+`evaluate` is the recursive tree walk that evaluated a classifier at one
+element before `verify_on_window` evaluated whole windows at once.  It
+re-checks at every visit what the certificate check already enforces, and
+raises a `ClassifierError` with an empty path where the walk cannot go on;
+the window scan that calls it names the piece.
 
 `topdown_exact` is the memoized recursion that `_AssignmentProblem.exact`
 ran before it became a bottom-up program over dense per-layer arrays.  It
@@ -11,8 +17,63 @@ same `used`.
 """
 
 import sys
+from fractions import Fraction
 
-from folnerlab.paradox import _AssignmentProblem, _BudgetExhausted
+from folnerlab.groups import FreeGroupModel, GroupElement
+from folnerlab.paradox import ClassifierError, _AssignmentProblem, _BudgetExhausted
+
+
+def _letter_code(model: FreeGroupModel, letter: str) -> int:
+    code = model.letters.get(letter) if isinstance(letter, str) else None
+    if code is None:
+        raise ClassifierError("", f"{letter!r} is not a letter of {model!r}")
+    return code
+
+
+def evaluate(clf: dict, g: GroupElement) -> bool:
+    op = clf["op"]
+    model = g.model
+    if op == "true":
+        return True
+    if op == "identity":
+        return g == model.identity()
+    if op == "and":
+        return all(evaluate(c, g) for c in clf["args"])
+    if op == "or":
+        return any(evaluate(c, g) for c in clf["args"])
+    if op == "not":
+        return not evaluate(clf["arg"], g)
+    if op == "in":
+        return model.format(g) in clf["elements"]
+    if op == "first_letter":
+        if not isinstance(model, FreeGroupModel):
+            raise ClassifierError("", "first_letter needs a free-group model")
+        code = _letter_code(model, clf["letter"])
+        return bool(g.data) and g.data[0] == code
+    if op == "power":
+        # non-negative powers of the signed letter, identity included
+        if not isinstance(model, FreeGroupModel):
+            raise ClassifierError("", "power needs a free-group model")
+        code = _letter_code(model, clf["letter"])
+        return all(letter == code for letter in g.data)
+    if op == "coord_sign":
+        data = g.data if isinstance(g.data, tuple) else (g.data,)
+        value = data[clf["index"]]
+        sign = clf["sign"]
+        if sign == "+":
+            return value > 0
+        if sign == "-":
+            return value < 0
+        if sign == "0":
+            return value == 0
+        raise ClassifierError("", f"bad sign {sign!r}")
+    if op == "residue":
+        data = g.data if isinstance(g.data, tuple) else (g.data,)
+        value = data[clf["index"]]
+        if isinstance(value, Fraction) and value.denominator != 1:
+            raise ClassifierError("", "residue classifier needs integer coordinates")
+        return int(value) % clf["mod"] == clf["value"]
+    raise ClassifierError("", f"unknown classifier op {op!r}")
 
 
 def topdown_exact(problem: _AssignmentProblem) -> int:

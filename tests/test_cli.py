@@ -677,3 +677,20 @@ def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {want}: expected a list of element strings")
     assert "Traceback" not in err
+
+
+def test_paradox_classifier_error_names_piece(tmp_path, capsys):
+    # residue needs integer coordinates, and 1/2 is not one: the error names
+    # the piece whose classifier raised instead of ending without a field
+    residue = {"op": "residue", "index": 0, "mod": 2, "value": 0}
+    certificate = {"form": "tarski", "g": [[]], "h": [[]], "A": [residue], "B": [{"op": "true"}]}
+    config = {"task": "paradox-verify", "model": CIRCLE, "params": {"certificate": certificate, "window": ["0", "1/2"]}}
+    want = "params.certificate.A[0]"
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == want
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {want}: residue classifier needs integer coordinates\n"

@@ -24,7 +24,7 @@ from folnerlab.paradox import (
     verify_on_window,
 )
 from folnerlab.perturb import PerturbedAction
-from paradox_oracles import topdown_exact
+from paradox_oracles import evaluate, topdown_exact
 
 F2 = make_model("free", rank=2)
 Z = make_model("lattice", dim=1)
@@ -47,6 +47,9 @@ def test_boolean_ops_and_membership():
     clf = {"op": "and", "args": [{"op": "not", "arg": {"op": "identity"}}, {"op": "in", "elements": ["a", "b"]}]}
     assert evaluate_classifier(clf, F2.parse("a"))
     assert not evaluate_classifier(clf, F2.identity())
+    # the tree is checked first, so a string of elements is no substring test
+    with pytest.raises(ClassifierError, match=r"^classifier\.elements: "):
+        evaluate_classifier({"op": "in", "elements": "0"}, Z.element((0,)))
 
 
 def test_coordinate_predicates():
@@ -258,13 +261,18 @@ def test_search_free_b4_zero_defect():
 
 
 def _oracle_equations(cert):
-    a_terms = list(zip(cert.a_words, cert.a_pieces))
-    b_terms = list(zip(cert.b_words, cert.b_pieces))
-    id_a = [((), clf) for _, clf in a_terms]
-    id_b = [((), clf) for _, clf in b_terms]
+    """Each equation's terms as (word, piece name, classifier), for the
+    equations that `cert.equations()` names."""
+    a_terms = [(w, f"A[{i}]", clf) for i, (w, clf) in enumerate(zip(cert.a_words, cert.a_pieces))]
+    b_terms = [(w, f"B[{i}]", clf) for i, (w, clf) in enumerate(zip(cert.b_words, cert.b_pieces))]
+    id_a = [((), piece, clf) for _, piece, clf in a_terms]
+    id_b = [((), piece, clf) for _, piece, clf in b_terms]
     if cert.form == "two_equation":
-        return [("pieces-partition", id_a + id_b), ("a-cover", a_terms), ("b-cover", b_terms)]
-    return [("a-partition", id_a), ("b-partition", id_b), ("combined-cover", a_terms + b_terms)]
+        equations = [("pieces-partition", id_a + id_b), ("a-cover", a_terms), ("b-cover", b_terms)]
+    else:
+        equations = [("a-partition", id_a), ("b-partition", id_b), ("combined-cover", a_terms + b_terms)]
+    names = {name for name, _ in cert.equations()}
+    return [(name, terms) for name, terms in equations if name in names]
 
 
 def _oracle_preimage(model, action, word, x):
@@ -282,7 +290,8 @@ def _oracle_preimage(model, action, word, x):
 
 
 def _oracle_verify(cert, win, action=None):
-    """The element-by-element loop that verify_on_window replaced."""
+    """The element-by-element loop that verify_on_window replaced, walking
+    each classifier tree at each point it reads."""
     reports = []
     for name, terms in _oracle_equations(cert):
         checkable = once = violations = boundary = 0
@@ -290,7 +299,7 @@ def _oracle_verify(cert, win, action=None):
         for x in win:
             pres = []
             ok = True
-            for word, _ in terms:
+            for word, _, _ in terms:
                 y = _oracle_preimage(cert.model, action, word, x)
                 if y is None or y not in win:
                     ok = False
@@ -300,7 +309,12 @@ def _oracle_verify(cert, win, action=None):
                 boundary += 1
                 continue
             checkable += 1
-            count = sum(1 for y, (_, clf) in zip(pres, terms) if evaluate_classifier(clf, y))
+            count = 0
+            for y, (_, piece, clf) in zip(pres, terms):
+                try:
+                    count += evaluate(clf, y)
+                except ClassifierError as exc:
+                    raise ClassifierError(piece, exc.reason) from None
             if count == 1:
                 once += 1
             else:
@@ -446,22 +460,121 @@ def test_verify_on_window_matches_element_loop_through_tables_on_circle():
     assert 0 < errors < 60
 
 
+RESIDUE = {"op": "residue", "index": 0, "mod": 2, "value": 0}  # raises off the integer 0
+QUARTER = C.element(Fraction(1, 4))
+CIRCLE_WINDOW = window(C, [Fraction(k, 8) for k in range(8)])
+
+
+def _circle_certificate(piece):
+    return ParadoxCertificate(
+        model=C,
+        form="tarski",
+        a_words=[(), (QUARTER,)],
+        a_pieces=[piece, {"op": "not", "arg": piece}],
+        b_words=[()],
+        b_pieces=[{"op": "true"}],
+    )
+
+
+LAZY_CASES = [
+    # an earlier arg decides every point but the identity, where residue is defined
+    ({"op": "and", "args": [{"op": "identity"}, RESIDUE]}, False),
+    ({"op": "or", "args": [{"op": "not", "arg": {"op": "identity"}}, RESIDUE]}, False),
+    # the same args the other way round reach residue first
+    ({"op": "and", "args": [RESIDUE, {"op": "identity"}]}, True),
+    ({"op": "or", "args": [RESIDUE, {"op": "not", "arg": {"op": "identity"}}]}, True),
+    # an `and` that is false everywhere before its erroring arg, nested in `or`
+    ({"op": "or", "args": [{"op": "and", "args": [{"op": "in", "elements": []}, RESIDUE]}, {"op": "identity"}]}, False),
+    # `not` keeps the marks of its arg
+    ({"op": "not", "arg": RESIDUE}, True),
+    ({"op": "not", "arg": {"op": "and", "args": [{"op": "identity"}, RESIDUE]}}, False),
+    # empty args: `and` is true and `or` false, with nothing to raise
+    ({"op": "and", "args": []}, False),
+    ({"op": "or", "args": []}, False),
+    ({"op": "and", "args": [{"op": "or", "args": []}, RESIDUE]}, False),
+]
+
+
+@pytest.mark.parametrize("piece, raises", LAZY_CASES, ids=[json.dumps(c) for c, _ in LAZY_CASES])
+def test_verify_on_window_short_circuits_like_the_tree_walk(piece, raises):
+    outcome = _assert_matches_oracle(_circle_certificate(piece), CIRCLE_WINDOW)
+    assert isinstance(outcome, tuple) == raises
+    if raises:
+        assert outcome == ("ClassifierError", "A[0]: residue classifier needs integer coordinates")
+
+
+def test_verify_on_window_names_first_erroring_piece_in_scan_order():
+    # A[1] raises at 1/4 and A[0] only at 3/8: the scan meets 1/4 first
+    cert = ParadoxCertificate(
+        model=C,
+        form="tarski",
+        a_words=[(), (QUARTER,)],
+        a_pieces=[
+            {"op": "and", "args": [{"op": "in", "elements": ["3/8"]}, RESIDUE]},
+            {"op": "and", "args": [{"op": "in", "elements": ["1/4"]}, RESIDUE]},
+        ],
+        b_words=[()],
+        b_pieces=[{"op": "true"}],
+    )
+    assert _assert_matches_oracle(cert, CIRCLE_WINDOW)[1].startswith("A[1]: ")
+
+
+class _CoversOnly(ParadoxCertificate):
+    """A certificate scanned without its partition equations.  Those read
+    every piece at every window point, so only without them can an erroring
+    point be read from boundary points alone."""
+
+    def equations(self):
+        return [(name, terms) for name, terms in super().equations() if name.endswith("cover")]
+
+
+def test_verify_on_window_never_raises_at_boundary_points():
+    # A[0] raises at 1/2 only, which a-cover reads through 1/4 from 3/4; the
+    # second word moves 3/4 off the window, so 3/4 is a boundary point
+    piece = {"op": "or", "args": [{"op": "in", "elements": ["0", "1/4"]}, RESIDUE]}
+    win = window(C, [Fraction(k, 4) for k in range(4)])
+    eighth = (C.element(Fraction(1, 8)),)
+    cert = _CoversOnly(C, "two_equation", [(QUARTER,), eighth], [piece, {"op": "true"}], [()], [{"op": "true"}])
+    report = _assert_matches_oracle(cert, win)
+    assert report["equations"][0]["boundary_defects"] == 4
+    # without the second word 3/4 is checkable, and its read of 1/2 raises
+    cert = _CoversOnly(C, "two_equation", [(QUARTER,), ()], [piece, {"op": "true"}], [()], [{"op": "true"}])
+    assert _assert_matches_oracle(cert, win) == ("ClassifierError", "A[0]: residue classifier needs integer coordinates")
+
+
+def test_verify_on_window_matches_element_loop_on_circle_trees():
+    # random trees over residue, coord_sign and membership on circle windows
+    # with no action: residue raises everywhere but at 0, so which piece is
+    # named, and whether any is, rests on the short-circuits of and/or
+    rng = random.Random(9)
+    translators = [C.element(Fraction(k, 8)) for k in range(8)]
+    errors = 0
+    for _ in range(80):
+        win = window(C, [x for x in CIRCLE_WINDOW if rng.random() < 0.8])
+        names = [C.format(x) for x in rng.sample(list(win), min(3, len(win)))]
+        cert = _random_certificate(rng, C, translators, names)
+        errors += isinstance(_assert_matches_oracle(cert, win), tuple)
+    assert 0 < errors < 80
+
+
 def test_classifier_evaluated_once_per_piece_and_point(monkeypatch):
+    # each piece's tree is compiled into one column over the whole window,
+    # exactly once per verify_on_window call, so no point is evaluated twice
     from folnerlab import paradox
 
     calls = []
-    original = paradox.evaluate_classifier
+    original = paradox._Columns.piece
 
-    def counting(clf, g):
-        calls.append(1)
-        return original(clf, g)
+    def counting(self, clf):
+        calls.append(id(clf))
+        return original(self, clf)
 
-    monkeypatch.setattr(paradox, "evaluate_classifier", counting)
+    monkeypatch.setattr(paradox._Columns, "piece", counting)
     cert = f2_standard_certificate(F2)
     ball = grid_sample(F2, 6)
     report = verify_on_window(cert, ball)
     assert report.interior_violations == 0
-    assert 0 < len(calls) <= cert.piece_count() * len(ball)
+    assert sorted(calls) == sorted(id(clf) for clf in cert.a_pieces + cert.b_pieces)
 
 
 # --- the search, pinned to its recorded outputs ------------------------------------
