@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .folner import (
+    STRATEGIES,
     FolnerCertificate,
     discrete_defect,
     folner_search,
@@ -46,11 +47,13 @@ from .groups import (
     make_model,
     metric_from_json,
     model_from_json,
+    parse_bool,
     parse_fraction,
     parse_index,
 )
 from .matching import build_graph, max_matching
 from .paradox import (
+    MIN_PIECES,
     ClassifierError,
     ParadoxCertificate,
     f2_standard_certificate,
@@ -104,6 +107,13 @@ def _integer(obj, path: str) -> int:
         raise ConfigError(path, f"expected a JSON integer, got {obj!r}")
 
 
+def _boolean(obj, path: str) -> bool:
+    try:
+        return parse_bool(obj, path)
+    except ValueError:
+        raise ConfigError(path, f"expected a JSON boolean, got {obj!r}")
+
+
 def _integers(obj, path: str) -> list[int]:
     if not isinstance(obj, list):
         raise ConfigError(path, "expected a list of JSON integers")
@@ -149,7 +159,12 @@ def _window_or_grid(params: dict, model: GroupModel, key: str, resolution_key: s
     """The window at params[key], else the grid sample at params[resolution_key]."""
     if key in params:
         return _load_window(params[key], model, f"params.{key}")
-    return grid_sample(model, _integer(params.get(resolution_key, default), f"params.{resolution_key}"))
+    path = f"params.{resolution_key}"
+    resolution = _integer(params.get(resolution_key, default), path)
+    try:
+        return grid_sample(model, resolution)
+    except ValueError as exc:  # a resolution below 1, or a grid past the cap
+        raise ConfigError(path, str(exc))
 
 
 def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
@@ -258,10 +273,10 @@ def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
 CROSSCHECK_MAX_F = 200
 
 
-def _crosscheck_bound(params: dict, cert: FolnerCertificate) -> str:
+def _crosscheck_bound(crosscheck: bool, cert: FolnerCertificate) -> str:
     """Run the seminorm crosscheck when asked for and |F| is small enough;
     the bound it asserted as report text, empty when it did not run."""
-    if not params.get("crosscheck") or len(cert.F) > CROSSCHECK_MAX_F:
+    if not crosscheck or len(cert.F) > CROSSCHECK_MAX_F:
         return ""
     return str(seminorm_crosscheck(cert)[1])
 
@@ -270,6 +285,7 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     if "certificate" in params:
         _expect(params, "params", ("certificate",), ("crosscheck",))
+        crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
         try:
             cert = FolnerCertificate.from_json(params["certificate"])
         except CertificateError as exc:
@@ -281,10 +297,11 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
         except ValueError as exc:
             print(f"certificate INVALID: {exc}")
             return 2
-        _crosscheck_bound(params, cert)
+        _crosscheck_bound(crosscheck, cert)
         print(f"certificate valid: theta={cert.theta} |F|={len(cert.F)}")
         return 0
     _expect(params, "params", ("F", "E"), ("radius", "metric", "mode", "crosscheck"))
+    crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
     model = _load_model(config["model"], "model")
     F = _load_window(params["F"], model, "params.F")
     E = _load_window(params["E"], model, "params.E")
@@ -303,7 +320,7 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
     if mode != "topological":
         raise ConfigError("params.mode", f"unknown mode {mode!r}")
     theta, cert = topological_defect(F, E, U)
-    bound = _crosscheck_bound(params, cert)
+    bound = _crosscheck_bound(crosscheck, cert)
     artifacts.write_json("certificate.json", cert.to_json())
     artifacts.write_csv(
         "report.csv",
@@ -317,17 +334,23 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
 def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_flag: Optional[int]) -> int:
     params = config["params"]
     _expect(params, "params", ("E", "theta", "strategy"), ("radius", "metric", "budget", "crosscheck"))
+    crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
     model = _load_model(config["model"], "model")
     E = _load_window(params["E"], model, "params.E")
     U = _load_entourage(params, model, "params")
     theta = _rational(params["theta"], "params.theta")
     budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 50), "params.budget")
-    result = folner_search(model, E, U, theta, strategy=params["strategy"], budget=budget, seed=seed)
+    if budget <= 0:
+        raise ConfigError("--budget" if budget_flag is not None else "params.budget", "budget must be positive")
+    strategy = params["strategy"]
+    if strategy not in STRATEGIES:
+        raise ConfigError("params.strategy", f"unknown strategy {strategy!r}")
+    result = folner_search(model, E, U, theta, strategy=strategy, budget=budget, seed=seed)
     rows = []
     if result.certificate is not None:
         cert = result.certificate
         passed = "yes" if result.found else "no"
-        bound = _crosscheck_bound(params, cert)
+        bound = _crosscheck_bound(crosscheck, cert)
         rows.append([result.candidates_tried - 1, len(cert.F), str(cert.theta), bound, passed])
         artifacts.write_json("certificate.json", result.to_json())
     artifacts.write_csv("report.csv", ["candidate_id", "|F|", "theta", "seminorm_bound", "passed"], rows)
@@ -458,8 +481,14 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     _expect(params, "params", (), ("certificate", "standard", "window", "window_resolution", "action"))
     model = _load_model(config["model"], "model")
-    if params.get("standard"):
-        cert = f2_standard_certificate(model)
+    standard = _boolean(params.get("standard", False), "params.standard")
+    if standard and "certificate" in params:
+        raise ConfigError("params.standard", "give a certificate or standard: true, not both")
+    if standard:
+        try:
+            cert = f2_standard_certificate(model)
+        except ValueError as exc:
+            raise ConfigError("params.standard", str(exc))
     elif "certificate" in params:
         try:
             cert = ParadoxCertificate.from_json(params["certificate"], model)
@@ -492,6 +521,8 @@ def _run_paradox_search(config: dict, artifacts: Artifacts, budget_flag: Optiona
     pool = _load_window(params["pool"], model, "params.pool")
     budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 2_000_000), "params.budget")
     max_pieces = _integer(params["max_pieces"], "params.max_pieces")
+    if max_pieces < MIN_PIECES:
+        raise ConfigError("params.max_pieces", f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
     report = search_small_paradox(win, pool, max_pieces, budget=budget)
     artifacts.write_json("report.json", report.to_json())
     best = report.best()
@@ -696,7 +727,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_search.add_argument("--E", dest="E")
     p_search.add_argument("--radius")
     p_search.add_argument("--theta")
-    p_search.add_argument("--strategy", choices=["balls", "boxes", "grid", "local"], default="balls")
+    p_search.add_argument("--strategy", choices=STRATEGIES, default="balls")
 
     p_semi = sub.add_parser("seminorm", help="bounded-Lipschitz seminorm / invariance defects")
     _model_flags(p_semi)

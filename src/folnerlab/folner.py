@@ -37,6 +37,8 @@ from .weights import FiniteWeight, invariance_defect
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Candidate generators of `folner_search`.
+STRATEGIES = ("balls", "boxes", "grid", "local")
 
 
 @dataclass

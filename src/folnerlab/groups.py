@@ -38,7 +38,8 @@ class ModelMismatchError(ValueError):
 
 
 class WindowSizeError(ValueError):
-    """Raised when an enumeration would exceed the configured window cap."""
+    """Raised when an enumeration (a word ball or a grid) would exceed its
+    window cap; word lengths and distances are never refused."""
 
 
 class CertificateError(ValueError):
@@ -321,14 +322,22 @@ class HeisenbergModel(GroupModel):
 
     Product follows the upper-triangular matrix convention:
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').
+
+    Word length over (±1,0,0), (0,±1,0) has a closed form.  A word is a
+    lattice path from 0 to (a, b), and c is the integral of a db along it.
+    Mirroring the path gives (a,b,c) ~ (-a,b,-c) ~ (a,-b,-c); for a, b >= 0,
+    turning it half a turn about (a/2, b/2) gives (a,b,c) ~ (a,b,ab-c), and
+    then (a,b,c) ~ (b,a,c).  Folded to a, b, c >= 0 (c := ab - c if c < 0):
+      |g| = a + b                       if c <= ab,
+      |g| = 2*ceil(c/b) + b - a         if ab < c <= b^2, with a <= b,
+      |g| = 2*ceil(2*sqrt(c)) - a - b   if c > max(a, b)^2
+    (S. Blachère, "Word distance on the discrete Heisenberg group", Colloq.
+    Math. 95 (2003), 21-36; the closed-path case 2*ceil(2*sqrt(n)) is the
+    least perimeter of an n-cell polyomino, F. Harary and H. Harborth,
+    "Extremal animals", J. Combin. Inform. System Sci. 1 (1976), 1-8).
     """
 
     kind = "heisenberg"
-
-    def __init__(self):
-        self._length_cache: dict[tuple, int] = {(0, 0, 0): 0}
-        self._length_frontier: deque | None = None
-        self._length_radius = 0
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0, 0, 0))
@@ -349,33 +358,21 @@ class HeisenbergModel(GroupModel):
         gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
         return sorted((self.element(v) for v in gens), key=self.sort_key)
 
-    def _length_data(self, a) -> int:
-        # A word of length n has |a| + |b| <= n and, since each b-letter moves
-        # c by the current a, |c| <= floor(n^2 / 4); past either bound at
-        # n = 40 the search below could only end in this error.
-        if abs(a[0]) + abs(a[1]) > 40 or abs(a[2]) > 400:
-            raise WindowSizeError("heisenberg word length search exceeded radius 40")
-        while a not in self._length_cache:
-            radius = self._length_radius + 1
-            if radius > 40:
-                raise WindowSizeError("heisenberg word length search exceeded radius 40")
-            self._grow_length_cache(radius)
-        return self._length_cache[a]
-
-    def _grow_length_cache(self, radius: int) -> None:
-        if self._length_frontier is None:
-            self._length_frontier = deque([(0, 0, 0)])
-        gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-        next_frontier: deque = deque()
-        while self._length_frontier:
-            x = self._length_frontier.popleft()
-            for s in gens:
-                y = self._mul_data(x, s)
-                if y not in self._length_cache:
-                    self._length_cache[y] = radius
-                    next_frontier.append(y)
-        self._length_frontier = next_frontier
-        self._length_radius = radius
+    def _length_data(self, x) -> int:
+        a, b, c = x
+        if a < 0:
+            a, c = -a, -c
+        if b < 0:
+            b, c = -b, -c
+        if c < 0:
+            c = a * b - c
+        if c <= a * b:
+            return a + b
+        if a > b:
+            a, b = b, a
+        if c <= b * b:
+            return 2 * -(-c // b) + b - a
+        return 2 * (1 + math.isqrt(4 * c - 1)) - a - b  # ceil(2*sqrt(c)), c >= 1
 
 
 class CircleModel(GroupModel):

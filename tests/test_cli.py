@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from folnerlab.cli import ConfigError, main, run_scenario, run_scenario_config
+from folnerlab.groups import make_model
+from folnerlab.paradox import f2_standard_certificate
 
 
 def run(args):
@@ -437,7 +439,7 @@ INTEGER_FIELDS = {
         lambda c, v: c["params"].update(sample_resolution=v),
     ),
     "params.max_pieces": (
-        {"task": "paradox-search", "model": F2_MODEL, "params": {"pool": ["a", "b"], "window_resolution": 1, "max_pieces": 2}},
+        {"task": "paradox-search", "model": F2_MODEL, "params": {"pool": ["a", "b"], "window_resolution": 1, "max_pieces": 4}},
         lambda c, v: c["params"].update(max_pieces=v),
     ),
     "params.permutation[0]": (
@@ -694,3 +696,97 @@ def test_paradox_classifier_error_names_piece(tmp_path, capsys):
     assert run_scenario(path) == 1
     err = capsys.readouterr().err
     assert err == f"error: {want}: residue classifier needs integer coordinates\n"
+
+
+def test_heisenberg_seminorm_past_word_length_40(tmp_path, capsys):
+    # d((0,0,399), e) = 2*ceil(2*sqrt(399)) = 80, so the seminorm is the box
+    # bound 2; this used to end in a word length search capped at radius 40.
+    config = {"task": "seminorm", "model": {"kind": "heisenberg"},
+              "params": {"weight": {"support": ["0,0,0", "0,0,399"], "weights": ["1", "-1"]}}}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("seminorm: 2 (")
+    assert captured.err == ""
+
+
+STANDARD_CERTIFICATE = f2_standard_certificate(make_model("free", rank=2)).to_json()
+# The standard certificate with its third piece moved onto words starting
+# with a: the two B-translates no longer tile the window.
+FORGED_CERTIFICATE = {**STANDARD_CERTIFICATE,
+                      "B": [{"op": "first_letter", "letter": "a"}, STANDARD_CERTIFICATE["B"][1]]}
+
+
+def test_forged_paradox_certificate_is_not_replaced_by_the_standard_one(tmp_path, capsys):
+    base = {"task": "paradox-verify", "model": F2_MODEL,
+            "params": {"certificate": FORGED_CERTIFICATE, "window_resolution": 2}}
+    assert run_scenario_config(base) == 2
+    capsys.readouterr()
+    for standard in ("false", True):
+        config = json.loads(json.dumps(base))
+        config["params"]["standard"] = standard
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(config))
+        assert run_scenario(path) == 1
+        captured = capsys.readouterr()
+        want = ("expected a JSON boolean, got 'false'" if standard == "false"
+                else "give a certificate or standard: true, not both")
+        assert captured.err == f"error: params.standard: {want}\n"
+        assert "paradox verify:" not in captured.out
+
+
+SEARCH = {"task": "search", "model": LATTICE_1,
+          "params": {"E": ["1"], "theta": "1/2", "strategy": "balls", "radius": "0"}}
+DEFECT = {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", "1"], "E": ["1"], "radius": "0"}}
+PARADOX_SEARCH = {"task": "paradox-search", "model": F2_MODEL,
+                  "params": {"pool": ["a", "b"], "window_resolution": 1, "max_pieces": 4}}
+STANDARD_VERIFY = {"task": "paradox-verify", "model": F2_MODEL, "params": {"standard": True, "window_resolution": 1}}
+# Config values that exit 1 and the field each must name: (base config,
+# params to put in, field, start of the message).
+FIELD_ERRORS = {
+    "window_resolution=0": (STANDARD_VERIFY, {"window_resolution": 0}, "params.window_resolution",
+                            "resolution must be >= 1"),
+    "sample_resolution=0": ({"task": "precompact", "model": CIRCLE, "params": {"radius": "1/10"}},
+                            {"sample_resolution": 0}, "params.sample_resolution", "resolution must be >= 1"),
+    "budget=0": (SEARCH, {"budget": 0}, "params.budget", "budget must be positive"),
+    "strategy": (SEARCH, {"strategy": "spiral"}, "params.strategy", "unknown strategy 'spiral'"),
+    "standard-on-lattice": ({**STANDARD_VERIFY, "model": LATTICE_1}, {}, "params.standard",
+                            "the standard certificate lives on the rank-2 free group"),
+    "defect-crosscheck='false'": (DEFECT, {"crosscheck": "false"}, "params.crosscheck", "expected a JSON boolean"),
+    "search-crosscheck=1": (SEARCH, {"crosscheck": 1}, "params.crosscheck", "expected a JSON boolean"),
+    "max_pieces=3": (PARADOX_SEARCH, {"max_pieces": 3}, "params.max_pieces", "must be at least 4"),
+    "max_pieces=-2": (PARADOX_SEARCH, {"max_pieces": -2}, "params.max_pieces", "must be at least 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_ERRORS))
+def test_config_error_names_its_field(tmp_path, capsys, case):
+    base, extra, field, message = FIELD_ERRORS[case]
+    config = json.loads(json.dumps(base))
+    config["params"].update(extra)
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: {message}")
+    assert "Traceback" not in err
+
+
+def test_certificate_defect_crosscheck_must_be_a_boolean(tmp_path, capsys):
+    assert run_scenario_config(DEFECT, out_dir=tmp_path / "cert") == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    config = {"task": "defect", "params": {"certificate": cert, "crosscheck": "yes"}}
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == "params.crosscheck"
+
+
+def test_budget_flag_below_one_names_the_flag(capsys):
+    assert run(["folner-search", "--kind", "lattice", "--dim", "1", "--E", "1", "--radius", "0",
+                "--theta", "1/2", "--budget", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: --budget: budget must be positive")

@@ -14,7 +14,6 @@ from folnerlab.groups import (
     DiscreteMetric,
     Entourage,
     FiniteWindow,
-    HeisenbergModel,
     ModelMismatchError,
     ScaledMetric,
     WindowSizeError,
@@ -202,25 +201,70 @@ def test_grid_sample_lattice():
     assert len(grid_sample(Z2, 2)) == 13  # l1 ball
 
 
-def test_heisenberg_ball_growth():
-    # closed form is awkward; sizes frozen from an independent BFS
-    def oracle(radius):
-        seen = {(0, 0, 0)}
-        frontier = [(0, 0, 0)]
-        gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-        for _ in range(radius):
-            nxt = []
-            for a, b, c in frontier:
-                for da, db, _dc in gens:
-                    cand = (a + da, b + db, c + a * db)
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        return len(seen)
+def _heisenberg_bfs(radius):
+    """Word length of every payload within `radius`, by an independent BFS
+    over the four generators."""
+    dist = {(0, 0, 0): 0}
+    frontier = [(0, 0, 0)]
+    gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    for r in range(1, radius + 1):
+        nxt = []
+        for a, b, c in frontier:
+            for da, db, _dc in gens:
+                cand = (a + da, b + db, c + a * db)
+                if cand not in dist:
+                    dist[cand] = r
+                    nxt.append(cand)
+        frontier = nxt
+    return dist
 
+
+def test_heisenberg_ball_growth():
     for radius in range(0, 5):
-        assert len(word_ball(H, radius)) == oracle(radius)
+        assert set(word_ball(H, radius).positions) == set(_heisenberg_bfs(radius))
+
+
+def test_heisenberg_length_matches_bfs_both_ways():
+    # Every payload of the radius-16 ball has its BFS length, and no payload
+    # of the surrounding box outside the ball has a closed length <= 16.
+    radius = 16
+    dist = _heisenberg_bfs(radius)
+    for x, d in dist.items():
+        assert H._length_data(x) == d, x
+    span, c_span = radius + 1, (radius + 1) ** 2 // 4 + 1
+    for a in range(-span, span + 1):
+        for b in range(-span, span + 1):
+            for c in range(-c_span, c_span + 1):
+                if (a, b, c) not in dist:
+                    assert H._length_data((a, b, c)) > radius, (a, b, c)
+
+
+def _far_heisenberg_payloads(rng, count):
+    """Seeded payloads with |a|, |b| <= 1000 and |c| <= 10^6, half of them
+    with c on or next to a boundary of the closed form's cases."""
+    out = []
+    for k in range(count):
+        a, b = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        if k % 2:
+            edge = rng.choice((abs(a * b), max(a * a, b * b), min(a * a, b * b)))
+            c = rng.choice((1, -1)) * min(10**6, edge + rng.randint(-2, 2))
+        else:
+            c = rng.randint(-(10**6), 10**6)
+        out.append((a, b, c))
+    return out
+
+
+def test_heisenberg_length_local_certificate_on_far_payloads():
+    # A length function that moves by exactly one along every generator and
+    # drops by one along some generator is the word length (it is zero only
+    # at the identity); check both conditions at seeded far payloads.
+    rng = random.Random(12)
+    gens = [s.data for s in H.generators()]
+    for g in _far_heisenberg_payloads(rng, 400) + [(0, 0, 10**6), (1000, -1000, -(10**6))]:
+        length = H._length_data(g)
+        steps = [H._length_data(H._mul_data(g, s)) - length for s in gens]
+        assert all(abs(step) == 1 for step in steps), g
+        assert -1 in steps, g
 
 
 def test_heisenberg_word_metric_matches_ball():
@@ -403,28 +447,23 @@ def test_distance_matrix_rejects_a_foreign_point(metric):
 
 
 def test_distance_matrix_past_the_heisenberg_length_radius():
-    # A model of its own, so that its radius-40 length table is dropped
-    # after this test.
-    H_own = HeisenbergModel()
-    metric = ScaledMetric(WordMetric(H_own), Fraction(1, 2))
-    points = [H_own.element((0, 0, 0)), H_own.element((1, 0, 0)), H_own.element((0, 0, 10**6))]
-    assert _eval_error(metric, points) is WindowSizeError
+    metric = ScaledMetric(WordMetric(H), Fraction(1, 2))
+    points = [H.element((0, 0, 0)), H.element((1, 0, 0)), H.element((0, 0, 10**6))]
+    assert _eval_error(metric, points) is None
     _assert_matrix_matches_eval(metric, points)
+    assert WordMetric(H).eval(points[2], H.identity()) == 4000
 
 
-def test_heisenberg_far_payload_fails_without_growing_the_length_table():
-    H_own = HeisenbergModel()
-    H_own._length_data((3, -2, 5))
-    size = len(H_own._length_cache)
-    for far in [(0, 0, 10**6), (0, 0, -401), (41, 0, 0), (20, -21, 0)]:
-        with pytest.raises(WindowSizeError):
-            H_own._length_data(far)
-    assert len(H_own._length_cache) == size
+def test_heisenberg_far_payload_lengths_without_model_state():
+    lengths = {(0, 0, -401): 82, (41, 0, 0): 41, (20, -21, 0): 41, (20, 20, 0): 40}
+    for far, length in lengths.items():
+        assert H._length_data(far) == length
+    assert vars(make_model("heisenberg")) == {}
 
 
 def test_heisenberg_length_bounds_are_tight():
-    # The early refusal in `_length_data` rests on |a| + |b| <= n and
-    # |c| <= floor(n^2 / 4) for words of length n; both are reached.
+    # A word of length n has |a| + |b| <= n and, since each b-letter moves
+    # c by the current a, |c| <= floor(n^2 / 4); both bounds are reached.
     for n in range(1, 11):
         ball = word_ball(H, n).positions
         assert max(abs(a) + abs(b) for a, b, _ in ball) == n
