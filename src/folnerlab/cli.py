@@ -28,6 +28,7 @@ from . import __version__
 from .folner import (
     STRATEGIES,
     FolnerCertificate,
+    check_strategy,
     discrete_defect,
     folner_search,
     pairwise_defect,
@@ -343,8 +344,10 @@ def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_
     if budget <= 0:
         raise ConfigError("--budget" if budget_flag is not None else "params.budget", "budget must be positive")
     strategy = params["strategy"]
-    if strategy not in STRATEGIES:
-        raise ConfigError("params.strategy", f"unknown strategy {strategy!r}")
+    try:
+        check_strategy(model, strategy)
+    except ValueError as exc:
+        raise ConfigError("params.strategy", str(exc))
     result = folner_search(model, E, U, theta, strategy=strategy, budget=budget, seed=seed)
     rows = []
     if result.certificate is not None:
@@ -426,8 +429,15 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
         family = []
         for k, idx in enumerate(params["indices"]):
             _expect(idx, f"params.indices[{k}]", ("E", "n"))
-            family.append((_load_window(idx["E"], model, f"params.indices[{k}].E"), _integer(idx["n"], f"params.indices[{k}].n")))
-        assembled = build_perturbation(model, family, U, budget=_integer(params.get("budget", 60), "params.budget"))
+            E = _load_window(idx["E"], model, f"params.indices[{k}].E")
+            n = _integer(idx["n"], f"params.indices[{k}].n")
+            if n < 2:
+                raise ConfigError(f"params.indices[{k}].n", "index multiplicities start at 2")
+            family.append((E, n))
+        budget = _integer(params.get("budget", 60), "params.budget")
+        if budget <= 0:
+            raise ConfigError("params.budget", "budget must be positive")
+        assembled = build_perturbation(model, family, U, budget=budget)
         artifacts.write_json("certificate.json", assembled.action.to_json())
         artifacts.write_json("report.json", assembled.report.to_json())
         print(f"build: window={len(assembled.action.window)} violations={len(assembled.report.violations)}")
@@ -520,6 +530,8 @@ def _run_paradox_search(config: dict, artifacts: Artifacts, budget_flag: Optiona
     win = _window_or_grid(params, model, "window", "window_resolution", 4)
     pool = _load_window(params["pool"], model, "params.pool")
     budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 2_000_000), "params.budget")
+    if budget <= 0:
+        raise ConfigError("--budget" if budget_flag is not None else "params.budget", "budget must be positive")
     max_pieces = _integer(params["max_pieces"], "params.max_pieces")
     if max_pieces < MIN_PIECES:
         raise ConfigError("params.max_pieces", f"must be at least {MIN_PIECES}, the least pieces a paradox can use")

@@ -343,6 +343,17 @@ def _local_candidates(
             current = FiniteWindow(model, rng.sample(pool, max(1, len(pool) // 3)))
 
 
+def check_strategy(model: GroupModel, strategy: str) -> None:
+    """Raise ValueError unless `strategy` is a search strategy that fits
+    `model`: boxes need a lattice, grids a circle or torus."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "boxes" and not isinstance(model, LatticeModel):
+        raise ValueError("boxes strategy requires a lattice model")
+    if strategy == "grid" and model.discrete:
+        raise ValueError("grid strategy requires circle or torus")
+
+
 def folner_search(
     model: GroupModel,
     E: FiniteWindow,
@@ -355,21 +366,16 @@ def folner_search(
     """First candidate window meeting the target, or the best-found report."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    check_strategy(model, strategy)
     theta_target = Fraction(theta_target)
     if strategy == "balls":
         candidates = _ball_candidates(model)
     elif strategy == "boxes":
-        if not isinstance(model, LatticeModel):
-            raise ValueError("boxes strategy requires a lattice model")
         candidates = _box_candidates(model)
     elif strategy == "grid":
-        if model.discrete:
-            raise ValueError("grid strategy requires circle or torus")
         candidates = _grid_candidates(model)
-    elif strategy == "local":
-        candidates = _local_candidates(model, E, U, seed)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        candidates = _local_candidates(model, E, U, seed)
 
     best_theta = ZERO
     best_cert: Optional[FolnerCertificate] = None

@@ -260,13 +260,13 @@ class FreeGroupModel(GroupModel):
         return GroupElement(self, ())
 
     def _mul_data(self, a, b):
-        out = list(a)
-        for letter in b:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-        return tuple(out)
+        # Both words are reduced, so letters cancel only at the junction.
+        if not a or not b or a[-1] != -b[0]:
+            return a + b
+        k, most = 1, min(len(a), len(b))
+        while k < most and a[-1 - k] == -b[k]:
+            k += 1
+        return a[:-k] + b[k:]
 
     def _inv_data(self, a):
         return tuple(-x for x in reversed(a))
@@ -747,8 +747,18 @@ class FiniteWindow:
         window._fill(model, payloads)
         return window
 
+    @classmethod
+    def _from_sorted(cls, model: GroupModel, ordered: list) -> "FiniteWindow":
+        """The window of distinct canonical payloads that are already in
+        `payload_key` order."""
+        window = cls.__new__(cls)
+        window._table(model, ordered)
+        return window
+
     def _fill(self, model: GroupModel, payloads: Iterable) -> None:
-        ordered = sorted(dict.fromkeys(payloads), key=model.payload_key)
+        self._table(model, sorted(dict.fromkeys(payloads), key=model.payload_key))
+
+    def _table(self, model: GroupModel, ordered: list) -> None:
         self.model = model
         self.elements: tuple[GroupElement, ...] = tuple(GroupElement(model, x) for x in ordered)
         self.positions: dict[Any, int] = {x: i for i, x in enumerate(ordered)}
@@ -820,8 +830,15 @@ def translate_window(g: GroupElement, F: FiniteWindow) -> FiniteWindow:
 
 
 def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWindow:
-    """Closed ball of the word metric over the model generators, by BFS on
-    payloads."""
+    """Closed ball of the word metric over the model generators.
+
+    Free words are generated sphere by sphere in shortlex order: each word
+    of the last sphere, in order, extended by every letter in shortlex rank
+    but the one that cancels, so the ball needs no sort.  Other models run
+    a breadth-first search on payloads.  Either way `WindowSizeError` is
+    raised exactly when the ball would hold more than `cap` points."""
+    if isinstance(model, FreeGroupModel):
+        return _free_ball(model, radius, cap)
     gens = [s.data for s in model.generators()]
     mul = model._mul_data
     start = model.identity().data
@@ -839,6 +856,22 @@ def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWi
                 seen[y] = seen[x] + 1
                 frontier.append(y)
     return FiniteWindow._from_payloads(model, seen)
+
+
+def _free_ball(model: FreeGroupModel, radius: int, cap: int) -> FiniteWindow:
+    letters = sorted(model.letters.values(), key=_SHORTLEX_RANK.__getitem__)
+    # the one-letter words that may follow a word, keyed by its last letter
+    # (none for the identity): every letter but the one that cancels
+    follow = {(): [(t,) for t in letters]}
+    follow.update({(s,): [(t,) for t in letters if t != -s] for s in letters})
+    ball, sphere = [()], [()]
+    for _ in range(radius):
+        # every word of a sphere has as many successors as its first word
+        if len(ball) + len(sphere) * len(follow[sphere[0][-1:]]) > cap:
+            raise WindowSizeError(f"word ball exceeds cap {cap}")
+        sphere = [w + t for w in sphere for t in follow[w[-1:]]]
+        ball += sphere
+    return FiniteWindow._from_sorted(model, ball)
 
 
 def grid_sample(model: GroupModel, resolution: int) -> FiniteWindow:

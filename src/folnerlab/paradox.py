@@ -21,10 +21,13 @@ report keeps that distinction explicit.
 the interior violations of the combined covering equation at each piece
 count.  Its reports are one-sided: a positive minimum refutes zero-defect
 assignments at that scale, a zero minimum claims nothing about the group.
+A translator combination is solved exactly only while it can still beat the
+best defect found so far; the budget it is charged does not depend on that.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -404,10 +407,17 @@ class WindowReport:
 
 def _preimages(window: FiniteWindow, word: Word) -> list[int]:
     """The window index of word^-1 x for each window point x, by group
-    arithmetic on payloads; -1 where it leaves the window."""
+    arithmetic on payloads; -1 where it leaves the window.  A one-letter
+    free translator s takes no product: s^-1 y is y[1:] when the reduced
+    word y starts with s, and (s^-1,) + y otherwise."""
     if not word:
         return list(range(len(window)))
     model, index = window.model, window.positions
+    if isinstance(model, FreeGroupModel) and len(word) == 1 and len(word[0].data) == 1:
+        head = word[0].data
+        inverse = (-head[0],)
+        get = index.get
+        return [get(y[1:] if y[:1] == head else inverse + y, -1) for y in index]
     steps = [model.inv(g).data for g in reversed(word)]
     mul = model._mul_data
     column = []
@@ -586,47 +596,75 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Family:
+    """The scoring set-up of one translator family (the A-words or the
+    B-words of a combo), which depends only on the family's preimage rows
+    and its label offset: a search builds it once per (words, offset) and
+    shares it across combos.
+
+    A window index t is a checkable target of the family when its preimage
+    under every word stays in the window.  Its influencers are the pairs
+    (row[t], offset + piece), and it is scored once its last influencer is
+    labeled: `finalize_at[k]` lists the influencer lists of the targets
+    whose last source is k, in target order, and `live_until[src]` is the
+    last such k over the targets that `src` influences (-1 for none).
+    `cover[src]` is the most targets that `src` matches under any one
+    label (at most 1 when the rows are injective, as preimage rows are)."""
+
+    def __init__(self, n: int, rows: list[list[int]], offset: int):
+        self.size = len(rows)
+        self.checkable = 0
+        self.finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
+        self.live_until = [-1] * n
+        labels = range(offset, offset + len(rows))
+        hits: Counter[tuple[int, int]] = Counter()
+        for sources in zip(*rows):
+            if min(sources) < 0:
+                continue
+            self.checkable += 1
+            last = max(sources)
+            infl = list(zip(sources, labels))
+            self.finalize_at[last].append(infl)
+            hits.update(infl)
+            for src in sources:
+                if self.live_until[src] < last:
+                    self.live_until[src] = last
+        self.cover = [0] * n
+        for (src, _), count in hits.items():
+            self.cover[src] = max(self.cover[src], count)
+
+
 class _AssignmentProblem:
     """Best piece labeling of a window for fixed translator families.
 
     Every element takes one label: the first m labels are pieces translated
     by the A-words, the rest pieces translated by the B-words.  Each cover
     equation scores its checkable targets once their last influencing
-    preimage is labeled.  Three passes: an exact-cover style descent that
-    only accepts zero-cost steps (settling the zero-defect case), a greedy
-    incumbent, and a bottom-up dynamic program whose state at element k is
-    the labels of `live_at[k]`, the sources still able to influence
-    unscored targets.  No labeling is forbidden, so every label tuple of
-    `live_at[k]` is a state; the program charges the budget one node per
-    state, all at once, and is exact when the budget covers them.
+    preimage is labeled; the two families' `_Family` set-ups are merged
+    here.  A target costs at least 1 - (its matches), and a source matches
+    at most `cover` targets, so `floor`, the checkable targets less the
+    sum of the sources' covers, bounds every labeling's cost from below.
+    Three passes: an exact-cover style descent that only accepts
+    zero-cost steps (settling the zero-defect case), a greedy incumbent,
+    and a bottom-up dynamic program whose state at element k is the labels
+    of `live_at[k]`, the sources still able to influence unscored targets.
+    No labeling is forbidden, so every label tuple of `live_at[k]` is a
+    state; the program charges the budget one node per state, all at once,
+    and is exact when the budget covers them.
     """
 
-    def __init__(self, n: int, a_rows: list[list[int]], b_rows: list[list[int]], budget: _Budget):
-        """`a_rows`/`b_rows`: per translator, the preimage row of the window
-        (index of g^-1 y for each window index y, -1 outside the window)."""
+    def __init__(self, n: int, a: _Family, b: _Family, budget: _Budget):
+        """`a`/`b`: the set-ups of the A-family (labels from 0) and the
+        B-family (labels from a.size) over a window of n points."""
         self.n = n
-        self.m = len(a_rows)
-        self.p = len(a_rows) + len(b_rows)
+        self.m = a.size
+        self.p = a.size + b.size
         self.budget = budget
         self.choices = list(range(self.p))
-
-        # per checkable target: its influencers (source idx, label)
-        self.checkable = 0
-        target_infl: list[list[tuple[int, int]]] = []
-        for rows, offset in ((a_rows, 0), (b_rows, self.m)):
-            for t in range(n):
-                infl = [(row[t], offset + piece) for piece, row in enumerate(rows)]
-                if all(src >= 0 for src, _ in infl):
-                    target_infl.append(infl)
-                    self.checkable += 1
-
-        self.finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
-        live_until = [-1] * n
-        for infl in target_infl:
-            last = max(src for src, _ in infl)
-            self.finalize_at[last].append(infl)
-            for src, _ in infl:
-                live_until[src] = max(live_until[src], last)
+        self.checkable = a.checkable + b.checkable
+        self.floor = max(0, self.checkable - sum(map(max, a.cover, b.cover)))
+        self.finalize_at = list(map(add, a.finalize_at, b.finalize_at))
+        live_until = list(map(max, a.live_until, b.live_until))
 
         # live_at[k]: the labeled sources (src < k) that still influence a
         # target finalized at k or later; their labels are the DP state at k
@@ -663,30 +701,37 @@ class _AssignmentProblem:
         full exploration proves none exists; None when the step cap ends
         the attempt first.
         """
+        n, p, labels, finalize_at, spend = self.n, self.p, self.labels, self.finalize_at, self.budget.spend
         steps = 0
         k = 0
         iters: list[int] = [0]
-        while 0 <= k < self.n:
-            if not self.budget.spend():
+        while 0 <= k < n:
+            if not spend():
                 raise _BudgetExhausted
             steps += 1
             if steps > cap:
                 return None
             label = iters[k]
-            if label >= self.p:
+            if label >= p:
                 iters.pop()
                 k -= 1
                 if k >= 0:
                     iters[k] += 1
                 continue
-            self.labels[k] = label
-            if self._step_cost(k) == 0:
-                k += 1
-                if k < self.n:
-                    iters.append(0)
+            labels[k] = label
+            # zero cost: every target scored here is matched exactly once
+            for infl in finalize_at[k]:
+                count = 0
+                for src, piece in infl:
+                    count += labels[src] == piece
+                if count != 1:
+                    iters[k] += 1
+                    break
             else:
-                iters[k] += 1
-        return k == self.n
+                k += 1
+                if k < n:
+                    iters.append(0)
+        return k == n
 
     def greedy(self) -> tuple[int, list[int]]:
         total = 0
@@ -703,7 +748,7 @@ class _AssignmentProblem:
             total += best_cost
         return total, self.labels.copy()
 
-    def exact(self) -> int:
+    def exact(self, bound: Optional[int] = None, floor: int = 0) -> int:
         """Minimum total step cost; leaves the minimizing labels in `labels`.
 
         Every labeling is allowed, so the states at layer k are all
@@ -716,10 +761,19 @@ class _AssignmentProblem:
         layer's value, and the layer's values are the columns' pointwise
         min.  Only the value arrays are kept; the labels are then rebuilt
         forward, taking at each k the first label that keeps to the optimum.
+
+        With a `bound`, the program stops once the minimum cannot fall below
+        it, after charging the budget in full: at once when `floor`, a lower
+        bound on the minimum, reaches it, else at the first layer whose least
+        value reaches it (step costs are non-negative, so that value bounds
+        the minimum).  It then returns that lower bound, which is at least
+        `bound`, and leaves `labels` unspecified.
         """
         n, p, live_at = self.n, self.p, self.live_at
         if not self.budget.spend_many(sum(p ** len(live_at[k]) for k in range(n))):
             raise _BudgetExhausted
+        if bound is not None and floor >= bound:
+            return floor
         zeros = [0] * p
         values: list[list[int]] = [[] for _ in range(n)] + [[0]]
         for k in range(n - 1, -1, -1):
@@ -756,6 +810,8 @@ class _AssignmentProblem:
                 for d, m in zip(step, match)
             ]
             values[k] = list(map(min, zip(*columns)))
+            if bound is not None and min(values[k]) >= bound:
+                return min(values[k])
 
         labels = self.labels
         target = values[0][0]
@@ -785,19 +841,29 @@ def _packed_cost(packed: int, bases: list[int]) -> int:
     return cost
 
 
-def _solve_combo(problem: _AssignmentProblem, zero_cap: int) -> tuple[int, list[int], bool]:
-    """(defect, labels, exact) for one translator combination."""
+def _solve_combo(problem: _AssignmentProblem, zero_cap: int, bound: Optional[int]) -> tuple[int, list[int], bool]:
+    """(defect, labels, exact) for one translator combination.  Only a
+    defect below `bound` (the search's incumbent) is reported exactly; a
+    combo proven unable to beat it reports some defect >= bound, with labels
+    that are not kept.  The budget spent does not depend on `bound`: only
+    the greedy pass, which is free, may be skipped."""
     zero = problem.zero_search(zero_cap)
     if zero:
         return 0, problem.labels.copy(), True
-    incumbent, labels = problem.greedy()
-    if incumbent == 0:
-        return 0, labels, True
-    if zero is False and incumbent == 1:
-        return 1, labels, True  # tilings exhaustively ruled out, so 1 is optimal
+    floor = max(problem.floor, 1 if zero is False else 0)
+    if bound is not None and floor >= max(bound, 2):
+        # the greedy incumbent is neither 0 nor 1, so the program runs, and
+        # it would not be kept
+        incumbent, labels = floor, []
+    else:
+        incumbent, labels = problem.greedy()
+        if incumbent == 0:
+            return 0, labels, True
+        if zero is False and incumbent == 1:
+            return 1, labels, True  # tilings exhaustively ruled out, so 1 is optimal
     if problem.dp_tractable():
         try:
-            minimum = problem.exact()
+            minimum = problem.exact(bound, floor)
             return minimum, problem.labels.copy(), True
         except _BudgetExhausted:
             pass
@@ -818,27 +884,41 @@ def search_small_paradox(
     minimum at that piece count.
     """
     model = window.model
+    n = len(window)
     identity = model.identity().data
     rows = {g: _preimages(window, (g,)) for g in pool}
+    families: dict[tuple, _Family] = {}
+
+    def options(size: int, offset: int) -> list[tuple[tuple[GroupElement, ...], _Family]]:
+        """The translator multisets of `size` pool words, each with its
+        family set-up at label `offset`, built once per search."""
+        out = []
+        for words in _sorted_multisets(list(pool), size, model):
+            key = (tuple(g.data for g in words), offset)
+            if key not in families:
+                families[key] = _Family(n, [rows[g] for g in words], offset)
+            out.append((words, families[key]))
+        return out
+
     tracker = _Budget(budget)
-    zero_cap = max(500, 25 * len(window))
+    zero_cap = max(500, 25 * n)
     reports: list[PieceCountReport] = []
     for pieces in range(MIN_PIECES, max_pieces + 1):
         combos = []
         for m in range(1, pieces // 2 + 1):
             nb = pieces - m  # families are interchangeable, so m <= nb
-            a_options = _sorted_multisets(list(pool), m, model)
-            b_options = _sorted_multisets(list(pool), nb, model)
-            for ai, a_words in enumerate(a_options):
-                for bi, b_words in enumerate(b_options):
+            a_options = options(m, 0)
+            b_options = options(nb, m)
+            for ai, a in enumerate(a_options):
+                for bi, b in enumerate(b_options):
                     if m == nb and bi < ai:
                         continue
-                    combos.append((a_words, b_words))
+                    combos.append((a, b))
         # identity-bearing families first: tilings almost always keep a piece
         # in place, and hitting one early settles the piece count at zero
         combos.sort(
-            key=lambda ab: (identity not in [g.data for g in ab[0]])
-            + (identity not in [g.data for g in ab[1]])
+            key=lambda ab: (identity not in [g.data for g in ab[0][0]])
+            + (identity not in [g.data for g in ab[1][0]])
         )
 
         best_defect: Optional[int] = None
@@ -846,11 +926,9 @@ def search_small_paradox(
         best_checkable = 0
         exhausted = True
         try:
-            for a_words, b_words in combos:
-                problem = _AssignmentProblem(
-                    len(window), [rows[g] for g in a_words], [rows[g] for g in b_words], tracker
-                )
-                defect, labels, exact = _solve_combo(problem, zero_cap)
+            for (a_words, a_family), (b_words, b_family) in combos:
+                problem = _AssignmentProblem(n, a_family, b_family, tracker)
+                defect, labels, exact = _solve_combo(problem, zero_cap, best_defect)
                 if not exact:
                     exhausted = False
                 if best_defect is None or defect < best_defect:

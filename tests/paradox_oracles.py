@@ -6,6 +6,11 @@ re-checks at every visit what the certificate check already enforces, and
 raises a `ClassifierError` with an empty path where the walk cannot go on;
 the window scan that calls it names the piece.
 
+`preimages` is the preimage column of a translator word computed on
+`GroupElement`s, one inverse and one product per element of the word, as
+the generic loop of `_preimages` does on payloads; one-letter free
+translators are checked against it.
+
 `topdown_exact` is the memoized recursion that `_AssignmentProblem.exact`
 ran before it became a bottom-up program over dense per-layer arrays.  It
 charges one budget node the first time it meets each (layer, state) pair and
@@ -19,7 +24,7 @@ same `used`.
 import sys
 from fractions import Fraction
 
-from folnerlab.groups import FreeGroupModel, GroupElement
+from folnerlab.groups import FiniteWindow, FreeGroupModel, GroupElement
 from folnerlab.paradox import ClassifierError, _AssignmentProblem, _BudgetExhausted
 
 
@@ -74,6 +79,17 @@ def evaluate(clf: dict, g: GroupElement) -> bool:
             raise ClassifierError("", "residue classifier needs integer coordinates")
         return int(value) % clf["mod"] == clf["value"]
     raise ClassifierError("", f"unknown classifier op {op!r}")
+
+
+def preimages(window: FiniteWindow, word) -> list[int]:
+    model = window.model
+    column = []
+    for x in window:
+        y = x
+        for g in reversed(word):
+            y = model.mul(model.inv(g), y)
+        column.append(window.index(y) if y in window else -1)
+    return column
 
 
 def topdown_exact(problem: _AssignmentProblem) -> int:

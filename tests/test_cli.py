@@ -742,6 +742,8 @@ DEFECT = {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", "1"], "E":
 PARADOX_SEARCH = {"task": "paradox-search", "model": F2_MODEL,
                   "params": {"pool": ["a", "b"], "window_resolution": 1, "max_pieces": 4}}
 STANDARD_VERIFY = {"task": "paradox-verify", "model": F2_MODEL, "params": {"standard": True, "window_resolution": 1}}
+BUILD = {"task": "perturb", "model": CIRCLE,
+         "params": {"mode": "build", "indices": [{"E": ["0", "1/5"], "n": 4}], "radius": "1/10"}}
 # Config values that exit 1 and the field each must name: (base config,
 # params to put in, field, start of the message).
 FIELD_ERRORS = {
@@ -757,6 +759,19 @@ FIELD_ERRORS = {
     "search-crosscheck=1": (SEARCH, {"crosscheck": 1}, "params.crosscheck", "expected a JSON boolean"),
     "max_pieces=3": (PARADOX_SEARCH, {"max_pieces": 3}, "params.max_pieces", "must be at least 4"),
     "max_pieces=-2": (PARADOX_SEARCH, {"max_pieces": -2}, "params.max_pieces", "must be at least 4"),
+    "paradox-budget=0": (PARADOX_SEARCH, {"budget": 0}, "params.budget", "budget must be positive"),
+    "paradox-budget=-5": (PARADOX_SEARCH, {"budget": -5}, "params.budget", "budget must be positive"),
+    "build-budget=0": (BUILD, {"budget": 0}, "params.budget", "budget must be positive"),
+    "build-n=0": (BUILD, {"indices": [{"E": ["0", "1/5"], "n": 0}]}, "params.indices[0].n",
+                  "index multiplicities start at 2"),
+    "build-n=1-second-index": (BUILD, {"indices": [{"E": ["0", "1/5"], "n": 4}, {"E": ["0", "1/3"], "n": 1}]},
+                               "params.indices[1].n", "index multiplicities start at 2"),
+    "boxes-on-free": ({**SEARCH, "model": F2_MODEL}, {"E": ["a"], "strategy": "boxes"}, "params.strategy",
+                      "boxes strategy requires a lattice model"),
+    "boxes-on-circle": ({**SEARCH, "model": CIRCLE}, {"E": ["1/2"], "strategy": "boxes"}, "params.strategy",
+                        "boxes strategy requires a lattice model"),
+    "grid-on-Z2": ({**SEARCH, "model": {"kind": "lattice", "params": {"dim": 2}}}, {"E": ["1,0"], "strategy": "grid"},
+                   "params.strategy", "grid strategy requires circle or torus"),
 }
 
 
@@ -790,3 +805,13 @@ def test_budget_flag_below_one_names_the_flag(capsys):
     assert run(["folner-search", "--kind", "lattice", "--dim", "1", "--E", "1", "--radius", "0",
                 "--theta", "1/2", "--budget", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: --budget: budget must be positive")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_paradox_search_budget_flag_below_one_names_the_flag(tmp_path, capsys, budget):
+    assert run(["paradox", "search", "--kind", "free", "--rank", "2", "--window-resolution", "1",
+                "--pool=a;b", "--max-pieces", "4", f"--budget={budget}", "--out-dir", tmp_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --budget: budget must be positive")
+    assert "best_defect" not in captured.out
+    assert not (tmp_path / "report.json").exists()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerlab.groups import (
+    WINDOW_CAP,
     ArcMetric,
     DiscreteMetric,
     Entourage,
@@ -29,6 +30,7 @@ from folnerlab.groups import (
     window,
     word_ball,
 )
+from group_oracles import bfs_word_ball, letterwise_free_mul
 
 Z = make_model("lattice", dim=1)
 Z2 = make_model("lattice", dim=2)
@@ -39,6 +41,7 @@ T2 = make_model("torus", dim=2)
 Z12 = make_model("cyclic", modulus=12)
 
 ALL_MODELS = [Z, Z2, F2, H, C, T2, Z12]
+FREE_RANKS = [make_model("free", rank=rank) for rank in (1, 2, 3)]
 
 
 def lattice_elements(model):
@@ -277,6 +280,16 @@ def test_heisenberg_word_metric_matches_ball():
 def test_window_cap():
     with pytest.raises(WindowSizeError):
         word_ball(F2, 12, cap=1000)
+    # the cap is checked before a sphere is built: exactly |ball| passes
+    for model in FREE_RANKS + [Z2, H]:
+        for radius in range(7 if model.kind == "free" else 4):
+            size = len(bfs_word_ball(model, radius, WINDOW_CAP))
+            assert len(word_ball(model, radius, cap=size)) == size
+            if radius:
+                with pytest.raises(WindowSizeError):
+                    word_ball(model, radius, cap=size - 1)
+                with pytest.raises(WindowSizeError):
+                    bfs_word_ball(model, radius, cap=size - 1)
 
 
 def test_translate_window():
@@ -373,8 +386,9 @@ def test_cyclic_generators_reach_everything():
 
 
 def _random_payload(model, rng):
-    if model is F2:
-        return [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6))]
+    if model.kind == "free":
+        letters = tuple(x for i in range(1, model.rank + 1) for x in (i, -i))
+        return [rng.choice(letters) for _ in range(rng.randint(0, 6))]
     if model is H:
         return (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-6, 6))
     if model is Z12:
@@ -539,7 +553,9 @@ def test_payload_window_matches_element_oracle(model, seed):
         _assert_window_matches(translate_window(g, w), model, [model.mul(g, x) for x in w], probes)
 
 
-@pytest.mark.parametrize("model", [m for m in DIFFERENTIAL_MODELS if m.discrete], ids=repr)
+@pytest.mark.parametrize(
+    "model", [m for m in DIFFERENTIAL_MODELS if m.discrete] + [FREE_RANKS[0], FREE_RANKS[2]], ids=repr
+)
 def test_word_ball_and_grid_match_element_oracle(model):
     rng = random.Random(f"ball:{model!r}")
     probes = [model.element(_random_payload(model, rng)) for _ in range(20)]
@@ -548,6 +564,47 @@ def test_word_ball_and_grid_match_element_oracle(model):
         _assert_window_matches(word_ball(model, radius), model, ball, probes)
         if radius:
             _assert_window_matches(grid_sample(model, radius), model, ball, probes)
+    # free balls are generated in shortlex order; the breadth-first search sorts
+    for radius in range(7 if model.kind == "free" else 4):
+        ball, oracle = word_ball(model, radius), bfs_word_ball(model, radius, WINDOW_CAP)
+        assert ball == oracle and ball.elements == oracle.elements
+        if model.kind == "free":
+            # |B_n| = 1 + 2k((2k - 1)^n - 1) / (2k - 2) for rank k >= 2, 2n + 1 for rank 1
+            k = model.rank
+            assert len(ball) == (2 * radius + 1 if k == 1 else 1 + k * ((2 * k - 1) ** radius - 1) // (k - 1))
+
+
+def _random_reduced(rng, rank, length):
+    word = []
+    while len(word) < length:
+        letter = rng.choice([sign * i for i in range(1, rank + 1) for sign in (1, -1)])
+        if not word or word[-1] != -letter:
+            word.append(letter)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("model", FREE_RANKS + [make_model("free", rank=26)], ids=repr)
+def test_junction_product_matches_letterwise_oracle(model):
+    rng = random.Random(f"junction:{model.rank}")
+    shapes = {"random": 0, "full": 0, "partial": 0, "identity": 0}
+    for _ in range(3000):
+        a = _random_reduced(rng, model.rank, rng.randint(0, 9))
+        inverse = model._inv_data(a)
+        shape = rng.choice(sorted(shapes))
+        if shape == "random":
+            b = _random_reduced(rng, model.rank, rng.randint(0, 9))
+        elif shape == "full":
+            b = inverse
+        elif shape == "partial":  # cancel a suffix of a, then go on
+            b = inverse[: rng.randint(0, len(a))]
+            b = letterwise_free_mul(b, _random_reduced(rng, model.rank, rng.randint(0, 4)))
+        else:
+            b = ()
+            a, b = (a, b) if rng.random() < 0.5 else (b, a)
+        shapes[shape] += 1
+        assert model._mul_data(a, b) == letterwise_free_mul(a, b), (a, b)
+        assert model._mul_data(a, model._inv_data(a)) == ()
+    assert min(shapes.values()) > 0
 
 
 @pytest.mark.parametrize("model, resolution", [(C, 12), (T2, 4)], ids=["circle", "torus"])

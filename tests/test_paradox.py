@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from folnerlab import paradox
 from folnerlab.cli import ConfigError, run_scenario, run_scenario_config
-from folnerlab.groups import grid_sample, make_model, window
+from folnerlab.groups import FreeGroupModel, grid_sample, make_model, window, word_ball
 from folnerlab.paradox import (
     CertificateError,
     ClassifierError,
@@ -18,15 +19,18 @@ from folnerlab.paradox import (
     _AssignmentProblem,
     _Budget,
     _BudgetExhausted,
+    _Family,
+    _preimages,
     evaluate_classifier,
     f2_standard_certificate,
     search_small_paradox,
     verify_on_window,
 )
 from folnerlab.perturb import PerturbedAction
-from paradox_oracles import evaluate, topdown_exact
+from paradox_oracles import evaluate, preimages, topdown_exact
 
 F2 = make_model("free", rank=2)
+F3 = make_model("free", rank=3)
 Z = make_model("lattice", dim=1)
 Z2 = make_model("lattice", dim=2)
 C = make_model("circle")
@@ -436,6 +440,34 @@ def test_verify_on_window_matches_element_loop_on_standard_balls():
         assert all(eq["interior_violations"] == 0 for eq in report["equations"])
 
 
+def test_one_letter_preimage_column_matches_the_element_loop(monkeypatch):
+    rng = random.Random(9)
+    windows = [word_ball(F2, n) for n in range(6)] + [word_ball(F3, 3)]
+    windows += [_random_window(rng, F2) for _ in range(20)]
+    letters = [1, -1, 2, -2]
+    for _ in range(10):  # random reduced words, some past any ball above
+        words = set()
+        for _ in range(rng.randint(1, 40)):
+            word = []
+            for _ in range(rng.randint(0, 7)):
+                letter = rng.choice(letters)
+                word = word[:-1] if word and word[-1] == -letter else word + [letter]
+            words.add(tuple(word))
+        windows.append(window(F2, sorted(words)))
+    calls = []
+    product = FreeGroupModel._mul_data
+    monkeypatch.setattr(FreeGroupModel, "_mul_data", lambda self, a, b: calls.append(1) or product(self, a, b))
+    for win in windows:
+        model = win.model
+        longer = [(model.parse("a"), model.parse("b")), (model.parse("a,b"),), (model.parse("A"), model.parse("A"))]
+        for word in [(s,) for s in model.generators()] + longer:
+            calls.clear()
+            column = _preimages(win, word)
+            # one-letter translators slice; longer words take the generic loop
+            assert bool(calls) == (len(word) + len(word[0].data) > 2)
+            assert column == preimages(win, word)
+
+
 def test_verify_on_window_matches_element_loop_through_tables_on_circle():
     # partial injective rows on a 12-point grid; verify windows that drop grid
     # points and add points off the grid; residue classifiers raise on
@@ -642,6 +674,11 @@ def test_spend_many_matches_repeated_spend():
         assert (many.spend_many(count), many.used) == (_spend_one_by_one(one, count), one.used)
 
 
+def _problem(n, a_rows, b_rows, budget):
+    """The assignment problem of two families given by their preimage rows."""
+    return _AssignmentProblem(n, _Family(n, a_rows, 0), _Family(n, b_rows, len(a_rows)), budget)
+
+
 def _random_rows(rng, n, p):
     """p translator rows over n window indices, drawn with repeats.  Each
     is a partial injection, -1 where the preimage leaves the window: a
@@ -662,7 +699,7 @@ def _random_rows(rng, n, p):
 def _run_exact(solve, n, a_rows, b_rows, limit, used):
     budget = _Budget(limit)
     budget.used = used
-    problem = _AssignmentProblem(n, a_rows, b_rows, budget)
+    problem = _problem(n, a_rows, b_rows, budget)
     try:
         minimum = solve(problem)
     except _BudgetExhausted:
@@ -673,12 +710,12 @@ def _run_exact(solve, n, a_rows, b_rows, limit, used):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_matches_topdown_oracle(seed):
     rng = random.Random(f"exact:{seed}")
-    seen = {"p": set(), "repeated": 0, "outside": 0, "preset": 0, "exhausted": 0, "solved": 0}
+    seen = {"p": set(), "repeated": 0, "outside": 0, "preset": 0, "exhausted": 0, "solved": 0, "cut": 0}
     while seen["solved"] < 120:
         n, p = rng.randint(1, 12), rng.randint(2, 7)
         m = rng.randint(1, p // 2)
         rows = _random_rows(rng, n, p)
-        problem = _AssignmentProblem(n, rows[:m], rows[m:], _Budget(0))
+        problem = _problem(n, rows[:m], rows[m:], _Budget(0))
         if p ** problem.live_peak > 1000:
             continue
         states = sum(p ** len(problem.live_at[k]) for k in range(n))
@@ -687,23 +724,95 @@ def test_exact_matches_topdown_oracle(seed):
         want = _run_exact(topdown_exact, n, rows[:m], rows[m:], limit, used)
         got = _run_exact(_AssignmentProblem.exact, n, rows[:m], rows[m:], limit, used)
         assert got == want, (n, rows[:m], rows[m:], limit, used)
+        # with a bound and a lower-bound floor: the same budget and the same
+        # exhaustion; the same minimum and labels below the bound, else a
+        # value at least the bound
+        solved = want[0] != "exhausted"
+        if solved:
+            assert problem.floor <= want[0]
+        bound = rng.choice([rng.randint(1, 8), want[0] + rng.randint(0, 1) if solved else 1])
+        floor = rng.choice([0, problem.floor, rng.randint(0, want[0]) if solved else 0])
+        bounded = _run_exact(lambda pr: pr.exact(bound, floor), n, rows[:m], rows[m:], limit, used)
+        if not solved or want[0] < bound:
+            assert bounded == want, (n, rows[:m], rows[m:], limit, used, bound, floor)
+        else:
+            assert bounded[0] >= bound and bounded[2] == want[2]
+            seen["cut"] += 1
         seen["p"].add(p)
         seen["repeated"] += len({tuple(r) for r in rows}) < p
         seen["outside"] += any(-1 in r for r in rows)
         seen["preset"] += used > 0
         seen["exhausted" if want[0] == "exhausted" else "solved"] += 1
     assert seen["p"] == set(range(2, 8))
-    assert min(seen["repeated"], seen["outside"], seen["preset"], seen["exhausted"]) > 0
+    assert min(seen["repeated"], seen["outside"], seen["preset"], seen["exhausted"], seen["cut"]) > 0
+    assert seen["solved"] - seen["cut"] > 0
+
+
+def test_counting_floor_bounds_the_minimum():
+    # preimage rows are injective, where a source matches at most one
+    # target per label; arbitrary rows check the general cover count
+    rng = random.Random(13)
+    tight = 0
+    for trial in range(200):
+        n, p = rng.randint(1, 9), rng.randint(2, 5)
+        m = rng.randint(1, p // 2)
+        if trial % 2:
+            rows = _random_rows(rng, n, p)
+        else:
+            rows = [[rng.randint(-1, n - 1) for _ in range(n)] for _ in range(p)]
+        problem = _problem(n, rows[:m], rows[m:], _Budget(10**9))
+        if p ** problem.live_peak > 1000:
+            continue
+        minimum = topdown_exact(problem)
+        assert 0 <= problem.floor <= minimum, (n, rows[:m], rows[m:])
+        tight += 0 < problem.floor == minimum
+    assert tight > 0
+
+
+def _search_bound_cases():
+    rng = random.Random(20261019)
+    for trial in range(24):
+        model = (Z, Z2, F2)[trial % 3]
+        if model is Z:
+            lo = rng.randint(-5, 5)
+            win = window(Z, [(v,) for v in range(lo, lo + rng.randint(3, 9))])
+            pool = window(Z, rng.sample([(-2,), (-1,), (0,), (1,), (2,)], 3))
+        elif model is Z2:
+            box = [(i, j) for i in range(3) for j in range(3)]
+            win = window(Z2, rng.sample(box, rng.randint(4, 8)))
+            pool = window(Z2, rng.sample([(0, 0), (0, 1), (1, 0), (1, 1), (-1, 0)], 3))
+        else:
+            extra = rng.sample(["a,a", "a,b", "b,a", "a,B", "B,B", "A,b", "b,b"], rng.randint(0, 3))
+            win = window(F2, list(grid_sample(F2, 1)) + [F2.parse(w) for w in extra])
+            pool = window(F2, [F2.parse(w) for w in rng.sample(["a", "A", "b", "e", "a,b"], 3)])
+        pieces = 5 if trial % 4 == 0 else 4
+        budget = rng.choice([2_000_000, rng.randint(50, 3000)])
+        yield win, pool, pieces, budget
+
+
+def test_search_bound_changes_no_output(monkeypatch):
+    solve = paradox._solve_combo
+    seen = {"positive": 0, "budget ran out": 0}
+    for win, pool, pieces, budget in _search_bound_cases():
+        bounded = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(paradox, "_solve_combo", lambda problem, cap, bound: solve(problem, cap, None))
+            plain = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
+        assert bounded == plain
+        rows = plain["per_piece_count"]
+        seen["positive"] += any((r["best_defect"] or 0) > 0 for r in rows)
+        seen["budget ran out"] += plain["nodes_used"] > budget
+    assert min(seen.values()) > 0
 
 
 def test_exact_charges_one_node_per_state():
     rng = random.Random(11)
     rows = _random_rows(rng, 10, 5)
-    problem = _AssignmentProblem(10, rows[:2], rows[2:], _Budget(10**9))
+    problem = _problem(10, rows[:2], rows[2:], _Budget(10**9))
     states = sum(5 ** len(problem.live_at[k]) for k in range(10))
     problem.exact()
     assert problem.budget.used == states
-    short = _AssignmentProblem(10, rows[:2], rows[2:], _Budget(states - 1))
+    short = _problem(10, rows[:2], rows[2:], _Budget(states - 1))
     with pytest.raises(_BudgetExhausted):
         short.exact()
     assert short.budget.used == states
