@@ -51,6 +51,7 @@ from .groups import (
     parse_bool,
     parse_fraction,
     parse_index,
+    write_canonical_json,
 )
 from .matching import build_graph, max_matching
 from .paradox import (
@@ -235,11 +236,9 @@ class Artifacts:
         self.written: list[str] = []
 
     def write_json(self, name: str, payload) -> None:
-        if self.out_dir is None:
-            return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
-        self.written.append(name)
+        if self.out_dir is not None:
+            write_canonical_json(self.out_dir, name, payload)
+            self.written.append(name)
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> None:
         if self.out_dir is None:
@@ -261,9 +260,7 @@ def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
         "wall_time_s": wall,
         "artifacts": sorted(a for a in artifacts.written),
     }
-    if artifacts.out_dir is not None:
-        artifacts.out_dir.mkdir(parents=True, exist_ok=True)
-        (artifacts.out_dir / "manifest.json").write_text(canonical_json(payload), encoding="utf-8")
+    write_canonical_json(artifacts.out_dir, "manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +351,7 @@ def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_
         cert = result.certificate
         passed = "yes" if result.found else "no"
         bound = _crosscheck_bound(crosscheck, cert)
-        rows.append([result.candidates_tried - 1, len(cert.F), str(cert.theta), bound, passed])
+        rows.append([result.best_index, len(cert.F), str(cert.theta), bound, passed])
         artifacts.write_json("certificate.json", result.to_json())
     artifacts.write_csv("report.csv", ["candidate_id", "|F|", "theta", "seminorm_bound", "passed"], rows)
     print(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, product
 from typing import Callable, Iterator, Optional
 
 from .groups import (
@@ -263,12 +264,17 @@ def _bridge_values(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
 
 @dataclass
 class FolnerSearchResult:
+    """`budget_exhausted`: the target was not met and all `budget`
+    candidates were tried.  `best_index` (0-based, not serialized) is the
+    position of the certificate's window among the candidates tried."""
+
     found: bool
     theta_target: Fraction
     certificate: Optional[FolnerCertificate]
     best_theta: Fraction
     candidates_tried: int
     budget_exhausted: bool
+    best_index: int
 
     def to_json(self) -> dict:
         return {
@@ -281,28 +287,13 @@ class FolnerSearchResult:
         }
 
 
-def _ball_candidates(model: GroupModel) -> Iterator[FiniteWindow]:
-    radius = 1
-    while True:
-        yield word_ball(model, radius)
-        radius += 1
+# A candidate window with its defect and certificate, solved once.
+Scored = tuple[FiniteWindow, Fraction, FolnerCertificate]
 
 
-def _box_candidates(model: LatticeModel) -> Iterator[FiniteWindow]:
-    n = 1
-    while True:
-        points = [()]
-        for _ in range(model.dim):
-            points = [p + (k,) for p in points for k in range(n)]
-        yield FiniteWindow(model, [model.element(p) for p in points])
-        n += 1
-
-
-def _grid_candidates(model: GroupModel) -> Iterator[FiniteWindow]:
-    n = 1
-    while True:
-        yield grid_sample(model, n)
-        n += 1
+def _box(model: LatticeModel, n: int) -> FiniteWindow:
+    """The box {0, ..., n-1}^dim."""
+    return FiniteWindow(model, [model.element(p) for p in product(range(n), repeat=model.dim)])
 
 
 def _local_candidates(
@@ -310,8 +301,10 @@ def _local_candidates(
     E: FiniteWindow,
     U: Entourage,
     seed: Optional[int],
-) -> Iterator[FiniteWindow]:
-    """Hill-climb by single-element swaps in canonical order."""
+) -> Iterator[Scored]:
+    """Hill-climb by single-element swaps in canonical order: each step
+    moves to the first swap that raises theta.  At a local maximum an
+    unseeded climb ends and a seeded one restarts from a random window."""
     import random
 
     if not model.discrete:
@@ -320,27 +313,26 @@ def _local_candidates(
         pool = list(word_ball(model, 4))
     rng = random.Random(seed) if seed is not None else None
 
-    current = FiniteWindow(model, pool[: max(1, len(pool) // 4)])
+    def scored(F: FiniteWindow) -> Scored:
+        return (F, *topological_defect(F, E, U))
+
+    def first_improvement(F: FiniteWindow, theta: Fraction) -> Optional[Scored]:
+        for out in F:
+            for inc in pool:
+                if inc not in F:
+                    trial = scored(FiniteWindow(model, [x for x in F if x != out] + [inc]))
+                    if trial[1] > theta:
+                        return trial
+        return None
+
+    current = scored(FiniteWindow(model, pool[: max(1, len(pool) // 4)]))
     while True:
         yield current
-        theta, _ = topological_defect(current, E, U)
-        improved = False
-        for out in current:
-            for inc in pool:
-                if inc in current:
-                    continue
-                trial = FiniteWindow(model, [x for x in current if x != out] + [inc])
-                t2, _ = topological_defect(trial, E, U)
-                if t2 > theta:
-                    current = trial
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        current = first_improvement(*current[:2])
+        if current is None:
             if rng is None:
                 return
-            current = FiniteWindow(model, rng.sample(pool, max(1, len(pool) // 3)))
+            current = scored(FiniteWindow(model, rng.sample(pool, max(1, len(pool) // 3))))
 
 
 def check_strategy(model: GroupModel, strategy: str) -> None:
@@ -363,51 +355,33 @@ def folner_search(
     budget: int = 50,
     seed: Optional[int] = None,
 ) -> FolnerSearchResult:
-    """First candidate window meeting the target, or the best-found report."""
+    """First candidate window meeting the target, or the best-found report.
+    At most `budget` candidates are built, and each is solved once."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     check_strategy(model, strategy)
     theta_target = Fraction(theta_target)
-    if strategy == "balls":
-        candidates = _ball_candidates(model)
-    elif strategy == "boxes":
-        candidates = _box_candidates(model)
-    elif strategy == "grid":
-        candidates = _grid_candidates(model)
-    else:
+    if strategy == "local":
         candidates = _local_candidates(model, E, U, seed)
+    else:
+        build = {"balls": word_ball, "boxes": _box, "grid": grid_sample}[strategy]
+        windows = (build(model, n) for n in count(1))
+        candidates = ((F, *topological_defect(F, E, U)) for F in windows)
 
-    best_theta = ZERO
-    best_cert: Optional[FolnerCertificate] = None
-    tried = 0
-    for F in candidates:
-        if tried >= budget:
-            return FolnerSearchResult(
-                found=False,
-                theta_target=theta_target,
-                certificate=best_cert,
-                best_theta=best_theta,
-                candidates_tried=tried,
-                budget_exhausted=True,
-            )
-        tried += 1
-        theta, cert = topological_defect(F, E, U)
+    tried = best_index = 0
+    best_theta, best_cert = ZERO, None
+    for tried, (_, theta, cert) in enumerate(islice(candidates, budget), 1):
         if best_cert is None or theta > best_theta:
-            best_theta, best_cert = theta, cert
+            best_theta, best_cert, best_index = theta, cert, tried - 1
         if theta >= theta_target:
-            return FolnerSearchResult(
-                found=True,
-                theta_target=theta_target,
-                certificate=cert,
-                best_theta=theta,
-                candidates_tried=tried,
-                budget_exhausted=False,
-            )
+            break
+    found = best_theta >= theta_target
     return FolnerSearchResult(
-        found=False,
+        found=found,
         theta_target=theta_target,
         certificate=best_cert,
         best_theta=best_theta,
         candidates_tried=tried,
-        budget_exhausted=False,
+        budget_exhausted=not found and tried == budget,
+        best_index=best_index,
     )

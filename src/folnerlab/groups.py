@@ -24,7 +24,8 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Optional
 
 WINDOW_CAP = 100_000
 
@@ -75,6 +76,15 @@ def canonical_json(payload) -> str:
     """The one text form of every JSON artifact: sorted keys, two-space
     indent, a final newline."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_canonical_json(out_dir: Optional[Path], name: str, payload) -> None:
+    """Write `canonical_json(payload)` to out_dir/name, creating the
+    directory; with no directory nothing is written."""
+    if out_dir is None:
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
 
 
 def parse_bool(value, field: str) -> bool:

@@ -889,16 +889,21 @@ def search_small_paradox(
     rows = {g: _preimages(window, (g,)) for g in pool}
     families: dict[tuple, _Family] = {}
 
-    def options(size: int, offset: int) -> list[tuple[tuple[GroupElement, ...], _Family]]:
-        """The translator multisets of `size` pool words, each with its
-        family set-up at label `offset`, built once per search."""
-        out = []
-        for words in _sorted_multisets(list(pool), size, model):
-            key = (tuple(g.data for g in words), offset)
-            if key not in families:
-                families[key] = _Family(n, [rows[g] for g in words], offset)
-            out.append((words, families[key]))
-        return out
+    def options(size: int, offset: int) -> list[tuple[tuple[GroupElement, ...], tuple]]:
+        """The translator multisets of `size` pool words, each with the key
+        of its family set-up at label `offset`."""
+        return [
+            (words, (tuple(g.data for g in words), offset))
+            for words in _sorted_multisets(list(pool), size, model)
+        ]
+
+    def family(words: tuple[GroupElement, ...], key: tuple) -> _Family:
+        """The family set-up of `words` under `key` (their payloads and
+        label offset), built the first time a combo reaches it and shared
+        for the rest of the search."""
+        if key not in families:
+            families[key] = _Family(n, [rows[g] for g in words], key[1])
+        return families[key]
 
     tracker = _Budget(budget)
     zero_cap = max(500, 25 * n)
@@ -926,8 +931,8 @@ def search_small_paradox(
         best_checkable = 0
         exhausted = True
         try:
-            for (a_words, a_family), (b_words, b_family) in combos:
-                problem = _AssignmentProblem(n, a_family, b_family, tracker)
+            for (a_words, a_key), (b_words, b_key) in combos:
+                problem = _AssignmentProblem(n, family(a_words, a_key), family(b_words, b_key), tracker)
                 defect, labels, exact = _solve_combo(problem, zero_cap, best_defect)
                 if not exact:
                     exhausted = False

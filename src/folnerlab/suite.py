@@ -34,10 +34,10 @@ from .groups import (
     Entourage,
     FiniteWindow,
     WordMetric,
-    canonical_json,
     grid_sample,
     make_model,
     window,
+    write_canonical_json,
 )
 from .matching import (
     BipartiteInstance,
@@ -64,13 +64,6 @@ class CriterionResult:
     def row(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.number:2d} {self.name}: {self.measured} ({self.elapsed:.2f}s)"
-
-
-def _write_json(out_dir: Optional[Path], name: str, payload) -> None:
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +168,7 @@ def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[bool, st
     expected = _box(Z2, 10)
     ok = search.found and search.certificate.F == expected
     if ok:
-        _write_json(out_dir, "lattice_box_search.json", search.to_json())
+        write_canonical_json(out_dir, "lattice_box_search.json", search.to_json())
     measured = "defects 1-1/n for n=2..30; search returned the 10x10 box" if ok else "search missed the 10x10 box"
     return ok, measured, certs
 
@@ -231,7 +224,7 @@ def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[bool, str
     search = folner_search(F2, E, U, Fraction(3, 5), strategy="balls", budget=6)
     ok = (not search.found) and search.best_theta < Fraction(51, 100)
     if ok:
-        _write_json(out_dir, "free_ball_search.json", search.to_json())
+        write_canonical_json(out_dir, "free_ball_search.json", search.to_json())
     measured = (
         f"defects match (3^n-1)/(2*3^n-1); search best {search.best_theta} < 0.51, target not met"
         if ok
@@ -263,7 +256,7 @@ def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[bool, 
     if theta2 != Fraction(oracle, len(F)):
         return False, f"off-grid defect {theta2} vs oracle {oracle}/12", certs
     certs.append(cert2)
-    _write_json(out_dir, "circle_rotation_certificates.json", [cert.to_json(), cert2.to_json()])
+    write_canonical_json(out_dir, "circle_rotation_certificates.json", [cert.to_json(), cert2.to_json()])
     measured = f"aligned defect 1 (identity matching); off-grid defect {theta2} equals the exhaustive oracle"
     return True, measured, certs
 
@@ -382,7 +375,7 @@ def criterion_09_precompact(out_dir: Optional[Path] = None) -> tuple[bool, str]:
         and result.order_bound % result.group_order == 0
         and report.entries_checked == 60 * 12
     )
-    _write_json(out_dir, "precompact_circle.json", result.to_json())
+    write_canonical_json(out_dir, "precompact_circle.json", result.to_json())
     return (
         ok,
         f"|F|={len(result.centers)}, order {result.group_order} divides {result.order_bound}, "
@@ -404,7 +397,7 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
         len(p.D) >= (1 - Fraction(1, p.multiplicity)) * len(p.F) for p in assembled.placements
     )
     ok = report.ok and involutions and cores_ok
-    _write_json(out_dir, "assembled_perturbation.json", assembled.action.to_json())
+    write_canonical_json(out_dir, "assembled_perturbation.json", assembled.action.to_json())
     return (
         ok,
         f"0 violations of {report.entries_checked} entries; involutions hold; "
@@ -450,7 +443,7 @@ def criterion_11_free_paradox(out_dir: Optional[Path] = None) -> tuple[bool, str
     corrupted.b_pieces[0] = {"op": "first_letter", "letter": "a"}
     bad = verify_on_window(corrupted, grid_sample(F2, 4))
     ok = bad.interior_violations >= 1
-    _write_json(out_dir, "free_paradox_certificate.json", cert.to_json())
+    write_canonical_json(out_dir, "free_paradox_certificate.json", cert.to_json())
     return ok, f"zero interior violations through radius 8 (|B_8|={len(ball)}); corruption flagged {bad.interior_violations}"
 
 

@@ -61,6 +61,22 @@ def test_search_target_not_met_exit_2(tmp_path):
     assert payload["found"] is False
 
 
+def test_search_report_names_the_best_candidate(tmp_path):
+    # The grid search misses target 1 on all five grids; the best theta (0,
+    # on the one-point grid {0}) is candidate 0, not the last one tried.
+    config = {
+        "task": "search",
+        "model": {"kind": "circle", "params": {}},
+        "params": {"E": ["1/12"], "radius": "1/144", "theta": "1", "strategy": "grid", "budget": 5},
+    }
+    assert run_scenario_config(config, out_dir=tmp_path) == 2
+    payload = json.loads((tmp_path / "certificate.json").read_text())
+    assert payload["candidates_tried"] == 5
+    assert payload["certificate"]["F"] == ["0"]
+    report = (tmp_path / "report.csv").read_text().splitlines()
+    assert report[1] == "0,1,0,,no"
+
+
 def test_matching_subcommand(tmp_path, capsys):
     code = run(
         [

@@ -1,6 +1,7 @@
 """Folner defects, certificates, the seminorm bridge, and the search."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from folnerlab.groups import (
     window,
 )
 from folnerlab.matching import build_graph
+from search_oracles import lookahead_search
 
 Z = make_model("lattice", dim=1)
 Z2 = make_model("lattice", dim=2)
@@ -406,3 +408,107 @@ def test_certificate_reload_builds_each_graph_once(monkeypatch):
     assert calls == []
     restored.verify()
     assert len(calls) == len(E)
+
+
+# ---------------------------------------------------------------------------
+# The search against its lookahead oracle
+# ---------------------------------------------------------------------------
+
+SEARCH_SPACES = {
+    # model, pool elements, entourage radii, strategies that fit the model
+    "Z": (Z, [(1,), (-1,), (2,), (3,)], [0, 1], ("balls", "boxes", "local")),
+    "Z2": (Z2, [(1, 0), (0, 1), (-1, 0), (1, 1)], [0, 1], ("balls", "boxes", "local")),
+    "F2": (F2, ["a", "b", "A", "a,b"], [0], ("balls", "local")),
+    "circle": (C, [Fraction(j, 12) for j in (1, 2, 3, 5)], [Fraction(1, 144), Fraction(1, 24)], ("balls", "grid", "local")),
+}
+SEARCH_CASES = [
+    (name, strategy, instance)
+    for name, (_, _, _, strategies) in SEARCH_SPACES.items()
+    for strategy in strategies
+    for instance in range(3)
+]
+
+
+def _search_instance(name: str, strategy: str, instance: int):
+    """A seeded instance (E, U, target, budget, climb seed) of a search space.
+    Climbs on F2 get budget 1: each step of one scores hundreds of swaps."""
+    model, elements, radii, _ = SEARCH_SPACES[name]
+    rng = random.Random(f"{name}:{strategy}:{instance}")
+    items = rng.sample(elements, rng.randint(1, 2))
+    E = window(model, [model.parse(x) if isinstance(x, str) else x for x in items])
+    metric = WordMetric(model) if model.discrete else ArcMetric(model)
+    U = Entourage(metric, Fraction(rng.choice(radii)))
+    target = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(9, 10), Fraction(1)])
+    budget = 1 if (name, strategy) == ("F2", "local") else rng.randint(1, 4)
+    return model, E, U, target, budget, rng.randrange(100)
+
+
+@pytest.mark.parametrize("name,strategy,instance", SEARCH_CASES)
+def test_folner_search_matches_lookahead_oracle(name, strategy, instance):
+    model, E, U, target, budget, climb_seed = _search_instance(name, strategy, instance)
+    for seed in (None, climb_seed):
+        new = folner_search(model, E, U, target, strategy=strategy, budget=budget, seed=seed)
+        old = lookahead_search(model, E, U, target, strategy, budget, seed=seed)
+        assert (new.found, new.best_theta, new.candidates_tried) == (old.found, old.best_theta, old.candidates_tried)
+        assert new.certificate.to_json() == old.certificate.to_json()
+        assert new.budget_exhausted == (not new.found and new.candidates_tried == budget)
+        if new.budget_exhausted != old.budget_exhausted:
+            # the oracle also needs a candidate past the budget, which only a
+            # seedless climb can lack
+            assert (strategy, seed, new.budget_exhausted) == ("local", None, True)
+
+
+def test_budget_exhausted_when_a_seedless_climb_ends_at_its_budget():
+    # From {-4, -3} no swap raises theta = 1/2, so the climb has one candidate.
+    E = window(Z, [(1,), (-1,)])
+    new = folner_search(Z, E, U0_Z, Fraction(1), strategy="local", budget=1)
+    old = lookahead_search(Z, E, U0_Z, Fraction(1), "local", 1)
+    assert new.candidates_tried == old.candidates_tried == 1
+    assert new.budget_exhausted and not old.budget_exhausted
+    assert not folner_search(Z, E, U0_Z, Fraction(1), strategy="local", budget=2).budget_exhausted
+
+
+def _recording_defect(monkeypatch) -> list:
+    solved = []
+    solve = folner.topological_defect
+
+    def recording(F, E, U):
+        solved.append(F)
+        return solve(F, E, U)
+
+    monkeypatch.setattr(folner, "topological_defect", recording)
+    return solved
+
+
+def test_local_search_builds_no_candidate_past_its_budget(monkeypatch):
+    # This seedless climb on Z^2 moves twice before it stops at theta = 3/5.
+    E = window(Z2, [(0, 1), (1, 0)])
+    solved = _recording_defect(monkeypatch)
+    candidates, runs = [], []
+    for budget in (1, 2, 3):
+        solved.clear()
+        result = folner_search(Z2, E, U0_Z2, Fraction(1), strategy="local", budget=budget)
+        assert result.candidates_tried == budget and result.best_index == budget - 1
+        # every step raises theta, so the best candidate is the last one
+        candidates.append(result.certificate.F)
+        runs.append(list(solved))
+    for budget, solved in enumerate(runs, 1):
+        # each candidate is solved once, and nothing after the last one
+        assert solved[-1] == candidates[budget - 1]
+        assert [solved.count(F) for F in candidates[:budget]] == [1] * budget
+    # each budget solves a strict prefix of what the next one solves
+    for shorter, longer in zip(runs, runs[1:]):
+        assert longer[: len(shorter)] == shorter and len(longer) > len(shorter)
+
+
+@pytest.mark.parametrize("strategy,builder", [("balls", "word_ball"), ("boxes", "_box")])
+def test_fixed_search_builds_and_solves_each_candidate_once(monkeypatch, strategy, builder):
+    build = getattr(folner, builder)
+    built = []
+    monkeypatch.setattr(folner, builder, lambda model, n: built.append(n) or build(model, n))
+    solved = _recording_defect(monkeypatch)
+    E = window(Z2, [(1, 0), (0, 1)])
+    result = folner_search(Z2, E, U0_Z2, Fraction(1), strategy=strategy, budget=4)
+    assert result.candidates_tried == 4 and result.budget_exhausted
+    assert built == [1, 2, 3, 4]
+    assert len(solved) == len(set(solved)) == 4

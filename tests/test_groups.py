@@ -192,11 +192,10 @@ def test_grid_sample_circle():
 
 
 def test_grid_sample_free_ball_sizes():
-    # |B_n| = 2 * 3^n - 1 for rank 2
-    for n in range(0, 5):
-        assert len(grid_sample(F2, n)) if n else 1 == 2 * 3**n - 1 if n else 1
-    assert len(grid_sample(F2, 2)) == 17
-    assert len(grid_sample(F2, 3)) == 53
+    # |B_n| = 2 * 3^n - 1 for rank 2; grid_sample rejects n = 0
+    assert len(word_ball(F2, 0)) == 1
+    for n in range(1, 5):
+        assert len(grid_sample(F2, n)) == 2 * 3**n - 1
 
 
 def test_grid_sample_lattice():
