@@ -1,6 +1,8 @@
 """Scenario-driven command line.
 
-Every subcommand assembles a scenario (or loads one from --config), runs it
+Every subcommand loads a scenario from --config or builds one from its flags
+(`main` is the one place where flags become a scenario: a flag left out
+leaves its field out, and the task fills in the field's default), runs it
 under the shared engine, and writes three kinds of artifact into the output
 directory: certificate JSON (canonical: sorted keys, exact rationals as
 strings, no timestamps), a report CSV, and a manifest carrying the config
@@ -26,6 +28,8 @@ from typing import Callable, Optional
 
 from . import __version__
 from .folner import (
+    DEFAULT_STRATEGY,
+    SEARCH_BUDGET,
     STRATEGIES,
     FolnerCertificate,
     check_strategy,
@@ -45,7 +49,6 @@ from .groups import (
     ScaledMetric,
     canonical_json,
     grid_sample,
-    make_model,
     metric_from_json,
     model_from_json,
     parse_bool,
@@ -56,26 +59,19 @@ from .groups import (
 from .matching import build_graph, max_matching
 from .paradox import (
     MIN_PIECES,
+    PARADOX_BUDGET,
     ClassifierError,
     ParadoxCertificate,
     f2_standard_certificate,
     search_small_paradox,
     verify_on_window,
 )
-from .perturb import PerturbedAction, build_perturbation, decompose_wobbling, precompact_perturbation, verify_perturbation
-from .suite import run_suite
-from .weights import FiniteWeight, invariance_defect, lipschitz_seminorm
-
-TASKS = (
-    "defect",
-    "search",
-    "seminorm",
-    "perturb",
-    "precompact",
-    "paradox-verify",
-    "paradox-search",
-    "suite",
+from .perturb import (
+    PACKAGE_BUDGET, PerturbedAction, build_perturbation, decompose_wobbling, precompact_perturbation,
+    verify_perturbation,
 )
+from .suite import CRITERIA, run_suite
+from .weights import FiniteWeight, invariance_defect, lipschitz_seminorm
 
 
 class ConfigError(ValueError):
@@ -167,6 +163,13 @@ def _window_or_grid(params: dict, model: GroupModel, key: str, resolution_key: s
         return grid_sample(model, resolution)
     except ValueError as exc:  # a resolution below 1, or a grid past the cap
         raise ConfigError(path, str(exc))
+
+
+def _budget(params: dict, default: int) -> int:
+    budget = _integer(params.get("budget", default), "params.budget")
+    if budget <= 0:
+        raise ConfigError("params.budget", "budget must be positive")
+    return budget
 
 
 def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
@@ -329,7 +332,7 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
     return 0
 
 
-def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_flag: Optional[int]) -> int:
+def _run_search(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     _expect(params, "params", ("E", "theta", "strategy"), ("radius", "metric", "budget", "crosscheck"))
     crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
@@ -337,15 +340,13 @@ def _run_search(config: dict, artifacts: Artifacts, seed: Optional[int], budget_
     E = _load_window(params["E"], model, "params.E")
     U = _load_entourage(params, model, "params")
     theta = _rational(params["theta"], "params.theta")
-    budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 50), "params.budget")
-    if budget <= 0:
-        raise ConfigError("--budget" if budget_flag is not None else "params.budget", "budget must be positive")
+    budget = _budget(params, SEARCH_BUDGET)
     strategy = params["strategy"]
     try:
         check_strategy(model, strategy)
     except ValueError as exc:
         raise ConfigError("params.strategy", str(exc))
-    result = folner_search(model, E, U, theta, strategy=strategy, budget=budget, seed=seed)
+    result = folner_search(model, E, U, theta, strategy=strategy, budget=budget, seed=config.get("seed"))
     rows = []
     if result.certificate is not None:
         cert = result.certificate
@@ -408,14 +409,34 @@ def _run_matching(config: dict, artifacts: Artifacts) -> int:
     return 0
 
 
+PRECOMPACT_FIELDS = ("radius", "metric", "window", "window_resolution", "pool", "sample_resolution")
+
+
+def _precompact(params: dict, model: GroupModel, artifacts: Artifacts) -> int:
+    U = _load_entourage(params, model, "params")
+    win = _window_or_grid(params, model, "window", "window_resolution", 60)
+    sample = _window_or_grid(params, model, "pool", "sample_resolution", 12)
+    result = precompact_perturbation(model, U, win, sample)
+    artifacts.write_json("certificate.json", result.to_json())
+    print(
+        f"precompact: |F|={len(result.centers)} order={result.group_order} "
+        f"bound={result.order_bound} lift={result.lift_mode}"
+    )
+    return 0
+
+
+def _run_precompact(config: dict, artifacts: Artifacts) -> int:
+    _expect(config["params"], "params", (), PRECOMPACT_FIELDS)
+    return _precompact(config["params"], _load_model(config["model"], "model"), artifacts)
+
+
 def _run_perturb(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     _expect(
         params,
         "params",
         ("mode",),
-        ("indices", "radius", "metric", "budget", "action", "window_resolution",
-         "sample_resolution", "window", "pool", "permutation"),
+        ("indices", "budget", "action", "permutation") + PRECOMPACT_FIELDS,
     )
     model = _load_model(config["model"], "model")
     mode = params["mode"]
@@ -431,10 +452,7 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
             if n < 2:
                 raise ConfigError(f"params.indices[{k}].n", "index multiplicities start at 2")
             family.append((E, n))
-        budget = _integer(params.get("budget", 60), "params.budget")
-        if budget <= 0:
-            raise ConfigError("params.budget", "budget must be positive")
-        assembled = build_perturbation(model, family, U, budget=budget)
+        assembled = build_perturbation(model, family, U, budget=_budget(params, PACKAGE_BUDGET))
         artifacts.write_json("certificate.json", assembled.action.to_json())
         artifacts.write_json("report.json", assembled.report.to_json())
         print(f"build: window={len(assembled.action.window)} violations={len(assembled.report.violations)}")
@@ -451,16 +469,7 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
         print(f"verify: violations={len(report.violations)} max_deviation={report.max_deviation}")
         return 0 if report.ok else 2
     if mode == "precompact":
-        U = _load_entourage(params, model, "params")
-        win = _window_or_grid(params, model, "window", "window_resolution", 60)
-        sample = _window_or_grid(params, model, "pool", "sample_resolution", 12)
-        result = precompact_perturbation(model, U, win, sample)
-        artifacts.write_json("certificate.json", result.to_json())
-        print(
-            f"precompact: |F|={len(result.centers)} order={result.group_order} "
-            f"bound={result.order_bound} lift={result.lift_mode}"
-        )
-        return 0
+        return _precompact(params, model, artifacts)
     if mode == "wobble":
         for key in ("window", "pool", "permutation"):
             if key not in params:
@@ -484,6 +493,10 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
     raise ConfigError("params.mode", f"unknown mode {mode!r}")
 
 
+# Default word radius of the window a paradox certificate is checked or searched on.
+PARADOX_WINDOW_RESOLUTION = 4
+
+
 def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     _expect(params, "params", (), ("certificate", "standard", "window", "window_resolution", "action"))
@@ -503,7 +516,7 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
             raise _certificate_error(exc, "params.certificate")
     else:
         raise ConfigError("params.certificate", "need a certificate or standard: true")
-    win = _window_or_grid(params, model, "window", "window_resolution", 4)
+    win = _window_or_grid(params, model, "window", "window_resolution", PARADOX_WINDOW_RESOLUTION)
     action = _load_action(params["action"], model, "params.action") if "action" in params else None
     try:
         report = verify_on_window(cert, win, action)
@@ -520,15 +533,13 @@ def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
     return 0 if report.interior_violations == 0 else 2
 
 
-def _run_paradox_search(config: dict, artifacts: Artifacts, budget_flag: Optional[int]) -> int:
+def _run_paradox_search(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
     _expect(params, "params", ("pool", "max_pieces"), ("window", "window_resolution", "budget"))
     model = _load_model(config["model"], "model")
-    win = _window_or_grid(params, model, "window", "window_resolution", 4)
+    win = _window_or_grid(params, model, "window", "window_resolution", PARADOX_WINDOW_RESOLUTION)
     pool = _load_window(params["pool"], model, "params.pool")
-    budget = budget_flag if budget_flag is not None else _integer(params.get("budget", 2_000_000), "params.budget")
-    if budget <= 0:
-        raise ConfigError("--budget" if budget_flag is not None else "params.budget", "budget must be positive")
+    budget = _budget(params, PARADOX_BUDGET)
     max_pieces = _integer(params["max_pieces"], "params.max_pieces")
     if max_pieces < MIN_PIECES:
         raise ConfigError("params.max_pieces", f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
@@ -551,6 +562,8 @@ def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
     params = config.get("params", {})
     _expect(params, "params", (), ("criteria", "scenarios"))
     if "scenarios" in params:
+        if "criteria" in params:
+            raise ConfigError("params.criteria", "give criteria or scenarios, not both")
         directory = Path(params["scenarios"])
         rows = []
         status = 0
@@ -564,6 +577,9 @@ def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
             print(f"{name}: exit {code}")
         return status
     numbers = _integers(params["criteria"], "params.criteria") if "criteria" in params else None
+    for k, number in enumerate(numbers or ()):
+        if number not in (n for n, _, _ in CRITERIA):
+            raise ConfigError(f"params.criteria[{k}]", f"unknown criterion {number}")
     results = run_suite(out_dir=artifacts.out_dir, numbers=numbers)
     artifacts.write_csv(
         "report.csv",
@@ -579,17 +595,24 @@ def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
 # Scenario engine
 # ---------------------------------------------------------------------------
 
+TASKS: dict[str, Callable[[dict, Artifacts], int]] = {
+    "defect": _run_defect,
+    "search": _run_search,
+    "seminorm": _run_seminorm,
+    "matching": _run_matching,
+    "perturb": _run_perturb,
+    "precompact": _run_precompact,
+    "paradox-verify": _run_paradox_verify,
+    "paradox-search": _run_paradox_search,
+    "suite": _run_suite_task,
+}
 
-def run_scenario_config(
-    config: dict,
-    out_dir: Optional[Path] = None,
-    seed: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> int:
+
+def run_scenario_config(config: dict, out_dir: Optional[Path] = None) -> int:
     started = time.time()
     _expect(config, "scenario", ("task",), ("model", "params", "seed", "out_dir"))
     task = config["task"]
-    if task not in TASKS and task != "matching":
+    if not isinstance(task, str) or task not in TASKS:
         raise ConfigError("task", f"unknown task {task!r}")
     if "params" not in config and task != "suite":
         raise ConfigError("params", "missing required field")
@@ -600,33 +623,12 @@ def run_scenario_config(
     )
     if task != "suite" and not cert_only and "model" not in config:
         raise ConfigError("model", "missing required field")
-    if seed is None and "seed" in config:
-        seed = _integer(config["seed"], "seed")
+    if "seed" in config:
+        _integer(config["seed"], "seed")
     if out_dir is None and "out_dir" in config:
         out_dir = Path(config["out_dir"])
     artifacts = Artifacts(out_dir)
-    if task == "defect":
-        code = _run_defect(config, artifacts)
-    elif task == "search":
-        code = _run_search(config, artifacts, seed, budget)
-    elif task == "seminorm":
-        code = _run_seminorm(config, artifacts)
-    elif task == "matching":
-        code = _run_matching(config, artifacts)
-    elif task == "perturb":
-        code = _run_perturb(config, artifacts)
-    elif task == "precompact":
-        merged = dict(config)
-        merged_params = dict(config["params"])
-        merged_params.setdefault("mode", "precompact")
-        merged["params"] = merged_params
-        code = _run_perturb(merged, artifacts)
-    elif task == "paradox-verify":
-        code = _run_paradox_verify(config, artifacts)
-    elif task == "paradox-search":
-        code = _run_paradox_search(config, artifacts, budget)
-    else:
-        code = _run_suite_task(config, artifacts)
+    code = TASKS[task](config, artifacts)
     _manifest(config, artifacts, time.time() - started)
     return code
 
@@ -642,25 +644,18 @@ def _read_config(path: Path | str) -> dict:
         raise ValueError(f"config is not valid JSON: {exc}")
 
 
-def _run_reporting_errors(
-    load: Callable[[], dict], out_dir: Optional[Path], seed: Optional[int], budget: Optional[int]
-) -> int:
-    """Load and run a scenario; malformed input (a ConfigError is a ValueError)
-    or a failed construction is one `error:` line on stderr and exit 1."""
+def _reporting_errors(run: Callable[[], int]) -> int:
+    """Run a command; malformed input (a ConfigError is a ValueError) or a
+    failed construction is one `error:` line on stderr and exit 1."""
     try:
-        return run_scenario_config(load(), out_dir=out_dir, seed=seed, budget=budget)
+        return run()
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def run_scenario(
-    path: Path | str,
-    out_dir: Optional[Path] = None,
-    seed: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> int:
-    return _run_reporting_errors(lambda: _read_config(path), out_dir, seed, budget)
+def run_scenario(path: Path | str, out_dir: Optional[Path] = None) -> int:
+    return _reporting_errors(lambda: run_scenario_config(_read_config(path), out_dir=out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -668,31 +663,17 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="scenario JSON (overrides other flags)")
-    parser.add_argument("--out-dir", type=Path, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--budget", type=int, default=None)
-
-
-def _window_arg(path_or_inline: str) -> list[str]:
-    p = Path(path_or_inline)
-    if p.suffix == ".json" and p.exists():
-        return json.loads(p.read_text(encoding="utf-8"))
-    return [s for s in path_or_inline.split(";") if s]
-
-
-def _model_arg(args) -> dict:
-    if args.model is not None:
-        return json.loads(Path(args.model).read_text(encoding="utf-8"))
-    params = {}
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.rank is not None:
-        params["rank"] = args.rank
-    if args.modulus is not None:
-        params["modulus"] = args.modulus
-    return {"kind": args.kind, "params": params}
+def _command(sub, name: str, summary: str, with_model: bool = True):
+    """A scenario subcommand: --config or the flags that build the same
+    scenario, and --out-dir."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument(
+        "--config", type=Path, help="scenario JSON; replaces every flag but --out-dir, --seed and --budget"
+    )
+    parser.add_argument("--out-dir", type=Path)
+    if with_model:
+        _model_flags(parser)
+    return parser
 
 
 def _model_flags(parser: argparse.ArgumentParser) -> None:
@@ -703,7 +684,7 @@ def _model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--modulus", type=int)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="folnerlab",
         description="matching-based amenability certificates at exact desk scale",
@@ -712,84 +693,89 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_model = sub.add_parser("model", help="emit a model descriptor")
     _model_flags(p_model)
-    p_model.add_argument("--out", type=Path, default=None)
+    p_model.set_defaults(kind="lattice")
+    p_model.add_argument("--out", type=Path)
 
-    p_matching = sub.add_parser("matching", help="bipartite matching between two windows")
-    _model_flags(p_matching)
-    _add_common(p_matching)
+    p_matching = _command(sub, "matching", "bipartite matching between two windows")
     p_matching.add_argument("--E", dest="E")
     p_matching.add_argument("--F", dest="F")
     p_matching.add_argument("--radius")
 
-    p_defect = sub.add_parser("folner-defect", help="matching defect of a window")
-    _model_flags(p_defect)
-    _add_common(p_defect)
+    p_defect = _command(sub, "folner-defect", "matching defect of a window")
     p_defect.add_argument("--F", dest="F")
     p_defect.add_argument("--E", dest="E")
     p_defect.add_argument("--radius")
-    p_defect.add_argument("--mode", choices=["topological", "discrete", "pairwise"], default="topological")
+    p_defect.add_argument("--mode", choices=["topological", "discrete", "pairwise"])
     p_defect.add_argument("--verify-cert", type=Path, help="re-verify a certificate file instead")
 
-    p_search = sub.add_parser("folner-search", help="search for a window meeting a defect target")
-    _model_flags(p_search)
-    _add_common(p_search)
+    p_search = _command(sub, "folner-search", "search for a window meeting a defect target")
     p_search.add_argument("--E", dest="E")
     p_search.add_argument("--radius")
     p_search.add_argument("--theta")
-    p_search.add_argument("--strategy", choices=STRATEGIES, default="balls")
+    p_search.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
+    p_search.add_argument("--seed", type=int, help="seed of the local strategy's restarts")
+    p_search.add_argument("--budget", type=int, help=f"candidates to try (default {SEARCH_BUDGET})")
 
-    p_semi = sub.add_parser("seminorm", help="bounded-Lipschitz seminorm / invariance defects")
-    _model_flags(p_semi)
-    _add_common(p_semi)
+    p_semi = _command(sub, "seminorm", "bounded-Lipschitz seminorm / invariance defects")
     p_semi.add_argument("--weight", type=Path, help="weight JSON file")
     p_semi.add_argument("--E", dest="E")
 
-    p_perturb = sub.add_parser("perturb", help="build / verify / precompact / wobble")
-    p_perturb.add_argument("mode", choices=["build", "verify", "precompact", "wobble"])
-    _model_flags(p_perturb)
-    _add_common(p_perturb)
-    p_perturb.add_argument("--radius")
-    p_perturb.add_argument("--window-resolution", type=int, default=60)
-    p_perturb.add_argument("--sample-resolution", type=int, default=12)
+    p_perturb = sub.add_parser("perturb", help="run a perturb scenario: build / verify / precompact / wobble")
+    p_perturb.add_argument("--config", type=Path, required=True, help="scenario JSON")
+    p_perturb.add_argument("--out-dir", type=Path)
 
-    p_pre = sub.add_parser("precompact", help="finite-group perturbation on a precompact model")
-    _model_flags(p_pre)
-    _add_common(p_pre)
+    p_pre = _command(sub, "precompact", "finite-group perturbation on a precompact model")
     p_pre.add_argument("--radius")
-    p_pre.add_argument("--window-resolution", type=int, default=60)
-    p_pre.add_argument("--sample-resolution", type=int, default=12)
+    p_pre.add_argument("--window-resolution", type=int)
+    p_pre.add_argument("--sample-resolution", type=int)
 
-    p_paradox = sub.add_parser("paradox", help="verify or search paradox certificates")
+    p_paradox = _command(sub, "paradox", "verify or search paradox certificates")
     p_paradox.add_argument("mode", choices=["verify", "search"])
-    _model_flags(p_paradox)
-    _add_common(p_paradox)
     p_paradox.add_argument("--cert", type=Path)
-    p_paradox.add_argument("--standard", action="store_true")
-    p_paradox.add_argument("--window-resolution", type=int, default=4)
+    p_paradox.add_argument("--standard", action="store_true", default=None)  # None: left out of the scenario
+    p_paradox.add_argument("--window-resolution", type=int)
     p_paradox.add_argument("--pool")
-    p_paradox.add_argument("--max-pieces", type=int, default=4)
+    p_paradox.add_argument("--max-pieces", type=int, default=MIN_PIECES)
+    p_paradox.add_argument("--budget", type=int, help=f"DP nodes to spend (default {PARADOX_BUDGET})")
 
-    p_suite = sub.add_parser("suite", help="run the built-in verification suite")
-    _add_common(p_suite)
+    p_suite = _command(sub, "suite", "run the built-in verification suite", with_model=False)
     p_suite.add_argument("--criteria", help="comma-separated criterion numbers")
     p_suite.add_argument("--scenarios", type=Path, help="directory of scenario configs to run instead")
+    return parser
 
-    args = parser.parse_args(argv)
 
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "model":
-        descriptor = make_model(args.kind or "lattice", **{
-            k: v for k, v in (("dim", args.dim), ("rank", args.rank), ("modulus", args.modulus)) if v is not None
-        }).to_json()
-        text = canonical_json(descriptor)
-        if args.out:
-            args.out.write_text(text, encoding="utf-8")
-        else:
-            print(text, end="")
-        return 0
+        return _reporting_errors(lambda: _emit_model(args))
+    return _reporting_errors(lambda: run_scenario_config(_scenario(args), out_dir=args.out_dir))
 
-    if getattr(args, "config", None) is not None:
-        return run_scenario(args.config, out_dir=args.out_dir, seed=args.seed, budget=args.budget)
-    return _run_reporting_errors(lambda: _config_from_flags(args), args.out_dir, args.seed, args.budget)
+
+def _emit_model(args) -> int:
+    text = canonical_json(_load_model(_model_arg(args), "model").to_json())
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")
+    return 0
+
+
+def _scenario(args) -> dict:
+    """The scenario a command line runs: its --config file, else the one its
+    flags build; --seed and --budget are written into it either way."""
+    config = _read_config(args.config) if args.config is not None else _config_from_flags(args)
+    if not isinstance(config, dict):
+        raise ConfigError("scenario", "expected an object")
+    seed, budget = getattr(args, "seed", None), getattr(args, "budget", None)
+    if seed is not None:
+        config["seed"] = seed
+    if budget is not None:
+        if budget < 1:
+            raise ConfigError("--budget", "budget must be positive")
+        params = config.setdefault("params", {})
+        if isinstance(params, dict):
+            params["budget"] = budget
+    return config
 
 
 def _read_json_flag(path: Path, flag: str):
@@ -800,78 +786,76 @@ def _read_json_flag(path: Path, flag: str):
         raise ConfigError(flag, str(exc))
 
 
+def _required(value, flag: str):
+    if value is None:
+        raise ConfigError(flag, "missing required flag")
+    return value
+
+
+def _window_arg(value: Optional[str], flag: str) -> list:
+    """A window flag: a JSON file of element encodings, or the encodings
+    joined by semicolons."""
+    if _required(value, flag).endswith(".json"):
+        return _read_json_flag(Path(value), flag)
+    return [s for s in value.split(";") if s]
+
+
+def _criteria_arg(text: Optional[str]) -> Optional[list[int]]:
+    if not text:
+        return None
+    try:
+        return [int(n) for n in text.split(",")]
+    except ValueError:
+        raise ConfigError("--criteria", f"expected comma-separated criterion numbers, got {text!r}")
+
+
+def _model_arg(args) -> dict:
+    if args.model is not None:
+        return _read_json_flag(args.model, "--model")
+    if args.kind is None:
+        raise ConfigError("--kind", "missing required flag (or give --model FILE)")
+    return {"kind": args.kind, "params": _given(dim=args.dim, rank=args.rank, modulus=args.modulus)}
+
+
+def _given(**fields) -> dict:
+    """The fields whose flags were given; the task fills in the rest."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 def _config_from_flags(args) -> dict:
     command = args.command
     if command == "suite":
-        params: dict = {}
-        if args.criteria:
-            params["criteria"] = [int(n) for n in args.criteria.split(",")]
-        if args.scenarios:
-            params["scenarios"] = str(args.scenarios)
-        return {"task": "suite", "params": params}
+        scenarios = str(args.scenarios) if args.scenarios else None
+        return {"task": "suite", "params": _given(criteria=_criteria_arg(args.criteria), scenarios=scenarios)}
+    if command == "folner-defect" and args.verify_cert is not None:
+        return {"task": "defect", "params": {"certificate": _read_json_flag(args.verify_cert, "--verify-cert")}}
 
     model = _model_arg(args)
     if command == "matching":
-        return {
-            "task": "matching",
-            "model": model,
-            "params": {"E": _window_arg(args.E), "F": _window_arg(args.F), "radius": args.radius},
-        }
+        params = _given(E=_window_arg(args.E, "--E"), F=_window_arg(args.F, "--F"), radius=args.radius)
+        return {"task": "matching", "model": model, "params": params}
     if command == "folner-defect":
-        if args.verify_cert is not None:
-            cert = _read_json_flag(args.verify_cert, "--verify-cert")
-            return {"task": "defect", "params": {"certificate": cert}}
-        params = {"F": _window_arg(args.F), "E": _window_arg(args.E), "mode": args.mode}
-        if args.mode != "discrete":
-            if args.radius is None:
-                raise ConfigError("params.radius", "missing required field")
-            params["radius"] = args.radius
+        params = _given(F=_window_arg(args.F, "--F"), E=_window_arg(args.E, "--E"), radius=args.radius, mode=args.mode)
         return {"task": "defect", "model": model, "params": params}
     if command == "folner-search":
-        return {
-            "task": "search",
-            "model": model,
-            "params": {
-                "E": _window_arg(args.E),
-                "radius": args.radius,
-                "theta": args.theta,
-                "strategy": args.strategy,
-                "budget": args.budget or 50,
-            },
-        }
+        params = _given(E=_window_arg(args.E, "--E"), radius=args.radius, theta=args.theta, strategy=args.strategy)
+        return {"task": "search", "model": model, "params": params}
     if command == "seminorm":
-        if args.weight is None:
-            raise ConfigError("--weight", "missing required flag")
-        params = {"weight": _read_json_flag(args.weight, "--weight")}
-        if args.E:
-            params["E"] = _window_arg(args.E)
+        weight = _read_json_flag(_required(args.weight, "--weight"), "--weight")
+        params = _given(weight=weight, E=_window_arg(args.E, "--E") if args.E else None)
         return {"task": "seminorm", "model": model, "params": params}
-    if command in ("perturb", "precompact"):
-        mode = args.mode if command == "perturb" else "precompact"
-        params = {
-            "mode": mode,
-            "radius": args.radius,
-            "window_resolution": args.window_resolution,
-            "sample_resolution": args.sample_resolution,
-        }
-        return {"task": "perturb", "model": model, "params": params}
-    if command == "paradox":
-        if args.mode == "verify":
-            params = {"window_resolution": args.window_resolution}
-            if args.standard:
-                params["standard"] = True
-            elif args.cert:
-                params["certificate"] = _read_json_flag(args.cert, "--cert")
-            return {"task": "paradox-verify", "model": model, "params": params}
-        params = {
-            "window_resolution": args.window_resolution,
-            "pool": _window_arg(args.pool),
-            "max_pieces": args.max_pieces,
-        }
-        if args.budget:
-            params["budget"] = args.budget
-        return {"task": "paradox-search", "model": model, "params": params}
-    raise ConfigError("command", f"unhandled command {command!r}")
+    if command == "precompact":
+        params = _given(radius=args.radius, window_resolution=args.window_resolution,
+                        sample_resolution=args.sample_resolution)
+        return {"task": "precompact", "model": model, "params": params}
+    if command == "paradox" and args.mode == "verify":
+        cert = _read_json_flag(args.cert, "--cert") if args.cert is not None else None
+        params = _given(window_resolution=args.window_resolution, standard=args.standard, certificate=cert)
+        return {"task": "paradox-verify", "model": model, "params": params}
+    # paradox search, the one command left
+    params = _given(window_resolution=args.window_resolution, pool=_window_arg(args.pool, "--pool"),
+                    max_pieces=args.max_pieces)
+    return {"task": "paradox-search", "model": model, "params": params}
 
 
 if __name__ == "__main__":

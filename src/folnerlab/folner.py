@@ -18,6 +18,7 @@ from itertools import count, islice, product
 from typing import Callable, Iterator, Optional
 
 from .groups import (
+    CertificateError,
     Entourage,
     FiniteWindow,
     GroupElement,
@@ -38,8 +39,11 @@ from .weights import FiniteWeight, invariance_defect
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# Candidate generators of `folner_search`.
+# Candidate generators of `folner_search`, its default strategy, and the
+# default number of candidates it tries.
 STRATEGIES = ("balls", "boxes", "grid", "local")
+DEFAULT_STRATEGY = "balls"
+SEARCH_BUDGET = 50
 
 
 @dataclass
@@ -104,6 +108,8 @@ class FolnerCertificate:
         E = parse_window(obj["E"], model, "E")
         F = parse_window(obj["F"], model, "F")
         U = entourage_from_json(obj["U"], model)
+        if not isinstance(obj["matchings"], dict):
+            raise CertificateError("matchings", "expected an object keyed by element encodings")
         matchings = {}
         for key, entry in obj["matchings"].items():
             g = model.parse(key)
@@ -351,8 +357,8 @@ def folner_search(
     E: FiniteWindow,
     U: Entourage,
     theta_target: Fraction,
-    strategy: str = "balls",
-    budget: int = 50,
+    strategy: str = DEFAULT_STRATEGY,
+    budget: int = SEARCH_BUDGET,
     seed: Optional[int] = None,
 ) -> FolnerSearchResult:
     """First candidate window meeting the target, or the best-found report.

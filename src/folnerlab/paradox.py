@@ -39,6 +39,8 @@ from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
 MIN_PIECES = 4
+# Default DP nodes a `search_small_paradox` run may spend.
+PARADOX_BUDGET = 2_000_000
 DP_STATE_CAP = 300_000
 
 
@@ -874,7 +876,7 @@ def search_small_paradox(
     window: FiniteWindow,
     pool: FiniteWindow,
     max_pieces: int,
-    budget: int = 2_000_000,
+    budget: int = PARADOX_BUDGET,
 ) -> ParadoxSearchReport:
     """Best (lowest interior defect) piece assignment per piece count.
 

@@ -52,6 +52,8 @@ from .matching import build_graph, max_matching
 ZERO = Fraction(0)
 BACKTRACK_CAP = 10_000
 CLOSURE_CENTER_CAP = 8
+# Default candidates the Folner search behind each package may try.
+PACKAGE_BUDGET = 60
 
 
 class ConstructionError(ValueError):
@@ -413,7 +415,7 @@ def folner_package(
     E: FiniteWindow,
     U: Entourage,
     model: GroupModel,
-    budget: int = 60,
+    budget: int = PACKAGE_BUDGET,
 ) -> FolnerPackage:
     """Almost-invariant core D inside a relocated window F, with entourage
     injections of D into every shift gF.
@@ -502,7 +504,7 @@ def build_perturbation(
     model: GroupModel,
     index_family: list[tuple[FiniteWindow, int]],
     U: Entourage,
-    budget: int = 60,
+    budget: int = PACKAGE_BUDGET,
 ) -> AssembledPerturbation:
     """Involution-corrected translation table from disjoint Folner packages.
 

@@ -390,7 +390,7 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
         (window(C, [Fraction(0), Fraction(1, 5)]), 4),
         (window(C, [Fraction(0), Fraction(2, 5)]), 4),
     ]
-    assembled = build_perturbation(C, family, U, budget=60)
+    assembled = build_perturbation(C, family, U)
     report = verify_perturbation(assembled.action, U)
     involutions = all(assembled.action.involution.values()) and _involution_check(assembled.action)
     cores_ok = all(

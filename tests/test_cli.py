@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, artifacts, strict configs, determinism."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from folnerlab.cli import ConfigError, main, run_scenario, run_scenario_config
+from folnerlab import cli
+from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario, run_scenario_config
 from folnerlab.groups import make_model
 from folnerlab.paradox import f2_standard_certificate
 
@@ -24,6 +26,14 @@ def test_model_descriptor(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["kind"] == "free"
     assert payload["metric"] == {"rule": "word"}
+
+
+def test_model_descriptor_from_file(tmp_path, capsys):
+    # --model FILE is read, not replaced by the lattice default
+    descriptor = tmp_path / "m.json"
+    descriptor.write_text(json.dumps({"kind": "free", "params": {"rank": 3}}))
+    assert run(["model", "--model", descriptor]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"rank": 3}
 
 
 def test_defect_subcommand(tmp_path, capsys):
@@ -142,6 +152,9 @@ def test_paradox_verify_subcommand(tmp_path, capsys):
     [
         (["seminorm", "--kind", "circle", "--weight"], "--weight"),
         (["paradox", "verify", "--kind", "free", "--rank", "2", "--cert"], "--cert"),
+        (["folner-defect", "--F", "0", "--E", "1", "--radius", "0", "--model"], "--model"),
+        (["matching", "--kind", "lattice", "--F", "0", "--radius", "0", "--E"], "--E"),
+        (["paradox", "search", "--kind", "lattice", "--pool"], "--pool"),
     ],
 )
 def test_unreadable_file_flag(tmp_path, capsys, args, flag):
@@ -156,6 +169,73 @@ def test_unreadable_file_flag(tmp_path, capsys, args, flag):
 def test_seminorm_without_weight(capsys):
     assert run(["seminorm", "--kind", "circle"]) == 1
     assert "--weight: missing required flag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["matching", "--kind", "lattice", "--F", "0", "--radius", "0"], "--E"),
+        (["matching", "--kind", "lattice", "--E", "0", "--radius", "0"], "--F"),
+        (["folner-defect", "--kind", "lattice", "--E", "1", "--radius", "0"], "--F"),
+        (["folner-search", "--kind", "lattice", "--radius", "0", "--theta", "1/2"], "--E"),
+        (["paradox", "search", "--kind", "lattice", "--max-pieces", "4"], "--pool"),
+        (["folner-defect", "--F", "0", "--E", "1", "--radius", "0"], "--kind"),
+    ],
+)
+def test_missing_required_flag_is_named(capsys, args, flag):
+    # each used to end in a TypeError traceback from the window parser
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: missing required flag")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        (["suite", "--criteria", "x"], "--criteria: expected comma-separated criterion numbers"),
+        (["suite", "--criteria", "1,99"], "params.criteria[1]: unknown criterion 99"),
+        (["paradox", "verify", "--kind", "free", "--rank", "2", "--standard", "--cert", "c.json"],
+         "params.standard: give a certificate or standard: true, not both"),
+    ],
+)
+def test_flag_value_error_is_named(tmp_path, monkeypatch, capsys, args, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(STANDARD_CERTIFICATE))
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {want}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["seminorm", "--kind", "circle", "--seed", "3"],
+        ["matching", "--kind", "circle", "--budget", "3"],
+        ["paradox", "verify", "--seed", "3"],
+        ["perturb", "precompact", "--kind", "circle", "--radius", "7/20"],
+        ["perturb"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as info:
+        run(args)
+    assert info.value.code == 2
+    assert "usage: folnerlab" in capsys.readouterr().err
+
+
+def test_each_subcommand_registers_only_the_run_flags_it_reads():
+    sub = next(a for a in _parser()._actions if a.dest == "command")
+    flags = {
+        name: {opt for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert {name for name, opts in flags.items() if "--seed" in opts} == {"folner-search"}
+    assert {name for name, opts in flags.items() if "--budget" in opts} == {"folner-search", "paradox"}
+    assert flags["perturb"] == {"--config", "--out-dir"}
+    registered = sum(1 for p in sub.choices.values() for a in p._actions if "-h" not in a.option_strings)
+    assert registered <= 80
 
 
 def test_paradox_search_subcommand(tmp_path):
@@ -672,16 +752,19 @@ def test_action_field_shape_exits_1(tmp_path, capsys, field, value):
 # Følner certificate windows of the wrong shape: each used to end in a
 # traceback or to be read one character at a time.
 CERTIFICATE_WINDOW_SHAPES = [
-    ({"F": [0, 1]}, "params.certificate.F"),
-    ({"E": ["1", None]}, "params.certificate.E"),
-    ({"F": "01", "E": "1"}, "params.certificate.E"),
+    ({"F": [0, 1]}, "params.certificate.F", "expected a list of element strings"),
+    ({"E": ["1", None]}, "params.certificate.E", "expected a list of element strings"),
+    ({"F": "01", "E": "1"}, "params.certificate.E", "expected a list of element strings"),
+    # matchings that are not an object used to end in an AttributeError
+    ({"matchings": []}, "params.certificate.matchings", "expected an object"),
+    ({"matchings": "x"}, "params.certificate.matchings", "expected an object"),
 ]
 
 
 @pytest.mark.parametrize(
-    "fields, want", CERTIFICATE_WINDOW_SHAPES, ids=[repr(f) for f, _ in CERTIFICATE_WINDOW_SHAPES]
+    "fields, want, message", CERTIFICATE_WINDOW_SHAPES, ids=[repr(f) for f, _, _ in CERTIFICATE_WINDOW_SHAPES]
 )
-def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want):
+def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want, message):
     produce = {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", "1"], "E": ["1"], "radius": "0"}}
     assert run_scenario_config(produce, out_dir=tmp_path / "cert") == 0
     cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
@@ -693,7 +776,7 @@ def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want):
     path.write_text(json.dumps(config))
     assert run_scenario(path) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {want}: expected a list of element strings")
+    assert err.startswith(f"error: {want}: {message}")
     assert "Traceback" not in err
 
 
@@ -760,6 +843,7 @@ PARADOX_SEARCH = {"task": "paradox-search", "model": F2_MODEL,
 STANDARD_VERIFY = {"task": "paradox-verify", "model": F2_MODEL, "params": {"standard": True, "window_resolution": 1}}
 BUILD = {"task": "perturb", "model": CIRCLE,
          "params": {"mode": "build", "indices": [{"E": ["0", "1/5"], "n": 4}], "radius": "1/10"}}
+SUITE = {"task": "suite", "params": {}}
 # Config values that exit 1 and the field each must name: (base config,
 # params to put in, field, start of the message).
 FIELD_ERRORS = {
@@ -788,6 +872,11 @@ FIELD_ERRORS = {
                         "boxes strategy requires a lattice model"),
     "grid-on-Z2": ({**SEARCH, "model": {"kind": "lattice", "params": {"dim": 2}}}, {"E": ["1,0"], "strategy": "grid"},
                    "params.strategy", "grid strategy requires circle or torus"),
+    # unknown criterion numbers used to run nothing and exit 0
+    "criteria=99": (SUITE, {"criteria": [99]}, "params.criteria[0]", "unknown criterion 99"),
+    "criteria=0-second": (SUITE, {"criteria": [1, 0]}, "params.criteria[1]", "unknown criterion 0"),
+    "criteria-and-scenarios": (SUITE, {"criteria": [1], "scenarios": "."}, "params.criteria",
+                               "give criteria or scenarios, not both"),
 }
 
 
@@ -831,3 +920,82 @@ def test_paradox_search_budget_flag_below_one_names_the_flag(tmp_path, capsys, b
     assert captured.err.startswith("error: --budget: budget must be positive")
     assert "best_defect" not in captured.out
     assert not (tmp_path / "report.json").exists()
+
+
+def test_budget_flag_below_one_names_the_flag_with_a_config(tmp_path, capsys):
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(SEARCH))
+    assert run(["folner-search", "--config", path, "--budget", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: --budget: budget must be positive")
+
+
+# Z with E = {1} never reaches theta 1: every ball loses its right end.
+UNREACHABLE_SEARCH = {"task": "search", "model": LATTICE_1, "seed": 11,
+                      "params": {"E": ["1"], "theta": "1", "strategy": "balls", "radius": "0", "budget": 9}}
+
+
+@pytest.mark.parametrize(
+    "args, config, artifact, field",
+    [
+        (["folner-search"], UNREACHABLE_SEARCH, "certificate.json", "candidates_tried"),
+        (["paradox", "search"], PARADOX_SEARCH, "report.json", "budget"),
+    ],
+    ids=["folner-search", "paradox-search"],
+)
+def test_seed_and_budget_flags_reach_a_config_scenario(tmp_path, monkeypatch, args, config, artifact, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    seen = []
+    original = cli.run_scenario_config
+
+    def recording(scenario, out_dir=None):
+        seen.append(json.loads(json.dumps(scenario)))
+        return original(scenario, out_dir=out_dir)
+
+    monkeypatch.setattr(cli, "run_scenario_config", recording)
+    seed = ["--seed", "3"] if args == ["folner-search"] else []
+    assert run(args + ["--config", path, "--budget", "2", "--out-dir", tmp_path / "out"] + seed) in (0, 2)
+    assert seen[0]["params"]["budget"] == 2
+    assert seen[0].get("seed") == (3 if seed else config.get("seed"))
+    assert json.loads((tmp_path / "out" / artifact).read_text())[field] == 2
+
+
+def _readme_examples():
+    """The direct-computation examples of the README, one argv each."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Direct computations", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("folnerlab ")]
+
+
+README_EXAMPLES = [argv for argv in _readme_examples() if argv[0] != "model"]
+RUN_FLAGS = ("--seed", "--budget")
+
+
+def _subcommand(argv):
+    return [a for a in argv[:2] if not a.startswith("-")]
+
+
+def test_readme_has_an_example_per_flag_built_scenario():
+    assert {" ".join(_subcommand(argv)) for argv in README_EXAMPLES} == {
+        "matching", "folner-defect", "folner-search", "seminorm", "precompact", "paradox verify", "paradox search",
+    }
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=[" ".join(_subcommand(a)) for a in README_EXAMPLES])
+def test_readme_example_runs_the_same_from_its_config(tmp_path, monkeypatch, capsys, argv):
+    # the flag form and --config with the scenario its flags build give the
+    # same exit code, stdout and artifacts (the manifest holds the wall time)
+    monkeypatch.chdir(tmp_path)
+    Path("w.json").write_text(json.dumps({"support": ["0", "2/5"], "weights": ["1", "-1"]}))
+    code = main(argv + ["--out-dir", "flags"])
+    out = capsys.readouterr().out
+    Path("scenario.json").write_text(json.dumps(_config_from_flags(_parser().parse_args(argv))))
+    head = _subcommand(argv)
+    run_flags = [a for k, a in enumerate(argv) if a in RUN_FLAGS or (k and argv[k - 1] in RUN_FLAGS)]
+    assert main(head + ["--config", "scenario.json", "--out-dir", "config"] + run_flags) == code
+    assert capsys.readouterr().out == out
+    written = sorted(p.name for p in Path("flags").iterdir() if p.name != "manifest.json")
+    assert written == sorted(p.name for p in Path("config").iterdir() if p.name != "manifest.json")
+    for name in written:
+        assert (Path("flags") / name).read_bytes() == (Path("config") / name).read_bytes()
