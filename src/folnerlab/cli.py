@@ -118,8 +118,16 @@ def _integers(obj, path: str) -> list[int]:
     return [_integer(v, f"{path}[{k}]") for k, v in enumerate(obj)]
 
 
+def _path(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        raise ConfigError(path, f"expected a file system path (a JSON string), got {obj!r}")
+    return obj
+
+
 def _load_model(obj, path: str) -> GroupModel:
     _expect(obj, path, ("kind",), ("params", "generators", "metric"))
+    if not isinstance(obj.get("params", {}), dict):
+        raise ConfigError(f"{path}.params", "expected an object")
     try:
         return model_from_json(obj)
     except (KeyError, ValueError) as exc:
@@ -308,6 +316,9 @@ def _run_defect(config: dict, artifacts: Artifacts) -> int:
     E = _load_window(params["E"], model, "params.E")
     mode = params.get("mode", "topological")
     if mode == "discrete":
+        for key in ("radius", "metric"):
+            if key in params:
+                raise ConfigError(f"params.{key}", "not read in discrete mode")
         theta = discrete_defect(F, E)
         artifacts.write_csv("report.csv", ["mode", "|F|", "theta"], [["discrete", len(F), str(theta)]])
         print(f"discrete defect: {theta}")
@@ -364,12 +375,14 @@ def _run_search(config: dict, artifacts: Artifacts) -> int:
 
 def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
     params = config["params"]
-    _expect(params, "params", ("weight",), ("metric", "E", "radius"))
+    _expect(params, "params", ("weight",), ("metric", "E"))
     model = _load_model(config["model"], "model")
     weight = _load_weight(params["weight"], model, "params.weight")
     metric_obj = params.get("metric")
     metric = _load_metric(metric_obj, model, "params.metric") if metric_obj else model.default_metric()
     if "E" in params:
+        if not weight.is_stochastic():
+            raise ConfigError("params.weight", "invariance defect is defined for stochastic weights")
         E = _load_window(params["E"], model, "params.E")
         defect = invariance_defect(weight, E, metric)
         rows = [
@@ -443,6 +456,8 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
     if mode == "build":
         if "indices" not in params:
             raise ConfigError("params.indices", "missing required field")
+        if not isinstance(params["indices"], list):
+            raise ConfigError("params.indices", "expected a list of {E, n} objects")
         U = _load_entourage(params, model, "params")
         family = []
         for k, idx in enumerate(params["indices"]):
@@ -564,7 +579,7 @@ def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
     if "scenarios" in params:
         if "criteria" in params:
             raise ConfigError("params.criteria", "give criteria or scenarios, not both")
-        directory = Path(params["scenarios"])
+        directory = Path(_path(params["scenarios"], "params.scenarios"))
         rows = []
         status = 0
         for path in sorted(directory.glob("*.json")):
@@ -626,7 +641,7 @@ def run_scenario_config(config: dict, out_dir: Optional[Path] = None) -> int:
     if "seed" in config:
         _integer(config["seed"], "seed")
     if out_dir is None and "out_dir" in config:
-        out_dir = Path(config["out_dir"])
+        out_dir = Path(_path(config["out_dir"], "out_dir"))
     artifacts = Artifacts(out_dir)
     code = TASKS[task](config, artifacts)
     _manifest(config, artifacts, time.time() - started)
@@ -835,6 +850,8 @@ def _config_from_flags(args) -> dict:
         params = _given(E=_window_arg(args.E, "--E"), F=_window_arg(args.F, "--F"), radius=args.radius)
         return {"task": "matching", "model": model, "params": params}
     if command == "folner-defect":
+        if args.mode == "discrete" and args.radius is not None:
+            raise ConfigError("--radius", "not read with --mode discrete")
         params = _given(F=_window_arg(args.F, "--F"), E=_window_arg(args.E, "--E"), radius=args.radius, mode=args.mode)
         return {"task": "defect", "model": model, "params": params}
     if command == "folner-search":

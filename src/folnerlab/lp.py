@@ -7,20 +7,23 @@ Two engines solve the same maximization problem
 exactly:
 
 * a dense-tableau simplex with Bland's rule (the default for small systems),
-* a successive-shortest-path min-cost flow specialised to the Lipschitz
-  seminorm systems produced by :mod:`folnerlab.weights`, used once the
-  tableau would be too large for the time budget.
+* a primal-dual min-cost flow specialised to the Lipschitz seminorm systems
+  produced by :mod:`folnerlab.weights`, used once the tableau would be too
+  large for the time budget.  Each phase runs one shortest-path pass and
+  then a blocking flow along every residual arc that is tight under it.
 
 Both take and return `Fraction`s but compute on integers: the data are
 scaled once by the LCM of their denominators, every comparison is made on
 the scaled integers (by cross-multiplication where a ratio is compared),
 and the answers are divided back once at the end.  Scaling by a positive
-factor changes no comparison, so the pivots, paths and answers are the
-ones a computation in fractions would give.
+factor changes no comparison, so the pivots and answers are the ones a
+computation in fractions would give.
 
 Every solve returns the optimum, a primal witness, and a dual vector; the
 pair is certified by exact feasibility and strong duality, so callers never
-depend on which engine ran.
+depend on which engine ran.  The simplex checks its certificate on the
+final integer tableau; the flow's potentials are the greatest optimal dual
+that is <= 0, the same for every optimal flow.
 """
 
 from __future__ import annotations
@@ -44,31 +47,6 @@ class LpSolution:
     duals: list[Fraction]
     pivots: int
 
-    def verify(self, c, rows, b) -> None:
-        """Exact optimality certificate: primal/dual feasibility + equal objectives."""
-        n = len(c)
-        for (coeffs, rhs) in zip(rows, b):
-            lhs = sum(coef * self.x[j] for j, coef in coeffs)
-            if lhs > rhs:
-                raise LpError("primal witness infeasible")
-        if any(xj < 0 for xj in self.x):
-            raise LpError("primal witness negative")
-        if any(yi < 0 for yi in self.duals):
-            raise LpError("dual witness negative")
-        col_sums = [ZERO] * n
-        for i, (coeffs, _) in enumerate(zip(rows, b)):
-            yi = self.duals[i]
-            if yi:
-                for j, coef in coeffs:
-                    col_sums[j] += yi * coef
-        for j in range(n):
-            if col_sums[j] < c[j]:
-                raise LpError("dual witness infeasible")
-        primal = sum(cj * xj for cj, xj in zip(c, self.x))
-        dual = sum(yi * bi for yi, bi in zip(self.duals, b))
-        if primal != self.value or dual != self.value:
-            raise LpError("objective values disagree")
-
 
 def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: list[Fraction]) -> LpSolution:
     """Dense-tableau simplex (Bland's rule) for max c.x, Ax <= b, x >= 0, b >= 0.
@@ -80,7 +58,8 @@ def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: li
     their denominators, and every true entry is the stored one over a
     running denominator D.  Edmonds-Bareiss pivots keep it integral, and
     the ratio test compares by cross-multiplication, so the pivot sequence
-    is the one the same tableau would take in fractions.
+    is the one the same tableau would take in fractions.  The optimum is
+    certified on the final tableau, also in integers (`_certify`).
     """
     n = len(c)
     m = len(rows)
@@ -89,19 +68,22 @@ def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: li
     scale_a = math.lcm(*(coef.denominator for coeffs in rows for _, coef in coeffs))
     scale_b = math.lcm(*(rhs.denominator for rhs in b))
     scale_c = math.lcm(*(cj.denominator for cj in c))
+    int_rows = [[(j, coef.numerator * (scale_a // coef.denominator)) for j, coef in coeffs] for coeffs in rows]
+    int_b = [rhs.numerator * (scale_b // rhs.denominator) for rhs in b]
+    int_c = [cj.numerator * (scale_c // cj.denominator) for cj in c]
     # tableau[i] has n structural coefficients, m slacks, and the rhs.
     width = n + m + 1
     tableau = []
-    for i, coeffs in enumerate(rows):
+    for i, coeffs in enumerate(int_rows):
         row = [0] * width
         for j, coef in coeffs:
-            row[j] = coef.numerator * (scale_a // coef.denominator)
+            row[j] = coef
         row[n + i] = 1
-        row[-1] = b[i].numerator * (scale_b // b[i].denominator)
+        row[-1] = int_b[i]
         tableau.append(row)
     obj = [0] * width
     for j in range(n):
-        obj[j] = -c[j].numerator * (scale_c // c[j].denominator)
+        obj[j] = -int_c[j]
     basis = [n + i for i in range(m)]
 
     D = 1  # positive: it is always the last pivot
@@ -142,19 +124,47 @@ def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: li
         D = p
         basis[leave] = enter
 
-    x = [ZERO] * n
+    X = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tableau[i][-1] * scale_a, D * scale_b)
-    duals = [Fraction(obj[n + i] * scale_a, D * scale_c) for i in range(m)]
-    value = sum(cj * xj for cj, xj in zip(c, x))
-    sol = LpSolution(value=value, x=x, duals=duals, pivots=pivots)
-    sol.verify(c, rows, b)
-    return sol
+            X[var] = tableau[i][-1]
+    Y = obj[n:n + m]
+    objective = _certify(int_c, int_rows, int_b, X, Y, D)
+    x = [Fraction(Xj * scale_a, D * scale_b) if Xj else ZERO for Xj in X]
+    duals = [Fraction(Yi * scale_a, D * scale_c) if Yi else ZERO for Yi in Y]
+    value = Fraction(objective * scale_a, D * scale_b * scale_c)
+    return LpSolution(value=value, x=x, duals=duals, pivots=pivots)
+
+
+def _certify(c: list[int], rows: list[list[tuple[int, int]]], b: list[int], X: list[int], Y: list[int], D: int) -> int:
+    """Optimality certificate of the final tableau, checked on integers.
+
+    In the scaled system the primal is X/D and the duals are Y/D (D > 0), so
+    primal feasibility is sum A.X <= b.D, dual feasibility sum Y.A >= c.D,
+    and strong duality c.X = Y.b.  Returns c.X, the objective times D.
+    """
+    for coeffs, rhs in zip(rows, b):
+        if sum(coef * X[j] for j, coef in coeffs) > rhs * D:
+            raise LpError("primal witness infeasible")
+    if any(Xj < 0 for Xj in X):
+        raise LpError("primal witness negative")
+    if any(Yi < 0 for Yi in Y):
+        raise LpError("dual witness negative")
+    col_sums = [0] * len(c)
+    for coeffs, Yi in zip(rows, Y):
+        if Yi:
+            for j, coef in coeffs:
+                col_sums[j] += Yi * coef
+    if any(total < cj * D for total, cj in zip(col_sums, c)):
+        raise LpError("dual witness infeasible")
+    objective = sum(cj * Xj for cj, Xj in zip(c, X))
+    if objective != sum(Yi * bi for Yi, bi in zip(Y, b)):
+        raise LpError("objective values disagree")
+    return objective
 
 
 # ---------------------------------------------------------------------------
-# Min-cost flow (successive shortest paths, exact)
+# Min-cost flow (primal-dual phases, exact)
 # ---------------------------------------------------------------------------
 
 
@@ -194,6 +204,15 @@ def min_cost_flow(
     residual arcs to every node, so reduced costs are >= 0: they are the
     exact dual certificate.
 
+    The flow is found in primal-dual phases.  Each phase computes shortest
+    distances from the source once, then sends a maximum flow along the
+    residual arcs that are tight under them (reverse arcs included), as
+    Dinic blocking flows.  Every path it uses is a shortest path, so the
+    residual graph keeps no negative cycle and the final flow is optimal.
+    The potentials do not depend on which optimal flow is found: the
+    optimal duals are the same set for all of them, and the root distances
+    are its greatest element that is <= 0.
+
     Costs are scaled to integers by the LCM of their denominators; paths,
     flows and potentials are computed on those and divided back once.
     """
@@ -218,7 +237,6 @@ def min_cost_flow(
     sent = 0
     while sent < total:
         dist = [None] * net.n
-        parent_edge = [-1] * net.n
         dist[source] = 0
         # Bellman-Ford (queue form) on the scaled integer costs.
         queue = deque([source])
@@ -235,26 +253,12 @@ def min_cost_flow(
                     dv = dist[v]
                     if dv is None or nd < dv:
                         dist[v] = nd
-                        parent_edge[v] = e
                         if not in_queue[v]:
                             queue.append(v)
                             in_queue[v] = True
         if dist[sink] is None:
             raise LpError("flow infeasible")
-        # bottleneck along the path
-        push = total - sent
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            push = min(push, cap[e])
-            v = to[e ^ 1]
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            cap[e] -= push
-            cap[e ^ 1] += push
-            v = to[e ^ 1]
-        sent += push
+        sent += _tight_max_flow(head, to, cap, cost, dist, source, sink)
 
     cost_total = 0
     flows = []
@@ -281,3 +285,65 @@ def min_cost_flow(
     else:
         raise LpError("negative cycle in optimal residual graph")
     return Fraction(cost_total, scale), flows, [Fraction(pv, scale) for pv in pot[:n]]
+
+
+def _tight_max_flow(head, to, cap, cost, dist, source: int, sink: int) -> int:
+    """Maximum flow from source to sink over the arcs that are tight under
+    `dist` (dist[v] = dist[u] + cost), augmenting `cap` in place.
+
+    An arc is tight exactly when its reverse is, so the tight arcs are fixed
+    for the phase and only their residual capacities change.  Dinic: a BFS
+    level graph, then an iterative DFS with current-arc pointers until the
+    levels block, repeated until the sink is out of reach.
+    """
+    size = len(head)
+    tight = [[] for _ in range(size)]
+    for u in range(size):
+        du = dist[u]
+        if du is not None:
+            tight[u] = [e for e in head[u] if dist[to[e]] == du + cost[e]]
+    sent = 0
+    while True:
+        level = [-1] * size
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            next_level = level[u] + 1
+            for e in tight[u]:
+                v = to[e]
+                if cap[e] > 0 and level[v] < 0:
+                    level[v] = next_level
+                    queue.append(v)
+        if level[sink] < 0:
+            return sent
+        pointer = [0] * size
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                sent += push
+                path.clear()
+                u = source
+                continue
+            arcs_u = tight[u]
+            i = pointer[u]
+            while i < len(arcs_u):
+                e = arcs_u[i]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                i += 1
+            pointer[u] = i
+            if i < len(arcs_u):
+                path.append(arcs_u[i])
+                u = to[arcs_u[i]]
+            elif u == source:
+                break
+            else:
+                level[u] = -1  # dead end for the rest of this level graph
+                u = to[path.pop() ^ 1]
+                pointer[u] += 1

@@ -1,8 +1,9 @@
 """The Fraction forms of code that folnerlab now runs on scaled integers.
 
 Each function here computes every step in `Fraction`s, as the package did
-before: the simplex and the min-cost flow of `folnerlab.lp`, the Lipschitz
-pair pruning of `folnerlab.weights`, and the criterion-7 grid scan of
+before: the simplex, its optimality check and the min-cost flow (one
+shortest path per augmentation) of `folnerlab.lp`, the Lipschitz pair
+pruning of `folnerlab.weights`, and the criterion-7 grid scan of
 `folnerlab.suite`.  They are kept unchanged as oracles: the integer forms
 must return identical results (values, witnesses, duals, pivot counts,
 flows, potentials and kept pairs) on the same input.
@@ -86,8 +87,34 @@ def fraction_simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]
     duals = [obj[n + i] for i in range(m)]
     value = sum(cj * xj for cj, xj in zip(c, x))
     sol = LpSolution(value=value, x=x, duals=duals, pivots=pivots)
-    sol.verify(c, rows, b)
+    fraction_verify(sol, c, rows, b)
     return sol
+
+
+def fraction_verify(sol: LpSolution, c, rows, b) -> None:
+    """Exact optimality certificate: primal/dual feasibility + equal objectives."""
+    n = len(c)
+    for (coeffs, rhs) in zip(rows, b):
+        lhs = sum(coef * sol.x[j] for j, coef in coeffs)
+        if lhs > rhs:
+            raise LpError("primal witness infeasible")
+    if any(xj < 0 for xj in sol.x):
+        raise LpError("primal witness negative")
+    if any(yi < 0 for yi in sol.duals):
+        raise LpError("dual witness negative")
+    col_sums = [ZERO] * n
+    for i, (coeffs, _) in enumerate(zip(rows, b)):
+        yi = sol.duals[i]
+        if yi:
+            for j, coef in coeffs:
+                col_sums[j] += yi * coef
+    for j in range(n):
+        if col_sums[j] < c[j]:
+            raise LpError("dual witness infeasible")
+    primal = sum(cj * xj for cj, xj in zip(c, sol.x))
+    dual = sum(yi * bi for yi, bi in zip(sol.duals, b))
+    if primal != sol.value or dual != sol.value:
+        raise LpError("objective values disagree")
 
 
 class _FractionFlowNetwork:

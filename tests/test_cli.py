@@ -844,6 +844,8 @@ STANDARD_VERIFY = {"task": "paradox-verify", "model": F2_MODEL, "params": {"stan
 BUILD = {"task": "perturb", "model": CIRCLE,
          "params": {"mode": "build", "indices": [{"E": ["0", "1/5"], "n": 4}], "radius": "1/10"}}
 SUITE = {"task": "suite", "params": {}}
+DISCRETE = {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", "1"], "E": ["1"], "mode": "discrete"}}
+SEMINORM = {"task": "seminorm", "model": LATTICE_1, "params": {"weight": {"support": ["0", "1"], "weights": ["1", "-1"]}}}
 # Config values that exit 1 and the field each must name: (base config,
 # params to put in, field, start of the message).
 FIELD_ERRORS = {
@@ -877,6 +879,16 @@ FIELD_ERRORS = {
     "criteria=0-second": (SUITE, {"criteria": [1, 0]}, "params.criteria[1]", "unknown criterion 0"),
     "criteria-and-scenarios": (SUITE, {"criteria": [1], "scenarios": "."}, "params.criteria",
                                "give criteria or scenarios, not both"),
+    # each of these used to end in a traceback or a bare message, or to exit 0
+    "scenarios=5": (SUITE, {"scenarios": 5}, "params.scenarios", "expected a file system path (a JSON string)"),
+    "seminorm-E-non-stochastic": (SEMINORM, {"E": ["1"]}, "params.weight",
+                                  "invariance defect is defined for stochastic weights"),
+    "build-indices-object": (BUILD, {"indices": {"E": ["0", "1/5"], "n": 4}}, "params.indices",
+                             "expected a list of {E, n} objects"),
+    "build-indices=5": (BUILD, {"indices": 5}, "params.indices", "expected a list of {E, n} objects"),
+    "discrete-radius": (DISCRETE, {"radius": "0"}, "params.radius", "not read in discrete mode"),
+    "discrete-metric": (DISCRETE, {"metric": {"rule": "word"}}, "params.metric", "not read in discrete mode"),
+    "seminorm-radius": (SEMINORM, {"radius": "zz"}, "params.radius", "unknown field (strict schema)"),
 }
 
 
@@ -895,6 +907,37 @@ def test_config_error_names_its_field(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({**DISCRETE, "out_dir": 5}, "out_dir"),
+        ({**DISCRETE, "model": {"kind": "lattice", "params": [1]}}, "model.params"),
+        ({**DISCRETE, "model": {"kind": "lattice", "params": 5}}, "model.params"),
+        ({**SUITE, "out_dir": ["out"]}, "out_dir"),
+    ],
+)
+def test_non_object_or_non_string_scenario_field_names_its_path(tmp_path, capsys, config, field):
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run(["suite", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected ")
+    assert "Traceback" not in err
+
+
+def test_discrete_defect_flags_without_radius(tmp_path, capsys):
+    args = ["folner-defect", "--kind", "lattice", "--dim", "1", "--F", "0;1", "--E", "1", "--mode", "discrete"]
+    assert run(args + ["--out-dir", tmp_path]) == 0
+    assert capsys.readouterr().out == "discrete defect: 1/2\n"
+    assert run(args + ["--radius", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --radius: not read with --mode discrete\n"
+    assert captured.out == ""
 
 
 def test_certificate_defect_crosscheck_must_be_a_boolean(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact LP engines: simplex against brute-force vertex checks, the flow
-solver against the simplex, and both integer engines against the Fraction
-engines they replaced."""
+solver against the simplex, both integer engines against the Fraction
+engines they replaced, and the simplex's integer certificate against the
+Fraction check it replaced."""
 
 import math
 import random
@@ -8,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from folnerlab.lp import LpError, min_cost_flow, simplex_max
+from folnerlab.lp import LpError, LpSolution, _certify, min_cost_flow, simplex_max
 
-from fraction_oracles import fraction_min_cost_flow, fraction_simplex_max
+from fraction_oracles import fraction_min_cost_flow, fraction_simplex_max, fraction_verify
 
 
 def test_simplex_simple_box():
@@ -64,6 +65,7 @@ def test_simplex_random_against_vertex_enumeration():
             rows.append([(j, Fraction(1))])
             b.append(Fraction(4))
         sol = simplex_max(c, rows, b)
+        fraction_verify(sol, c, rows, b)
 
         # brute force over a fine grid of the box (quarters), feasible only
         best = None
@@ -153,12 +155,28 @@ def _outcome(engine, *args):
 def _assert_simplex_agrees(c, rows, b):
     got = _outcome(simplex_max, c, rows, b)
     assert got == _outcome(fraction_simplex_max, c, rows, b)
+    if got[0] != "error":
+        # the integer certificate's optimum also passes the Fraction check
+        fraction_verify(LpSolution(*got), c, rows, b)
     return got
+
+
+def _assert_flow_valid(n, arcs, supplies, cost, flows):
+    """The flow on its own: within capacity, conserved, and of its cost."""
+    net = [0] * n
+    for (u, v, cap, _), f in zip(arcs, flows):
+        assert 0 <= f <= cap
+        net[u] += f
+        net[v] -= f
+    assert net == supplies
+    assert cost == sum((arc[3] * f for arc, f in zip(arcs, flows)), Fraction(0))
 
 
 def _assert_flow_agrees(n, arcs, supplies):
     got = _outcome(min_cost_flow, n, arcs, supplies)
     assert got == _outcome(fraction_min_cost_flow, n, arcs, supplies)
+    if got[0] != "error":
+        _assert_flow_valid(n, arcs, supplies, got[0], got[1])
     return got
 
 
@@ -287,3 +305,72 @@ def test_flow_matches_fraction_engine_on_random_networks():
         if _assert_flow_agrees(n, arcs, supplies)[0] != "error":
             feasible += 1
     assert feasible > 50
+
+
+def _box_network(rng, rows, cols, lo, hi):
+    """The flow side of a seminorm on a full rows x cols box of Z^2: every
+    unit-distance pair, both ways, and the bank node priced by the box."""
+    index = {(r, c): k for k, (r, c) in enumerate((r, c) for r in range(rows) for c in range(cols))}
+    n = len(index)
+    mu = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+    if lo == 0:  # the [0, 1] box needs a weight of zero total mass
+        mu[-1] -= sum(mu)
+    arcs = []
+    for (r, c), k in index.items():
+        for neighbour in ((r + 1, c), (r, c + 1)):
+            if neighbour in index:
+                arcs.append((k, index[neighbour], 1 << 60, Fraction(1)))
+                arcs.append((index[neighbour], k, 1 << 60, Fraction(1)))
+    for v in range(n):
+        arcs.append((v, n, 1 << 60, hi))
+        arcs.append((n, v, 1 << 60, -lo))
+    return n + 1, arcs, mu + [-sum(mu)]
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 9), (9, 9), (8, 10), (9, 10), (9, 8), (10, 8)])
+def test_flow_matches_fraction_engine_on_bench_scale_boxes(rows, cols):
+    rng = random.Random(7005 + 100 * rows + cols)
+    for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1))):
+        n, arcs, supplies = _box_network(rng, rows, cols, lo, hi)
+        cost, flows, pot = min_cost_flow(n, arcs, supplies)
+        oracle_cost, _, oracle_pot = fraction_min_cost_flow(n, arcs, supplies)
+        assert (cost, pot) == (oracle_cost, oracle_pot)
+        _assert_flow_valid(n, arcs, supplies, cost, flows)
+
+
+def test_integer_certificate_matches_fraction_check_on_tampered_optima():
+    # Integer data, so the scaled system is the system itself; each optimum
+    # is checked as found and with one entry of X or Y moved by one unit.
+    rng = random.Random(7006)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        c = [rng.randint(-3, 4) for _ in range(n)]
+        rows = [[(j, rng.randint(-2, 3)) for j in range(n)] for _ in range(rng.randint(1, 4))]
+        b = [rng.randint(0, 5) for _ in rows]
+        rows += [[(j, 1)] for j in range(n)]
+        b += [rng.randint(0, 4) for _ in range(n)]
+        sol = simplex_max([Fraction(v) for v in c], [[(j, Fraction(a)) for j, a in r] for r in rows],
+                          [Fraction(v) for v in b])
+        D = math.lcm(*(v.denominator for v in sol.x + sol.duals))
+        X, Y = [int(v * D) for v in sol.x], [int(v * D) for v in sol.duals]
+        if rng.random() < 0.8:
+            vec = X if rng.random() < 0.5 else Y
+            vec[rng.randrange(len(vec))] += rng.choice((-1, 1))
+        x, y = [Fraction(v, D) for v in X], [Fraction(v, D) for v in Y]
+        value = sum(cj * xj for cj, xj in zip(c, x))
+        try:
+            fraction_verify(LpSolution(value, x, y, 0), c, rows, b)
+            expected = value * D  # the certificate returns the objective times D
+        except LpError as exc:
+            expected = str(exc)
+        try:
+            got = _certify(c, rows, b, X, Y, D)
+        except LpError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(expected if isinstance(expected, str) else "valid")
+    assert outcomes == {
+        "valid", "primal witness infeasible", "primal witness negative", "dual witness negative",
+        "dual witness infeasible", "objective values disagree",
+    }
