@@ -130,6 +130,8 @@ def _load_model(obj, path: str) -> GroupModel:
         raise ConfigError(f"{path}.params", "expected an object")
     try:
         return model_from_json(obj)
+    except CertificateError as exc:
+        raise _certificate_error(exc, path)
     except (KeyError, ValueError) as exc:
         raise ConfigError(path, str(exc))
 
@@ -463,6 +465,8 @@ def _run_perturb(config: dict, artifacts: Artifacts) -> int:
         for k, idx in enumerate(params["indices"]):
             _expect(idx, f"params.indices[{k}]", ("E", "n"))
             E = _load_window(idx["E"], model, f"params.indices[{k}].E")
+            if model.identity() not in E:
+                raise ConfigError(f"params.indices[{k}].E", "every index pool must contain the identity")
             n = _integer(idx["n"], f"params.indices[{k}].n")
             if n < 2:
                 raise ConfigError(f"params.indices[{k}].n", "index multiplicities start at 2")

@@ -18,9 +18,11 @@ on ints.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +80,13 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def common_denominator(*groups: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
+    """The least common denominator L of all the given rationals, and each
+    group as the ints x * L; each group is read twice."""
+    scale = math.lcm(*(x.denominator for xs in groups for x in xs))
+    return scale, [[x.numerator * (scale // x.denominator) for x in xs] for xs in groups]
+
+
 def write_canonical_json(out_dir: Optional[Path], name: str, payload) -> None:
     """Write `canonical_json(payload)` to out_dir/name, creating the
     directory; with no directory nothing is written."""
@@ -127,6 +136,10 @@ class GroupModel:
     kind: str = ""
     discrete: bool = True
     abelian: bool = False
+    # Whether x < y in payload order implies a x < a y and x a < y a: then
+    # translates of a sorted table, and rows u -> u x over a sorted ball,
+    # come out sorted.
+    ordered_law: bool = False
     # Sort key on payloads for canonical order; None is the payloads' own order.
     payload_key = None
 
@@ -206,6 +219,7 @@ class LatticeModel(GroupModel):
 
     kind = "lattice"
     abelian = True
+    ordered_law = True  # x -> a + x keeps the lexicographic order
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -348,6 +362,9 @@ class HeisenbergModel(GroupModel):
     """
 
     kind = "heisenberg"
+    # Either product adds a constant to the first two coordinates and, where
+    # they agree, to the third, so the lexicographic order is kept.
+    ordered_law = True
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0, 0, 0))
@@ -491,29 +508,53 @@ class CyclicModel(GroupModel):
 
 _MODELS: dict[tuple, GroupModel] = {}
 
+# Each model kind: its class, and its one integer parameter with the default
+# (None for the kinds that take none).
+_KINDS: dict[str, tuple[type, Optional[tuple[str, int]]]] = {
+    "lattice": (LatticeModel, ("dim", 1)),
+    "free": (FreeGroupModel, ("rank", 2)),
+    "heisenberg": (HeisenbergModel, None),
+    "circle": (CircleModel, None),
+    "torus": (TorusModel, ("dim", 2)),
+    "cyclic": (CyclicModel, ("modulus", 12)),
+}
+
 
 def make_model(kind: str, **params) -> GroupModel:
     """The one shared instance per (kind, params), keyed on the built model's
     own params so that every spelling of a model gives the same object."""
-    if kind == "lattice":
-        model = LatticeModel(int(params.get("dim", 1)))
-    elif kind == "free":
-        model = FreeGroupModel(int(params.get("rank", 2)))
-    elif kind == "heisenberg":
-        model = HeisenbergModel()
-    elif kind == "circle":
-        model = CircleModel()
-    elif kind == "torus":
-        model = TorusModel(int(params.get("dim", 2)))
-    elif kind == "cyclic":
-        model = CyclicModel(int(params.get("modulus", 12)))
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    cls, param = _KINDS[kind]
+    if param is None:
+        model = cls()
+    else:
+        name, default = param
+        model = cls(int(params.get(name, default)))
     return _MODELS.setdefault((model.kind, tuple(sorted(model.params().items()))), model)
 
 
 def model_from_json(obj: dict) -> GroupModel:
-    return make_model(obj["kind"], **obj.get("params", {}))
+    """The model of a descriptor {"kind", "params"}.  A param that the kind
+    does not take, or one that is neither a JSON integer nor the text of
+    one, is a CertificateError naming `params.<key>`."""
+    kind, params = obj["kind"], obj.get("params", {})
+    if kind in _KINDS:
+        param = _KINDS[kind][1]
+        for key, value in params.items():
+            if param is None or key != param[0]:
+                raise CertificateError(f"params.{key}", f"not a parameter of a {kind} model")
+            if type(value) is not int and not (isinstance(value, str) and _is_int_text(value)):
+                raise CertificateError(f"params.{key}", f"expected an integer, got {value!r}")
+    return make_model(kind, **params)
+
+
+def _is_int_text(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +780,9 @@ def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:
 
 class FiniteWindow:
     """Duplicate-free set of elements of one model, kept as a table of
-    canonical payloads sorted by the model's `payload_key`: `elements[i]`
-    wraps the i-th payload and `positions` maps each payload to its index."""
+    canonical payloads sorted by the model's `payload_key`: `positions` maps
+    each payload to its index, and `elements[i]`, built on first access,
+    wraps the i-th payload."""
 
     def __init__(self, model: GroupModel, elements: Iterable[GroupElement]):
         payloads = []
@@ -770,11 +812,16 @@ class FiniteWindow:
 
     def _table(self, model: GroupModel, ordered: list) -> None:
         self.model = model
-        self.elements: tuple[GroupElement, ...] = tuple(GroupElement(model, x) for x in ordered)
         self.positions: dict[Any, int] = {x: i for i, x in enumerate(ordered)}
 
+    @functools.cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """The payloads wrapped as elements, in table order; built on first use."""
+        model = self.model
+        return tuple(GroupElement(model, x) for x in self.positions)
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.positions)
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
@@ -832,10 +879,21 @@ def window(model: GroupModel, elements: Iterable) -> FiniteWindow:
 
 
 def translate_window(g: GroupElement, F: FiniteWindow) -> FiniteWindow:
-    """Left translate gF, re-canonicalized; cardinality is preserved."""
+    """Left translate gF, re-canonicalized; cardinality is preserved.
+
+    Where the law keeps the payload order (`ordered_law`) the translates
+    are already sorted.  A circle rotation by a is a cyclic shift of the
+    sorted points: those from 1 - a on wrap to the front.  Other models
+    sort the translates."""
     model = F.model
     model._check(g)
     mul, a = model._mul_data, g.data
+    if model.ordered_law:
+        return FiniteWindow._from_sorted(model, [mul(a, x) for x in F.positions])
+    if isinstance(model, CircleModel):
+        points = list(F.positions)
+        k, back = bisect_left(points, 1 - a), a - 1
+        return FiniteWindow._from_sorted(model, [x + back for x in points[k:]] + [x + a for x in points[:k]])
     return FiniteWindow._from_payloads(model, [mul(a, x) for x in F.positions])
 
 

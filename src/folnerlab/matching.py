@@ -3,12 +3,17 @@ deficiency witnesses.
 
 An instance pairs x in E with y in F whenever y x^-1 lies in the entourage,
 that is y = u x for some u in U.  `build_graph` divides the scale factors out
-of the radius and then lists each row directly by the base metric:
+of the radius and then lists each row directly by the base metric, reading
+only the windows' payload -> index tables:
 
-- word metric on a discrete model: the word ball of the radius, enumerated
-  once by BFS, is applied to x and looked up in F;
+- word metric on a discrete model: the word ball of the radius is applied to
+  x and looked up in F.  The ball is enumerated once per (model, radius,
+  |F|) and kept in a small memo, so the g-loops of `topological_defect` and
+  of a certificate's `verify` do not rebuild it per g.  Where the law keeps
+  the payload order (lattice, Heisenberg) the row comes out sorted;
 - arc metric on the circle: a closed interval [x - r, x + r] mod 1, cut out
-  of F's sorted payloads by bisection (all of F once r >= 1/2);
+  of F's sorted points by bisection over ints at one common denominator
+  (all of F once r >= 1/2);
 - discrete metric: all of F once r >= 1, otherwise x itself if x is in F.
 
 Every pair is tested against the entourage only when the word ball is larger
@@ -18,10 +23,14 @@ without a closed form.  Rows are ascending in the index of F either way.
 The matching number is computed by Hopcroft-Karp with deterministic vertex
 order; the deficiency witness is the set of left vertices reachable by
 alternating paths from the unmatched ones, which maximizes |S| - |N(S)|.
+A stored result needs no re-solve: `check_valid` shows that its pairing is
+a matching with mu = |E| - (|S| - |N(S)|), and every matching has at most
+|E| - |S| + |N(S)| edges, so mu is the matching number.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -34,9 +43,11 @@ from .groups import (
     Entourage,
     FiniteWindow,
     GroupElement,
+    GroupModel,
     InvariantPseudoMetric,
     ModelMismatchError,
     WindowSizeError,
+    common_denominator,
     word_ball,
 )
 
@@ -131,40 +142,51 @@ def _listed_rows(
     """The rows of `build_graph` for the ball d(u, e) <= radius of a base
     metric, listed without testing pairs; None where only the pair test applies."""
     model, n = E.model, len(F)
+    index = F.positions
     if metric.rule == "discrete":
         if radius >= 1:
-            return [list(range(n)) for _ in E]
-        return [[F.index(x)] if x in F else [] for x in E]
+            return [list(range(n)) for _ in range(len(E))]
+        return [[index[x]] if x in index else [] for x in E.positions]
     if metric.rule == "arc" and isinstance(model, CircleModel):
         if radius >= Fraction(1, 2):
-            return [list(range(n)) for _ in E]
-        # y is within radius of x iff y lies in [x-r, x+r], [x-r+1, 1) or
-        # [0, x+r-1]; for r < 1/2 these pieces are disjoint and in order.
-        points = list(F.positions)
+            return [list(range(n)) for _ in range(len(E))]
+        # On ints over the common denominator L, y is within r of x iff y
+        # lies in [x-r, x+r], [x-r+L, L) or [0, x+r-L]; for r < L/2 these
+        # pieces are disjoint and in order.
+        scale, (points, centers, (r,)) = common_denominator(index, E.positions, (radius,))
         rows = []
-        for x in E:
-            lo, hi = x.data - radius, x.data + radius
+        for c in centers:
+            lo, hi = c - r, c + r
             rows.append(
-                list(range(bisect_right(points, hi - 1)))
+                list(range(bisect_right(points, hi - scale)))
                 + list(range(bisect_left(points, lo), bisect_right(points, hi)))
-                + list(range(bisect_left(points, lo + 1), n))
+                + list(range(bisect_left(points, lo + scale), n))
             )
         return rows
     if metric.rule == "word" and model.discrete:
         # Word lengths on the discrete models are BFS distances over the same
         # generators that `word_ball` walks.
-        try:
-            ball = word_ball(model, math.floor(radius), cap=n)
-        except WindowSizeError:
+        ball = _ball(model, math.floor(radius), n)
+        if ball is None:
             return None
-        index = F.positions
-        mul = model._mul_data
+        mul, ordered = model._mul_data, model.ordered_law
         rows = []
-        for x in E:
-            found = (index.get(mul(u, x.data)) for u in ball.positions)
-            rows.append(sorted(j for j in found if j is not None))
+        for x in E.positions:
+            row = [j for j in map(index.get, [mul(u, x) for u in ball]) if j is not None]
+            rows.append(row if ordered else sorted(row))
         return rows
     return None
+
+
+@functools.lru_cache(maxsize=4)
+def _ball(model: GroupModel, radius: int, cap: int) -> Optional[tuple]:
+    """The payloads of `word_ball(model, radius, cap)` in its order, or None
+    past the cap.  The g-loops of `topological_defect` and of a certificate's
+    `verify` ask for the same ball once per g, so the last few are kept."""
+    try:
+        return tuple(word_ball(model, radius, cap=cap).positions)
+    except WindowSizeError:
+        return None
 
 
 def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:

@@ -38,6 +38,7 @@ from .groups import (
     GroupElement,
     GroupModel,
     TorusModel,
+    common_denominator,
     grid_sample,
     parse_bool,
     parse_fraction,
@@ -237,26 +238,16 @@ def verify_perturbation(action: PerturbedAction, U: Entourage) -> PerturbationRe
     """Exhaustive deviation check of every table entry, plus orbit ratios.
 
     Any entry with d(alpha(g)(h), g h) beyond the radius is reported as a
-    violation with its exact distance.  For each stored Folner window the
-    report also carries the orbit-growth ratio |pool . F| / |F| under the
-    table action, the finite stand-in for almost invariance of the action.
+    violation with its exact distance.  On the circle with the unscaled arc
+    metric the scan runs on ints over one common denominator and reports
+    the same Fractions.  For each stored Folner window the report also
+    carries the orbit-growth ratio |pool . F| / |F| under the table action,
+    the finite stand-in for almost invariance of the action.
     """
     model = action.window.model
-    metric = U.metric
-    violations = []
-    checked = 0
-    max_dev = ZERO
-    for g, row in sorted(action.rows.items(), key=lambda kv: model.sort_key(kv[0])):
-        for i, j in enumerate(row):
-            if j is None:
-                continue
-            h = action.window[i]
-            image = action.window[j]
-            dist = metric.eval(image, model.mul(g, h))
-            checked += 1
-            max_dev = max(max_dev, dist)
-            if dist > U.radius:
-                violations.append(Violation(g=g, h=h, image=image, distance=dist))
+    rows = sorted(action.rows.items(), key=lambda kv: model.sort_key(kv[0]))
+    scan = _circle_deviations if U.metric.rule == "arc" and isinstance(model, CircleModel) else _deviations
+    checked, violations, max_dev = scan(action.window, rows, U)
 
     ratios = []
     for idx, F in enumerate(action.folner_windows):
@@ -278,6 +269,54 @@ def verify_perturbation(action: PerturbedAction, U: Entourage) -> PerturbationRe
         max_deviation=max_dev,
         rosenblatt=ratios,
     )
+
+
+# A table row per g, sorted by g: (g, image index or None per window point).
+Rows = list[tuple[GroupElement, list[Optional[int]]]]
+
+
+def _deviations(window: FiniteWindow, rows: Rows, U: Entourage) -> tuple[int, list[Violation], Fraction]:
+    """The deviation scan of `verify_perturbation`: the entries checked, the
+    violations and the largest deviation, each distance from `U.metric`."""
+    model, metric = window.model, U.metric
+    violations = []
+    checked = 0
+    max_dev = ZERO
+    for g, row in rows:
+        for i, j in enumerate(row):
+            if j is None:
+                continue
+            h = window[i]
+            image = window[j]
+            dist = metric.eval(image, model.mul(g, h))
+            checked += 1
+            max_dev = max(max_dev, dist)
+            if dist > U.radius:
+                violations.append(Violation(g=g, h=h, image=image, distance=dist))
+    return checked, violations, max_dev
+
+
+def _circle_deviations(window: FiniteWindow, rows: Rows, U: Entourage) -> tuple[int, list[Violation], Fraction]:
+    """`_deviations` for the arc metric on the circle, on ints: every point,
+    every g and the radius over their common denominator L, so an arc is
+    min(d, L - d) for d = |image - (g + h) mod L|."""
+    scale, (ints, shifts, (bound,)) = common_denominator(
+        window.positions, [g.data for g, _ in rows], (U.radius,)
+    )
+    checked = most = 0
+    violations = []
+    for (g, row), shift in zip(rows, shifts):
+        for i, j in enumerate(row):
+            if j is None:
+                continue
+            d = abs(ints[j] - (ints[i] + shift) % scale)
+            d = min(d, scale - d)
+            checked += 1
+            if d > most:
+                most = d
+            if d > bound:
+                violations.append(Violation(g=g, h=window[i], image=window[j], distance=Fraction(d, scale)))
+    return checked, violations, Fraction(most, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each function here computes every step in `Fraction`s, as the package did
 before: the simplex, its optimality check and the min-cost flow (one
 shortest path per augmentation) of `folnerlab.lp`, the Lipschitz pair
-pruning of `folnerlab.weights`, and the criterion-7 grid scan of
-`folnerlab.suite`.  They are kept unchanged as oracles: the integer forms
+pruning of `folnerlab.weights`, the criterion-7 grid scan of
+`folnerlab.suite`, and the deviation scan of `folnerlab.perturb`'s
+`verify_perturbation`.  They are kept unchanged as oracles: the integer forms
 must return identical results (values, witnesses, duals, pivot counts,
 flows, potentials and kept pairs) on the same input.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from folnerlab.lp import LpError, LpSolution
+from folnerlab.perturb import PerturbationReport, Violation
 
 ZERO = Fraction(0)
 
@@ -282,3 +284,46 @@ def fraction_brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, 
                 if best is None or v > best:
                     best = v
     return best
+
+
+def fraction_verify_perturbation(action, U) -> PerturbationReport:
+    """`verify_perturbation` with every deviation a `Fraction` from
+    `metric.eval` on elements, as it ran on every model before the circle
+    scan moved to ints."""
+    model = action.window.model
+    metric = U.metric
+    violations = []
+    checked = 0
+    max_dev = ZERO
+    for g, row in sorted(action.rows.items(), key=lambda kv: model.sort_key(kv[0])):
+        for i, j in enumerate(row):
+            if j is None:
+                continue
+            h = action.window[i]
+            image = action.window[j]
+            dist = metric.eval(image, model.mul(g, h))
+            checked += 1
+            max_dev = max(max_dev, dist)
+            if dist > U.radius:
+                violations.append(Violation(g=g, h=h, image=image, distance=dist))
+
+    ratios = []
+    for idx, F in enumerate(action.folner_windows):
+        if idx < len(action.folner_pools):
+            movers = [g for g in action.folner_pools[idx] if g in action.rows]
+        else:
+            movers = list(action.rows)
+        image = set(F)
+        for g in movers:
+            for x in F:
+                y = action.apply(g, x)
+                if y is not None:
+                    image.add(y)
+        ratios.append((idx, Fraction(len(image), len(F))))
+    return PerturbationReport(
+        radius=U.radius,
+        entries_checked=checked,
+        violations=violations,
+        max_deviation=max_dev,
+        rosenblatt=ratios,
+    )

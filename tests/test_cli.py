@@ -886,6 +886,10 @@ FIELD_ERRORS = {
     "build-indices-object": (BUILD, {"indices": {"E": ["0", "1/5"], "n": 4}}, "params.indices",
                              "expected a list of {E, n} objects"),
     "build-indices=5": (BUILD, {"indices": 5}, "params.indices", "expected a list of {E, n} objects"),
+    "build-E-without-identity": (BUILD, {"indices": [{"E": ["1/5"], "n": 4}]}, "params.indices[0].E",
+                                 "every index pool must contain the identity"),
+    "build-second-E-without-identity": (BUILD, {"indices": [{"E": ["0", "1/5"], "n": 4}, {"E": [], "n": 2}]},
+                                        "params.indices[1].E", "every index pool must contain the identity"),
     "discrete-radius": (DISCRETE, {"radius": "0"}, "params.radius", "not read in discrete mode"),
     "discrete-metric": (DISCRETE, {"metric": {"rule": "word"}}, "params.metric", "not read in discrete mode"),
     "seminorm-radius": (SEMINORM, {"radius": "zz"}, "params.radius", "unknown field (strict schema)"),
@@ -928,6 +932,61 @@ def test_non_object_or_non_string_scenario_field_names_its_path(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: expected ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model, field, message",
+    [
+        # `dim: null` used to end in a TypeError traceback, and an unknown
+        # key used to be ignored with exit 0
+        ({"kind": "lattice", "params": {"dim": None}}, "model.params.dim", "expected an integer, got None"),
+        ({"kind": "lattice", "params": {"dim": 1, "foo": 1}}, "model.params.foo", "not a parameter of a lattice model"),
+        ({"kind": "lattice", "params": {"dim": True}}, "model.params.dim", "expected an integer, got True"),
+        ({"kind": "lattice", "params": {"dim": 1.5}}, "model.params.dim", "expected an integer, got 1.5"),
+        ({"kind": "lattice", "params": {"dim": "one"}}, "model.params.dim", "expected an integer, got 'one'"),
+        ({"kind": "free", "params": {"dim": 2}}, "model.params.dim", "not a parameter of a free model"),
+        ({"kind": "heisenberg", "params": {"rank": 2}}, "model.params.rank", "not a parameter of a heisenberg model"),
+    ],
+)
+def test_model_param_errors_name_their_field(tmp_path, capsys, model, field, message):
+    config = {**DISCRETE, "model": model}
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(config)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run(["folner-defect", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field}: {message}\n"
+
+
+def test_certificate_model_param_error_names_its_field(tmp_path):
+    assert run_scenario_config(DEFECT, out_dir=tmp_path / "cert") == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    cert["model"]["params"]["dim"] = None
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config({"task": "defect", "params": {"certificate": cert}})
+    assert info.value.path == "params.certificate.model.params.dim"
+
+
+def test_defect_certificate_with_a_dropped_pair_is_rejected(tmp_path, capsys):
+    # A well-formed certificate whose stored matching is one pair short of
+    # maximum, with mu lowered to match: no witness can close the Hall
+    # identity, so verification rejects it (exit 2, as for any invalid
+    # certificate; a malformed file is exit 1).
+    config = {"task": "defect", "model": {"kind": "lattice", "params": {"dim": 2}},
+              "params": {"F": [f"{i},{j}" for i in range(3) for j in range(2)], "E": ["1,0", "0,1"],
+                         "radius": "0"}}
+    assert run_scenario_config(config, out_dir=tmp_path / "cert") == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    entry = cert["matchings"]["1,0"]
+    entry["pairing"].pop()
+    entry["mu"] -= 1
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["folner-defect", "--verify-cert", path]) == 2
+    assert capsys.readouterr().out == "certificate INVALID: Hall identity violated by the stored witness\n"
 
 
 def test_discrete_defect_flags_without_radius(tmp_path, capsys):

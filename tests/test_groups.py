@@ -552,6 +552,51 @@ def test_payload_window_matches_element_oracle(model, seed):
         _assert_window_matches(translate_window(g, w), model, [model.mul(g, x) for x in w], probes)
 
 
+def _sorting_translate(g, F):
+    """The translate that sorts every window, as `translate_window` did on
+    all models before it shifted lattice, Heisenberg and circle tables."""
+    model = F.model
+    return FiniteWindow._from_payloads(model, [model._mul_data(g.data, x) for x in F.positions])
+
+
+def _lattice_payloads(dim):
+    return st.tuples(*[st.integers(-5, 5)] * dim)
+
+
+def _circle_payloads():
+    return st.integers(1, 24).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+SHIFTED_MODELS = {
+    "Z": (Z, _lattice_payloads(1)),
+    "Z2": (Z2, _lattice_payloads(2)),
+    "Z3": (make_model("lattice", dim=3), _lattice_payloads(3)),
+    "H": (H, st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6))),
+    "C": (C, _circle_payloads()),
+    # models that keep the sort
+    "F2": (F2, st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(F2._canonical)),
+    "Z12": (Z12, st.integers(0, 11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sort_free_translate_matches_sorting_translate(name, data):
+    model, payloads = SHIFTED_MODELS[name]
+    F = FiniteWindow._from_payloads(model, data.draw(st.lists(payloads, max_size=25)))
+    # the identity, a random shift, and on the circle the shifts that carry
+    # a point exactly onto 0 (the wrap-around boundary)
+    shifts = [model.identity().data, data.draw(payloads)]
+    if model is C:
+        shifts += [(1 - x) % 1 for x in F.positions]
+    for a in shifts:
+        g = model.element(a)
+        got, want = translate_window(g, F), _sorting_translate(g, F)
+        assert list(got.positions.items()) == list(want.positions.items())
+        assert got.elements == want.elements and got == want
+
+
 @pytest.mark.parametrize(
     "model", [m for m in DIFFERENTIAL_MODELS if m.discrete] + [FREE_RANKS[0], FREE_RANKS[2]], ids=repr
 )

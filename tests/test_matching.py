@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from folnerlab.groups import (
 )
 from folnerlab.matching import (
     BipartiteInstance,
+    MatchingResult,
+    _listed_rows,
     brute_force_matching_number,
     build_graph,
     max_matching,
@@ -85,6 +88,35 @@ def test_perfect_iff_hall(adjacency):
         for i in violating:
             nbhd.update(adjacency[i])
         assert len(violating) > len(nbhd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adjacency_lists, st.data())
+def test_non_maximum_matching_fails_with_every_witness(adjacency, data):
+    # A certificate's verify re-solves no matching: a valid pairing below
+    # the matching number must fail `check_valid` whatever witness it
+    # carries, since |M| <= |E| - |S| + |N(S)| for every matching M and set S.
+    inst = _instance(adjacency, 8)
+    best = brute_force_matching_number(inst)
+    if best == 0:
+        return
+    edges = data.draw(st.permutations([(i, j) for i, row in enumerate(adjacency) for j in row]))
+    pairing, used = {}, set()
+    for i, j in edges:
+        if i not in pairing and j not in used:
+            pairing[i] = j
+            used.add(j)
+    keep = data.draw(st.integers(0, best - 1))
+    pairing = dict(sorted(pairing.items())[:keep])
+    witness = data.draw(
+        st.one_of(
+            st.just(max_matching(inst).witness),
+            st.lists(st.integers(0, len(adjacency) - 1), unique=True).map(lambda w: tuple(sorted(w))),
+        )
+    )
+    short = MatchingResult(instance=inst, pairing=pairing, mu=len(pairing), witness=witness, perfect=False)
+    with pytest.raises(ValueError, match="Hall identity violated"):
+        short.check_valid()
 
 
 def test_star_instance():
@@ -193,6 +225,49 @@ def test_adjacency_reproducible_and_fastpath_consistent():
                             graphs += 1
                             edges += sum(len(row) for row in got)
     assert graphs > 2500 and edges > 50000
+
+
+def _fractions(top):
+    return st.integers(1, 30).flatmap(lambda q: st.integers(0, top * q).map(lambda p: Fraction(p, q)))
+
+
+H = make_model("heisenberg")
+F2 = make_model("free", rank=2)
+Z2 = make_model("lattice", dim=2)
+# model, payloads, base metrics with a listed form, radii
+LISTED_CASES = {
+    "Z": (Z, st.tuples(st.integers(-8, 8)), ("word", "discrete"), _fractions(4)),
+    "Z2": (Z2, st.tuples(st.integers(-4, 4), st.integers(-4, 4)), ("word", "discrete"), _fractions(4)),
+    "H": (H, st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-4, 4)), ("word",), _fractions(3)),
+    "F2": (F2, st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4), ("word",), _fractions(3)),
+    "C": (C, _fractions(1).map(lambda x: x % 1), ("arc", "discrete"), _fractions(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_CASES))
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_listed_rows_match_pair_rows(name, data):
+    # Sort-free lattice and Heisenberg rows, circle rows bisected on ints
+    # and the memoized word ball, each against the pair test they replace.
+    model, payloads, rules, radii = LISTED_CASES[name]
+    E = window(model, data.draw(st.lists(payloads, max_size=10)))
+    F = window(model, data.draw(st.lists(payloads, max_size=30)))
+    if data.draw(st.booleans()):
+        F = translate_window(model.element(data.draw(payloads)), E)
+    rule = data.draw(st.sampled_from(rules))
+    metric = {"word": WordMetric, "arc": ArcMetric, "discrete": DiscreteMetric}[rule](model)
+    radius = data.draw(radii)
+    if rule == "arc" and E and F and data.draw(st.booleans()):
+        # an arc realised by a pair, so that some point lies exactly on an
+        # end of its interval, across 0 as well
+        x, y = data.draw(st.sampled_from(E.elements)), data.draw(st.sampled_from(F.elements))
+        radius = metric.eval(x, y)
+    rows = _listed_rows(E, F, metric, radius)
+    if rows is None:  # only a word ball larger than F is left to the pair test
+        assert rule == "word" and len(word_ball(model, int(radius))) > len(F)
+    else:
+        assert rows == pair_oracle(E, F, Entourage(metric, radius))
 
 
 def test_word_radius_one_lists_rows_without_pair_tests(monkeypatch):

@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fraction_oracles import fraction_verify_perturbation
 from folnerlab.groups import (
     ArcMetric,
     Entourage,
+    ScaledMetric,
     WordMetric,
     grid_sample,
     make_model,
@@ -429,3 +433,31 @@ def test_perturbed_action_from_json_rejects_nonboolean_involution(flag):
     assert loaded.involution == {C.element(Fraction(1, 4)): False}
     with pytest.raises(ValueError, match=r"involution\[1/4\]"):
         PerturbedAction.from_json({**payload, "involution": {"1/4": flag}}, C)
+
+
+def _circle_points(top_denominator):
+    return st.integers(1, top_denominator).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_circle_deviation_scan_matches_fraction_oracle(data):
+    # Random circle tables: rows are random injections with holes, so most
+    # entries miss g h and many violate the radius.
+    points = sorted(set(data.draw(st.lists(_circle_points(40), min_size=1, max_size=20))))
+    win = window(C, points)
+    pool = window(C, data.draw(st.lists(_circle_points(40), min_size=1, max_size=5)))
+    rows = {}
+    for g in pool:
+        images = data.draw(st.permutations(list(range(len(win)))))
+        holes = data.draw(st.lists(st.booleans(), min_size=len(win), max_size=len(win)))
+        rows[g] = [None if hole else j for j, hole in zip(images, holes)]
+    windows = [window(C, data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6)))]
+    action = PerturbedAction(window=win, pool=pool, rows=rows, radius=Fraction(0),
+                             folner_windows=windows, folner_pools=[pool][: data.draw(st.integers(0, 1))])
+    radius = data.draw(_circle_points(30))
+    for metric in (ARC, ScaledMetric(ARC, Fraction(3, 2))):  # the scaled metric keeps the Fraction loop
+        U = Entourage(metric, radius)
+        got, want = verify_perturbation(action, U), fraction_verify_perturbation(action, U)
+        assert got == want
+        assert got.to_json() == want.to_json()
