@@ -71,7 +71,7 @@ from .perturb import (
     verify_perturbation,
 )
 from .suite import CRITERIA, run_suite
-from .weights import FiniteWeight, invariance_defect, lipschitz_seminorm
+from .weights import SUPPORT_CAP, FiniteWeight, SupportSizeError, invariance_defect, lipschitz_seminorm
 
 
 class ConfigError(ValueError):
@@ -189,6 +189,11 @@ def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
         raise ConfigError(f"{path}.support", "expected a list of element encodings")
     if not isinstance(weights, list) or len(weights) != len(support):
         raise ConfigError(f"{path}.weights", f"expected a list of {len(support)} rationals, one per support point")
+    if all(isinstance(x, str) for x in support):
+        try:  # each entry parsed once, by the weight itself
+            return FiniteWeight(model, zip(map(model.parse, support), weights))
+        except (ValueError, ZeroDivisionError):
+            pass  # parsed again below, entry by entry, to name the first that fails
     return FiniteWeight(
         model,
         [
@@ -225,8 +230,8 @@ def _load_metric(obj, model: GroupModel, path: str) -> InvariantPseudoMetric:
     _expect(obj, path, ("rule",))
     try:
         return metric_from_json(obj, model)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.rule", str(exc))
+    except CertificateError as exc:
+        raise _certificate_error(exc, path)
 
 
 def _load_entourage(params: dict, model: GroupModel, path: str) -> Entourage:
@@ -380,13 +385,18 @@ def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
     _expect(params, "params", ("weight",), ("metric", "E"))
     model = _load_model(config["model"], "model")
     weight = _load_weight(params["weight"], model, "params.weight")
+    if len(weight) > SUPPORT_CAP:
+        raise ConfigError("params.weight.support", f"support {len(weight)} exceeds cap {SUPPORT_CAP}")
     metric_obj = params.get("metric")
     metric = _load_metric(metric_obj, model, "params.metric") if metric_obj else model.default_metric()
     if "E" in params:
         if not weight.is_stochastic():
             raise ConfigError("params.weight", "invariance defect is defined for stochastic weights")
         E = _load_window(params["E"], model, "params.E")
-        defect = invariance_defect(weight, E, metric)
+        try:
+            defect = invariance_defect(weight, E, metric)
+        except SupportSizeError as exc:  # a - g.a holds up to twice the points of a
+            raise ConfigError("params.weight", f"a - g.a: {exc}")
         rows = [
             [model.format(r.g), str(r.full), r.pivots, str(r.witness_range)]
             for r in defect.rows

@@ -112,7 +112,10 @@ class FolnerCertificate:
             raise CertificateError(f"model.{exc.path}", exc.reason)
         E = parse_window(obj["E"], model, "E")
         F = parse_window(obj["F"], model, "F")
-        U = entourage_from_json(obj["U"], model)
+        try:
+            U = entourage_from_json(obj["U"], model)
+        except CertificateError as exc:
+            raise CertificateError(f"U.{exc.path}", exc.reason) from None
         if not isinstance(obj["matchings"], dict):
             raise CertificateError("matchings", "expected an object keyed by element encodings")
         matchings = {}

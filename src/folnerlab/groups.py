@@ -8,12 +8,11 @@ its elements' payloads sorted by the model's `payload_key` (the payloads' own
 numeric/lexicographic order, shortlex for free words) with one payload ->
 index dict, so translates and lookups run on payloads.
 
-Each invariant pseudo-metric also builds the integer distance matrix of a
-point list (`distance_matrix`: ints over one common scale), which the
-seminorm reads.  Word metrics build it on payloads: one model check and one
-inverse per point, one product and one int word length per pair.  Arc
-metrics put every coordinate over one common denominator and take each arc
-on ints.
+Metrics here evaluate one pair at a time (`eval`).  The graphs that the
+matching and seminorm layers read (`matching.build_graph`,
+`matching.near_pairs`) list their rows on payloads instead: from the word
+ball on the discrete models, and with arcs on ints over one common
+denominator on the circle and torus.
 """
 
 from __future__ import annotations
@@ -580,22 +579,6 @@ class InvariantPseudoMetric:
     def distance_to_identity(self, g: GroupElement) -> Fraction:
         return self.eval(g, self.model.identity())
 
-    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
-        """All pairwise distances as integers over one common scale:
-        `rows[i][j] / scale == eval(points[i], points[j])`.
-
-        This generic body evaluates each pair once and scales by the LCM of
-        the denominators; subclasses may build the same matrix faster.
-        """
-        n = len(points)
-        upper = [[self.eval(points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
-        scale = math.lcm(*(d.denominator for row in upper for d in row))
-        rows = [[0] * n for _ in range(n)]
-        for i, row in enumerate(upper):
-            for j, d in enumerate(row, start=i + 1):
-                rows[i][j] = rows[j][i] = d.numerator * (scale // d.denominator)
-        return rows, scale
-
     @property
     def bi_invariant(self) -> bool:
         return self.model.abelian
@@ -626,23 +609,6 @@ class WordMetric(InvariantPseudoMetric):
         model = self.model
         return Fraction(model._length_data(model.mul(x, model.inv(y)).data))
 
-    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
-        """Word lengths on payloads: each point is checked and inverted once,
-        and every entry is the int length of one payload product (scale 1)."""
-        model = self.model
-        for p in points:
-            model._check(p)
-        data = [p.data for p in points]
-        inverses = [model._inv_data(y) for y in data]
-        mul, length = model._mul_data, model._length_data
-        n = len(data)
-        rows = [[0] * n for _ in range(n)]
-        for i, x in enumerate(data):
-            row = rows[i]
-            for j in range(i + 1, n):
-                row[j] = rows[j][i] = length(mul(x, inverses[j]))
-        return rows, 1
-
     def integer_valued(self) -> bool:
         return True
 
@@ -661,24 +627,6 @@ class ArcMetric(InvariantPseudoMetric):
         if isinstance(self.model, CircleModel):
             return self._arc(x.data, y.data)
         return max(self._arc(a, b) for a, b in zip(x.data, y.data))
-
-    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
-        """Arcs on ints: each point is checked once, every coordinate is put
-        over the common denominator L of all coordinates, and each arc is
-        min(|a - b|, L - |a - b|) (max over coordinates), at scale L."""
-        model = self.model
-        for p in points:
-            model._check(p)
-        coords = [(p.data,) if isinstance(model, CircleModel) else p.data for p in points]
-        scale = math.lcm(*(c.denominator for xs in coords for c in xs))
-        ints = [[c.numerator * (scale // c.denominator) for c in xs] for xs in coords]
-        n = len(ints)
-        rows = [[0] * n for _ in range(n)]
-        for i, x in enumerate(ints):
-            row = rows[i]
-            for j in range(i + 1, n):
-                row[j] = rows[j][i] = max(min(d, scale - d) for d in map(abs, map(operator.sub, x, ints[j])))
-        return rows, scale
 
 
 class DiscreteMetric(InvariantPseudoMetric):
@@ -712,11 +660,6 @@ class ScaledMetric(InvariantPseudoMetric):
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
         return self.factor * self.base.eval(x, y)
 
-    def distance_matrix(self, points: list[GroupElement]) -> tuple[list[list[int]], int]:
-        rows, scale = self.base.distance_matrix(points)
-        p = self.factor.numerator
-        return [[p * d for d in row] for row in rows], scale * self.factor.denominator
-
     @property
     def bi_invariant(self) -> bool:
         return self.base.bi_invariant
@@ -726,16 +669,28 @@ class ScaledMetric(InvariantPseudoMetric):
 
 
 def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
+    """The metric of a descriptor {"rule", ...} on `model`.  A rule that the
+    model does not carry (word lengths live on the discrete models, arcs on
+    the circle and the torus) or an unknown rule is a CertificateError
+    naming `rule` (`base.rule` inside a scaled metric)."""
     rule = obj["rule"]
     if rule == "word":
+        if not model.discrete:
+            raise CertificateError("rule", f"{model.kind} has no word metric")
         return WordMetric(model)
     if rule == "arc":
+        if model.discrete:
+            raise CertificateError("rule", f"{model.kind} has no arc metric")
         return ArcMetric(model)
     if rule == "discrete":
         return DiscreteMetric(model)
     if rule == "scaled":
-        return ScaledMetric(metric_from_json(obj["base"], model), parse_fraction(obj["factor"]))
-    raise ValueError(f"unknown metric rule {rule!r}")
+        try:
+            base = metric_from_json(obj["base"], model)
+        except CertificateError as exc:
+            raise CertificateError(f"base.{exc.path}", exc.reason) from None
+        return ScaledMetric(base, parse_fraction(obj["factor"]))
+    raise CertificateError("rule", f"unknown metric rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +725,13 @@ class Entourage:
 
 
 def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:
-    return Entourage(metric_from_json(obj["metric"], model), parse_fraction(obj["radius"]))
+    """The entourage of a descriptor {"metric", "radius"}; a metric error is
+    a CertificateError naming its path under `metric`."""
+    try:
+        metric = metric_from_json(obj["metric"], model)
+    except CertificateError as exc:
+        raise CertificateError(f"metric.{exc.path}", exc.reason) from None
+    return Entourage(metric, parse_fraction(obj["radius"]))
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ INF_CAP = 1 << 60
 
 def min_cost_flow(
     n: int,
-    arcs: list[tuple[int, int, int, Fraction]],
+    arcs: list[tuple[int, int, int, int | Fraction]],
     supplies: list[int],
 ) -> tuple[Fraction, list[int], list[Fraction]]:
     """Exact min-cost flow meeting integer supplies (positive = source).
@@ -213,8 +213,9 @@ def min_cost_flow(
     optimal duals are the same set for all of them, and the root distances
     are its greatest element that is <= 0.
 
-    Costs are scaled to integers by the LCM of their denominators; paths,
-    flows and potentials are computed on those and divided back once.
+    Costs are scaled to integers by the LCM of their denominators (1 when
+    they are all ints already, as the seminorm builds them); paths, flows
+    and potentials are computed on those and divided back once.
     """
     if sum(supplies) != 0:
         raise LpError("supplies must balance")

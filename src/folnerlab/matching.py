@@ -20,6 +20,10 @@ Every pair is tested against the entourage only when the word ball is larger
 than F, and for the arc metric on the torus and the other combinations
 without a closed form.  Rows are ascending in the index of F either way.
 
+`near_pairs` lists the seminorm's graph the same way: the pairs of one
+window closer than a width, each with its distance as an int over one
+common scale, from the same ball memo where the word ball applies.
+
 The matching number is computed by Hopcroft-Karp with deterministic vertex
 order; the deficiency witness is the set of left vertices reachable by
 alternating paths from the unmatched ones, which maximizes |S| - |N(S)|.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -176,6 +181,83 @@ def _listed_rows(
             rows.append(row if ordered else sorted(row))
         return rows
     return None
+
+
+def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) -> tuple[list[dict[int, int]], int]:
+    """The pairs of S closer than `width`, as ints over one common scale:
+    `rows[i]` maps each j != i with d(S[i], S[j]) < width to that distance
+    times `scale`, in ascending j.
+
+    A scaled metric divides the width by its factor, as `build_graph` does,
+    and multiplies its base's distances and scale by the two halves of the
+    factor.  Integer metric values are below the width exactly when they
+    are at most ceil(width) - 1, so on the discrete models the word ball of
+    that radius is applied to each point and looked up in S, with d = |u|
+    for the ball element u, as `_listed_rows` lists graph rows.  Every pair
+    is evaluated where `_listed_rows` would test every pair (`_scanned_pairs`).
+    """
+    if metric.model is not S.model:
+        raise ModelMismatchError("window and metric over different models")
+    if metric.rule == "scaled":
+        rows, scale = near_pairs(S, metric.base, width / metric.factor)
+        p = metric.factor.numerator
+        if p != 1:
+            rows = [{j: p * d for j, d in row.items()} for row in rows]
+        return rows, scale * metric.factor.denominator
+    model, index = S.model, S.positions
+    if metric.rule == "word" and model.discrete:
+        ball = _ball(model, math.ceil(width) - 1, len(index))
+        if ball is not None:
+            mul, length = model._mul_data, model._length_data
+            sized = [(u, d) for u in ball if (d := length(u))]
+            rows = []
+            for x in index:
+                row = {}
+                for u, d in sized:
+                    j = index.get(mul(u, x))
+                    if j is not None:
+                        row[j] = d
+                rows.append(row if model.ordered_law else dict(sorted(row.items())))
+            return rows, 1
+    return _scanned_pairs(S, metric, width)
+
+
+def _scanned_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) -> tuple[list[dict[int, int]], int]:
+    """`near_pairs` of a base metric with every pair evaluated once: word
+    lengths on payloads (one inverse per point, scale 1), circle and torus
+    arcs on ints over the common denominator L of all coordinates (scale L),
+    and any other rule through `eval`."""
+    model, payloads = S.model, list(S.positions)
+    n = len(payloads)
+    if metric.rule == "word":
+        mul, length = model._mul_data, model._length_data
+        inverses = [model._inv_data(y) for y in payloads]
+        scale = 1
+
+        def dist(i: int, j: int) -> int:
+            return length(mul(payloads[i], inverses[j]))
+    elif metric.rule == "arc" and not model.discrete:
+        scale, ints = common_denominator(*((x,) if isinstance(model, CircleModel) else x for x in payloads))
+
+        def dist(i: int, j: int) -> int:
+            return max(min(t, scale - t) for t in map(abs, map(operator.sub, ints[i], ints[j])))
+    else:
+        elements = S.elements
+        values = {(i, j): metric.eval(elements[i], elements[j]) for i in range(n) for j in range(i + 1, n)}
+        scale = math.lcm(*(d.denominator for d in values.values()))
+
+        def dist(i: int, j: int) -> int:
+            d = values[i, j]
+            return d.numerator * (scale // d.denominator)
+    bound = math.ceil(width * scale)  # an int distance is below width * scale iff it is below this
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for i in range(n):
+        row = rows[i]
+        for j in range(i + 1, n):
+            d = dist(i, j)
+            if d < bound:
+                row[j] = rows[j][i] = d
+    return rows, scale
 
 
 @functools.lru_cache(maxsize=4)

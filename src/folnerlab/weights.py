@@ -14,10 +14,13 @@ Redundant Lipschitz constraints are pruned first: a pair (x, y) is dropped
 when some z in the support decomposes it, d(x,z) + d(z,y) = d(x,y) with both
 parts strictly shorter, or when d(x,y) already exceeds the value range.  The
 pruned system is equivalent, which keeps supports near the cap tractable.
-Pruning and the final witness check read one integer matrix per call, which
-the metric builds (`InvariantPseudoMetric.distance_matrix`: distances as ints
-over one common scale; word metrics work on payloads), and the LP reads the
-kept pairs from it.
+Only pairs closer than the box width hi - lo can be constraints at all: the
+box already gives |f(x) - f(y)| <= hi - lo <= d(x, y) for every farther pair,
+and a decomposing midpoint of a near pair is near both ends.  So pruning, the
+LP and the final witness check read one sparse near-pair table per call
+(`matching.near_pairs`: for each point, its near neighbours and their
+distances as ints over one common scale), which lists the word metric's near
+pairs from the word ball instead of evaluating every pair.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .groups import (
@@ -35,7 +39,8 @@ from .groups import (
     ModelMismatchError,
     parse_fraction,
 )
-from .lp import LpError, min_cost_flow, simplex_max
+from .lp import INF_CAP, LpError, min_cost_flow, simplex_max
+from .matching import near_pairs
 
 SUPPORT_CAP = 200
 DENOMINATOR_CAP = 1000
@@ -43,6 +48,7 @@ SIMPLEX_ROW_LIMIT = 320
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 class SupportSizeError(ValueError):
@@ -55,19 +61,23 @@ class FiniteWeight:
     def __init__(self, model: GroupModel, pairs: Iterable[tuple[GroupElement, Fraction]]):
         table: dict[GroupElement, Fraction] = {}
         for g, w in pairs:
-            if g.model != model:
+            if g.model is not model:
                 raise ModelMismatchError("weight on a foreign element")
             w = parse_fraction(w)
-            if w == 0:
+            if not w:
                 continue
-            table[g] = table.get(g, ZERO) + w
-            if table[g] == 0:
-                del table[g]
+            if g in table:  # only a repeated point costs an addition
+                w += table[g]
+                if not w:
+                    del table[g]
+                    continue
+            table[g] = w
         self.model = model
         self.items: tuple[tuple[GroupElement, Fraction], ...] = tuple(
             sorted(table.items(), key=lambda kv: model.sort_key(kv[0]))
         )
-        self.norm1: Fraction = sum((abs(w) for _, w in self.items), ZERO)
+        den = math.lcm(*(w.denominator for w in table.values()))
+        self.norm1: Fraction = Fraction(sum(abs(w.numerator) * (den // w.denominator) for w in table.values()), den)
 
     @classmethod
     def delta(cls, g: GroupElement) -> "FiniteWeight":
@@ -81,7 +91,8 @@ class FiniteWeight:
         return cls(F.model, [(g, w) for g in F])
 
     def support(self) -> FiniteWindow:
-        return FiniteWindow(self.model, [g for g, _ in self.items])
+        """The support as a window; its indices are those of `items`."""
+        return FiniteWindow._from_sorted(self.model, [g.data for g, _ in self.items])
 
     def __len__(self) -> int:
         return len(self.items)
@@ -189,31 +200,29 @@ class SeminormResult:
         return max(vals) - min(vals)
 
 
-def _pair_constraints(dmat: list[list[int]], span: int) -> list[tuple[int, int]]:
+def _pair_constraints(near: list[dict[int, int]]) -> list[tuple[int, int]]:
     """Lipschitz pairs (i, j), i < j, that survive pruning (see module docstring).
 
-    `dmat` holds the distances scaled to integers by one common factor, and
-    `span` the box width in the same units, rounded up (an integer distance
-    reaches the width exactly when it reaches its ceiling).  Midpoint
-    candidates are probed nearest-to-i first, so on geodesic-like supports a
-    decomposing point is usually hit within a few probes.
+    `near[i]` maps each j closer to i than the box width to the distance,
+    an int over one common scale, in ascending j; farther pairs are never
+    constraints.  Midpoint candidates k are probed nearest-to-i first, in
+    (distance, index) order, so on geodesic-like supports a decomposing
+    point is usually hit within a few probes.  A candidate that decomposes
+    the pair is closer to i than j is, so it is in i's near row, and a k
+    missing from j's is too far from j to be one.
     """
-    n = len(dmat)
     kept = []
-    for i in range(n):
-        row = dmat[i]
-        by_nearness = sorted((k for k in range(n) if k != i), key=row.__getitem__)
-        for j in range(i + 1, n):
-            d = row[j]
-            if d >= span:
+    for i, row in enumerate(near):
+        by_nearness = sorted(row.items(), key=itemgetter(1))
+        for j, d in row.items():
+            if j < i:
                 continue
-            for k in by_nearness:
-                dik = row[k]
+            for k, dik in by_nearness:
                 if dik >= d:
                     kept.append((i, j))  # later probes are no closer to i
                     break
-                dkj = dmat[k][j]
-                if dkj < d and dik + dkj == d:
+                dkj = near[k].get(j)
+                if dkj is not None and dkj < d and dik + dkj == d:
                     break  # redundant
             else:
                 kept.append((i, j))
@@ -222,11 +231,13 @@ def _pair_constraints(dmat: list[list[int]], span: int) -> list[tuple[int, int]]
 
 def _seminorm_lp(
     mu: list[Fraction],
-    pairs: list[tuple[int, int, Fraction]],
+    pairs: list[tuple[int, int, int]],
+    scale: int,
     lo: Fraction,
     hi: Fraction,
 ) -> tuple[Fraction, list[Fraction], int, str]:
-    """Solve max mu.f over the Lipschitz polytope with box [lo, hi]."""
+    """Solve max mu.f over the Lipschitz polytope with box [lo, hi]; each
+    pair (i, j, d) bounds |f_i - f_j| by d / scale."""
     n = len(mu)
     span = hi - lo
     row_count = 2 * len(pairs) + n
@@ -238,33 +249,41 @@ def _seminorm_lp(
             rows.append([(i, ONE)])
             b.append(span)
         for i, j, d in pairs:
-            rows.append([(i, ONE), (j, -ONE)])
+            d = Fraction(d, scale)
+            rows.append([(i, ONE), (j, MINUS_ONE)])
             b.append(d)
-            rows.append([(j, ONE), (i, -ONE)])
+            rows.append([(j, ONE), (i, MINUS_ONE)])
             b.append(d)
         sol = simplex_max(mu, rows, b)
         f = [x + lo for x in sol.x]
         value = sum(m * v for m, v in zip(mu, f))
         return value, f, sol.pivots, "simplex"
 
-    # Min-cost-flow dual: transport with creation/destruction priced by the box.
+    # Min-cost-flow dual: transport with creation/destruction priced by the
+    # box.  Supplies are mu times its common denominator, and arc costs are
+    # ints over one common scale of the distances and the box; both are
+    # divided back once at the end.
     denom = math.lcm(*(m.denominator for m in mu))
-    scaled = [int(m * denom) for m in mu]
+    scaled = [m.numerator * (denom // m.denominator) for m in mu]
+    unit = math.lcm(scale, lo.denominator, hi.denominator)
+    step = unit // scale
+    create, destroy = hi.numerator * (unit // hi.denominator), -lo.numerator * (unit // lo.denominator)
     bank = n
-    arcs: list[tuple[int, int, int, Fraction]] = []
+    arcs: list[tuple[int, int, int, int]] = []
     for i, j, d in pairs:
-        arcs.append((i, j, 1 << 60, d))
-        arcs.append((j, i, 1 << 60, d))
+        arcs.append((i, j, INF_CAP, d * step))
+        arcs.append((j, i, INF_CAP, d * step))
     for v in range(n):
-        arcs.append((v, bank, 1 << 60, hi))
-        arcs.append((bank, v, 1 << 60, -lo))
+        arcs.append((v, bank, INF_CAP, create))
+        arcs.append((bank, v, INF_CAP, destroy))
     supplies = scaled + [-sum(scaled)]
     cost, _flows, pot = min_cost_flow(n + 1, arcs, supplies)
-    f = [pot[bank] - pot[v] for v in range(n)]
-    value = cost / denom
-    if sum(m * v for m, v in zip(mu, f)) != value:
+    # integer costs give an integer cost and integer potentials
+    top = pot[bank].numerator
+    f_unit = [top - p.numerator for p in pot[:n]]  # the witness times `unit`
+    if sum(m * v for m, v in zip(scaled, f_unit)) != cost.numerator:
         raise LpError("flow duality certificate failed")
-    return value, f, 0, "flow"
+    return Fraction(cost.numerator, denom * unit), [Fraction(v, unit) for v in f_unit], 0, "flow"
 
 
 def lipschitz_seminorm(
@@ -277,7 +296,8 @@ def lipschitz_seminorm(
 
     With the symmetric box [-1, 1] this equals sup |a(f)|; with an
     asymmetric box the caller must ensure the weight sums to zero for the
-    value to be a seminorm (checked).
+    value to be a seminorm (checked).  The constraints are read from the
+    support's near-pair table at the box width (see module docstring).
     """
     lo, hi = parse_fraction(bounds[0]), parse_fraction(bounds[1])
     if lo >= hi:
@@ -291,29 +311,35 @@ def lipschitz_seminorm(
 
     points = [g for g, _ in a.items]
     mu = [w for _, w in a.items]
-    dmat, scale = metric.distance_matrix(points)
-    kept = _pair_constraints(dmat, math.ceil((hi - lo) * scale))
-    pairs = [(i, j, Fraction(dmat[i][j], scale)) for i, j in kept]
-    value, f, pivots, engine = _seminorm_lp(mu, pairs, lo, hi)
+    near, scale = near_pairs(a.support(), metric, hi - lo)
+    pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
+    value, f, pivots, engine = _seminorm_lp(mu, pairs, scale, lo, hi)
 
-    _check_witness(f, dmat, scale, lo, hi)
+    _check_witness(f, near, scale, lo, hi)
     return SeminormResult(value=value, witness=dict(zip(points, f)), pivots=pivots, engine=engine)
 
 
-def _check_witness(f: list[Fraction], dmat: list[list[int]], scale: int, lo: Fraction, hi: Fraction) -> None:
-    """f lies in [lo, hi] and |f_i - f_j| <= dmat[i][j] / scale for all pairs.
+def _check_witness(f: list[Fraction], near: list[dict[int, int]], scale: int, lo: Fraction, hi: Fraction) -> None:
+    """f lies in [lo, hi] and |f_i - f_j| <= near[i][j] / scale for every
+    near pair.
 
-    The values are put over their common denominator and every test is an
-    exact integer cross-multiplication.
+    This checks the whole feasible set, not a relaxation of it: the near
+    table holds every pair closer than hi - lo, and for any farther pair
+    the box already gives |f_i - f_j| <= hi - lo <= d_ij.  The box is
+    checked at every point first, then the near pairs.  The values are put
+    over their common denominator and every test is an exact integer
+    cross-multiplication.
     """
     den = math.lcm(*(v.denominator for v in f))
     ints = [v.numerator * (den // v.denominator) for v in f]
-    for i, v in enumerate(ints):
-        if v * lo.denominator < lo.numerator * den or v * hi.denominator > hi.numerator * den:
+    low, high = lo.numerator * den, hi.numerator * den
+    for v in ints:
+        if v * lo.denominator < low or v * hi.denominator > high:
             raise LpError("witness escapes bounds")
-        row = dmat[i]
-        for j in range(i + 1, len(ints)):
-            if abs(v - ints[j]) * scale > row[j] * den:
+    for i, row in enumerate(near):
+        v = ints[i]
+        for j, d in row.items():
+            if j > i and abs(v - ints[j]) * scale > d * den:
                 raise LpError("witness violates a Lipschitz constraint")
 
 

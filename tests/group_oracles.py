@@ -10,11 +10,20 @@ model before free balls were generated sphere by sphere in shortlex order.
 It works on payloads, multiplies by the model generators (free words
 through `letterwise_free_mul`), refuses a new point once the ball holds
 `cap` points, and sorts the ball by the model's `payload_key`.
+
+`dense_distance_matrix` is the all-pairs integer distance matrix that each
+metric built for the seminorm (`distance_matrix`) before the seminorm read
+only the near pairs (`matching.near_pairs`): word lengths on payloads at
+scale 1, arcs on ints over the common denominator of all coordinates, a
+scaled metric's base matrix and scale times the two halves of its factor,
+and any other rule through `eval` with the LCM of the denominators.
 """
 
+import math
+import operator
 from collections import deque
 
-from folnerlab.groups import FiniteWindow, FreeGroupModel, WindowSizeError
+from folnerlab.groups import CircleModel, FiniteWindow, FreeGroupModel, WindowSizeError
 
 
 def letterwise_free_mul(a: tuple, b: tuple) -> tuple:
@@ -45,3 +54,39 @@ def bfs_word_ball(model, radius: int, cap: int) -> FiniteWindow:
                 seen[y] = seen[x] + 1
                 frontier.append(y)
     return FiniteWindow(model, [model.element(x) for x in sorted(seen, key=model.payload_key)])
+
+
+def dense_distance_matrix(metric, points: list) -> tuple[list[list[int]], int]:
+    """All pairwise distances as ints over one common scale:
+    `rows[i][j] / scale == metric.eval(points[i], points[j])`."""
+    model, n = metric.model, len(points)
+    rows = [[0] * n for _ in range(n)]
+    if metric.rule == "scaled":
+        base, scale = dense_distance_matrix(metric.base, points)
+        p = metric.factor.numerator
+        return [[p * d for d in row] for row in base], scale * metric.factor.denominator
+    if metric.rule == "word":
+        for p in points:
+            model._check(p)
+        data = [p.data for p in points]
+        inverses = [model._inv_data(y) for y in data]
+        for i, x in enumerate(data):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = model._length_data(model._mul_data(x, inverses[j]))
+        return rows, 1
+    if metric.rule == "arc":
+        for p in points:
+            model._check(p)
+        coords = [(p.data,) if isinstance(model, CircleModel) else p.data for p in points]
+        scale = math.lcm(*(c.denominator for xs in coords for c in xs))
+        ints = [[c.numerator * (scale // c.denominator) for c in xs] for xs in coords]
+        for i, x in enumerate(ints):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = max(min(d, scale - d) for d in map(abs, map(operator.sub, x, ints[j])))
+        return rows, scale
+    upper = [[metric.eval(points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
+    scale = math.lcm(*(d.denominator for row in upper for d in row))
+    for i, row in enumerate(upper):
+        for j, d in enumerate(row, start=i + 1):
+            rows[i][j] = rows[j][i] = d.numerator * (scale // d.denominator)
+    return rows, scale

@@ -846,6 +846,10 @@ BUILD = {"task": "perturb", "model": CIRCLE,
 SUITE = {"task": "suite", "params": {}}
 DISCRETE = {"task": "defect", "model": LATTICE_1, "params": {"F": ["0", "1"], "E": ["1"], "mode": "discrete"}}
 SEMINORM = {"task": "seminorm", "model": LATTICE_1, "params": {"weight": {"support": ["0", "1"], "weights": ["1", "-1"]}}}
+F2_SEMINORM = {"task": "seminorm", "model": F2_MODEL, "params": {"weight": {"support": ["a", "b"], "weights": ["1", "-1"]}}}
+CIRCLE_SEMINORM = {"task": "seminorm", "model": CIRCLE, "params": {"weight": {"support": ["0", "1/2"], "weights": ["1", "-1"]}}}
+HEISENBERG_DEFECT = {"task": "defect", "model": {"kind": "heisenberg"},
+                     "params": {"F": ["0,0,0", "1,0,0"], "E": ["1,0,0"], "radius": "1"}}
 # Config values that exit 1 and the field each must name: (base config,
 # params to put in, field, start of the message).
 FIELD_ERRORS = {
@@ -893,6 +897,25 @@ FIELD_ERRORS = {
     "discrete-radius": (DISCRETE, {"radius": "0"}, "params.radius", "not read in discrete mode"),
     "discrete-metric": (DISCRETE, {"metric": {"rule": "word"}}, "params.metric", "not read in discrete mode"),
     "seminorm-radius": (SEMINORM, {"radius": "zz"}, "params.radius", "unknown field (strict schema)"),
+    # a metric rule the model does not carry: the arc rule on a discrete
+    # model used to give nonsense distances with exit 0 (seminorm 0 for
+    # delta_a - delta_b on F_2), and the word rule on the circle an error
+    # without a field
+    "seminorm-arc-on-free": (F2_SEMINORM, {"metric": {"rule": "arc"}}, "params.metric.rule", "free has no arc metric"),
+    "seminorm-arc-on-lattice": (SEMINORM, {"metric": {"rule": "arc"}}, "params.metric.rule",
+                                "lattice has no arc metric"),
+    "defect-arc-on-lattice": (DEFECT, {"metric": {"rule": "arc"}}, "params.metric.rule", "lattice has no arc metric"),
+    "defect-scaled-arc-on-heisenberg": (HEISENBERG_DEFECT, {"metric": {"rule": "scaled", "factor": "2",
+                                                                       "base": {"rule": "arc"}}},
+                                        "params.metric.base.rule", "heisenberg has no arc metric"),
+    "seminorm-word-on-circle": (CIRCLE_SEMINORM, {"metric": {"rule": "word"}}, "params.metric.rule",
+                                "circle has no word metric"),
+    # a support past the seminorm cap used to exit 1 without a field
+    "seminorm-support-201": (SEMINORM, {"weight": {"support": [str(k) for k in range(201)], "weights": ["1"] * 201}},
+                             "params.weight.support", "support 201 exceeds cap 200"),
+    "invariance-difference-past-cap": (SEMINORM, {"weight": {"support": [str(k) for k in range(150)],
+                                                             "weights": ["1/150"] * 150}, "E": ["1000"]},
+                                       "params.weight", "a - g.a: support 300 exceeds cap 200"),
 }
 
 
@@ -967,6 +990,23 @@ def test_certificate_model_param_error_names_its_field(tmp_path):
     with pytest.raises(ConfigError) as info:
         run_scenario_config({"task": "defect", "params": {"certificate": cert}})
     assert info.value.path == "params.certificate.model.params.dim"
+
+
+@pytest.mark.parametrize("metric", [{"rule": "arc"}, {"rule": "scaled", "factor": "1/2", "base": {"rule": "arc"}}])
+def test_certificate_entourage_metric_error_names_its_field(tmp_path, capsys, metric):
+    # an arc metric on the integers used to be read, and verified, as one
+    assert run_scenario_config(DEFECT, out_dir=tmp_path / "cert") == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    cert["U"]["metric"] = metric
+    want = "params.certificate.U.metric." + ("rule" if metric["rule"] == "arc" else "base.rule")
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config({"task": "defect", "params": {"certificate": cert}})
+    assert info.value.path == want
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["folner-defect", "--verify-cert", path]) == 1
+    assert capsys.readouterr().err == f"error: {want}: lattice has no arc metric\n"
 
 
 def test_defect_certificate_with_a_dropped_pair_is_rejected(tmp_path, capsys):

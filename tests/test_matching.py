@@ -2,6 +2,7 @@
 perfect matchings, and the entourage-induced graphs."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from folnerlab.groups import (
     ArcMetric,
     DiscreteMetric,
     Entourage,
+    ModelMismatchError,
     ScaledMetric,
     WordMetric,
     grid_sample,
@@ -24,12 +26,16 @@ from folnerlab.groups import (
 from folnerlab.matching import (
     BipartiteInstance,
     MatchingResult,
+    _ball,
     _listed_rows,
     brute_force_matching_number,
     build_graph,
     max_matching,
+    near_pairs,
     perfect_matching,
 )
+
+from group_oracles import dense_distance_matrix
 
 Z = make_model("lattice", dim=1)
 C = make_model("circle")
@@ -326,3 +332,78 @@ def test_instance_and_result_json():
     js = result.to_json()
     assert js["mu"] == 2
     assert sorted(js["pairing"]) == js["pairing"]
+
+
+# ---------------------------------------------------------------------------
+# The near-pair table against the dense distance matrix
+# ---------------------------------------------------------------------------
+
+T2 = make_model("torus", dim=2)
+# model and the pool its random supports are drawn from
+NEAR_POOLS = [
+    (Z, [(k,) for k in range(-6, 7)]),
+    (Z2, [(i, j) for i in range(-3, 4) for j in range(-3, 4)]),
+    (make_model("lattice", dim=3), [(i, j, k) for i in range(-2, 2) for j in range(-2, 2) for k in range(-2, 2)]),
+    (F2, list(word_ball(F2, 3).positions)),
+    (H, list(word_ball(H, 3).positions)),
+    (C, sorted({Fraction(k, q) for q in (12, 30) for k in range(q)})),
+    (T2, [(Fraction(i, 6), Fraction(j, 4)) for i in range(6) for j in range(4)]),
+    (make_model("cyclic", modulus=12), list(range(12))),
+]
+NEAR_WIDTHS = [Fraction(1), Fraction(2), Fraction(3, 2)]
+
+
+def _near_metrics(model):
+    """The model's own metric, the discrete one, and rescalings of each by
+    fractional factors (nested once)."""
+    bases = [WordMetric(model) if model.discrete else ArcMetric(model), DiscreteMetric(model)]
+    out = list(bases)
+    for base in bases:
+        out += [ScaledMetric(base, Fraction(2, 3)), ScaledMetric(base, Fraction(3)),
+                ScaledMetric(ScaledMetric(base, Fraction(5, 6)), Fraction(2, 7))]
+    return out
+
+
+def _near_oracle(S, metric, width):
+    """The pairs of the dense matrix below the width, rows ascending in j."""
+    rows, scale = dense_distance_matrix(metric, list(S))
+    return [
+        {j: d for j, d in enumerate(row) if j != i and d * width.denominator < width.numerator * scale}
+        for i, row in enumerate(rows)
+    ], scale
+
+
+def _ball_listed(S, metric, width):
+    """Whether `near_pairs` lists S's rows from a word ball: a word metric
+    on a discrete model whose ball below the width is no larger than S."""
+    while metric.rule == "scaled":
+        metric, width = metric.base, width / metric.factor
+    return metric.rule == "word" and _ball(S.model, math.ceil(width) - 1, len(S)) is not None
+
+
+def test_near_pairs_match_the_dense_oracle():
+    rng = random.Random(20180)
+    listed = scanned = pairs = 0
+    for model, pool in NEAR_POOLS:
+        for _ in range(6):
+            # small supports leave the word ball larger than S, so every pair is scanned
+            size = rng.choice([rng.randint(1, 6), rng.randint(7, len(pool))])
+            S = window(model, rng.sample(pool, size))
+            for metric in _near_metrics(model):
+                for width in NEAR_WIDTHS:
+                    rows, scale = near_pairs(S, metric, width)
+                    assert (rows, scale) == _near_oracle(S, metric, width), (model, S, metric.to_json(), width)
+                    assert all(list(row) == sorted(row) for row in rows)
+                    if _ball_listed(S, metric, width):
+                        listed += 1
+                    else:
+                        scanned += 1
+                    pairs += sum(len(row) for row in rows)
+    assert listed > 150 and scanned > 600 and pairs > 100000
+
+
+def test_near_pairs_reject_a_foreign_metric():
+    S = window(Z2, [(0, 0), (1, 0)])
+    for metric in (WordMetric(Z), ScaledMetric(WordMetric(Z), Fraction(1, 2)), DiscreteMetric(Z)):
+        with pytest.raises(ModelMismatchError):
+            near_pairs(S, metric, Fraction(2))

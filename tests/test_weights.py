@@ -11,19 +11,22 @@ from hypothesis import strategies as st
 
 from folnerlab.groups import (
     ArcMetric,
+    DiscreteMetric,
     ScaledMetric,
     WordMetric,
     grid_sample,
     make_model,
     window,
 )
-from folnerlab.lp import LpError
+from folnerlab.lp import INF_CAP, LpError
+from folnerlab.matching import near_pairs
 from folnerlab.suite import _brute_force_two_point
 from folnerlab.weights import (
     FiniteWeight,
     SupplyError,
     _check_witness,
     _pair_constraints,
+    _seminorm_lp,
     approx_by_uniform,
     convolve,
     invariance_defect,
@@ -31,7 +34,8 @@ from folnerlab.weights import (
     right_average,
 )
 
-from fraction_oracles import fraction_brute_force_two_point, fraction_pair_constraints
+from fraction_oracles import fraction_brute_force_two_point, fraction_min_cost_flow, fraction_pair_constraints
+from group_oracles import dense_distance_matrix
 
 Z = make_model("lattice", dim=1)
 F2 = make_model("free", rank=2)
@@ -314,6 +318,11 @@ def _scaled_distances(points, metric, span):
     return _scaled([[metric.eval(points[min(i, j)], points[max(i, j)]) for j in range(n)] for i in range(n)], span)
 
 
+def _near(dmat, span):
+    """The near-pair table of a dense integer matrix: the pairs below span."""
+    return [{j: d for j, d in enumerate(row) if j != i and d < span} for i, row in enumerate(dmat)]
+
+
 def _random_supports(rng):
     Z2 = make_model("lattice", dim=2)
     for _ in range(12):
@@ -337,7 +346,7 @@ def test_pair_constraints_match_fraction_version():
         for span in (Fraction(2), Fraction(1), Fraction(3, 4), Fraction(7, 3)):
             dist, dmat, scale = _scaled_distances(points, metric, span)
             expected = [(i, j) for i, j, _ in fraction_pair_constraints(points, dist, span)]
-            assert _pair_constraints(dmat, int(span * scale)) == expected
+            assert _pair_constraints(_near(dmat, int(span * scale))) == expected
             kept_total += len(expected)
             pruned_total += len(points) * (len(points) - 1) // 2 - len(expected)
     assert kept_total > 500 and pruned_total > 500  # both branches are exercised
@@ -354,7 +363,7 @@ def test_pair_constraints_match_fraction_version_on_pseudo_metrics():
         span = Fraction(rng.randint(1, 6), rng.choice([1, 2]))
         dist, dmat, scale = _scaled(frac, span)
         expected = [(i, j) for i, j, _ in fraction_pair_constraints(coords, dist, span)]
-        assert _pair_constraints(dmat, int(span * scale)) == expected
+        assert _pair_constraints(_near(dmat, int(span * scale))) == expected
 
 
 def test_check_witness_rejects_one_unit_past_a_bound():
@@ -362,17 +371,18 @@ def test_check_witness_rejects_one_unit_past_a_bound():
     points = [C.element(0), C.element(Fraction(2, 5))]
     lo, hi = Fraction(-1), Fraction(1)
     _, dmat, scale = _scaled_distances(points, ArcMetric(C), hi - lo)
+    near = _near(dmat, (hi - lo) * scale)
     unit = Fraction(1, scale)
-    _check_witness([Fraction(0), Fraction(2, 5)], dmat, scale, lo, hi)
+    _check_witness([Fraction(0), Fraction(2, 5)], near, scale, lo, hi)
     with pytest.raises(LpError, match="Lipschitz"):
-        _check_witness([Fraction(0), Fraction(2, 5) + unit], dmat, scale, lo, hi)
+        _check_witness([Fraction(0), Fraction(2, 5) + unit], near, scale, lo, hi)
     with pytest.raises(LpError, match="Lipschitz"):
-        _check_witness([Fraction(2, 5) + unit, Fraction(0)], dmat, scale, lo, hi)
-    _check_witness([hi, hi], dmat, scale, lo, hi)
+        _check_witness([Fraction(2, 5) + unit, Fraction(0)], near, scale, lo, hi)
+    _check_witness([hi, hi], near, scale, lo, hi)
     with pytest.raises(LpError, match="bounds"):
-        _check_witness([hi + unit, hi + unit], dmat, scale, lo, hi)
+        _check_witness([hi + unit, hi + unit], near, scale, lo, hi)
     with pytest.raises(LpError, match="bounds"):
-        _check_witness([lo - unit, lo - unit], dmat, scale, lo, hi)
+        _check_witness([lo - unit, lo - unit], near, scale, lo, hi)
 
 
 def test_check_witness_rejects_a_real_witness_raised_one_unit_too_far():
@@ -388,14 +398,118 @@ def test_check_witness_rejects_a_real_witness_raised_one_unit_too_far():
             support = [g for g, _ in a.items]
             f = [result.witness[g] for g in support]
             dist, dmat, scale = _scaled_distances(support, metric, hi - lo)
+            near = _near(dmat, (hi - lo) * scale)
             unit = Fraction(1, scale)
-            _check_witness(f, dmat, scale, lo, hi)
+            _check_witness(f, near, scale, lo, hi)
             for j in range(len(f)):
                 # the largest feasible value at j, the others fixed
                 top = min([hi] + [f[i] + dist(i, j) for i in range(len(f)) if i != j])
-                _check_witness(f[:j] + [top] + f[j + 1:], dmat, scale, lo, hi)
+                _check_witness(f[:j] + [top] + f[j + 1:], near, scale, lo, hi)
                 with pytest.raises(LpError):
-                    _check_witness(f[:j] + [top + unit] + f[j + 1:], dmat, scale, lo, hi)
+                    _check_witness(f[:j] + [top + unit] + f[j + 1:], near, scale, lo, hi)
+
+
+def _dense_check(f, dmat, scale, lo, hi):
+    """The witness check on every pair of a dense distance matrix, the box
+    at every point first as `_check_witness` does."""
+    for v in f:
+        if not lo <= v <= hi:
+            raise LpError("witness escapes bounds")
+    for i, row in enumerate(dmat):
+        for j in range(i + 1, len(row)):
+            if abs(f[i] - f[j]) * scale > row[j]:
+                raise LpError("witness violates a Lipschitz constraint")
+
+
+def _check_outcome(check, *args):
+    try:
+        check(*args)
+    except LpError as exc:
+        return str(exc)
+    return "valid"
+
+
+def _witness_cases(rng):
+    """Seeded supports on five models under their own, discrete and scaled
+    metrics, each with a weight fit for both boxes."""
+    Z2, H = make_model("lattice", dim=2), make_model("heisenberg")
+    T2 = make_model("torus", dim=2)
+    pools = [
+        (Z2, [Z2.element((i, j)) for i in range(5) for j in range(5)], WordMetric(Z2)),
+        (F2, list(grid_sample(F2, 2)), WordMetric(F2)),
+        (H, list(grid_sample(H, 2)), WordMetric(H)),
+        (C, [C.element(Fraction(k, 20)) for k in range(20)], ArcMetric(C)),
+        (T2, [T2.element((Fraction(i, 4), Fraction(j, 3))) for i in range(4) for j in range(3)], ArcMetric(T2)),
+    ]
+    for model, pool, base in pools:
+        for metric in (base, DiscreteMetric(model), ScaledMetric(base, Fraction(2, 3))):
+            for _ in range(3):
+                points = rng.sample(pool, rng.randint(2, min(12, len(pool))))
+                a = FiniteWeight(model, [(g, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for g in points])
+                if len(a) >= 2:
+                    yield a - FiniteWeight.delta(a.items[0][0]).scale(a.total()), metric
+
+
+def test_sparse_witness_check_agrees_with_the_dense_check():
+    # Optimal witnesses, each value then moved one unit of the common
+    # denominator across each near pair's Lipschitz bound or across the box;
+    # the near-pair check must give the dense check's verdict and message.
+    rng = random.Random(7104)
+    outcomes = {}
+    for a, metric in _witness_cases(rng):
+        support = [g for g, _ in a.items]
+        dmat, scale = dense_distance_matrix(metric, support)
+        for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1))):
+            near, near_scale = near_pairs(a.support(), metric, hi - lo)
+            assert near_scale == scale
+            result = lipschitz_seminorm(a, metric, bounds=(lo, hi))
+            f = [result.witness[g] for g in support]
+            unit = Fraction(1, math.lcm(scale, lo.denominator, hi.denominator, *(v.denominator for v in f)))
+            moves = [(j, v) for j in range(len(f)) for v in (hi, hi + unit, lo, lo - unit)]
+            for i, row in enumerate(near):
+                for j, d in row.items():
+                    bound = Fraction(d, scale)
+                    moves += [(j, f[i] + bound), (j, f[i] + bound + unit), (j, f[i] - bound - unit)]
+            for j, v in moves:
+                tampered = f[:j] + [v] + f[j + 1:]
+                want = _check_outcome(_dense_check, tampered, dmat, scale, lo, hi)
+                assert _check_outcome(_check_witness, tampered, near, scale, lo, hi) == want
+                outcomes[want] = outcomes.get(want, 0) + 1
+    assert set(outcomes) == {"valid", "witness escapes bounds", "witness violates a Lipschitz constraint"}
+    assert min(outcomes.values()) > 200
+
+
+def _fraction_flow_side(mu, pairs, lo, hi):
+    """The flow side of `_seminorm_lp` as it ran on Fraction arcs, through
+    the Fraction min-cost flow: (value, witness)."""
+    n, bank = len(mu), len(mu)
+    denom = math.lcm(*(m.denominator for m in mu))
+    scaled = [int(m * denom) for m in mu]
+    arcs = []
+    for i, j, d in pairs:
+        arcs += [(i, j, INF_CAP, d), (j, i, INF_CAP, d)]
+    for v in range(n):
+        arcs += [(v, bank, INF_CAP, hi), (bank, v, INF_CAP, -lo)]
+    cost, _, pot = fraction_min_cost_flow(n + 1, arcs, scaled + [-sum(scaled)])
+    return cost / denom, [pot[bank] - pot[v] for v in range(n)]
+
+
+def test_integer_flow_arcs_match_fraction_arcs(monkeypatch):
+    import folnerlab.weights as wmod
+
+    monkeypatch.setattr(wmod, "SIMPLEX_ROW_LIMIT", 0)  # every solve on the flow engine
+    rng = random.Random(7105)
+    solved = 0
+    for a, metric in _witness_cases(rng):
+        mu = [w for _, w in a.items]
+        for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(-1, 3), Fraction(1, 2))):
+            near, scale = near_pairs(a.support(), metric, hi - lo)
+            pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
+            value, f, pivots, engine = _seminorm_lp(mu, pairs, scale, lo, hi)
+            assert engine == "flow" and pivots == 0
+            assert (value, f) == _fraction_flow_side(mu, [(i, j, Fraction(d, scale)) for i, j, d in pairs], lo, hi)
+            solved += 1
+    assert solved > 100
 
 
 def test_grid_oracle_matches_fraction_scan():
