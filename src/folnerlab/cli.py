@@ -71,7 +71,7 @@ from .perturb import (
     verify_perturbation,
 )
 from .suite import CRITERIA, run_suite
-from .weights import SUPPORT_CAP, FiniteWeight, SupportSizeError, invariance_defect, lipschitz_seminorm
+from .weights import FiniteWeight, SupportSizeError, invariance_defect, lipschitz_seminorm
 
 
 class ConfigError(ValueError):
@@ -189,18 +189,19 @@ def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
         raise ConfigError(f"{path}.support", "expected a list of element encodings")
     if not isinstance(weights, list) or len(weights) != len(support):
         raise ConfigError(f"{path}.weights", f"expected a list of {len(support)} rationals, one per support point")
-    if all(isinstance(x, str) for x in support):
-        try:  # each entry parsed once, by the weight itself
-            return FiniteWeight(model, zip(map(model.parse, support), weights))
-        except (ValueError, ZeroDivisionError):
-            pass  # parsed again below, entry by entry, to name the first that fails
-    return FiniteWeight(
-        model,
-        [
-            (_element(x, model, f"{path}.support[{k}]"), _rational(w, f"{path}.weights[{k}]"))
-            for k, (x, w) in enumerate(zip(support, weights))
-        ],
-    )
+    pairs = []
+    for k, (x, w) in enumerate(zip(support, weights)):  # field paths are formatted only for a bad entry
+        if not isinstance(x, str):
+            _encoding(x, f"{path}.support[{k}]")
+        try:
+            g = model.parse(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{path}.support[{k}]", str(exc))
+        try:
+            pairs.append((g, parse_fraction(w)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{path}.weights[{k}]", str(exc))
+    return FiniteWeight(model, pairs)
 
 
 def _certificate_error(exc: CertificateError, path: str) -> ConfigError:
@@ -385,8 +386,6 @@ def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
     _expect(params, "params", ("weight",), ("metric", "E"))
     model = _load_model(config["model"], "model")
     weight = _load_weight(params["weight"], model, "params.weight")
-    if len(weight) > SUPPORT_CAP:
-        raise ConfigError("params.weight.support", f"support {len(weight)} exceeds cap {SUPPORT_CAP}")
     metric_obj = params.get("metric")
     metric = _load_metric(metric_obj, model, "params.metric") if metric_obj else model.default_metric()
     if "E" in params:
@@ -404,7 +403,10 @@ def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
         artifacts.write_csv("report.csv", ["g", "p_d_defect", "lp_pivots", "witness_range"], rows)
         print(f"invariance defect: full={defect.full} restricted={defect.restricted}")
         return 0
-    result = lipschitz_seminorm(weight, metric)
+    try:
+        result = lipschitz_seminorm(weight, metric)
+    except SupportSizeError as exc:
+        raise ConfigError("params.weight.support", str(exc))
     artifacts.write_csv(
         "report.csv",
         ["g", "p_d_defect", "lp_pivots", "witness_range"],

@@ -171,16 +171,25 @@ def _listed_rows(
     if metric.rule == "word" and model.discrete:
         # Word lengths on the discrete models are BFS distances over the same
         # generators that `word_ball` walks.
-        ball = _ball(model, math.floor(radius), n)
-        if ball is None:
-            return None
-        mul, ordered = model._mul_data, model.ordered_law
-        rows = []
-        for x in E.positions:
-            row = [j for j in map(index.get, [mul(u, x) for u in ball]) if j is not None]
-            rows.append(row if ordered else sorted(row))
-        return rows
+        rows = _ball_rows(model, E.positions, index, math.floor(radius))
+        return None if rows is None else [list(row) for row in rows]
     return None
+
+
+def _ball_rows(model: GroupModel, points, index: dict, radius: int) -> Optional[list[dict[int, int]]]:
+    """For each payload x in `points`, `{j: |u|}` over the word ball u of
+    `radius` with u * x at index j, in ascending j; None where the ball is
+    larger than the table (the pair test is then cheaper)."""
+    ball = _ball(model, radius, len(index))
+    if ball is None:
+        return None
+    mul, length, ordered = model._mul_data, model._length_data, model.ordered_law
+    sized = [(u, length(u)) for u in ball]
+    rows = []
+    for x in points:
+        row = {j: d for u, d in sized if (j := index.get(mul(u, x))) is not None}
+        rows.append(row if ordered else dict(sorted(row.items())))
+    return rows
 
 
 def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) -> tuple[list[dict[int, int]], int]:
@@ -193,8 +202,9 @@ def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) 
     factor.  Integer metric values are below the width exactly when they
     are at most ceil(width) - 1, so on the discrete models the word ball of
     that radius is applied to each point and looked up in S, with d = |u|
-    for the ball element u, as `_listed_rows` lists graph rows.  Every pair
-    is evaluated where `_listed_rows` would test every pair (`_scanned_pairs`).
+    for the ball element u, by the `_ball_rows` that `_listed_rows` lists
+    graph rows with.  Every pair is evaluated where `_listed_rows` would
+    test every pair (`_scanned_pairs`).
     """
     if metric.model is not S.model:
         raise ModelMismatchError("window and metric over different models")
@@ -206,18 +216,10 @@ def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) 
         return rows, scale * metric.factor.denominator
     model, index = S.model, S.positions
     if metric.rule == "word" and model.discrete:
-        ball = _ball(model, math.ceil(width) - 1, len(index))
-        if ball is not None:
-            mul, length = model._mul_data, model._length_data
-            sized = [(u, d) for u in ball if (d := length(u))]
-            rows = []
-            for x in index:
-                row = {}
-                for u, d in sized:
-                    j = index.get(mul(u, x))
-                    if j is not None:
-                        row[j] = d
-                rows.append(row if model.ordered_law else dict(sorted(row.items())))
+        rows = _ball_rows(model, index, index, math.ceil(width) - 1)
+        if rows is not None:
+            for i, row in enumerate(rows):
+                del row[i]  # the identity's own entry, at distance 0
             return rows, 1
     return _scanned_pairs(S, metric, width)
 
