@@ -44,7 +44,6 @@ from .matching import (
 from .folner import (
     FolnerCertificate,
     FolnerSearchResult,
-    action_defect,
     conjugated_entourage,
     discrete_defect,
     folner_search,

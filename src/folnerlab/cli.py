@@ -9,6 +9,10 @@ strings, no timestamps), a report CSV, and a manifest carrying the config
 hash, versions, and wall time.  Timing lives only in the manifest so that
 certificates stay byte-reproducible.
 
+Each task, and each mode of a task, declares its fields once in `TASKS`: a
+name, a parser and a default or `REQUIRED`.  `_load` applies these tables to
+the scenario and its params, so runners receive parsed values only.
+
 Exit codes: 0 success, 2 target not met or budget exhausted (partial
 reports are still written), 1 malformed input or internal error.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import platform
@@ -24,7 +29,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .folner import (
@@ -47,13 +53,12 @@ from .groups import (
     GroupModel,
     InvariantPseudoMetric,
     ScaledMetric,
+    WindowSizeError,
     canonical_json,
     grid_sample,
     metric_from_json,
     model_from_json,
-    parse_bool,
     parse_fraction,
-    parse_index,
     write_canonical_json,
 )
 from .matching import build_graph, max_matching
@@ -80,66 +85,76 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _expect(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+# The default of a field that must be given.
+REQUIRED = object()
+
+
+def _at(path: str, key: str) -> str:
+    """The path of `key` in the object at `path` ("" is the scenario itself)."""
+    return f"{path}.{key}" if path else key
+
+
+def _expect(obj, path: str, required, optional=(), mode: str = "", siblings=()) -> None:
+    """An object with every required field and no field but the optional ones;
+    the first missing field is named, else the first other in sorted order
+    ("not read in <mode> mode" when one of the `siblings` tables has it)."""
     if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
+        raise ConfigError(path or "scenario", "expected an object")
     for key in required:
         if key not in obj:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-    unknown = set(obj) - set(required) - set(optional)
+            raise ConfigError(_at(path, key), "missing required field")
+    unknown = set(obj).difference(required, optional)
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown field (strict schema)")
+        key = min(unknown)
+        read = any(key in fields for fields in siblings)
+        raise ConfigError(_at(path, key), f"not read in {mode} mode" if read else "unknown field (strict schema)")
 
 
-def _rational(obj, path: str) -> Fraction:
+def _load(obj, path: str, fields: dict, model=None, mode: str = "", siblings=()) -> SimpleNamespace:
+    """Apply a field table {name: (parser, default)} to a config object: after
+    `_expect`, each given field is parsed by parser(value, path, model) in
+    table order and each absent one takes its default (a callable default is
+    called with the model)."""
+    _expect(obj, path, [key for key, (_, default) in fields.items() if default is REQUIRED], fields, mode, siblings)
+    return SimpleNamespace(**{
+        key: parse(obj[key], _at(path, key), model) if key in obj else default(model) if callable(default) else default
+        for key, (parse, default) in fields.items()
+    })
+
+
+def _as_is(obj, path: str, model=None):
+    return obj
+
+
+def _checked(parse: Callable, ok: Callable[[Any], bool], message: str) -> Callable:
+    """The parser `parse`, refusing a parsed value v that `ok` rejects with `message.format(v)`."""
+
+    def parse_checked(obj, path: str, model=None):
+        value = parse(obj, path, model)
+        if not ok(value):
+            raise ConfigError(path, message.format(value))
+        return value
+
+    return parse_checked
+
+
+_integer = _checked(_as_is, lambda v: type(v) is int, "expected a JSON integer, got {!r}")
+_boolean = _checked(_as_is, lambda v: type(v) is bool, "expected a JSON boolean, got {!r}")
+_path = _checked(_as_is, lambda v: isinstance(v, str), "expected a file system path (a JSON string), got {!r}")
+_encoding = _checked(_as_is, lambda v: isinstance(v, str), "expected an element encoding (a JSON string), got {!r}")
+
+
+def _rational(obj, path: str, model=None) -> Fraction:
     try:
         return parse_fraction(obj)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
 
 
-def _integer(obj, path: str) -> int:
-    try:
-        return parse_index(obj, path)
-    except ValueError:
-        raise ConfigError(path, f"expected a JSON integer, got {obj!r}")
-
-
-def _boolean(obj, path: str) -> bool:
-    try:
-        return parse_bool(obj, path)
-    except ValueError:
-        raise ConfigError(path, f"expected a JSON boolean, got {obj!r}")
-
-
-def _integers(obj, path: str) -> list[int]:
+def _integers(obj, path: str, model=None, item: Callable = _integer) -> list[int]:
     if not isinstance(obj, list):
         raise ConfigError(path, "expected a list of JSON integers")
-    return [_integer(v, f"{path}[{k}]") for k, v in enumerate(obj)]
-
-
-def _path(obj, path: str) -> str:
-    if not isinstance(obj, str):
-        raise ConfigError(path, f"expected a file system path (a JSON string), got {obj!r}")
-    return obj
-
-
-def _load_model(obj, path: str) -> GroupModel:
-    _expect(obj, path, ("kind",), ("params", "generators", "metric"))
-    if not isinstance(obj.get("params", {}), dict):
-        raise ConfigError(f"{path}.params", "expected an object")
-    try:
-        return model_from_json(obj)
-    except CertificateError as exc:
-        raise _certificate_error(exc, path)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(path, str(exc))
-
-
-def _encoding(obj, path: str) -> str:
-    if not isinstance(obj, str):
-        raise ConfigError(path, f"expected an element encoding (a JSON string), got {obj!r}")
-    return obj
+    return [item(v, f"{path}[{k}]") for k, v in enumerate(obj)]
 
 
 def _element(obj, model: GroupModel, path: str) -> GroupElement:
@@ -150,7 +165,7 @@ def _element(obj, model: GroupModel, path: str) -> GroupElement:
         raise ConfigError(path, str(exc))
 
 
-def _load_window(obj, model: GroupModel, path: str) -> FiniteWindow:
+def _load_window(obj, path: str, model: GroupModel) -> FiniteWindow:
     if not isinstance(obj, list):
         raise ConfigError(path, "expected a list of element encodings")
     for k, item in enumerate(obj):
@@ -163,26 +178,7 @@ def _load_window(obj, model: GroupModel, path: str) -> FiniteWindow:
         raise ConfigError(path, str(exc))
 
 
-def _window_or_grid(params: dict, model: GroupModel, key: str, resolution_key: str, default: int) -> FiniteWindow:
-    """The window at params[key], else the grid sample at params[resolution_key]."""
-    if key in params:
-        return _load_window(params[key], model, f"params.{key}")
-    path = f"params.{resolution_key}"
-    resolution = _integer(params.get(resolution_key, default), path)
-    try:
-        return grid_sample(model, resolution)
-    except ValueError as exc:  # a resolution below 1, or a grid past the cap
-        raise ConfigError(path, str(exc))
-
-
-def _budget(params: dict, default: int) -> int:
-    budget = _integer(params.get("budget", default), "params.budget")
-    if budget <= 0:
-        raise ConfigError("params.budget", "budget must be positive")
-    return budget
-
-
-def _load_weight(obj, model: GroupModel, path: str) -> FiniteWeight:
+def _load_weight(obj, path: str, model: GroupModel) -> FiniteWeight:
     _expect(obj, path, ("support", "weights"))
     support, weights = obj["support"], obj["weights"]
     if not isinstance(support, list):
@@ -209,7 +205,24 @@ def _certificate_error(exc: CertificateError, path: str) -> ConfigError:
     return ConfigError(f"{path}.{exc.path}" if exc.path else path, exc.reason)
 
 
-def _load_action(obj, model: GroupModel, path: str) -> PerturbedAction:
+def _from_json(load: Callable[[Any, Optional[GroupModel]], Any]) -> Callable:
+    """The parser of load(obj, model), with its CertificateError under the field's path."""
+
+    def parse(obj, path: str, model=None):
+        try:
+            return load(obj, model)
+        except CertificateError as exc:
+            raise _certificate_error(exc, path)
+
+    return parse
+
+
+_load_model = _from_json(lambda obj, model: model_from_json(obj))
+_folner_certificate = _from_json(lambda obj, model: FolnerCertificate.from_json(obj))
+_paradox_certificate = _from_json(ParadoxCertificate.from_json)
+
+
+def _load_action(obj, path: str, model: GroupModel) -> PerturbedAction:
     _expect(obj, path, ("window", "pool", "rows", "radius"), ("involution", "folner_windows", "folner_pools"))
     try:
         return PerturbedAction.from_json(obj, model)
@@ -219,10 +232,10 @@ def _load_action(obj, model: GroupModel, path: str) -> PerturbedAction:
         raise ConfigError(path, str(exc))
 
 
-def _load_metric(obj, model: GroupModel, path: str) -> InvariantPseudoMetric:
+def _load_metric(obj, path: str, model: GroupModel) -> InvariantPseudoMetric:
     if isinstance(obj, dict) and obj.get("rule") == "scaled":
         _expect(obj, path, ("rule", "factor", "base"))
-        base = _load_metric(obj["base"], model, f"{path}.base")
+        base = _load_metric(obj["base"], f"{path}.base", model)
         factor = _rational(obj["factor"], f"{path}.factor")
         try:
             return ScaledMetric(base, factor)
@@ -235,13 +248,49 @@ def _load_metric(obj, model: GroupModel, path: str) -> InvariantPseudoMetric:
         raise _certificate_error(exc, path)
 
 
-def _load_entourage(params: dict, model: GroupModel, path: str) -> Entourage:
-    if "radius" not in params:
-        raise ConfigError(f"{path}.radius", "missing required field")
-    radius = _rational(params["radius"], f"{path}.radius")
-    metric_obj = params.get("metric")
-    metric = _load_metric(metric_obj, model, f"{path}.metric") if metric_obj else model.default_metric()
-    return Entourage(metric, radius)
+_task = _checked(_as_is, lambda task: isinstance(task, str) and task in TASKS, "unknown task {!r}")
+_budget = _checked(_integer, lambda n: n >= 1, "budget must be positive")
+_resolution = _checked(_integer, lambda n: n >= 1, "resolution must be >= 1")
+_radius = _checked(_rational, lambda r: r >= 0, "entourage radius must be >= 0")
+_max_pieces = _checked(_integer, lambda n: n >= MIN_PIECES,
+                       f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
+_defect_window = _checked(_load_window, len, "defect of an empty window")
+_criterion = _checked(_integer, lambda n: n in {number for number, _, _ in CRITERIA}, "unknown criterion {}")
+_criteria = functools.partial(_integers, item=_criterion)
+_not_standard = _checked(_boolean, lambda standard: not standard, "give a certificate or standard: true, not both")
+# in `scenarios` mode: any criteria at all
+_criteria_with_scenarios = _checked(_as_is, lambda criteria: False, "give criteria or scenarios, not both")
+INDEX_FIELDS = {
+    "E": (_checked(_load_window, lambda E: E.model.identity() in E, "every index pool must contain the identity"),
+          REQUIRED),
+    "n": (_checked(_integer, lambda n: n >= 2, "index multiplicities start at 2"), REQUIRED),
+}
+
+
+def _indices(obj, path: str, model: GroupModel) -> list[tuple[FiniteWindow, int]]:
+    if not isinstance(obj, list):
+        raise ConfigError(path, "expected a list of {E, n} objects")
+    if not obj:
+        raise ConfigError(path, "index family must be non-empty")
+    family = (_load(index, f"{path}[{k}]", INDEX_FIELDS, model) for k, index in enumerate(obj))
+    return [(index.E, index.n) for index in family]
+
+
+def _strategy(obj, path: str, model: GroupModel) -> str:
+    try:
+        check_strategy(model, obj)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
+    return obj
+
+
+def _standard_certificate(obj, path: str, model: GroupModel) -> ParadoxCertificate:
+    if not _boolean(obj, path):
+        raise ConfigError("params.certificate", "need a certificate or standard: true")
+    try:
+        return f2_standard_certificate(model)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +332,14 @@ def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Task runners
+# Task runners: run(scenario, artifacts) -> exit code, on parsed fields
 # ---------------------------------------------------------------------------
 
 # Largest |F| whose certificate a requested seminorm crosscheck measures.
 CROSSCHECK_MAX_F = 200
+# Default word radius of the window a paradox certificate is checked or searched on.
+PARADOX_WINDOW_RESOLUTION = 4
+SEARCH_HEADER = ["candidate_id", "|F|", "theta", "seminorm_bound", "passed"]
 
 
 def _crosscheck_bound(crosscheck: bool, cert: FolnerCertificate) -> str:
@@ -298,368 +350,297 @@ def _crosscheck_bound(crosscheck: bool, cert: FolnerCertificate) -> str:
     return str(seminorm_crosscheck(cert)[1])
 
 
-def _run_defect(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    if "certificate" in params:
-        _expect(params, "params", ("certificate",), ("crosscheck",))
-        crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
-        try:
-            cert = FolnerCertificate.from_json(params["certificate"])
-        except CertificateError as exc:
-            raise _certificate_error(exc, "params.certificate")
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError("params.certificate", f"malformed certificate: {exc!r}")
-        try:
-            cert.verify()
-        except ValueError as exc:
-            print(f"certificate INVALID: {exc}")
-            return 2
-        _crosscheck_bound(crosscheck, cert)
-        print(f"certificate valid: theta={cert.theta} |F|={len(cert.F)}")
-        return 0
-    _expect(params, "params", ("F", "E"), ("radius", "metric", "mode", "crosscheck"))
-    crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
-    model = _load_model(config["model"], "model")
-    F = _load_window(params["F"], model, "params.F")
-    E = _load_window(params["E"], model, "params.E")
-    mode = params.get("mode", "topological")
-    if mode == "discrete":
-        for key in ("radius", "metric"):
-            if key in params:
-                raise ConfigError(f"params.{key}", "not read in discrete mode")
-        theta = discrete_defect(F, E)
-        artifacts.write_csv("report.csv", ["mode", "|F|", "theta"], [["discrete", len(F), str(theta)]])
-        print(f"discrete defect: {theta}")
-        return 0
-    U = _load_entourage(params, model, "params")
-    if mode == "pairwise":
-        theta = pairwise_defect(F, E, U)
-        artifacts.write_csv("report.csv", ["mode", "|F|", "theta"], [["pairwise", len(F), str(theta)]])
-        print(f"pairwise defect: {theta}")
-        return 0
-    if mode != "topological":
-        raise ConfigError("params.mode", f"unknown mode {mode!r}")
-    theta, cert = topological_defect(F, E, U)
-    bound = _crosscheck_bound(crosscheck, cert)
-    artifacts.write_json("certificate.json", cert.to_json())
-    artifacts.write_csv(
-        "report.csv",
-        ["candidate_id", "|F|", "theta", "seminorm_bound", "passed"],
-        [[0, len(F), str(theta), bound, "yes"]],
-    )
-    print(f"topological defect: {theta}")
+def _window_or_grid(model: GroupModel, window, resolution, default: int, path: str) -> FiniteWindow:
+    """The given window, else the grid sample at the given resolution (at
+    `default` when none is given); a resolution beside a window is not read."""
+    if window is not None:
+        if resolution is not None:
+            raise ConfigError(path, "not read when the window is given")
+        return window
+    try:
+        return grid_sample(model, default if resolution is None else resolution)
+    except WindowSizeError as exc:
+        raise ConfigError(path, str(exc))
+
+
+def _run_defect_certificate(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    cert = s.params.certificate
+    try:
+        cert.verify()
+    except ValueError as exc:
+        print(f"certificate INVALID: {exc}")
+        return 2
+    _crosscheck_bound(s.params.crosscheck, cert)
+    print(f"certificate valid: theta={cert.theta} |F|={len(cert.F)}")
     return 0
 
 
-def _run_search(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    _expect(params, "params", ("E", "theta", "strategy"), ("radius", "metric", "budget", "crosscheck"))
-    crosscheck = _boolean(params.get("crosscheck", False), "params.crosscheck")
-    model = _load_model(config["model"], "model")
-    E = _load_window(params["E"], model, "params.E")
-    U = _load_entourage(params, model, "params")
-    theta = _rational(params["theta"], "params.theta")
-    budget = _budget(params, SEARCH_BUDGET)
-    strategy = params["strategy"]
-    try:
-        check_strategy(model, strategy)
-    except ValueError as exc:
-        raise ConfigError("params.strategy", str(exc))
-    result = folner_search(model, E, U, theta, strategy=strategy, budget=budget, seed=config.get("seed"))
+def _run_defect(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    if p.mode == "topological":
+        theta, cert = topological_defect(p.F, p.E, Entourage(p.metric, p.radius))
+        bound = _crosscheck_bound(p.crosscheck, cert)
+        artifacts.write_json("certificate.json", cert.to_json())
+        artifacts.write_csv("report.csv", SEARCH_HEADER, [[0, len(p.F), str(theta), bound, "yes"]])
+    else:
+        theta = (discrete_defect(p.F, p.E) if p.mode == "discrete"
+                 else pairwise_defect(p.F, p.E, Entourage(p.metric, p.radius)))
+        artifacts.write_csv("report.csv", ["mode", "|F|", "theta"], [[p.mode, len(p.F), str(theta)]])
+    print(f"{p.mode} defect: {theta}")
+    return 0
+
+
+def _run_search(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    U = Entourage(p.metric, p.radius)
+    result = folner_search(s.model, p.E, U, p.theta, strategy=p.strategy, budget=p.budget, seed=s.seed)
     rows = []
     if result.certificate is not None:
         cert = result.certificate
         passed = "yes" if result.found else "no"
-        bound = _crosscheck_bound(crosscheck, cert)
+        bound = _crosscheck_bound(p.crosscheck, cert)
         rows.append([result.best_index, len(cert.F), str(cert.theta), bound, passed])
         artifacts.write_json("certificate.json", result.to_json())
-    artifacts.write_csv("report.csv", ["candidate_id", "|F|", "theta", "seminorm_bound", "passed"], rows)
-    print(
-        f"search: found={result.found} best_theta={result.best_theta} "
-        f"tried={result.candidates_tried} budget_exhausted={result.budget_exhausted}"
-    )
+    artifacts.write_csv("report.csv", SEARCH_HEADER, rows)
+    print(f"search: found={result.found} best_theta={result.best_theta} "
+          f"tried={result.candidates_tried} budget_exhausted={result.budget_exhausted}")
     return 0 if result.found else 2
 
 
-def _run_seminorm(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    _expect(params, "params", ("weight",), ("metric", "E"))
-    model = _load_model(config["model"], "model")
-    weight = _load_weight(params["weight"], model, "params.weight")
-    metric_obj = params.get("metric")
-    metric = _load_metric(metric_obj, model, "params.metric") if metric_obj else model.default_metric()
-    if "E" in params:
-        if not weight.is_stochastic():
+def _run_seminorm(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    header = ["g", "p_d_defect", "lp_pivots", "witness_range"]
+    if p.E is not None:
+        if not p.weight.is_stochastic():
             raise ConfigError("params.weight", "invariance defect is defined for stochastic weights")
-        E = _load_window(params["E"], model, "params.E")
         try:
-            defect = invariance_defect(weight, E, metric)
+            defect = invariance_defect(p.weight, p.E, p.metric)
         except SupportSizeError as exc:  # a - g.a holds up to twice the points of a
             raise ConfigError("params.weight", f"a - g.a: {exc}")
-        rows = [
-            [model.format(r.g), str(r.full), r.pivots, str(r.witness_range)]
-            for r in defect.rows
-        ]
-        artifacts.write_csv("report.csv", ["g", "p_d_defect", "lp_pivots", "witness_range"], rows)
+        rows = [[s.model.format(r.g), str(r.full), r.pivots, str(r.witness_range)] for r in defect.rows]
+        artifacts.write_csv("report.csv", header, rows)
         print(f"invariance defect: full={defect.full} restricted={defect.restricted}")
         return 0
     try:
-        result = lipschitz_seminorm(weight, metric)
+        result = lipschitz_seminorm(p.weight, p.metric)
     except SupportSizeError as exc:
         raise ConfigError("params.weight.support", str(exc))
-    artifacts.write_csv(
-        "report.csv",
-        ["g", "p_d_defect", "lp_pivots", "witness_range"],
-        [["", str(result.value), result.pivots, str(result.witness_range())]],
-    )
+    artifacts.write_csv("report.csv", header, [["", str(result.value), result.pivots, str(result.witness_range())]])
     print(f"seminorm: {result.value} (engine {result.engine})")
     return 0
 
 
-def _run_matching(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    _expect(params, "params", ("E", "F"), ("radius", "metric"))
-    model = _load_model(config["model"], "model")
-    E = _load_window(params["E"], model, "params.E")
-    F = _load_window(params["F"], model, "params.F")
-    U = _load_entourage(params, model, "params")
-    instance = build_graph(E, F, U)
+def _run_matching(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    instance = build_graph(p.E, p.F, Entourage(p.metric, p.radius))
     result = max_matching(instance)
     artifacts.write_json("instance.json", instance.to_json())
     artifacts.write_json("certificate.json", result.to_json())
-    artifacts.write_csv(
-        "report.csv",
-        ["|E|", "|F|", "edges", "mu", "perfect", "deficiency"],
-        [[len(E), len(F), instance.edge_count(), result.mu, result.perfect, result.witness_deficiency()]],
-    )
+    row = [len(p.E), len(p.F), instance.edge_count(), result.mu, result.perfect, result.witness_deficiency()]
+    artifacts.write_csv("report.csv", ["|E|", "|F|", "edges", "mu", "perfect", "deficiency"], [row])
     print(f"matching: mu={result.mu} perfect={result.perfect}")
     return 0
 
 
-PRECOMPACT_FIELDS = ("radius", "metric", "window", "window_resolution", "pool", "sample_resolution")
-
-
-def _precompact(params: dict, model: GroupModel, artifacts: Artifacts) -> int:
-    U = _load_entourage(params, model, "params")
-    win = _window_or_grid(params, model, "window", "window_resolution", 60)
-    sample = _window_or_grid(params, model, "pool", "sample_resolution", 12)
-    result = precompact_perturbation(model, U, win, sample)
+def _run_precompact(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p, model = s.params, s.model
+    win = _window_or_grid(model, p.window, p.window_resolution, 60, "params.window_resolution")
+    sample = _window_or_grid(model, p.pool, p.sample_resolution, 12, "params.sample_resolution")
+    try:
+        result = precompact_perturbation(model, Entourage(p.metric, p.radius), win, sample)
+    except ValueError as exc:  # a model, radius or window that admits no finite lift
+        raise ConfigError("params", str(exc))
     artifacts.write_json("certificate.json", result.to_json())
-    print(
-        f"precompact: |F|={len(result.centers)} order={result.group_order} "
-        f"bound={result.order_bound} lift={result.lift_mode}"
-    )
+    print(f"precompact: |F|={len(result.centers)} order={result.group_order} "
+          f"bound={result.order_bound} lift={result.lift_mode}")
     return 0
 
 
-def _run_precompact(config: dict, artifacts: Artifacts) -> int:
-    _expect(config["params"], "params", (), PRECOMPACT_FIELDS)
-    return _precompact(config["params"], _load_model(config["model"], "model"), artifacts)
+def _run_build(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    assembled = build_perturbation(s.model, p.indices, Entourage(p.metric, p.radius), budget=p.budget)
+    artifacts.write_json("certificate.json", assembled.action.to_json())
+    artifacts.write_json("report.json", assembled.report.to_json())
+    print(f"build: window={len(assembled.action.window)} violations={len(assembled.report.violations)}")
+    return 0
 
 
-def _run_perturb(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    _expect(
-        params,
-        "params",
-        ("mode",),
-        ("indices", "budget", "action", "permutation") + PRECOMPACT_FIELDS,
-    )
-    model = _load_model(config["model"], "model")
-    mode = params["mode"]
-    if mode == "build":
-        if "indices" not in params:
-            raise ConfigError("params.indices", "missing required field")
-        if not isinstance(params["indices"], list):
-            raise ConfigError("params.indices", "expected a list of {E, n} objects")
-        U = _load_entourage(params, model, "params")
-        family = []
-        for k, idx in enumerate(params["indices"]):
-            _expect(idx, f"params.indices[{k}]", ("E", "n"))
-            E = _load_window(idx["E"], model, f"params.indices[{k}].E")
-            if model.identity() not in E:
-                raise ConfigError(f"params.indices[{k}].E", "every index pool must contain the identity")
-            n = _integer(idx["n"], f"params.indices[{k}].n")
-            if n < 2:
-                raise ConfigError(f"params.indices[{k}].n", "index multiplicities start at 2")
-            family.append((E, n))
-        assembled = build_perturbation(model, family, U, budget=_budget(params, PACKAGE_BUDGET))
-        artifacts.write_json("certificate.json", assembled.action.to_json())
-        artifacts.write_json("report.json", assembled.report.to_json())
-        print(f"build: window={len(assembled.action.window)} violations={len(assembled.report.violations)}")
-        return 0
-    if mode == "verify":
-        if "action" not in params:
-            raise ConfigError("params.action", "missing required field")
-        U = _load_entourage(params, model, "params")
-        action = _load_action(params["action"], model, "params.action")
-        report = verify_perturbation(action, U)
-        artifacts.write_json("report.json", report.to_json())
-        rows = [[v.g.model.format(v.g), v.g.model.format(v.h), str(v.distance)] for v in report.violations]
-        artifacts.write_csv("report.csv", ["g", "h", "distance"], rows)
-        print(f"verify: violations={len(report.violations)} max_deviation={report.max_deviation}")
-        return 0 if report.ok else 2
-    if mode == "precompact":
-        return _precompact(params, model, artifacts)
-    if mode == "wobble":
-        for key in ("window", "pool", "permutation"):
-            if key not in params:
-                raise ConfigError(f"params.{key}", "missing required field")
-        win = _load_window(params["window"], model, "params.window")
-        pool = _load_window(params["pool"], model, "params.pool")
-        permutation = _integers(params["permutation"], "params.permutation")
-        element = decompose_wobbling(permutation, win, pool)
-        artifacts.write_json(
-            "certificate.json",
-            {
-                "window": win.to_json(),
-                "pieces": [
-                    {"translator": model.format(g), "piece": piece.to_json()}
-                    for g, piece in element.pieces
-                ],
-            },
-        )
-        print(f"wobble: {len(element.pieces)} pieces")
-        return 0
-    raise ConfigError("params.mode", f"unknown mode {mode!r}")
+def _run_verify(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    report = verify_perturbation(s.params.action, Entourage(s.params.metric, s.params.radius))
+    artifacts.write_json("report.json", report.to_json())
+    rows = [[v.g.model.format(v.g), v.g.model.format(v.h), str(v.distance)] for v in report.violations]
+    artifacts.write_csv("report.csv", ["g", "h", "distance"], rows)
+    print(f"verify: violations={len(report.violations)} max_deviation={report.max_deviation}")
+    return 0 if report.ok else 2
 
 
-# Default word radius of the window a paradox certificate is checked or searched on.
-PARADOX_WINDOW_RESOLUTION = 4
-
-
-def _run_paradox_verify(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    _expect(params, "params", (), ("certificate", "standard", "window", "window_resolution", "action"))
-    model = _load_model(config["model"], "model")
-    standard = _boolean(params.get("standard", False), "params.standard")
-    if standard and "certificate" in params:
-        raise ConfigError("params.standard", "give a certificate or standard: true, not both")
-    if standard:
-        try:
-            cert = f2_standard_certificate(model)
-        except ValueError as exc:
-            raise ConfigError("params.standard", str(exc))
-    elif "certificate" in params:
-        try:
-            cert = ParadoxCertificate.from_json(params["certificate"], model)
-        except CertificateError as exc:
-            raise _certificate_error(exc, "params.certificate")
-    else:
-        raise ConfigError("params.certificate", "need a certificate or standard: true")
-    win = _window_or_grid(params, model, "window", "window_resolution", PARADOX_WINDOW_RESOLUTION)
-    action = _load_action(params["action"], model, "params.action") if "action" in params else None
+def _run_wobble(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p, model = s.params, s.model
     try:
-        report = verify_on_window(cert, win, action)
+        element = decompose_wobbling(p.permutation, p.window, p.pool)
+    except ValueError as exc:  # not a permutation of the window, or not one the pool moves
+        raise ConfigError("params.permutation", str(exc))
+    pieces = [{"translator": model.format(g), "piece": piece.to_json()} for g, piece in element.pieces]
+    artifacts.write_json("certificate.json", {"window": p.window.to_json(), "pieces": pieces})
+    print(f"wobble: {len(element.pieces)} pieces")
+    return 0
+
+
+def _run_paradox_verify(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    cert = p.standard or p.certificate  # `standard` holds the standard certificate, or False beside a given one
+    win = _window_or_grid(s.model, p.window, p.window_resolution, PARADOX_WINDOW_RESOLUTION, "params.window_resolution")
+    try:
+        report = verify_on_window(cert, win, p.action)
     except ClassifierError as exc:
         raise _certificate_error(exc, "params.certificate")
     artifacts.write_json("certificate.json", cert.to_json())
     artifacts.write_json("report.json", report.to_json())
-    artifacts.write_csv(
-        "report.csv",
-        ["equation", "checkable", "violations", "boundary_defects"],
-        [[e.name, e.checkable, e.interior_violations, e.boundary_defects] for e in report.equations],
-    )
+    artifacts.write_csv("report.csv", ["equation", "checkable", "violations", "boundary_defects"],
+                        [[e.name, e.checkable, e.interior_violations, e.boundary_defects] for e in report.equations])
     print(f"paradox verify: interior={report.interior_violations} boundary={report.boundary_defects}")
     return 0 if report.interior_violations == 0 else 2
 
 
-def _run_paradox_search(config: dict, artifacts: Artifacts) -> int:
-    params = config["params"]
-    _expect(params, "params", ("pool", "max_pieces"), ("window", "window_resolution", "budget"))
-    model = _load_model(config["model"], "model")
-    win = _window_or_grid(params, model, "window", "window_resolution", PARADOX_WINDOW_RESOLUTION)
-    pool = _load_window(params["pool"], model, "params.pool")
-    budget = _budget(params, PARADOX_BUDGET)
-    max_pieces = _integer(params["max_pieces"], "params.max_pieces")
-    if max_pieces < MIN_PIECES:
-        raise ConfigError("params.max_pieces", f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
-    report = search_small_paradox(win, pool, max_pieces, budget=budget)
+def _run_paradox_search(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    p = s.params
+    win = _window_or_grid(s.model, p.window, p.window_resolution, PARADOX_WINDOW_RESOLUTION, "params.window_resolution")
+    report = search_small_paradox(win, p.pool, p.max_pieces, budget=p.budget)
     artifacts.write_json("report.json", report.to_json())
     best = report.best()
     if best is not None and best.certificate is not None:
         artifacts.write_json("certificate.json", best.certificate.to_json())
-    artifacts.write_csv(
-        "report.csv",
-        ["pieces", "best_defect", "checkable", "exhausted"],
-        [[r.pieces, r.best_defect, r.checkable, r.exhausted] for r in report.reports],
-    )
+    artifacts.write_csv("report.csv", ["pieces", "best_defect", "checkable", "exhausted"],
+                        [[r.pieces, r.best_defect, r.checkable, r.exhausted] for r in report.reports])
     for r in report.reports:
         print(f"pieces={r.pieces} best_defect={r.best_defect} exhausted={r.exhausted}")
     return 0 if report.exhausted else 2
 
 
-def _run_suite_task(config: dict, artifacts: Artifacts) -> int:
-    params = config.get("params", {})
-    _expect(params, "params", (), ("criteria", "scenarios"))
-    if "scenarios" in params:
-        if "criteria" in params:
-            raise ConfigError("params.criteria", "give criteria or scenarios, not both")
-        directory = Path(_path(params["scenarios"], "params.scenarios"))
-        rows = []
-        status = 0
-        for path in sorted(directory.glob("*.json")):
-            sub_out = artifacts.out_dir / path.stem if artifacts.out_dir else None
-            code = run_scenario(path, out_dir=sub_out)
-            rows.append([path.name, code])
-            status = max(status, 0 if code == 0 else 2)
-        artifacts.write_csv("report.csv", ["scenario", "exit_code"], rows)
-        for name, code in rows:
-            print(f"{name}: exit {code}")
-        return status
-    numbers = _integers(params["criteria"], "params.criteria") if "criteria" in params else None
-    for k, number in enumerate(numbers or ()):
-        if number not in (n for n, _, _ in CRITERIA):
-            raise ConfigError(f"params.criteria[{k}]", f"unknown criterion {number}")
-    results = run_suite(out_dir=artifacts.out_dir, numbers=numbers)
-    artifacts.write_csv(
-        "report.csv",
-        ["criterion", "name", "passed", "measured"],
-        [[r.number, r.name, r.passed, r.measured] for r in results],
-    )
+def _run_scenarios(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    rows, status = [], 0
+    for path in sorted(Path(s.params.scenarios).glob("*.json")):
+        sub_out = artifacts.out_dir / path.stem if artifacts.out_dir else None
+        code = run_scenario(path, out_dir=sub_out)
+        rows.append([path.name, code])
+        status = max(status, 0 if code == 0 else 2)
+    artifacts.write_csv("report.csv", ["scenario", "exit_code"], rows)
+    for name, code in rows:
+        print(f"{name}: exit {code}")
+    return status
+
+
+def _run_suite(s: SimpleNamespace, artifacts: Artifacts) -> int:
+    results = run_suite(out_dir=artifacts.out_dir, numbers=s.params.criteria)
+    artifacts.write_csv("report.csv", ["criterion", "name", "passed", "measured"],
+                        [[r.number, r.name, r.passed, r.measured] for r in results])
     for r in results:
         print(r.row())
     return 0 if all(r.passed for r in results) else 2
 
 
 # ---------------------------------------------------------------------------
-# Scenario engine
+# Field tables and the scenario engine
 # ---------------------------------------------------------------------------
 
-TASKS: dict[str, Callable[[dict, Artifacts], int]] = {
-    "defect": _run_defect,
-    "search": _run_search,
-    "seminorm": _run_seminorm,
-    "matching": _run_matching,
-    "perturb": _run_perturb,
-    "precompact": _run_precompact,
-    "paradox-verify": _run_paradox_verify,
-    "paradox-search": _run_paradox_search,
-    "suite": _run_suite_task,
+ENVELOPE = {
+    "task": (_task, REQUIRED),
+    "model": (_load_model, REQUIRED),
+    "params": (_as_is, REQUIRED),  # loaded against the mode's own table
+    "seed": (_integer, None),
+    "out_dir": (_path, None),
 }
+WITHOUT_MODEL = {key: field for key, field in ENVELOPE.items() if key != "model"}
+SUITE_ENVELOPE = {**WITHOUT_MODEL, "params": (_as_is, {})}
+
+
+class Mode(NamedTuple):
+    """A task in one mode: its runner, its params fields and its envelope."""
+
+    run: Callable[[SimpleNamespace, Artifacts], int]
+    fields: dict
+    envelope: dict = ENVELOPE
+
+
+METRIC = (_load_metric, lambda model: model.default_metric())
+ENTOURAGE = {"radius": (_radius, REQUIRED), "metric": METRIC}
+WINDOW_OR_GRID = {"window": (_load_window, None), "window_resolution": (_resolution, None)}
+PRECOMPACT = {**ENTOURAGE, **WINDOW_OR_GRID, "pool": (_load_window, None), "sample_resolution": (_resolution, None)}
+DEFECT = {"F": (_defect_window, REQUIRED), "E": (_load_window, REQUIRED), "mode": (_as_is, REQUIRED)}
+PERTURB = {"mode": (_as_is, REQUIRED)}
+PARADOX_VERIFY = {**WINDOW_OR_GRID, "action": (_load_action, None)}
+
+# Each task: a Mode, or the chooser that names the mode from the raw params
+# and the task's modes.
+TASKS: dict[str, Mode | tuple[Callable[[dict], Any], dict[str, Mode]]] = {
+    "defect": (lambda params: "certificate" if "certificate" in params else params.get("mode", "topological"), {
+        "topological": Mode(_run_defect, {**DEFECT, "mode": (_as_is, "topological"), **ENTOURAGE,
+                                          "crosscheck": (_boolean, False)}),
+        "pairwise": Mode(_run_defect, {**DEFECT, **ENTOURAGE}),
+        "discrete": Mode(_run_defect, DEFECT),
+        "certificate": Mode(_run_defect_certificate, {"certificate": (_folner_certificate, REQUIRED),
+                                                      "crosscheck": (_boolean, False)}, WITHOUT_MODEL),
+    }),
+    "search": Mode(_run_search, {"E": (_load_window, REQUIRED), "theta": (_rational, REQUIRED),
+                                 "strategy": (_strategy, REQUIRED), **ENTOURAGE, "budget": (_budget, SEARCH_BUDGET),
+                                 "crosscheck": (_boolean, False)}),
+    "seminorm": Mode(_run_seminorm, {"weight": (_load_weight, REQUIRED), "metric": METRIC, "E": (_load_window, None)}),
+    "matching": Mode(_run_matching, {"E": (_load_window, REQUIRED), "F": (_load_window, REQUIRED), **ENTOURAGE}),
+    "perturb": (lambda params: params.get("mode", REQUIRED), {
+        "build": Mode(_run_build, {**PERTURB, "indices": (_indices, REQUIRED), **ENTOURAGE,
+                                   "budget": (_budget, PACKAGE_BUDGET)}),
+        "verify": Mode(_run_verify, {**PERTURB, "action": (_load_action, REQUIRED), **ENTOURAGE}),
+        "precompact": Mode(_run_precompact, {**PERTURB, **PRECOMPACT}),
+        "wobble": Mode(_run_wobble, {**PERTURB, "window": (_load_window, REQUIRED), "pool": (_load_window, REQUIRED),
+                                     "permutation": (_integers, REQUIRED)}),
+    }),
+    "precompact": Mode(_run_precompact, PRECOMPACT),
+    "paradox-verify": (lambda params: "standard" if "standard" in params and "certificate" not in params
+                       else "certificate", {
+        "certificate": Mode(_run_paradox_verify, {"certificate": (_paradox_certificate, REQUIRED),
+                                                  "standard": (_not_standard, False), **PARADOX_VERIFY}),
+        "standard": Mode(_run_paradox_verify, {"standard": (_standard_certificate, REQUIRED), **PARADOX_VERIFY}),
+    }),
+    "paradox-search": Mode(_run_paradox_search, {"pool": (_load_window, REQUIRED),
+                                                 "max_pieces": (_max_pieces, REQUIRED), **WINDOW_OR_GRID,
+                                                 "budget": (_budget, PARADOX_BUDGET)}),
+    "suite": (lambda params: "scenarios" if "scenarios" in params else "criteria", {
+        "criteria": Mode(_run_suite, {"criteria": (_criteria, None)}, SUITE_ENVELOPE),
+        "scenarios": Mode(_run_scenarios, {"scenarios": (_path, REQUIRED),
+                                           "criteria": (_criteria_with_scenarios, None)}, SUITE_ENVELOPE),
+    }),
+}
+# The mode of a scenario whose task is missing or unknown: loading its
+# envelope names the task, so it never runs.
+UNKNOWN_TASK = Mode(None, {}, {key: (_task, REQUIRED) if key == "task" else (_as_is, None) for key in ENVELOPE})
+
+
+def _mode(config) -> tuple[str, Mode, list[dict]]:
+    """The mode a scenario runs in, its name, and the field tables of the
+    task's modes."""
+    task = config.get("task") if isinstance(config, dict) else None
+    if not isinstance(task, str) or task not in TASKS:
+        return "", UNKNOWN_TASK, []
+    if isinstance(TASKS[task], Mode):
+        return "", TASKS[task], []
+    choose, modes = TASKS[task]
+    params = config.get("params")
+    name = choose(params) if isinstance(params, dict) else next(iter(modes))
+    if not isinstance(name, str) or name not in modes:
+        raise ConfigError("params.mode", "missing required field" if name is REQUIRED else f"unknown mode {name!r}")
+    return name, modes[name], [mode.fields for mode in modes.values()]
 
 
 def run_scenario_config(config: dict, out_dir: Optional[Path] = None) -> int:
     started = time.time()
-    _expect(config, "scenario", ("task",), ("model", "params", "seed", "out_dir"))
-    task = config["task"]
-    if not isinstance(task, str) or task not in TASKS:
-        raise ConfigError("task", f"unknown task {task!r}")
-    if "params" not in config and task != "suite":
-        raise ConfigError("params", "missing required field")
-    cert_only = (
-        task == "defect"
-        and isinstance(config.get("params"), dict)
-        and "certificate" in config["params"]
-    )
-    if task != "suite" and not cert_only and "model" not in config:
-        raise ConfigError("model", "missing required field")
-    if "seed" in config:
-        _integer(config["seed"], "seed")
-    if out_dir is None and "out_dir" in config:
-        out_dir = Path(_path(config["out_dir"], "out_dir"))
+    name, mode, tables = _mode(config)
+    scenario = _load(config, "", mode.envelope)
+    model = getattr(scenario, "model", None)
+    scenario.params = _load(scenario.params, "params", mode.fields, model, name, tables)
+    if out_dir is None and scenario.out_dir is not None:
+        out_dir = Path(scenario.out_dir)
     artifacts = Artifacts(out_dir)
-    code = TASKS[task](config, artifacts)
+    code = mode.run(scenario, artifacts)
     _manifest(config, artifacts, time.time() - started)
     return code
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, product
-from typing import Callable, Iterator, Optional
+from itertools import chain, count, islice, product
+from typing import Iterator, Optional
 
 from .groups import (
     CertificateError,
@@ -25,12 +25,13 @@ from .groups import (
     GroupModel,
     LatticeModel,
     ScaledMetric,
+    certificate_fraction,
     entourage_from_json,
     grid_sample,
     model_from_json,
-    parse_fraction,
-    parse_index,
+    parse_element,
     parse_window,
+    require_fields,
     translate_window,
     word_ball,
 )
@@ -104,51 +105,72 @@ class FolnerCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FolnerCertificate":
-        """Parse a certificate from its file form.  The matchings carry no
-        graph until `verify` rebuilds it from (F, gF, U)."""
+        """Parse a certificate from its file form; every malformed field is
+        a CertificateError naming it.  The matchings carry no graph until
+        `verify` rebuilds it from (F, gF, U)."""
+        require_fields(obj, ("model", "E", "U", "F", "theta", "matchings"), ("seminorm_check",))
         try:
             model = model_from_json(obj["model"])
         except CertificateError as exc:
-            raise CertificateError(f"model.{exc.path}", exc.reason)
+            raise exc.under("model") from None
         E = parse_window(obj["E"], model, "E")
         F = parse_window(obj["F"], model, "F")
         try:
             U = entourage_from_json(obj["U"], model)
         except CertificateError as exc:
-            raise CertificateError(f"U.{exc.path}", exc.reason) from None
+            raise exc.under("U") from None
+        theta = certificate_fraction(obj["theta"], "theta")
         if not isinstance(obj["matchings"], dict):
             raise CertificateError("matchings", "expected an object keyed by element encodings")
         matchings = {}
         for key, entry in obj["matchings"].items():
-            g = model.parse(key)
-            if g in matchings:
-                raise ValueError(f"matching key {key!r} repeats an element")
             field = f"matchings[{key!r}]"
-            pairing = {
-                parse_index(i, f"{field}.pairing"): parse_index(j, f"{field}.pairing")
-                for i, j in entry["pairing"]
-            }
-            if len(pairing) != len(entry["pairing"]):
-                raise ValueError(f"pairing of {key!r} repeats a left index")
-            mu = parse_index(entry["mu"], f"{field}.mu")
-            matchings[g] = MatchingResult(
-                instance=None,
-                pairing=pairing,
-                mu=mu,
-                witness=tuple(parse_index(i, f"{field}.witness") for i in entry["witness"]),
-                perfect=mu == len(F),
-            )
-        check = obj.get("seminorm_check")
+            g = parse_element(key, model, field)
+            if g in matchings:
+                raise CertificateError(field, "repeats an element")
+            matchings[g] = _matching_from_json(entry, field, len(F))
+        value = bound = None
+        if "seminorm_check" in obj:
+            check = obj["seminorm_check"]
+            try:
+                require_fields(check, ("value", "bound"))
+                value, bound = (certificate_fraction(check[key], key) for key in ("value", "bound"))
+            except CertificateError as exc:
+                raise exc.under("seminorm_check") from None
         return cls(
-            model=model,
-            E=E,
-            U=U,
-            F=F,
-            theta=parse_fraction(obj["theta"]),
-            matchings=matchings,
-            seminorm_value=None if check is None else parse_fraction(check["value"]),
-            seminorm_bound=None if check is None else parse_fraction(check["bound"]),
+            model=model, E=E, U=U, F=F, theta=theta, matchings=matchings, seminorm_value=value, seminorm_bound=bound
         )
+
+
+def _matching_from_json(entry, field: str, n: int) -> MatchingResult:
+    """One stored matching of a certificate over a window of n points."""
+    try:
+        require_fields(entry, ("pairing", "mu", "witness"))
+    except CertificateError as exc:
+        raise exc.under(field) from None
+    pairs, witness = entry["pairing"], entry["witness"]
+    if not isinstance(pairs, list):
+        raise CertificateError(f"{field}.pairing", "expected a list of [i, j] pairs")
+    try:
+        pairing = dict(pairs)  # each pair a list of two entries
+    except (TypeError, ValueError):
+        raise CertificateError(f"{field}.pairing", "expected a list of [i, j] pairs") from None
+    if len(pairing) != len(pairs):
+        raise CertificateError(f"{field}.pairing", "repeats a left index")
+    _indices(chain.from_iterable(pairing.items()), f"{field}.pairing")
+    if not isinstance(witness, list):
+        raise CertificateError(f"{field}.witness", "expected a list of JSON integers")
+    _indices(witness, f"{field}.witness")
+    mu = entry["mu"]
+    _indices([mu], f"{field}.mu")
+    return MatchingResult(instance=None, pairing=pairing, mu=mu, witness=tuple(witness), perfect=mu == n)
+
+
+def _indices(values, field: str) -> None:
+    """A CertificateError naming `field` unless every value is a JSON integer."""
+    for value in values:
+        if type(value) is not int:
+            raise CertificateError(field, f"expected a JSON integer, got {value!r}")
 
 
 def discrete_defect(F: FiniteWindow, E: FiniteWindow) -> Fraction:
@@ -207,22 +229,6 @@ def conjugated_entourage(E: FiniteWindow, U: Entourage) -> Entourage:
         return U
     slack = max((U.metric.distance_to_identity(g) for g in E), default=ZERO)
     return U.with_radius(max(ZERO, U.radius - 2 * slack))
-
-
-def action_defect(
-    F: FiniteWindow,
-    E: FiniteWindow,
-    action: Optional[Callable[[GroupElement, GroupElement], GroupElement]] = None,
-) -> Fraction:
-    """|EF| / |F| for the action orbit set EF = { g.x : g in E, x in F }."""
-    if len(F) == 0:
-        raise ValueError("defect of an empty window")
-    apply = action if action is not None else (lambda g, x: F.model.mul(g, x))
-    image = set()
-    for g in E:
-        for x in F:
-            image.add(apply(g, x))
-    return Fraction(len(image), len(F))
 
 
 # ---------------------------------------------------------------------------

@@ -53,17 +53,45 @@ class CertificateError(ValueError):
         self.path = path
         self.reason = reason
 
+    def under(self, prefix: str) -> "CertificateError":
+        """The same error, located inside the field `prefix`."""
+        return CertificateError(f"{prefix}.{self.path}" if self.path else prefix, self.reason)
+
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
-    """Parse an exact rational from 'p/q' or integer text; floats are rejected."""
+    """Parse an exact rational from 'p/q' or integer text; floats and JSON
+    booleans are rejected."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise ValueError(f"not an exact rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(s)
+
+
+def require_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """A CertificateError unless `obj` is an object holding every required
+    field and no field but the optional ones."""
+    if not isinstance(obj, dict):
+        raise CertificateError("", "expected an object")
+    for key in required:
+        if key not in obj:
+            raise CertificateError(key, "missing required field")
+    unknown = set(obj).difference(required, optional)
+    if unknown:
+        raise CertificateError(min(unknown), "unknown field (strict schema)")
+
+
+def certificate_fraction(value, field: str) -> Fraction:
+    """`parse_fraction`, with a malformed value a CertificateError naming `field`."""
+    try:
+        return parse_fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateError(field, str(exc)) from None
 
 
 def parse_index(value, field: str) -> int:
@@ -534,18 +562,38 @@ def make_model(kind: str, **params) -> GroupModel:
 
 
 def model_from_json(obj: dict) -> GroupModel:
-    """The model of a descriptor {"kind", "params"}.  A param that the kind
-    does not take, or one that is neither a JSON integer nor the text of
-    one, is a CertificateError naming `params.<key>`."""
+    """The model of a descriptor {"kind", "params", "generators", "metric"}.
+    Every malformed field is a CertificateError naming it: a descriptor that
+    is not an object, a missing or unknown field, a `kind` that is not a
+    known model, `params` that is not an object or holds anything but the
+    kind's one integer parameter (`params.<key>`), and `generators` or
+    `metric` other than the model's own."""
+    require_fields(obj, ("kind",), ("params", "generators", "metric"))
     kind, params = obj["kind"], obj.get("params", {})
-    if kind in _KINDS:
-        param = _KINDS[kind][1]
-        for key, value in params.items():
-            if param is None or key != param[0]:
-                raise CertificateError(f"params.{key}", f"not a parameter of a {kind} model")
-            if type(value) is not int and not (isinstance(value, str) and _is_int_text(value)):
-                raise CertificateError(f"params.{key}", f"expected an integer, got {value!r}")
-    return make_model(kind, **params)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise CertificateError("kind", f"unknown model kind {kind!r}")
+    if not isinstance(params, dict):
+        raise CertificateError("params", "expected an object")
+    param = _KINDS[kind][1]
+    for key, value in params.items():
+        if param is None or key != param[0]:
+            raise CertificateError(f"params.{key}", f"not a parameter of a {kind} model")
+        if type(value) is not int and not (isinstance(value, str) and _is_int_text(value)):
+            raise CertificateError(f"params.{key}", f"expected an integer, got {value!r}")
+    try:
+        model = make_model(kind, **params)
+    except ValueError as exc:  # a parameter out of its range
+        raise CertificateError(f"params.{param[0]}", str(exc)) from None
+    for key in ("generators", "metric"):
+        if key in obj and obj[key] != _own_descriptor(model)[key]:
+            raise CertificateError(key, f"differs from the model's own {_own_descriptor(model)[key]!r}")
+    return model
+
+
+@functools.lru_cache(maxsize=None)
+def _own_descriptor(model: GroupModel) -> dict:
+    """`model.to_json()` of a shared model, built once; not to be changed."""
+    return model.to_json()
 
 
 def _is_int_text(text: str) -> bool:
@@ -672,7 +720,10 @@ def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
     """The metric of a descriptor {"rule", ...} on `model`.  A rule that the
     model does not carry (word lengths live on the discrete models, arcs on
     the circle and the torus) or an unknown rule is a CertificateError
-    naming `rule` (`base.rule` inside a scaled metric)."""
+    naming `rule` (`base.rule` inside a scaled metric); so is any other
+    malformed field, by its own path."""
+    scaled = isinstance(obj, dict) and obj.get("rule") == "scaled"
+    require_fields(obj, ("rule", "factor", "base") if scaled else ("rule",))
     rule = obj["rule"]
     if rule == "word":
         if not model.discrete:
@@ -684,12 +735,16 @@ def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
         return ArcMetric(model)
     if rule == "discrete":
         return DiscreteMetric(model)
-    if rule == "scaled":
+    if scaled:
         try:
             base = metric_from_json(obj["base"], model)
         except CertificateError as exc:
-            raise CertificateError(f"base.{exc.path}", exc.reason) from None
-        return ScaledMetric(base, parse_fraction(obj["factor"]))
+            raise exc.under("base") from None
+        factor = certificate_fraction(obj["factor"], "factor")
+        try:
+            return ScaledMetric(base, factor)
+        except ValueError as exc:  # a factor that is not positive
+            raise CertificateError("factor", str(exc)) from None
     raise CertificateError("rule", f"unknown metric rule {rule!r}")
 
 
@@ -725,13 +780,19 @@ class Entourage:
 
 
 def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:
-    """The entourage of a descriptor {"metric", "radius"}; a metric error is
-    a CertificateError naming its path under `metric`."""
+    """The entourage of a descriptor {"metric", "radius"}; every malformed
+    field is a CertificateError naming it (a metric error by its path under
+    `metric`)."""
+    require_fields(obj, ("metric", "radius"))
     try:
         metric = metric_from_json(obj["metric"], model)
     except CertificateError as exc:
-        raise CertificateError(f"metric.{exc.path}", exc.reason) from None
-    return Entourage(metric, parse_fraction(obj["radius"]))
+        raise exc.under("metric") from None
+    radius = certificate_fraction(obj["radius"], "radius")
+    try:
+        return Entourage(metric, radius)
+    except ValueError as exc:  # a negative radius
+        raise CertificateError("radius", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -825,10 +886,25 @@ class FiniteWindow:
 
 def parse_window(items, model: GroupModel, field: str) -> FiniteWindow:
     """A window from its file form, a list of element strings; any other
-    shape is a CertificateError naming `field`."""
+    shape is a CertificateError naming `field`, and an element that does not
+    parse one naming `field[k]`."""
     if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
         raise CertificateError(field, "expected a list of element strings")
-    return FiniteWindow.from_json(items, model)
+    try:
+        return FiniteWindow.from_json(items, model)
+    except (ValueError, ZeroDivisionError):
+        for k, text in enumerate(items):  # name the first element that does not parse
+            parse_element(text, model, f"{field}[{k}]")
+        raise
+
+
+def parse_element(text: str, model: GroupModel, field: str) -> GroupElement:
+    """`model.parse(text)`, with text that does not parse a CertificateError
+    naming `field`."""
+    try:
+        return model.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateError(field, str(exc)) from None
 
 
 def window(model: GroupModel, elements: Iterable) -> FiniteWindow:

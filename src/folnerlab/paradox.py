@@ -289,9 +289,6 @@ class ParadoxCertificate:
             for i, clf in enumerate(pieces):
                 _check_classifier(clf, self.model, f"{key}[{i}]")
 
-    def piece_count(self) -> int:
-        return len(self.a_pieces) + len(self.b_pieces)
-
     def equations(self) -> list[tuple[str, list[tuple[Word, int]]]]:
         """Each covering equation as (name, terms); a term is a translator
         word and a piece, indexed in `a_pieces + b_pieces`."""

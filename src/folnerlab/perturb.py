@@ -122,13 +122,6 @@ class PerturbedAction:
         j = row[self.window.index(x)]
         return None if j is None else self.window[j]
 
-    def apply_inverse(self, g: GroupElement, y: GroupElement) -> Optional[GroupElement]:
-        inverse = self.inverse_rows.get(g)
-        if inverse is None or y not in self.window:
-            return None
-        i = inverse[self.window.index(y)]
-        return None if i is None else self.window[i]
-
     def to_json(self) -> dict:
         model = self.window.model
         return {

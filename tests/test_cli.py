@@ -1,10 +1,18 @@
 """Command-line surface: exit codes, artifacts, strict configs, determinism."""
 
+import ast
+import contextlib
+import io
 import json
+import re
 import shlex
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folnerlab import cli
 from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario, run_scenario_config
@@ -850,6 +858,10 @@ F2_SEMINORM = {"task": "seminorm", "model": F2_MODEL, "params": {"weight": {"sup
 CIRCLE_SEMINORM = {"task": "seminorm", "model": CIRCLE, "params": {"weight": {"support": ["0", "1/2"], "weights": ["1", "-1"]}}}
 HEISENBERG_DEFECT = {"task": "defect", "model": {"kind": "heisenberg"},
                      "params": {"F": ["0,0,0", "1,0,0"], "E": ["1,0,0"], "radius": "1"}}
+WOBBLE = {"task": "perturb", "model": CIRCLE,
+          "params": {"mode": "wobble", "window": ["0", "1/2"], "pool": ["1/2"], "permutation": [1, 0]}}
+PERTURB_PRECOMPACT = {"task": "perturb", "model": CIRCLE, "params": {"mode": "precompact", "radius": "1/10",
+                                                                     "window_resolution": 8, "sample_resolution": 4}}
 # Config values that exit 1 and the field each must name: (base config,
 # params to put in, field, start of the message).
 FIELD_ERRORS = {
@@ -916,6 +928,30 @@ FIELD_ERRORS = {
     "invariance-difference-past-cap": (SEMINORM, {"weight": {"support": [str(k) for k in range(150)],
                                                              "weights": ["1/150"] * 150}, "E": ["1000"]},
                                        "params.weight", "a - g.a: support 300 exceeds cap 200"),
+    # JSON booleans used to be read as the rationals 1 and 0, with exit 0
+    "weights-true": (SEMINORM, {"weight": {"support": ["0", "1"], "weights": [True, "-1"]}},
+                     "params.weight.weights[0]", "not an exact rational: True"),
+    "defect-radius-true": (DEFECT, {"radius": True}, "params.radius", "not an exact rational: True"),
+    "search-radius-true": (SEARCH, {"radius": True}, "params.radius", "not an exact rational: True"),
+    # these used to exit 1 without a field path
+    "defect-F-empty": (DEFECT, {"F": []}, "params.F", "defect of an empty window"),
+    "discrete-F-empty": (DISCRETE, {"F": []}, "params.F", "defect of an empty window"),
+    "defect-radius=-1": (DEFECT, {"radius": -1}, "params.radius", "entourage radius must be >= 0"),
+    "search-radius=-1": (SEARCH, {"radius": "-1"}, "params.radius", "entourage radius must be >= 0"),
+    "build-radius=-1": (BUILD, {"radius": "-1/10"}, "params.radius", "entourage radius must be >= 0"),
+    "build-indices-empty": (BUILD, {"indices": []}, "params.indices", "index family must be non-empty"),
+    "wobble-not-a-permutation": (WOBBLE, {"permutation": [0, 0]}, "params.permutation",
+                                 "not a permutation of the window"),
+    # a field that the chosen mode does not read used to be accepted and ignored, with exit 0
+    "precompact-mode-permutation": (PERTURB_PRECOMPACT, {"permutation": "zz"}, "params.permutation",
+                                    "not read in precompact mode"),
+    "precompact-mode-indices": (PERTURB_PRECOMPACT, {"indices": 5}, "params.indices", "not read in precompact mode"),
+    "precompact-mode-action": (PERTURB_PRECOMPACT, {"action": 7}, "params.action", "not read in precompact mode"),
+    "pairwise-crosscheck": (DEFECT, {"mode": "pairwise", "crosscheck": True}, "params.crosscheck",
+                            "not read in pairwise mode"),
+    "window-and-resolution": (PARADOX_SEARCH, {"window": ["e", "a"]}, "params.window_resolution",
+                              "not read when the window is given"),
+    "metric-null": (DEFECT, {"metric": None}, "params.metric", "expected an object"),
 }
 
 
@@ -1141,3 +1177,183 @@ def test_readme_example_runs_the_same_from_its_config(tmp_path, monkeypatch, cap
     assert written == sorted(p.name for p in Path("config").iterdir() if p.name != "manifest.json")
     for name in written:
         assert (Path("flags") / name).read_bytes() == (Path("config") / name).read_bytes()
+
+
+# Whole scenarios that exit 1 and the field each must name: each used to end
+# in a traceback, to exit 1 without a field path, or to exit 0.
+SCENARIO_ERRORS = {
+    "model-kind-object": ({**DISCRETE, "model": {"kind": {}}}, "model.kind", "unknown model kind {}"),
+    "model-kind-list": ({**DISCRETE, "model": {"kind": []}}, "model.kind", "unknown model kind []"),
+    "model-generators": ({**DISCRETE, "model": {**LATTICE_1, "generators": 1.5}}, "model.generators",
+                         "differs from the model's own"),
+    "params-true": ({**DEFECT, "params": True}, "params", "expected an object"),
+    "task-missing": ({"model": LATTICE_1, "params": {}}, "task", "missing required field"),
+    "suite-model": ({**SUITE, "model": LATTICE_1}, "model", "unknown field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_ERRORS))
+def test_scenario_error_names_its_field(tmp_path, capsys, case):
+    config, field, message = SCENARIO_ERRORS[case]
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config(json.loads(json.dumps(config)))
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_scenario(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: {message}")
+    assert "Traceback" not in err
+
+
+def _field(obj, keys):
+    """The object holding the field at the end of `keys`."""
+    for key in keys[:-1]:
+        obj = obj[key]
+    return obj
+
+
+def _drop(*keys):
+    return lambda cert: _field(cert, keys).pop(keys[-1])
+
+
+def _set(value, *keys):
+    return lambda cert: _field(cert, keys).__setitem__(keys[-1], value)
+
+
+# A Følner certificate of the DEFECT scenario (matchings keyed "1"), each
+# mutated once: every malformed field must be named under params.certificate.
+CERTIFICATE_ERRORS = {
+    # a traceback, and a model whose junk descriptor fields were ignored with exit 0
+    "model-params": (_set("zz", "model", "params"), "model.params", "expected an object"),
+    "model-generators": (_set(1.5, "model", "generators"), "model.generators", "differs from the model's own"),
+    "model-metric": (_set("zz", "model", "metric"), "model.metric", "differs from the model's own"),
+    # each used to be a bare "malformed certificate" at params.certificate
+    "pairing-missing": (_drop("matchings", "1", "pairing"), "matchings['1'].pairing", "missing required field"),
+    "mu-missing": (_drop("matchings", "1", "mu"), "matchings['1'].mu", "missing required field"),
+    "witness-missing": (_drop("matchings", "1", "witness"), "matchings['1'].witness", "missing required field"),
+    "theta-missing": (_drop("theta"), "theta", "missing required field"),
+    "pair-malformed": (_set([[0]], "matchings", "1", "pairing"), "matchings['1'].pairing",
+                       "expected a list of [i, j] pairs"),
+    "key-repeated": (lambda cert: cert["matchings"].update({"01": cert["matchings"]["1"]}), "matchings['01']",
+                     "repeats an element"),
+    "radius-negative": (_set("-1", "U", "radius"), "U.radius", "entourage radius must be >= 0"),
+    "theta-true": (_set(True, "theta"), "theta", "not an exact rational: True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_ERRORS))
+def test_malformed_folner_certificate_names_its_field(tmp_path, capsys, case):
+    mutate, field, message = CERTIFICATE_ERRORS[case]
+    assert run_scenario_config(DEFECT, out_dir=tmp_path / "cert") == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    mutate(cert)
+    with pytest.raises(ConfigError) as info:
+        run_scenario_config({"task": "defect", "params": {"certificate": cert}})
+    assert info.value.path == f"params.certificate.{field}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["folner-defect", "--verify-cert", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: params.certificate.{field}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: single-field mutations of every README example and base config
+# ---------------------------------------------------------------------------
+
+MUTATIONS = ["delete", None, -1, "zz", [], {}, True, 1.5]
+PATH_TOKEN = re.compile(r"\.?([^.\[\]]+)|\[([^\]]*)\]")
+
+
+def _fuzz_bases() -> list[dict]:
+    """The README example scenarios (built from their flags) and the base
+    configs above, with a defect certificate produced from DEFECT."""
+    bases = [SEARCH, DEFECT, PARADOX_SEARCH, STANDARD_VERIFY, BUILD, SUITE, DISCRETE, SEMINORM, F2_SEMINORM,
+             CIRCLE_SEMINORM, HEISENBERG_DEFECT, WOBBLE, PERTURB_PRECOMPACT, UNREACHABLE_SEARCH,
+             {"task": "perturb", "model": CIRCLE, "params": {"mode": "verify", "radius": "1/2", "action": GOOD_ACTION}},
+             {"task": "paradox-verify", "model": F2_MODEL,
+              "params": {"certificate": FORGED_CERTIFICATE, "window_resolution": 2}}]
+    bases += [base for base, _ in INTEGER_FIELDS.values()]
+    with tempfile.TemporaryDirectory() as tmp:
+        weight = Path(tmp) / "w.json"
+        weight.write_text(json.dumps({"support": ["0", "2/5"], "weights": ["1", "-1"]}))
+        for argv in README_EXAMPLES:
+            bases.append(_config_from_flags(_parser().parse_args([str(weight) if a == "w.json" else a for a in argv])))
+        assert run_scenario_config(DEFECT, out_dir=Path(tmp) / "cert") == 0
+        cert = json.loads((Path(tmp) / "cert" / "certificate.json").read_text())
+    bases.append({"task": "defect", "params": {"certificate": cert}})
+    return bases
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+def _field_paths(obj, prefix=()):
+    """Every field path in a config; lists contribute their first three items."""
+    if prefix:
+        yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj[:3]) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _resolves(config, path: str) -> bool:
+    """Whether a ConfigError path names a field of the config, or a missing
+    key of an object in it."""
+    keys = []
+    for name, index in PATH_TOKEN.findall(path):
+        if name:
+            keys.append(name)
+        else:
+            keys.append(int(index) if index.isdigit() else ast.literal_eval(index) if index[:1] in "'\"" else index)
+    obj = config
+    for k, key in enumerate(keys):
+        if isinstance(obj, dict) and key in obj:
+            obj = obj[key]
+        elif isinstance(obj, list) and isinstance(key, int) and 0 <= key < len(obj):
+            obj = obj[key]
+        else:
+            return isinstance(obj, dict) and k == len(keys) - 1
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.data())
+def test_mutated_config_exits_0_or_2_or_names_its_field(data):
+    # every seeded single mutation ends in exit 0 or 2, or in a ConfigError
+    # whose path is in the mutated config: never another exception
+    config = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    path = data.draw(st.sampled_from(list(_field_paths(config))))
+    value = data.draw(st.sampled_from(MUTATIONS))
+    holder = config
+    for key in path[:-1]:
+        holder = holder[key]
+    if value == "delete":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = json.loads(json.dumps(value))
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "run_suite", lambda out_dir, numbers: []), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run_scenario_config(config, out_dir=Path(out))
+        except ConfigError as exc:
+            assert _resolves(config, exc.path), f"{exc} at {path}={value!r}"
+        else:
+            assert code in (0, 2)
+
+
+def test_readme_field_table_matches_the_declared_tables():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| task | mode | required | optional (default) |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        task, mode, required, optional = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:5])
+        documented[(task[0], mode[0] if mode else "")] = (required, optional)
+    declared = {}
+    for task, entry in cli.TASKS.items():
+        for mode, spec in ({"": entry} if isinstance(entry, cli.Mode) else entry[1]).items():
+            fields = [(key, default is cli.REQUIRED) for key, (_, default) in spec.fields.items()]
+            declared[(task, mode)] = ([k for k, r in fields if r], [k for k, r in fields if not r])
+    assert documented == declared

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from folnerlab import folner
 from folnerlab.folner import (
     FolnerCertificate,
-    action_defect,
     bridge_metric,
     conjugated_entourage,
     discrete_defect,
@@ -148,29 +147,6 @@ def test_conjugated_entourage_floor_zero():
     U = Entourage(WordMetric(F2), Fraction(1))
     E = window(F2, [F2.parse("a")])
     assert conjugated_entourage(E, U).radius == 0
-
-
-def test_action_defect_lattice():
-    F = interval(10)
-    E = window(Z, [(-1,), (0,), (1,)])
-    assert action_defect(F, E) == Fraction(12, 10)
-
-
-def test_action_defect_identity():
-    assert action_defect(interval(7), window(Z, [(0,)])) == 1
-
-
-def test_action_defect_free_ball():
-    F = grid_sample(F2, 2)
-    E = window(F2, [F2.parse(s) for s in ["e", "a", "A", "b", "B"]])
-    assert action_defect(F, E) == Fraction(53, 17)  # EB_2 = B_3
-
-
-def test_action_defect_custom_action():
-    F = interval(5)
-    E = window(Z, [(1,)])
-    # a table action that fixes everything
-    assert action_defect(F, E, action=lambda g, x: x) == 1
 
 
 @settings(max_examples=25, deadline=None)
