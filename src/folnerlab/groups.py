@@ -61,12 +61,13 @@ class CertificateError(ValueError):
 def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational from 'p/q' or integer text; floats and JSON
     booleans are rejected."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, bool):
-        raise ValueError(f"not an exact rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
+    if not isinstance(text, str):
+        if isinstance(text, Fraction):
+            return text
+        if isinstance(text, bool):
+            raise ValueError(f"not an exact rational: {text!r}")
+        if isinstance(text, int):
+            return Fraction(text)
     s = str(text).strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")
