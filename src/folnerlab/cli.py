@@ -72,8 +72,8 @@ from .paradox import (
     verify_on_window,
 )
 from .perturb import (
-    PACKAGE_BUDGET, PerturbedAction, build_perturbation, decompose_wobbling, precompact_perturbation,
-    verify_perturbation,
+    PACKAGE_BUDGET, BudgetError, ConstructionError, PerturbedAction, build_perturbation, decompose_wobbling,
+    precompact_perturbation, verify_perturbation,
 )
 from .suite import CRITERIA, run_suite
 from .weights import FiniteWeight, SupportSizeError, invariance_defect, lipschitz_seminorm
@@ -458,7 +458,10 @@ def _run_precompact(s: SimpleNamespace, artifacts: Artifacts) -> int:
 
 def _run_build(s: SimpleNamespace, artifacts: Artifacts) -> int:
     p = s.params
-    assembled = build_perturbation(s.model, p.indices, Entourage(p.metric, p.radius), budget=p.budget)
+    try:
+        assembled = build_perturbation(s.model, p.indices, Entourage(p.metric, p.radius), budget=p.budget)
+    except (ConstructionError, BudgetError) as exc:  # no package within the model, family, radius and budget
+        raise ConfigError("params", str(exc))
     artifacts.write_json("certificate.json", assembled.action.to_json())
     artifacts.write_json("report.json", assembled.report.to_json())
     print(f"build: window={len(assembled.action.window)} violations={len(assembled.report.violations)}")

@@ -149,6 +149,10 @@ class PerturbedAction:
             raise CertificateError("rows", "expected an object of lists")
         if not isinstance(involution, dict):
             raise CertificateError("involution", "expected an object")
+        folner_windows = _windows_json(obj.get("folner_windows", []), model, "folner_windows")
+        for k, F in enumerate(folner_windows):  # each carries an orbit-growth ratio over |F|
+            if len(F) == 0:
+                raise CertificateError(f"folner_windows[{k}]", "expected a non-empty window")
         return cls(
             window=parse_window(obj["window"], model, "window"),
             pool=parse_window(obj["pool"], model, "pool"),
@@ -158,7 +162,7 @@ class PerturbedAction:
             },
             radius=parse_fraction(obj["radius"]),
             involution={model.parse(k): parse_bool(v, f"involution[{k}]") for k, v in involution.items()},
-            folner_windows=_windows_json(obj.get("folner_windows", []), model, "folner_windows"),
+            folner_windows=folner_windows,
             folner_pools=_windows_json(obj.get("folner_pools", []), model, "folner_pools"),
         )
 

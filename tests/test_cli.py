@@ -858,6 +858,7 @@ F2_SEMINORM = {"task": "seminorm", "model": F2_MODEL, "params": {"weight": {"sup
 CIRCLE_SEMINORM = {"task": "seminorm", "model": CIRCLE, "params": {"weight": {"support": ["0", "1/2"], "weights": ["1", "-1"]}}}
 HEISENBERG_DEFECT = {"task": "defect", "model": {"kind": "heisenberg"},
                      "params": {"F": ["0,0,0", "1,0,0"], "E": ["1,0,0"], "radius": "1"}}
+VERIFY = {"task": "perturb", "model": CIRCLE, "params": {"mode": "verify", "radius": "1/2", "action": GOOD_ACTION}}
 WOBBLE = {"task": "perturb", "model": CIRCLE,
           "params": {"mode": "wobble", "window": ["0", "1/2"], "pool": ["1/2"], "permutation": [1, 0]}}
 PERTURB_PRECOMPACT = {"task": "perturb", "model": CIRCLE, "params": {"mode": "precompact", "radius": "1/10",
@@ -952,6 +953,11 @@ FIELD_ERRORS = {
     "window-and-resolution": (PARADOX_SEARCH, {"window": ["e", "a"]}, "params.window_resolution",
                               "not read when the window is given"),
     "metric-null": (DEFECT, {"metric": None}, "params.metric", "expected an object"),
+    # a build that admits no package, and an empty Følner window in an action (a ZeroDivisionError traceback)
+    "build-radius=0": (BUILD, {"radius": "0"}, "params", "conjugation slack consumed the entourage"),
+    "build-budget=2": (BUILD, {"budget": 2}, "params", "no window reached boosted parameter"),
+    "action-folner-window-empty": (VERIFY, {"action": {**GOOD_ACTION, "folner_windows": [[]]}},
+                                   "params.action.folner_windows[0]", "expected a non-empty window"),
 }
 
 
@@ -1263,7 +1269,7 @@ def test_malformed_folner_certificate_names_its_field(tmp_path, capsys, case):
 # Config fuzzing: single-field mutations of every README example and base config
 # ---------------------------------------------------------------------------
 
-MUTATIONS = ["delete", None, -1, "zz", [], {}, True, 1.5]
+MUTATIONS = ["delete", None, -1, "zz", [], {}, True, 1.5, 0, "", [[]]]
 PATH_TOKEN = re.compile(r"\.?([^.\[\]]+)|\[([^\]]*)\]")
 
 
@@ -1272,7 +1278,7 @@ def _fuzz_bases() -> list[dict]:
     configs above, with a defect certificate produced from DEFECT."""
     bases = [SEARCH, DEFECT, PARADOX_SEARCH, STANDARD_VERIFY, BUILD, SUITE, DISCRETE, SEMINORM, F2_SEMINORM,
              CIRCLE_SEMINORM, HEISENBERG_DEFECT, WOBBLE, PERTURB_PRECOMPACT, UNREACHABLE_SEARCH,
-             {"task": "perturb", "model": CIRCLE, "params": {"mode": "verify", "radius": "1/2", "action": GOOD_ACTION}},
+             VERIFY,
              {"task": "paradox-verify", "model": F2_MODEL,
               "params": {"certificate": FORGED_CERTIFICATE, "window_resolution": 2}}]
     bases += [base for base, _ in INTEGER_FIELDS.values()]
