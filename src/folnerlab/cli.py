@@ -27,7 +27,6 @@ import json
 import platform
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
@@ -49,16 +48,18 @@ from .groups import (
     CertificateError,
     Entourage,
     FiniteWindow,
-    GroupElement,
     GroupModel,
-    InvariantPseudoMetric,
-    ScaledMetric,
     WindowSizeError,
     canonical_json,
+    certificate_fraction,
     grid_sample,
     metric_from_json,
     model_from_json,
+    parse_bool,
     parse_fraction,
+    parse_index,
+    parse_window,
+    require_fields,
     write_canonical_json,
 )
 from .matching import build_graph, max_matching
@@ -94,20 +95,32 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _certificate_error(exc: CertificateError, path: str) -> ConfigError:
+    """The certificate's own field path, under the config path it came from."""
+    return ConfigError(_at(path, exc.path) if exc.path else path or "scenario", exc.reason)
+
+
+def _from_json(load: Callable[[Any, Optional[GroupModel]], Any]) -> Callable:
+    """The parser of load(obj, model), with its CertificateError under the field's path."""
+
+    def parse(obj, path: str, model=None):
+        try:
+            return load(obj, model)
+        except CertificateError as exc:
+            raise _certificate_error(exc, path)
+
+    return parse
+
+
 def _expect(obj, path: str, required, optional=(), mode: str = "", siblings=()) -> None:
-    """An object with every required field and no field but the optional ones;
-    the first missing field is named, else the first other in sorted order
-    ("not read in <mode> mode" when one of the `siblings` tables has it)."""
-    if not isinstance(obj, dict):
-        raise ConfigError(path or "scenario", "expected an object")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(_at(path, key), "missing required field")
-    unknown = set(obj).difference(required, optional)
-    if unknown:
-        key = min(unknown)
-        read = any(key in fields for fields in siblings)
-        raise ConfigError(_at(path, key), f"not read in {mode} mode" if read else "unknown field (strict schema)")
+    """`require_fields` on a config object, under `path`; an unknown field
+    that one of the `siblings` tables reads is "not read in <mode> mode"."""
+    try:
+        require_fields(obj, required, optional)
+    except CertificateError as exc:
+        if exc.path and exc.path in obj and any(exc.path in fields for fields in siblings):
+            raise ConfigError(_at(path, exc.path), f"not read in {mode} mode") from None
+        raise _certificate_error(exc, path) from None
 
 
 def _load(obj, path: str, fields: dict, model=None, mode: str = "", siblings=()) -> SimpleNamespace:
@@ -138,17 +151,11 @@ def _checked(parse: Callable, ok: Callable[[Any], bool], message: str) -> Callab
     return parse_checked
 
 
-_integer = _checked(_as_is, lambda v: type(v) is int, "expected a JSON integer, got {!r}")
-_boolean = _checked(_as_is, lambda v: type(v) is bool, "expected a JSON boolean, got {!r}")
+_integer = _from_json(lambda obj, model: parse_index(obj, ""))
+_boolean = _from_json(lambda obj, model: parse_bool(obj, ""))
+_rational = _from_json(lambda obj, model: certificate_fraction(obj, ""))
 _path = _checked(_as_is, lambda v: isinstance(v, str), "expected a file system path (a JSON string), got {!r}")
 _encoding = _checked(_as_is, lambda v: isinstance(v, str), "expected an element encoding (a JSON string), got {!r}")
-
-
-def _rational(obj, path: str, model=None) -> Fraction:
-    try:
-        return parse_fraction(obj)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(path, str(exc))
 
 
 def _integers(obj, path: str, model=None, item: Callable = _integer) -> list[int]:
@@ -157,25 +164,15 @@ def _integers(obj, path: str, model=None, item: Callable = _integer) -> list[int
     return [item(v, f"{path}[{k}]") for k, v in enumerate(obj)]
 
 
-def _element(obj, model: GroupModel, path: str) -> GroupElement:
-    text = _encoding(obj, path)
-    try:
-        return model.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(path, str(exc))
-
-
 def _load_window(obj, path: str, model: GroupModel) -> FiniteWindow:
     if not isinstance(obj, list):
         raise ConfigError(path, "expected a list of element encodings")
     for k, item in enumerate(obj):
         _encoding(item, f"{path}[{k}]")
     try:
-        return FiniteWindow.from_json(obj, model)
-    except (ValueError, ZeroDivisionError) as exc:
-        for k, item in enumerate(obj):  # name the first element that does not parse
-            _element(item, model, f"{path}[{k}]")
-        raise ConfigError(path, str(exc))
+        return parse_window(obj, model, path)
+    except CertificateError as exc:  # its path is the config path given
+        raise ConfigError(exc.path, exc.reason) from None
 
 
 def _load_weight(obj, path: str, model: GroupModel) -> FiniteWeight:
@@ -200,26 +197,10 @@ def _load_weight(obj, path: str, model: GroupModel) -> FiniteWeight:
     return FiniteWeight(model, pairs)
 
 
-def _certificate_error(exc: CertificateError, path: str) -> ConfigError:
-    """The certificate's own field path, under the config path it came from."""
-    return ConfigError(f"{path}.{exc.path}" if exc.path else path, exc.reason)
-
-
-def _from_json(load: Callable[[Any, Optional[GroupModel]], Any]) -> Callable:
-    """The parser of load(obj, model), with its CertificateError under the field's path."""
-
-    def parse(obj, path: str, model=None):
-        try:
-            return load(obj, model)
-        except CertificateError as exc:
-            raise _certificate_error(exc, path)
-
-    return parse
-
-
 _load_model = _from_json(lambda obj, model: model_from_json(obj))
 _folner_certificate = _from_json(lambda obj, model: FolnerCertificate.from_json(obj))
 _paradox_certificate = _from_json(ParadoxCertificate.from_json)
+_load_metric = _from_json(metric_from_json)
 
 
 def _load_action(obj, path: str, model: GroupModel) -> PerturbedAction:
@@ -230,22 +211,6 @@ def _load_action(obj, path: str, model: GroupModel) -> PerturbedAction:
         raise _certificate_error(exc, path)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc))
-
-
-def _load_metric(obj, path: str, model: GroupModel) -> InvariantPseudoMetric:
-    if isinstance(obj, dict) and obj.get("rule") == "scaled":
-        _expect(obj, path, ("rule", "factor", "base"))
-        base = _load_metric(obj["base"], f"{path}.base", model)
-        factor = _rational(obj["factor"], f"{path}.factor")
-        try:
-            return ScaledMetric(base, factor)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.factor", str(exc))
-    _expect(obj, path, ("rule",))
-    try:
-        return metric_from_json(obj, model)
-    except CertificateError as exc:
-        raise _certificate_error(exc, path)
 
 
 _task = _checked(_as_is, lambda task: isinstance(task, str) and task in TASKS, "unknown task {!r}")

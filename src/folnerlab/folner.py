@@ -30,6 +30,7 @@ from .groups import (
     grid_sample,
     model_from_json,
     parse_element,
+    parse_index,
     parse_window,
     require_fields,
     translate_window,
@@ -157,20 +158,14 @@ def _matching_from_json(entry, field: str, n: int) -> MatchingResult:
         raise CertificateError(f"{field}.pairing", "expected a list of [i, j] pairs") from None
     if len(pairing) != len(pairs):
         raise CertificateError(f"{field}.pairing", "repeats a left index")
-    _indices(chain.from_iterable(pairing.items()), f"{field}.pairing")
     if not isinstance(witness, list):
         raise CertificateError(f"{field}.witness", "expected a list of JSON integers")
-    _indices(witness, f"{field}.witness")
-    mu = entry["mu"]
-    _indices([mu], f"{field}.mu")
+    for name, values in (("pairing", chain.from_iterable(pairing.items())), ("witness", witness)):
+        for value in values:
+            if type(value) is not int:  # one scan; parse_index states the rule and names the field
+                parse_index(value, f"{field}.{name}")
+    mu = parse_index(entry["mu"], f"{field}.mu")
     return MatchingResult(instance=None, pairing=pairing, mu=mu, witness=tuple(witness), perfect=mu == n)
-
-
-def _indices(values, field: str) -> None:
-    """A CertificateError naming `field` unless every value is a JSON integer."""
-    for value in values:
-        if type(value) is not int:
-            raise CertificateError(field, f"expected a JSON integer, got {value!r}")
 
 
 def discrete_defect(F: FiniteWindow, E: FiniteWindow) -> Fraction:

@@ -96,9 +96,10 @@ def certificate_fraction(value, field: str) -> Fraction:
 
 
 def parse_index(value, field: str) -> int:
-    """A JSON integer; booleans, floats and strings are rejected, naming the field."""
+    """A JSON integer; booleans, floats and strings are a CertificateError
+    naming `field`."""
     if type(value) is not int:
-        raise ValueError(f"{field}: expected a JSON integer, got {value!r}")
+        raise CertificateError(field, f"expected a JSON integer, got {value!r}")
     return value
 
 
@@ -125,9 +126,10 @@ def write_canonical_json(out_dir: Optional[Path], name: str, payload) -> None:
 
 
 def parse_bool(value, field: str) -> bool:
-    """A JSON boolean; strings and numbers are rejected, naming the field."""
+    """A JSON boolean; strings and numbers are a CertificateError naming
+    `field`."""
     if type(value) is not bool:
-        raise ValueError(f"{field}: expected a JSON boolean, got {value!r}")
+        raise CertificateError(field, f"expected a JSON boolean, got {value!r}")
     return value
 
 
@@ -893,10 +895,10 @@ def parse_window(items, model: GroupModel, field: str) -> FiniteWindow:
         raise CertificateError(field, "expected a list of element strings")
     try:
         return FiniteWindow.from_json(items, model)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as exc:
         for k, text in enumerate(items):  # name the first element that does not parse
             parse_element(text, model, f"{field}[{k}]")
-        raise
+        raise CertificateError(field, str(exc)) from None
 
 
 def parse_element(text: str, model: GroupModel, field: str) -> GroupElement:

@@ -38,9 +38,11 @@ from .groups import (
     GroupElement,
     GroupModel,
     TorusModel,
+    certificate_fraction,
     common_denominator,
     grid_sample,
     parse_bool,
+    parse_element,
     parse_fraction,
     parse_index,
     parse_window,
@@ -153,15 +155,23 @@ class PerturbedAction:
         for k, F in enumerate(folner_windows):  # each carries an orbit-growth ratio over |F|
             if len(F) == 0:
                 raise CertificateError(f"folner_windows[{k}]", "expected a non-empty window")
+        window, pool = parse_window(obj["window"], model, "window"), parse_window(obj["pool"], model, "pool")
+        table = {}
+        for k, row in rows.items():
+            g, at = parse_element(k, model, f"rows[{k}]"), f"row of {k}"
+            try:
+                table[g] = [None if v is None else parse_index(v, at) for v in row]
+            except CertificateError as exc:  # an entry is named by its row
+                raise CertificateError("rows", str(exc)) from None
         return cls(
-            window=parse_window(obj["window"], model, "window"),
-            pool=parse_window(obj["pool"], model, "pool"),
-            rows={
-                model.parse(k): [None if v is None else parse_index(v, f"row of {k}") for v in row]
-                for k, row in rows.items()
+            window=window,
+            pool=pool,
+            rows=table,
+            radius=certificate_fraction(obj["radius"], "radius"),
+            involution={
+                parse_element(k, model, f"involution[{k}]"): parse_bool(v, f"involution[{k}]")
+                for k, v in involution.items()
             },
-            radius=parse_fraction(obj["radius"]),
-            involution={model.parse(k): parse_bool(v, f"involution[{k}]") for k, v in involution.items()},
             folner_windows=folner_windows,
             folner_pools=_windows_json(obj.get("folner_pools", []), model, "folner_pools"),
         )

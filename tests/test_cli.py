@@ -877,6 +877,19 @@ FIELD_ERRORS = {
     "defect-crosscheck='false'": (DEFECT, {"crosscheck": "false"}, "params.crosscheck", "expected a JSON boolean"),
     "search-crosscheck=1": (SEARCH, {"crosscheck": 1}, "params.crosscheck", "expected a JSON boolean"),
     "max_pieces=3": (PARADOX_SEARCH, {"max_pieces": 3}, "params.max_pieces", "must be at least 4"),
+    # action entries that do not parse used to be named only as `params.action`
+    "action-radius='zz'": (VERIFY, {"action": {**GOOD_ACTION, "radius": "zz"}}, "params.action.radius",
+                           "Invalid literal for Fraction: 'zz'"),
+    "action-radius=true": (VERIFY, {"action": {**GOOD_ACTION, "radius": True}}, "params.action.radius",
+                           "not an exact rational: True"),
+    "action-row-key": (VERIFY, {"action": {**GOOD_ACTION, "rows": {"zz": [1, 0]}}}, "params.action.rows[zz]",
+                       "Invalid literal for Fraction: 'zz'"),
+    "action-row-entry": (VERIFY, {"action": {**GOOD_ACTION, "rows": {"1/2": [1.0, 0]}}}, "params.action.rows",
+                         "row of 1/2: expected a JSON integer, got 1.0"),
+    "action-involution-key": (VERIFY, {"action": {**GOOD_ACTION, "involution": {"zz": True}}},
+                              "params.action.involution[zz]", "Invalid literal for Fraction: 'zz'"),
+    "action-involution=0": (VERIFY, {"action": {**GOOD_ACTION, "involution": {"1/2": 0}}},
+                            "params.action.involution[1/2]", "expected a JSON boolean, got 0"),
     "max_pieces=-2": (PARADOX_SEARCH, {"max_pieces": -2}, "params.max_pieces", "must be at least 4"),
     "paradox-budget=0": (PARADOX_SEARCH, {"budget": 0}, "params.budget", "budget must be positive"),
     "paradox-budget=-5": (PARADOX_SEARCH, {"budget": -5}, "params.budget", "budget must be positive"),
