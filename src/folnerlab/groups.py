@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Collection, Iterable, Iterator, Optional
 
 WINDOW_CAP = 100_000
 
@@ -74,7 +74,7 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     return Fraction(s)
 
 
-def require_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+def require_fields(obj, required: Collection[str], optional: Collection[str] = ()) -> None:
     """A CertificateError unless `obj` is an object holding every required
     field and no field but the optional ones."""
     if not isinstance(obj, dict):
