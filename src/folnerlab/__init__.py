@@ -29,10 +29,8 @@ from .weights import (
     InvarianceDefect,
     SeminormResult,
     approx_by_uniform,
-    convolve,
     invariance_defect,
     lipschitz_seminorm,
-    right_average,
 )
 from .matching import (
     BipartiteInstance,

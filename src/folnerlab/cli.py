@@ -56,8 +56,8 @@ from .groups import (
     metric_from_json,
     model_from_json,
     parse_bool,
-    parse_fraction,
     parse_index,
+    parse_radius,
     parse_window,
     require_fields,
     write_canonical_json,
@@ -154,6 +154,7 @@ def _checked(parse: Callable, ok: Callable[[Any], bool], message: str) -> Callab
 _integer = _from_json(lambda obj, model: parse_index(obj, ""))
 _boolean = _from_json(lambda obj, model: parse_bool(obj, ""))
 _rational = _from_json(lambda obj, model: certificate_fraction(obj, ""))
+_radius = _from_json(lambda obj, model: parse_radius(obj, ""))
 _path = _checked(_as_is, lambda v: isinstance(v, str), "expected a file system path (a JSON string), got {!r}")
 _encoding = _checked(_as_is, lambda v: isinstance(v, str), "expected an element encoding (a JSON string), got {!r}")
 
@@ -175,48 +176,15 @@ def _load_window(obj, path: str, model: GroupModel) -> FiniteWindow:
         raise ConfigError(exc.path, exc.reason) from None
 
 
-def _load_weight(obj, path: str, model: GroupModel) -> FiniteWeight:
-    _expect(obj, path, ("support", "weights"))
-    support, weights = obj["support"], obj["weights"]
-    if not isinstance(support, list):
-        raise ConfigError(f"{path}.support", "expected a list of element encodings")
-    if not isinstance(weights, list) or len(weights) != len(support):
-        raise ConfigError(f"{path}.weights", f"expected a list of {len(support)} rationals, one per support point")
-    pairs = []
-    for k, (x, w) in enumerate(zip(support, weights)):  # field paths are formatted only for a bad entry
-        if not isinstance(x, str):
-            _encoding(x, f"{path}.support[{k}]")
-        try:
-            g = model.parse(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{path}.support[{k}]", str(exc))
-        try:
-            pairs.append((g, parse_fraction(w)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{path}.weights[{k}]", str(exc))
-    return FiniteWeight(model, pairs)
-
-
 _load_model = _from_json(lambda obj, model: model_from_json(obj))
 _folner_certificate = _from_json(lambda obj, model: FolnerCertificate.from_json(obj))
 _paradox_certificate = _from_json(ParadoxCertificate.from_json)
 _load_metric = _from_json(metric_from_json)
-
-
-def _load_action(obj, path: str, model: GroupModel) -> PerturbedAction:
-    _expect(obj, path, ("window", "pool", "rows", "radius"), ("involution", "folner_windows", "folner_pools"))
-    try:
-        return PerturbedAction.from_json(obj, model)
-    except CertificateError as exc:
-        raise _certificate_error(exc, path)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(path, str(exc))
-
-
+_load_weight = _from_json(FiniteWeight.from_json)
+_load_action = _from_json(PerturbedAction.from_json)
 _task = _checked(_as_is, lambda task: isinstance(task, str) and task in TASKS, "unknown task {!r}")
 _budget = _checked(_integer, lambda n: n >= 1, "budget must be positive")
 _resolution = _checked(_integer, lambda n: n >= 1, "resolution must be >= 1")
-_radius = _checked(_rational, lambda r: r >= 0, "entourage radius must be >= 0")
 _max_pieces = _checked(_integer, lambda n: n >= MIN_PIECES,
                        f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
 _defect_window = _checked(_load_window, len, "defect of an empty window")
@@ -485,11 +453,20 @@ def _run_paradox_search(s: SimpleNamespace, artifacts: Artifacts) -> int:
     return 0 if report.exhausted else 2
 
 
+def _run_nested(path: Path, out_dir: Optional[Path]) -> int:
+    """A scenario that a scenarios run found; scenario runs do not nest, so
+    one in `scenarios` mode (the run itself, say) is refused, not run."""
+    config = _read_config(path)
+    if _mode(config)[1].run is _run_scenarios:
+        raise ConfigError("params.scenarios", "scenario runs do not nest")
+    return run_scenario_config(config, out_dir=out_dir)
+
+
 def _run_scenarios(s: SimpleNamespace, artifacts: Artifacts) -> int:
     rows, status = [], 0
     for path in sorted(Path(s.params.scenarios).glob("*.json")):
         sub_out = artifacts.out_dir / path.stem if artifacts.out_dir else None
-        code = run_scenario(path, out_dir=sub_out)
+        code = _reporting_errors(lambda: _run_nested(path, sub_out))
         rows.append([path.name, code])
         status = max(status, 0 if code == 0 else 2)
     artifacts.write_csv("report.csv", ["scenario", "exit_code"], rows)

@@ -29,8 +29,8 @@ from .groups import (
     entourage_from_json,
     grid_sample,
     model_from_json,
-    parse_element,
     parse_index,
+    parse_key,
     parse_window,
     require_fields,
     translate_window,
@@ -126,10 +126,7 @@ class FolnerCertificate:
         matchings = {}
         for key, entry in obj["matchings"].items():
             field = f"matchings[{key!r}]"
-            g = parse_element(key, model, field)
-            if g in matchings:
-                raise CertificateError(field, "repeats an element")
-            matchings[g] = _matching_from_json(entry, field, len(F))
+            matchings[parse_key(key, model, matchings, field)] = _matching_from_json(entry, field, len(F))
         value = bound = None
         if "seminorm_check" in obj:
             check = obj["seminorm_check"]

@@ -59,8 +59,8 @@ class CertificateError(ValueError):
 
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
-    """Parse an exact rational from 'p/q' or integer text; floats and JSON
-    booleans are rejected."""
+    """Parse an exact rational from 'p/q' or integer text; floats, JSON
+    booleans and zero denominators are a ValueError."""
     if not isinstance(text, str):
         if isinstance(text, Fraction):
             return text
@@ -71,6 +71,8 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     s = str(text).strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")
+    if "/" in s and _is_zero_text(s.partition("/")[2]):
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(s)
 
 
@@ -91,8 +93,16 @@ def certificate_fraction(value, field: str) -> Fraction:
     """`parse_fraction`, with a malformed value a CertificateError naming `field`."""
     try:
         return parse_fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CertificateError(field, str(exc)) from None
+
+
+def parse_radius(value, field: str) -> Fraction:
+    """`certificate_fraction` of an entourage radius, which must be >= 0."""
+    radius = certificate_fraction(value, field)
+    if radius < 0:
+        raise CertificateError(field, "entourage radius must be >= 0")
+    return radius
 
 
 def parse_index(value, field: str) -> int:
@@ -607,6 +617,13 @@ def _is_int_text(text: str) -> bool:
     return True
 
 
+def _is_zero_text(text: str) -> bool:
+    try:
+        return int(text) == 0
+    except ValueError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Invariant pseudo-metrics
 # ---------------------------------------------------------------------------
@@ -791,11 +808,7 @@ def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:
         metric = metric_from_json(obj["metric"], model)
     except CertificateError as exc:
         raise exc.under("metric") from None
-    radius = certificate_fraction(obj["radius"], "radius")
-    try:
-        return Entourage(metric, radius)
-    except ValueError as exc:  # a negative radius
-        raise CertificateError("radius", str(exc)) from None
+    return Entourage(metric, parse_radius(obj["radius"], "radius"))
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +908,7 @@ def parse_window(items, model: GroupModel, field: str) -> FiniteWindow:
         raise CertificateError(field, "expected a list of element strings")
     try:
         return FiniteWindow.from_json(items, model)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         for k, text in enumerate(items):  # name the first element that does not parse
             parse_element(text, model, f"{field}[{k}]")
         raise CertificateError(field, str(exc)) from None
@@ -906,8 +919,18 @@ def parse_element(text: str, model: GroupModel, field: str) -> GroupElement:
     naming `field`."""
     try:
         return model.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CertificateError(field, str(exc)) from None
+
+
+def parse_key(text: str, model: GroupModel, table: dict, field: str) -> GroupElement:
+    """`parse_element` of a key of an object keyed by element encodings; a
+    key encoding an element that `table` already holds (`2/4` after `1/2`),
+    whose entry it would hide, is a CertificateError naming `field`."""
+    g = parse_element(text, model, field)
+    if g in table:
+        raise CertificateError(field, "repeats an element")
+    return g
 
 
 def window(model: GroupModel, elements: Iterable) -> FiniteWindow:

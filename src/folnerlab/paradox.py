@@ -1,17 +1,19 @@
 """Paradoxical-decomposition certificates and exact window verification.
 
 A certificate is pure data: translator words plus piece classifiers, where a
-classifier is a small expression tree over encoding predicates (first letter,
-signed-power test, coordinate sign, residue, membership table) that can be
-re-evaluated without code.  Classifier trees are checked once, when a
-certificate is built or parsed.  Verification restricts the covering
-equations to a finite window and counts, per equation, how many window
-points are covered exactly once.  It works on window indices: each
-translator word becomes one column of preimage indices, and each piece's
-classifier is evaluated once over the whole window into a column of
-verdicts, node by node, with `and`, `or` and `not` combining whole columns.
-Where a tree cannot be evaluated (`residue` off the integers) the column
-carries an error mark instead of raising; the mark raises a
+classifier is a small expression tree over encoding predicates (first
+letter, signed-power test, coordinate sign, residue, membership table) that
+can be re-evaluated without code.  Classifier trees are checked once, when a
+certificate is built or parsed.  `ParadoxCertificate.from_json` is the one
+loader of a certificate file: a malformed or unknown field is a
+`CertificateError` naming its path (`g[0][1]`, `A[0].args[1].index`).
+Verification restricts the covering equations to a finite window and counts,
+per equation, how many window points are covered exactly once.  It works on
+window indices: each translator word becomes one column of preimage indices,
+and each piece's classifier is evaluated once over the whole window into a
+column of verdicts, node by node, with `and`, `or` and `not` combining whole
+columns.  Where a tree cannot be evaluated (`residue` off the integers) the
+column carries an error mark instead of raising; the mark raises a
 `ClassifierError` naming the piece only when a checkable point reads it.  A
 point whose preimages leave the window is a boundary defect, never a
 violation: finite windows cannot witness an infinite covering, and the
@@ -34,7 +36,16 @@ from itertools import repeat
 from operator import add
 from typing import Optional, Sequence
 
-from .groups import CertificateError, FiniteWindow, FreeGroupModel, GroupElement, GroupModel, ModelMismatchError
+from .groups import (
+    CertificateError,
+    FiniteWindow,
+    FreeGroupModel,
+    GroupElement,
+    GroupModel,
+    ModelMismatchError,
+    parse_element,
+    require_fields,
+)
 from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
@@ -249,10 +260,7 @@ def _parse_word(obj, model: GroupModel, path: str) -> Word:
     for field_path, text in items:
         if not isinstance(text, str):
             raise CertificateError(field_path, f"expected an element string, got {text!r}")
-        try:
-            word.append(model.parse(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CertificateError(field_path, str(exc)) from None
+        word.append(parse_element(text, model, field_path))
     return tuple(word)
 
 
@@ -320,11 +328,8 @@ class ParadoxCertificate:
 
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "ParadoxCertificate":
-        if not isinstance(obj, dict):
-            raise CertificateError("", "expected a certificate object")
+        require_fields(obj, ("g", "h", "A", "B"), ("form",))
         for key in ("g", "h", "A", "B"):
-            if key not in obj:
-                raise CertificateError(key, "missing required field")
             if not isinstance(obj[key], list):
                 raise CertificateError(key, "expected a list")
         return cls(

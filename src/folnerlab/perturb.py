@@ -19,7 +19,9 @@ are cheap at desk scale and catch construction bugs instead of assuming the
 underlying counting arguments were transcribed correctly.  The two table
 builders run their deviation scan through `verify_perturbation`, the same
 check that re-verifies a table loaded from file; `build_perturbation` hands
-that report on as `AssembledPerturbation.report`.
+that report on as `AssembledPerturbation.report`.  `PerturbedAction.from_json`
+is the one loader of a table file: every malformed field, and a row table
+that is not one, is a `CertificateError` naming the field.
 """
 
 from __future__ import annotations
@@ -38,14 +40,15 @@ from .groups import (
     GroupElement,
     GroupModel,
     TorusModel,
-    certificate_fraction,
     common_denominator,
     grid_sample,
     parse_bool,
-    parse_element,
     parse_fraction,
     parse_index,
+    parse_key,
+    parse_radius,
     parse_window,
+    require_fields,
     symmetric_closure,
     translate_window,
 )
@@ -105,7 +108,7 @@ class PerturbedAction:
         self.inverse_rows = {}
         for g, row in self.rows.items():
             if len(row) != n:
-                raise ValueError("row length mismatch")
+                raise ValueError(f"row of {self.window.model.format(g)} has length {len(row)}, expected {n}")
             if any(j is not None and not 0 <= j < n for j in row):
                 raise ValueError(f"row of {self.window.model.format(g)} has an index outside 0 <= j < {n}")
             inverse: list[Optional[int]] = [None] * n
@@ -144,8 +147,11 @@ class PerturbedAction:
 
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "PerturbedAction":
-        """Parse an action; a field of the wrong JSON shape is a
-        CertificateError naming it."""
+        """Parse an action; every malformed field is a CertificateError
+        naming it, and a row table that is not one (a row of the wrong
+        length, an index out of range, a row that is not injective) one at
+        `rows`."""
+        require_fields(obj, ("window", "pool", "rows", "radius"), ("involution", "folner_windows", "folner_pools"))
         rows, involution = obj["rows"], obj.get("involution", {})
         if not isinstance(rows, dict) or not all(isinstance(row, list) for row in rows.values()):
             raise CertificateError("rows", "expected an object of lists")
@@ -158,23 +164,21 @@ class PerturbedAction:
         window, pool = parse_window(obj["window"], model, "window"), parse_window(obj["pool"], model, "pool")
         table = {}
         for k, row in rows.items():
-            g, at = parse_element(k, model, f"rows[{k}]"), f"row of {k}"
+            g, at = parse_key(k, model, table, f"rows[{k}]"), f"row of {k}"
             try:
                 table[g] = [None if v is None else parse_index(v, at) for v in row]
             except CertificateError as exc:  # an entry is named by its row
                 raise CertificateError("rows", str(exc)) from None
-        return cls(
-            window=window,
-            pool=pool,
-            rows=table,
-            radius=certificate_fraction(obj["radius"], "radius"),
-            involution={
-                parse_element(k, model, f"involution[{k}]"): parse_bool(v, f"involution[{k}]")
-                for k, v in involution.items()
-            },
-            folner_windows=folner_windows,
-            folner_pools=_windows_json(obj.get("folner_pools", []), model, "folner_pools"),
-        )
+        radius = parse_radius(obj["radius"], "radius")
+        flags = {}
+        for k, v in involution.items():
+            flags[parse_key(k, model, flags, f"involution[{k}]")] = parse_bool(v, f"involution[{k}]")
+        folner_pools = _windows_json(obj.get("folner_pools", []), model, "folner_pools")
+        try:
+            return cls(window=window, pool=pool, rows=table, radius=radius, involution=flags,
+                       folner_windows=folner_windows, folner_pools=folner_pools)
+        except ValueError as exc:  # the row table's own checks
+            raise CertificateError("rows", str(exc)) from None
 
 
 def _windows_json(items, model: GroupModel, field: str) -> list[FiniteWindow]:

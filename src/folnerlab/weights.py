@@ -1,6 +1,10 @@
 """Finitely supported rational weights on a group and the bounded-Lipschitz
 seminorm.
 
+A weight's file form is {"support": [element strings], "weights":
+[rationals]}.  `FiniteWeight.from_json` is its one loader: a malformed field
+is a `CertificateError` naming it (`support[k]`, `weights[k]`).
+
 The seminorm of a weight `a` for a pseudo-metric `d` is
 
     sup { a(f) : f 1-Lipschitz for d, values in [-1, 1] },
@@ -32,12 +36,16 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from .groups import (
+    CertificateError,
     FiniteWindow,
     GroupElement,
     GroupModel,
     InvariantPseudoMetric,
     ModelMismatchError,
+    certificate_fraction,
+    parse_element,
     parse_fraction,
+    require_fields,
 )
 from .lp import INF_CAP, LpError, min_cost_flow, simplex_max
 from .matching import near_pairs
@@ -146,39 +154,24 @@ class FiniteWeight:
 
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "FiniteWeight":
-        pairs = [
-            (model.parse(s), parse_fraction(w))
-            for s, w in zip(obj["support"], obj["weights"], strict=True)
-        ]
+        """The weight of its file form {"support", "weights"}; every
+        malformed field is a CertificateError naming it (`support[k]` and
+        `weights[k]` for an entry)."""
+        require_fields(obj, ("support", "weights"))
+        support, weights = obj["support"], obj["weights"]
+        if not isinstance(support, list):
+            raise CertificateError("support", "expected a list of element encodings")
+        if not isinstance(weights, list) or len(weights) != len(support):
+            raise CertificateError("weights", f"expected a list of {len(support)} rationals, one per support point")
+        pairs = []
+        for k, (x, w) in enumerate(zip(support, weights)):  # field paths are formatted only for a bad entry
+            if not isinstance(x, str):
+                raise CertificateError(f"support[{k}]", f"expected an element encoding (a JSON string), got {x!r}")
+            try:
+                pairs.append((model.parse(x), parse_fraction(w)))
+            except ValueError:  # again, through the parsers that name the entry
+                pairs.append((parse_element(x, model, f"support[{k}]"), certificate_fraction(w, f"weights[{k}]")))
         return cls(model, pairs)
-
-
-def convolve(a: FiniteWeight, b: FiniteWeight) -> FiniteWeight:
-    """(ab)(x) = sum over gh = x of a(g) b(h)."""
-    if a.model != b.model:
-        raise ModelMismatchError("convolving weights over different models")
-    pairs = []
-    for g, wa in a.items:
-        for h, wb in b.items:
-            pairs.append((a.model.mul(g, h), wa * wb))
-    return FiniteWeight(a.model, pairs)
-
-
-def right_average(a: FiniteWeight, f: dict[GroupElement, Fraction], W: FiniteWindow) -> dict[GroupElement, Fraction]:
-    """Average f over right translates: x -> sum_g a(g) f(xg), for x in W.
-
-    Every product xg with g in supp(a) must carry an f value.
-    """
-    out = {}
-    for x in W:
-        acc = ZERO
-        for g, w in a.items:
-            xg = a.model.mul(x, g)
-            if xg not in f:
-                raise KeyError(f"missing value at {a.model.format(xg)}")
-            acc += w * f[xg]
-        out[x] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from folnerlab import cli
 from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario, run_scenario_config
-from folnerlab.groups import make_model
-from folnerlab.paradox import f2_standard_certificate
+from folnerlab.folner import FolnerCertificate
+from folnerlab.groups import CertificateError, make_model
+from folnerlab.paradox import ParadoxCertificate, f2_standard_certificate
+from folnerlab.perturb import PerturbedAction
+from folnerlab.weights import FiniteWeight
 
 
 def run(args):
@@ -333,6 +336,19 @@ def test_suite_scenarios_dir(tmp_path, capsys):
     assert run(["suite", "--scenarios", scen_dir, "--out-dir", tmp_path / "out"]) == 0
     rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert rows[1] == "one.json,0"
+
+
+def test_suite_scenarios_run_does_not_nest(tmp_path, monkeypatch, capsys):
+    # a scenarios run whose directory holds itself used to recurse until
+    # Python's recursion limit; it is now one refused row beside the others
+    (tmp_path / "s.json").write_text(json.dumps({"task": "suite", "params": {"scenarios": "."}}))
+    (tmp_path / "t.json").write_text(json.dumps({"task": "defect", "model": {"kind": "lattice"},
+                                                 "params": {"F": ["0", "1"], "E": ["1"], "mode": "discrete"}}))
+    monkeypatch.chdir(tmp_path)
+    assert run(["suite", "--config", "s.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: params.scenarios: scenario runs do not nest\n"
+    assert captured.out == "discrete defect: 1/2\ns.json: exit 1\nt.json: exit 0\n"
 
 
 def test_suite_scenarios_empty_dir(tmp_path):
@@ -971,6 +987,32 @@ FIELD_ERRORS = {
     "build-budget=2": (BUILD, {"budget": 2}, "params", "no window reached boosted parameter"),
     "action-folner-window-empty": (VERIFY, {"action": {**GOOD_ACTION, "folner_windows": [[]]}},
                                    "params.action.folner_windows[0]", "expected a non-empty window"),
+    # a zero denominator used to be reported as Python's repr, `Fraction(1, 0)`
+    "radius=1/0": (DEFECT, {"radius": "1/0"}, "params.radius", "zero denominator in '1/0'"),
+    "theta=1/0": (SEARCH, {"theta": "1/0"}, "params.theta", "zero denominator in '1/0'"),
+    "weights-1/0": (SEMINORM, {"weight": {"support": ["0", "1"], "weights": ["1/0", "-1"]}},
+                    "params.weight.weights[0]", "zero denominator in '1/0'"),
+    "metric-factor=1/0": (DEFECT, {"metric": {"rule": "scaled", "factor": "1/0", "base": {"rule": "word"}}},
+                          "params.metric.factor", "zero denominator in '1/0'"),
+    # an action's negative radius used to verify with exit 0
+    "action-radius=-1": (VERIFY, {"action": {**GOOD_ACTION, "radius": "-1"}}, "params.action.radius",
+                         "entourage radius must be >= 0"),
+    # row tables that are not one used to be named only as `params.action`
+    "action-row-not-injective": (VERIFY, {"action": {**GOOD_ACTION, "rows": {"1/2": [0, 0]}}}, "params.action.rows",
+                                 "row of 1/2 not injective"),
+    "action-row-index-out-of-range": (VERIFY, {"action": {**GOOD_ACTION, "rows": {"1/2": [2, 0]}}},
+                                      "params.action.rows", "row of 1/2 has an index outside 0 <= j < 2"),
+    "action-row-short": (VERIFY, {"action": {**GOOD_ACTION, "rows": {"1/2": [1]}}}, "params.action.rows",
+                         "row of 1/2 has length 1, expected 2"),
+    # a second key encoding the same element used to hide the first one's entry, with exit 0
+    "action-row-key-repeated": (VERIFY, {"action": {**GOOD_ACTION, "rows": {"1/2": [0, 0], "2/4": [1, 0]}}},
+                                "params.action.rows[2/4]", "repeats an element"),
+    "action-involution-key-repeated": (VERIFY, {"action": {**GOOD_ACTION, "involution": {"1/2": True, "2/4": False}}},
+                                       "params.action.involution[2/4]", "repeats an element"),
+    # an unknown field in a paradox certificate used to be ignored, with exit 0
+    "paradox-certificate-unknown-field": ({**STANDARD_VERIFY, "params": {"window_resolution": 1}},
+                                          {"certificate": {**STANDARD_CERTIFICATE, "notes": "x"}},
+                                          "params.certificate.notes", "unknown field (strict schema)"),
 }
 
 
@@ -1318,6 +1360,17 @@ def _field_paths(obj, prefix=()):
         yield from _field_paths(value, prefix + (key,))
 
 
+def _mutate(obj, path: tuple, value) -> None:
+    """Delete the field at `path` ("delete"), or set it to a copy of `value`."""
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    if value == "delete":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = json.loads(json.dumps(value))
+
+
 def _resolves(config, path: str) -> bool:
     """Whether a ConfigError path names a field of the config, or a missing
     key of an object in it."""
@@ -1346,13 +1399,7 @@ def test_mutated_config_exits_0_or_2_or_names_its_field(data):
     config = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
     path = data.draw(st.sampled_from(list(_field_paths(config))))
     value = data.draw(st.sampled_from(MUTATIONS))
-    holder = config
-    for key in path[:-1]:
-        holder = holder[key]
-    if value == "delete":
-        del holder[path[-1]]
-    else:
-        holder[path[-1]] = json.loads(json.dumps(value))
+    _mutate(config, path, value)
     with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "run_suite", lambda out_dir, numbers: []), \
             contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -1361,6 +1408,68 @@ def test_mutated_config_exits_0_or_2_or_names_its_field(data):
             assert _resolves(config, exc.path), f"{exc} at {path}={value!r}"
         else:
             assert code in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: single mutations of each file form, read by its library loader
+# ---------------------------------------------------------------------------
+
+LOADER_MUTATIONS = ["delete", None, -1, "zz", [], {}, True, 1.5, "1/0"]
+CIRCLE_MODEL = make_model("circle")
+Z2_MODEL = make_model("lattice", dim=2)
+# A lattice paradox certificate reaching every classifier op; the loader
+# checks its shape, not whether it is a paradox.
+LATTICE_CERTIFICATE = {
+    "form": "two_equation",
+    "g": [[], ["1,0", "0,1"]],
+    "h": ["0,-1"],
+    "A": [{"op": "and", "args": [{"op": "coord_sign", "index": 0, "sign": "+"},
+                                 {"op": "residue", "index": 1, "mod": 2, "value": 0}]},
+          {"op": "not", "arg": {"op": "in", "elements": ["0,0", "1,1"]}}],
+    "B": [{"op": "or", "args": [{"op": "identity"}, {"op": "true"}]}],
+}
+
+
+def _loader_bases() -> list[tuple]:
+    """(name, loader, valid file) for each file form; the action and the
+    Følner certificate are produced by the CLI."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert run_scenario_config(BUILD, out_dir=Path(tmp) / "action") == 0
+        action = json.loads((Path(tmp) / "action" / "certificate.json").read_text())
+        scaled = {"rule": "scaled", "factor": "2", "base": {"rule": "word"}}
+        defect = {**DEFECT, "params": {**DEFECT["params"], "radius": "2", "metric": scaled, "crosscheck": True}}
+        assert run_scenario_config(defect, out_dir=Path(tmp) / "cert") == 0
+        folner = json.loads((Path(tmp) / "cert" / "certificate.json").read_text())
+    bases = [
+        ("weight", lambda obj: FiniteWeight.from_json(obj, CIRCLE_MODEL),
+         {"support": ["0", "1/3", "1/2"], "weights": ["1/2", "-1/4", "-1/4"]}),
+        ("action", lambda obj: PerturbedAction.from_json(obj, CIRCLE_MODEL), action),
+        ("paradox-f2", lambda obj: ParadoxCertificate.from_json(obj, make_model("free", rank=2)),
+         STANDARD_CERTIFICATE),
+        ("paradox-lattice", lambda obj: ParadoxCertificate.from_json(obj, Z2_MODEL), LATTICE_CERTIFICATE),
+        ("folner", FolnerCertificate.from_json, folner),
+    ]
+    for _, load, base in bases:
+        load(base)  # each base is valid
+    return bases
+
+
+LOADER_BASES = _loader_bases()
+
+
+@pytest.mark.parametrize("name, load, base", LOADER_BASES, ids=[name for name, _, _ in LOADER_BASES])
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_names_its_field(name, load, base, data):
+    # every single mutation of a valid file either loads or raises a
+    # CertificateError whose path is in the mutated file: never another exception
+    obj = json.loads(json.dumps(base))
+    path = data.draw(st.sampled_from(list(_field_paths(obj))))
+    _mutate(obj, path, data.draw(st.sampled_from(LOADER_MUTATIONS)))
+    try:
+        load(obj)
+    except CertificateError as exc:
+        assert _resolves(obj, exc.path), f"{exc} at {path}"
 
 
 def test_readme_field_table_matches_the_declared_tables():

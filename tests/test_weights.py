@@ -1,5 +1,4 @@
-"""Weighted vectors, convolution, the right-averaging transform, and the
-bounded-Lipschitz seminorm."""
+"""Weighted vectors and the bounded-Lipschitz seminorm."""
 
 import math
 import random
@@ -28,10 +27,8 @@ from folnerlab.weights import (
     _pair_constraints,
     _seminorm_lp,
     approx_by_uniform,
-    convolve,
     invariance_defect,
     lipschitz_seminorm,
-    right_average,
 )
 
 from fraction_oracles import fraction_brute_force_two_point, fraction_min_cost_flow, fraction_pair_constraints
@@ -81,108 +78,6 @@ def test_weight_json_length_mismatch():
     # lists of different lengths are refused, not truncated to the shorter
     with pytest.raises(ValueError):
         FiniteWeight.from_json({"support": ["0", "1/2"], "weights": ["1"]}, C)
-
-
-# --- convolution -------------------------------------------------------------
-
-
-def test_convolve_deltas():
-    g, h = F2.parse("a"), F2.parse("b")
-    assert convolve(FiniteWeight.delta(g), FiniteWeight.delta(h)) == FiniteWeight.delta(F2.mul(g, h))
-
-
-def test_convolve_translation():
-    a = FiniteWeight(Z, [(Z.element((0,)), HALF), (Z.element((1,)), HALF)])
-    b = FiniteWeight.delta(Z.element((2,)))
-    assert convolve(a, b) == FiniteWeight(Z, [(Z.element((2,)), HALF), (Z.element((3,)), HALF)])
-
-
-def test_convolve_free_symmetric_square():
-    a = FiniteWeight(F2, [(F2.parse("a"), HALF), (F2.parse("A"), HALF)])
-    sq = convolve(a, a)
-    expected = FiniteWeight(
-        F2,
-        [
-            (F2.parse("a,a"), Fraction(1, 4)),
-            (F2.identity(), HALF),
-            (F2.parse("A,A"), Fraction(1, 4)),
-        ],
-    )
-    assert sq == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(z_weights, z_weights)
-def test_convolution_norm_submultiplicative(a, b):
-    ab = convolve(a, b)
-    assert ab.norm1 <= a.norm1 * b.norm1
-    if all(w > 0 for _, w in a.items) and all(w > 0 for _, w in b.items):
-        assert ab.norm1 == a.norm1 * b.norm1
-
-
-@settings(max_examples=40, deadline=None)
-@given(z_weights, z_weights)
-def test_convolution_support(a, b):
-    products = {Z.mul(g, h) for g, _ in a.items for h, _ in b.items}
-    assert all(g in products for g, _ in convolve(a, b).items)
-
-
-# --- right averaging ---------------------------------------------------------
-
-
-def test_right_average_identity_weight():
-    W = window(Z, [(i,) for i in range(-2, 3)])
-    f = {g: Fraction(g.data[0]) for g in grid_sample(Z, 5)}
-    out = right_average(FiniteWeight.delta(Z.identity()), f, W)
-    assert all(out[x] == f[x] for x in W)
-
-
-def test_right_average_indicator_shift():
-    a = FiniteWeight.delta(Z.element((1,)))
-    W = window(Z, [(-1,), (0,), (1,)])
-    f = {Z.element((k,)): Fraction(1) if k == 0 else Fraction(0) for k in range(-3, 4)}
-    out = right_average(a, f, W)
-    assert out[Z.element((-1,))] == 1
-    assert out[Z.element((0,))] == 0
-
-
-def test_right_average_missing_value():
-    a = FiniteWeight.delta(Z.element((10,)))
-    W = window(Z, [(0,)])
-    with pytest.raises(KeyError):
-        right_average(a, {Z.element((0,)): Fraction(0)}, W)
-
-
-@settings(max_examples=30, deadline=None)
-@given(z_weights, z_weights)
-def test_pairing_identity(a, b):
-    # (ab)(f) = a(R_b f) for finitely supported f
-    rng = random.Random(99)
-    support = grid_sample(Z, 12)
-    f = {g: Fraction(rng.randint(-3, 3)) for g in support}
-    ab = convolve(a, b)
-    if any(g not in support for g, _ in ab.items):
-        return
-    lhs = ab.apply(lambda g: f[g])
-    W = window(Z, [g for g, _ in a.items]) if len(a) else window(Z, [(0,)])
-    try:
-        rbf = right_average(b, f, W)
-    except KeyError:
-        return
-    rhs = sum((w * rbf[g] for g, w in a.items), Fraction(0))
-    assert lhs == rhs
-
-
-def test_right_average_preserves_lipschitz():
-    # stochastic weights keep 1-Lipschitz functions 1-Lipschitz (right-invariant d)
-    d = WordMetric(Z)
-    a = FiniteWeight(Z, [(Z.element((0,)), HALF), (Z.element((2,)), HALF)])
-    W = window(Z, [(i,) for i in range(-2, 3)])
-    f = {Z.element((k,)): abs(Fraction(k)) for k in range(-6, 7)}
-    out = right_average(a, f, W)
-    for x in W:
-        for y in W:
-            assert abs(out[x] - out[y]) <= d.eval(x, y)
 
 
 # --- seminorm ----------------------------------------------------------------
