@@ -280,7 +280,10 @@ def _crosscheck_bound(crosscheck: bool, cert: FolnerCertificate) -> str:
     the bound it asserted as report text, empty when it did not run."""
     if not crosscheck or len(cert.F) > CROSSCHECK_MAX_F:
         return ""
-    return str(seminorm_crosscheck(cert)[1])
+    try:
+        return str(seminorm_crosscheck(cert)[1])
+    except ValueError as exc:  # a radius-0 entourage of a dense metric
+        raise ConfigError("params.crosscheck", str(exc)) from None
 
 
 def _window_or_grid(model: GroupModel, window, resolution, default: int, path: str) -> FiniteWindow:

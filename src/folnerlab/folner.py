@@ -232,8 +232,11 @@ def bridge_metric(U: Entourage):
     """Rescale the entourage metric so that U becomes { d'(., e) <= 1/2 }."""
     if U.radius > 0:
         return ScaledMetric(U.metric, Fraction(1, 2) / U.radius)
-    if U.metric.integer_valued():
-        return U.metric
+    metric = U.metric  # the radius-0 ball of c * d is that of d
+    while metric.rule == "scaled":
+        metric = metric.base
+    if metric.integer_valued():
+        return metric
     raise ValueError("radius-0 entourage of a dense metric has no ball form at 1/2")
 
 

@@ -19,6 +19,9 @@ only the windows' payload -> index tables:
 Every pair is tested against the entourage only when the word ball is larger
 than F, and for the arc metric on the torus and the other combinations
 without a closed form.  Rows are ascending in the index of F either way.
+These rows are also the package's ball queries: the relocation candidates
+and precompact centers of `perturb` and the pieces of
+`weights.approx_by_uniform` read them.
 
 `near_pairs` lists the seminorm's graph the same way: the pairs of one
 window closer than a width, each with its distance as an int over one

@@ -14,6 +14,12 @@ tables three ways:
 * `moving_injection` relocates a window into fresh points so that all
   pool translates of the image are pairwise disjoint.
 
+Ball queries are `matching.build_graph` rows: the relocation candidates of
+`moving_injection`, and the third-radius balls that pick and assign the
+precompact centers (the metric is evaluated only inside a ball, to find the
+nearest center).  The grid-rotation lift is index arithmetic on the evenly
+spaced window.  Only the postcondition checks below evaluate every pair.
+
 Every constructor re-checks its own postconditions exhaustively; the checks
 are cheap at desk scale and catch construction bugs instead of assuming the
 underlying counting arguments were transcribed correctly.  The two table
@@ -353,11 +359,10 @@ def moving_injection(
         raise ConstructionError("moving injections need a non-discrete model")
     shifts = [g for g in E if g != model.identity()]
     candidates: list[list[GroupElement]] = []
-    for x in F:
-        near = [y for y in supply if U.metric.eval(y, x) <= U.radius]
-        if not near:
+    for x, row in zip(F, build_graph(F, supply, U).adjacency):
+        if not row:
             raise ConstructionError(f"supply has no point near {model.format(x)}")
-        candidates.append(near)
+        candidates.append([supply[j] for j in row])
 
     chosen: list[GroupElement] = []
     chosen_set: set[GroupElement] = set()
@@ -693,12 +698,24 @@ class PrecompactResult:
         }
 
 
-def _greedy_separated(window: FiniteWindow, metric, threshold: Fraction) -> list[int]:
-    chosen: list[int] = []
-    for i, x in enumerate(window):
-        if all(metric.eval(x, window[j]) > threshold for j in chosen):
-            chosen.append(i)
-    return chosen
+def _separated_centers(window: FiniteWindow, V: Entourage) -> tuple[list[int], list[int]]:
+    """The greedy centers (each window index whose V-ball holds no earlier
+    center) and each point's nearest center by index into them, ties to the
+    smaller center.  The balls are the rows of one window-to-window
+    `build_graph` at V; a point's nearest center lies in its ball, so
+    distances are evaluated there only."""
+    balls = build_graph(window, window, V).adjacency
+    center_of: dict[int, int] = {}  # window index -> centers index
+    for i, ball in enumerate(balls):
+        if not any(j in center_of for j in ball):
+            center_of[i] = len(center_of)
+    assignment = []
+    for x, ball in zip(window, balls):
+        near = [(V.metric.eval(x, window[j]), center_of[j]) for j in ball if j in center_of]
+        if not near:  # maximality: every point sits within V of a center
+            raise ConstructionError("separated set is not maximal")
+        assignment.append(min(near)[1])
+    return list(center_of), assignment
 
 
 def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -769,27 +786,10 @@ def precompact_perturbation(
         raise ValueError("empty window")
     if U.radius <= 0:
         raise ValueError("entourage radius must be positive")
-    metric = U.metric
-    third = U.radius / 3
-    V = U.with_radius(third)
+    V = U.with_radius(U.radius / 3)
 
-    center_idx = _greedy_separated(window, metric, third)
+    center_idx, assignment = _separated_centers(window, V)
     centers = FiniteWindow(model, [window[i] for i in center_idx])
-    # maximality: every window point sits within the third radius of a center
-    for x in window:
-        if all(metric.eval(x, c) > third for c in centers):
-            raise ConstructionError("separated set is not maximal")
-
-    # nearest-center assignment, ties to the canonically smaller center
-    assignment: list[int] = []
-    for x in window:
-        best_j = 0
-        best_d = metric.eval(x, centers[0])
-        for j in range(1, len(centers)):
-            dj = metric.eval(x, centers[j])
-            if dj < best_d:
-                best_d, best_j = dj, j
-        assignment.append(best_j)
 
     # center permutations through perfect matchings F -> gF
     gammas: dict[GroupElement, tuple[int, ...]] = {}
@@ -812,7 +812,7 @@ def precompact_perturbation(
             f"{len(centers)} centers exceed the exact-closure cap {CLOSURE_CENTER_CAP}"
         )
 
-    rows, lift_mode = _lift_rows(model, window, centers, assignment, gammas, sample, U)
+    rows, lift_mode = _lift_rows(window, centers, assignment, gammas, sample, U)
 
     if any(j is None for row in rows.values() for j in row):
         raise ConstructionError("precompact rows must be total")
@@ -847,7 +847,7 @@ def precompact_perturbation(
     )
 
 
-def _lift_rows(model, window, centers, assignment, gammas, sample, U):
+def _lift_rows(window, centers, assignment, gammas, sample, U):
     """Lift center permutations to window rows; see precompact_perturbation."""
     n_centers = len(centers)
     fibers: list[list[int]] = [[] for _ in range(n_centers)]
@@ -877,14 +877,7 @@ def _lift_rows(model, window, centers, assignment, gammas, sample, U):
 
     step = _uniform_step(window)
     if step is not None:
-        rows = {}
-        for g in sample:
-            shift = _nearest_rotation(model, g, step, len(window), U)
-            row = [
-                window.index(model.mul(shift, window[i])) for i in range(len(window))
-            ]
-            rows[g] = row
-        return rows, "grid-rotation"
+        return _rotation_rows(window, step, sample, U), "grid-rotation"
 
     raise ConstructionError(
         "fibers are unbalanced along center orbits and the window is not an "
@@ -892,22 +885,18 @@ def _lift_rows(model, window, centers, assignment, gammas, sample, U):
     )
 
 
-def _nearest_rotation(model, g, step, n, U) -> GroupElement:
-    if isinstance(model, CircleModel):
-        ratio = g.data / step
-    else:
-        ratio = Fraction(g.data) / step
-    k = (2 * ratio + 1) // 2  # round half up, exact on fractions
-    if isinstance(model, CircleModel):
-        shift = model.element(k * step)
-    else:
-        shift = model.element(int(k * step))
-    dev = U.metric.eval(shift, g)
-    if dev > U.radius:
-        raise ConstructionError(
-            f"grid rotation misses {model.format(g)} by {dev} > {U.radius}"
-        )
-    return shift
+def _rotation_rows(window, step, sample, U) -> dict[GroupElement, list[int]]:
+    """Per g, the row of the grid rotation window[k] = k * step nearest g,
+    which sends i to i + k mod n; each rotation must lie within the radius."""
+    n = len(window)
+    rows = {}
+    for g in sample:
+        k = (2 * Fraction(g.data) / step + 1) // 2 % n  # round half up, exact on fractions
+        dev = U.metric.eval(window[k], g)
+        if dev > U.radius:
+            raise ConstructionError(f"grid rotation misses {window.model.format(g)} by {dev} > {U.radius}")
+        rows[g] = [(i + k) % n for i in range(n)]
+    return rows
 
 
 def _orbits(perms: list[tuple[int, ...]], n: int) -> list[list[int]]:

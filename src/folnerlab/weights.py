@@ -37,6 +37,7 @@ from typing import Callable, Iterable
 
 from .groups import (
     CertificateError,
+    Entourage,
     FiniteWindow,
     GroupElement,
     GroupModel,
@@ -48,7 +49,7 @@ from .groups import (
     require_fields,
 )
 from .lp import INF_CAP, LpError, min_cost_flow, simplex_max
-from .matching import near_pairs
+from .matching import build_graph, near_pairs
 
 SUPPORT_CAP = 200
 DENOMINATOR_CAP = 1000
@@ -418,7 +419,8 @@ def approx_by_uniform(
 
     The weight is rounded to a common denominator n, then each support atom x
     receives a piece of n*a~(x) supply points inside the closed ball of radius
-    epsilon/2 around x, pieces pairwise disjoint, scanned in canonical order.
+    epsilon/2 around x, nearest first, pieces pairwise disjoint.  The balls
+    are the rows of one `matching.build_graph`, in canonical supply order.
     The claimed defect is re-verified through the exact seminorm afterwards.
     """
     epsilon = parse_fraction(epsilon)
@@ -431,13 +433,12 @@ def approx_by_uniform(
     radius = epsilon / 2
     used: set[GroupElement] = set()
     pieces: dict[GroupElement, FiniteWindow] = {}
-    for x, _ in a.items:
+    balls = build_graph(a.support(), supply, Entourage(metric, radius)).adjacency
+    for (x, _), ball in zip(a.items, balls):
         need = counts[x]
-        # nearest first; the supply is in canonical order and the sort is stable
-        in_ball = [(d, y) for y in supply if (d := metric.eval(x, y)) <= radius]
-        in_ball.sort(key=lambda item: item[0])
         chosen = []
-        for _, y in in_ball:
+        # nearest first; the ball is in canonical supply order and the sort is stable
+        for y in sorted((supply[j] for j in ball), key=lambda y: metric.eval(x, y)):
             if len(chosen) == need:
                 break
             if y in used:

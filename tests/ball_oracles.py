@@ -1,0 +1,115 @@
+"""The Fraction ball scans that the perturbation and uniformization builders
+ran before their ball queries read `matching.build_graph` rows.
+
+Each function evaluates the metric on every pair, as the package did:
+
+- `fraction_candidates`: the relocation candidates of
+  `perturb.moving_injection`, every supply point within the radius of x, in
+  supply order;
+- `greedy_separated` and `nearest_centers`: the precompact centers, each
+  window point farther than the third radius from every earlier center, and
+  every point's nearest center over all centers, ties to the smaller one,
+  after the check that some center lies within the third radius;
+- `index_rotation_rows`: the grid-rotation rows, the nearest grid rotation
+  as an element and each image looked up by `window.index`;
+- `fraction_uniform_pieces`: the pieces of `weights.approx_by_uniform`, each
+  support atom's ball scanned over the whole supply, nearest first.
+
+They are kept unchanged as oracles: the graph-row forms must give identical
+results on the same input.
+"""
+
+from fractions import Fraction
+
+from folnerlab.groups import CircleModel, FiniteWindow
+from folnerlab.perturb import ConstructionError
+from folnerlab.weights import SupplyError, _round_weight
+
+
+def fraction_candidates(F, U, supply):
+    candidates = []
+    for x in F:
+        near = [y for y in supply if U.metric.eval(y, x) <= U.radius]
+        if not near:
+            raise ConstructionError(f"supply has no point near {F.model.format(x)}")
+        candidates.append(near)
+    return candidates
+
+
+def greedy_separated(window, metric, threshold):
+    chosen = []
+    for i, x in enumerate(window):
+        if all(metric.eval(x, window[j]) > threshold for j in chosen):
+            chosen.append(i)
+    return chosen
+
+
+def nearest_centers(window, metric, third, centers):
+    for x in window:
+        if all(metric.eval(x, c) > third for c in centers):
+            raise ConstructionError("separated set is not maximal")
+    assignment = []
+    for x in window:
+        best_j = 0
+        best_d = metric.eval(x, centers[0])
+        for j in range(1, len(centers)):
+            dj = metric.eval(x, centers[j])
+            if dj < best_d:
+                best_d, best_j = dj, j
+        assignment.append(best_j)
+    return assignment
+
+
+def _nearest_rotation(model, g, step, n, U):
+    if isinstance(model, CircleModel):
+        ratio = g.data / step
+    else:
+        ratio = Fraction(g.data) / step
+    k = (2 * ratio + 1) // 2  # round half up, exact on fractions
+    if isinstance(model, CircleModel):
+        shift = model.element(k * step)
+    else:
+        shift = model.element(int(k * step))
+    dev = U.metric.eval(shift, g)
+    if dev > U.radius:
+        raise ConstructionError(
+            f"grid rotation misses {model.format(g)} by {dev} > {U.radius}"
+        )
+    return shift
+
+
+def index_rotation_rows(window, step, sample, U):
+    model = window.model
+    rows = {}
+    for g in sample:
+        shift = _nearest_rotation(model, g, step, len(window), U)
+        rows[g] = [window.index(model.mul(shift, window[i])) for i in range(len(window))]
+    return rows
+
+
+def fraction_uniform_pieces(a, metric, epsilon, supply):
+    """The pieces of `approx_by_uniform(a, metric, epsilon, supply)`; an
+    exhausted ball raises its `SupplyError`."""
+    counts, _, _ = _round_weight(a, epsilon / 2)
+    radius = epsilon / 2
+    used = set()
+    pieces = {}
+    for x, _ in a.items:
+        need = counts[x]
+        in_ball = [(d, y) for y in supply if (d := metric.eval(x, y)) <= radius]
+        in_ball.sort(key=lambda item: item[0])
+        chosen = []
+        for _, y in in_ball:
+            if len(chosen) == need:
+                break
+            if y in used:
+                continue
+            chosen.append(y)
+            used.add(y)
+        if len(chosen) < need:
+            raise SupplyError(
+                f"supply exhausted near {a.model.format(x)}: "
+                f"needed {need}, found {len(chosen)} within {radius}"
+            )
+        pieces[x] = FiniteWindow(a.model, chosen)
+    return pieces

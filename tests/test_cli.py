@@ -407,6 +407,18 @@ def test_defect_crosscheck_column(tmp_path):
     assert row == "0,16,3/4,5/8,yes"
 
 
+def test_radius_0_crosscheck_of_a_scaled_word_metric(tmp_path):
+    # The radius-0 ball of 2 * word is the word metric's, and so is the bound.
+    scaled = {"rule": "scaled", "factor": "2", "base": {"rule": "word"}}
+    rows = []
+    for metric in ({"rule": "word"}, scaled):
+        out = tmp_path / metric["rule"]
+        config = {**DEFECT, "params": {**DEFECT["params"], "metric": metric, "crosscheck": True}}
+        assert run_scenario_config(config, out_dir=out) == 0
+        rows.append((out / "report.csv").read_text().splitlines()[1])
+    assert rows[0] == rows[1] == "0,2,1/2,3/4,yes"
+
+
 def test_scenario_with_seed_and_local_strategy(tmp_path):
     config = tmp_path / "local.json"
     config.write_text(
@@ -1009,6 +1021,11 @@ FIELD_ERRORS = {
                                 "params.action.rows[2/4]", "repeats an element"),
     "action-involution-key-repeated": (VERIFY, {"action": {**GOOD_ACTION, "involution": {"1/2": True, "2/4": False}}},
                                        "params.action.involution[2/4]", "repeats an element"),
+    # the radius-0 crosscheck of a dense metric used to exit 1 with no field path
+    "crosscheck-radius-0-arc": ({"task": "defect", "model": CIRCLE,
+                                 "params": {"F": ["0", "1/2"], "E": ["1/2"], "radius": "0"}},
+                                {"crosscheck": True}, "params.crosscheck",
+                                "radius-0 entourage of a dense metric has no ball form at 1/2"),
     # an unknown field in a paradox certificate used to be ignored, with exit 0
     "paradox-certificate-unknown-field": ({**STANDARD_VERIFY, "params": {"window_resolution": 1}},
                                           {"certificate": {**STANDARD_CERTIFICATE, "notes": "x"}},

@@ -22,6 +22,7 @@ from folnerlab.folner import (
 from folnerlab.groups import (
     ArcMetric,
     Entourage,
+    ScaledMetric,
     WordMetric,
     grid_sample,
     make_model,
@@ -177,6 +178,14 @@ def test_bridge_metric_scaling():
         bridge_metric(Entourage(ArcMetric(C), Fraction(0)))
     d0 = bridge_metric(U0_Z)
     assert d0 is U0_Z.metric
+
+
+def test_bridge_metric_at_radius_0_drops_scale_factors():
+    # the radius-0 ball of 2 * (3/2 * word) is the word metric's
+    scaled = ScaledMetric(ScaledMetric(WordMetric(Z), Fraction(3, 2)), Fraction(2))
+    assert bridge_metric(Entourage(scaled, Fraction(0))) is scaled.base.base
+    with pytest.raises(ValueError, match="dense metric"):
+        bridge_metric(Entourage(ScaledMetric(ArcMetric(C), Fraction(2)), Fraction(0)))
 
 
 def test_seminorm_crosscheck_box():

@@ -292,6 +292,17 @@ def test_precompact_cyclic_unbalanced_falls_back_to_rotation():
     assert verify_perturbation(result.action, U).ok
 
 
+def test_precompact_torus_grid_transports_fibers():
+    # No closed-form rows on the torus: the center balls are pair-tested.
+    T2 = make_model("torus", dim=2)
+    U = Entourage(ArcMetric(T2), Fraction(2, 5))
+    result = precompact_perturbation(T2, U, grid_sample(T2, 2), grid_sample(T2, 2))
+    assert result.lift_mode == "fiber-transport"
+    assert len(result.centers) == 4 and result.group_order == 4 and result.order_bound == 24
+    assert result.assignment == [0, 1, 2, 3]
+    assert verify_perturbation(result.action, U).ok
+
+
 def test_precompact_deviation_exhaustive():
     U = Entourage(ARC, Fraction(7, 20))
     result = precompact_perturbation(C, U, grid_sample(C, 60), grid_sample(C, 12))
