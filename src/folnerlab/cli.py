@@ -37,6 +37,7 @@ from .folner import (
     SEARCH_BUDGET,
     STRATEGIES,
     FolnerCertificate,
+    bridge_metric,
     check_strategy,
     discrete_defect,
     folner_search,
@@ -281,9 +282,10 @@ def _crosscheck_bound(crosscheck: bool, cert: FolnerCertificate) -> str:
     if not crosscheck or len(cert.F) > CROSSCHECK_MAX_F:
         return ""
     try:
-        return str(seminorm_crosscheck(cert)[1])
+        bridge_metric(cert.U)
     except ValueError as exc:  # a radius-0 entourage of a dense metric
         raise ConfigError("params.crosscheck", str(exc)) from None
+    return str(seminorm_crosscheck(cert)[1])
 
 
 def _window_or_grid(model: GroupModel, window, resolution, default: int, path: str) -> FiniteWindow:

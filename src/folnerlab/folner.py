@@ -34,6 +34,7 @@ from .groups import (
     parse_window,
     require_fields,
     translate_window,
+    unscaled,
     word_ball,
 )
 from .matching import MatchingResult, build_graph, max_matching
@@ -232,9 +233,7 @@ def bridge_metric(U: Entourage):
     """Rescale the entourage metric so that U becomes { d'(., e) <= 1/2 }."""
     if U.radius > 0:
         return ScaledMetric(U.metric, Fraction(1, 2) / U.radius)
-    metric = U.metric  # the radius-0 ball of c * d is that of d
-    while metric.rule == "scaled":
-        metric = metric.base
+    metric = unscaled(U.metric)[0]  # the radius-0 ball of c * d is that of d
     if metric.integer_valued():
         return metric
     raise ValueError("radius-0 entourage of a dense metric has no ball form at 1/2")

@@ -736,6 +736,15 @@ class ScaledMetric(InvariantPseudoMetric):
         return {"rule": "scaled", "factor": str(self.factor), "base": self.base.to_json()}
 
 
+def unscaled(metric: InvariantPseudoMetric) -> tuple[InvariantPseudoMetric, Fraction]:
+    """The base under every scale factor of `metric`, with the product c of
+    those factors: metric = c * base."""
+    factor = Fraction(1)
+    while metric.rule == "scaled":
+        metric, factor = metric.base, factor * metric.factor
+    return metric, factor
+
+
 def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
     """The metric of a descriptor {"rule", ...} on `model`.  A rule that the
     model does not carry (word lengths live on the discrete models, arcs on

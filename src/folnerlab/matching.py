@@ -56,6 +56,7 @@ from .groups import (
     ModelMismatchError,
     WindowSizeError,
     common_denominator,
+    unscaled,
     word_ball,
 )
 
@@ -131,10 +132,8 @@ def build_graph(E: FiniteWindow, F: FiniteWindow, U: Entourage) -> BipartiteInst
     """Adjacency (i, j) iff F[j] * E[i]^-1 lies in U, each row ascending in j."""
     if E.model is not F.model or U.model is not E.model:
         raise ModelMismatchError("windows and entourage over different models")
-    metric, radius = U.metric, U.radius
-    while metric.rule == "scaled":
-        metric, radius = metric.base, radius / metric.factor
-    adjacency = _listed_rows(E, F, metric, radius)
+    metric, factor = unscaled(U.metric)
+    adjacency = _listed_rows(E, F, metric, U.radius / factor)
     if adjacency is None:
         model = E.model
         adjacency = []

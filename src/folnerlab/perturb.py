@@ -698,24 +698,26 @@ class PrecompactResult:
         }
 
 
-def _separated_centers(window: FiniteWindow, V: Entourage) -> tuple[list[int], list[int]]:
-    """The greedy centers (each window index whose V-ball holds no earlier
-    center) and each point's nearest center by index into them, ties to the
-    smaller center.  The balls are the rows of one window-to-window
-    `build_graph` at V; a point's nearest center lies in its ball, so
-    distances are evaluated there only."""
-    balls = build_graph(window, window, V).adjacency
-    center_of: dict[int, int] = {}  # window index -> centers index
-    for i, ball in enumerate(balls):
-        if not any(j in center_of for j in ball):
-            center_of[i] = len(center_of)
+def _separated_centers(window: FiniteWindow, V: Entourage) -> tuple[FiniteWindow, list[int]]:
+    """The greedy centers (each window point outside the V-balls of the
+    earlier centers) and each point's nearest center by index into them,
+    ties to the smaller center.  A new center's ball is a one-row
+    `build_graph` over the window, so picking costs |window| per center;
+    the balls list each point's centers within V, in ascending order, and
+    distances are evaluated on those only."""
+    centers: list[GroupElement] = []
+    near: list[list[int]] = [[] for _ in range(len(window))]  # centers within V
+    for i, x in enumerate(window):
+        if not near[i]:
+            for j in build_graph(FiniteWindow(window.model, [x]), window, V).adjacency[0]:
+                near[j].append(len(centers))
+            centers.append(x)
     assignment = []
-    for x, ball in zip(window, balls):
-        near = [(V.metric.eval(x, window[j]), center_of[j]) for j in ball if j in center_of]
-        if not near:  # maximality: every point sits within V of a center
+    for x, row in zip(window, near):
+        if not row:  # maximality: every point sits within V of a center
             raise ConstructionError("separated set is not maximal")
-        assignment.append(min(near)[1])
-    return list(center_of), assignment
+        assignment.append(min((V.metric.eval(x, centers[k]), k) for k in row)[1])
+    return FiniteWindow(window.model, centers), assignment
 
 
 def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -788,8 +790,7 @@ def precompact_perturbation(
         raise ValueError("entourage radius must be positive")
     V = U.with_radius(U.radius / 3)
 
-    center_idx, assignment = _separated_centers(window, V)
-    centers = FiniteWindow(model, [window[i] for i in center_idx])
+    centers, assignment = _separated_centers(window, V)
 
     # center permutations through perfect matchings F -> gF
     gammas: dict[GroupElement, tuple[int, ...]] = {}
@@ -802,10 +803,7 @@ def precompact_perturbation(
                 f"Hall violated on {len(result.witness)} centers"
             )
         target_index = {gF[j]: i for i, j in result.pairing.items()}
-        gamma = tuple(
-            target_index[model.mul(g, centers[i])] for i in range(len(centers))
-        )
-        gammas[g] = gamma
+        gammas[g] = tuple(target_index[model.mul(g, c)] for c in centers)
 
     if len(centers) > CLOSURE_CENTER_CAP:
         raise ConstructionError(
@@ -816,12 +814,7 @@ def precompact_perturbation(
 
     if any(j is None for row in rows.values() for j in row):
         raise ConstructionError("precompact rows must be total")
-    action = PerturbedAction(
-        window=window,
-        pool=sample,
-        rows=rows,
-        radius=U.radius,
-    )
+    action = PerturbedAction(window=window, pool=sample, rows=rows, radius=U.radius)
     report = verify_perturbation(action, U)
     if not report.ok:
         v = report.violations[0]
@@ -857,9 +850,7 @@ def _lift_rows(window, centers, assignment, gammas, sample, U):
     # the orbits of the generated center group are those of its generators
     orbits = _orbits(list(gammas.values()), n_centers)
     sizes = [len(f) for f in fibers]
-    balanced = all(
-        len({sizes[c] for c in orbit}) == 1 for orbit in orbits
-    )
+    balanced = all(len({sizes[c] for c in orbit}) == 1 for orbit in orbits)
 
     if balanced:
         # Index-by-index fiber transport; composing two transports is the

@@ -132,10 +132,9 @@ def test_separated_centers_match_greedy_scan():
         for seed in SEEDS:
             rng, model, metric, third, _, q = _case(kind, seed)
             win = window(model, _points(kind, rng, rng.randint(1, 16), q))
-            center_idx, assignment = _separated_centers(win, Entourage(metric, third))
-            want_idx = greedy_separated(win, metric, third)
-            centers = [win[i] for i in want_idx]
-            assert center_idx == want_idx
+            got, assignment = _separated_centers(win, Entourage(metric, third))
+            centers = [win[i] for i in greedy_separated(win, metric, third)]
+            assert list(got) == centers
             assert assignment == nearest_centers(win, metric, third, centers)
             for x in win:
                 dists = sorted(metric.eval(x, c) for c in centers)

@@ -419,6 +419,18 @@ def test_radius_0_crosscheck_of_a_scaled_word_metric(tmp_path):
     assert rows[0] == rows[1] == "0,2,1/2,3/4,yes"
 
 
+def test_crosscheck_fault_is_not_a_config_error(tmp_path, monkeypatch):
+    # only the bridge metric's refusal is named at params.crosscheck
+    def broken(cert):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "seminorm_crosscheck", broken)
+    config = {**DEFECT, "params": {**DEFECT["params"], "crosscheck": True}}
+    with pytest.raises(ValueError, match="internal fault") as caught:
+        run_scenario_config(config, out_dir=tmp_path / "out")
+    assert not isinstance(caught.value, ConfigError)
+
+
 def test_scenario_with_seed_and_local_strategy(tmp_path):
     config = tmp_path / "local.json"
     config.write_text(

@@ -27,6 +27,7 @@ from folnerlab.groups import (
     parse_fraction,
     symmetric_closure,
     translate_window,
+    unscaled,
     window,
     word_ball,
 )
@@ -167,6 +168,16 @@ def test_scaled_metric():
     scaled = ScaledMetric(arc, Fraction(3, 2))
     x, y = C.element(0), C.element(Fraction(2, 5))
     assert scaled.eval(x, y) == Fraction(3, 2) * arc.eval(x, y)
+
+
+def test_unscaled_multiplies_the_factors():
+    arc = ArcMetric(C)
+    assert unscaled(arc) == (arc, 1)
+    nested = ScaledMetric(ScaledMetric(arc, Fraction(3, 2)), Fraction(4, 9))
+    base, factor = unscaled(nested)
+    x, y = C.element(0), C.element(Fraction(2, 5))
+    assert base is arc and factor == Fraction(2, 3)
+    assert nested.eval(x, y) == factor * base.eval(x, y)
 
 
 def test_entourage_membership():
