@@ -8,11 +8,13 @@ its elements' payloads sorted by the model's `payload_key` (the payloads' own
 numeric/lexicographic order, shortlex for free words) with one payload ->
 index dict, so translates and lookups run on payloads.
 
-Metrics here evaluate one pair at a time (`eval`).  The graphs that the
-matching and seminorm layers read (`matching.build_graph`,
-`matching.near_pairs`) list their rows on payloads instead: from the word
-ball on the discrete models, and with arcs on ints over one common
-denominator on the circle and torus.
+A metric's `eval` measures one pair, as a Fraction: the definition.  Every
+scan over many pairs reads `integer_metric` instead, the same metric on
+ints over one scale (payloads for word and discrete metrics, arcs over the
+common denominator of every coordinate on the circle and torus, a scale
+factor folded into the scale and the distances).  Word metrics live on the
+discrete models and arc metrics on the circle and torus; their
+constructors refuse any other model.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Collection, Iterable, Iterator, Optional
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional
 
 WINDOW_CAP = 100_000
 
@@ -117,13 +119,6 @@ def canonical_json(payload) -> str:
     """The one text form of every JSON artifact: sorted keys, two-space
     indent, a final newline."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def common_denominator(*groups: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
-    """The least common denominator L of all the given rationals, and each
-    group as the ints x * L; each group is read twice."""
-    scale = math.lcm(*(x.denominator for xs in groups for x in xs))
-    return scale, [[x.numerator * (scale // x.denominator) for x in xs] for xs in groups]
 
 
 def write_canonical_json(out_dir: Optional[Path], name: str, payload) -> None:
@@ -637,8 +632,13 @@ class InvariantPseudoMetric:
     """
 
     rule: str = ""
+    # The models that carry the rule: the discrete ones (True), the others
+    # (False) or all (None).
+    on_discrete: Optional[bool] = None
 
     def __init__(self, model: GroupModel):
+        if self.on_discrete is not None and model.discrete is not self.on_discrete:
+            raise ValueError(f"{model.kind} has no {self.rule} metric")
         self.model = model
 
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
@@ -672,6 +672,7 @@ class WordMetric(InvariantPseudoMetric):
     """d(x, y) = word length of x * y^-1 over the model generators."""
 
     rule = "word"
+    on_discrete = True
 
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
         model = self.model
@@ -685,6 +686,7 @@ class ArcMetric(InvariantPseudoMetric):
     """Wraparound distance on the circle, componentwise max on the torus."""
 
     rule = "arc"
+    on_discrete = False
 
     @staticmethod
     def _arc(a: Fraction, b: Fraction) -> Fraction:
@@ -747,23 +749,18 @@ def unscaled(metric: InvariantPseudoMetric) -> tuple[InvariantPseudoMetric, Frac
 
 def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
     """The metric of a descriptor {"rule", ...} on `model`.  A rule that the
-    model does not carry (word lengths live on the discrete models, arcs on
-    the circle and the torus) or an unknown rule is a CertificateError
-    naming `rule` (`base.rule` inside a scaled metric); so is any other
-    malformed field, by its own path."""
+    model does not carry (its constructor refuses the model) or an unknown
+    rule is a CertificateError naming `rule` (`base.rule` inside a scaled
+    metric); so is any other malformed field, by its own path."""
     scaled = isinstance(obj, dict) and obj.get("rule") == "scaled"
     require_fields(obj, ("rule", "factor", "base") if scaled else ("rule",))
     rule = obj["rule"]
-    if rule == "word":
-        if not model.discrete:
-            raise CertificateError("rule", f"{model.kind} has no word metric")
-        return WordMetric(model)
-    if rule == "arc":
-        if model.discrete:
-            raise CertificateError("rule", f"{model.kind} has no arc metric")
-        return ArcMetric(model)
-    if rule == "discrete":
-        return DiscreteMetric(model)
+    for cls in (WordMetric, ArcMetric, DiscreteMetric):
+        if rule == cls.rule:
+            try:
+                return cls(model)
+            except ValueError as exc:  # a rule the model does not carry
+                raise CertificateError("rule", str(exc)) from None
     if scaled:
         try:
             base = metric_from_json(obj["base"], model)
@@ -775,6 +772,49 @@ def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
         except ValueError as exc:  # a factor that is not positive
             raise CertificateError("factor", str(exc)) from None
     raise CertificateError("rule", f"unknown metric rule {rule!r}")
+
+
+def integer_metric(metric: InvariantPseudoMetric, *payload_groups: Iterable) -> tuple[int, list[list], Callable, Callable]:
+    """`metric` on ints over one scale: `(scale, codes, mul, dist)` with
+    `codes[k]` the codes of the k-th payload group, `mul` the product on
+    codes and `dist(a, b) / scale == metric.eval(x, y)` for the codes a, b
+    of x, y.
+
+    Word and discrete codes are the payloads themselves, at scale 1.  Arc
+    codes are the coordinates times the common denominator L of every
+    coordinate of every group, added mod L, at scale L; a distance is the
+    arc min(d, L - d) of the coordinate difference d, the largest one on
+    the torus.  A scale factor p/q multiplies the scale by q and each
+    distance by p.  Every scan over pairs in the package reads its
+    distances here; `eval` stays the one-pair definition.
+    """
+    if metric.rule == "scaled":
+        scale, codes, mul, dist = integer_metric(metric.base, *payload_groups)
+        p, q = metric.factor.numerator, metric.factor.denominator
+        return scale * q, codes, mul, (dist if p == 1 else lambda a, b: p * dist(a, b))
+    model, groups = metric.model, [list(xs) for xs in payload_groups]
+    if metric.rule == "discrete":
+        return 1, groups, model._mul_data, lambda a, b: 0 if a == b else 1
+    if metric.rule == "word":
+        mul, inv, length = model._mul_data, model._inv_data, model._length_data
+        return 1, groups, mul, lambda a, b: length(mul(a, inv(b)))
+    if not isinstance(model, CircleModel):  # the torus: coordinatewise codes, the largest arc
+        scale = math.lcm(*(c.denominator for xs in groups for x in xs for c in x))
+        codes = [[tuple(c.numerator * (scale // c.denominator) for c in x) for x in xs] for xs in groups]
+        return (
+            scale,
+            codes,
+            lambda a, b: tuple((s + t) % scale for s, t in zip(a, b)),
+            lambda a, b: max(min(d, scale - d) for d in map(abs, map(operator.sub, a, b))),
+        )
+    scale = math.lcm(*(x.denominator for xs in groups for x in xs))
+
+    def arc(a: int, b: int) -> int:
+        d = abs(a - b)
+        return min(d, scale - d)
+
+    codes = [[x.numerator * (scale // x.denominator) for x in xs] for xs in groups]
+    return scale, codes, lambda a, b: (a + b) % scale, arc
 
 
 # ---------------------------------------------------------------------------

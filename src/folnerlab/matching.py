@@ -16,16 +16,16 @@ only the windows' payload -> index tables:
   (all of F once r >= 1/2);
 - discrete metric: all of F once r >= 1, otherwise x itself if x is in F.
 
-Every pair is tested against the entourage only when the word ball is larger
-than F, and for the arc metric on the torus and the other combinations
-without a closed form.  Rows are ascending in the index of F either way.
-These rows are also the package's ball queries: the relocation candidates
-and precompact centers of `perturb` and the pieces of
-`weights.approx_by_uniform` read them.
+Every pair is tested only when the word ball is larger than F, and for the
+arc metric on the torus, with distances from `groups.integer_metric` on
+ints.  Rows are ascending in the index of F either way.  These rows are
+also the package's ball queries: the relocation candidates and precompact
+centers of `perturb` and the pieces of `weights.approx_by_uniform` read
+them.
 
 `near_pairs` lists the seminorm's graph the same way: the pairs of one
-window closer than a width, each with its distance as an int over one
-common scale, from the same ball memo where the word ball applies.
+window closer than a width, each with its distance as an int over the
+kernel's scale, from the same ball memo where the word ball applies.
 
 The matching number is computed by Hopcroft-Karp with deterministic vertex
 order; the deficiency witness is the set of left vertices reachable by
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ from .groups import (
     InvariantPseudoMetric,
     ModelMismatchError,
     WindowSizeError,
-    common_denominator,
+    integer_metric,
     unscaled,
     word_ball,
 )
@@ -135,11 +134,9 @@ def build_graph(E: FiniteWindow, F: FiniteWindow, U: Entourage) -> BipartiteInst
     metric, factor = unscaled(U.metric)
     adjacency = _listed_rows(E, F, metric, U.radius / factor)
     if adjacency is None:
-        model = E.model
-        adjacency = []
-        for x in E:
-            x_inv = model.inv(x)
-            adjacency.append([j for j, y in enumerate(F) if U.contains(model.mul(y, x_inv))])
+        scale, (xs, ys), _, dist = integer_metric(U.metric, E.positions, F.positions)
+        bound = math.floor(U.radius * scale)
+        adjacency = [[j for j, y in enumerate(ys) if dist(y, x) <= bound] for x in xs]
     return BipartiteInstance(left=E, right=F, adjacency=adjacency)
 
 
@@ -157,10 +154,11 @@ def _listed_rows(
     if metric.rule == "arc" and isinstance(model, CircleModel):
         if radius >= Fraction(1, 2):
             return [list(range(n)) for _ in range(len(E))]
-        # On ints over the common denominator L, y is within r of x iff y
-        # lies in [x-r, x+r], [x-r+L, L) or [0, x+r-L]; for r < L/2 these
-        # pieces are disjoint and in order.
-        scale, (points, centers, (r,)) = common_denominator(index, E.positions, (radius,))
+        # On codes over the scale L, y is within r of x iff y lies in
+        # [x-r, x+r], [x-r+L, L) or [0, x+r-L]; for r < L/2 these pieces are
+        # disjoint and in order.
+        scale, (points, centers), _, _ = integer_metric(metric, index, E.positions)
+        r = math.floor(radius * scale)
         rows = []
         for c in centers:
             lo, hi = c - r, c + r
@@ -170,22 +168,22 @@ def _listed_rows(
                 + list(range(bisect_left(points, lo + scale), n))
             )
         return rows
-    if metric.rule == "word" and model.discrete:
+    if metric.rule == "word":
         # Word lengths on the discrete models are BFS distances over the same
         # generators that `word_ball` walks.
-        rows = _ball_rows(model, E.positions, index, math.floor(radius))
+        rows = _ball_rows(model, E.positions, index, math.floor(radius), model._length_data)
         return None if rows is None else [list(row) for row in rows]
     return None
 
 
-def _ball_rows(model: GroupModel, points, index: dict, radius: int) -> Optional[list[dict[int, int]]]:
-    """For each payload x in `points`, `{j: |u|}` over the word ball u of
-    `radius` with u * x at index j, in ascending j; None where the ball is
+def _ball_rows(model: GroupModel, points, index: dict, radius: int, length) -> Optional[list[dict[int, int]]]:
+    """For each payload x in `points`, `{j: length(u)}` over the word ball u
+    of `radius` with u * x at index j, in ascending j; None where the ball is
     larger than the table (the pair test is then cheaper)."""
     ball = _ball(model, radius, len(index))
     if ball is None:
         return None
-    mul, length, ordered = model._mul_data, model._length_data, model.ordered_law
+    mul, ordered = model._mul_data, model.ordered_law
     sized = [(u, length(u)) for u in ball]
     rows = []
     for x in points:
@@ -195,70 +193,37 @@ def _ball_rows(model: GroupModel, points, index: dict, radius: int) -> Optional[
 
 
 def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) -> tuple[list[dict[int, int]], int]:
-    """The pairs of S closer than `width`, as ints over one common scale:
-    `rows[i]` maps each j != i with d(S[i], S[j]) < width to that distance
-    times `scale`, in ascending j.
+    """The pairs of S closer than `width`, as ints over the scale of
+    `integer_metric`: `rows[i]` maps each j != i with d(S[i], S[j]) < width
+    to that distance times `scale`, in ascending j.
 
-    A scaled metric divides the width by its factor, as `build_graph` does,
-    and multiplies its base's distances and scale by the two halves of the
-    factor.  Integer metric values are below the width exactly when they
-    are at most ceil(width) - 1, so on the discrete models the word ball of
-    that radius is applied to each point and looked up in S, with d = |u|
-    for the ball element u, by the `_ball_rows` that `_listed_rows` lists
-    graph rows with.  Every pair is evaluated where `_listed_rows` would
-    test every pair (`_scanned_pairs`).
+    A word metric's values are below the width exactly when its base word
+    lengths are at most ceil(width / c) - 1, c the product of its scale
+    factors; so on the discrete models that word ball is applied to each
+    point and looked up in S, with the distance of each ball element u to
+    the identity, by the `_ball_rows` that `_listed_rows` lists graph rows
+    with.  Every pair is measured where the ball is larger than S or the
+    rule is not a word metric.
     """
     if metric.model is not S.model:
         raise ModelMismatchError("window and metric over different models")
-    if metric.rule == "scaled":
-        rows, scale = near_pairs(S, metric.base, width / metric.factor)
-        p = metric.factor.numerator
-        if p != 1:
-            rows = [{j: p * d for j, d in row.items()} for row in rows]
-        return rows, scale * metric.factor.denominator
     model, index = S.model, S.positions
-    if metric.rule == "word" and model.discrete:
-        rows = _ball_rows(model, index, index, math.ceil(width) - 1)
+    base, factor = unscaled(metric)
+    scale, (codes,), _, dist = integer_metric(metric, index)
+    if base.rule == "word":
+        e = model.identity().data
+        rows = _ball_rows(model, index, index, math.ceil(width / factor) - 1, lambda u: dist(u, e))
         if rows is not None:
             for i, row in enumerate(rows):
                 del row[i]  # the identity's own entry, at distance 0
-            return rows, 1
-    return _scanned_pairs(S, metric, width)
-
-
-def _scanned_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) -> tuple[list[dict[int, int]], int]:
-    """`near_pairs` of a base metric with every pair evaluated once: word
-    lengths on payloads (one inverse per point, scale 1), circle and torus
-    arcs on ints over the common denominator L of all coordinates (scale L),
-    and any other rule through `eval`."""
-    model, payloads = S.model, list(S.positions)
-    n = len(payloads)
-    if metric.rule == "word":
-        mul, length = model._mul_data, model._length_data
-        inverses = [model._inv_data(y) for y in payloads]
-        scale = 1
-
-        def dist(i: int, j: int) -> int:
-            return length(mul(payloads[i], inverses[j]))
-    elif metric.rule == "arc" and not model.discrete:
-        scale, ints = common_denominator(*((x,) if isinstance(model, CircleModel) else x for x in payloads))
-
-        def dist(i: int, j: int) -> int:
-            return max(min(t, scale - t) for t in map(abs, map(operator.sub, ints[i], ints[j])))
-    else:
-        elements = S.elements
-        values = {(i, j): metric.eval(elements[i], elements[j]) for i in range(n) for j in range(i + 1, n)}
-        scale = math.lcm(*(d.denominator for d in values.values()))
-
-        def dist(i: int, j: int) -> int:
-            d = values[i, j]
-            return d.numerator * (scale // d.denominator)
+            return rows, scale
     bound = math.ceil(width * scale)  # an int distance is below width * scale iff it is below this
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for i in range(n):
+    n = len(codes)
+    rows = [{} for _ in range(n)]
+    for i, x in enumerate(codes):
         row = rows[i]
         for j in range(i + 1, n):
-            d = dist(i, j)
+            d = dist(x, codes[j])
             if d < bound:
                 row[j] = rows[j][i] = d
     return rows, scale

@@ -16,9 +16,10 @@ tables three ways:
 
 Ball queries are `matching.build_graph` rows: the relocation candidates of
 `moving_injection`, and the third-radius balls that pick and assign the
-precompact centers (the metric is evaluated only inside a ball, to find the
+precompact centers (distances are measured only inside a ball, to find the
 nearest center).  The grid-rotation lift is index arithmetic on the evenly
-spaced window.  Only the postcondition checks below evaluate every pair.
+spaced window.  Only the postcondition checks below measure every pair.
+Every distance here is read from `groups.integer_metric`, on ints.
 
 Every constructor re-checks its own postconditions exhaustively; the checks
 are cheap at desk scale and catch construction bugs instead of assuming the
@@ -45,9 +46,10 @@ from .groups import (
     FiniteWindow,
     GroupElement,
     GroupModel,
+    ModelMismatchError,
     TorusModel,
-    common_denominator,
     grid_sample,
+    integer_metric,
     parse_bool,
     parse_fraction,
     parse_index,
@@ -61,7 +63,6 @@ from .groups import (
 from .folner import conjugated_entourage, folner_search
 from .matching import build_graph, max_matching
 
-ZERO = Fraction(0)
 BACKTRACK_CAP = 10_000
 CLOSURE_CENTER_CAP = 8
 # Default candidates the Folner search behind each package may try.
@@ -255,16 +256,17 @@ def verify_perturbation(action: PerturbedAction, U: Entourage) -> PerturbationRe
     """Exhaustive deviation check of every table entry, plus orbit ratios.
 
     Any entry with d(alpha(g)(h), g h) beyond the radius is reported as a
-    violation with its exact distance.  On the circle with the unscaled arc
-    metric the scan runs on ints over one common denominator and reports
-    the same Fractions.  For each stored Folner window the report also
-    carries the orbit-growth ratio |pool . F| / |F| under the table action,
-    the finite stand-in for almost invariance of the action.
+    violation with its exact distance.  The scan reads every distance from
+    `integer_metric`, on the window's and the pool's codes, and reports it
+    as the Fraction over the kernel's scale.  For each stored Folner window
+    the report also carries the orbit-growth ratio |pool . F| / |F| under the
+    table action, the finite stand-in for almost invariance of the action.
     """
     model = action.window.model
+    if U.model is not model:
+        raise ModelMismatchError("table and entourage over different models")
     rows = sorted(action.rows.items(), key=lambda kv: model.sort_key(kv[0]))
-    scan = _circle_deviations if U.metric.rule == "arc" and isinstance(model, CircleModel) else _deviations
-    checked, violations, max_dev = scan(action.window, rows, U)
+    checked, violations, max_dev = _deviations(action.window, rows, U)
 
     ratios = []
     for idx, F in enumerate(action.folner_windows):
@@ -294,40 +296,17 @@ Rows = list[tuple[GroupElement, list[Optional[int]]]]
 
 def _deviations(window: FiniteWindow, rows: Rows, U: Entourage) -> tuple[int, list[Violation], Fraction]:
     """The deviation scan of `verify_perturbation`: the entries checked, the
-    violations and the largest deviation, each distance from `U.metric`."""
-    model, metric = window.model, U.metric
-    violations = []
-    checked = 0
-    max_dev = ZERO
-    for g, row in rows:
-        for i, j in enumerate(row):
-            if j is None:
-                continue
-            h = window[i]
-            image = window[j]
-            dist = metric.eval(image, model.mul(g, h))
-            checked += 1
-            max_dev = max(max_dev, dist)
-            if dist > U.radius:
-                violations.append(Violation(g=g, h=h, image=image, distance=dist))
-    return checked, violations, max_dev
-
-
-def _circle_deviations(window: FiniteWindow, rows: Rows, U: Entourage) -> tuple[int, list[Violation], Fraction]:
-    """`_deviations` for the arc metric on the circle, on ints: every point,
-    every g and the radius over their common denominator L, so an arc is
-    min(d, L - d) for d = |image - (g + h) mod L|."""
-    scale, (ints, shifts, (bound,)) = common_denominator(
-        window.positions, [g.data for g, _ in rows], (U.radius,)
-    )
+    violations and the largest deviation, with d = dist(image, g h) on
+    codes for every model and metric."""
+    scale, (codes, shifts), mul, dist = integer_metric(U.metric, window.positions, [g.data for g, _ in rows])
+    bound = math.floor(U.radius * scale)
     checked = most = 0
     violations = []
     for (g, row), shift in zip(rows, shifts):
         for i, j in enumerate(row):
             if j is None:
                 continue
-            d = abs(ints[j] - (ints[i] + shift) % scale)
-            d = min(d, scale - d)
+            d = dist(codes[j], mul(shift, codes[i]))
             checked += 1
             if d > most:
                 most = d
@@ -418,9 +397,9 @@ def _check_moving(phi, F, E, U) -> None:
     values = list(phi.values())
     if len(set(values)) != len(F):
         raise ConstructionError("relocation not injective")
-    for x in F:
-        if U.metric.eval(phi[x], x) > U.radius:
-            raise ConstructionError("relocation escapes the entourage")
+    scale, (xs, ys), _, dist = integer_metric(U.metric, F.positions, [phi[x].data for x in F])
+    if any(dist(y, x) > U.radius * scale for x, y in zip(xs, ys)):
+        raise ConstructionError("relocation escapes the entourage")
     image = set(values)
     for g in E:
         if g == model.identity():
@@ -446,6 +425,7 @@ class FolnerPackage:
         model = self.F.model
         if len(self.D) < self.theta * len(self.F):
             raise ConstructionError("core smaller than theta |F|")
+        moves = []  # (x, phi(x)) over every g
         for g in self.pool:
             if g == model.identity():
                 continue
@@ -458,11 +438,12 @@ class FolnerPackage:
             values = list(phi.values())
             if len(set(values)) != len(values):
                 raise ConstructionError("package injection not injective")
-            for x, y in phi.items():
-                if y not in gF:
-                    raise ConstructionError("injection leaves the shifted window")
-                if U.metric.eval(y, x) > U.radius:
-                    raise ConstructionError("injection escapes the entourage")
+            if not gF.issuperset(values):
+                raise ConstructionError("injection leaves the shifted window")
+            moves += phi.items()
+        scale, (xs, ys), _, dist = integer_metric(U.metric, [x.data for x, _ in moves], [y.data for _, y in moves])
+        if any(dist(y, x) > U.radius * scale for x, y in zip(xs, ys)):
+            raise ConstructionError("injection escapes the entourage")
 
 
 def folner_package(
@@ -704,20 +685,21 @@ def _separated_centers(window: FiniteWindow, V: Entourage) -> tuple[FiniteWindow
     ties to the smaller center.  A new center's ball is a one-row
     `build_graph` over the window, so picking costs |window| per center;
     the balls list each point's centers within V, in ascending order, and
-    distances are evaluated on those only."""
-    centers: list[GroupElement] = []
+    distances are measured on those only."""
+    centers: list[int] = []  # window indices
     near: list[list[int]] = [[] for _ in range(len(window))]  # centers within V
     for i, x in enumerate(window):
         if not near[i]:
             for j in build_graph(FiniteWindow(window.model, [x]), window, V).adjacency[0]:
                 near[j].append(len(centers))
-            centers.append(x)
+            centers.append(i)
+    _, (codes,), _, dist = integer_metric(V.metric, window.positions)
     assignment = []
-    for x, row in zip(window, near):
+    for x, row in zip(codes, near):
         if not row:  # maximality: every point sits within V of a center
             raise ConstructionError("separated set is not maximal")
-        assignment.append(min((V.metric.eval(x, centers[k]), k) for k in row)[1])
-    return FiniteWindow(window.model, centers), assignment
+        assignment.append(min((dist(x, codes[centers[k]]), k) for k in row)[1])
+    return FiniteWindow(window.model, [window[i] for i in centers]), assignment
 
 
 def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -791,6 +773,10 @@ def precompact_perturbation(
     V = U.with_radius(U.radius / 3)
 
     centers, assignment = _separated_centers(window, V)
+    if len(centers) > CLOSURE_CENTER_CAP:
+        raise ConstructionError(
+            f"{len(centers)} centers exceed the exact-closure cap {CLOSURE_CENTER_CAP}"
+        )
 
     # center permutations through perfect matchings F -> gF
     gammas: dict[GroupElement, tuple[int, ...]] = {}
@@ -804,11 +790,6 @@ def precompact_perturbation(
             )
         target_index = {gF[j]: i for i, j in result.pairing.items()}
         gammas[g] = tuple(target_index[model.mul(g, c)] for c in centers)
-
-    if len(centers) > CLOSURE_CENTER_CAP:
-        raise ConstructionError(
-            f"{len(centers)} centers exceed the exact-closure cap {CLOSURE_CENTER_CAP}"
-        )
 
     rows, lift_mode = _lift_rows(window, centers, assignment, gammas, sample, U)
 
@@ -880,10 +861,11 @@ def _rotation_rows(window, step, sample, U) -> dict[GroupElement, list[int]]:
     """Per g, the row of the grid rotation window[k] = k * step nearest g,
     which sends i to i + k mod n; each rotation must lie within the radius."""
     n = len(window)
+    scale, (codes, shifts), _, dist = integer_metric(U.metric, window.positions, [g.data for g in sample])
     rows = {}
-    for g in sample:
+    for g, shift in zip(sample, shifts):
         k = (2 * Fraction(g.data) / step + 1) // 2 % n  # round half up, exact on fractions
-        dev = U.metric.eval(window[k], g)
+        dev = Fraction(dist(codes[k], shift), scale)
         if dev > U.radius:
             raise ConstructionError(f"grid rotation misses {window.model.format(g)} by {dev} > {U.radius}")
         rows[g] = [(i + k) % n for i in range(n)]

@@ -24,7 +24,7 @@ and a decomposing midpoint of a near pair is near both ends.  So pruning, the
 LP and the final witness check read one sparse near-pair table per call
 (`matching.near_pairs`: for each point, its near neighbours and their
 distances as ints over one common scale), which lists the word metric's near
-pairs from the word ball instead of evaluating every pair.
+pairs from the word ball instead of measuring every pair.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .groups import (
     InvariantPseudoMetric,
     ModelMismatchError,
     certificate_fraction,
+    integer_metric,
     parse_element,
     parse_fraction,
     require_fields,
@@ -420,7 +421,8 @@ def approx_by_uniform(
     The weight is rounded to a common denominator n, then each support atom x
     receives a piece of n*a~(x) supply points inside the closed ball of radius
     epsilon/2 around x, nearest first, pieces pairwise disjoint.  The balls
-    are the rows of one `matching.build_graph`, in canonical supply order.
+    are the rows of one `matching.build_graph`, in canonical supply order,
+    and their distances come from `integer_metric`.
     The claimed defect is re-verified through the exact seminorm afterwards.
     """
     epsilon = parse_fraction(epsilon)
@@ -433,14 +435,17 @@ def approx_by_uniform(
     radius = epsilon / 2
     used: set[GroupElement] = set()
     pieces: dict[GroupElement, FiniteWindow] = {}
-    balls = build_graph(a.support(), supply, Entourage(metric, radius)).adjacency
-    for (x, _), ball in zip(a.items, balls):
+    support = a.support()
+    balls = build_graph(support, supply, Entourage(metric, radius)).adjacency
+    _, (xs, ys), _, dist = integer_metric(metric, support.positions, supply.positions)
+    for (x, _), code, ball in zip(a.items, xs, balls):
         need = counts[x]
         chosen = []
         # nearest first; the ball is in canonical supply order and the sort is stable
-        for y in sorted((supply[j] for j in ball), key=lambda y: metric.eval(x, y)):
+        for j in sorted(ball, key=lambda j: dist(code, ys[j])):
             if len(chosen) == need:
                 break
+            y = supply[j]
             if y in used:
                 continue
             chosen.append(y)

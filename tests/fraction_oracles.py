@@ -288,8 +288,8 @@ def fraction_brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, 
 
 def fraction_verify_perturbation(action, U) -> PerturbationReport:
     """`verify_perturbation` with every deviation a `Fraction` from
-    `metric.eval` on elements, as it ran on every model before the circle
-    scan moved to ints."""
+    `metric.eval` on elements, as it ran before every deviation scan read
+    `groups.integer_metric`."""
     model = action.window.model
     metric = U.metric
     violations = []

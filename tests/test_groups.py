@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from folnerlab.groups import (
     WINDOW_CAP,
     ArcMetric,
+    CertificateError,
     DiscreteMetric,
     Entourage,
     FiniteWindow,
@@ -21,6 +22,7 @@ from folnerlab.groups import (
     WordMetric,
     entourage_from_json,
     grid_sample,
+    integer_metric,
     make_model,
     metric_from_json,
     model_from_json,
@@ -178,6 +180,47 @@ def test_unscaled_multiplies_the_factors():
     x, y = C.element(0), C.element(Fraction(2, 5))
     assert base is arc and factor == Fraction(2, 3)
     assert nested.eval(x, y) == factor * base.eval(x, y)
+
+
+def _kernel_metrics(own):
+    """The model's own metric, the discrete one, and each scaled and nested
+    scaled, with factors whose numerators are 1 and not 1."""
+    out = []
+    for base in (own, DiscreteMetric(own.model)):
+        out += [base, ScaledMetric(base, Fraction(1, 3)), ScaledMetric(ScaledMetric(base, Fraction(5, 6)), Fraction(9, 7))]
+    return out
+
+
+@pytest.mark.parametrize("model,elements,own", MODEL_STRATEGIES)
+def test_integer_metric_matches_eval(model, elements, own):
+    # Every kernel distance over the kernel's scale is the metric's `eval`,
+    # as an int, and the code of x y is the product of the codes of x and y.
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(elements, elements), min_size=1, max_size=8))
+    def kernel(pairs):
+        payloads = ([x.data for x, _ in pairs], [y.data for _, y in pairs], [model.mul(x, y).data for x, y in pairs])
+        for metric in _kernel_metrics(own):
+            scale, (xs, ys, products), mul, dist = integer_metric(metric, *payloads)
+            for (x, y), a, b, ab in zip(pairs, xs, ys, products):
+                assert type(dist(a, b)) is int
+                assert Fraction(dist(a, b), scale) == metric.eval(x, y), metric.to_json()
+                assert mul(a, b) == ab
+
+    kernel()
+
+
+def test_metric_constructors_refuse_a_rule_the_model_does_not_carry():
+    for model in ALL_MODELS:
+        own, other = (WordMetric, ArcMetric) if model.discrete else (ArcMetric, WordMetric)
+        assert own(model).model is model and DiscreteMetric(model).model is model
+        reason = f"{model.kind} has no {other.rule} metric"
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            other(model)
+        for obj, path in (({"rule": other.rule}, "rule"),
+                          ({"rule": "scaled", "factor": "2", "base": {"rule": other.rule}}, "base.rule")):
+            with pytest.raises(CertificateError) as exc:
+                metric_from_json(obj, model)
+            assert (exc.value.path, exc.value.reason) == (path, reason)
 
 
 def test_entourage_membership():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folnerlab import matching
 from folnerlab.groups import (
     ArcMetric,
     DiscreteMetric,
@@ -206,15 +207,16 @@ ORACLE_RADII = [Fraction(0), Fraction(1, 24), Fraction(1, 3), Fraction(1, 2), Fr
 
 def test_adjacency_reproducible_and_fastpath_consistent():
     # Listed rows must equal the pair test's rows as lists, on every model and
-    # metric: radius 0, fractional radii, radii past the window's diameter
-    # (including word balls larger than F, which take the pair path) and arc
-    # radii of 1/2 and more.
+    # the metrics it carries: radius 0, fractional radii, radii past the
+    # window's diameter (including word balls larger than F, which take the
+    # pair path) and arc radii of 1/2 and more.
     rng = random.Random(20161)
     graphs = edges = 0
     for model, pool in ORACLE_POOLS:
-        bases = [WordMetric(model), ArcMetric(model), DiscreteMetric(model)]
+        own = WordMetric(model) if model.discrete else ArcMetric(model)
+        bases = [own, DiscreteMetric(model)]
         metrics = bases + [ScaledMetric(b, Fraction(3, 2)) for b in bases]
-        metrics.append(ScaledMetric(ScaledMetric(WordMetric(model), Fraction(2, 5)), Fraction(3)))
+        metrics.append(ScaledMetric(ScaledMetric(own, Fraction(2, 5)), Fraction(3)))
         for _ in range(3):
             E = window(model, rng.sample(pool.elements, rng.randint(0, min(8, len(pool)))))
             F = window(model, rng.sample(pool.elements, rng.randint(0, min(16, len(pool)))))
@@ -278,8 +280,13 @@ def test_listed_rows_match_pair_rows(name, data):
 
 def test_word_radius_one_lists_rows_without_pair_tests(monkeypatch):
     calls = []
-    contains = Entourage.contains
-    monkeypatch.setattr(Entourage, "contains", lambda U, g: calls.append(g) or contains(U, g))
+    kernel = matching.integer_metric
+
+    def spy(metric, *payload_groups):  # counts every pair the kernel measures
+        scale, codes, mul, dist = kernel(metric, *payload_groups)
+        return scale, codes, mul, lambda a, b: calls.append((a, b)) or dist(a, b)
+
+    monkeypatch.setattr(matching, "integer_metric", spy)
     Z2 = make_model("lattice", dim=2)
     box = window(Z2, [(i, j) for i in range(30) for j in range(30)])
     U = Entourage(WordMetric(Z2), Fraction(1))

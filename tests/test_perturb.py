@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import fraction_verify_perturbation
+from folnerlab import perturb
 from folnerlab.groups import (
     ArcMetric,
+    DiscreteMetric,
     Entourage,
     ScaledMetric,
     WordMetric,
@@ -442,25 +444,54 @@ def _circle_points(top_denominator):
     return st.integers(1, top_denominator).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
 
 
-@settings(max_examples=80, deadline=None)
+# model, the payloads of its table points and pool, radii
+DEVIATION_CASES = [
+    (C, _circle_points(40), _circle_points(30)),
+    (make_model("torus", dim=2), st.tuples(_circle_points(12), _circle_points(12)), _circle_points(30)),
+    (make_model("lattice", dim=2), st.tuples(st.integers(-4, 4), st.integers(-4, 4)), _circle_points(30).map(lambda r: 12 * r)),
+    (make_model("free", rank=2), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4), _circle_points(30).map(lambda r: 10 * r)),
+    (make_model("heisenberg"), st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-4, 4)),
+     _circle_points(30).map(lambda r: 12 * r)),
+    (Z12, st.integers(0, 11), _circle_points(30).map(lambda r: 7 * r)),
+]
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_circle_deviation_scan_matches_fraction_oracle(data):
-    # Random circle tables: rows are random injections with holes, so most
-    # entries miss g h and many violate the radius.
-    points = sorted(set(data.draw(st.lists(_circle_points(40), min_size=1, max_size=20))))
-    win = window(C, points)
-    pool = window(C, data.draw(st.lists(_circle_points(40), min_size=1, max_size=5)))
-    rows = {}
-    for g in pool:
-        images = data.draw(st.permutations(list(range(len(win)))))
-        holes = data.draw(st.lists(st.booleans(), min_size=len(win), max_size=len(win)))
-        rows[g] = [None if hole else j for j, hole in zip(images, holes)]
-    windows = [window(C, data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6)))]
-    action = PerturbedAction(window=win, pool=pool, rows=rows, radius=Fraction(0),
-                             folner_windows=windows, folner_pools=[pool][: data.draw(st.integers(0, 1))])
-    radius = data.draw(_circle_points(30))
-    for metric in (ARC, ScaledMetric(ARC, Fraction(3, 2))):  # the scaled metric keeps the Fraction loop
-        U = Entourage(metric, radius)
-        got, want = verify_perturbation(action, U), fraction_verify_perturbation(action, U)
-        assert got == want
-        assert got.to_json() == want.to_json()
+def test_deviation_scan_matches_fraction_oracle(data):
+    # Random tables on every model: rows are random injections with holes,
+    # so most entries miss g h and many violate the radius.  Each table is
+    # scanned under the model's own metric, the discrete metric and scaled
+    # ones, nested once, against the Fraction scan on `eval`.
+    for model, payloads, radii in DEVIATION_CASES:
+        win = window(model, data.draw(st.lists(payloads, min_size=1, max_size=20)))
+        pool = window(model, data.draw(st.lists(payloads, min_size=1, max_size=5)))
+        rows = {}
+        for g in pool:
+            images = data.draw(st.permutations(list(range(len(win)))))
+            holes = data.draw(st.lists(st.booleans(), min_size=len(win), max_size=len(win)))
+            rows[g] = [None if hole else j for j, hole in zip(images, holes)]
+        windows = [window(model, data.draw(st.lists(st.sampled_from(win.elements), min_size=1, max_size=6)))]
+        action = PerturbedAction(window=win, pool=pool, rows=rows, radius=Fraction(0),
+                                 folner_windows=windows, folner_pools=[pool][: data.draw(st.integers(0, 1))])
+        radius = data.draw(radii)
+        own = model.default_metric()
+        metrics = (own, DiscreteMetric(model), ScaledMetric(own, Fraction(3, 2)),
+                   ScaledMetric(ScaledMetric(own, Fraction(5, 6)), Fraction(9, 7)),
+                   ScaledMetric(DiscreteMetric(model), Fraction(2, 3)))
+        for metric in metrics:
+            U = Entourage(metric, radius)
+            got, want = verify_perturbation(action, U), fraction_verify_perturbation(action, U)
+            assert got == want, (model, metric.to_json())
+            assert got.to_json() == want.to_json()
+
+
+def test_precompact_refuses_too_many_centers_before_any_matching(monkeypatch):
+    # 28 separated centers exceed the cap of 8; the center count alone
+    # decides, so no sample matching is solved first.
+    calls = []
+    monkeypatch.setattr(perturb, "max_matching", lambda inst: calls.append(inst))
+    U = Entourage(ARC, Fraction(1, 10))
+    with pytest.raises(ConstructionError, match="^28 centers exceed the exact-closure cap 8$"):
+        precompact_perturbation(C, U, grid_sample(C, 600), grid_sample(C, 60))
+    assert calls == []
