@@ -1,9 +1,9 @@
 """Scenario-driven command line.
 
 Every subcommand loads a scenario from --config or builds one from its flags
-(`main` is the one place where flags become a scenario: a flag left out
-leaves its field out, and the task fills in the field's default), runs it
-under the shared engine, and writes three kinds of artifact into the output
+(each fills the params field it is named for; a flag left out leaves its
+field out, and the task fills in the field's default), runs it under the
+shared engine, and writes three kinds of artifact into the output
 directory: certificate JSON (canonical: sorted keys, exact rationals as
 strings, no timestamps), a report CSV, and a manifest carrying the config
 hash, versions, and wall time.  Timing lives only in the manifest so that
@@ -285,7 +285,10 @@ def _crosscheck_bound(crosscheck: bool, cert: FolnerCertificate) -> str:
         bridge_metric(cert.U)
     except ValueError as exc:  # a radius-0 entourage of a dense metric
         raise ConfigError("params.crosscheck", str(exc)) from None
-    return str(seminorm_crosscheck(cert)[1])
+    try:
+        return str(seminorm_crosscheck(cert)[1])
+    except SupportSizeError as exc:  # a - g.a holds up to twice the points of F
+        raise ConfigError("params.crosscheck", f"a - g.a: {exc}") from None
 
 
 def _window_or_grid(model: GroupModel, window, resolution, default: int, path: str) -> FiniteWindow:
@@ -616,19 +619,16 @@ def _reporting_errors(run: Callable[[], int]) -> int:
         return 1
 
 
-def run_scenario(path: Path | str, out_dir: Optional[Path] = None) -> int:
-    return _reporting_errors(lambda: run_scenario_config(_read_config(path), out_dir=out_dir))
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
 
-def _command(sub, name: str, summary: str, with_model: bool = True):
-    """A scenario subcommand: --config or the flags that build the same
-    scenario, and --out-dir."""
+def _command(sub, name: str, summary: str, task: str, with_model: bool = True):
+    """A subcommand running `task`: --config or the flags that build the same
+    scenario (each named by its params field as dest), and --out-dir."""
     parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(task=task)
     parser.add_argument(
         "--config", type=Path, help="scenario JSON; replaces every flag but --out-dir, --seed and --budget"
     )
@@ -658,19 +658,19 @@ def _parser() -> argparse.ArgumentParser:
     p_model.set_defaults(kind="lattice")
     p_model.add_argument("--out", type=Path)
 
-    p_matching = _command(sub, "matching", "bipartite matching between two windows")
+    p_matching = _command(sub, "matching", "bipartite matching between two windows", "matching")
     p_matching.add_argument("--E", dest="E")
     p_matching.add_argument("--F", dest="F")
     p_matching.add_argument("--radius")
 
-    p_defect = _command(sub, "folner-defect", "matching defect of a window")
+    p_defect = _command(sub, "folner-defect", "matching defect of a window", "defect")
     p_defect.add_argument("--F", dest="F")
     p_defect.add_argument("--E", dest="E")
     p_defect.add_argument("--radius")
     p_defect.add_argument("--mode", choices=["topological", "discrete", "pairwise"])
-    p_defect.add_argument("--verify-cert", type=Path, help="re-verify a certificate file instead")
+    p_defect.add_argument("--verify-cert", type=Path, dest="certificate", help="re-verify a certificate file instead")
 
-    p_search = _command(sub, "folner-search", "search for a window meeting a defect target")
+    p_search = _command(sub, "folner-search", "search for a window meeting a defect target", "search")
     p_search.add_argument("--E", dest="E")
     p_search.add_argument("--radius")
     p_search.add_argument("--theta")
@@ -678,7 +678,7 @@ def _parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, help="seed of the local strategy's restarts")
     p_search.add_argument("--budget", type=int, help=f"candidates to try (default {SEARCH_BUDGET})")
 
-    p_semi = _command(sub, "seminorm", "bounded-Lipschitz seminorm / invariance defects")
+    p_semi = _command(sub, "seminorm", "bounded-Lipschitz seminorm / invariance defects", "seminorm")
     p_semi.add_argument("--weight", type=Path, help="weight JSON file")
     p_semi.add_argument("--E", dest="E")
 
@@ -686,21 +686,21 @@ def _parser() -> argparse.ArgumentParser:
     p_perturb.add_argument("--config", type=Path, required=True, help="scenario JSON")
     p_perturb.add_argument("--out-dir", type=Path)
 
-    p_pre = _command(sub, "precompact", "finite-group perturbation on a precompact model")
+    p_pre = _command(sub, "precompact", "finite-group perturbation on a precompact model", "precompact")
     p_pre.add_argument("--radius")
     p_pre.add_argument("--window-resolution", type=int)
     p_pre.add_argument("--sample-resolution", type=int)
 
-    p_paradox = _command(sub, "paradox", "verify or search paradox certificates")
-    p_paradox.add_argument("mode", choices=["verify", "search"])
-    p_paradox.add_argument("--cert", type=Path)
+    p_paradox = _command(sub, "paradox", "verify or search paradox certificates", "paradox-{mode}")
+    p_paradox.add_argument("mode", choices=["verify", "search"])  # the task is paradox-<mode>
+    p_paradox.add_argument("--cert", type=Path, dest="certificate")
     p_paradox.add_argument("--standard", action="store_true", default=None)  # None: left out of the scenario
     p_paradox.add_argument("--window-resolution", type=int)
     p_paradox.add_argument("--pool")
     p_paradox.add_argument("--max-pieces", type=int, default=MIN_PIECES)
     p_paradox.add_argument("--budget", type=int, help=f"DP nodes to spend (default {PARADOX_BUDGET})")
 
-    p_suite = _command(sub, "suite", "run the built-in verification suite", with_model=False)
+    p_suite = _command(sub, "suite", "run the built-in verification suite", "suite", with_model=False)
     p_suite.add_argument("--criteria", help="comma-separated criterion numbers")
     p_suite.add_argument("--scenarios", type=Path, help="directory of scenario configs to run instead")
     return parser
@@ -748,27 +748,16 @@ def _read_json_flag(path: Path, flag: str):
         raise ConfigError(flag, str(exc))
 
 
-def _required(value, flag: str):
-    if value is None:
-        raise ConfigError(flag, "missing required flag")
-    return value
+def _window_arg(value: str, flag: str) -> list:
+    """A window flag: a JSON file of element encodings, or them joined by semicolons."""
+    return _read_json_flag(Path(value), flag) if value.endswith(".json") else [s for s in value.split(";") if s]
 
 
-def _window_arg(value: Optional[str], flag: str) -> list:
-    """A window flag: a JSON file of element encodings, or the encodings
-    joined by semicolons."""
-    if _required(value, flag).endswith(".json"):
-        return _read_json_flag(Path(value), flag)
-    return [s for s in value.split(";") if s]
-
-
-def _criteria_arg(text: Optional[str]) -> Optional[list[int]]:
-    if not text:
-        return None
+def _criteria_arg(text: str, flag: str) -> list[int]:
     try:
         return [int(n) for n in text.split(",")]
     except ValueError:
-        raise ConfigError("--criteria", f"expected comma-separated criterion numbers, got {text!r}")
+        raise ConfigError(flag, f"expected comma-separated criterion numbers, got {text!r}")
 
 
 def _model_arg(args) -> dict:
@@ -776,50 +765,39 @@ def _model_arg(args) -> dict:
         return _read_json_flag(args.model, "--model")
     if args.kind is None:
         raise ConfigError("--kind", "missing required flag (or give --model FILE)")
-    return {"kind": args.kind, "params": _given(dim=args.dim, rank=args.rank, modulus=args.modulus)}
+    return {"kind": args.kind, "params": {key: getattr(args, key) for key in ("dim", "rank", "modulus")
+                                          if getattr(args, key) is not None}}
 
 
-def _given(**fields) -> dict:
-    """The fields whose flags were given; the task fills in the rest."""
-    return {key: value for key, value in fields.items() if value is not None}
+# How a flag's text becomes its field's JSON; any other flag's value is the JSON itself.
+FLAG_READERS = {"E": _window_arg, "F": _window_arg, "pool": _window_arg, "weight": _read_json_flag,
+                "certificate": _read_json_flag, "criteria": _criteria_arg, "scenarios": lambda path, flag: str(path)}
+# The params fields of every task and mode, each filled by the flag of that dest (`_scenario` writes --budget).
+PARAMS_FIELDS = {key for task in TASKS.values() for mode in ([task] if isinstance(task, Mode) else task[1].values())
+                 for key in mode.fields} - {"budget"}
 
 
 def _config_from_flags(args) -> dict:
-    command = args.command
-    if command == "suite":
-        scenarios = str(args.scenarios) if args.scenarios else None
-        return {"task": "suite", "params": _given(criteria=_criteria_arg(args.criteria), scenarios=scenarios)}
-    if command == "folner-defect" and args.verify_cert is not None:
-        return {"task": "defect", "params": {"certificate": _read_json_flag(args.verify_cert, "--verify-cert")}}
-
-    model = _model_arg(args)
-    if command == "matching":
-        params = _given(E=_window_arg(args.E, "--E"), F=_window_arg(args.F, "--F"), radius=args.radius)
-        return {"task": "matching", "model": model, "params": params}
-    if command == "folner-defect":
-        if args.mode == "discrete" and args.radius is not None:
-            raise ConfigError("--radius", "not read with --mode discrete")
-        params = _given(F=_window_arg(args.F, "--F"), E=_window_arg(args.E, "--E"), radius=args.radius, mode=args.mode)
-        return {"task": "defect", "model": model, "params": params}
-    if command == "folner-search":
-        params = _given(E=_window_arg(args.E, "--E"), radius=args.radius, theta=args.theta, strategy=args.strategy)
-        return {"task": "search", "model": model, "params": params}
-    if command == "seminorm":
-        weight = _read_json_flag(_required(args.weight, "--weight"), "--weight")
-        params = _given(weight=weight, E=_window_arg(args.E, "--E") if args.E else None)
-        return {"task": "seminorm", "model": model, "params": params}
-    if command == "precompact":
-        params = _given(radius=args.radius, window_resolution=args.window_resolution,
-                        sample_resolution=args.sample_resolution)
-        return {"task": "precompact", "model": model, "params": params}
-    if command == "paradox" and args.mode == "verify":
-        cert = _read_json_flag(args.cert, "--cert") if args.cert is not None else None
-        params = _given(window_resolution=args.window_resolution, standard=args.standard, certificate=cert)
-        return {"task": "paradox-verify", "model": model, "params": params}
-    # paradox search, the one command left
-    params = _given(window_resolution=args.window_resolution, pool=_window_arg(args.pool, "--pool"),
-                    max_pieces=args.max_pieces)
-    return {"task": "paradox-search", "model": model, "params": params}
+    """The scenario a command line's flags build.  The flags given choose the
+    mode, which must read each flag not at its default and find each one it
+    requires; an empty flag leaves an optional field out, and the model
+    flags are read only where the mode takes a model."""
+    task = args.task.format(**vars(args))
+    sub = next(action for action in _parser()._actions if action.dest == "command").choices[args.command]
+    flags = [(action.option_strings[0], action.dest, action.default, getattr(args, action.dest))
+             for action in sub._actions if action.option_strings and action.dest in PARAMS_FIELDS]
+    name, mode, _ = _mode({"task": task, "params": {dest: v for _, dest, _, v in flags if v is not None}})
+    config = {"task": task, "model": _model_arg(args)} if "model" in mode.envelope else {"task": task}
+    params = config["params"] = {}
+    for flag, dest, default, value in flags:
+        if dest not in mode.fields:
+            if value != default:
+                raise ConfigError(flag, f"not read in {name or task} mode")
+        elif mode.fields[dest][1] is REQUIRED and value is None:
+            raise ConfigError(flag, "missing required flag")
+        elif value is not None and (value != "" or mode.fields[dest][1] is REQUIRED):
+            params[dest] = FLAG_READERS.get(dest, lambda value, flag: value)(value, flag)
+    return config
 
 
 if __name__ == "__main__":

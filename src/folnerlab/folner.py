@@ -25,6 +25,8 @@ from .groups import (
     GroupModel,
     LatticeModel,
     ScaledMetric,
+    WINDOW_CAP,
+    WindowSizeError,
     certificate_fraction,
     entourage_from_json,
     grid_sample,
@@ -306,7 +308,9 @@ Scored = tuple[FiniteWindow, Fraction, FolnerCertificate]
 
 
 def _box(model: LatticeModel, n: int) -> FiniteWindow:
-    """The box {0, ..., n-1}^dim."""
+    """The box {0, ..., n-1}^dim; `WindowSizeError` past the window cap."""
+    if n**model.dim > WINDOW_CAP:
+        raise WindowSizeError(f"box of {n**model.dim} points exceeds cap {WINDOW_CAP}")
     return FiniteWindow(model, [model.element(p) for p in product(range(n), repeat=model.dim)])
 
 
@@ -370,7 +374,9 @@ def folner_search(
     seed: Optional[int] = None,
 ) -> FolnerSearchResult:
     """First candidate window meeting the target, or the best-found report.
-    At most `budget` candidates are built, and each is solved once."""
+    At most `budget` candidates are built, and each is solved once; the
+    search also ends, with the best so far, at the first candidate past the
+    window cap."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     check_strategy(model, strategy)
@@ -384,11 +390,14 @@ def folner_search(
 
     tried = best_index = 0
     best_theta, best_cert = ZERO, None
-    for tried, (_, theta, cert) in enumerate(islice(candidates, budget), 1):
-        if best_cert is None or theta > best_theta:
-            best_theta, best_cert, best_index = theta, cert, tried - 1
-        if theta >= theta_target:
-            break
+    try:
+        for tried, (_, theta, cert) in enumerate(islice(candidates, budget), 1):
+            if best_cert is None or theta > best_theta:
+                best_theta, best_cert, best_index = theta, cert, tried - 1
+            if theta >= theta_target:
+                break
+    except WindowSizeError:  # the next candidate is past the window cap
+        pass
     found = best_theta >= theta_target
     return FolnerSearchResult(
         found=found,

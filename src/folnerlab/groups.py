@@ -145,12 +145,6 @@ class GroupElement:
     model: "GroupModel"
     data: Any
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.model.mul(self, other)
-
-    def inv(self) -> "GroupElement":
-        return self.model.inv(self)
-
     def __repr__(self) -> str:
         return f"<{self.model.kind}:{self.model.format(self)}>"
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerlab import cli
-from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario, run_scenario_config
+from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario_config
 from folnerlab.folner import FolnerCertificate
 from folnerlab.groups import CertificateError, make_model
 from folnerlab.paradox import ParadoxCertificate, f2_standard_certificate
@@ -191,10 +191,16 @@ def test_seminorm_without_weight(capsys):
         (["folner-search", "--kind", "lattice", "--radius", "0", "--theta", "1/2"], "--E"),
         (["paradox", "search", "--kind", "lattice", "--max-pieces", "4"], "--pool"),
         (["folner-defect", "--F", "0", "--E", "1", "--radius", "0"], "--kind"),
+        (["matching", "--kind", "lattice", "--E", "0", "--F", "1"], "--radius"),
+        (["folner-search", "--kind", "lattice", "--E", "1", "--theta", "1/2"], "--radius"),
+        (["folner-search", "--kind", "lattice", "--E", "1", "--radius", "0"], "--theta"),
+        (["precompact", "--kind", "circle"], "--radius"),
+        (["paradox", "verify", "--kind", "free", "--rank", "2"], "--cert"),
     ],
 )
 def test_missing_required_flag_is_named(capsys, args, flag):
-    # each used to end in a TypeError traceback from the window parser
+    # each used to end in a TypeError traceback from the window parser, or
+    # (--radius, --theta, --cert) to name the params field, not the flag
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: missing required flag")
@@ -208,6 +214,14 @@ def test_missing_required_flag_is_named(capsys, args, flag):
         (["suite", "--criteria", "1,99"], "params.criteria[1]: unknown criterion 99"),
         (["paradox", "verify", "--kind", "free", "--rank", "2", "--standard", "--cert", "c.json"],
          "params.standard: give a certificate or standard: true, not both"),
+        # a flag the mode does not read used to be left out, and the scenario ran with exit 0
+        (["paradox", "verify", "--kind", "free", "--rank", "2", "--standard", "--pool", "a"],
+         "--pool: not read in standard mode\n"),
+        (["paradox", "verify", "--kind", "free", "--rank", "2", "--standard", "--max-pieces", "5"],
+         "--max-pieces: not read in standard mode\n"),
+        (["paradox", "search", "--kind", "lattice", "--pool", "0", "--standard"],
+         "--standard: not read in paradox-search mode\n"),
+        (["folner-defect", "--verify-cert", "c.json", "--F", "0"], "--F: not read in certificate mode\n"),
     ],
 )
 def test_flag_value_error_is_named(tmp_path, monkeypatch, capsys, args, want):
@@ -280,7 +294,7 @@ def test_unknown_field_rejected(tmp_path, capsys):
             }
         )
     )
-    assert run_scenario(config) == 1
+    assert run(["perturb", "--config", config]) == 1
     assert "params.extra" in capsys.readouterr().err
 
 
@@ -300,8 +314,8 @@ def test_scenario_roundtrip_and_determinism(tmp_path):
         )
     )
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert run_scenario(config, out_dir=out1) == 0
-    assert run_scenario(config, out_dir=out2) == 0
+    assert run(["perturb", "--config", config, "--out-dir", out1]) == 0
+    assert run(["perturb", "--config", config, "--out-dir", out2]) == 0
     assert (out1 / "certificate.json").read_bytes() == (out2 / "certificate.json").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     m1 = json.loads((out1 / "manifest.json").read_text())
@@ -310,14 +324,14 @@ def test_scenario_roundtrip_and_determinism(tmp_path):
 
 
 def test_missing_config_file(capsys):
-    assert run_scenario(Path("/nonexistent/config.json")) == 1
+    assert run(["perturb", "--config", "/nonexistent/config.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
 
 
 def test_invalid_json_config(tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text("{not json")
-    assert run_scenario(config) == 1
+    assert run(["perturb", "--config", config]) == 1
     assert "not valid JSON" in capsys.readouterr().err
 
 
@@ -402,7 +416,7 @@ def test_defect_crosscheck_column(tmp_path):
             }
         )
     )
-    assert run_scenario(config, out_dir=tmp_path / "out") == 0
+    assert run(["perturb", "--config", config, "--out-dir", tmp_path / "out"]) == 0
     row = (tmp_path / "out" / "report.csv").read_text().splitlines()[1]
     assert row == "0,16,3/4,5/8,yes"
 
@@ -417,6 +431,34 @@ def test_radius_0_crosscheck_of_a_scaled_word_metric(tmp_path):
         assert run_scenario_config(config, out_dir=out) == 0
         rows.append((out / "report.csv").read_text().splitlines()[1])
     assert rows[0] == rows[1] == "0,2,1/2,3/4,yes"
+
+
+@pytest.mark.parametrize("mode", ["topological", "search", "certificate"])
+def test_crosscheck_past_the_support_cap_names_its_field(tmp_path, capsys, mode):
+    # a - g.a holds up to 2|F| points, past the seminorm's 200-point cap for
+    # some windows under the 200-point crosscheck limit; it used to exit 1
+    # with no field path
+    far = {"task": "defect", "model": LATTICE_1,
+           "params": {"F": [str(k) for k in range(150)], "E": ["150"], "radius": "0"}}
+    if mode == "topological":
+        base, support = far, 300
+    elif mode == "search":  # the best ball, of 103 points, meets its 101-translate in 2
+        base, support = {"task": "search", "model": LATTICE_1,
+                         "params": {"E": ["101"], "radius": "0", "theta": "1", "strategy": "balls", "budget": 51}}, 202
+    else:
+        assert run_scenario_config(far, out_dir=tmp_path / "cert") == 0
+        cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+        base, support = {"task": "defect", "params": {"certificate": cert}}, 300
+    config = {**base, "params": {**base["params"], "crosscheck": True}}
+    message = f"a - g.a: support {support} exceeds cap 200"
+    with pytest.raises(ConfigError, match=message) as info:
+        run_scenario_config(config)
+    assert info.value.path == "params.crosscheck"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(["perturb", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: params.crosscheck: {message}\n"
 
 
 def test_crosscheck_fault_is_not_a_config_error(tmp_path, monkeypatch):
@@ -450,8 +492,8 @@ def test_scenario_with_seed_and_local_strategy(tmp_path):
         )
     )
     first, second = tmp_path / "a", tmp_path / "b"
-    code1 = run_scenario(config, out_dir=first)
-    code2 = run_scenario(config, out_dir=second)
+    code1 = run(["perturb", "--config", config, "--out-dir", first])
+    code2 = run(["perturb", "--config", config, "--out-dir", second])
     assert code1 == code2
     if (first / "certificate.json").exists():
         assert (first / "certificate.json").read_bytes() == (second / "certificate.json").read_bytes()
@@ -474,7 +516,7 @@ def test_perturb_build_via_config(tmp_path, capsys):
         )
     )
     out = tmp_path / "out"
-    assert run_scenario(config, out_dir=out) == 0
+    assert run(["perturb", "--config", config, "--out-dir", out]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["involution"] and all(cert["involution"].values())
     report = json.loads((out / "report.json").read_text())
@@ -487,7 +529,7 @@ def test_perturb_build_via_config(tmp_path, capsys):
               "params": {"mode": "verify", "action": cert, "radius": "1/10"}}
     config.write_text(json.dumps(verify))
     capsys.readouterr()
-    assert run_scenario(config) == 1
+    assert run(["perturb", "--config", config]) == 1
     assert f"row of {g}: expected a JSON integer" in capsys.readouterr().err
 
 
@@ -510,7 +552,7 @@ def test_perturb_wobble_via_config(tmp_path):
         )
     )
     out = tmp_path / "out"
-    assert run_scenario(config, out_dir=out) == 0
+    assert run(["perturb", "--config", config, "--out-dir", out]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert len(cert["pieces"]) == 1
     assert cert["pieces"][0]["translator"] == "1/4"
@@ -555,7 +597,7 @@ def test_malformed_field_diagnostic(tmp_path, capsys, extra, field):
     params = {"F": ["0", "1/2"], "E": ["1/4"], "radius": "1/8", **extra}
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"model": {"kind": "circle"}, "task": "defect", "params": params}))
-    assert run_scenario(config) == 1
+    assert run(["perturb", "--config", config]) == 1
     assert field in capsys.readouterr().err
 
 
@@ -637,7 +679,7 @@ def test_integer_config_field_rejected(tmp_path, capsys, field, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: expected a JSON integer")
     assert "Traceback" not in err
@@ -707,7 +749,7 @@ def test_action_without_rows_exits_1(tmp_path, capsys, config):
     assert info.value.path == "params.action.rows"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: params.action.rows: missing required field")
 
@@ -724,7 +766,7 @@ def test_malformed_weight_exits_1(tmp_path, capsys, weights, field):
     assert info.value.path == field
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {field}: ")
     assert "seminorm:" not in captured.out
@@ -761,7 +803,7 @@ def test_non_string_element_encoding_exits_1(tmp_path, capsys, case):
     assert info.value.path == field
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: expected an element encoding (a JSON string)")
     assert "Traceback" not in err
@@ -791,7 +833,7 @@ def test_action_field_shape_exits_1(tmp_path, capsys, field, value):
     assert info.value.path == want
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {want}: expected")
     assert "Traceback" not in err
@@ -822,7 +864,7 @@ def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want, messag
     assert info.value.path == want
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {want}: {message}")
     assert "Traceback" not in err
@@ -840,7 +882,7 @@ def test_paradox_classifier_error_names_piece(tmp_path, capsys):
     assert info.value.path == want
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {want}: residue classifier needs integer coordinates\n"
 
@@ -852,7 +894,7 @@ def test_heisenberg_seminorm_past_word_length_40(tmp_path, capsys):
               "params": {"weight": {"support": ["0,0,0", "0,0,399"], "weights": ["1", "-1"]}}}
     path = tmp_path / "far.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 0
+    assert run(["perturb", "--config", path]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("seminorm: 2 (")
     assert captured.err == ""
@@ -875,7 +917,7 @@ def test_forged_paradox_certificate_is_not_replaced_by_the_standard_one(tmp_path
         config["params"]["standard"] = standard
         path = tmp_path / "forged.json"
         path.write_text(json.dumps(config))
-        assert run_scenario(path) == 1
+        assert run(["perturb", "--config", path]) == 1
         captured = capsys.readouterr()
         want = ("expected a JSON boolean, got 'false'" if standard == "false"
                 else "give a certificate or standard: true, not both")
@@ -1056,7 +1098,7 @@ def test_config_error_names_its_field(tmp_path, capsys, case):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: {message}")
     assert "Traceback" not in err
@@ -1161,7 +1203,7 @@ def test_discrete_defect_flags_without_radius(tmp_path, capsys):
     assert capsys.readouterr().out == "discrete defect: 1/2\n"
     assert run(args + ["--radius", "0"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: --radius: not read with --mode discrete\n"
+    assert captured.err == "error: --radius: not read in discrete mode\n"
     assert captured.out == ""
 
 
@@ -1172,6 +1214,18 @@ def test_certificate_defect_crosscheck_must_be_a_boolean(tmp_path, capsys):
     with pytest.raises(ConfigError) as info:
         run_scenario_config(config)
     assert info.value.path == "params.crosscheck"
+
+
+def test_search_past_the_window_cap_exits_2_with_its_best_window(tmp_path, capsys):
+    # the sixth ball of F_4 holds 156,865 words, past the 100,000 cap: the
+    # search used to exit 1 with no field path and no report
+    args = ["folner-search", "--kind", "free", "--rank", "4", "--E", "a", "--radius", "0", "--theta", "1",
+            "--budget", "50", "--out-dir", tmp_path]
+    assert run(args) == 2
+    assert "tried=5 budget_exhausted=False" in capsys.readouterr().out
+    result = json.loads((tmp_path / "certificate.json").read_text())
+    assert (result["found"], result["budget_exhausted"], result["candidates_tried"]) == (False, False, 5)
+    assert len(result["certificate"]["F"]) == 22409
 
 
 def test_budget_flag_below_one_names_the_flag(capsys):
@@ -1290,7 +1344,7 @@ def test_scenario_error_names_its_field(tmp_path, capsys, case):
     assert info.value.path == field
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert run_scenario(path) == 1
+    assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: {message}")
     assert "Traceback" not in err

@@ -23,6 +23,7 @@ from folnerlab.groups import (
     ArcMetric,
     Entourage,
     ScaledMetric,
+    WindowSizeError,
     WordMetric,
     grid_sample,
     make_model,
@@ -219,6 +220,22 @@ def test_folner_search_free_failure_report():
     assert result.budget_exhausted
     assert result.best_theta < Fraction(51, 100)
     assert result.certificate is not None  # best-found report is data
+
+
+def test_box_past_the_window_cap_is_refused():
+    # 2^17 = 131,072 points: refused before any is built
+    with pytest.raises(WindowSizeError, match="box of 131072 points exceeds cap 100000"):
+        folner._box(make_model("lattice", dim=17), 2)
+
+
+def test_search_ends_at_the_window_cap_with_its_best_window():
+    # the second box of Z^17 is past the cap: the search ends with the first,
+    # and has not spent its budget
+    Z17 = make_model("lattice", dim=17)
+    E = window(Z17, [(1,) + (0,) * 16])
+    result = folner_search(Z17, E, Entourage(WordMetric(Z17), Fraction(0)), Fraction(1), strategy="boxes", budget=2)
+    assert (result.found, result.budget_exhausted, result.candidates_tried) == (False, False, 1)
+    assert len(result.certificate.F) == 1
 
 
 def test_folner_search_local_improves():

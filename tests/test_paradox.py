@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from folnerlab import paradox
-from folnerlab.cli import ConfigError, run_scenario, run_scenario_config
+from folnerlab.cli import ConfigError, main, run_scenario_config
 from folnerlab.groups import FreeGroupModel, grid_sample, make_model, window, word_ball
 from folnerlab.paradox import (
     CertificateError,
@@ -878,5 +878,5 @@ def test_malformed_certificate_exits_1(tmp_path, capsys):
     config = tmp_path / "bad.json"
     cert = _z_certificate({"op": "residue", "index": 0, "mod": 0, "value": 0})
     config.write_text(json.dumps({"task": "paradox-verify", "model": {"kind": "lattice"}, "params": {"certificate": cert}}))
-    assert run_scenario(config) == 1
+    assert main(["perturb", "--config", str(config)]) == 1
     assert "params.certificate.A[0].mod" in capsys.readouterr().err
