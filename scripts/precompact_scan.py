@@ -21,7 +21,7 @@ def main() -> None:
         radius = Fraction(num, 60)
         U = Entourage(ArcMetric(C), radius)
         try:
-            res = precompact_perturbation(C, U, win, sample)
+            res = precompact_perturbation(U, win, sample)
         except ConstructionError as exc:
             print(f"{radius},-,none,-,-,{exc}")
             continue

@@ -334,7 +334,7 @@ def _run_defect(s: SimpleNamespace, artifacts: Artifacts) -> int:
 def _run_search(s: SimpleNamespace, artifacts: Artifacts) -> int:
     p = s.params
     U = Entourage(p.metric, p.radius)
-    result = folner_search(s.model, p.E, U, p.theta, strategy=p.strategy, budget=p.budget, seed=s.seed)
+    result = folner_search(p.E, U, p.theta, strategy=p.strategy, budget=p.budget, seed=s.seed)
     rows = []
     if result.certificate is not None:
         cert = result.certificate
@@ -388,7 +388,7 @@ def _run_precompact(s: SimpleNamespace, artifacts: Artifacts) -> int:
     win = _window_or_grid(model, p.window, p.window_resolution, 60, "params.window_resolution")
     sample = _window_or_grid(model, p.pool, p.sample_resolution, 12, "params.sample_resolution")
     try:
-        result = precompact_perturbation(model, Entourage(p.metric, p.radius), win, sample)
+        result = precompact_perturbation(Entourage(p.metric, p.radius), win, sample)
     except ValueError as exc:  # a model, radius or window that admits no finite lift
         raise ConfigError("params", str(exc))
     artifacts.write_json("certificate.json", result.to_json())
@@ -400,7 +400,7 @@ def _run_precompact(s: SimpleNamespace, artifacts: Artifacts) -> int:
 def _run_build(s: SimpleNamespace, artifacts: Artifacts) -> int:
     p = s.params
     try:
-        assembled = build_perturbation(s.model, p.indices, Entourage(p.metric, p.radius), budget=p.budget)
+        assembled = build_perturbation(p.indices, Entourage(p.metric, p.radius), budget=p.budget)
     except (ConstructionError, BudgetError) as exc:  # no package within the model, family, radius and budget
         raise ConfigError("params", str(exc))
     artifacts.write_json("certificate.json", assembled.action.to_json())
@@ -724,7 +724,8 @@ def _emit_model(args) -> int:
 
 def _scenario(args) -> dict:
     """The scenario a command line runs: its --config file, else the one its
-    flags build; --seed and --budget are written into it either way."""
+    flags build; --seed and --budget are written into it either way, and
+    --budget is refused where the scenario's mode has no budget."""
     config = _read_config(args.config) if args.config is not None else _config_from_flags(args)
     if not isinstance(config, dict):
         raise ConfigError("scenario", "expected an object")
@@ -734,6 +735,9 @@ def _scenario(args) -> dict:
     if budget is not None:
         if budget < 1:
             raise ConfigError("--budget", "budget must be positive")
+        name, mode, _ = _mode(config)
+        if mode is not UNKNOWN_TASK and "budget" not in mode.fields:
+            raise ConfigError("--budget", f"not read in {name or config['task']} mode")
         params = config.setdefault("params", {})
         if isinstance(params, dict):
             params["budget"] = budget
@@ -781,12 +785,15 @@ def _config_from_flags(args) -> dict:
     """The scenario a command line's flags build.  The flags given choose the
     mode, which must read each flag not at its default and find each one it
     requires; an empty flag leaves an optional field out, and the model
-    flags are read only where the mode takes a model."""
+    flags are refused where the mode takes no model."""
     task = args.task.format(**vars(args))
     sub = next(action for action in _parser()._actions if action.dest == "command").choices[args.command]
     flags = [(action.option_strings[0], action.dest, action.default, getattr(args, action.dest))
              for action in sub._actions if action.option_strings and action.dest in PARAMS_FIELDS]
     name, mode, _ = _mode({"task": task, "params": {dest: v for _, dest, _, v in flags if v is not None}})
+    given = [f"--{key}" for key in ("model", "kind", "dim", "rank", "modulus") if getattr(args, key, None) is not None]
+    if given and "model" not in mode.envelope:
+        raise ConfigError(given[0], f"not read in {name or task} mode")
     config = {"task": task, "model": _model_arg(args)} if "model" in mode.envelope else {"task": task}
     params = config["params"] = {}
     for flag, dest, default, value in flags:

@@ -365,7 +365,6 @@ def check_strategy(model: GroupModel, strategy: str) -> None:
 
 
 def folner_search(
-    model: GroupModel,
     E: FiniteWindow,
     U: Entourage,
     theta_target: Fraction,
@@ -379,6 +378,7 @@ def folner_search(
     window cap."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    model = U.model
     check_strategy(model, strategy)
     theta_target = Fraction(theta_target)
     if strategy == "local":

@@ -32,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from operator import add
-from typing import Optional, Sequence
+from typing import Optional
 
 from .groups import (
     CertificateError,
@@ -582,20 +582,6 @@ class _Budget:
         return False
 
 
-def _sorted_multisets(items: Sequence[GroupElement], k: int, model) -> list[tuple[GroupElement, ...]]:
-    items = sorted(items, key=model.sort_key)
-
-    def rec(start: int, k: int):
-        if k == 0:
-            yield ()
-            return
-        for i in range(start, len(items)):
-            for rest in rec(i, k - 1):
-                yield (items[i],) + rest
-
-    return list(rec(0, k))
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -898,7 +884,7 @@ def search_small_paradox(
         of its family set-up at label `offset`."""
         return [
             (words, (tuple(g.data for g in words), offset))
-            for words in _sorted_multisets(list(pool), size, model)
+            for words in combinations_with_replacement(sorted(pool, key=model.sort_key), size)
         ]
 
     def family(words: tuple[GroupElement, ...], key: tuple) -> _Family:

@@ -14,6 +14,8 @@ tables three ways:
 * `moving_injection` relocates a window into fresh points so that all
   pool translates of the image are pairwise disjoint.
 
+The builders take no model: each reads it from its entourage, `U.model`.
+
 Ball queries are `matching.build_graph` rows: the relocation candidates of
 `moving_injection`, and the third-radius balls that pick and assign the
 precompact centers (distances are measured only inside a ball, to find the
@@ -344,17 +346,10 @@ def moving_injection(
         candidates.append([supply[j] for j in row])
 
     chosen: list[GroupElement] = []
-    chosen_set: set[GroupElement] = set()
-    blocked: set[GroupElement] = set()  # union of g.images and g^-1.images
+    # The chosen points and their shifts g c and g^-1 c: a candidate clashes
+    # with a choice exactly when it lies in this set.
+    blocked: set[GroupElement] = set()
     steps = 0
-
-    def ok(y: GroupElement) -> bool:
-        if y in chosen_set or y in blocked:
-            return False
-        for g in shifts:
-            if model.mul(g, y) in chosen_set or model.mul(model.inv(g), y) in chosen_set:
-                return False
-        return True
 
     def place(i: int) -> bool:
         nonlocal steps
@@ -364,22 +359,15 @@ def moving_injection(
             steps += 1
             if steps > BACKTRACK_CAP:
                 raise BudgetError(f"moving injection exceeded {BACKTRACK_CAP} steps")
-            if not ok(y):
+            if y in blocked:
                 continue
+            added = {y, *(model.mul(h, y) for g in shifts for h in (g, model.inv(g)))} - blocked
             chosen.append(y)
-            chosen_set.add(y)
-            added = []
-            for g in shifts:
-                for img in (model.mul(g, y), model.mul(model.inv(g), y)):
-                    if img not in blocked:
-                        blocked.add(img)
-                        added.append(img)
+            blocked.update(added)
             if place(i + 1):
                 return True
             chosen.pop()
-            chosen_set.discard(y)
-            for img in added:
-                blocked.discard(img)
+            blocked.difference_update(added)
         return False
 
     if not place(0):
@@ -450,7 +438,6 @@ def folner_package(
     theta: Fraction,
     E: FiniteWindow,
     U: Entourage,
-    model: GroupModel,
     budget: int = PACKAGE_BUDGET,
 ) -> FolnerPackage:
     """Almost-invariant core D inside a relocated window F, with entourage
@@ -464,6 +451,7 @@ def folner_package(
     theta = parse_fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
+    model = U.model
     pool = symmetric_closure(model, list(E) + [model.identity()])
     shifts = [g for g in pool if g != model.identity()]
     if not shifts:
@@ -477,7 +465,7 @@ def folner_package(
     if W.radius <= 0:
         raise ConstructionError("conjugation slack consumed the entourage")
     boosted = 1 - Fraction(1 - theta, len(pool))
-    search = folner_search(model, pool, V, boosted, strategy="grid", budget=budget)
+    search = folner_search(pool, V, boosted, strategy="grid", budget=budget)
     if not search.found:
         raise BudgetError(
             f"no window reached boosted parameter {boosted} within budget {budget}"
@@ -537,7 +525,6 @@ def folner_package(
 
 
 def build_perturbation(
-    model: GroupModel,
     index_family: list[tuple[FiniteWindow, int]],
     U: Entourage,
     budget: int = PACKAGE_BUDGET,
@@ -551,7 +538,9 @@ def build_perturbation(
     """
     if not index_family:
         raise ValueError("index family must be non-empty")
-    placed = []  # (pool, F, D, phis, theta, n) after right translation
+    model = U.model
+    placements: list[Placement] = []
+    injections = []  # per placement, its package's phis after the same right translation
     occupied: set[GroupElement] = set()
     identity = model.identity()
 
@@ -561,35 +550,32 @@ def build_perturbation(
         if n_i < 2:
             raise ValueError("index multiplicities start at 2")
         theta_i = 1 - Fraction(1, n_i)
-        package = folner_package(theta_i, E_i, U, model, budget=budget)
+        package = folner_package(theta_i, E_i, U, budget=budget)
         footprint = _footprint(model, package.pool, package.F)
 
         z = _separating_shift(model, footprint, occupied)
-        F = FiniteWindow(model, [model.mul(x, z) for x in package.F])
-        D = FiniteWindow(model, [model.mul(x, z) for x in package.D])
-        phis = {
-            g: {
-                model.mul(x, z): model.mul(y, z) for x, y in phi.items()
-            }
+        occupied |= {model.mul(x, z) for x in footprint}
+        placements.append(Placement(
+            pool=package.pool,
+            F=FiniteWindow(model, [model.mul(x, z) for x in package.F]),
+            D=FiniteWindow(model, [model.mul(x, z) for x in package.D]),
+            theta=theta_i,
+            multiplicity=n_i,
+        ))
+        injections.append({
+            g: {model.mul(x, z): model.mul(y, z) for x, y in phi.items()}
             for g, phi in package.phis.items()
-        }
-        shifted_footprint = {model.mul(x, z) for x in footprint}
-        occupied |= shifted_footprint
-        placed.append((package.pool, F, D, phis, theta_i, n_i))
+        })
 
     window = FiniteWindow(model, occupied)
-    pool_elems = sorted(
-        {g for pool, *_ in placed for g in pool if g != identity},
-        key=model.sort_key,
-    )
-    pool = FiniteWindow(model, pool_elems)
+    pool = FiniteWindow(model, [g for p in placements for g in p.pool if g != identity])
 
     rows: dict[GroupElement, list[Optional[int]]] = {}
     involution: dict[GroupElement, bool] = {}
     for g in pool:
         psi = {x: x for x in window}
-        for idx_pool, F, D, phis, _, _ in placed:
-            if g not in idx_pool:
+        for placement, phis in zip(placements, injections):
+            if g not in placement.pool:
                 continue
             for x, y in phis[g].items():
                 if psi[x] != x or psi[y] != y:
@@ -612,16 +598,12 @@ def build_perturbation(
         rows=rows,
         radius=U.radius,
         involution=involution,
-        folner_windows=[F for _, F, _, _, _, _ in placed],
-        folner_pools=[p for p, _, _, _, _, _ in placed],
+        folner_windows=[p.F for p in placements],
+        folner_pools=[p.pool for p in placements],
     )
     report = verify_perturbation(action, U)
     if not report.ok:
         raise ConstructionError(f"assembled table has {len(report.violations)} violations")
-    placements = [
-        Placement(pool=p, F=F, D=D, theta=theta, multiplicity=n)
-        for p, F, D, _, theta, n in placed
-    ]
     return AssembledPerturbation(action=action, placements=placements, report=report)
 
 
@@ -742,7 +724,6 @@ def _uniform_step(window: FiniteWindow) -> Optional[Fraction]:
 
 
 def precompact_perturbation(
-    model: GroupModel,
     U: Entourage,
     window: FiniteWindow,
     sample: FiniteWindow,
@@ -764,6 +745,7 @@ def precompact_perturbation(
     Deviation and the order bound |F|! are both re-verified exhaustively on
     the result; a window that supports neither lift is a construction error.
     """
+    model = U.model
     if not isinstance(model, (CircleModel, TorusModel, CyclicModel)):
         raise ConstructionError("precompact construction needs circle, torus, or cyclic")
     if len(window) == 0:
@@ -828,12 +810,10 @@ def _lift_rows(window, centers, assignment, gammas, sample, U):
     for i, c in enumerate(assignment):
         fibers[c].append(i)
 
-    # the orbits of the generated center group are those of its generators
-    orbits = _orbits(list(gammas.values()), n_centers)
+    # sizes are constant on the orbits of the generated center group exactly
+    # when every generator keeps them
     sizes = [len(f) for f in fibers]
-    balanced = all(len({sizes[c] for c in orbit}) == 1 for orbit in orbits)
-
-    if balanced:
+    if all(sizes[c] == sizes[gamma[c]] for gamma in gammas.values() for c in range(n_centers)):
         # Index-by-index fiber transport; composing two transports is the
         # transport of the composition, so the lift embeds the center group.
         rows = {}
@@ -870,26 +850,6 @@ def _rotation_rows(window, step, sample, U) -> dict[GroupElement, list[int]]:
             raise ConstructionError(f"grid rotation misses {window.model.format(g)} by {dev} > {U.radius}")
         rows[g] = [(i + k) % n for i in range(n)]
     return rows
-
-
-def _orbits(perms: list[tuple[int, ...]], n: int) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in perms:
-        for i, j in enumerate(p):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[bool, st
             return False, f"discrete defect differs at n={n}", certs
         if n <= 12:
             certs.append(cert)
-    search = folner_search(Z2, E, U, Fraction(9, 10), strategy="boxes", budget=40)
+    search = folner_search(E, U, Fraction(9, 10), strategy="boxes", budget=40)
     expected = _box(Z2, 10)
     ok = search.found and search.certificate.F == expected
     if ok:
@@ -221,7 +221,7 @@ def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[bool, str
             return False, f"oracle disagrees at n={n}", certs
         if len(ball) <= 144:
             certs.append(cert)
-    search = folner_search(F2, E, U, Fraction(3, 5), strategy="balls", budget=6)
+    search = folner_search(E, U, Fraction(3, 5), strategy="balls", budget=6)
     ok = (not search.found) and search.best_theta < Fraction(51, 100)
     if ok:
         write_canonical_json(out_dir, "free_ball_search.json", search.to_json())
@@ -367,7 +367,7 @@ def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> tuple[bool, s
 def criterion_09_precompact(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(7, 20))
-    result = precompact_perturbation(C, U, grid_sample(C, 60), grid_sample(C, 12))
+    result = precompact_perturbation(U, grid_sample(C, 60), grid_sample(C, 12))
     report = verify_perturbation(result.action, U)
     ok = (
         report.ok
@@ -390,7 +390,7 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
         (window(C, [Fraction(0), Fraction(1, 5)]), 4),
         (window(C, [Fraction(0), Fraction(2, 5)]), 4),
     ]
-    assembled = build_perturbation(C, family, U)
+    assembled = build_perturbation(family, U)
     report = verify_perturbation(assembled.action, U)
     involutions = all(assembled.action.involution.values()) and _involution_check(assembled.action)
     cores_ok = all(

@@ -15,6 +15,11 @@ Each function evaluates the metric on every pair, as the package did:
 - `fraction_uniform_pieces`: the pieces of `weights.approx_by_uniform`, each
   support atom's ball scanned over the whole supply, nearest first.
 
+`moving_injection` is the relocation search of `perturb.moving_injection`
+as it tested a candidate y in two parts: y against the blocked shifts of the
+chosen points, then g y and g^-1 y against the chosen points, for every
+shift g.  Its candidates are the Fraction scan above.
+
 They are kept unchanged as oracles: the graph-row forms must give identical
 results on the same input.
 """
@@ -22,7 +27,7 @@ results on the same input.
 from fractions import Fraction
 
 from folnerlab.groups import CircleModel, FiniteWindow
-from folnerlab.perturb import ConstructionError
+from folnerlab.perturb import BACKTRACK_CAP, BudgetError, ConstructionError
 from folnerlab.weights import SupplyError, _round_weight
 
 
@@ -34,6 +39,57 @@ def fraction_candidates(F, U, supply):
             raise ConstructionError(f"supply has no point near {F.model.format(x)}")
         candidates.append(near)
     return candidates
+
+
+def moving_injection(F, E, U, supply):
+    model = F.model
+    shifts = [g for g in E if g != model.identity()]
+    candidates = fraction_candidates(F, U, supply)
+    chosen = []
+    chosen_set = set()
+    blocked = set()  # union of g.images and g^-1.images
+    steps = 0
+
+    def ok(y):
+        if y in chosen_set or y in blocked:
+            return False
+        for g in shifts:
+            if model.mul(g, y) in chosen_set or model.mul(model.inv(g), y) in chosen_set:
+                return False
+        return True
+
+    def place(i):
+        nonlocal steps
+        if i == len(candidates):
+            return True
+        for y in candidates[i]:
+            steps += 1
+            if steps > BACKTRACK_CAP:
+                raise BudgetError(f"moving injection exceeded {BACKTRACK_CAP} steps")
+            if not ok(y):
+                continue
+            chosen.append(y)
+            chosen_set.add(y)
+            added = []
+            for g in shifts:
+                for img in (model.mul(g, y), model.mul(model.inv(g), y)):
+                    if img not in blocked:
+                        blocked.add(img)
+                        added.append(img)
+            if place(i + 1):
+                return True
+            chosen.pop()
+            chosen_set.discard(y)
+            for img in added:
+                blocked.discard(img)
+        return False
+
+    if not place(0):
+        raise ConstructionError(
+            f"supply of {len(supply)} points cannot relocate {len(F)} points "
+            f"clear of {len(shifts)} shifts"
+        )
+    return dict(zip(F, chosen))
 
 
 def greedy_separated(window, metric, threshold):

@@ -17,6 +17,10 @@ only the near pairs (`matching.near_pairs`): word lengths on payloads at
 scale 1, arcs on ints over the common denominator of all coordinates, a
 scaled metric's base matrix and scale times the two halves of its factor,
 and any other rule through `eval` with the LCM of the denominators.
+
+`union_find_orbits` is the union-find that `perturb._lift_rows` ran to split
+the centers into the orbits of the permutation group the generators span,
+before it asked only whether each generator keeps the fiber sizes.
 """
 
 import math
@@ -90,3 +94,23 @@ def dense_distance_matrix(metric, points: list) -> tuple[list[list[int]], int]:
         for j, d in enumerate(row, start=i + 1):
             rows[i][j] = rows[j][i] = d.numerator * (scale // d.denominator)
     return rows, scale
+
+
+def union_find_orbits(perms: list[tuple[int, ...]], n: int) -> list[list[int]]:
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p in perms:
+        for i, j in enumerate(p):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

@@ -5,7 +5,8 @@ Windows are seeded random subsets of grids over the circle, the cyclic
 group Z_12 and the 2-torus, with the model's own metric and a scaled copy.
 Radii are drawn on the grid's own distances, so points sit exactly at the
 radius, and grid points are often equidistant from two centers; the loops
-count both kinds of case and assert that they occurred.
+count both kinds of case and assert that they occurred.  The relocation
+search is also checked against its earlier two-part clash test.
 """
 
 import random
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import ball_oracles
 from ball_oracles import (
     fraction_candidates,
     fraction_uniform_pieces,
@@ -24,6 +26,7 @@ from ball_oracles import (
 from folnerlab.groups import ArcMetric, Entourage, ScaledMetric, WordMetric, make_model, window
 from folnerlab.matching import build_graph
 from folnerlab.perturb import (
+    BudgetError,
     ConstructionError,
     _rotation_rows,
     _separated_centers,
@@ -124,6 +127,31 @@ def test_candidate_rows_match_fraction_scan():
             else:
                 assert moving_injection(F, identity, U, supply) == dict(zip(F, chosen))
     assert at_radius > 0
+
+
+def test_relocation_matches_two_part_clash_test():
+    # Pools of up to three shifts on the grid, supplies on the same or a
+    # finer grid: the relocation, or its refusal, is the oracle's, which
+    # tests every candidate against the chosen points once per shift.
+    clashed = refused = 0
+    for kind in ("circle", "torus"):
+        for seed in range(100):
+            rng, model, metric, radius, _, q = _case(kind, seed)
+            F = window(model, _points(kind, rng, rng.randint(1, 4), q))
+            E = window(model, _points(kind, rng, rng.randint(1, 4), q))
+            supply = window(model, _points(kind, rng, rng.randint(1, 30), q * rng.randint(1, 3)))
+            U = Entourage(metric, radius)
+            try:
+                want = ball_oracles.moving_injection(F, E, U, supply)
+            except (ConstructionError, BudgetError) as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    moving_injection(F, E, U, supply)
+                refused += "cannot relocate" in str(exc)
+                continue
+            assert moving_injection(F, E, U, supply) == want
+            # a shift moved some point off its first free candidate
+            clashed += list(want.values()) != _first_injection(fraction_candidates(F, U, supply))
+    assert clashed > 0 and refused > 0
 
 
 def test_separated_centers_match_greedy_scan():

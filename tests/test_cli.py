@@ -222,6 +222,12 @@ def test_missing_required_flag_is_named(capsys, args, flag):
         (["paradox", "search", "--kind", "lattice", "--pool", "0", "--standard"],
          "--standard: not read in paradox-search mode\n"),
         (["folner-defect", "--verify-cert", "c.json", "--F", "0"], "--F: not read in certificate mode\n"),
+        # a model flag beside --verify-cert used to be dropped, and the certificate verified with exit 0
+        (["folner-defect", "--verify-cert", "c.json", "--model", "m.json"], "--model: not read in certificate mode\n"),
+        (["folner-defect", "--verify-cert", "c.json", "--kind", "circle"], "--kind: not read in certificate mode\n"),
+        (["folner-defect", "--verify-cert", "c.json", "--dim", "2"], "--dim: not read in certificate mode\n"),
+        (["folner-defect", "--verify-cert", "c.json", "--rank", "2"], "--rank: not read in certificate mode\n"),
+        (["folner-defect", "--verify-cert", "c.json", "--modulus", "5"], "--modulus: not read in certificate mode\n"),
     ],
 )
 def test_flag_value_error_is_named(tmp_path, monkeypatch, capsys, args, want):
@@ -1249,6 +1255,25 @@ def test_budget_flag_below_one_names_the_flag_with_a_config(tmp_path, capsys):
     path.write_text(json.dumps(SEARCH))
     assert run(["folner-search", "--config", path, "--budget", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: --budget: budget must be positive")
+
+
+# --budget used to be written into params, where verify's strict schema named
+# `params.budget: unknown field`, a field the command line never wrote.
+def test_budget_flag_a_mode_does_not_read_is_named(capsys):
+    assert run(["paradox", "verify", "--kind", "free", "--rank", "2", "--standard", "--budget", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --budget: not read in standard mode\n"
+    assert captured.out == ""
+
+
+def test_budget_flag_a_mode_does_not_read_is_named_with_a_config(tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps({"task": "paradox-verify", "model": {"kind": "free", "params": {"rank": 2}},
+                                "params": {"standard": True}}))
+    assert run(["paradox", "verify", "--config", path, "--budget", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --budget: not read in standard mode\n"
+    assert captured.out == ""
 
 
 # Z with E = {1} never reaches theta 1: every ball loses its right end.

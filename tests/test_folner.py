@@ -199,7 +199,7 @@ def test_seminorm_crosscheck_box():
 
 def test_folner_search_boxes():
     E = window(Z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    result = folner_search(Z2, E, U0_Z2, Fraction(9, 10), strategy="boxes", budget=20)
+    result = folner_search(E, U0_Z2, Fraction(9, 10), strategy="boxes", budget=20)
     assert result.found
     assert result.certificate.F == box(10)
 
@@ -207,7 +207,7 @@ def test_folner_search_boxes():
 def test_folner_search_grid():
     U = Entourage(ArcMetric(C), Fraction(1, 24))
     E = window(C, [Fraction(1, 3)])
-    result = folner_search(C, E, U, Fraction(1), strategy="grid", budget=20)
+    result = folner_search(E, U, Fraction(1), strategy="grid", budget=20)
     assert result.found
     # first grid meeting the target: denominator 3 already satisfies it
     assert result.certificate.F == grid_sample(C, 3)
@@ -215,7 +215,7 @@ def test_folner_search_grid():
 
 def test_folner_search_free_failure_report():
     E = window(F2, [F2.parse("a"), F2.parse("b")])
-    result = folner_search(F2, E, U0_F2, Fraction(3, 5), strategy="balls", budget=6)
+    result = folner_search(E, U0_F2, Fraction(3, 5), strategy="balls", budget=6)
     assert not result.found
     assert result.budget_exhausted
     assert result.best_theta < Fraction(51, 100)
@@ -233,29 +233,29 @@ def test_search_ends_at_the_window_cap_with_its_best_window():
     # and has not spent its budget
     Z17 = make_model("lattice", dim=17)
     E = window(Z17, [(1,) + (0,) * 16])
-    result = folner_search(Z17, E, Entourage(WordMetric(Z17), Fraction(0)), Fraction(1), strategy="boxes", budget=2)
+    result = folner_search(E, Entourage(WordMetric(Z17), Fraction(0)), Fraction(1), strategy="boxes", budget=2)
     assert (result.found, result.budget_exhausted, result.candidates_tried) == (False, False, 1)
     assert len(result.certificate.F) == 1
 
 
 def test_folner_search_local_improves():
     E = window(Z, [(1,), (-1,)])
-    result = folner_search(Z, E, U0_Z, Fraction(1, 2), strategy="local", budget=40)
+    result = folner_search(E, U0_Z, Fraction(1, 2), strategy="local", budget=40)
     assert result.best_theta >= Fraction(1, 2) or result.candidates_tried == 40
 
 
 def test_folner_search_strategy_validation():
     with pytest.raises(ValueError):
-        folner_search(C, window(C, [Fraction(1, 3)]), Entourage(ArcMetric(C), Fraction(1, 8)), Fraction(1, 2), strategy="boxes", budget=5)
+        folner_search(window(C, [Fraction(1, 3)]), Entourage(ArcMetric(C), Fraction(1, 8)), Fraction(1, 2), strategy="boxes", budget=5)
     with pytest.raises(ValueError):
-        folner_search(Z, window(Z, [(1,)]), U0_Z, Fraction(1, 2), strategy="nope", budget=5)
+        folner_search(window(Z, [(1,)]), U0_Z, Fraction(1, 2), strategy="nope", budget=5)
     with pytest.raises(ValueError):
-        folner_search(Z, window(Z, [(1,)]), U0_Z, Fraction(1, 2), budget=0)
+        folner_search(window(Z, [(1,)]), U0_Z, Fraction(1, 2), budget=0)
 
 
 def test_search_result_json():
     E = window(Z2, [(1, 0), (0, 1)])
-    result = folner_search(Z2, E, U0_Z2, Fraction(1, 2), strategy="boxes", budget=5)
+    result = folner_search(E, U0_Z2, Fraction(1, 2), strategy="boxes", budget=5)
     payload = result.to_json()
     assert payload["found"] is True
     assert "certificate" in payload
@@ -282,8 +282,8 @@ def test_heisenberg_ball_defect_matches_discrete():
 
 def test_local_strategy_seed_deterministic():
     E = window(Z, [(1,), (-1,)])
-    a = folner_search(Z, E, U0_Z, Fraction(99, 100), strategy="local", budget=15, seed=7)
-    b = folner_search(Z, E, U0_Z, Fraction(99, 100), strategy="local", budget=15, seed=7)
+    a = folner_search(E, U0_Z, Fraction(99, 100), strategy="local", budget=15, seed=7)
+    b = folner_search(E, U0_Z, Fraction(99, 100), strategy="local", budget=15, seed=7)
     assert a.best_theta == b.best_theta
     assert a.candidates_tried == b.candidates_tried
     if a.certificate is not None:
@@ -449,7 +449,7 @@ def _search_instance(name: str, strategy: str, instance: int):
 def test_folner_search_matches_lookahead_oracle(name, strategy, instance):
     model, E, U, target, budget, climb_seed = _search_instance(name, strategy, instance)
     for seed in (None, climb_seed):
-        new = folner_search(model, E, U, target, strategy=strategy, budget=budget, seed=seed)
+        new = folner_search(E, U, target, strategy=strategy, budget=budget, seed=seed)
         old = lookahead_search(model, E, U, target, strategy, budget, seed=seed)
         assert (new.found, new.best_theta, new.candidates_tried) == (old.found, old.best_theta, old.candidates_tried)
         assert new.certificate.to_json() == old.certificate.to_json()
@@ -463,11 +463,11 @@ def test_folner_search_matches_lookahead_oracle(name, strategy, instance):
 def test_budget_exhausted_when_a_seedless_climb_ends_at_its_budget():
     # From {-4, -3} no swap raises theta = 1/2, so the climb has one candidate.
     E = window(Z, [(1,), (-1,)])
-    new = folner_search(Z, E, U0_Z, Fraction(1), strategy="local", budget=1)
+    new = folner_search(E, U0_Z, Fraction(1), strategy="local", budget=1)
     old = lookahead_search(Z, E, U0_Z, Fraction(1), "local", 1)
     assert new.candidates_tried == old.candidates_tried == 1
     assert new.budget_exhausted and not old.budget_exhausted
-    assert not folner_search(Z, E, U0_Z, Fraction(1), strategy="local", budget=2).budget_exhausted
+    assert not folner_search(E, U0_Z, Fraction(1), strategy="local", budget=2).budget_exhausted
 
 
 def _recording_defect(monkeypatch) -> list:
@@ -489,7 +489,7 @@ def test_local_search_builds_no_candidate_past_its_budget(monkeypatch):
     candidates, runs = [], []
     for budget in (1, 2, 3):
         solved.clear()
-        result = folner_search(Z2, E, U0_Z2, Fraction(1), strategy="local", budget=budget)
+        result = folner_search(E, U0_Z2, Fraction(1), strategy="local", budget=budget)
         assert result.candidates_tried == budget and result.best_index == budget - 1
         # every step raises theta, so the best candidate is the last one
         candidates.append(result.certificate.F)
@@ -510,7 +510,7 @@ def test_fixed_search_builds_and_solves_each_candidate_once(monkeypatch, strateg
     monkeypatch.setattr(folner, builder, lambda model, n: built.append(n) or build(model, n))
     solved = _recording_defect(monkeypatch)
     E = window(Z2, [(1, 0), (0, 1)])
-    result = folner_search(Z2, E, U0_Z2, Fraction(1), strategy=strategy, budget=4)
+    result = folner_search(E, U0_Z2, Fraction(1), strategy=strategy, budget=4)
     assert result.candidates_tried == 4 and result.budget_exhausted
     assert built == [1, 2, 3, 4]
     assert len(solved) == len(set(solved)) == 4

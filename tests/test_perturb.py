@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import fraction_verify_perturbation
+from group_oracles import union_find_orbits
 from folnerlab import perturb
 from folnerlab.groups import (
     ArcMetric,
@@ -86,13 +87,13 @@ def test_moving_injection_supply_exhausted():
 
 def test_package_identity_pool_degenerates():
     U = Entourage(ARC, Fraction(1, 10))
-    pkg = folner_package(Fraction(1, 2), window(C, [Fraction(0)]), U, C)
+    pkg = folner_package(Fraction(1, 2), window(C, [Fraction(0)]), U)
     assert len(pkg.F) == 1 and pkg.D == pkg.F
 
 
 def test_package_circle_fifth():
     U = Entourage(ARC, Fraction(1, 10))
-    pkg = folner_package(Fraction(1, 2), window(C, [Fraction(1, 5)]), U, C, budget=40)
+    pkg = folner_package(Fraction(1, 2), window(C, [Fraction(1, 5)]), U, budget=40)
     pkg.verify(U)
     assert len(pkg.D) >= Fraction(1, 2) * len(pkg.F)
     # disjointness of F from its pool shifts, exhaustively
@@ -111,13 +112,13 @@ def test_package_circle_fifth():
 def test_package_discrete_rejected():
     U = Entourage(WordMetric(Z), Fraction(1))
     with pytest.raises(ConstructionError):
-        folner_package(Fraction(1, 2), window(Z, [(1,)]), U, Z)
+        folner_package(Fraction(1, 2), window(Z, [(1,)]), U)
 
 
 def test_package_budget_error():
     U = Entourage(ARC, Fraction(1, 1000))
     with pytest.raises(BudgetError):
-        folner_package(Fraction(99, 100), window(C, [Fraction(1, 7)]), U, C, budget=2)
+        folner_package(Fraction(99, 100), window(C, [Fraction(1, 7)]), U, budget=2)
 
 
 # --- assembly -------------------------------------------------------------------
@@ -129,7 +130,7 @@ def _assembled():
         (window(C, [Fraction(0), Fraction(1, 5)]), 4),
         (window(C, [Fraction(0), Fraction(2, 5)]), 4),
     ]
-    return build_perturbation(C, family, U, budget=40), U
+    return build_perturbation(family, U, budget=40), U
 
 
 def test_build_verifies_clean():
@@ -177,7 +178,7 @@ def test_build_footprints_disjoint():
 def test_build_requires_identity_in_pool():
     U = Entourage(ARC, Fraction(1, 10))
     with pytest.raises(ValueError):
-        build_perturbation(C, [(window(C, [Fraction(1, 5)]), 4)], U)
+        build_perturbation([(window(C, [Fraction(1, 5)]), 4)], U)
 
 
 def test_verify_flags_corruption():
@@ -236,7 +237,7 @@ def test_action_json_roundtrip():
 
 def test_precompact_circle_grid_rotation():
     U = Entourage(ARC, Fraction(7, 20))
-    result = precompact_perturbation(C, U, grid_sample(C, 60), grid_sample(C, 12))
+    result = precompact_perturbation(U, grid_sample(C, 60), grid_sample(C, 12))
     assert result.lift_mode == "grid-rotation"
     assert len(result.centers) == 7
     assert result.group_order == 12
@@ -253,7 +254,7 @@ def test_precompact_perfect_matchings_per_sample():
     from folnerlab.groups import translate_window
 
     U = Entourage(ARC, Fraction(7, 20))
-    result = precompact_perturbation(C, U, grid_sample(C, 60), grid_sample(C, 12))
+    result = precompact_perturbation(U, grid_sample(C, 60), grid_sample(C, 12))
     V = U.with_radius(U.radius / 3)
     for g in grid_sample(C, 12):
         inst = build_graph(result.centers, translate_window(g, result.centers), V)
@@ -263,7 +264,7 @@ def test_precompact_perfect_matchings_per_sample():
 def test_precompact_cyclic_trivial():
     U = Entourage(WordMetric(Z12), Fraction(100))
     win = window(Z12, list(range(12)))
-    result = precompact_perturbation(Z12, U, win, win)
+    result = precompact_perturbation(U, win, win)
     assert len(result.centers) == 1
     assert result.group_order == 1
     assert result.lift_mode == "fiber-transport"
@@ -275,7 +276,7 @@ def test_precompact_cyclic_balanced_fibers():
     # radius 7 separates centers {0, 3, 6, 9} with three window points each
     U = Entourage(WordMetric(Z12), Fraction(7))
     win = window(Z12, list(range(12)))
-    result = precompact_perturbation(Z12, U, win, win)
+    result = precompact_perturbation(U, win, win)
     assert result.lift_mode == "fiber-transport"
     assert [Z12.format(c) for c in result.centers] == ["0", "3", "6", "9"]
     assert result.order_bound == 24
@@ -288,7 +289,7 @@ def test_precompact_cyclic_unbalanced_falls_back_to_rotation():
     # radius 3 gives centers {0, 2, .., 10} with fibers 3,2,2,2,2,1
     U = Entourage(WordMetric(Z12), Fraction(3))
     win = window(Z12, list(range(12)))
-    result = precompact_perturbation(Z12, U, win, win)
+    result = precompact_perturbation(U, win, win)
     assert result.lift_mode == "grid-rotation"
     assert result.order_bound % result.group_order == 0
     assert verify_perturbation(result.action, U).ok
@@ -298,28 +299,60 @@ def test_precompact_torus_grid_transports_fibers():
     # No closed-form rows on the torus: the center balls are pair-tested.
     T2 = make_model("torus", dim=2)
     U = Entourage(ArcMetric(T2), Fraction(2, 5))
-    result = precompact_perturbation(T2, U, grid_sample(T2, 2), grid_sample(T2, 2))
+    result = precompact_perturbation(U, grid_sample(T2, 2), grid_sample(T2, 2))
     assert result.lift_mode == "fiber-transport"
     assert len(result.centers) == 4 and result.group_order == 4 and result.order_bound == 24
     assert result.assignment == [0, 1, 2, 3]
     assert verify_perturbation(result.action, U).ok
 
 
+def test_fiber_balance_from_the_generators_matches_the_orbits():
+    # Fiber transport is taken exactly when the fiber sizes are constant on
+    # every orbit of the generated group; the window is no even grid, so
+    # any other case is refused.
+    U = Entourage(ARC, Fraction(1, 2))
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+        orbits = union_find_orbits(perms, n)
+        sizes = [0] * n
+        for orbit in orbits:
+            size = rng.randint(1, 3)
+            for c in orbit:
+                sizes[c] = size if rng.random() < 0.9 else rng.randint(1, 3)
+        balanced = all(len({sizes[c] for c in orbit}) == 1 for orbit in orbits)
+        assignment = [c for c in range(n) for _ in range(sizes[c])]
+        rng.shuffle(assignment)
+        win = window(C, [Fraction(k + 1, 2 * len(assignment) + 1) for k in range(len(assignment))])
+        centers = window(C, [Fraction(c, n) for c in range(n)])
+        sample = window(C, [Fraction(j, 10) for j in range(len(perms))])
+        args = (win, centers, assignment, dict(zip(sample, perms)), sample, U)
+        if balanced:
+            assert perturb._lift_rows(*args)[1] == "fiber-transport"
+        else:
+            with pytest.raises(ConstructionError, match="fibers are unbalanced"):
+                perturb._lift_rows(*args)
+        outcomes.add(balanced)
+    assert outcomes == {True, False}
+
+
 def test_precompact_deviation_exhaustive():
     U = Entourage(ARC, Fraction(7, 20))
-    result = precompact_perturbation(C, U, grid_sample(C, 60), grid_sample(C, 12))
+    result = precompact_perturbation(U, grid_sample(C, 60), grid_sample(C, 12))
     report = verify_perturbation(result.action, U)
     assert report.ok and report.entries_checked == 60 * 12
 
 
 def test_precompact_rejects_discrete_model():
     with pytest.raises(ConstructionError):
-        precompact_perturbation(Z, Entourage(WordMetric(Z), Fraction(1)), window(Z, [(0,)]), window(Z, [(0,)]))
+        precompact_perturbation(Entourage(WordMetric(Z), Fraction(1)), window(Z, [(0,)]), window(Z, [(0,)]))
 
 
 def test_precompact_empty_window():
     with pytest.raises(ValueError):
-        precompact_perturbation(C, Entourage(ARC, Fraction(1, 4)), window(C, []), grid_sample(C, 4))
+        precompact_perturbation(Entourage(ARC, Fraction(1, 4)), window(C, []), grid_sample(C, 4))
 
 
 # --- wobbling --------------------------------------------------------------------
@@ -371,14 +404,14 @@ def test_wobbling_rejects_non_permutation():
 
 def test_build_trivial_under_huge_entourage():
     U = Entourage(ARC, Fraction(10))
-    assembled = build_perturbation(C, [(window(C, [Fraction(0), Fraction(1, 3)]), 2)], U, budget=20)
+    assembled = build_perturbation([(window(C, [Fraction(0), Fraction(1, 3)]), 2)], U, budget=20)
     assert verify_perturbation(assembled.action, U).ok
 
 
 def test_precompact_circle_balanced_grid_embeds_center_group():
     # 120 points over 8 centers: equal fibers, so the lift is a group embedding
     U = Entourage(ARC, Fraction(7, 20))
-    result = precompact_perturbation(C, U, grid_sample(C, 120), grid_sample(C, 12))
+    result = precompact_perturbation(U, grid_sample(C, 120), grid_sample(C, 12))
     assert result.lift_mode == "fiber-transport"
     assert len(result.centers) == 8
     assert result.group_order == 8
@@ -493,5 +526,5 @@ def test_precompact_refuses_too_many_centers_before_any_matching(monkeypatch):
     monkeypatch.setattr(perturb, "max_matching", lambda inst: calls.append(inst))
     U = Entourage(ARC, Fraction(1, 10))
     with pytest.raises(ConstructionError, match="^28 centers exceed the exact-closure cap 8$"):
-        precompact_perturbation(C, U, grid_sample(C, 600), grid_sample(C, 60))
+        precompact_perturbation(U, grid_sample(C, 600), grid_sample(C, 60))
     assert calls == []
