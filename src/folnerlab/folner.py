@@ -95,7 +95,7 @@ class FolnerCertificate:
             "F": self.F.to_json(),
             "theta": str(self.theta),
             "matchings": {
-                self.model.format(g): m.to_json() for g, m in sorted(
+                self.model.format_data(g.data): m.to_json() for g, m in sorted(
                     self.matchings.items(), key=lambda kv: self.model.sort_key(kv[0])
                 )
             },

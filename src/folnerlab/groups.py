@@ -6,7 +6,8 @@ touches floating point.  Elements carry a canonical encoding per model, so two
 elements are equal exactly when their encodings coincide.  A window stores
 its elements' payloads sorted by the model's `payload_key` (the payloads' own
 numeric/lexicographic order, shortlex for free words) with one payload ->
-index dict, so translates and lookups run on payloads.
+index dict, so translates and lookups run on payloads; windows load from
+and write to payloads as well (each model's `parse_data` and `format_data`).
 
 A metric's `eval` measures one pair, as a Fraction: the definition.  Every
 scan over many pairs reads `integer_metric` instead, the same metric on
@@ -20,18 +21,19 @@ constructors refuse any other model.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Optional
 
 WINDOW_CAP = 100_000
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # shortlex rank of each free-group letter: a < a^-1 < b < b^-1 ...
 _SHORTLEX_RANK = {sign * i: 2 * (i - 1) + (sign < 0) for i in range(1, len(_LETTERS) + 1) for sign in (1, -1)}
@@ -116,9 +118,41 @@ def parse_index(value, field: str) -> int:
 
 
 def canonical_json(payload) -> str:
-    """The one text form of every JSON artifact: sorted keys, two-space
-    indent, a final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The one text form of every JSON artifact, `json.dumps(payload,
+    sort_keys=True, indent=2) + "\\n"`: sorted keys, two-space indent, ASCII
+    with `\\u` escapes.  A key that is not a string, or a value that is not
+    JSON, is a TypeError."""
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value, line: str) -> str:
+    """`value` on a line that starts with `line` (a newline and the indent);
+    a list of strings, of ints or of non-empty int lists is one join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _FLOAT_WORDS.get(float.__repr__(value), float.__repr__(value))
+    inner = line + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            body = sep.join(map(encode_basestring_ascii if str in kinds else str, value))
+        elif kinds == {list} and all(row and set(map(type, row)) == {int} for row in value):
+            deeper = inner + "  "
+            rows = (("," + deeper).join(map(str, row)) for row in value)
+            body = "[" + deeper + (inner + "]" + sep + "[" + deeper).join(rows) + inner + "]"
+        else:
+            body = sep.join(_json_text(item, inner) for item in value)
+        return "[" + inner + body + line + "]" if value else "[]"
+    if isinstance(value, dict):  # a key that is not a string fails in the escape
+        items = (encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
+        return "{" + inner + sep.join(items) + line + "}" if value else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_canonical_json(out_dir: Optional[Path], name: str, payload) -> None:
@@ -154,12 +188,13 @@ class GroupModel:
 
     Subclasses state their law: the product and inverse on canonical
     payloads, the canonical form, a generating set and, for discrete models,
-    the word length.  The base class orders payloads by `payload_key`, writes
-    tuple payloads as comma-joined coordinates and scalar ones with `str`,
-    parses comma-joined coordinates back (scalar models parse the whole
-    text), and measures discrete models by word length and the others by
-    arc length.  Instances come from `make_model`, which
-    keeps one per (kind, params), so models compare and hash by identity.
+    the word length.  The base class orders payloads by `payload_key`, reads
+    an element string straight to its payload as comma-joined coordinates
+    (`parse_data`) and writes it back (`format_data`), primitives that the
+    scalar and free-group models restate, and measures discrete models by
+    word length and the others by arc length.  Instances come from
+    `make_model`, which keeps one per (kind, params), so models compare and
+    hash by identity.
     """
 
     kind: str = ""
@@ -199,14 +234,19 @@ class GroupModel:
     def element(self, data) -> GroupElement:
         return GroupElement(self, self._canonical(data))
 
-    def _canonical(self, data):
-        return data
+    def parse_data(self, text: str):
+        """The canonical payload of an element string, or a ValueError."""
+        return self._canonical(text.split(","))
+
+    def format_data(self, data) -> str:
+        """The element string of a canonical payload."""
+        return ",".join(map(str, data))
 
     def parse(self, text: str) -> GroupElement:
-        return self.element(text.split(","))
+        return GroupElement(self, self.parse_data(text))
 
     def format(self, g: GroupElement) -> str:
-        return ",".join(map(str, g.data)) if isinstance(g.data, tuple) else str(g.data)
+        return self.format_data(g.data)
 
     def sort_key(self, g: GroupElement):
         return g.data if self.payload_key is None else self.payload_key(g.data)
@@ -268,7 +308,7 @@ class LatticeModel(GroupModel):
         return tuple(map(operator.neg, a))
 
     def _canonical(self, data):
-        vec = tuple(int(x) for x in data)
+        vec = tuple(map(int, data))
         if len(vec) != self.dim:
             raise ValueError(f"lattice vector of length {len(vec)}, expected {self.dim}")
         return vec
@@ -305,6 +345,7 @@ class FreeGroupModel(GroupModel):
         for i, ch in enumerate(_LETTERS[:rank], start=1):
             self.letters[ch] = i
             self.letters[ch.upper()] = -i
+        self._texts = {letter: ch for ch, letter in self.letters.items()}
 
     def params(self) -> dict:
         return {"rank": self.rank}
@@ -325,34 +366,31 @@ class FreeGroupModel(GroupModel):
         return tuple(-x for x in reversed(a))
 
     def _canonical(self, data):
-        word = ()
-        for letter in data:
-            letter = int(letter)
+        # a stack of the reduced prefix: each letter cancels its top or is pushed
+        word = []
+        for letter in map(int, data):
             if letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"letter {letter} outside rank {self.rank}")
-            word = self._mul_data(word, (letter,))
-        return word
+            if word and word[-1] == -letter:
+                word.pop()
+            else:
+                word.append(letter)
+        return tuple(word)
 
-    def parse(self, text: str) -> GroupElement:
+    def parse_data(self, text: str):
         text = text.strip()
         if text in ("", "e"):
-            return self.identity()
+            return ()
         letters = []
         for part in text.split(","):
             part = part.strip()
             if part not in self.letters:
                 raise ValueError(f"bad free-group letter {part!r}")
             letters.append(self.letters[part])
-        return self.element(letters)
+        return self._canonical(letters)
 
-    def format(self, g: GroupElement) -> str:
-        if not g.data:
-            return "e"
-        out = []
-        for letter in g.data:
-            ch = _LETTERS[abs(letter) - 1]
-            out.append(ch.upper() if letter < 0 else ch)
-        return ",".join(out)
+    def format_data(self, word) -> str:
+        return ",".join(map(self._texts.__getitem__, word)) if word else "e"
 
     @staticmethod
     def payload_key(word):
@@ -405,7 +443,7 @@ class HeisenbergModel(GroupModel):
         return (-x[0], -x[1], x[0] * x[1] - x[2])
 
     def _canonical(self, data):
-        vec = tuple(int(v) for v in data)
+        vec = tuple(map(int, data))
         if len(vec) != 3:
             raise ValueError("heisenberg element needs 3 coordinates")
         return vec
@@ -450,8 +488,9 @@ class CircleModel(GroupModel):
     def _canonical(self, data):
         return parse_fraction(data) % 1
 
-    def parse(self, text: str) -> GroupElement:  # a scalar payload: one coordinate
-        return self.element(text)
+    # a scalar payload: the whole text is its one coordinate, written with `str`
+    parse_data = _canonical
+    format_data = staticmethod(str)
 
     def generators(self) -> list[GroupElement]:
         return [self.element(Fraction(1, 12)), self.element(Fraction(11, 12))]
@@ -523,7 +562,8 @@ class CyclicModel(GroupModel):
     def _canonical(self, data):
         return int(data) % self.modulus
 
-    parse = CircleModel.parse
+    parse_data = _canonical
+    format_data = staticmethod(str)
 
     def generators(self) -> list[GroupElement]:
         if self.modulus == 1:
@@ -659,7 +699,7 @@ class InvariantPseudoMetric:
         )
 
     def __hash__(self) -> int:
-        return hash((json.dumps(self.to_json(), sort_keys=True), self.model))
+        return hash((canonical_json(self.to_json()), self.model))
 
 
 class WordMetric(InvariantPseudoMetric):
@@ -871,14 +911,12 @@ class FiniteWindow:
             if g.model is not model:
                 raise ModelMismatchError("window element from a different model")
             payloads.append(g.data)
-        self._fill(model, payloads)
+        self._table(model, sorted(dict.fromkeys(payloads), key=model.payload_key))
 
     @classmethod
     def _from_payloads(cls, model: GroupModel, payloads: Iterable) -> "FiniteWindow":
         """The window of payloads that are already canonical for `model`."""
-        window = cls.__new__(cls)
-        window._fill(model, payloads)
-        return window
+        return cls._from_sorted(model, sorted(dict.fromkeys(payloads), key=model.payload_key))
 
     @classmethod
     def _from_sorted(cls, model: GroupModel, ordered: list) -> "FiniteWindow":
@@ -887,9 +925,6 @@ class FiniteWindow:
         window = cls.__new__(cls)
         window._table(model, ordered)
         return window
-
-    def _fill(self, model: GroupModel, payloads: Iterable) -> None:
-        self._table(model, sorted(dict.fromkeys(payloads), key=model.payload_key))
 
     def _table(self, model: GroupModel, ordered: list) -> None:
         self.model = model
@@ -936,25 +971,29 @@ class FiniteWindow:
         return f"Window[{len(self)}]({inner}{more})"
 
     def to_json(self) -> list[str]:
-        return [self.model.format(g) for g in self.elements]
+        return list(map(self.model.format_data, self.positions))
 
     @classmethod
     def from_json(cls, items: list[str], model: GroupModel) -> "FiniteWindow":
-        return cls(model, [model.parse(s) for s in items])
+        return cls._from_payloads(model, map(model.parse_data, items))
 
 
 def parse_window(items, model: GroupModel, field: str) -> FiniteWindow:
     """A window from its file form, a list of element strings; any other
     shape is a CertificateError naming `field`, and an element that does not
-    parse one naming `field[k]`."""
+    parse, or that an earlier one already encodes (`+2` after `2`), one
+    naming `field[k]`."""
     if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
         raise CertificateError(field, "expected a list of element strings")
     try:
-        return FiniteWindow.from_json(items, model)
-    except ValueError as exc:
-        for k, text in enumerate(items):  # name the first element that does not parse
-            parse_element(text, model, f"{field}[{k}]")
-        raise CertificateError(field, str(exc)) from None
+        window = FiniteWindow.from_json(items, model)
+    except ValueError:
+        window = None
+    if window is None or len(window) < len(items):
+        seen = {}  # name the first element that does not parse or repeats an earlier one
+        for k, text in enumerate(items):
+            seen[parse_key(text, model, seen, f"{field}[{k}]")] = k
+    return window
 
 
 def parse_element(text: str, model: GroupModel, field: str) -> GroupElement:

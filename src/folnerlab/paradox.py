@@ -203,7 +203,7 @@ class _Columns:
             return (0 if at is None else 1 << 8 * at), 0
         if op == "in":
             if self._names is None:
-                self._names = {self.model.format(g): i for i, g in enumerate(self.window)}
+                self._names = {text: i for i, text in enumerate(self.window.to_json())}
             hits = bytearray(self.size)
             for text in set(clf["elements"]).intersection(self._names):
                 hits[self._names[text]] = 1
@@ -952,8 +952,8 @@ def _table_certificate(window, a_words, b_words, labels) -> ParadoxCertificate:
     model = window.model
     m = len(a_words)
     tables: list[list[str]] = [[] for _ in range(m + len(b_words))]
-    for k, x in enumerate(window):
-        tables[labels[k]].append(model.format(x))
+    for k, text in enumerate(window.to_json()):
+        tables[labels[k]].append(text)
     return ParadoxCertificate(
         model=model,
         form="two_equation",

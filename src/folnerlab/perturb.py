@@ -142,12 +142,12 @@ class PerturbedAction:
             "window": self.window.to_json(),
             "pool": self.pool.to_json(),
             "rows": {
-                model.format(g): list(self.rows[g])
+                model.format_data(g.data): list(self.rows[g])
                 for g in sorted(self.rows, key=model.sort_key)
             },
             "radius": str(self.radius),
             "involution": {
-                model.format(g): self.involution[g]
+                model.format_data(g.data): self.involution[g]
                 for g in sorted(self.involution, key=model.sort_key)
             },
             "folner_windows": [w.to_json() for w in self.folner_windows],
@@ -651,7 +651,7 @@ class PrecompactResult:
             "centers": self.centers.to_json(),
             "assignment": list(self.assignment),
             "gammas": {
-                model.format(g): list(p)
+                model.format_data(g.data): list(p)
                 for g, p in sorted(self.gammas.items(), key=lambda kv: model.sort_key(kv[0]))
             },
             "group_order": self.group_order,

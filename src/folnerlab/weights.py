@@ -150,7 +150,7 @@ class FiniteWeight:
 
     def to_json(self) -> dict:
         return {
-            "support": [self.model.format(g) for g, _ in self.items],
+            "support": [self.model.format_data(g.data) for g, _ in self.items],
             "weights": [str(w) for _, w in self.items],
         }
 

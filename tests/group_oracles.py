@@ -21,13 +21,28 @@ and any other rule through `eval` with the LCM of the denominators.
 `union_find_orbits` is the union-find that `perturb._lift_rows` ran to split
 the centers into the orbits of the permutation group the generators span,
 before it asked only whether each generator keeps the fiber sizes.
+
+`element_parse`, `element_format` and `element_window` are the element path
+that windows were loaded and written through before they ran on payloads
+(`parse_data`, `format_data`): each string parsed to a `GroupElement`, free
+words reduced by folding `_mul_data` over their letters, the elements
+gathered by `FiniteWindow(model, elements)`, and each element formatted back.
 """
 
 import math
 import operator
 from collections import deque
 
-from folnerlab.groups import CircleModel, FiniteWindow, FreeGroupModel, WindowSizeError
+from folnerlab.groups import (
+    _LETTERS,
+    CircleModel,
+    CyclicModel,
+    FiniteWindow,
+    FreeGroupModel,
+    GroupElement,
+    WindowSizeError,
+    parse_fraction,
+)
 
 
 def letterwise_free_mul(a: tuple, b: tuple) -> tuple:
@@ -114,3 +129,40 @@ def union_find_orbits(perms: list[tuple[int, ...]], n: int) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def element_parse(model, text: str) -> GroupElement:
+    if isinstance(model, FreeGroupModel):
+        text = text.strip()
+        if text in ("", "e"):
+            return model.identity()
+        word = ()
+        for part in text.split(","):
+            part = part.strip()
+            if part not in model.letters:
+                raise ValueError(f"bad free-group letter {part!r}")
+            word = model._mul_data(word, (model.letters[part],))
+        return GroupElement(model, word)
+    if isinstance(model, CircleModel):
+        return GroupElement(model, parse_fraction(text) % 1)
+    if isinstance(model, CyclicModel):
+        return GroupElement(model, int(text) % model.modulus)
+    if model.discrete:  # lattice and Heisenberg vectors of ints
+        vec, dim = tuple(int(x) for x in text.split(",")), getattr(model, "dim", 3)
+    else:  # torus vectors of rationals mod 1
+        vec, dim = tuple(parse_fraction(x) % 1 for x in text.split(",")), model.dim
+    if len(vec) != dim:
+        raise ValueError(f"vector of length {len(vec)}, expected {dim}")
+    return GroupElement(model, vec)
+
+
+def element_format(g: GroupElement) -> str:
+    if isinstance(g.model, FreeGroupModel):
+        if not g.data:
+            return "e"
+        return ",".join(_LETTERS[abs(x) - 1].upper() if x < 0 else _LETTERS[abs(x) - 1] for x in g.data)
+    return ",".join(map(str, g.data)) if isinstance(g.data, tuple) else str(g.data)
+
+
+def element_window(model, items: list[str]) -> FiniteWindow:
+    return FiniteWindow(model, [element_parse(model, text) for text in items])

@@ -1406,6 +1406,10 @@ CERTIFICATE_ERRORS = {
                        "expected a list of [i, j] pairs"),
     "key-repeated": (lambda cert: cert["matchings"].update({"01": cert["matchings"]["1"]}), "matchings['01']",
                      "repeats an element"),
+    # each used to load as the shorter window and verify with exit 0
+    "window-repeated": (lambda cert: cert["F"].append("1"), "F[2]", "repeats an element"),
+    "window-respelled": (lambda cert: cert["F"].insert(1, "+0"), "F[1]", "repeats an element"),
+    "pool-respelled": (lambda cert: cert["E"].append(" 1"), "E[1]", "repeats an element"),
     "radius-negative": (_set("-1", "U", "radius"), "U.radius", "entourage radius must be >= 0"),
     "theta-true": (_set(True, "theta"), "theta", "not an exact rational: True"),
 }

@@ -326,6 +326,10 @@ def _forge_seminorm_check(payload):
     payload["seminorm_check"] = {"value": "-5", "bound": "100"}
 
 
+def _repeated_window_element(payload):
+    payload["F"].append(" " + payload["F"][0])
+
+
 def _float_pairing_index(payload):
     payload["matchings"]["0,1"]["pairing"][0][0] += 0.5
 
@@ -360,6 +364,7 @@ PARSE_MUTATIONS = [
     (_bool_pairing_index, "pairing: expected a JSON integer, got True"),
     (_float_mu, "mu: expected a JSON integer"),
     (_string_witness_index, "witness: expected a JSON integer"),
+    (_repeated_window_element, "repeats an element"),
 ]
 
 

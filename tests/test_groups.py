@@ -1,6 +1,7 @@
 """Group models: laws, metrics, entourages, windows."""
 
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerlab.groups import (
+    _LETTERS,
     WINDOW_CAP,
     ArcMetric,
     CertificateError,
@@ -20,6 +22,7 @@ from folnerlab.groups import (
     ScaledMetric,
     WindowSizeError,
     WordMetric,
+    canonical_json,
     entourage_from_json,
     grid_sample,
     integer_metric,
@@ -27,13 +30,21 @@ from folnerlab.groups import (
     metric_from_json,
     model_from_json,
     parse_fraction,
+    parse_window,
     symmetric_closure,
     translate_window,
     unscaled,
     window,
     word_ball,
 )
-from group_oracles import bfs_word_ball, dense_distance_matrix, letterwise_free_mul
+from group_oracles import (
+    bfs_word_ball,
+    dense_distance_matrix,
+    element_format,
+    element_parse,
+    element_window,
+    letterwise_free_mul,
+)
 
 Z = make_model("lattice", dim=1)
 Z2 = make_model("lattice", dim=2)
@@ -742,3 +753,131 @@ def test_payload_window_rejects_foreign_elements():
     # Z12 and the circle share the payload 0 == Fraction(0).
     assert window(Z12, [0]) != window(C, [0])
     assert C.identity() not in window(Z12, [0])
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against the stdlib encoder
+# ---------------------------------------------------------------------------
+
+# strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII and astral code points, beside any character at all
+_JSON_TEXT = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\u2603\U0001f600') | st.characters(), max_size=6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]) | _JSON_TEXT
+)
+_INT_ROWS = st.lists(st.lists(st.integers() | st.booleans(), min_size=1, max_size=3), max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+        | st.lists(_JSON_TEXT, max_size=4)
+        | st.lists(st.integers(), max_size=4)
+        | _INT_ROWS
+        # int rows mixed with other items, and with empty rows
+        | st.lists(st.lists(st.integers(), max_size=3) | inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_canonical_json_matches_the_stdlib_encoder(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), [1, Fraction(1)], {"a": [{"b": Fraction(1)}]}, {1: "x"}, {"a": {(1,): 2}}, {None: 0}, {1, 2}],
+    ids=["fraction", "fraction-item", "nested-fraction", "int-key", "tuple-key", "none-key", "set"],
+)
+def test_canonical_json_refuses_what_is_not_json_with_string_keys(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+# ---------------------------------------------------------------------------
+# windows on payloads against the element path
+# ---------------------------------------------------------------------------
+
+# spellings of elements that are not their canonical text, per model
+_SPELLINGS = {
+    "lattice": [" 3", "+3", "-0", "007"],
+    "free": ["a,A,b", "e", "", " a , B ", "A,a,a", "b,a,A,B", " e ", "a,A"],
+    "heisenberg": ["1, -2,+3", "0,0,0", " -1,1,-0"],
+    "circle": ["2/4", "7/4", " 1/2 ", "-1/3", "3", "+1/2", "24/8"],
+    "torus": ["1/2, 7/4", "2/4,0", "-1/3,+1"],
+    "cyclic": ["13", "-1", "+3", " 5", "24"],
+}
+# entries that name no element, per model
+_BAD_ENTRIES = {
+    "lattice": ["x", "1.5", "", "1,,2"],
+    "free": ["a,,a", "ab", "e,a", "1", "a,"],
+    "heisenberg": ["1,2", "1,2,3,4", "a,b,c"],
+    "circle": ["1/0", "0.5", "x", "1e2"],
+    "torus": ["1/2", "1/0,0", "0.5,0"],
+    "cyclic": ["x", "1/2", "1.0"],
+}
+
+
+def _spelled(model, rng) -> str:
+    if model.kind == "lattice" and model.dim > 1:  # a spelling per coordinate
+        return ",".join(rng.choice(_SPELLINGS["lattice"]) for _ in range(model.dim))
+    if model.kind == "free":  # the spellings in the model's letters
+        return rng.choice([t for t in _SPELLINGS["free"] if set(t) <= set(model.letters) | set(" ,e")])
+    return rng.choice(_SPELLINGS[model.kind])
+
+
+def _bad_entries(model) -> list[str]:
+    if model.kind == "free":  # and the first letter past the rank
+        return _BAD_ENTRIES["free"] + [_LETTERS[model.rank]]
+    return _BAD_ENTRIES[model.kind]
+
+
+def _window_texts(model, rng) -> list[str]:
+    texts = [element_format(model.element(_random_payload(model, rng))) for _ in range(rng.randint(0, 25))]
+    texts += [_spelled(model, rng) for _ in range(rng.randint(0, 6))]
+    texts += rng.sample(texts, len(texts) // 4)  # repeats
+    rng.shuffle(texts)
+    return texts
+
+
+@pytest.mark.parametrize("model", DIFFERENTIAL_MODELS + [FREE_RANKS[0], FREE_RANKS[2]], ids=repr)
+def test_payload_window_io_matches_element_path(model):
+    rng = random.Random(f"window-io:{model!r}")
+    for _ in range(60):
+        texts = _window_texts(model, rng)
+        got, want = FiniteWindow.from_json(texts, model), element_window(model, texts)
+        assert got == want and got.elements == want.elements
+        assert got.to_json() == [element_format(g) for g in want.elements]
+        for text in texts:
+            assert model.parse(text) == element_parse(model, text)
+            assert model.format(model.parse(text)) == element_format(element_parse(model, text))
+
+
+@pytest.mark.parametrize("model", DIFFERENTIAL_MODELS + [FREE_RANKS[0], FREE_RANKS[2]], ids=repr)
+def test_parse_window_names_each_bad_or_repeated_entry(model):
+    rng = random.Random(f"window-errors:{model!r}")
+    bad_entries = _bad_entries(model)
+    for _ in range(40):
+        texts = list(dict.fromkeys(element_format(element_parse(model, t)) for t in _window_texts(model, rng)))
+        k = rng.randint(0, len(texts))
+        bad = texts[:k] + [rng.choice(bad_entries)] + texts[k:]
+        with pytest.raises(ValueError):
+            element_parse(model, bad[k])
+        with pytest.raises(CertificateError) as info:
+            parse_window(bad, model, "F")
+        assert info.value.path == f"F[{k}]"
+        assert parse_window(texts, model, "F") == element_window(model, texts)
+        if not texts:
+            continue
+        # a spelling of an earlier element is named at its first repeat
+        j = rng.randrange(len(texts))
+        at, again = rng.randint(j + 1, len(texts)), texts[:]
+        again.insert(at, rng.choice([texts[j], " " + texts[j]]))
+        with pytest.raises(CertificateError, match="repeats an element") as info:
+            parse_window(again, model, "F")
+        assert info.value.path == f"F[{at}]"
