@@ -358,7 +358,7 @@ def _run_seminorm(s: SimpleNamespace, artifacts: Artifacts) -> int:
             defect = invariance_defect(p.weight, p.E, p.metric)
         except SupportSizeError as exc:  # a - g.a holds up to twice the points of a
             raise ConfigError("params.weight", f"a - g.a: {exc}")
-        rows = [[s.model.format(r.g), str(r.full), r.pivots, str(r.witness_range)] for r in defect.rows]
+        rows = [[s.model.format_data(r.g), str(r.full), r.pivots, str(r.witness_range)] for r in defect.rows]
         artifacts.write_csv("report.csv", header, rows)
         print(f"invariance defect: full={defect.full} restricted={defect.restricted}")
         return 0
@@ -412,7 +412,8 @@ def _run_build(s: SimpleNamespace, artifacts: Artifacts) -> int:
 def _run_verify(s: SimpleNamespace, artifacts: Artifacts) -> int:
     report = verify_perturbation(s.params.action, Entourage(s.params.metric, s.params.radius))
     artifacts.write_json("report.json", report.to_json())
-    rows = [[v.g.model.format(v.g), v.g.model.format(v.h), str(v.distance)] for v in report.violations]
+    text = report.model.format_data
+    rows = [[text(v.g), text(v.h), str(v.distance)] for v in report.violations]
     artifacts.write_csv("report.csv", ["g", "h", "distance"], rows)
     print(f"verify: violations={len(report.violations)} max_deviation={report.max_deviation}")
     return 0 if report.ok else 2
@@ -424,7 +425,7 @@ def _run_wobble(s: SimpleNamespace, artifacts: Artifacts) -> int:
         element = decompose_wobbling(p.permutation, p.window, p.pool)
     except ValueError as exc:  # not a permutation of the window, or not one the pool moves
         raise ConfigError("params.permutation", str(exc))
-    pieces = [{"translator": model.format(g), "piece": piece.to_json()} for g, piece in element.pieces]
+    pieces = [{"translator": model.format_data(g), "piece": piece.to_json()} for g, piece in element.pieces]
     artifacts.write_json("certificate.json", {"window": p.window.to_json(), "pieces": pieces})
     print(f"wobble: {len(element.pieces)} pieces")
     return 0

@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, product
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .groups import (
     CertificateError,
     Entourage,
     FiniteWindow,
-    GroupElement,
     GroupModel,
     LatticeModel,
     ScaledMetric,
@@ -58,7 +57,7 @@ class FolnerCertificate:
     U: Entourage
     F: FiniteWindow
     theta: Fraction
-    matchings: dict[GroupElement, MatchingResult]
+    matchings: dict[Any, MatchingResult]  # per payload of E
     seminorm_value: Optional[Fraction] = None
     seminorm_bound: Optional[Fraction] = None
 
@@ -74,13 +73,13 @@ class FolnerCertificate:
         Each stored matching is bound to its rebuilt graph."""
         if len(self.F) == 0:
             raise ValueError("certificate with empty window")
-        if set(self.matchings) != set(self.E):
+        if self.matchings.keys() != self.E.positions.keys():
             raise ValueError("matching keys differ from the pool E")
         for g in self.E:
-            stored = self.matchings[g]
+            stored = self.matchings[g.data]
             stored.instance = build_graph(self.F, translate_window(g, self.F), self.U)
             stored.check_valid()
-        theta = min((Fraction(self.matchings[g].mu, len(self.F)) for g in self.E), default=ONE)
+        theta = min((Fraction(m.mu, len(self.F)) for m in self.matchings.values()), default=ONE)
         if theta != self.theta:
             raise ValueError("theta does not match the stored matchings")
         if self.seminorm_value is not None:
@@ -94,11 +93,7 @@ class FolnerCertificate:
             "U": self.U.to_json(),
             "F": self.F.to_json(),
             "theta": str(self.theta),
-            "matchings": {
-                self.model.format_data(g.data): m.to_json() for g, m in sorted(
-                    self.matchings.items(), key=lambda kv: self.model.sort_key(kv[0])
-                )
-            },
+            "matchings": {self.model.format_data(g): m.to_json() for g, m in self.matchings.items()},
         }
         if self.seminorm_value is not None:
             obj["seminorm_check"] = {
@@ -174,7 +169,7 @@ def discrete_defect(F: FiniteWindow, E: FiniteWindow) -> Fraction:
         raise ValueError("defect of an empty window")
     best = ONE
     for g in E:
-        overlap = sum(1 for x in translate_window(g, F) if x in F)
+        overlap = len(translate_window(g, F).positions.keys() & F.positions.keys())
         best = min(best, Fraction(overlap, len(F)))
     return best
 
@@ -187,7 +182,7 @@ def topological_defect(
     """min over g of mu(F, gF, U)/|F| with all matchings retained."""
     if len(F) == 0:
         raise ValueError("defect of an empty window")
-    matchings = {g: max_matching(build_graph(F, translate_window(g, F), U)) for g in E}
+    matchings = {g.data: max_matching(build_graph(F, translate_window(g, F), U)) for g in E}
     theta = min(
         (Fraction(m.mu, len(F)) for m in matchings.values()),
         default=ONE,
@@ -264,11 +259,11 @@ def _bridge_values(cert: FolnerCertificate) -> tuple[Fraction, Fraction]:
     for row in defect.rows:
         if row.restricted > bound:
             raise AssertionError(
-                f"bridge violated at {cert.model.format(row.g)}: {row.restricted} > {bound}"
+                f"bridge violated at {cert.model.format_data(row.g)}: {row.restricted} > {bound}"
             )
         if row.full > 2 * bound:
             raise AssertionError(
-                f"full-range bridge violated at {cert.model.format(row.g)}: {row.full} > {2 * bound}"
+                f"full-range bridge violated at {cert.model.format_data(row.g)}: {row.full} > {2 * bound}"
             )
     return defect.restricted, bound
 
@@ -311,7 +306,7 @@ def _box(model: LatticeModel, n: int) -> FiniteWindow:
     """The box {0, ..., n-1}^dim; `WindowSizeError` past the window cap."""
     if n**model.dim > WINDOW_CAP:
         raise WindowSizeError(f"box of {n**model.dim} points exceeds cap {WINDOW_CAP}")
-    return FiniteWindow(model, [model.element(p) for p in product(range(n), repeat=model.dim)])
+    return FiniteWindow._from_sorted(model, list(product(range(n), repeat=model.dim)))
 
 
 def _local_candidates(
@@ -325,32 +320,29 @@ def _local_candidates(
     unseeded climb ends and a seeded one restarts from a random window."""
     import random
 
-    if not model.discrete:
-        pool = list(grid_sample(model, 24))
-    else:
-        pool = list(word_ball(model, 4))
+    pool = list((word_ball(model, 4) if model.discrete else grid_sample(model, 24)).positions)
     rng = random.Random(seed) if seed is not None else None
 
     def scored(F: FiniteWindow) -> Scored:
         return (F, *topological_defect(F, E, U))
 
     def first_improvement(F: FiniteWindow, theta: Fraction) -> Optional[Scored]:
-        for out in F:
+        for out in F.positions:
             for inc in pool:
-                if inc not in F:
-                    trial = scored(FiniteWindow(model, [x for x in F if x != out] + [inc]))
+                if inc not in F.positions:
+                    trial = scored(FiniteWindow._from_payloads(model, [x for x in F.positions if x != out] + [inc]))
                     if trial[1] > theta:
                         return trial
         return None
 
-    current = scored(FiniteWindow(model, pool[: max(1, len(pool) // 4)]))
+    current = scored(FiniteWindow._from_payloads(model, pool[: max(1, len(pool) // 4)]))
     while True:
         yield current
         current = first_improvement(*current[:2])
         if current is None:
             if rng is None:
                 return
-            current = scored(FiniteWindow(model, rng.sample(pool, max(1, len(pool) // 3))))
+            current = scored(FiniteWindow._from_payloads(model, rng.sample(pool, max(1, len(pool) // 3))))
 
 
 def check_strategy(model: GroupModel, strategy: str) -> None:

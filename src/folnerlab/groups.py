@@ -9,13 +9,20 @@ numeric/lexicographic order, shortlex for free words) with one payload ->
 index dict, so translates and lookups run on payloads; windows load from
 and write to payloads as well (each model's `parse_data` and `format_data`).
 
-A metric's `eval` measures one pair, as a Fraction: the definition.  Every
-scan over many pairs reads `integer_metric` instead, the same metric on
-ints over one scale (payloads for word and discrete metrics, arcs over the
+Payloads are the one form inside the package: windows, tables, words and
+weights hold canonical payloads, and `GroupElement` appears only at the
+edge that callers outside the package use (`parse`, `format`, `mul`,
+`inv`, `element`, `identity`, window iteration and `index`,
+`translate_window`, `symmetric_closure`, `window` and `eval`).
+
+Each metric rule is stated once, in `integer_metric`: the metric on ints
+over one scale (payloads for word and discrete metrics, arcs over the
 common denominator of every coordinate on the circle and torus, a scale
-factor folded into the scale and the distances).  Word metrics live on the
-discrete models and arc metrics on the circle and torus; their
-constructors refuse any other model.
+factor folded into the scale and the distances).  Every scan over pairs
+reads it, and `eval`, the distance of one pair as a Fraction, is that
+kernel's distance over its scale.  Word metrics live on the discrete
+models and arc metrics on the circle and torus; their constructors refuse
+any other model.
 """
 
 from __future__ import annotations
@@ -186,9 +193,11 @@ class GroupElement:
 class GroupModel:
     """Base class for the built-in group models.
 
-    Subclasses state their law: the product and inverse on canonical
-    payloads, the canonical form, a generating set and, for discrete models,
-    the word length.  The base class orders payloads by `payload_key`, reads
+    Subclasses state their law on canonical payloads: the identity
+    (`identity_data`), the product and inverse, the canonical form, a
+    generating set and, for discrete models, the word length.  The base
+    class wraps payloads as elements at the edge, orders payloads by
+    `payload_key`, reads
     an element string straight to its payload as comma-joined coordinates
     (`parse_data`) and writes it back (`format_data`), primitives that the
     scalar and free-group models restate, and measures discrete models by
@@ -206,10 +215,11 @@ class GroupModel:
     ordered_law: bool = False
     # Sort key on payloads for canonical order; None is the payloads' own order.
     payload_key = None
+    identity_data: Any  # the identity's payload
 
     # -- group law -----------------------------------------------------
     def identity(self) -> GroupElement:
-        raise NotImplementedError
+        return GroupElement(self, self.identity_data)
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         self._check(g)
@@ -248,12 +258,12 @@ class GroupModel:
     def format(self, g: GroupElement) -> str:
         return self.format_data(g.data)
 
-    def sort_key(self, g: GroupElement):
-        return g.data if self.payload_key is None else self.payload_key(g.data)
-
     # -- generators and metric ------------------------------------------
-    def generators(self) -> list[GroupElement]:
-        """Symmetric generating set in canonical order."""
+    def generators(self) -> list:
+        """The payloads of a symmetric generating set, in `payload_key` order."""
+        return sorted(self._generator_data(), key=self.payload_key)
+
+    def _generator_data(self) -> list:
         raise NotImplementedError
 
     def default_metric(self) -> "InvariantPseudoMetric":
@@ -278,7 +288,7 @@ class GroupModel:
         return {
             "kind": self.kind,
             "params": self.params(),
-            "generators": [self.format(g) for g in self.generators()],
+            "generators": list(map(self.format_data, self.generators())),
             "metric": self.default_metric().to_json(),
         }
 
@@ -294,12 +304,10 @@ class LatticeModel(GroupModel):
         if dim < 1:
             raise ValueError("lattice dimension must be >= 1")
         self.dim = dim
+        self.identity_data = (0,) * dim
 
     def params(self) -> dict:
         return {"dim": self.dim}
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.dim)
 
     def _mul_data(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -313,14 +321,8 @@ class LatticeModel(GroupModel):
             raise ValueError(f"lattice vector of length {len(vec)}, expected {self.dim}")
         return vec
 
-    def generators(self) -> list[GroupElement]:
-        gens = []
-        for i in range(self.dim):
-            for s in (1, -1):
-                vec = [0] * self.dim
-                vec[i] = s
-                gens.append(self.element(vec))
-        return sorted(gens, key=self.sort_key)
+    def _generator_data(self) -> list:
+        return [tuple(s if j == i else 0 for j in range(self.dim)) for i in range(self.dim) for s in (1, -1)]
 
     def _length_data(self, a) -> int:
         return sum(map(abs, a))
@@ -335,6 +337,7 @@ class FreeGroupModel(GroupModel):
     """
 
     kind = "free"
+    identity_data = ()
 
     def __init__(self, rank: int):
         if not 1 <= rank <= 26:
@@ -349,9 +352,6 @@ class FreeGroupModel(GroupModel):
 
     def params(self) -> dict:
         return {"rank": self.rank}
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, ())
 
     def _mul_data(self, a, b):
         # Both words are reduced, so letters cancel only at the junction.
@@ -397,12 +397,8 @@ class FreeGroupModel(GroupModel):
         # Shortlex; for equal lengths a < a^-1 < b < b^-1 ...
         return (len(word), tuple(map(_SHORTLEX_RANK.__getitem__, word)))
 
-    def generators(self) -> list[GroupElement]:
-        gens = []
-        for i in range(1, self.rank + 1):
-            gens.append(self.element((i,)))
-            gens.append(self.element((-i,)))
-        return sorted(gens, key=self.sort_key)
+    def _generator_data(self) -> list:
+        return [(s * i,) for i in range(1, self.rank + 1) for s in (1, -1)]
 
     def _length_data(self, a) -> int:
         return len(a)
@@ -432,9 +428,7 @@ class HeisenbergModel(GroupModel):
     # Either product adds a constant to the first two coordinates and, where
     # they agree, to the third, so the lexicographic order is kept.
     ordered_law = True
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0, 0, 0))
+    identity_data = (0, 0, 0)
 
     def _mul_data(self, x, y):
         return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
@@ -448,9 +442,8 @@ class HeisenbergModel(GroupModel):
             raise ValueError("heisenberg element needs 3 coordinates")
         return vec
 
-    def generators(self) -> list[GroupElement]:
-        gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-        return sorted((self.element(v) for v in gens), key=self.sort_key)
+    def _generator_data(self) -> list:
+        return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
 
     def _length_data(self, x) -> int:
         a, b, c = x
@@ -475,9 +468,7 @@ class CircleModel(GroupModel):
     kind = "circle"
     discrete = False
     abelian = True
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, Fraction(0))
+    identity_data = Fraction(0)
 
     def _mul_data(self, a, b):
         return (a + b) % 1
@@ -492,8 +483,8 @@ class CircleModel(GroupModel):
     parse_data = _canonical
     format_data = staticmethod(str)
 
-    def generators(self) -> list[GroupElement]:
-        return [self.element(Fraction(1, 12)), self.element(Fraction(11, 12))]
+    def _generator_data(self) -> list:
+        return [Fraction(1, 12), Fraction(11, 12)]
 
 
 class TorusModel(GroupModel):
@@ -507,12 +498,10 @@ class TorusModel(GroupModel):
         if dim < 1:
             raise ValueError("torus dimension must be >= 1")
         self.dim = dim
+        self.identity_data = (Fraction(0),) * dim
 
     def params(self) -> dict:
         return {"dim": self.dim}
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (Fraction(0),) * self.dim)
 
     def _mul_data(self, a, b):
         return tuple((x + y) % 1 for x, y in zip(a, b))
@@ -526,14 +515,12 @@ class TorusModel(GroupModel):
             raise ValueError(f"torus vector of length {len(vec)}, expected {self.dim}")
         return vec
 
-    def generators(self) -> list[GroupElement]:
-        gens = []
-        for i in range(self.dim):
-            for q in (Fraction(1, 12), Fraction(11, 12)):
-                vec = [Fraction(0)] * self.dim
-                vec[i] = q
-                gens.append(self.element(vec))
-        return sorted(gens, key=self.sort_key)
+    def _generator_data(self) -> list:
+        return [
+            tuple(q if j == i else Fraction(0) for j in range(self.dim))
+            for i in range(self.dim)
+            for q in (Fraction(1, 12), Fraction(11, 12))
+        ]
 
 
 class CyclicModel(GroupModel):
@@ -541,6 +528,7 @@ class CyclicModel(GroupModel):
 
     kind = "cyclic"
     abelian = True
+    identity_data = 0
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -549,9 +537,6 @@ class CyclicModel(GroupModel):
 
     def params(self) -> dict:
         return {"modulus": self.modulus}
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, 0)
 
     def _mul_data(self, a, b):
         return (a + b) % self.modulus
@@ -565,11 +550,8 @@ class CyclicModel(GroupModel):
     parse_data = _canonical
     format_data = staticmethod(str)
 
-    def generators(self) -> list[GroupElement]:
-        if self.modulus == 1:
-            return [self.identity()]
-        gens = {1 % self.modulus, (-1) % self.modulus}
-        return [self.element(v) for v in sorted(gens)]
+    def _generator_data(self) -> list:
+        return list({1 % self.modulus, (-1) % self.modulus})  # {0} modulo 1
 
     def _length_data(self, a) -> int:
         return min(a, self.modulus - a)
@@ -663,6 +645,7 @@ class InvariantPseudoMetric:
 
     All built-in rules satisfy d(xg, yg) = d(x, y) exactly; the word metrics
     on abelian models and the arc/discrete metrics are bi-invariant as well.
+    Each rule is stated once, in `integer_metric`.
     """
 
     rule: str = ""
@@ -676,7 +659,12 @@ class InvariantPseudoMetric:
         self.model = model
 
     def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
-        raise NotImplementedError
+        """d(x, y): the `integer_metric` distance of the pair over its scale.
+        An element of another model is a ModelMismatchError."""
+        self.model._check(x)
+        self.model._check(y)
+        scale, ((a,), (b,)), _, dist = integer_metric(self, [x.data], [y.data])
+        return Fraction(dist(a, b), scale)
 
     def distance_to_identity(self, g: GroupElement) -> Fraction:
         return self.eval(g, self.model.identity())
@@ -708,10 +696,6 @@ class WordMetric(InvariantPseudoMetric):
     rule = "word"
     on_discrete = True
 
-    def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
-        model = self.model
-        return Fraction(model._length_data(model.mul(x, model.inv(y)).data))
-
     def integer_valued(self) -> bool:
         return True
 
@@ -722,16 +706,6 @@ class ArcMetric(InvariantPseudoMetric):
     rule = "arc"
     on_discrete = False
 
-    @staticmethod
-    def _arc(a: Fraction, b: Fraction) -> Fraction:
-        delta = abs(a - b)
-        return min(delta, 1 - delta)
-
-    def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
-        if isinstance(self.model, CircleModel):
-            return self._arc(x.data, y.data)
-        return max(self._arc(a, b) for a, b in zip(x.data, y.data))
-
 
 class DiscreteMetric(InvariantPseudoMetric):
     """0/1 metric; available on every model."""
@@ -741,9 +715,6 @@ class DiscreteMetric(InvariantPseudoMetric):
     @property
     def bi_invariant(self) -> bool:
         return True
-
-    def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
-        return Fraction(0) if x == y else Fraction(1)
 
     def integer_valued(self) -> bool:
         return True
@@ -760,9 +731,6 @@ class ScaledMetric(InvariantPseudoMetric):
             raise ValueError("scale factor must be positive")
         self.base = base
         self.factor = Fraction(factor)
-
-    def eval(self, x: GroupElement, y: GroupElement) -> Fraction:
-        return self.factor * self.base.eval(x, y)
 
     @property
     def bi_invariant(self) -> bool:
@@ -811,7 +779,7 @@ def metric_from_json(obj: dict, model: GroupModel) -> InvariantPseudoMetric:
 def integer_metric(metric: InvariantPseudoMetric, *payload_groups: Iterable) -> tuple[int, list[list], Callable, Callable]:
     """`metric` on ints over one scale: `(scale, codes, mul, dist)` with
     `codes[k]` the codes of the k-th payload group, `mul` the product on
-    codes and `dist(a, b) / scale == metric.eval(x, y)` for the codes a, b
+    codes and `dist(a, b) / scale` the distance d(x, y) for the codes a, b
     of x, y.
 
     Word and discrete codes are the payloads themselves, at scale 1.  Arc
@@ -819,8 +787,8 @@ def integer_metric(metric: InvariantPseudoMetric, *payload_groups: Iterable) -> 
     coordinate of every group, added mod L, at scale L; a distance is the
     arc min(d, L - d) of the coordinate difference d, the largest one on
     the torus.  A scale factor p/q multiplies the scale by q and each
-    distance by p.  Every scan over pairs in the package reads its
-    distances here; `eval` stays the one-pair definition.
+    distance by p.  This is the one statement of each rule: every scan over
+    pairs in the package, and `eval` of one pair, reads its distances here.
     """
     if metric.rule == "scaled":
         scale, codes, mul, dist = integer_metric(metric.base, *payload_groups)
@@ -902,8 +870,8 @@ def entourage_from_json(obj: dict, model: GroupModel) -> Entourage:
 class FiniteWindow:
     """Duplicate-free set of elements of one model, kept as a table of
     canonical payloads sorted by the model's `payload_key`: `positions` maps
-    each payload to its index, and `elements[i]`, built on first access,
-    wraps the i-th payload."""
+    each payload to its index, and `payloads[i]` and `elements[i]`, built on
+    first access, are the i-th payload and its element."""
 
     def __init__(self, model: GroupModel, elements: Iterable[GroupElement]):
         payloads = []
@@ -929,6 +897,11 @@ class FiniteWindow:
     def _table(self, model: GroupModel, ordered: list) -> None:
         self.model = model
         self.positions: dict[Any, int] = {x: i for i, x in enumerate(ordered)}
+
+    @functools.cached_property
+    def payloads(self) -> tuple:
+        """The payloads in table order; built on first use."""
+        return tuple(self.positions)
 
     @functools.cached_property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -996,23 +969,23 @@ def parse_window(items, model: GroupModel, field: str) -> FiniteWindow:
     return window
 
 
-def parse_element(text: str, model: GroupModel, field: str) -> GroupElement:
-    """`model.parse(text)`, with text that does not parse a CertificateError
-    naming `field`."""
+def parse_payload(text: str, model: GroupModel, field: str):
+    """`model.parse_data(text)`, with text that does not parse a
+    CertificateError naming `field`."""
     try:
-        return model.parse(text)
+        return model.parse_data(text)
     except ValueError as exc:
         raise CertificateError(field, str(exc)) from None
 
 
-def parse_key(text: str, model: GroupModel, table: dict, field: str) -> GroupElement:
-    """`parse_element` of a key of an object keyed by element encodings; a
-    key encoding an element that `table` already holds (`2/4` after `1/2`),
-    whose entry it would hide, is a CertificateError naming `field`."""
-    g = parse_element(text, model, field)
-    if g in table:
+def parse_key(text: str, model: GroupModel, table: dict, field: str):
+    """The payload of a key of an object keyed by element encodings; a key
+    encoding a payload that `table` already holds (`2/4` after `1/2`), whose
+    entry it would hide, is a CertificateError naming `field`."""
+    x = parse_payload(text, model, field)
+    if x in table:
         raise CertificateError(field, "repeats an element")
-    return g
+    return x
 
 
 def window(model: GroupModel, elements: Iterable) -> FiniteWindow:
@@ -1052,9 +1025,9 @@ def word_ball(model: GroupModel, radius: int, cap: int = WINDOW_CAP) -> FiniteWi
     raised exactly when the ball would hold more than `cap` points."""
     if isinstance(model, FreeGroupModel):
         return _free_ball(model, radius, cap)
-    gens = [s.data for s in model.generators()]
+    gens = model.generators()
     mul = model._mul_data
-    start = model.identity().data
+    start = model.identity_data
     seen = {start: 0}
     frontier = deque([start])
     while frontier:
@@ -1098,14 +1071,14 @@ def grid_sample(model: GroupModel, resolution: int) -> FiniteWindow:
     if isinstance(model, CircleModel):
         if resolution > WINDOW_CAP:
             raise WindowSizeError(f"grid of size {resolution} exceeds cap {WINDOW_CAP}")
-        return FiniteWindow(model, (model.element(Fraction(k, resolution)) for k in range(resolution)))
+        return FiniteWindow._from_sorted(model, [Fraction(k, resolution) for k in range(resolution)])
     if isinstance(model, TorusModel):
         if resolution**model.dim > WINDOW_CAP:
             raise WindowSizeError("torus grid exceeds cap")
         points = [()]
         for _ in range(model.dim):
             points = [p + (Fraction(k, resolution),) for p in points for k in range(resolution)]
-        return FiniteWindow(model, (model.element(p) for p in points))
+        return FiniteWindow._from_sorted(model, points)
     return word_ball(model, resolution)
 
 

@@ -49,7 +49,6 @@ from .groups import (
     CircleModel,
     Entourage,
     FiniteWindow,
-    GroupElement,
     GroupModel,
     InvariantPseudoMetric,
     ModelMismatchError,
@@ -86,12 +85,6 @@ class MatchingResult:
     mu: int
     witness: tuple[int, ...]
     perfect: bool
-
-    def pairing_elements(self) -> list[tuple[GroupElement, GroupElement]]:
-        return [
-            (self.instance.left[i], self.instance.right[j])
-            for i, j in sorted(self.pairing.items())
-        ]
 
     def witness_deficiency(self) -> int:
         neighbours: set[int] = set()
@@ -211,7 +204,7 @@ def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) 
     base, factor = unscaled(metric)
     scale, (codes,), _, dist = integer_metric(metric, index)
     if base.rule == "word":
-        e = model.identity().data
+        e = model.identity_data
         rows = _ball_rows(model, index, index, math.ceil(width / factor) - 1, lambda u: dist(u, e))
         if rows is not None:
             for i, row in enumerate(rows):

@@ -7,17 +7,19 @@ can be re-evaluated without code.  Classifier trees are checked once, when a
 certificate is built or parsed.  `ParadoxCertificate.from_json` is the one
 loader of a certificate file: a malformed or unknown field is a
 `CertificateError` naming its path (`g[0][1]`, `A[0].args[1].index`).
-Verification restricts the covering equations to a finite window and counts,
-per equation, how many window points are covered exactly once.  It works on
-window indices: each translator word becomes one column of preimage indices,
-and each piece's classifier is evaluated once over the whole window into a
-column of verdicts, node by node, with `and`, `or` and `not` combining whole
-columns.  Where a tree cannot be evaluated (`residue` off the integers) the
-column carries an error mark instead of raising; the mark raises a
-`ClassifierError` naming the piece only when a checkable point reads it.  A
-point whose preimages leave the window is a boundary defect, never a
-violation: finite windows cannot witness an infinite covering, and the
-report keeps that distinction explicit.
+A translator word is a tuple of payloads.  Verification restricts the
+covering equations to a finite window and counts, per equation, how many
+window points are covered exactly once.  It works on window indices: each
+translator word is folded once into the payload of its inverse and becomes
+one column of preimage indices, and each piece's classifier is evaluated
+once over the whole window into a column of verdicts, node by node, with
+`and`, `or` and `not` combining whole columns.  Where a tree cannot be
+evaluated (`residue` off the integers) the column carries an error mark
+instead of raising; the mark raises a `ClassifierError` naming the piece
+only when a checkable point reads it.  A point whose preimages leave the
+window is a boundary defect, never a violation: finite windows cannot
+witness an infinite covering, and the report keeps that distinction
+explicit.
 
 `search_small_paradox` looks for piece assignments on a window minimizing
 the interior violations of the combined covering equation at each piece
@@ -43,7 +45,7 @@ from .groups import (
     GroupElement,
     GroupModel,
     ModelMismatchError,
-    parse_element,
+    parse_payload,
     require_fields,
 )
 from .perturb import PerturbedAction
@@ -69,7 +71,7 @@ def _coordinates(model: GroupModel) -> int:
     """How many coordinates `coord_sign` and `residue` may index: the length
     of a tuple payload (none for free words, whose identity is empty), else
     one."""
-    data = model.identity().data
+    data = model.identity_data
     return len(data) if isinstance(data, tuple) else 1
 
 
@@ -170,7 +172,7 @@ class _Columns:
     def _coordinate(self, index: int) -> list:
         """Coordinate `index` of each payload; a scalar payload is its own
         only coordinate."""
-        if isinstance(self.model.identity().data, tuple):
+        if isinstance(self.model.identity_data, tuple):
             return [p[index] for p in self.payloads]
         return self.payloads
 
@@ -199,7 +201,7 @@ class _Columns:
             value, errors = self._node(clf["arg"])
             return value ^ self.ones, errors
         if op == "identity":
-            at = self.window.positions.get(self.model.identity().data)
+            at = self.window.positions.get(self.model.identity_data)
             return (0 if at is None else 1 << 8 * at), 0
         if op == "in":
             if self._names is None:
@@ -245,7 +247,7 @@ def evaluate_classifier(clf: dict, g: GroupElement) -> bool:
     return bool(value[0])
 
 
-Word = tuple[GroupElement, ...]
+Word = tuple  # of translator payloads
 
 
 def _parse_word(obj, model: GroupModel, path: str) -> Word:
@@ -260,12 +262,12 @@ def _parse_word(obj, model: GroupModel, path: str) -> Word:
     for field_path, text in items:
         if not isinstance(text, str):
             raise CertificateError(field_path, f"expected an element string, got {text!r}")
-        word.append(parse_element(text, model, field_path))
+        word.append(parse_payload(text, model, field_path))
     return tuple(word)
 
 
 def _format_word(word: Word, model: GroupModel) -> list[str]:
-    return [model.format(g) for g in word]
+    return list(map(model.format_data, word))
 
 
 @dataclass
@@ -359,9 +361,9 @@ def f2_standard_certificate(model: FreeGroupModel) -> ParadoxCertificate:
     return ParadoxCertificate(
         model=model,
         form="two_equation",
-        a_words=[(), (model.parse("a"),)],
+        a_words=[(), (model.parse_data("a"),)],
         a_pieces=[a1, a2],
-        b_words=[(), (model.parse("b"),)],
+        b_words=[(), (model.parse_data("b"),)],
         b_pieces=[b1, b2],
     )
 
@@ -411,25 +413,27 @@ class WindowReport:
 
 def _preimages(window: FiniteWindow, word: Word) -> list[int]:
     """The window index of word^-1 x for each window point x, by group
-    arithmetic on payloads; -1 where it leaves the window.  A one-letter
-    free translator s takes no product: s^-1 y is y[1:] when the reduced
-    word y starts with s, and (s^-1,) + y otherwise."""
+    arithmetic on payloads; -1 where it leaves the window.  The word is
+    folded once into the payload w of g_1^-1 ... g_k^-1 (free words by the
+    stack reduction of the inverse letters), then each point takes one
+    product w x.  A one-letter free w takes no product: w x is x[1:] when
+    the reduced word x starts with w^-1, and w + x otherwise."""
     if not word:
         return list(range(len(window)))
     model, index = window.model, window.positions
-    if isinstance(model, FreeGroupModel) and len(word) == 1 and len(word[0].data) == 1:
-        head = word[0].data
-        inverse = (-head[0],)
-        get = index.get
-        return [get(y[1:] if y[:1] == head else inverse + y, -1) for y in index]
-    steps = [model.inv(g).data for g in reversed(word)]
+    get = index.get
+    if isinstance(model, FreeGroupModel):
+        w = model._canonical([-letter for g in word for letter in reversed(g)])
+        if len(w) == 1:
+            inverse = (-w[0],)
+            return [get(y[1:] if y[:1] == inverse else w + y, -1) for y in index]
+    else:
+        inv, mul = model._inv_data, model._mul_data
+        w = inv(word[0])
+        for g in word[1:]:
+            w = mul(w, inv(g))
     mul = model._mul_data
-    column = []
-    for y in index:
-        for s in steps:
-            y = mul(s, y)
-        column.append(index.get(y, -1))
-    return column
+    return [get(mul(w, y), -1) for y in index]
 
 
 def _action_preimages(action: PerturbedAction, window: FiniteWindow, word: Word) -> list[int]:
@@ -438,14 +442,14 @@ def _action_preimages(action: PerturbedAction, window: FiniteWindow, word: Word)
     leaves the window."""
     if not word:
         return list(range(len(window)))
-    table = action.window
-    column = [table.index(x) if x in table else -1 for x in window]
+    table = action.window.positions
+    column = [table.get(x, -1) for x in window.positions]
     for g in reversed(word):
         inverse = action.inverse_rows.get(g)
         if inverse is None:
             return [-1] * len(window)
         column = [-1 if j < 0 or inverse[j] is None else inverse[j] for j in column]
-    back = [window.index(y) if y in window else -1 for y in table]
+    back = [window.positions.get(y, -1) for y in table]
     return [-1 if j < 0 else back[j] for j in column]
 
 
@@ -511,7 +515,7 @@ def verify_on_window(
                 exactly_once=len(interior) - len(bad),
                 interior_violations=len(bad),
                 boundary_defects=n - len(interior),
-                samples=[(cert.model.format(window[x]), counts[x]) for x in bad[:_VIOLATION_SAMPLES]],
+                samples=[(cert.model.format_data(window.payloads[x]), counts[x]) for x in bad[:_VIOLATION_SAMPLES]],
             )
         )
     return WindowReport(equations=reports)
@@ -873,26 +877,22 @@ def search_small_paradox(
     exactly, so with the budget intact each reported defect is the true
     minimum at that piece count.
     """
-    model = window.model
     n = len(window)
-    identity = model.identity().data
-    rows = {g: _preimages(window, (g,)) for g in pool}
+    identity = window.model.identity_data
+    rows = {g: _preimages(window, (g,)) for g in pool.positions}
     families: dict[tuple, _Family] = {}
 
-    def options(size: int, offset: int) -> list[tuple[tuple[GroupElement, ...], tuple]]:
-        """The translator multisets of `size` pool words, each with the key
-        of its family set-up at label `offset`."""
-        return [
-            (words, (tuple(g.data for g in words), offset))
-            for words in combinations_with_replacement(sorted(pool, key=model.sort_key), size)
-        ]
+    def options(size: int, offset: int) -> list[tuple[tuple, int]]:
+        """The translator multisets of `size` pool payloads, in pool order,
+        each with the label `offset` of its family."""
+        return [(words, offset) for words in combinations_with_replacement(pool.positions, size)]
 
-    def family(words: tuple[GroupElement, ...], key: tuple) -> _Family:
-        """The family set-up of `words` under `key` (their payloads and
-        label offset), built the first time a combo reaches it and shared
-        for the rest of the search."""
+    def family(words: tuple, offset: int) -> _Family:
+        """The family set-up of `words` at label `offset`, built the first
+        time a combo reaches it and shared for the rest of the search."""
+        key = (words, offset)
         if key not in families:
-            families[key] = _Family(n, [rows[g] for g in words], key[1])
+            families[key] = _Family(n, [rows[g] for g in words], offset)
         return families[key]
 
     tracker = _Budget(budget)
@@ -911,25 +911,22 @@ def search_small_paradox(
                     combos.append((a, b))
         # identity-bearing families first: tilings almost always keep a piece
         # in place, and hitting one early settles the piece count at zero
-        combos.sort(
-            key=lambda ab: (identity not in [g.data for g in ab[0][0]])
-            + (identity not in [g.data for g in ab[1][0]])
-        )
+        combos.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
 
         best_defect: Optional[int] = None
         best_cert: Optional[ParadoxCertificate] = None
         best_checkable = 0
         exhausted = True
         try:
-            for (a_words, a_key), (b_words, b_key) in combos:
-                problem = _AssignmentProblem(n, family(a_words, a_key), family(b_words, b_key), tracker)
+            for a, b in combos:
+                problem = _AssignmentProblem(n, family(*a), family(*b), tracker)
                 defect, labels, exact = _solve_combo(problem, zero_cap, best_defect)
                 if not exact:
                     exhausted = False
                 if best_defect is None or defect < best_defect:
                     best_defect = defect
                     best_checkable = problem.checkable
-                    best_cert = _table_certificate(window, a_words, b_words, labels)
+                    best_cert = _table_certificate(window, a[0], b[0], labels)
                 if best_defect == 0:
                     break  # zero is the floor; this piece count is settled
         except _BudgetExhausted:

@@ -15,6 +15,11 @@ tables three ways:
   pool translates of the image are pairwise disjoint.
 
 The builders take no model: each reads it from its entourage, `U.model`.
+Every table here is keyed by payload or by window index: the rows, flags
+and inverse rows of a `PerturbedAction` per payload of g, a `Violation`'s
+points, the center permutations of a `PrecompactResult`, the relocations
+and package injections, and the translators of a wobbling decomposition.
+The builders run on `_mul_data` and the windows' `positions`.
 
 Ball queries are `matching.build_graph` rows: the relocation candidates of
 `moving_injection`, and the third-radius balls that pick and assign the
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Optional
 
 from .groups import (
     CertificateError,
@@ -46,7 +51,6 @@ from .groups import (
     CyclicModel,
     Entourage,
     FiniteWindow,
-    GroupElement,
     GroupModel,
     ModelMismatchError,
     TorusModel,
@@ -80,7 +84,7 @@ class BudgetError(RuntimeError):
 
 
 class NonMemberError(ValueError):
-    def __init__(self, message: str, witness: GroupElement):
+    def __init__(self, message: str, witness):  # the payload no translator moves
         super().__init__(message)
         self.witness = witness
 
@@ -92,7 +96,8 @@ class NonMemberError(ValueError):
 
 @dataclass
 class PerturbedAction:
-    """Table of injective rows h -> alpha(g)(h) over a window.
+    """Table of injective rows h -> alpha(g)(h) over a window, keyed by the
+    payload of g.
 
     Rows are image indices aligned with the window; None marks points outside
     the row's domain.  `involution` records, per g, whether the correction
@@ -105,51 +110,46 @@ class PerturbedAction:
 
     window: FiniteWindow
     pool: FiniteWindow
-    rows: dict[GroupElement, list[Optional[int]]]
+    rows: dict[Any, list[Optional[int]]]
     radius: Fraction
-    involution: dict[GroupElement, bool] = field(default_factory=dict)
+    involution: dict[Any, bool] = field(default_factory=dict)
     folner_windows: list[FiniteWindow] = field(default_factory=list)
     folner_pools: list[FiniteWindow] = field(default_factory=list)
-    inverse_rows: dict[GroupElement, list[Optional[int]]] = field(init=False, repr=False, compare=False)
+    inverse_rows: dict[Any, list[Optional[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.window)
         self.inverse_rows = {}
         for g, row in self.rows.items():
+            name = self.window.model.format_data(g)
             if len(row) != n:
-                raise ValueError(f"row of {self.window.model.format(g)} has length {len(row)}, expected {n}")
+                raise ValueError(f"row of {name} has length {len(row)}, expected {n}")
             if any(j is not None and not 0 <= j < n for j in row):
-                raise ValueError(f"row of {self.window.model.format(g)} has an index outside 0 <= j < {n}")
+                raise ValueError(f"row of {name} has an index outside 0 <= j < {n}")
             inverse: list[Optional[int]] = [None] * n
             for i, j in enumerate(row):
                 if j is None:
                     continue
                 if inverse[j] is not None:
-                    raise ValueError(f"row of {self.window.model.format(g)} not injective")
+                    raise ValueError(f"row of {name} not injective")
                 inverse[j] = i
             self.inverse_rows[g] = inverse
 
-    def apply(self, g: GroupElement, x: GroupElement) -> Optional[GroupElement]:
-        row = self.rows.get(g)
-        if row is None or x not in self.window:
-            return None
-        j = row[self.window.index(x)]
-        return None if j is None else self.window[j]
+    def apply(self, g, x):
+        """The payload alpha(g)(x) of payloads g and x; None where g has no
+        row, x is not in the window or the row is undefined at x."""
+        row, i = self.rows.get(g), self.window.positions.get(x)
+        j = None if row is None or i is None else row[i]
+        return None if j is None else self.window.payloads[j]
 
     def to_json(self) -> dict:
-        model = self.window.model
+        text = self.window.model.format_data
         return {
             "window": self.window.to_json(),
             "pool": self.pool.to_json(),
-            "rows": {
-                model.format_data(g.data): list(self.rows[g])
-                for g in sorted(self.rows, key=model.sort_key)
-            },
+            "rows": {text(g): list(row) for g, row in self.rows.items()},
             "radius": str(self.radius),
-            "involution": {
-                model.format_data(g.data): self.involution[g]
-                for g in sorted(self.involution, key=model.sort_key)
-            },
+            "involution": {text(g): flag for g, flag in self.involution.items()},
             "folner_windows": [w.to_json() for w in self.folner_windows],
             "folner_pools": [w.to_json() for w in self.folner_pools],
         }
@@ -216,14 +216,17 @@ class AssembledPerturbation:
 
 @dataclass
 class Violation:
-    g: GroupElement
-    h: GroupElement
-    image: GroupElement
+    """A table entry beyond the radius, by payload: alpha(g)(h) = image."""
+
+    g: Any
+    h: Any
+    image: Any
     distance: Fraction
 
 
 @dataclass
 class PerturbationReport:
+    model: GroupModel
     radius: Fraction
     entries_checked: int
     violations: list[Violation]
@@ -235,16 +238,12 @@ class PerturbationReport:
         return not self.violations
 
     def to_json(self) -> dict:
+        text = self.model.format_data
         return {
             "radius": str(self.radius),
             "entries_checked": self.entries_checked,
             "violations": [
-                {
-                    "g": v.g.model.format(v.g),
-                    "h": v.h.model.format(v.h),
-                    "image": v.image.model.format(v.image),
-                    "distance": str(v.distance),
-                }
+                {"g": text(v.g), "h": text(v.h), "image": text(v.image), "distance": str(v.distance)}
                 for v in self.violations
             ],
             "max_deviation": str(self.max_deviation),
@@ -267,23 +266,24 @@ def verify_perturbation(action: PerturbedAction, U: Entourage) -> PerturbationRe
     model = action.window.model
     if U.model is not model:
         raise ModelMismatchError("table and entourage over different models")
-    rows = sorted(action.rows.items(), key=lambda kv: model.sort_key(kv[0]))
+    rows = [(g, action.rows[g]) for g in sorted(action.rows, key=model.payload_key)]
     checked, violations, max_dev = _deviations(action.window, rows, U)
 
     ratios = []
     for idx, F in enumerate(action.folner_windows):
         if idx < len(action.folner_pools):
-            movers = [g for g in action.folner_pools[idx] if g in action.rows]
+            movers = [g for g in action.folner_pools[idx].positions if g in action.rows]
         else:
             movers = list(action.rows)
-        image = set(F)
+        image = set(F.positions)
         for g in movers:
-            for x in F:
+            for x in F.positions:
                 y = action.apply(g, x)
                 if y is not None:
                     image.add(y)
         ratios.append((idx, Fraction(len(image), len(F))))
     return PerturbationReport(
+        model=model,
         radius=U.radius,
         entries_checked=checked,
         violations=violations,
@@ -292,18 +292,18 @@ def verify_perturbation(action: PerturbedAction, U: Entourage) -> PerturbationRe
     )
 
 
-# A table row per g, sorted by g: (g, image index or None per window point).
-Rows = list[tuple[GroupElement, list[Optional[int]]]]
+# A table row per payload g, sorted by g: (g, image index or None per window point).
+Rows = list[tuple[Any, list[Optional[int]]]]
 
 
 def _deviations(window: FiniteWindow, rows: Rows, U: Entourage) -> tuple[int, list[Violation], Fraction]:
     """The deviation scan of `verify_perturbation`: the entries checked, the
     violations and the largest deviation, with d = dist(image, g h) on
     codes for every model and metric."""
-    scale, (codes, shifts), mul, dist = integer_metric(U.metric, window.positions, [g.data for g, _ in rows])
+    scale, (codes, shifts), mul, dist = integer_metric(U.metric, window.positions, [g for g, _ in rows])
     bound = math.floor(U.radius * scale)
     checked = most = 0
-    violations = []
+    violations, points = [], window.payloads
     for (g, row), shift in zip(rows, shifts):
         for i, j in enumerate(row):
             if j is None:
@@ -313,7 +313,7 @@ def _deviations(window: FiniteWindow, rows: Rows, U: Entourage) -> tuple[int, li
             if d > most:
                 most = d
             if d > bound:
-                violations.append(Violation(g=g, h=window[i], image=window[j], distance=Fraction(d, scale)))
+                violations.append(Violation(g=g, h=points[i], image=points[j], distance=Fraction(d, scale)))
     return checked, violations, Fraction(most, scale)
 
 
@@ -327,9 +327,9 @@ def moving_injection(
     E: FiniteWindow,
     U: Entourage,
     supply: FiniteWindow,
-) -> dict[GroupElement, GroupElement]:
-    """Injective relocation phi with phi(x) in U.x and phi(F) meeting no
-    g phi(F) for g in E off the identity.
+) -> dict:
+    """Injective relocation phi, payload to payload, with phi(x) in U.x and
+    phi(F) meeting no g phi(F) for g in E off the identity.
 
     Greedy over canonical candidate order with backtracking; only available
     on non-discrete models, where a strictly finer supply grid can always
@@ -338,17 +338,20 @@ def moving_injection(
     model = F.model
     if model.discrete:
         raise ConstructionError("moving injections need a non-discrete model")
-    shifts = [g for g in E if g != model.identity()]
-    candidates: list[list[GroupElement]] = []
-    for x, row in zip(F, build_graph(F, supply, U).adjacency):
+    mul, inv, e = model._mul_data, model._inv_data, model.identity_data
+    shifts = [g for g in E.positions if g != e]
+    moves = [h for g in shifts for h in (g, inv(g))]
+    points = supply.payloads
+    candidates: list[list] = []
+    for x, row in zip(F.positions, build_graph(F, supply, U).adjacency):
         if not row:
-            raise ConstructionError(f"supply has no point near {model.format(x)}")
-        candidates.append([supply[j] for j in row])
+            raise ConstructionError(f"supply has no point near {model.format_data(x)}")
+        candidates.append([points[j] for j in row])
 
-    chosen: list[GroupElement] = []
+    chosen: list = []
     # The chosen points and their shifts g c and g^-1 c: a candidate clashes
     # with a choice exactly when it lies in this set.
-    blocked: set[GroupElement] = set()
+    blocked: set = set()
     steps = 0
 
     def place(i: int) -> bool:
@@ -361,7 +364,7 @@ def moving_injection(
                 raise BudgetError(f"moving injection exceeded {BACKTRACK_CAP} steps")
             if y in blocked:
                 continue
-            added = {y, *(model.mul(h, y) for g in shifts for h in (g, model.inv(g)))} - blocked
+            added = {y, *(mul(h, y) for h in moves)} - blocked
             chosen.append(y)
             blocked.update(added)
             if place(i + 1):
@@ -375,24 +378,22 @@ def moving_injection(
             f"supply of {len(supply)} points cannot relocate {len(F)} points "
             f"clear of {len(shifts)} shifts"
         )
-    phi = dict(zip(F, chosen))
+    phi = dict(zip(F.positions, chosen))
     _check_moving(phi, F, E, U)
     return phi
 
 
 def _check_moving(phi, F, E, U) -> None:
     model = F.model
-    values = list(phi.values())
+    values = [phi[x] for x in F.positions]
     if len(set(values)) != len(F):
         raise ConstructionError("relocation not injective")
-    scale, (xs, ys), _, dist = integer_metric(U.metric, F.positions, [phi[x].data for x in F])
+    scale, (xs, ys), _, dist = integer_metric(U.metric, F.positions, values)
     if any(dist(y, x) > U.radius * scale for x, y in zip(xs, ys)):
         raise ConstructionError("relocation escapes the entourage")
-    image = set(values)
-    for g in E:
-        if g == model.identity():
-            continue
-        if image & {model.mul(g, y) for y in image}:
+    image, mul, e = set(values), model._mul_data, model.identity_data
+    for g in E.positions:
+        if g != e and image & {mul(g, y) for y in image}:
             raise ConstructionError("relocated window meets a shift of itself")
 
 
@@ -405,31 +406,31 @@ def _check_moving(phi, F, E, U) -> None:
 class FolnerPackage:
     F: FiniteWindow
     D: FiniteWindow
-    phis: dict[GroupElement, dict[GroupElement, GroupElement]]
+    phis: dict[Any, dict]  # per payload g off the identity: core payload -> payload in gF
     theta: Fraction
     pool: FiniteWindow  # symmetrized pool including the identity
 
     def verify(self, U: Entourage) -> None:
-        model = self.F.model
+        e = self.F.model.identity_data
         if len(self.D) < self.theta * len(self.F):
             raise ConstructionError("core smaller than theta |F|")
         moves = []  # (x, phi(x)) over every g
         for g in self.pool:
-            if g == model.identity():
+            if g.data == e:
                 continue
-            gF = set(translate_window(g, self.F))
-            if gF & set(self.F):
+            gF = translate_window(g, self.F).positions.keys()
+            if gF & self.F.positions.keys():
                 raise ConstructionError("window meets one of its shifts")
-            phi = self.phis[g]
-            if set(phi) != set(self.D):
+            phi = self.phis[g.data]
+            if phi.keys() != self.D.positions.keys():
                 raise ConstructionError("injection domain is not the core")
             values = list(phi.values())
             if len(set(values)) != len(values):
                 raise ConstructionError("package injection not injective")
-            if not gF.issuperset(values):
+            if not set(values).issubset(gF):
                 raise ConstructionError("injection leaves the shifted window")
             moves += phi.items()
-        scale, (xs, ys), _, dist = integer_metric(U.metric, [x.data for x, _ in moves], [y.data for _, y in moves])
+        scale, (xs, ys), _, dist = integer_metric(U.metric, [x for x, _ in moves], [y for _, y in moves])
         if any(dist(y, x) > U.radius * scale for x, y in zip(xs, ys)):
             raise ConstructionError("injection escapes the entourage")
 
@@ -452,10 +453,11 @@ def folner_package(
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     model = U.model
-    pool = symmetric_closure(model, list(E) + [model.identity()])
-    shifts = [g for g in pool if g != model.identity()]
+    mul, inv, e = model._mul_data, model._inv_data, model.identity_data
+    pool = symmetric_closure(model, [*E, model.identity()])
+    shifts = [g for g in pool.positions if g != e]
     if not shifts:
-        F = FiniteWindow(model, [model.identity()])
+        F = FiniteWindow._from_sorted(model, [e])
         return FolnerPackage(F=F, D=F, phis={}, theta=theta, pool=pool)
     if model.discrete:
         raise ConstructionError("packages need a non-discrete model")
@@ -474,8 +476,8 @@ def folner_package(
     F0 = cert.F
 
     base = math.lcm(
-        *(x.data.denominator for x in F0),
-        *(g.data.denominator for g in pool if isinstance(g.data, Fraction)),
+        *(x.denominator for x in F0.positions),
+        *(g.denominator for g in pool.positions),
         W.radius.denominator,
     ) if isinstance(model, CircleModel) else 24
     supply_resolution = max(base, 2 * len(F0) * len(pool))
@@ -492,27 +494,20 @@ def folner_package(
             supply_resolution *= 2
 
     # Matching pairings give the per-shift cores and injections on F0.
-    domains = []
-    pair_maps: dict[GroupElement, dict[GroupElement, GroupElement]] = {}
+    pair_maps = {}
     for g in shifts:
         result = cert.matchings[g]
-        mapping = {x: y for x, y in result.pairing_elements()}
-        pair_maps[g] = mapping
-        domains.append(set(mapping))
-    core0 = set(F0)
-    for dom in domains:
-        core0 &= dom
+        left, right = result.instance.left.payloads, result.instance.right.payloads
+        pair_maps[g] = {left[i]: right[j] for i, j in result.pairing.items()}
+    core0 = [x for x in F0.positions if all(x in mapping for mapping in pair_maps.values())]
 
-    F = FiniteWindow(model, alpha.values())
-    D = FiniteWindow(model, [alpha[x] for x in core0])
-    phis: dict[GroupElement, dict[GroupElement, GroupElement]] = {}
+    F = FiniteWindow._from_payloads(model, alpha.values())
+    D = FiniteWindow._from_payloads(model, [alpha[x] for x in core0])
+    phis = {}
     for g in shifts:
-        g_inv = model.inv(g)
-        phi = {}
-        for x0 in core0:
-            y = pair_maps[g][x0]  # y in gF0 within V of x0
-            phi[alpha[x0]] = model.mul(g, alpha[model.mul(g_inv, y)])
-        phis[g] = phi
+        g_inv, pairs = inv(g), pair_maps[g]
+        # pairs[x0] lies in gF0 within V of x0
+        phis[g] = {alpha[x0]: mul(g, alpha[mul(g_inv, pairs[x0])]) for x0 in core0}
 
     package = FolnerPackage(F=F, D=D, phis=phis, theta=theta, pool=pool)
     package.verify(U)
@@ -539,13 +534,13 @@ def build_perturbation(
     if not index_family:
         raise ValueError("index family must be non-empty")
     model = U.model
+    mul, e = model._mul_data, model.identity_data
     placements: list[Placement] = []
     injections = []  # per placement, its package's phis after the same right translation
-    occupied: set[GroupElement] = set()
-    identity = model.identity()
+    occupied: set = set()
 
     for E_i, n_i in index_family:
-        if identity not in E_i:
+        if e not in E_i.positions:
             raise ValueError("every index pool must contain the identity")
         if n_i < 2:
             raise ValueError("index multiplicities start at 2")
@@ -554,42 +549,43 @@ def build_perturbation(
         footprint = _footprint(model, package.pool, package.F)
 
         z = _separating_shift(model, footprint, occupied)
-        occupied |= {model.mul(x, z) for x in footprint}
+        occupied |= {mul(x, z) for x in footprint}
         placements.append(Placement(
             pool=package.pool,
-            F=FiniteWindow(model, [model.mul(x, z) for x in package.F]),
-            D=FiniteWindow(model, [model.mul(x, z) for x in package.D]),
+            F=FiniteWindow._from_payloads(model, [mul(x, z) for x in package.F.positions]),
+            D=FiniteWindow._from_payloads(model, [mul(x, z) for x in package.D.positions]),
             theta=theta_i,
             multiplicity=n_i,
         ))
         injections.append({
-            g: {model.mul(x, z): model.mul(y, z) for x, y in phi.items()}
+            g: {mul(x, z): mul(y, z) for x, y in phi.items()}
             for g, phi in package.phis.items()
         })
 
-    window = FiniteWindow(model, occupied)
-    pool = FiniteWindow(model, [g for p in placements for g in p.pool if g != identity])
+    window = FiniteWindow._from_payloads(model, occupied)
+    pool = FiniteWindow._from_payloads(model, [g for p in placements for g in p.pool.positions if g != e])
+    index = window.positions
 
-    rows: dict[GroupElement, list[Optional[int]]] = {}
-    involution: dict[GroupElement, bool] = {}
-    for g in pool:
-        psi = {x: x for x in window}
+    rows: dict[Any, list[Optional[int]]] = {}
+    involution: dict[Any, bool] = {}
+    for g in pool.positions:
+        psi = {x: x for x in index}
         for placement, phis in zip(placements, injections):
-            if g not in placement.pool:
+            if g not in placement.pool.positions:
                 continue
             for x, y in phis[g].items():
                 if psi[x] != x or psi[y] != y:
                     raise ConstructionError("swap pieces overlap across packages")
                 psi[x] = y
                 psi[y] = x
-        for x in window:
+        for x in index:
             if psi[psi[x]] != x:
                 raise ConstructionError("correction is not an involution")
         involution[g] = True
         row: list[Optional[int]] = []
-        for h in window:
-            gh = model.mul(g, h)
-            row.append(window.index(psi[gh]) if gh in window else None)
+        for h in index:
+            gh = mul(g, h)
+            row.append(index[psi[gh]] if gh in index else None)
         rows[g] = row
 
     action = PerturbedAction(
@@ -607,22 +603,19 @@ def build_perturbation(
     return AssembledPerturbation(action=action, placements=placements, report=report)
 
 
-def _footprint(model, pool, F) -> set[GroupElement]:
-    out = set()
-    for g in pool:
-        for x in F:
-            out.add(model.mul(g, x))
-    return out
+def _footprint(model, pool, F) -> set:
+    mul = model._mul_data
+    return {mul(g, x) for g in pool.positions for x in F.positions}
 
 
-def _separating_shift(model, footprint, occupied) -> GroupElement:
+def _separating_shift(model, footprint, occupied):
+    mul = model._mul_data
     if not occupied:
-        return model.identity()
+        return model.identity_data
     resolution = 60
     for _ in range(4):
-        for z in grid_sample(model, resolution):
-            shifted = {model.mul(x, z) for x in footprint}
-            if not (shifted & occupied):
+        for z in grid_sample(model, resolution).positions:
+            if not occupied.intersection(mul(x, z) for x in footprint):
                 return z
         resolution *= 2
     raise ConstructionError("could not separate packages within the supply bound")
@@ -638,7 +631,7 @@ class PrecompactResult:
     action: PerturbedAction
     centers: FiniteWindow
     assignment: list[int]  # window index -> centers index
-    gammas: dict[GroupElement, tuple[int, ...]]  # center permutations
+    gammas: dict[Any, tuple[int, ...]]  # center permutation per sample payload
     group_order: int
     order_bound: int
     max_deviation: Fraction
@@ -650,10 +643,7 @@ class PrecompactResult:
             "action": self.action.to_json(),
             "centers": self.centers.to_json(),
             "assignment": list(self.assignment),
-            "gammas": {
-                model.format_data(g.data): list(p)
-                for g, p in sorted(self.gammas.items(), key=lambda kv: model.sort_key(kv[0]))
-            },
+            "gammas": {model.format_data(g): list(p) for g, p in self.gammas.items()},
             "group_order": self.group_order,
             "order_bound": self.order_bound,
             "max_deviation": str(self.max_deviation),
@@ -670,9 +660,10 @@ def _separated_centers(window: FiniteWindow, V: Entourage) -> tuple[FiniteWindow
     distances are measured on those only."""
     centers: list[int] = []  # window indices
     near: list[list[int]] = [[] for _ in range(len(window))]  # centers within V
-    for i, x in enumerate(window):
+    points = window.payloads
+    for i, x in enumerate(points):
         if not near[i]:
-            for j in build_graph(FiniteWindow(window.model, [x]), window, V).adjacency[0]:
+            for j in build_graph(FiniteWindow._from_sorted(window.model, [x]), window, V).adjacency[0]:
                 near[j].append(len(centers))
             centers.append(i)
     _, (codes,), _, dist = integer_metric(V.metric, window.positions)
@@ -681,7 +672,7 @@ def _separated_centers(window: FiniteWindow, V: Entourage) -> tuple[FiniteWindow
         if not row:  # maximality: every point sits within V of a center
             raise ConstructionError("separated set is not maximal")
         assignment.append(min((dist(x, codes[centers[k]]), k) for k in row)[1])
-    return FiniteWindow(window.model, [window[i] for i in centers]), assignment
+    return FiniteWindow._from_sorted(window.model, [points[i] for i in centers]), assignment
 
 
 def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -708,18 +699,18 @@ def _perm_closure(generators: list[tuple[int, ...]], cap: int) -> list[tuple[int
 def _uniform_step(window: FiniteWindow) -> Optional[Fraction]:
     """Common circular step of a circle/cyclic window, if the window is a
     full evenly spaced grid; None otherwise."""
-    model = window.model
+    model, points = window.model, window.payloads
     n = len(window)
     if n == 0:
         return None
     if isinstance(model, CircleModel):
         step = Fraction(1, n)
-        return step if all(window[k].data == k * step for k in range(n)) else None
+        return step if all(points[k] == k * step for k in range(n)) else None
     if isinstance(model, CyclicModel):
         if model.modulus % n != 0:
             return None
         step = model.modulus // n
-        return Fraction(step) if all(window[k].data == k * step for k in range(n)) else None
+        return Fraction(step) if all(points[k] == k * step for k in range(n)) else None
     return None
 
 
@@ -761,7 +752,8 @@ def precompact_perturbation(
         )
 
     # center permutations through perfect matchings F -> gF
-    gammas: dict[GroupElement, tuple[int, ...]] = {}
+    gammas: dict[Any, tuple[int, ...]] = {}
+    mul = model._mul_data
     for g in sample:
         gF = translate_window(g, centers)
         result = max_matching(build_graph(centers, gF, V))
@@ -770,10 +762,10 @@ def precompact_perturbation(
                 f"no perfect matching toward {model.format(g)}; "
                 f"Hall violated on {len(result.witness)} centers"
             )
-        target_index = {gF[j]: i for i, j in result.pairing.items()}
-        gammas[g] = tuple(target_index[model.mul(g, c)] for c in centers)
+        target_index = {gF.payloads[j]: i for i, j in result.pairing.items()}
+        gammas[g.data] = tuple(target_index[mul(g.data, c)] for c in centers.positions)
 
-    rows, lift_mode = _lift_rows(window, centers, assignment, gammas, sample, U)
+    rows, lift_mode = _lift_rows(window, centers, assignment, gammas, U)
 
     if any(j is None for row in rows.values() for j in row):
         raise ConstructionError("precompact rows must be total")
@@ -783,10 +775,10 @@ def precompact_perturbation(
         v = report.violations[0]
         raise ConstructionError(
             f"deviation {v.distance} beyond {U.radius} at "
-            f"({model.format(v.g)}, {model.format(v.h)})"
+            f"({model.format_data(v.g)}, {model.format_data(v.h)})"
         )
 
-    perms = [tuple(rows[g]) for g in sample]
+    perms = [tuple(row) for row in rows.values()]
     bound = math.factorial(len(centers))
     order = len(_perm_closure(perms, cap=bound + 1))
     if bound % order != 0:
@@ -803,8 +795,9 @@ def precompact_perturbation(
     )
 
 
-def _lift_rows(window, centers, assignment, gammas, sample, U):
-    """Lift center permutations to window rows; see precompact_perturbation."""
+def _lift_rows(window, centers, assignment, gammas, U):
+    """Lift the center permutations, per sample payload, to window rows;
+    see precompact_perturbation."""
     n_centers = len(centers)
     fibers: list[list[int]] = [[] for _ in range(n_centers)]
     for i, c in enumerate(assignment):
@@ -817,8 +810,7 @@ def _lift_rows(window, centers, assignment, gammas, sample, U):
         # Index-by-index fiber transport; composing two transports is the
         # transport of the composition, so the lift embeds the center group.
         rows = {}
-        for g in sample:
-            gamma = gammas[g]
+        for g, gamma in gammas.items():
             row: list[Optional[int]] = [None] * len(window)
             for c in range(n_centers):
                 src, dst = fibers[c], fibers[gamma[c]]
@@ -829,7 +821,7 @@ def _lift_rows(window, centers, assignment, gammas, sample, U):
 
     step = _uniform_step(window)
     if step is not None:
-        return _rotation_rows(window, step, sample, U), "grid-rotation"
+        return _rotation_rows(window, step, list(gammas), U), "grid-rotation"
 
     raise ConstructionError(
         "fibers are unbalanced along center orbits and the window is not an "
@@ -837,17 +829,18 @@ def _lift_rows(window, centers, assignment, gammas, sample, U):
     )
 
 
-def _rotation_rows(window, step, sample, U) -> dict[GroupElement, list[int]]:
-    """Per g, the row of the grid rotation window[k] = k * step nearest g,
-    which sends i to i + k mod n; each rotation must lie within the radius."""
+def _rotation_rows(window, step, sample: list, U) -> dict[Any, list[int]]:
+    """Per sample payload g, the row of the grid rotation window[k] = k * step
+    nearest g, which sends i to i + k mod n; each rotation must lie within
+    the radius."""
     n = len(window)
-    scale, (codes, shifts), _, dist = integer_metric(U.metric, window.positions, [g.data for g in sample])
+    scale, (codes, shifts), _, dist = integer_metric(U.metric, window.positions, sample)
     rows = {}
     for g, shift in zip(sample, shifts):
-        k = (2 * Fraction(g.data) / step + 1) // 2 % n  # round half up, exact on fractions
+        k = (2 * Fraction(g) / step + 1) // 2 % n  # round half up, exact on fractions
         dev = Fraction(dist(codes[k], shift), scale)
         if dev > U.radius:
-            raise ConstructionError(f"grid rotation misses {window.model.format(g)} by {dev} > {U.radius}")
+            raise ConstructionError(f"grid rotation misses {window.model.format_data(g)} by {dev} > {U.radius}")
         rows[g] = [(i + k) % n for i in range(n)]
     return rows
 
@@ -861,19 +854,18 @@ def _rotation_rows(window, step, sample, U) -> dict[GroupElement, list[int]]:
 class WobblingElement:
     window: FiniteWindow
     permutation: list[int]
-    pieces: list[tuple[GroupElement, FiniteWindow]]
+    pieces: list[tuple[Any, FiniteWindow]]  # (translator payload, the piece it moves)
 
     def verify(self) -> None:
         """Re-applying each translator on its piece must reproduce the permutation."""
-        model = self.window.model
+        mul, index, points = self.window.model._mul_data, self.window.positions, self.window.payloads
         seen = set()
         for g, piece in self.pieces:
-            for x in piece:
+            for x in piece.positions:
                 if x in seen:
                     raise ValueError("pieces overlap")
                 seen.add(x)
-                expected = self.window[self.permutation[self.window.index(x)]]
-                if model.mul(g, x) != expected:
+                if mul(g, x) != points[self.permutation[index[x]]]:
                     raise ValueError("translator does not reproduce the permutation")
         if len(seen) != len(self.window):
             raise ValueError("pieces do not cover the window")
@@ -890,25 +882,26 @@ def decompose_wobbling(
     the permutation there; a point with no matching translator is reported
     as the witness of non-membership.
     """
-    model = window.model
+    model, points = window.model, window.payloads
     if sorted(permutation) != list(range(len(window))):
         raise ValueError("not a permutation of the window")
-    translator: dict[GroupElement, list[GroupElement]] = {}
-    for i, x in enumerate(window):
-        target = window[permutation[i]]
-        for g in pool:
-            if model.mul(g, x) == target:
+    if pool.model is not model:
+        raise ModelMismatchError("window and pool over different models")
+    mul = model._mul_data
+    translator: dict[Any, list] = {}
+    for x, k in zip(points, permutation):
+        target = points[k]
+        for g in pool.positions:
+            if mul(g, x) == target:
                 translator.setdefault(g, []).append(x)
                 break
         else:
             raise NonMemberError(
-                f"no pool translator moves {model.format(x)} to {model.format(target)}",
+                f"no pool translator moves {model.format_data(x)} to {model.format_data(target)}",
                 witness=x,
             )
-    pieces = [
-        (g, FiniteWindow(model, xs))
-        for g, xs in sorted(translator.items(), key=lambda kv: model.sort_key(kv[0]))
-    ]
+    order = sorted(translator, key=model.payload_key)
+    pieces = [(g, FiniteWindow._from_payloads(model, translator[g])) for g in order]
     element = WobblingElement(window=window, permutation=list(permutation), pieces=pieces)
     element.verify()
     return element

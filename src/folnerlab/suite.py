@@ -240,8 +240,7 @@ def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[bool, 
     certs = []
 
     theta, cert = topological_defect(F, window(C, [Fraction(1, 3)]), U)
-    g = C.element(Fraction(1, 3))
-    matching = cert.matchings[g]
+    matching = cert.matchings[Fraction(1, 3)]
     identity_pairing = len(matching.pairing) == len(F) and all(
         matching.instance.left[i] == matching.instance.right[j]
         for i, j in matching.pairing.items()
@@ -250,9 +249,8 @@ def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[bool, 
         return False, f"aligned defect {theta}", certs
     certs.append(cert)
 
-    g2 = C.element(Fraction(1, 8))
-    theta2, cert2 = topological_defect(F, window(C, [g2]), U)
-    oracle = brute_force_matching_number(cert2.matchings[g2].instance)
+    theta2, cert2 = topological_defect(F, window(C, [Fraction(1, 8)]), U)
+    oracle = brute_force_matching_number(cert2.matchings[Fraction(1, 8)].instance)
     if theta2 != Fraction(oracle, len(F)):
         return False, f"off-grid defect {theta2} vs oracle {oracle}/12", certs
     certs.append(cert2)
@@ -297,6 +295,10 @@ def _brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, step: Fr
 
 
 def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+    """Two-point seminorms against min(2, d), with each distance d from its
+    closed form, not from the package's metric kernel: the arc
+    min(|x - y|, 1 - |x - y|) on the circle, |x - y|_1 on Z^2, and on F_2
+    the reduced length of x y^-1 through `_free_mul`."""
     rng = random.Random(52200)
     C = make_model("circle")
     Z2 = make_model("lattice", dim=2)
@@ -306,23 +308,23 @@ def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, 
         x = Fraction(rng.randint(0, 99), 100)
         y = Fraction(rng.randint(0, 99), 100)
         if x != y:
-            cases.append((C.element(x), C.element(y), ArcMetric(C)))
+            cases.append((C.element(x), C.element(y), ArcMetric(C), min(abs(x - y), 1 - abs(x - y))))
     for _ in range(30):
         x = (rng.randint(-5, 5), rng.randint(-5, 5))
         y = (rng.randint(-5, 5), rng.randint(-5, 5))
         if x != y:
-            cases.append((Z2.element(x), Z2.element(y), WordMetric(Z2)))
+            cases.append((Z2.element(x), Z2.element(y), WordMetric(Z2), Fraction(abs(x[0] - y[0]) + abs(x[1] - y[1]))))
     letters = ["a", "b", "A", "B"]
     while len(cases) < 100:
         wx = ",".join(rng.choice(letters) for _ in range(rng.randint(0, 3))) or "e"
         wy = ",".join(rng.choice(letters) for _ in range(rng.randint(0, 3))) or "e"
         gx, gy = F2.parse(wx), F2.parse(wy)
         if gx != gy:
-            cases.append((gx, gy, WordMetric(F2)))
+            y_inverse = tuple(-letter for letter in reversed(gy.data))
+            cases.append((gx, gy, WordMetric(F2), Fraction(len(_free_mul(gx.data, y_inverse)))))
 
     grid_checked = 0
-    for idx, (x, y, metric) in enumerate(cases[:100]):
-        d = metric.eval(x, y)
+    for idx, (x, y, metric, d) in enumerate(cases[:100]):
         diff = FiniteWeight.delta(x) - FiniteWeight.delta(y)
         result = lipschitz_seminorm(diff, metric)
         expected = min(Fraction(2), d)
@@ -348,9 +350,7 @@ def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> tuple[bool, s
         atoms = rng.sample(range(40), support_size)
         weights = [rng.randint(1, 6) for _ in range(support_size)]
         total = sum(weights)
-        a = FiniteWeight(
-            C, [(C.element(Fraction(k, 40)), Fraction(w, total)) for k, w in zip(atoms, weights)]
-        )
+        a = FiniteWeight(C, [(Fraction(k, 40), Fraction(w, total)) for k, w in zip(atoms, weights)])
         approx = approx_by_uniform(a, arc, eps, supply)
         check = lipschitz_seminorm(a - FiniteWeight.uniform(approx.window), arc).value
         if check > eps:
@@ -407,18 +407,19 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
 
 def _involution_check(action) -> bool:
     """psi(g) = alpha(g) o translation-inverse must square to the identity."""
-    model = action.window.model
+    model, window = action.window.model, action.window.positions
+    mul = model._mul_data
     for g in action.rows:
-        g_inv = model.inv(g)
-        for y in action.window:
-            h = model.mul(g_inv, y)
-            if h not in action.window:
+        g_inv = model._inv_data(g)
+        for y in window:
+            h = mul(g_inv, y)
+            if h not in window:
                 continue
             once = action.apply(g, h)  # psi(g)(y)
             if once is None:
                 continue
-            h2 = model.mul(g_inv, once)
-            if h2 not in action.window:
+            h2 = mul(g_inv, once)
+            if h2 not in window:
                 return False
             twice = action.apply(g, h2)
             if twice != y:

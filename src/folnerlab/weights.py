@@ -1,7 +1,10 @@
 """Finitely supported rational weights on a group and the bounded-Lipschitz
 seminorm.
 
-A weight's file form is {"support": [element strings], "weights":
+A weight holds its support as a window of payloads, with the weights
+aligned to it; the seminorm's witness is aligned to the same window, and
+the pieces of a uniform approximation are keyed by support payload.  A
+weight's file form is {"support": [element strings], "weights":
 [rationals]}.  `FiniteWeight.from_json` is its one loader: a malformed field
 is a `CertificateError` naming it (`support[k]`, `weights[k]`).
 
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Any, Iterable
 
 from .groups import (
     CertificateError,
@@ -45,8 +48,8 @@ from .groups import (
     ModelMismatchError,
     certificate_fraction,
     integer_metric,
-    parse_element,
     parse_fraction,
+    parse_payload,
     require_fields,
 )
 from .lp import INF_CAP, LpError, min_cost_flow, simplex_max
@@ -66,93 +69,88 @@ class SupportSizeError(ValueError):
 
 
 class FiniteWeight:
-    """Finitely supported map into the rationals; zero weights are dropped."""
+    """Finitely supported map into the rationals, built from (payload,
+    weight) pairs; repeated payloads add up and zero weights are dropped.
+    `support` is the window of the points left and `weights` their weights,
+    aligned with it."""
 
-    def __init__(self, model: GroupModel, pairs: Iterable[tuple[GroupElement, Fraction]]):
-        table: dict[GroupElement, Fraction] = {}
-        for g, w in pairs:
-            if g.model is not model:
-                raise ModelMismatchError("weight on a foreign element")
+    def __init__(self, model: GroupModel, pairs: Iterable[tuple[Any, Fraction]]):
+        table: dict[Any, Fraction] = {}
+        for x, w in pairs:
             w = parse_fraction(w)
             if not w:
                 continue
-            if g in table:  # only a repeated point costs an addition
-                w += table[g]
+            if x in table:  # only a repeated point costs an addition
+                w += table[x]
                 if not w:
-                    del table[g]
+                    del table[x]
                     continue
-            table[g] = w
+            table[x] = w
         self.model = model
-        self.items: tuple[tuple[GroupElement, Fraction], ...] = tuple(
-            sorted(table.items(), key=lambda kv: model.sort_key(kv[0]))
-        )
-        den = math.lcm(*(w.denominator for w in table.values()))
-        self.norm1: Fraction = Fraction(sum(abs(w.numerator) * (den // w.denominator) for w in table.values()), den)
+        self.support = FiniteWindow._from_payloads(model, table)
+        self.weights: tuple[Fraction, ...] = tuple(map(table.__getitem__, self.support.positions))
+        den = math.lcm(*(w.denominator for w in self.weights))
+        self.norm1: Fraction = Fraction(sum(abs(w.numerator) * (den // w.denominator) for w in self.weights), den)
 
     @classmethod
     def delta(cls, g: GroupElement) -> "FiniteWeight":
-        return cls(g.model, [(g, ONE)])
+        return cls(g.model, [(g.data, ONE)])
 
     @classmethod
     def uniform(cls, F: FiniteWindow) -> "FiniteWeight":
         if len(F) == 0:
             raise ValueError("uniform weight needs a non-empty window")
         w = Fraction(1, len(F))
-        return cls(F.model, [(g, w) for g in F])
+        return cls(F.model, [(x, w) for x in F.positions])
 
-    def support(self) -> FiniteWindow:
-        """The support as a window; its indices are those of `items`."""
-        return FiniteWindow._from_sorted(self.model, [g.data for g, _ in self.items])
+    def pairs(self) -> Iterable[tuple[Any, Fraction]]:
+        """(payload, weight) over the support, in its order."""
+        return zip(self.support.positions, self.weights)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.weights)
 
-    def __getitem__(self, g: GroupElement) -> Fraction:
-        for h, w in self.items:
-            if h == g:
-                return w
-        return ZERO
+    def __getitem__(self, x) -> Fraction:
+        """The weight at the payload x."""
+        i = self.support.positions.get(x)
+        return ZERO if i is None else self.weights[i]
 
     def is_stochastic(self) -> bool:
-        return self.norm1 == 1 and all(w > 0 for _, w in self.items)
+        return self.norm1 == 1 and all(w > 0 for w in self.weights)
 
     def total(self) -> Fraction:
-        return sum((w for _, w in self.items), ZERO)
-
-    def apply(self, f: Callable[[GroupElement], Fraction]) -> Fraction:
-        return sum((w * f(g) for g, w in self.items), ZERO)
+        return sum(self.weights, ZERO)
 
     def __add__(self, other: "FiniteWeight") -> "FiniteWeight":
-        return FiniteWeight(self.model, list(self.items) + list(other.items))
+        if other.model is not self.model:
+            raise ModelMismatchError("weights over different models")
+        return FiniteWeight(self.model, [*self.pairs(), *other.pairs()])
 
     def __sub__(self, other: "FiniteWeight") -> "FiniteWeight":
-        return FiniteWeight(
-            self.model, list(self.items) + [(g, -w) for g, w in other.items]
-        )
+        return self + other.scale(-1)
 
     def scale(self, c: Fraction) -> "FiniteWeight":
         c = parse_fraction(c)
-        return FiniteWeight(self.model, [(g, c * w) for g, w in self.items])
+        return FiniteWeight(self.model, [(x, c * w) for x, w in self.pairs()])
 
     def left_translate(self, g: GroupElement) -> "FiniteWeight":
-        return FiniteWeight(self.model, [(self.model.mul(g, h), w) for h, w in self.items])
+        self.model._check(g)
+        mul, a = self.model._mul_data, g.data
+        return FiniteWeight(self.model, [(mul(a, x), w) for x, w in self.pairs()])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteWeight)
-            and self.model == other.model
-            and self.items == other.items
+            and self.support == other.support
+            and self.weights == other.weights
         )
 
     def __repr__(self) -> str:
-        inner = " + ".join(f"{w}*d[{self.model.format(g)}]" for g, w in self.items[:6])
-        return f"Weight({inner}{' ...' if len(self.items) > 6 else ''})"
+        inner = " + ".join(f"{w}*d[{self.model.format_data(x)}]" for x, w in list(self.pairs())[:6])
+        return f"Weight({inner}{' ...' if len(self) > 6 else ''})"
 
     def to_json(self) -> dict:
-        return {
-            "support": [self.model.format_data(g.data) for g, _ in self.items],
-            "weights": [str(w) for _, w in self.items],
-        }
+        return {"support": self.support.to_json(), "weights": list(map(str, self.weights))}
 
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "FiniteWeight":
@@ -170,9 +168,9 @@ class FiniteWeight:
             if not isinstance(x, str):
                 raise CertificateError(f"support[{k}]", f"expected an element encoding (a JSON string), got {x!r}")
             try:
-                pairs.append((model.parse(x), parse_fraction(w)))
+                pairs.append((model.parse_data(x), parse_fraction(w)))
             except ValueError:  # again, through the parsers that name the entry
-                pairs.append((parse_element(x, model, f"support[{k}]"), certificate_fraction(w, f"weights[{k}]")))
+                pairs.append((parse_payload(x, model, f"support[{k}]"), certificate_fraction(w, f"weights[{k}]")))
         return cls(model, pairs)
 
 
@@ -184,15 +182,12 @@ class FiniteWeight:
 @dataclass
 class SeminormResult:
     value: Fraction
-    witness: dict[GroupElement, Fraction]
+    witness: list[Fraction]  # the optimal function at each point of the weight's support
     pivots: int
     engine: str
 
     def witness_range(self) -> Fraction:
-        if not self.witness:
-            return ZERO
-        vals = list(self.witness.values())
-        return max(vals) - min(vals)
+        return max(self.witness) - min(self.witness) if self.witness else ZERO
 
 
 def _pair_constraints(near: list[dict[int, int]]) -> list[tuple[int, int]]:
@@ -300,18 +295,16 @@ def lipschitz_seminorm(
     if lo != -hi and a.total() != 0:
         raise ValueError("asymmetric bounds need a weight with zero total mass")
     if len(a) == 0:
-        return SeminormResult(value=ZERO, witness={}, pivots=0, engine="trivial")
+        return SeminormResult(value=ZERO, witness=[], pivots=0, engine="trivial")
     if len(a) > support_cap:
         raise SupportSizeError(f"support {len(a)} exceeds cap {support_cap}")
 
-    points = [g for g, _ in a.items]
-    mu = [w for _, w in a.items]
-    near, scale = near_pairs(a.support(), metric, hi - lo)
+    near, scale = near_pairs(a.support, metric, hi - lo)
     pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
-    value, f, pivots, engine = _seminorm_lp(mu, pairs, scale, lo, hi)
+    value, f, pivots, engine = _seminorm_lp(list(a.weights), pairs, scale, lo, hi)
 
     _check_witness(f, near, scale, lo, hi)
-    return SeminormResult(value=value, witness=dict(zip(points, f)), pivots=pivots, engine=engine)
+    return SeminormResult(value=value, witness=f, pivots=pivots, engine=engine)
 
 
 def _check_witness(f: list[Fraction], near: list[dict[int, int]], scale: int, lo: Fraction, hi: Fraction) -> None:
@@ -345,7 +338,7 @@ def _check_witness(f: list[Fraction], near: list[dict[int, int]], scale: int, lo
 
 @dataclass
 class DefectRow:
-    g: GroupElement
+    g: Any  # the payload of the translation
     full: Fraction
     restricted: Fraction
     pivots: int
@@ -383,7 +376,7 @@ def invariance_defect(
         restricted = lipschitz_seminorm(diff, metric, bounds=(ZERO, ONE))
         rows.append(
             DefectRow(
-                g=g,
+                g=g.data,
                 full=full.value,
                 restricted=restricted.value,
                 pivots=full.pivots,
@@ -405,7 +398,7 @@ class SupplyError(ValueError):
 @dataclass
 class UniformApproximation:
     window: FiniteWindow
-    pieces: dict[GroupElement, FiniteWindow]
+    pieces: dict[Any, FiniteWindow]  # per support payload
     defect: Fraction
     epsilon: Fraction
 
@@ -433,31 +426,29 @@ def approx_by_uniform(
 
     counts, denom, round_err = _round_weight(a, epsilon / 2)
     radius = epsilon / 2
-    used: set[GroupElement] = set()
-    pieces: dict[GroupElement, FiniteWindow] = {}
-    support = a.support()
+    used: set[int] = set()  # supply indices
+    pieces: dict[Any, FiniteWindow] = {}
+    support, points = a.support, supply.payloads
     balls = build_graph(support, supply, Entourage(metric, radius)).adjacency
-    _, (xs, ys), _, dist = integer_metric(metric, support.positions, supply.positions)
-    for (x, _), code, ball in zip(a.items, xs, balls):
-        need = counts[x]
+    _, (xs, ys), _, dist = integer_metric(metric, support.positions, points)
+    for x, need, code, ball in zip(support.positions, counts, xs, balls):
         chosen = []
         # nearest first; the ball is in canonical supply order and the sort is stable
         for j in sorted(ball, key=lambda j: dist(code, ys[j])):
             if len(chosen) == need:
                 break
-            y = supply[j]
-            if y in used:
+            if j in used:
                 continue
-            chosen.append(y)
-            used.add(y)
+            chosen.append(points[j])
+            used.add(j)
         if len(chosen) < need:
             raise SupplyError(
-                f"supply exhausted near {a.model.format(x)}: "
+                f"supply exhausted near {a.model.format_data(x)}: "
                 f"needed {need}, found {len(chosen)} within {radius}"
             )
-        pieces[x] = FiniteWindow(a.model, chosen)
+        pieces[x] = FiniteWindow._from_payloads(a.model, chosen)
 
-    F = FiniteWindow(a.model, [y for piece in pieces.values() for y in piece])
+    F = FiniteWindow._from_payloads(a.model, [y for piece in pieces.values() for y in piece.positions])
     if len(F) != denom:
         raise SupplyError("pieces overlap; supply too coarse")
     defect = lipschitz_seminorm(a - FiniteWeight.uniform(F), metric).value
@@ -466,20 +457,22 @@ def approx_by_uniform(
     return UniformApproximation(window=F, pieces=pieces, defect=defect, epsilon=epsilon)
 
 
-def _round_weight(a: FiniteWeight, budget: Fraction) -> tuple[dict[GroupElement, int], int, Fraction]:
-    """Approximate a by c(x)/n with sum c = n <= cap and l1 error <= budget."""
-    denom = math.lcm(*(w.denominator for _, w in a.items))
+def _round_weight(a: FiniteWeight, budget: Fraction) -> tuple[list[int], int, Fraction]:
+    """Approximate a by c(x)/n with sum c = n <= cap and l1 error <= budget;
+    the counts c are aligned with the support."""
+    denom = math.lcm(*(w.denominator for w in a.weights))
     if denom <= DENOMINATOR_CAP:
-        return {g: int(w * denom) for g, w in a.items}, denom, ZERO
+        return [int(w * denom) for w in a.weights], denom, ZERO
 
     n = DENOMINATOR_CAP
-    raw = [(g, w * n) for g, w in a.items]
-    counts = {g: int(q) for g, q in raw}  # floor
-    remainder = n - sum(counts.values())
-    by_frac = sorted(raw, key=lambda item: (item[1] - int(item[1]), a.model.sort_key(item[0])), reverse=True)
-    for g, _ in by_frac[:remainder]:
-        counts[g] += 1
-    err = sum((abs(w - Fraction(counts[g], n)) for g, w in a.items), ZERO)
+    raw = [w * n for w in a.weights]
+    counts = [int(q) for q in raw]  # floor
+    remainder = n - sum(counts)
+    # largest fractional part first, ties to the later support point
+    by_frac = sorted(range(len(raw)), key=lambda i: (raw[i] - counts[i], i), reverse=True)
+    for i in by_frac[:remainder]:
+        counts[i] += 1
+    err = sum((abs(w - Fraction(c, n)) for w, c in zip(a.weights, counts)), ZERO)
     if err > budget:
         raise SupplyError(f"rounding error {err} exceeds {budget} at denominator cap {DENOMINATOR_CAP}")
     return counts, n, err

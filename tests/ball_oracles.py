@@ -20,8 +20,11 @@ as it tested a candidate y in two parts: y against the blocked shifts of the
 chosen points, then g y and g^-1 y against the chosen points, for every
 shift g.  Its candidates are the Fraction scan above.
 
-They are kept unchanged as oracles: the graph-row forms must give identical
-results on the same input.
+They are kept as oracles: the graph-row forms must give identical results
+on the same input.  Every distance here is `fraction_eval`, each metric rule
+written out in Fractions, so the oracles do not read the package's metric
+kernel; the relocations, rotation rows and pieces come out keyed by payload,
+as the package's tables are.
 """
 
 from fractions import Fraction
@@ -29,12 +32,13 @@ from fractions import Fraction
 from folnerlab.groups import CircleModel, FiniteWindow
 from folnerlab.perturb import BACKTRACK_CAP, BudgetError, ConstructionError
 from folnerlab.weights import SupplyError, _round_weight
+from fraction_oracles import fraction_eval
 
 
 def fraction_candidates(F, U, supply):
     candidates = []
     for x in F:
-        near = [y for y in supply if U.metric.eval(y, x) <= U.radius]
+        near = [y for y in supply if fraction_eval(U.metric, y, x) <= U.radius]
         if not near:
             raise ConstructionError(f"supply has no point near {F.model.format(x)}")
         candidates.append(near)
@@ -89,27 +93,27 @@ def moving_injection(F, E, U, supply):
             f"supply of {len(supply)} points cannot relocate {len(F)} points "
             f"clear of {len(shifts)} shifts"
         )
-    return dict(zip(F, chosen))
+    return {x.data: y.data for x, y in zip(F, chosen)}
 
 
 def greedy_separated(window, metric, threshold):
     chosen = []
     for i, x in enumerate(window):
-        if all(metric.eval(x, window[j]) > threshold for j in chosen):
+        if all(fraction_eval(metric, x, window[j]) > threshold for j in chosen):
             chosen.append(i)
     return chosen
 
 
 def nearest_centers(window, metric, third, centers):
     for x in window:
-        if all(metric.eval(x, c) > third for c in centers):
+        if all(fraction_eval(metric, x, c) > third for c in centers):
             raise ConstructionError("separated set is not maximal")
     assignment = []
     for x in window:
         best_j = 0
-        best_d = metric.eval(x, centers[0])
+        best_d = fraction_eval(metric, x, centers[0])
         for j in range(1, len(centers)):
-            dj = metric.eval(x, centers[j])
+            dj = fraction_eval(metric, x, centers[j])
             if dj < best_d:
                 best_d, best_j = dj, j
         assignment.append(best_j)
@@ -126,7 +130,7 @@ def _nearest_rotation(model, g, step, n, U):
         shift = model.element(k * step)
     else:
         shift = model.element(int(k * step))
-    dev = U.metric.eval(shift, g)
+    dev = fraction_eval(U.metric, shift, g)
     if dev > U.radius:
         raise ConstructionError(
             f"grid rotation misses {model.format(g)} by {dev} > {U.radius}"
@@ -139,7 +143,7 @@ def index_rotation_rows(window, step, sample, U):
     rows = {}
     for g in sample:
         shift = _nearest_rotation(model, g, step, len(window), U)
-        rows[g] = [window.index(model.mul(shift, window[i])) for i in range(len(window))]
+        rows[g.data] = [window.index(model.mul(shift, window[i])) for i in range(len(window))]
     return rows
 
 
@@ -150,9 +154,8 @@ def fraction_uniform_pieces(a, metric, epsilon, supply):
     radius = epsilon / 2
     used = set()
     pieces = {}
-    for x, _ in a.items:
-        need = counts[x]
-        in_ball = [(d, y) for y in supply if (d := metric.eval(x, y)) <= radius]
+    for x, need in zip(a.support, counts):
+        in_ball = [(d, y) for y in supply if (d := fraction_eval(metric, x, y)) <= radius]
         in_ball.sort(key=lambda item: item[0])
         chosen = []
         for _, y in in_ball:
@@ -167,5 +170,5 @@ def fraction_uniform_pieces(a, metric, epsilon, supply):
                 f"supply exhausted near {a.model.format(x)}: "
                 f"needed {need}, found {len(chosen)} within {radius}"
             )
-        pieces[x] = FiniteWindow(a.model, chosen)
+        pieces[x.data] = FiniteWindow(a.model, chosen)
     return pieces

@@ -1,23 +1,51 @@
 """The Fraction forms of code that folnerlab now runs on scaled integers.
 
 Each function here computes every step in `Fraction`s, as the package did
-before: the simplex, its optimality check and the min-cost flow (one
-shortest path per augmentation) of `folnerlab.lp`, the Lipschitz pair
-pruning of `folnerlab.weights`, the criterion-7 grid scan of
-`folnerlab.suite`, and the deviation scan of `folnerlab.perturb`'s
-`verify_perturbation`.  They are kept unchanged as oracles: the integer forms
-must return identical results (values, witnesses, duals, pivot counts,
-flows, potentials and kept pairs) on the same input.
+before: the per-rule `eval` of each metric class in `folnerlab.groups`, the
+simplex, its optimality check and the min-cost flow (one shortest path per
+augmentation) of `folnerlab.lp`, the Lipschitz pair pruning of
+`folnerlab.weights`, the criterion-7 grid scan of `folnerlab.suite`, and
+the deviation scan of `folnerlab.perturb`'s `verify_perturbation`.  They are
+kept unchanged as oracles: the integer forms must return identical results
+(values, witnesses, duals, pivot counts, flows, potentials and kept pairs)
+on the same input.
+
+`fraction_eval(metric, x, y)` is the independent distance of the test
+oracles: each rule written out on the elements' payloads in Fractions, as
+the metric classes stated it before `eval` read `groups.integer_metric`
+(the word length of x y^-1, the wraparound arc, componentwise max on the
+torus, 0/1, and a scale factor times the base).
 """
 
 from collections import deque
 from fractions import Fraction
 from typing import Callable
 
+from folnerlab.groups import CircleModel
 from folnerlab.lp import LpError, LpSolution
 from folnerlab.perturb import PerturbationReport, Violation
 
 ZERO = Fraction(0)
+
+
+def _arc(a: Fraction, b: Fraction) -> Fraction:
+    delta = abs(a - b)
+    return min(delta, 1 - delta)
+
+
+def fraction_eval(metric, x, y) -> Fraction:
+    model = metric.model
+    if metric.rule == "scaled":
+        return metric.factor * fraction_eval(metric.base, x, y)
+    if metric.rule == "word":
+        return Fraction(model._length_data(model.mul(x, model.inv(y)).data))
+    if metric.rule == "arc":
+        if isinstance(model, CircleModel):
+            return _arc(x.data, y.data)
+        return max(_arc(a, b) for a, b in zip(x.data, y.data))
+    if metric.rule == "discrete":
+        return Fraction(0) if x == y else Fraction(1)
+    raise ValueError(f"unknown metric rule {metric.rule!r}")
 
 
 def fraction_simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: list[Fraction]) -> LpSolution:
@@ -288,39 +316,42 @@ def fraction_brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, 
 
 def fraction_verify_perturbation(action, U) -> PerturbationReport:
     """`verify_perturbation` with every deviation a `Fraction` from
-    `metric.eval` on elements, as it ran before every deviation scan read
+    `fraction_eval` on elements, as it ran before every deviation scan read
     `groups.integer_metric`."""
     model = action.window.model
     metric = U.metric
     violations = []
     checked = 0
     max_dev = ZERO
-    for g, row in sorted(action.rows.items(), key=lambda kv: model.sort_key(kv[0])):
+    for key in sorted(action.rows, key=model.payload_key):
+        g, row = model.element(key), action.rows[key]
         for i, j in enumerate(row):
             if j is None:
                 continue
             h = action.window[i]
             image = action.window[j]
-            dist = metric.eval(image, model.mul(g, h))
+            dist = fraction_eval(metric, image, model.mul(g, h))
             checked += 1
             max_dev = max(max_dev, dist)
             if dist > U.radius:
-                violations.append(Violation(g=g, h=h, image=image, distance=dist))
+                violations.append(Violation(g=g.data, h=h.data, image=image.data, distance=dist))
 
     ratios = []
     for idx, F in enumerate(action.folner_windows):
         if idx < len(action.folner_pools):
-            movers = [g for g in action.folner_pools[idx] if g in action.rows]
+            movers = [g for g in action.folner_pools[idx] if g.data in action.rows]
         else:
-            movers = list(action.rows)
+            movers = [model.element(g) for g in action.rows]
         image = set(F)
         for g in movers:
+            row = action.rows[g.data]
             for x in F:
-                y = action.apply(g, x)
-                if y is not None:
-                    image.add(y)
+                j = row[action.window.index(x)] if x in action.window else None
+                if j is not None:
+                    image.add(action.window[j])
         ratios.append((idx, Fraction(len(image), len(F))))
     return PerturbationReport(
+        model=model,
         radius=U.radius,
         entries_checked=checked,
         violations=violations,

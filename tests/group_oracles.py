@@ -16,7 +16,7 @@ metric built for the seminorm (`distance_matrix`) before the seminorm read
 only the near pairs (`matching.near_pairs`): word lengths on payloads at
 scale 1, arcs on ints over the common denominator of all coordinates, a
 scaled metric's base matrix and scale times the two halves of its factor,
-and any other rule through `eval` with the LCM of the denominators.
+and any other rule through `fraction_eval` with the LCM of the denominators.
 
 `union_find_orbits` is the union-find that `perturb._lift_rows` ran to split
 the centers into the orbits of the permutation group the generators span,
@@ -43,6 +43,7 @@ from folnerlab.groups import (
     WindowSizeError,
     parse_fraction,
 )
+from fraction_oracles import fraction_eval
 
 
 def letterwise_free_mul(a: tuple, b: tuple) -> tuple:
@@ -56,7 +57,7 @@ def letterwise_free_mul(a: tuple, b: tuple) -> tuple:
 
 
 def bfs_word_ball(model, radius: int, cap: int) -> FiniteWindow:
-    gens = [s.data for s in model.generators()]
+    gens = model.generators()
     mul = letterwise_free_mul if isinstance(model, FreeGroupModel) else model._mul_data
     start = model.identity().data
     seen = {start: 0}
@@ -77,7 +78,7 @@ def bfs_word_ball(model, radius: int, cap: int) -> FiniteWindow:
 
 def dense_distance_matrix(metric, points: list) -> tuple[list[list[int]], int]:
     """All pairwise distances as ints over one common scale:
-    `rows[i][j] / scale == metric.eval(points[i], points[j])`."""
+    `rows[i][j] / scale == fraction_eval(metric, points[i], points[j])`."""
     model, n = metric.model, len(points)
     rows = [[0] * n for _ in range(n)]
     if metric.rule == "scaled":
@@ -103,7 +104,7 @@ def dense_distance_matrix(metric, points: list) -> tuple[list[list[int]], int]:
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = max(min(d, scale - d) for d in map(abs, map(operator.sub, x, ints[j])))
         return rows, scale
-    upper = [[metric.eval(points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
+    upper = [[fraction_eval(metric, points[i], points[j]) for j in range(i + 1, n)] for i in range(n)]
     scale = math.lcm(*(d.denominator for row in upper for d in row))
     for i, row in enumerate(upper):
         for j, d in enumerate(row, start=i + 1):

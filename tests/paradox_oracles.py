@@ -6,10 +6,10 @@ re-checks at every visit what the certificate check already enforces, and
 raises a `ClassifierError` with an empty path where the walk cannot go on;
 the window scan that calls it names the piece.
 
-`preimages` is the preimage column of a translator word computed on
-`GroupElement`s, one inverse and one product per element of the word, as
-the generic loop of `_preimages` does on payloads; one-letter free
-translators are checked against it.
+`preimages` is the preimage column of a translator word (a tuple of
+payloads) computed on `GroupElement`s, one inverse and one product per
+entry of the word at every point, as `_preimages` ran before it folded the
+word into one payload.
 
 `topdown_exact` is the memoized recursion that `_AssignmentProblem.exact`
 ran before it became a bottom-up program over dense per-layer arrays.  It
@@ -86,8 +86,8 @@ def preimages(window: FiniteWindow, word) -> list[int]:
     column = []
     for x in window:
         y = x
-        for g in reversed(word):
-            y = model.mul(model.inv(g), y)
+        for data in reversed(word):
+            y = model.mul(model.inv(model.element(data)), y)
         column.append(window.index(y) if y in window else -1)
     return column
 

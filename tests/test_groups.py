@@ -37,6 +37,7 @@ from folnerlab.groups import (
     window,
     word_ball,
 )
+from fraction_oracles import fraction_eval
 from group_oracles import (
     bfs_word_ball,
     dense_distance_matrix,
@@ -204,8 +205,9 @@ def _kernel_metrics(own):
 
 @pytest.mark.parametrize("model,elements,own", MODEL_STRATEGIES)
 def test_integer_metric_matches_eval(model, elements, own):
-    # Every kernel distance over the kernel's scale is the metric's `eval`,
-    # as an int, and the code of x y is the product of the codes of x and y.
+    # Every kernel distance over the kernel's scale is the rule written out
+    # in Fractions (`fraction_eval`, not the kernel-backed `eval`), as an
+    # int, and so is `eval`; the code of x y is the product of the codes.
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(elements, elements), min_size=1, max_size=8))
     def kernel(pairs):
@@ -213,11 +215,52 @@ def test_integer_metric_matches_eval(model, elements, own):
         for metric in _kernel_metrics(own):
             scale, (xs, ys, products), mul, dist = integer_metric(metric, *payloads)
             for (x, y), a, b, ab in zip(pairs, xs, ys, products):
+                want = fraction_eval(metric, x, y)
                 assert type(dist(a, b)) is int
-                assert Fraction(dist(a, b), scale) == metric.eval(x, y), metric.to_json()
+                assert Fraction(dist(a, b), scale) == want, metric.to_json()
+                assert metric.eval(x, y) == want, metric.to_json()
                 assert mul(a, b) == ab
 
     kernel()
+
+
+def _rule_metrics(model):
+    """Every rule the model carries, unscaled, scaled and scaled twice."""
+    out = []
+    for base in (model.default_metric(), DiscreteMetric(model)):
+        out += [base, ScaledMetric(base, Fraction(1, 2)), ScaledMetric(ScaledMetric(base, Fraction(3, 4)), Fraction(5, 3))]
+    return out
+
+
+def test_eval_refuses_an_element_of_another_model():
+    # Before `eval` was one base-class method, the discrete rule answered 1
+    # on two lattice points (1/2 scaled), the torus arc raised a TypeError
+    # on circle points, and only the word rule refused; now every rule,
+    # scaled or not, refuses each foreign element on either side.
+    assert DiscreteMetric(C).eval(C.element(0), C.element(Fraction(1, 2))) == 1
+    for model in ALL_MODELS:
+        own = [model.identity(), model.element(model.generators()[0])]
+        for metric in _rule_metrics(model):
+            for other in ALL_MODELS:
+                if other is model:
+                    continue
+                foreign = [other.identity(), other.element(other.generators()[-1])]
+                for x in foreign:
+                    for y in own + foreign:
+                        with pytest.raises(ModelMismatchError):
+                            metric.eval(x, y)
+                        with pytest.raises(ModelMismatchError):
+                            metric.eval(y, x)
+                    with pytest.raises(ModelMismatchError):
+                        metric.distance_to_identity(x)
+                    with pytest.raises(ModelMismatchError):
+                        Entourage(metric, Fraction(1)).contains(x)
+    with pytest.raises(ModelMismatchError):
+        DiscreteMetric(C).eval(Z.element((1,)), Z.element((2,)))
+    with pytest.raises(ModelMismatchError):
+        ScaledMetric(DiscreteMetric(C), Fraction(1, 2)).eval(Z.element((1,)), Z.element((2,)))
+    with pytest.raises(ModelMismatchError):
+        ArcMetric(T2).eval(C.element(Fraction(1, 3)), C.element(Fraction(1, 2)))
 
 
 def test_metric_constructors_refuse_a_rule_the_model_does_not_carry():
@@ -326,7 +369,7 @@ def test_heisenberg_length_local_certificate_on_far_payloads():
     # drops by one along some generator is the word length (it is zero only
     # at the identity); check both conditions at seeded far payloads.
     rng = random.Random(12)
-    gens = [s.data for s in H.generators()]
+    gens = H.generators()
     for g in _far_heisenberg_payloads(rng, 400) + [(0, 0, 10**6), (1000, -1000, -(10**6))]:
         length = H._length_data(g)
         steps = [H._length_data(H._mul_data(g, s)) - length for s in gens]
@@ -366,8 +409,8 @@ def test_translate_window():
 
 def test_translate_preserves_cardinality():
     F = grid_sample(F2, 2)
-    for g in F2.generators():
-        assert len(translate_window(g, F)) == len(F)
+    for s in F2.generators():
+        assert len(translate_window(F2.element(s), F)) == len(F)
 
 
 def test_window_dedup_and_order():
@@ -436,7 +479,7 @@ def test_cyclic_generators_reach_everything():
         nxt = []
         for g in frontier:
             for s in Z12.generators():
-                h = Z12.mul(g, s)
+                h = Z12.mul(g, Z12.element(s))
                 if h not in reached:
                     reached.add(h)
                     nxt.append(h)
@@ -477,11 +520,11 @@ def _metrics(model):
 
 
 def _eval_error(metric, points):
-    """The type of the first error that per-pair eval raises, or None."""
+    """The type of the first error that the per-pair Fraction rule raises, or None."""
     for x in points:
         for y in points:
             try:
-                metric.eval(x, y)
+                fraction_eval(metric, x, y)
             except Exception as exc:
                 return type(exc)
     return None
@@ -502,7 +545,7 @@ def _assert_matrix_matches_eval(metric, points):
         for j in range(n):
             assert type(rows[i][j]) is int
             assert rows[i][j] == rows[j][i]
-            d = metric.eval(points[i], points[j])
+            d = fraction_eval(metric, points[i], points[j])
             assert rows[i][j] * d.denominator == d.numerator * scale
 
 
@@ -587,7 +630,7 @@ def _oracle(model, elements):
 def _oracle_ball(model, radius):
     ball = {model.identity()}
     for _ in range(radius):
-        ball |= {model.mul(x, s) for x in ball for s in model.generators()}
+        ball |= {model.mul(x, model.element(s)) for x in ball for s in model.generators()}
     return ball
 
 

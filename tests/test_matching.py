@@ -36,6 +36,7 @@ from folnerlab.matching import (
     perfect_matching,
 )
 
+from fraction_oracles import fraction_eval
 from group_oracles import dense_distance_matrix
 
 Z = make_model("lattice", dim=1)
@@ -172,12 +173,14 @@ def test_build_graph_empty_left():
 
 
 def pair_oracle(E, F, U):
-    """Test every pair: the definition that `build_graph` lists rows for."""
+    """Test every pair: the definition that `build_graph` lists rows for,
+    with distances from the Fraction rules, not the package's kernel."""
     model = E.model
+    e = model.identity()
     rows = []
     for x in E:
         x_inv = model.inv(x)
-        rows.append([j for j, y in enumerate(F) if U.contains(model.mul(y, x_inv))])
+        rows.append([j for j, y in enumerate(F) if fraction_eval(U.metric, model.mul(y, x_inv), e) <= U.radius])
     return rows
 
 
@@ -270,7 +273,7 @@ def test_listed_rows_match_pair_rows(name, data):
         # an arc realised by a pair, so that some point lies exactly on an
         # end of its interval, across 0 as well
         x, y = data.draw(st.sampled_from(E.elements)), data.draw(st.sampled_from(F.elements))
-        radius = metric.eval(x, y)
+        radius = fraction_eval(metric, x, y)
     rows = _listed_rows(E, F, metric, radius)
     if rows is None:  # only a word ball larger than F is left to the pair test
         assert rule == "word" and len(word_ball(model, int(radius))) > len(F)

@@ -126,7 +126,7 @@ def test_corruption_yields_violation():
     c2.a_pieces[0] = {"op": "first_letter", "letter": "a"}  # drop the power clause
     variants.append(c2)
     c3 = copy.deepcopy(base)
-    c3.a_words[1] = (F2.parse("b"),)  # wrong translator
+    c3.a_words[1] = (F2.parse_data("b"),)  # wrong translator
     variants.append(c3)
     for cert in variants:
         assert verify_on_window(cert, ball).interior_violations >= 1
@@ -157,12 +157,12 @@ def test_amenable_window_has_violations():
     cert = ParadoxCertificate(
         model=Z,
         form="two_equation",
-        a_words=[(), (Z.element((1,)),)],
+        a_words=[(), ((1,),)],
         a_pieces=[
             {"op": "residue", "index": 0, "mod": 2, "value": 0},
             {"op": "residue", "index": 0, "mod": 2, "value": 1},
         ],
-        b_words=[(), (Z.element((-1,)),)],
+        b_words=[(), ((-1,),)],
         b_pieces=[
             {"op": "coord_sign", "index": 0, "sign": "+"},
             {"op": "not", "arg": {"op": "coord_sign", "index": 0, "sign": "+"}},
@@ -176,14 +176,14 @@ def test_verify_through_perturbed_action():
     # exact rotations as the action evaluator; identity-translator certificate
     grid = grid_sample(C, 8)
     g = C.element(Fraction(1, 8))
-    rows = {g: [grid.index(C.mul(g, x)) for x in grid]}
+    rows = {g.data: [grid.index(C.mul(g, x)) for x in grid]}
     action = PerturbedAction(window=grid, pool=window(C, [g]), rows=rows, radius=Fraction(0))
     cert = ParadoxCertificate(
         model=C,
         form="two_equation",
-        a_words=[(g,)],
+        a_words=[(g.data,)],
         a_pieces=[{"op": "true"}],
-        b_words=[(g, g)],
+        b_words=[(g.data, g.data)],
         b_pieces=[{"op": "not", "arg": {"op": "true"}}],
     )
     report = verify_on_window(cert, grid, action)
@@ -281,11 +281,11 @@ def _oracle_equations(cert):
 
 def _oracle_preimage(model, action, word, x):
     y = x
-    for g in reversed(word):
+    for data in reversed(word):
         if action is None:
-            y = model.mul(model.inv(g), y)
+            y = model.mul(model.inv(model.element(data)), y)
             continue
-        row = action.rows.get(g)
+        row = action.rows.get(data)
         if y is None or row is None or y not in action.window:
             return None
         target = action.window.index(y)
@@ -410,7 +410,7 @@ def _random_window(rng, model):
 @pytest.mark.parametrize("model", [Z, Z2, F2], ids=["Z", "Z2", "F2"])
 def test_verify_on_window_matches_element_loop_on_random_trees(model):
     rng = random.Random(5)
-    translators = list(grid_sample(model, 1))
+    translators = list(grid_sample(model, 1).positions)
     for _ in range(40):
         win = _random_window(rng, model)
         names = [model.format(x) for x in rng.sample(list(win), 6)] + ["9,9"]
@@ -421,7 +421,7 @@ def test_verify_on_window_matches_element_loop_on_random_trees(model):
 @pytest.mark.parametrize("model", [Z, Z2, F2], ids=["Z", "Z2", "F2"])
 def test_verify_on_window_matches_element_loop_on_tables(model):
     rng = random.Random(6)
-    translators = list(grid_sample(model, 1))
+    translators = list(grid_sample(model, 1).positions)
     for _ in range(30):
         win = _random_window(rng, model)
         names = [model.format(x) for x in win]
@@ -459,13 +459,79 @@ def test_one_letter_preimage_column_matches_the_element_loop(monkeypatch):
     monkeypatch.setattr(FreeGroupModel, "_mul_data", lambda self, a, b: calls.append(1) or product(self, a, b))
     for win in windows:
         model = win.model
-        longer = [(model.parse("a"), model.parse("b")), (model.parse("a,b"),), (model.parse("A"), model.parse("A"))]
-        for word in [(s,) for s in model.generators()] + longer:
+        longer = [("a", "b"), ("a,b",), ("A", "A")]
+        for word in [(s,) for s in model.generators()] + [tuple(map(model.parse_data, w)) for w in longer]:
             calls.clear()
             column = _preimages(win, word)
-            # one-letter translators slice; longer words take the generic loop
-            assert bool(calls) == (len(word) + len(word[0].data) > 2)
+            # one-letter translators slice; longer words take one product per point
+            assert len(calls) == (len(win) if len(word) + len(word[0]) > 2 else 0)
             assert column == preimages(win, word)
+
+
+PREIMAGE_MODELS = [
+    Z,
+    Z2,
+    F2,
+    F3,
+    make_model("heisenberg"),
+    C,
+    make_model("torus", dim=2),
+    make_model("cyclic", modulus=12),
+]
+
+
+def _translator_pool(rng, model):
+    """Seeded translator payloads: a small ball or grid, and on the free
+    groups reduced words of up to five letters as single entries."""
+    if model.discrete:
+        pool = list(word_ball(model, 2).positions)
+    else:
+        pool = list(grid_sample(model, 6).positions)
+    if isinstance(model, FreeGroupModel):
+        letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]
+        pool += [model._canonical(rng.choices(letters, k=rng.randint(3, 5))) for _ in range(8)]
+    return pool
+
+
+@pytest.mark.parametrize("model", PREIMAGE_MODELS, ids=repr)
+def test_folded_preimage_column_matches_the_element_loop(model):
+    # the word folded into one payload against one inverse and one product
+    # per entry at every point, on seeded words of up to six entries
+    rng = random.Random(f"preimages:{model!r}")
+    base = list((word_ball(model, 3) if model.discrete else grid_sample(model, 12)).positions)
+    pool = _translator_pool(rng, model)
+    for _ in range(12):
+        win = window(model, rng.sample(base, rng.randint(1, len(base))))
+        for _ in range(10):
+            word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            assert _preimages(win, word) == preimages(win, word), word
+
+
+@pytest.mark.parametrize("model", [F2, Z, make_model("heisenberg"), C], ids=repr)
+def test_long_translator_word_costs_linear_work(model, monkeypatch):
+    # n copies of one generator: the column takes at most n - 1 products to
+    # fold the word and one per window point, where the loop over the word
+    # took n per point; it equals the column of the word's product
+    product = type(model)._mul_data
+    calls = []
+    monkeypatch.setattr(type(model), "_mul_data", lambda self, a, b: calls.append(1) or product(self, a, b))
+    win = grid_sample(model, 4 if model.discrete else 12)
+    g = model.generators()[0]
+    power = model.identity().data
+    for n in range(1, 4001):
+        power = product(model, power, g)
+        if n in (1, 2, 1000, 4000):
+            calls.clear()
+            column = _preimages(win, (g,) * n)
+            assert len(calls) <= len(win) + n - 1, n
+            assert column == _preimages(win, (power,))
+    if isinstance(model, FreeGroupModel):  # the standard certificate, its second translator repeated
+        cert = f2_standard_certificate(F2)
+        cert.a_words[1] *= 4000
+        calls.clear()
+        report = verify_on_window(cert, win)
+        assert len(calls) <= 2 * len(win)  # a product per point for a^-4000, none for b^-1 or the identity
+        assert report.interior_violations == 0 and report.equations[1].checkable == 0
 
 
 def test_verify_on_window_matches_element_loop_through_tables_on_circle():
@@ -474,8 +540,8 @@ def test_verify_on_window_matches_element_loop_through_tables_on_circle():
     # non-integer points, and the first error must be the loop's
     rng = random.Random(8)
     grid = grid_sample(C, 12)
-    pool = [C.element(Fraction(k, 12)) for k in (1, 4, 7)]
-    stray = C.element(Fraction(5, 24))  # has no row, so words through it leave the table
+    pool = [Fraction(k, 12) for k in (1, 4, 7)]
+    stray = Fraction(5, 24)  # has no row, so words through it leave the table
     errors = 0
     for _ in range(60):
         rows = {}
@@ -493,7 +559,7 @@ def test_verify_on_window_matches_element_loop_through_tables_on_circle():
 
 
 RESIDUE = {"op": "residue", "index": 0, "mod": 2, "value": 0}  # raises off the integer 0
-QUARTER = C.element(Fraction(1, 4))
+QUARTER = Fraction(1, 4)
 CIRCLE_WINDOW = window(C, [Fraction(k, 8) for k in range(8)])
 
 
@@ -565,7 +631,7 @@ def test_verify_on_window_never_raises_at_boundary_points():
     # second word moves 3/4 off the window, so 3/4 is a boundary point
     piece = {"op": "or", "args": [{"op": "in", "elements": ["0", "1/4"]}, RESIDUE]}
     win = window(C, [Fraction(k, 4) for k in range(4)])
-    eighth = (C.element(Fraction(1, 8)),)
+    eighth = (Fraction(1, 8),)
     cert = _CoversOnly(C, "two_equation", [(QUARTER,), eighth], [piece, {"op": "true"}], [()], [{"op": "true"}])
     report = _assert_matches_oracle(cert, win)
     assert report["equations"][0]["boundary_defects"] == 4
@@ -579,7 +645,7 @@ def test_verify_on_window_matches_element_loop_on_circle_trees():
     # with no action: residue raises everywhere but at 0, so which piece is
     # named, and whether any is, rests on the short-circuits of and/or
     rng = random.Random(9)
-    translators = [C.element(Fraction(k, 8)) for k in range(8)]
+    translators = [Fraction(k, 8) for k in range(8)]
     errors = 0
     for _ in range(80):
         win = window(C, [x for x in CIRCLE_WINDOW if rng.random() < 0.8])

@@ -31,7 +31,12 @@ from folnerlab.weights import (
     lipschitz_seminorm,
 )
 
-from fraction_oracles import fraction_brute_force_two_point, fraction_min_cost_flow, fraction_pair_constraints
+from fraction_oracles import (
+    fraction_brute_force_two_point,
+    fraction_eval,
+    fraction_min_cost_flow,
+    fraction_pair_constraints,
+)
 from group_oracles import dense_distance_matrix
 
 Z = make_model("lattice", dim=1)
@@ -44,7 +49,7 @@ ONE = Fraction(1)
 
 def small_weights(model, elements):
     pair = st.tuples(elements, st.fractions(min_value=-2, max_value=2, max_denominator=6))
-    return st.lists(pair, min_size=0, max_size=4).map(lambda ps: FiniteWeight(model, ps))
+    return st.lists(pair, min_size=0, max_size=4).map(lambda ps: FiniteWeight(model, [(g.data, w) for g, w in ps]))
 
 
 z_elements = st.integers(-5, 5).map(lambda k: Z.element((k,)))
@@ -55,13 +60,13 @@ z_weights = small_weights(Z, z_elements)
 
 
 def test_zero_weights_dropped():
-    a = FiniteWeight(Z, [(Z.element((0,)), Fraction(1)), (Z.element((0,)), Fraction(-1))])
+    a = FiniteWeight(Z, [((0,), Fraction(1)), ((0,), Fraction(-1))])
     assert len(a) == 0
     assert a.norm1 == 0
 
 
 def test_norm_and_stochastic():
-    a = FiniteWeight(Z, [(Z.element((0,)), HALF), (Z.element((1,)), HALF)])
+    a = FiniteWeight(Z, [((0,), HALF), ((1,), HALF)])
     assert a.norm1 == 1
     assert a.is_stochastic()
     b = a - FiniteWeight.delta(Z.element((0,)))
@@ -69,8 +74,10 @@ def test_norm_and_stochastic():
 
 
 def test_weight_json_roundtrip():
-    a = FiniteWeight(C, [(C.element(Fraction(2, 3)), Fraction(2, 3)), (C.element(0), Fraction(1, 3))])
+    a = FiniteWeight(C, [(Fraction(2, 3), Fraction(2, 3)), (Fraction(0), Fraction(1, 3))])
     assert FiniteWeight.from_json(a.to_json(), C) == a
+    assert list(a.support) == [C.element(0), C.element(Fraction(2, 3))]
+    assert a[Fraction(2, 3)] == Fraction(2, 3) and a[Fraction(1, 3)] == 0
     assert a.to_json()["weights"] == ["1/3", "2/3"]
 
 
@@ -133,15 +140,15 @@ def test_seminorm_brute_force_small_supports():
     for _ in range(6):
         pts = rng.sample(range(12), 3)
         weights = [Fraction(rng.randint(-2, 2)) for _ in pts]
-        a = FiniteWeight(C, [(C.element(Fraction(p, 12)), w) for p, w in zip(pts, weights)])
+        a = FiniteWeight(C, [(Fraction(p, 12), w) for p, w in zip(pts, weights)])
         if len(a) == 0:
             continue
         result = lipschitz_seminorm(a, arc)
-        support = [g for g, _ in a.items]
-        mu = [w for _, w in a.items]
+        support = list(a.support)
+        mu = a.weights
         best = None
         k = len(support)
-        dmat = [[arc.eval(support[i], support[j]) for j in range(k)] for i in range(k)]
+        dmat = [[fraction_eval(arc, support[i], support[j]) for j in range(k)] for i in range(k)]
 
         def rec(i, vals):
             nonlocal best
@@ -162,21 +169,19 @@ def test_seminorm_brute_force_small_supports():
 
 def test_seminorm_witness_feasible_and_optimal():
     arc = ArcMetric(C)
-    a = FiniteWeight(
-        C,
-        [(C.element(0), Fraction(2, 3)), (C.element(Fraction(1, 2)), Fraction(-1, 3))],
-    )
+    a = FiniteWeight(C, [(Fraction(0), Fraction(2, 3)), (Fraction(1, 2), Fraction(-1, 3))])
     result = lipschitz_seminorm(a, arc)
-    achieved = sum(w * result.witness[g] for g, w in a.items)
+    achieved = sum(w * v for w, v in zip(a.weights, result.witness))
     assert achieved == result.value
-    for g, v in result.witness.items():
+    assert len(result.witness) == len(a.support)
+    for v in result.witness:
         assert -1 <= v <= 1
 
 
 def test_seminorm_support_cap():
     from folnerlab.weights import SupportSizeError
 
-    big = FiniteWeight(Z, [(Z.element((i,)), Fraction(1)) for i in range(30)])
+    big = FiniteWeight(Z, [((i,), Fraction(1)) for i in range(30)])
     with pytest.raises(SupportSizeError):
         lipschitz_seminorm(big, WordMetric(Z), support_cap=10)
 
@@ -210,7 +215,7 @@ def _scaled(frac, span):
 
 def _scaled_distances(points, metric, span):
     n = len(points)
-    return _scaled([[metric.eval(points[min(i, j)], points[max(i, j)]) for j in range(n)] for i in range(n)], span)
+    return _scaled([[fraction_eval(metric, points[min(i, j)], points[max(i, j)]) for j in range(n)] for i in range(n)], span)
 
 
 def _near(dmat, span):
@@ -283,15 +288,15 @@ def test_check_witness_rejects_one_unit_past_a_bound():
 def test_check_witness_rejects_a_real_witness_raised_one_unit_too_far():
     rng = random.Random(7102)
     for points, metric in list(_random_supports(rng))[:20]:
-        a = FiniteWeight(metric.model, [(g, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for g in points])
+        a = FiniteWeight(metric.model, [(g.data, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for g in points])
         if len(a) < 2:
             continue
         for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1))):
             if lo != -hi and a.total() != 0:
-                a = a - FiniteWeight.delta(a.items[0][0]).scale(a.total())
+                a = a - FiniteWeight.delta(a.support[0]).scale(a.total())
             result = lipschitz_seminorm(a, metric, bounds=(lo, hi))
-            support = [g for g, _ in a.items]
-            f = [result.witness[g] for g in support]
+            support = list(a.support)
+            f = result.witness
             dist, dmat, scale = _scaled_distances(support, metric, hi - lo)
             near = _near(dmat, (hi - lo) * scale)
             unit = Fraction(1, scale)
@@ -340,9 +345,9 @@ def _witness_cases(rng):
         for metric in (base, DiscreteMetric(model), ScaledMetric(base, Fraction(2, 3))):
             for _ in range(3):
                 points = rng.sample(pool, rng.randint(2, min(12, len(pool))))
-                a = FiniteWeight(model, [(g, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for g in points])
+                a = FiniteWeight(model, [(g.data, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for g in points])
                 if len(a) >= 2:
-                    yield a - FiniteWeight.delta(a.items[0][0]).scale(a.total()), metric
+                    yield a - FiniteWeight.delta(a.support[0]).scale(a.total()), metric
 
 
 def test_sparse_witness_check_agrees_with_the_dense_check():
@@ -352,13 +357,12 @@ def test_sparse_witness_check_agrees_with_the_dense_check():
     rng = random.Random(7104)
     outcomes = {}
     for a, metric in _witness_cases(rng):
-        support = [g for g, _ in a.items]
-        dmat, scale = dense_distance_matrix(metric, support)
+        dmat, scale = dense_distance_matrix(metric, list(a.support))
         for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1))):
-            near, near_scale = near_pairs(a.support(), metric, hi - lo)
+            near, near_scale = near_pairs(a.support, metric, hi - lo)
             assert near_scale == scale
             result = lipschitz_seminorm(a, metric, bounds=(lo, hi))
-            f = [result.witness[g] for g in support]
+            f = result.witness
             unit = Fraction(1, math.lcm(scale, lo.denominator, hi.denominator, *(v.denominator for v in f)))
             moves = [(j, v) for j in range(len(f)) for v in (hi, hi + unit, lo, lo - unit)]
             for i, row in enumerate(near):
@@ -396,9 +400,9 @@ def test_integer_flow_arcs_match_fraction_arcs(monkeypatch):
     rng = random.Random(7105)
     solved = 0
     for a, metric in _witness_cases(rng):
-        mu = [w for _, w in a.items]
+        mu = list(a.weights)
         for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(-1, 3), Fraction(1, 2))):
-            near, scale = near_pairs(a.support(), metric, hi - lo)
+            near, scale = near_pairs(a.support, metric, hi - lo)
             pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
             value, f, pivots, engine = _seminorm_lp(mu, pairs, scale, lo, hi)
             assert engine == "flow" and pivots == 0
@@ -464,9 +468,7 @@ def test_approx_by_uniform_already_uniform():
 
 def test_approx_by_uniform_two_atoms():
     arc = ArcMetric(C)
-    a = FiniteWeight(
-        C, [(C.element(0), Fraction(2, 3)), (C.element(Fraction(1, 2)), Fraction(1, 3))]
-    )
+    a = FiniteWeight(C, [(Fraction(0), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 3))])
     approx = approx_by_uniform(a, arc, Fraction(1, 5), grid_sample(C, 60))
     assert len(approx.window) == 3
     near_zero = [y for y in approx.window if arc.eval(y, C.element(0)) <= Fraction(1, 10)]
@@ -479,9 +481,7 @@ def test_approx_by_uniform_two_atoms():
 
 def test_approx_by_uniform_large_epsilon():
     arc = ArcMetric(C)
-    a = FiniteWeight(
-        C, [(C.element(0), Fraction(1, 2)), (C.element(Fraction(1, 3)), Fraction(1, 2))]
-    )
+    a = FiniteWeight(C, [(Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2))])
     approx = approx_by_uniform(a, arc, Fraction(2), grid_sample(C, 12))
     assert approx.defect <= 2
 
@@ -491,8 +491,8 @@ def test_approx_by_uniform_supply_too_coarse():
     a = FiniteWeight(
         C,
         [
-            (C.element(0), Fraction(5, 11)),
-            (C.element(Fraction(1, 2)), Fraction(6, 11)),
+            (Fraction(0), Fraction(5, 11)),
+            (Fraction(1, 2), Fraction(6, 11)),
         ],
     )
     with pytest.raises(SupplyError):
@@ -505,7 +505,7 @@ def test_seminorm_right_translation_invariant(a):
     # right translation preserves the seminorm for right-invariant metrics
     d = WordMetric(F2)
     g = F2.parse("a,b")
-    shifted = FiniteWeight(F2, [(F2.mul(h, g), w) for h, w in a.items])
+    shifted = FiniteWeight(F2, [(F2.mul(h, g).data, w) for h, w in zip(a.support, a.weights)])
     assert lipschitz_seminorm(a, d).value == lipschitz_seminorm(shifted, d).value
 
 
