@@ -67,7 +67,6 @@ from .matching import build_graph, max_matching
 from .paradox import (
     MIN_PIECES,
     PARADOX_BUDGET,
-    ClassifierError,
     ParadoxCertificate,
     f2_standard_certificate,
     search_small_paradox,
@@ -435,10 +434,7 @@ def _run_paradox_verify(s: SimpleNamespace, artifacts: Artifacts) -> int:
     p = s.params
     cert = p.standard or p.certificate  # `standard` holds the standard certificate, or False beside a given one
     win = _window_or_grid(s.model, p.window, p.window_resolution, PARADOX_WINDOW_RESOLUTION, "params.window_resolution")
-    try:
-        report = verify_on_window(cert, win, p.action)
-    except ClassifierError as exc:
-        raise _certificate_error(exc, "params.certificate")
+    report = verify_on_window(cert, win, p.action)
     artifacts.write_json("certificate.json", cert.to_json())
     artifacts.write_json("report.json", report.to_json())
     artifacts.write_csv("report.csv", ["equation", "checkable", "violations", "boundary_defects"],
@@ -606,7 +602,7 @@ def _read_config(path: Path | str) -> dict:
         raise ValueError(f"cannot read config: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
         raise ValueError(f"config is not valid JSON: {exc}")
 
 
@@ -746,10 +742,11 @@ def _scenario(args) -> dict:
 
 
 def _read_json_flag(path: Path, flag: str):
-    """A JSON file named by a CLI flag; unreadable or non-JSON is a ConfigError."""
+    """A JSON file named by a CLI flag; unreadable or non-JSON, nesting too
+    deep for the decoder included, is a ConfigError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(flag, str(exc))
 
 

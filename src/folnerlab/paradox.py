@@ -3,7 +3,7 @@
 A certificate is pure data: translator words plus piece classifiers, where a
 classifier is a small expression tree over encoding predicates (first
 letter, signed-power test, coordinate sign, residue, membership table) that
-can be re-evaluated without code.  Classifier trees are checked once, when a
+can be re-evaluated without code.  Classifier trees are checked when a
 certificate is built or parsed.  `ParadoxCertificate.from_json` is the one
 loader of a certificate file: a malformed or unknown field is a
 `CertificateError` naming its path (`g[0][1]`, `A[0].args[1].index`).
@@ -13,13 +13,15 @@ window points are covered exactly once.  It works on window indices: each
 translator word is folded once into the payload of its inverse and becomes
 one column of preimage indices, and each piece's classifier is evaluated
 once over the whole window into a column of verdicts, node by node, with
-`and`, `or` and `not` combining whole columns.  Where a tree cannot be
-evaluated (`residue` off the integers) the column carries an error mark
-instead of raising; the mark raises a `ClassifierError` naming the piece
-only when a checkable point reads it.  A point whose preimages leave the
-window is a boundary defect, never a violation: finite windows cannot
-witness an infinite covering, and the report keeps that distinction
-explicit.
+`and`, `or` and `not` combining whole columns.  One recursive pass,
+`_compile`, checks a tree and builds its evaluator, so the grammar is
+stated once.  Every op that depends on the model (`first_letter` and
+`power` on free groups, `residue` on integer coordinates) is decided there,
+at load, and a tree deeper than `CLASSIFIER_DEPTH_CAP` is refused at the
+first node past it, so verification cannot fail on a loaded tree.  A
+point whose preimages leave the window is a boundary defect, never a
+violation: finite windows cannot witness an infinite covering, and the
+report keeps that distinction explicit.
 
 `search_small_paradox` looks for piece assignments on a window minimizing
 the interior violations of the combined covering equation at each piece
@@ -33,10 +35,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, repeat
-from operator import add
-from typing import Optional
+from operator import add, and_, eq, gt, itemgetter, lt, or_
+from typing import Callable, Optional
 
 from .groups import (
     CertificateError,
@@ -57,22 +59,45 @@ PARADOX_BUDGET = 2_000_000
 DP_STATE_CAP = 300_000
 
 
-class ClassifierError(CertificateError):
-    """A classifier that cannot be evaluated: `path` names the piece
-    (`A[0]`) in a certificate, `classifier` for a bare tree."""
-
-
 # ---------------------------------------------------------------------------
 # Classifier expressions
 # ---------------------------------------------------------------------------
 
+# The deepest classifier tree a certificate may hold; its root is at depth 1.
+CLASSIFIER_DEPTH_CAP = 100
 
-def _coordinates(model: GroupModel) -> int:
-    """How many coordinates `coord_sign` and `residue` may index: the length
-    of a tuple payload (none for free words, whose identity is empty), else
-    one."""
-    data = model.identity_data
-    return len(data) if isinstance(data, tuple) else 1
+
+class _Columns:
+    """A window read as verdict columns.
+
+    A column holds one verdict per window point, in `positions` order, as
+    0/1 bytes packed into a Python int (byte i for point i), so `and`, `or`
+    and `not` combine whole columns with `&`, `|` and `^`.
+    """
+
+    def __init__(self, window: FiniteWindow):
+        self.window = window
+        self.payloads = list(window.positions)
+        self.size = len(self.payloads)
+        self.ones = int.from_bytes(b"\x01" * self.size, "little")
+        self._names: Optional[dict[str, int]] = None
+
+    @staticmethod
+    def pack(verdicts) -> int:
+        """A column from one truth value per window point."""
+        return int.from_bytes(bytes(verdicts), "little")
+
+    def identity(self) -> int:
+        at = self.window.positions.get(self.window.model.identity_data)
+        return 0 if at is None else 1 << 8 * at
+
+    def members(self, elements: list[str]) -> int:
+        if self._names is None:
+            self._names = {text: i for i, text in enumerate(self.window.to_json())}
+        hits = bytearray(self.size)
+        for text in set(elements).intersection(self._names):
+            hits[self._names[text]] = 1
+        return int.from_bytes(hits, "little")
 
 
 def _required(clf: dict, key: str, path: str):
@@ -81,170 +106,91 @@ def _required(clf: dict, key: str, path: str):
     return clf[key]
 
 
-def _check_classifier(clf, model: GroupModel, path: str) -> None:
-    """Reject a classifier tree that cannot be evaluated on `model`, naming
-    the field at fault: unknown ops, missing fields, letters outside the free
-    rank, coordinate indices other than JSON integers 0 <= i < coordinates,
+def _compile(clf, model: GroupModel, path: str, depth: int = 1) -> Callable[[_Columns], int]:
+    """Check a classifier tree against `model` and return its column
+    evaluator, a function of a window's `_Columns`.
+
+    A tree that cannot be evaluated on every point of `model` is refused
+    here, as a `CertificateError` naming the field at fault: unknown ops,
+    missing fields, a node deeper than `CLASSIFIER_DEPTH_CAP`, letters
+    outside the free rank, `first_letter` and `power` off the free group,
+    coordinate indices other than JSON integers 0 <= i < coordinates,
+    `residue` on a model whose coordinates are not integers (circle, torus),
     a `mod` other than a positive JSON integer, and `elements` other than a
-    list of strings."""
+    list of strings.  The evaluator itself cannot fail."""
+    if depth > CLASSIFIER_DEPTH_CAP:
+        raise CertificateError(path, f"classifier nested deeper than {CLASSIFIER_DEPTH_CAP} levels")
     if not isinstance(clf, dict):
         raise CertificateError(path, "expected a classifier object")
     op = _required(clf, "op", path)
-    if op in ("true", "identity"):
-        return
+    if op == "true":
+        return lambda cols: cols.ones
+    if op == "identity":
+        return _Columns.identity
     if op in ("and", "or"):
         args = _required(clf, "args", path)
         if not isinstance(args, list):
             raise CertificateError(f"{path}.args", "expected a list of classifiers")
-        for i, arg in enumerate(args):
-            _check_classifier(arg, model, f"{path}.args[{i}]")
-    elif op == "not":
-        _check_classifier(_required(clf, "arg", path), model, f"{path}.arg")
-    elif op == "in":
+        parts = [_compile(arg, model, f"{path}.args[{i}]", depth + 1) for i, arg in enumerate(args)]
+        if op == "and":
+            return lambda cols: reduce(and_, [part(cols) for part in parts], cols.ones)
+        return lambda cols: reduce(or_, [part(cols) for part in parts], 0)
+    if op == "not":
+        inner = _compile(_required(clf, "arg", path), model, f"{path}.arg", depth + 1)
+        return lambda cols: inner(cols) ^ cols.ones
+    if op == "in":
         elements = _required(clf, "elements", path)
         if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
             raise CertificateError(f"{path}.elements", "expected a list of element strings")
-    elif op in ("first_letter", "power"):
+        return lambda cols: cols.members(elements)
+    if op in ("first_letter", "power"):
         if not isinstance(model, FreeGroupModel):
             raise CertificateError(f"{path}.op", f"{op} needs a free-group model")
         letter = _required(clf, "letter", path)
         if not isinstance(letter, str) or letter not in model.letters:
             raise CertificateError(f"{path}.letter", f"{letter!r} is not a letter of {model!r}")
-    elif op in ("coord_sign", "residue"):
-        index = _required(clf, "index", path)
-        count = _coordinates(model)
-        if type(index) is not int or not 0 <= index < count:
-            raise CertificateError(
-                f"{path}.index", f"expected a JSON integer 0 <= i < {count}, got {index!r}"
-            )
-        if op == "coord_sign":
-            sign = _required(clf, "sign", path)
-            if sign not in ("+", "-", "0"):
-                raise CertificateError(f"{path}.sign", f"expected '+', '-' or '0', got {sign!r}")
-        else:
-            mod = _required(clf, "mod", path)
-            if type(mod) is not int or mod < 1:
-                raise CertificateError(f"{path}.mod", f"expected a positive JSON integer, got {mod!r}")
-            value = _required(clf, "value", path)
-            if type(value) is not int:
-                raise CertificateError(f"{path}.value", f"expected a JSON integer, got {value!r}")
-    else:
-        raise CertificateError(f"{path}.op", f"unknown classifier op {op!r}")
-
-
-_NON_INTEGER = "residue classifier needs integer coordinates"
-
-
-def _pack(verdicts) -> int:
-    """A column from one truth value per window point."""
-    return int.from_bytes(bytes(verdicts), "little")
-
-
-class _Columns:
-    """Classifiers evaluated over a whole window at once.
-
-    A column holds one verdict per window point, in `positions` order, as
-    0/1 bytes packed into a Python int (byte i for point i), so `and`, `or`
-    and `not` combine whole columns with `&`, `|` and `^`.  Each node also
-    carries an error column: the points where walking its tree would raise
-    (today only `residue` on a non-integer coordinate).  `and` and `or` keep
-    an arg's error marks only where no earlier arg has decided the point,
-    which is where the walk, stopping at the first deciding arg, would reach
-    it.  Verdicts at marked points are unspecified; a reader of a column must
-    consult its marks first.
-    """
-
-    def __init__(self, window: FiniteWindow):
-        self.model = window.model
-        self.window = window
-        self.payloads = list(window.positions)
-        self.size = len(self.payloads)
-        self.ones = int.from_bytes(b"\x01" * self.size, "little")
-        self._names: Optional[dict[str, int]] = None
-
-    def piece(self, clf: dict) -> tuple[bytes, Optional[bytes]]:
-        """A checked classifier's verdicts at each window point, and its
-        error marks (None when it raises nowhere), as 0/1 bytes."""
-        value, errors = self._node(clf)
-        marks = errors.to_bytes(self.size, "little") if errors else None
-        return value.to_bytes(self.size, "little"), marks
-
-    def _coordinate(self, index: int) -> list:
-        """Coordinate `index` of each payload; a scalar payload is its own
-        only coordinate."""
-        if isinstance(self.model.identity_data, tuple):
-            return [p[index] for p in self.payloads]
-        return self.payloads
-
-    def _node(self, clf: dict) -> tuple[int, int]:
-        op = clf["op"]
-        if op == "true":
-            return self.ones, 0
-        if op in ("and", "or"):
-            conjunction = op == "and"
-            value = self.ones if conjunction else 0
-            errors = 0
-            undecided = self.ones
-            for arg in clf["args"]:
-                if not undecided:
-                    break
-                v, e = self._node(arg)
-                errors |= e & undecided
-                if conjunction:
-                    value &= v
-                    undecided &= v & ~e
-                else:
-                    value |= v
-                    undecided &= ~(v | e)
-            return value, errors
-        if op == "not":
-            value, errors = self._node(clf["arg"])
-            return value ^ self.ones, errors
-        if op == "identity":
-            at = self.window.positions.get(self.model.identity_data)
-            return (0 if at is None else 1 << 8 * at), 0
-        if op == "in":
-            if self._names is None:
-                self._names = {text: i for i, text in enumerate(self.window.to_json())}
-            hits = bytearray(self.size)
-            for text in set(clf["elements"]).intersection(self._names):
-                hits[self._names[text]] = 1
-            return int.from_bytes(hits, "little"), 0
+        code = model.letters[letter]
         if op == "first_letter":
-            head = (self.model.letters[clf["letter"]],)
-            return _pack([p[:1] == head for p in self.payloads]), 0
-        if op == "power":
-            # non-negative powers of the signed letter, identity included
-            code = self.model.letters[clf["letter"]]
-            return _pack([p.count(code) == len(p) for p in self.payloads]), 0
-        values = self._coordinate(clf["index"])
-        if op == "coord_sign":
-            sign = clf["sign"]
-            if sign == "+":
-                return _pack([v > 0 for v in values]), 0
-            if sign == "-":
-                return _pack([v < 0 for v in values]), 0
-            return _pack([v == 0 for v in values]), 0
-        # residue
-        bad = [isinstance(v, Fraction) and v.denominator != 1 for v in values]
-        mod, want = clf["mod"], clf["value"]
-        verdicts = [not b and int(v) % mod == want for v, b in zip(values, bad)]
-        return _pack(verdicts), _pack(bad)
+            head = (code,)
+            return lambda cols: cols.pack([p[:1] == head for p in cols.payloads])
+        # non-negative powers of the signed letter, identity included
+        return lambda cols: cols.pack([p.count(code) == len(p) for p in cols.payloads])
+    if op not in ("coord_sign", "residue"):
+        raise CertificateError(f"{path}.op", f"unknown classifier op {op!r}")
+    # a tuple payload has one coordinate per entry (a free word has none); a
+    # scalar payload is its own only coordinate
+    scalar = not isinstance(model.identity_data, tuple)
+    count = 1 if scalar else len(model.identity_data)
+    index = _required(clf, "index", path)
+    if type(index) is not int or not 0 <= index < count:
+        raise CertificateError(f"{path}.index", f"expected a JSON integer 0 <= i < {count}, got {index!r}")
+
+    def coordinate(cols: _Columns):
+        return cols.payloads if scalar else map(itemgetter(index), cols.payloads)
+
+    if op == "coord_sign":
+        sign = _required(clf, "sign", path)
+        if sign not in ("+", "-", "0"):
+            raise CertificateError(f"{path}.sign", f"expected '+', '-' or '0', got {sign!r}")
+        compare = {"+": gt, "-": lt, "0": eq}[sign]
+        return lambda cols: cols.pack(map(compare, coordinate(cols), repeat(0)))
+    if not model.discrete:
+        raise CertificateError(f"{path}.op", "residue needs integer coordinates")
+    mod = _required(clf, "mod", path)
+    if type(mod) is not int or mod < 1:
+        raise CertificateError(f"{path}.mod", f"expected a positive JSON integer, got {mod!r}")
+    value = _required(clf, "value", path)
+    if type(value) is not int:
+        raise CertificateError(f"{path}.value", f"expected a JSON integer, got {value!r}")
+    return lambda cols: cols.pack([v % mod == value for v in coordinate(cols)])
 
 
 def evaluate_classifier(clf: dict, g: GroupElement) -> bool:
     """Evaluate an expression-tree classifier on a canonical element: the
     window kernel on the one-point window of `g`.  A tree that fails the
-    certificate check, or that cannot be evaluated at `g`, raises
-    `ClassifierError`."""
-    try:
-        _check_classifier(clf, g.model, "classifier")
-    except CertificateError as exc:
-        raise ClassifierError(exc.path, exc.reason) from None
-    value, errors = _Columns(FiniteWindow._from_payloads(g.model, [g.data])).piece(clf)
-    if errors:
-        raise ClassifierError("classifier", _NON_INTEGER)
-    return bool(value[0])
+    certificate check raises `CertificateError` at `classifier`."""
+    evaluator = _compile(clf, g.model, "classifier")
+    return bool(evaluator(_Columns(FiniteWindow._from_payloads(g.model, [g.data]))))
 
 
 Word = tuple  # of translator payloads
@@ -297,7 +243,7 @@ class ParadoxCertificate:
             if len(words) != len(pieces):
                 raise CertificateError(key, f"{len(pieces)} pieces for {len(words)} translator words")
             for i, clf in enumerate(pieces):
-                _check_classifier(clf, self.model, f"{key}[{i}]")
+                _compile(clf, self.model, f"{key}[{i}]")
 
     def equations(self) -> list[tuple[str, list[tuple[Word, int]]]]:
         """Each covering equation as (name, terms); a term is a translator
@@ -463,19 +409,18 @@ def verify_on_window(
     A window point is checkable for an equation when every translator
     preimage of it stays inside the window (for table actions: is defined
     and stays inside); checkable points covered other than exactly once are
-    interior violations.  Each piece's classifier is evaluated once, over the
-    whole window, into a verdict column with error marks (see `_Columns`);
-    each equation then reads the piece columns through its preimage columns.
-    A `ClassifierError` naming the piece is raised only when a checkable
-    point reads a marked preimage, and it is the first such read of an
-    equation-by-equation scan over the window, terms in order.
+    interior violations.  Each piece's classifier is checked again, at
+    `A[i]` or `B[j]`, and evaluated once over the whole window into a
+    verdict column (see `_Columns`); each equation then reads the piece
+    columns through its preimage columns.
     """
     if window.model is not cert.model:
         raise ModelMismatchError(f"window of {window.model.kind} used in {cert.model.kind}")
     n = len(window)
-    m = len(cert.a_pieces)
     kernel = _Columns(window)
-    compiled = [kernel.piece(clf) for clf in cert.a_pieces + cert.b_pieces]
+    pieces = [(f"A[{i}]", clf) for i, clf in enumerate(cert.a_pieces)]
+    pieces += [(f"B[{j}]", clf) for j, clf in enumerate(cert.b_pieces)]
+    compiled = [_compile(clf, cert.model, path)(kernel).to_bytes(n, "little") for path, clf in pieces]
     columns: dict[Word, list[int]] = {}
     reports = []
     for name, terms in cert.equations():
@@ -493,18 +438,10 @@ def verify_on_window(
             lows = list(map(min, *term_columns))
         else:
             lows = term_columns[0] if term_columns else [0] * n
-        if any(compiled[piece][1] for _, piece in terms):
-            for x, low in enumerate(lows):
-                if low < 0:
-                    continue
-                for column, (_, piece) in zip(term_columns, terms):
-                    marks = compiled[piece][1]
-                    if marks and marks[column[x]]:
-                        raise ClassifierError(f"A[{piece}]" if piece < m else f"B[{piece - m}]", _NON_INTEGER)
         counts = [0] * n
         for column, (_, piece) in zip(term_columns, terms):
             # boundary points read the last verdict through -1; they are skipped below
-            counts = list(map(add, counts, map(compiled[piece][0].__getitem__, column)))
+            counts = list(map(add, counts, map(compiled[piece].__getitem__, column)))
         interior = [x for x, low in enumerate(lows) if low >= 0]
         bad = [x for x in interior if counts[x] != 1]
         reports.append(

@@ -298,7 +298,8 @@ def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, 
     """Two-point seminorms against min(2, d), with each distance d from its
     closed form, not from the package's metric kernel: the arc
     min(|x - y|, 1 - |x - y|) on the circle, |x - y|_1 on Z^2, and on F_2
-    the reduced length of x y^-1 through `_free_mul`."""
+    the reduced length of x y^-1 through `_free_mul`, after one pinned F_2
+    pair."""
     rng = random.Random(52200)
     C = make_model("circle")
     Z2 = make_model("lattice", dim=2)
@@ -314,6 +315,9 @@ def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, 
         y = (rng.randint(-5, 5), rng.randint(-5, 5))
         if x != y:
             cases.append((Z2.element(x), Z2.element(y), WordMetric(Z2), Fraction(abs(x[0] - y[0]) + abs(x[1] - y[1]))))
+    # |x y^-1| = |a b A| = 3 but |y^-1 x| = |b| = 1, so a left-invariant
+    # word kernel fails here; none of the seeded pairs tells the two apart
+    cases.append((F2.parse("a,b"), F2.parse("a"), WordMetric(F2), Fraction(3)))
     letters = ["a", "b", "A", "B"]
     while len(cases) < 100:
         wx = ",".join(rng.choice(letters) for _ in range(rng.randint(0, 3))) or "e"

@@ -18,7 +18,7 @@ from folnerlab import cli
 from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario_config
 from folnerlab.folner import FolnerCertificate
 from folnerlab.groups import CertificateError, make_model
-from folnerlab.paradox import ParadoxCertificate, f2_standard_certificate
+from folnerlab.paradox import CLASSIFIER_DEPTH_CAP, ParadoxCertificate, f2_standard_certificate
 from folnerlab.perturb import PerturbedAction
 from folnerlab.weights import FiniteWeight
 
@@ -877,20 +877,69 @@ def test_certificate_window_shape_exits_1(tmp_path, capsys, fields, want, messag
 
 
 def test_paradox_classifier_error_names_piece(tmp_path, capsys):
-    # residue needs integer coordinates, and 1/2 is not one: the error names
-    # the piece whose classifier raised instead of ending without a field
+    # residue needs integer coordinates, which the circle does not have: the
+    # certificate is refused at load, naming the op of the piece that holds
+    # it, even where the window's only point is 0
     residue = {"op": "residue", "index": 0, "mod": 2, "value": 0}
     certificate = {"form": "tarski", "g": [[]], "h": [[]], "A": [residue], "B": [{"op": "true"}]}
-    config = {"task": "paradox-verify", "model": CIRCLE, "params": {"certificate": certificate, "window": ["0", "1/2"]}}
-    want = "params.certificate.A[0]"
-    with pytest.raises(ConfigError) as info:
-        run_scenario_config(config)
-    assert info.value.path == want
+    want = "params.certificate.A[0].op"
+    for points in (["0", "1/2"], ["0"]):
+        config = {"task": "paradox-verify", "model": CIRCLE, "params": {"certificate": certificate, "window": points}}
+        with pytest.raises(ConfigError) as info:
+            run_scenario_config(config)
+        assert info.value.path == want
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     assert run(["perturb", "--config", path]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {want}: residue classifier needs integer coordinates\n"
+    assert err == f"error: {want}: residue needs integer coordinates\n"
+
+
+def _not_chain(depth: int) -> str:
+    """The JSON text of `depth` nested classifier nodes: `not`s around one
+    `true`, written out by hand, since the stdlib encoder recurses too."""
+    return '{"op": "not", "arg": ' * (depth - 1) + '{"op": "true"}' + "}" * (depth - 1)
+
+
+def _chain_certificate(depth: int) -> str:
+    return '{"form": "tarski", "g": [[]], "h": [["a"]], "A": [' + _not_chain(depth) + '], "B": [{"op": "true"}]}'
+
+
+def test_paradox_classifier_depth_cap(tmp_path, capsys):
+    # a tree at the cap verifies and writes; one level more exits 1 naming
+    # the first node past the cap; a chain of 900 used to end in Python's
+    # recursion limit with no field path
+    cap = CLASSIFIER_DEPTH_CAP
+    cert = tmp_path / "cap.json"
+    cert.write_text(_chain_certificate(cap))
+    out = tmp_path / "out"
+    assert run(["paradox", "verify", "--kind", "free", "--rank", "2", "--cert", cert, "--out-dir", out]) in (0, 2)
+    assert json.loads((out / "certificate.json").read_text()) == json.loads(cert.read_text())
+    capsys.readouterr()
+    for depth in (cap + 1, 900):
+        cert.write_text(_chain_certificate(depth))
+        config = tmp_path / "deep.json"
+        config.write_text('{"task": "paradox-verify", "model": {"kind": "free", "params": {"rank": 2}}, '
+                          '"params": {"certificate": ' + cert.read_text() + "}}")
+        for args in (["--kind", "free", "--rank", "2", "--cert", cert], ["--config", config]):
+            assert run(["paradox", "verify", *args]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: params.certificate.A[0]{'.arg' * cap}: classifier nested deeper than {cap} levels\n"
+
+
+def test_json_nested_past_the_decoder_names_its_source(tmp_path, capsys):
+    # 5,000 levels of nesting exhaust the JSON decoder's recursion: the
+    # error names the flag or the config the file came from
+    cert = tmp_path / "deep.json"
+    cert.write_text(_chain_certificate(5000))
+    assert run(["paradox", "verify", "--kind", "free", "--rank", "2", "--cert", cert]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cert: maximum recursion depth exceeded") and err.count("\n") == 1
+    config = tmp_path / "config.json"
+    config.write_text('{"task": "paradox-verify", "params": {"certificate": ' + cert.read_text() + "}}")
+    assert run(["paradox", "verify", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: maximum recursion depth exceeded") and err.count("\n") == 1
 
 
 def test_heisenberg_seminorm_past_word_length_40(tmp_path, capsys):

@@ -13,8 +13,8 @@ from folnerlab import paradox
 from folnerlab.cli import ConfigError, main, run_scenario_config
 from folnerlab.groups import FreeGroupModel, grid_sample, make_model, window, word_ball
 from folnerlab.paradox import (
+    CLASSIFIER_DEPTH_CAP,
     CertificateError,
-    ClassifierError,
     ParadoxCertificate,
     _AssignmentProblem,
     _Budget,
@@ -52,7 +52,7 @@ def test_boolean_ops_and_membership():
     assert evaluate_classifier(clf, F2.parse("a"))
     assert not evaluate_classifier(clf, F2.identity())
     # the tree is checked first, so a string of elements is no substring test
-    with pytest.raises(ClassifierError, match=r"^classifier\.elements: "):
+    with pytest.raises(CertificateError, match=r"^classifier\.elements: "):
         evaluate_classifier({"op": "in", "elements": "0"}, Z.element((0,)))
 
 
@@ -60,17 +60,19 @@ def test_coordinate_predicates():
     assert evaluate_classifier({"op": "coord_sign", "index": 0, "sign": "+"}, Z.element((3,)))
     assert evaluate_classifier({"op": "coord_sign", "index": 0, "sign": "0"}, Z.element((0,)))
     assert evaluate_classifier({"op": "residue", "index": 0, "mod": 2, "value": 1}, Z.element((5,)))
-    with pytest.raises(ClassifierError):
-        evaluate_classifier({"op": "residue", "index": 0, "mod": 2, "value": 0}, C.element(Fraction(1, 3)))
+    # residue needs integer coordinates: refused on the circle, even at 0
+    for x in (Fraction(1, 3), Fraction(0)):
+        with pytest.raises(CertificateError, match=r"^classifier\.op: residue needs integer coordinates$"):
+            evaluate_classifier({"op": "residue", "index": 0, "mod": 2, "value": 0}, C.element(x))
 
 
 def test_unknown_op():
-    with pytest.raises(ClassifierError):
+    with pytest.raises(CertificateError, match=r"^classifier\.op: unknown classifier op 'nope'$"):
         evaluate_classifier({"op": "nope"}, F2.identity())
 
 
 def test_free_only_predicates_guarded():
-    with pytest.raises(ClassifierError):
+    with pytest.raises(CertificateError, match=r"^classifier\.op: first_letter needs a free-group model$"):
         evaluate_classifier({"op": "first_letter", "letter": "a"}, Z.element((1,)))
 
 
@@ -265,12 +267,12 @@ def test_search_free_b4_zero_defect():
 
 
 def _oracle_equations(cert):
-    """Each equation's terms as (word, piece name, classifier), for the
-    equations that `cert.equations()` names."""
-    a_terms = [(w, f"A[{i}]", clf) for i, (w, clf) in enumerate(zip(cert.a_words, cert.a_pieces))]
-    b_terms = [(w, f"B[{i}]", clf) for i, (w, clf) in enumerate(zip(cert.b_words, cert.b_pieces))]
-    id_a = [((), piece, clf) for _, piece, clf in a_terms]
-    id_b = [((), piece, clf) for _, piece, clf in b_terms]
+    """Each equation's terms as (word, classifier), for the equations that
+    `cert.equations()` names."""
+    a_terms = list(zip(cert.a_words, cert.a_pieces))
+    b_terms = list(zip(cert.b_words, cert.b_pieces))
+    id_a = [((), clf) for _, clf in a_terms]
+    id_b = [((), clf) for _, clf in b_terms]
     if cert.form == "two_equation":
         equations = [("pieces-partition", id_a + id_b), ("a-cover", a_terms), ("b-cover", b_terms)]
     else:
@@ -303,7 +305,7 @@ def _oracle_verify(cert, win, action=None):
         for x in win:
             pres = []
             ok = True
-            for word, _, _ in terms:
+            for word, _ in terms:
                 y = _oracle_preimage(cert.model, action, word, x)
                 if y is None or y not in win:
                     ok = False
@@ -313,12 +315,7 @@ def _oracle_verify(cert, win, action=None):
                 boundary += 1
                 continue
             checkable += 1
-            count = 0
-            for y, (_, piece, clf) in zip(pres, terms):
-                try:
-                    count += evaluate(clf, y)
-                except ClassifierError as exc:
-                    raise ClassifierError(piece, exc.reason) from None
+            count = sum(evaluate(clf, y) for y, (_, clf) in zip(pres, terms))
             if count == 1:
                 once += 1
             else:
@@ -339,17 +336,25 @@ def _oracle_verify(cert, win, action=None):
     return {"equations": reports}
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ClassifierError as exc:
-        return ("ClassifierError", str(exc))
-
-
 def _assert_matches_oracle(cert, win, action=None):
-    got = _outcome(lambda: verify_on_window(cert, win, action).to_json())
-    assert got == _outcome(_oracle_verify, cert, win, action)
+    got = verify_on_window(cert, win, action).to_json()
+    assert got == _oracle_verify(cert, win, action)
     return got
+
+
+H = make_model("heisenberg")
+CYCLIC = make_model("cyclic", modulus=12)
+T2 = make_model("torus", dim=2)
+# Every model kind: residue is evaluated on the first five and refused on
+# the circle and the torus, whose coordinates are not integers.
+DIFFERENTIAL_MODELS = [Z, Z2, F2, H, CYCLIC, C, T2]
+DIFFERENTIAL_IDS = ["Z", "Z2", "F2", "H", "cyclic", "circle", "torus"]
+RESIDUE_REFUSAL = "residue needs integer coordinates"
+
+
+def _coordinate_count(model):
+    data = model.identity_data
+    return len(data) if isinstance(data, tuple) else 1
 
 
 def _random_tree(rng, model, names, depth=0):
@@ -370,14 +375,16 @@ def _random_tree(rng, model, names, depth=0):
         return {"op": "in", "elements": rng.sample(names, rng.randint(0, len(names)))}
     if op in ("first_letter", "power"):
         return {"op": op, "letter": rng.choice("aAbB")}
-    index = rng.randrange(2 if model is Z2 else 1)
+    index = rng.randrange(_coordinate_count(model))
     if op == "coord_sign":
         return {"op": op, "index": index, "sign": rng.choice("+-0")}
     mod = rng.randint(1, 4)
     return {"op": op, "index": index, "mod": mod, "value": rng.randint(-1, mod)}
 
 
-def _random_certificate(rng, model, translators, names, pieces=None):
+def _random_fields(rng, model, translators, names, pieces=None):
+    """The constructor fields of a seeded random certificate."""
+
     def family():
         k = rng.randint(1, 3)
         words = [tuple(rng.choice(translators) for _ in range(rng.randint(0, 2))) for _ in range(k)]
@@ -386,15 +393,42 @@ def _random_certificate(rng, model, translators, names, pieces=None):
 
     a_words, a_pieces = family()
     b_words, b_pieces = family()
-    return ParadoxCertificate(
-        model=model,
-        form=rng.choice(["two_equation", "tarski"]),
-        a_words=a_words,
-        a_pieces=a_pieces,
-        b_words=b_words,
-        b_pieces=b_pieces,
-    )
+    form = rng.choice(["two_equation", "tarski"])
+    return dict(model=model, form=form, a_words=a_words, a_pieces=a_pieces, b_words=b_words, b_pieces=b_pieces)
 
+
+def _random_certificate(rng, model, translators, names, pieces=None):
+    return ParadoxCertificate(**_random_fields(rng, model, translators, names, pieces))
+
+
+def _first_residue(fields):
+    """The `.op` path of the first residue node in load order (A before B,
+    each tree depth first, args in order), or None."""
+
+    def walk(clf, path):
+        if clf["op"] == "residue":
+            return f"{path}.op"
+        children = [(clf["arg"], f"{path}.arg")] if "arg" in clf else []
+        children += [(arg, f"{path}.args[{i}]") for i, arg in enumerate(clf.get("args", []))]
+        return next(filter(None, (walk(child, at) for child, at in children)), None)
+
+    pieces = [(f"A[{i}]", clf) for i, clf in enumerate(fields["a_pieces"])]
+    pieces += [(f"B[{j}]", clf) for j, clf in enumerate(fields["b_pieces"])]
+    return next(filter(None, (walk(clf, path) for path, clf in pieces)), None)
+
+
+def _verified_or_refused(fields, win, action=None) -> bool:
+    """Verify a certificate against the element loop, True; or, where it
+    holds a residue node on a model without integer coordinates, check that
+    loading refuses it at the first such node's `.op`, False."""
+    where = None if fields["model"].discrete else _first_residue(fields)
+    if where is None:
+        _assert_matches_oracle(ParadoxCertificate(**fields), win, action)
+        return True
+    with pytest.raises(CertificateError) as info:
+        ParadoxCertificate(**fields)
+    assert (info.value.path, info.value.reason) == (where, RESIDUE_REFUSAL)
+    return False
 
 
 def _random_window(rng, model):
@@ -402,26 +436,39 @@ def _random_window(rng, model):
         points = [(i,) for i in range(-7, 8) if rng.random() < 0.8]
     elif model is Z2:
         points = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if rng.random() < 0.8]
-    else:
+    elif model is F2:
         points = [w for w in grid_sample(F2, 3) if len(w.data) < 2 or rng.random() < 0.7]
+    else:
+        base = word_ball(model, 2 if model is H else 6) if model.discrete else grid_sample(model, 4 if model is T2 else 8)
+        points = [x for x in base if rng.random() < 0.8] or list(base)[:1]
     return window(model, points)
 
 
-@pytest.mark.parametrize("model", [Z, Z2, F2], ids=["Z", "Z2", "F2"])
+def _translators(model):
+    return list(grid_sample(model, 1 if model.discrete else 4).positions)
+
+
+@pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=DIFFERENTIAL_IDS)
 def test_verify_on_window_matches_element_loop_on_random_trees(model):
+    # on the circle and the torus, a tree holding residue is refused at load
+    # instead, at its first residue node
     rng = random.Random(5)
-    translators = list(grid_sample(model, 1).positions)
+    translators = _translators(model)
+    verified = 0
     for _ in range(40):
         win = _random_window(rng, model)
-        names = [model.format(x) for x in rng.sample(list(win), 6)] + ["9,9"]
-        cert = _random_certificate(rng, model, translators, names)
-        _assert_matches_oracle(cert, win)
+        names = [model.format(x) for x in rng.sample(list(win), min(6, len(win)))] + ["9,9"]
+        verified += _verified_or_refused(_random_fields(rng, model, translators, names), win)
+    if model.discrete:
+        assert verified == 40
+    else:
+        assert 0 < verified < 40
 
 
-@pytest.mark.parametrize("model", [Z, Z2, F2], ids=["Z", "Z2", "F2"])
+@pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=DIFFERENTIAL_IDS)
 def test_verify_on_window_matches_element_loop_on_tables(model):
     rng = random.Random(6)
-    translators = list(grid_sample(model, 1).positions)
+    translators = _translators(model)
     for _ in range(30):
         win = _random_window(rng, model)
         names = [model.format(x) for x in win]
@@ -536,13 +583,13 @@ def test_long_translator_word_costs_linear_work(model, monkeypatch):
 
 def test_verify_on_window_matches_element_loop_through_tables_on_circle():
     # partial injective rows on a 12-point grid; verify windows that drop grid
-    # points and add points off the grid; residue classifiers raise on
-    # non-integer points, and the first error must be the loop's
+    # points and add points off the grid; a tree holding residue is refused
+    # at load, at its first residue node
     rng = random.Random(8)
     grid = grid_sample(C, 12)
     pool = [Fraction(k, 12) for k in (1, 4, 7)]
     stray = Fraction(5, 24)  # has no row, so words through it leave the table
-    errors = 0
+    verified = 0
     for _ in range(60):
         rows = {}
         for g in pool:
@@ -552,13 +599,11 @@ def test_verify_on_window_matches_element_loop_through_tables_on_circle():
         points = [x for x in grid if rng.random() < 0.85] + [C.element(Fraction(k, 24)) for k in (1, 7) if rng.random() < 0.5]
         win = window(C, points)
         names = [C.format(x) for x in rng.sample(list(win), 4)]
-        cert = _random_certificate(rng, C, pool + [stray], names)
-        outcome = _assert_matches_oracle(cert, win, action)
-        errors += isinstance(outcome, tuple)
-    assert 0 < errors < 60
+        verified += _verified_or_refused(_random_fields(rng, C, pool + [stray], names), win, action)
+    assert 0 < verified < 60
 
 
-RESIDUE = {"op": "residue", "index": 0, "mod": 2, "value": 0}  # raises off the integer 0
+RESIDUE = {"op": "residue", "index": 0, "mod": 2, "value": 0}
 QUARTER = Fraction(1, 4)
 CIRCLE_WINDOW = window(C, [Fraction(k, 8) for k in range(8)])
 
@@ -574,105 +619,165 @@ def _circle_certificate(piece):
     )
 
 
-LAZY_CASES = [
-    # an earlier arg decides every point but the identity, where residue is defined
-    ({"op": "and", "args": [{"op": "identity"}, RESIDUE]}, False),
-    ({"op": "or", "args": [{"op": "not", "arg": {"op": "identity"}}, RESIDUE]}, False),
+SHORT_CIRCUIT_CASES = [
+    # an earlier arg decides every point but the identity, the one circle
+    # point where residue is defined
+    ({"op": "and", "args": [{"op": "identity"}, RESIDUE]}, "A[0].args[1].op"),
+    ({"op": "or", "args": [{"op": "not", "arg": {"op": "identity"}}, RESIDUE]}, "A[0].args[1].op"),
     # the same args the other way round reach residue first
-    ({"op": "and", "args": [RESIDUE, {"op": "identity"}]}, True),
-    ({"op": "or", "args": [RESIDUE, {"op": "not", "arg": {"op": "identity"}}]}, True),
-    # an `and` that is false everywhere before its erroring arg, nested in `or`
-    ({"op": "or", "args": [{"op": "and", "args": [{"op": "in", "elements": []}, RESIDUE]}, {"op": "identity"}]}, False),
-    # `not` keeps the marks of its arg
-    ({"op": "not", "arg": RESIDUE}, True),
-    ({"op": "not", "arg": {"op": "and", "args": [{"op": "identity"}, RESIDUE]}}, False),
-    # empty args: `and` is true and `or` false, with nothing to raise
-    ({"op": "and", "args": []}, False),
-    ({"op": "or", "args": []}, False),
-    ({"op": "and", "args": [{"op": "or", "args": []}, RESIDUE]}, False),
+    ({"op": "and", "args": [RESIDUE, {"op": "identity"}]}, "A[0].args[0].op"),
+    ({"op": "or", "args": [RESIDUE, {"op": "not", "arg": {"op": "identity"}}]}, "A[0].args[0].op"),
+    # an `and` that is false everywhere before its residue arg, nested in `or`
+    ({"op": "or", "args": [{"op": "and", "args": [{"op": "in", "elements": []}, RESIDUE]}, {"op": "identity"}]},
+     "A[0].args[0].args[1].op"),
+    ({"op": "not", "arg": RESIDUE}, "A[0].arg.op"),
+    ({"op": "not", "arg": {"op": "and", "args": [{"op": "identity"}, RESIDUE]}}, "A[0].arg.args[1].op"),
+    # empty args: `and` is true and `or` false, with no residue to refuse
+    ({"op": "and", "args": []}, None),
+    ({"op": "or", "args": []}, None),
+    ({"op": "and", "args": [{"op": "or", "args": []}, RESIDUE]}, "A[0].args[1].op"),
 ]
 
 
-@pytest.mark.parametrize("piece, raises", LAZY_CASES, ids=[json.dumps(c) for c, _ in LAZY_CASES])
-def test_verify_on_window_short_circuits_like_the_tree_walk(piece, raises):
-    outcome = _assert_matches_oracle(_circle_certificate(piece), CIRCLE_WINDOW)
-    assert isinstance(outcome, tuple) == raises
-    if raises:
-        assert outcome == ("ClassifierError", "A[0]: residue classifier needs integer coordinates")
+@pytest.mark.parametrize("piece, path", SHORT_CIRCUIT_CASES, ids=[json.dumps(c) for c, _ in SHORT_CIRCUIT_CASES])
+def test_verify_on_window_short_circuits_like_the_tree_walk(piece, path):
+    # on the integers every tree verifies as the tree walk, which stops at
+    # the first deciding arg, does; on the circle a tree holding residue is
+    # refused at load, at its first residue node, wherever that sits
+    on_z = ParadoxCertificate(Z, "tarski", [(), ((1,),)], [piece, {"op": "not", "arg": piece}], [()], [{"op": "true"}])
+    _assert_matches_oracle(on_z, window(Z, [(i,) for i in range(-4, 5)]))
+    if path is None:
+        _assert_matches_oracle(_circle_certificate(piece), CIRCLE_WINDOW)
+        return
+    with pytest.raises(CertificateError) as info:
+        _circle_certificate(piece)
+    assert (info.value.path, info.value.reason) == (path, RESIDUE_REFUSAL)
+    # the loader of a certificate file names the same field
+    cert = {"form": "tarski", "g": [[], ["1/4"]], "h": [[]], "A": [piece, {"op": "true"}], "B": [{"op": "true"}]}
+    with pytest.raises(CertificateError) as info:
+        ParadoxCertificate.from_json(cert, C)
+    assert info.value.path == path
 
 
-def test_verify_on_window_names_first_erroring_piece_in_scan_order():
-    # A[1] raises at 1/4 and A[0] only at 3/8: the scan meets 1/4 first
-    cert = ParadoxCertificate(
-        model=C,
-        form="tarski",
-        a_words=[(), (QUARTER,)],
-        a_pieces=[
-            {"op": "and", "args": [{"op": "in", "elements": ["3/8"]}, RESIDUE]},
-            {"op": "and", "args": [{"op": "in", "elements": ["1/4"]}, RESIDUE]},
-        ],
-        b_words=[()],
-        b_pieces=[{"op": "true"}],
-    )
-    assert _assert_matches_oracle(cert, CIRCLE_WINDOW)[1].startswith("A[1]: ")
+def test_residue_refusal_names_the_first_piece_in_load_order():
+    # A[1] was the first piece the window scan read at a non-integer point;
+    # the load checks A[0] first and names it
+    with pytest.raises(CertificateError) as info:
+        ParadoxCertificate(
+            model=C,
+            form="tarski",
+            a_words=[(), (QUARTER,)],
+            a_pieces=[
+                {"op": "and", "args": [{"op": "in", "elements": ["3/8"]}, RESIDUE]},
+                {"op": "and", "args": [{"op": "in", "elements": ["1/4"]}, RESIDUE]},
+            ],
+            b_words=[()],
+            b_pieces=[{"op": "true"}],
+        )
+    assert info.value.path == "A[0].args[1].op"
 
 
-class _CoversOnly(ParadoxCertificate):
-    """A certificate scanned without its partition equations.  Those read
-    every piece at every window point, so only without them can an erroring
-    point be read from boundary points alone."""
-
-    def equations(self):
-        return [(name, terms) for name, terms in super().equations() if name.endswith("cover")]
-
-
-def test_verify_on_window_never_raises_at_boundary_points():
-    # A[0] raises at 1/2 only, which a-cover reads through 1/4 from 3/4; the
-    # second word moves 3/4 off the window, so 3/4 is a boundary point
+def test_residue_refused_at_load_whatever_the_window_reads():
+    # a-cover reads A[0]'s residue at 1/2 only from 3/4, a boundary point
+    # once the second word moves 3/4 off the window: the tree is refused
+    # at load all the same, with the second word and without it
     piece = {"op": "or", "args": [{"op": "in", "elements": ["0", "1/4"]}, RESIDUE]}
-    win = window(C, [Fraction(k, 4) for k in range(4)])
-    eighth = (Fraction(1, 8),)
-    cert = _CoversOnly(C, "two_equation", [(QUARTER,), eighth], [piece, {"op": "true"}], [()], [{"op": "true"}])
-    report = _assert_matches_oracle(cert, win)
-    assert report["equations"][0]["boundary_defects"] == 4
-    # without the second word 3/4 is checkable, and its read of 1/2 raises
-    cert = _CoversOnly(C, "two_equation", [(QUARTER,), ()], [piece, {"op": "true"}], [()], [{"op": "true"}])
-    assert _assert_matches_oracle(cert, win) == ("ClassifierError", "A[0]: residue classifier needs integer coordinates")
+    for second in [(Fraction(1, 8),), ()]:
+        with pytest.raises(CertificateError) as info:
+            ParadoxCertificate(C, "two_equation", [(QUARTER,), second], [piece, {"op": "true"}], [()], [{"op": "true"}])
+        assert info.value.path == "A[0].args[1].op"
 
 
 def test_verify_on_window_matches_element_loop_on_circle_trees():
     # random trees over residue, coord_sign and membership on circle windows
-    # with no action: residue raises everywhere but at 0, so which piece is
-    # named, and whether any is, rests on the short-circuits of and/or
+    # with no action: those holding residue are refused at load, at their
+    # first residue node; the rest match the tree walk
     rng = random.Random(9)
     translators = [Fraction(k, 8) for k in range(8)]
-    errors = 0
+    verified = 0
     for _ in range(80):
         win = window(C, [x for x in CIRCLE_WINDOW if rng.random() < 0.8])
         names = [C.format(x) for x in rng.sample(list(win), min(3, len(win)))]
-        cert = _random_certificate(rng, C, translators, names)
-        errors += isinstance(_assert_matches_oracle(cert, win), tuple)
-    assert 0 < errors < 80
+        verified += _verified_or_refused(_random_fields(rng, C, translators, names), win)
+    assert 0 < verified < 80
+
+
+@pytest.mark.parametrize("model", [Z, Z2, H, CYCLIC], ids=repr)
+def test_residue_evaluated_exactly_on_integer_coordinates(model):
+    win = word_ball(model, 2 if model is H else 3)
+    cols = paradox._Columns(win)
+    for index in range(_coordinate_count(model)):
+        for mod in (1, 2, 3, 5, 13):
+            for value in range(-1, mod + 1):
+                clf = {"op": "residue", "index": index, "mod": mod, "value": value}
+                column = paradox._compile(clf, model, "classifier")(cols).to_bytes(len(win), "little")
+                assert list(column) == [evaluate(clf, x) for x in win], clf
+
+
+@pytest.mark.parametrize("model", [C, T2], ids=repr)
+def test_residue_refused_at_load_off_the_integers(model):
+    for index in range(_coordinate_count(model)):
+        clf = {"op": "not", "arg": {"op": "residue", "index": index, "mod": 2, "value": 0}}
+        with pytest.raises(CertificateError) as info:
+            paradox._compile(clf, model, "A[0]")
+        assert (info.value.path, info.value.reason) == ("A[0].arg.op", RESIDUE_REFUSAL)
+    # the index is still checked first: past the coordinates it is named there
+    clf = {"op": "residue", "index": _coordinate_count(model), "mod": 2, "value": 0}
+    with pytest.raises(CertificateError, match=r"^A\[0\]\.index: "):
+        paradox._compile(clf, model, "A[0]")
+
+
+def _chain(depth):
+    """`depth` nested nodes: `not`s around one `true`."""
+    tree = {"op": "true"}
+    for _ in range(depth - 1):
+        tree = {"op": "not", "arg": tree}
+    return tree
+
+
+def _one_piece_certificate(piece):
+    return ParadoxCertificate(C, "tarski", [()], [piece], [(QUARTER,)], [{"op": "true"}])
+
+
+def test_classifier_depth_cap():
+    ball = grid_sample(F2, 2)
+    _assert_matches_oracle(_one_piece_certificate(_chain(CLASSIFIER_DEPTH_CAP)), CIRCLE_WINDOW)
+    assert evaluate_classifier(_chain(CLASSIFIER_DEPTH_CAP), ball[0]) is (CLASSIFIER_DEPTH_CAP % 2 == 1)
+    # one level more is refused at the first node past the cap, also inside an `and`
+    with pytest.raises(CertificateError) as info:
+        _one_piece_certificate(_chain(CLASSIFIER_DEPTH_CAP + 1))
+    assert info.value.path == "A[0]" + ".arg" * CLASSIFIER_DEPTH_CAP
+    assert info.value.reason == f"classifier nested deeper than {CLASSIFIER_DEPTH_CAP} levels"
+    with pytest.raises(CertificateError) as info:
+        evaluate_classifier({"op": "and", "args": [{"op": "true"}, _chain(CLASSIFIER_DEPTH_CAP)]}, ball[0])
+    assert info.value.path == "classifier.args[1]" + ".arg" * (CLASSIFIER_DEPTH_CAP - 1)
 
 
 def test_classifier_evaluated_once_per_piece_and_point(monkeypatch):
-    # each piece's tree is compiled into one column over the whole window,
-    # exactly once per verify_on_window call, so no point is evaluated twice
-    from folnerlab import paradox
+    # each node of each piece's tree is compiled into one evaluator, run once
+    # over the whole window per verify_on_window call, so no point is
+    # evaluated twice
+    runs = []
+    compile_ = paradox._compile
 
-    calls = []
-    original = paradox._Columns.piece
+    def counting(clf, model, path, depth=1):
+        evaluator = compile_(clf, model, path, depth)
 
-    def counting(self, clf):
-        calls.append(id(clf))
-        return original(self, clf)
+        def run(cols):
+            runs.append(path)
+            return evaluator(cols)
 
-    monkeypatch.setattr(paradox._Columns, "piece", counting)
-    cert = f2_standard_certificate(F2)
-    ball = grid_sample(F2, 6)
-    report = verify_on_window(cert, ball)
+        return run
+
+    monkeypatch.setattr(paradox, "_compile", counting)
+    cert = f2_standard_certificate(F2)  # its four trees hold nine nodes
+    report = verify_on_window(cert, grid_sample(F2, 6))
     assert report.interior_violations == 0
-    assert sorted(calls) == sorted(id(clf) for clf in cert.a_pieces + cert.b_pieces)
+    assert sorted(runs) == sorted([
+        "A[0]", "A[0].args[0]", "A[0].args[1]",
+        "A[1]", "A[1].args[0]", "A[1].args[1]", "A[1].args[1].arg",
+        "B[0]", "B[1]",
+    ])
 
 
 # --- the search, pinned to its recorded outputs ------------------------------------
