@@ -37,7 +37,6 @@ from .matching import (
     MatchingResult,
     build_graph,
     max_matching,
-    perfect_matching,
 )
 from .folner import (
     FolnerCertificate,

@@ -25,7 +25,9 @@ import functools
 import hashlib
 import json
 import platform
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,6 +53,7 @@ from .groups import (
     FiniteWindow,
     GroupModel,
     WindowSizeError,
+    _KINDS,
     canonical_json,
     certificate_fraction,
     grid_sample,
@@ -240,6 +243,12 @@ class Artifacts:
         if self.out_dir is not None:
             write_canonical_json(self.out_dir, name, payload)
             self.written.append(name)
+
+    def move_in(self, path: Path) -> None:
+        """Move a file written elsewhere into the output directory."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        shutil.move(path, self.out_dir / path.name)
+        self.written.append(path.name)
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> None:
         if self.out_dir is None:
@@ -481,7 +490,12 @@ def _run_scenarios(s: SimpleNamespace, artifacts: Artifacts) -> int:
 
 
 def _run_suite(s: SimpleNamespace, artifacts: Artifacts) -> int:
-    results = run_suite(out_dir=artifacts.out_dir, numbers=s.params.criteria)
+    # The criteria write their own files: they run in a fresh directory, and
+    # each file they leave there is moved out and listed in the manifest.
+    with tempfile.TemporaryDirectory() as tmp:
+        results = run_suite(out_dir=Path(tmp) if artifacts.out_dir else None, numbers=s.params.criteria)
+        for path in sorted(Path(tmp).iterdir()):
+            artifacts.move_in(path)
     artifacts.write_csv("report.csv", ["criterion", "name", "passed", "measured"],
                         [[r.number, r.name, r.passed, r.measured] for r in results])
     for r in results:
@@ -625,7 +639,7 @@ def _command(sub, name: str, summary: str, task: str, with_model: bool = True):
     """A subcommand running `task`: --config or the flags that build the same
     scenario (each named by its params field as dest), and --out-dir."""
     parser = sub.add_parser(name, help=summary)
-    parser.set_defaults(task=task)
+    parser.set_defaults(task=task, command_parser=parser)  # `_config_from_flags` reads its flags
     parser.add_argument(
         "--config", type=Path, help="scenario JSON; replaces every flag but --out-dir, --seed and --budget"
     )
@@ -635,12 +649,15 @@ def _command(sub, name: str, summary: str, task: str, with_model: bool = True):
     return parser
 
 
+# The integer parameter names of the model kinds, each once: dim, rank, modulus.
+MODEL_PARAMS = tuple(dict.fromkeys(param[0] for _, param in _KINDS.values() if param))
+
+
 def _model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", type=Path, help="model descriptor JSON file")
-    parser.add_argument("--kind", choices=["lattice", "free", "heisenberg", "circle", "torus", "cyclic"])
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--rank", type=int)
-    parser.add_argument("--modulus", type=int)
+    parser.add_argument("--kind", choices=list(_KINDS))
+    for key in MODEL_PARAMS:
+        parser.add_argument(f"--{key}", type=int)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -767,7 +784,7 @@ def _model_arg(args) -> dict:
         return _read_json_flag(args.model, "--model")
     if args.kind is None:
         raise ConfigError("--kind", "missing required flag (or give --model FILE)")
-    return {"kind": args.kind, "params": {key: getattr(args, key) for key in ("dim", "rank", "modulus")
+    return {"kind": args.kind, "params": {key: getattr(args, key) for key in MODEL_PARAMS
                                           if getattr(args, key) is not None}}
 
 
@@ -785,11 +802,10 @@ def _config_from_flags(args) -> dict:
     requires; an empty flag leaves an optional field out, and the model
     flags are refused where the mode takes no model."""
     task = args.task.format(**vars(args))
-    sub = next(action for action in _parser()._actions if action.dest == "command").choices[args.command]
     flags = [(action.option_strings[0], action.dest, action.default, getattr(args, action.dest))
-             for action in sub._actions if action.option_strings and action.dest in PARAMS_FIELDS]
+             for action in args.command_parser._actions if action.option_strings and action.dest in PARAMS_FIELDS]
     name, mode, _ = _mode({"task": task, "params": {dest: v for _, dest, _, v in flags if v is not None}})
-    given = [f"--{key}" for key in ("model", "kind", "dim", "rank", "modulus") if getattr(args, key, None) is not None]
+    given = [f"--{key}" for key in ("model", "kind", *MODEL_PARAMS) if getattr(args, key, None) is not None]
     if given and "model" not in mode.envelope:
         raise ConfigError(given[0], f"not read in {name or task} mode")
     config = {"task": task, "model": _model_arg(args)} if "model" in mode.envelope else {"task": task}

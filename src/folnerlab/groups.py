@@ -82,7 +82,7 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     s = str(text).strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")
-    if "/" in s and _is_zero_text(s.partition("/")[2]):
+    if "/" in s and _int_text(s.partition("/")[2]) == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(s)
 
@@ -602,7 +602,7 @@ def model_from_json(obj: dict) -> GroupModel:
     for key, value in params.items():
         if param is None or key != param[0]:
             raise CertificateError(f"params.{key}", f"not a parameter of a {kind} model")
-        if type(value) is not int and not (isinstance(value, str) and _is_int_text(value)):
+        if type(value) is not int and not (isinstance(value, str) and _int_text(value) is not None):
             raise CertificateError(f"params.{key}", f"expected an integer, got {value!r}")
     try:
         model = make_model(kind, **params)
@@ -620,19 +620,12 @@ def _own_descriptor(model: GroupModel) -> dict:
     return model.to_json()
 
 
-def _is_int_text(text: str) -> bool:
+def _int_text(text: str) -> Optional[int]:
+    """The int that `text` spells, or None."""
     try:
-        int(text)
+        return int(text)
     except ValueError:
-        return False
-    return True
-
-
-def _is_zero_text(text: str) -> bool:
-    try:
-        return int(text) == 0
-    except ValueError:
-        return False
+        return None
 
 
 # ---------------------------------------------------------------------------

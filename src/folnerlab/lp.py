@@ -12,12 +12,14 @@ exactly:
   large for the time budget.  Each phase runs one shortest-path pass and
   then a blocking flow along every residual arc that is tight under it.
 
-Both take and return `Fraction`s but compute on integers: the data are
-scaled once by the LCM of their denominators, every comparison is made on
-the scaled integers (by cross-multiplication where a ratio is compared),
-and the answers are divided back once at the end.  Scaling by a positive
-factor changes no comparison, so the pivots and answers are the ones a
-computation in fractions would give.
+Both compute on integers.  The simplex takes and returns `Fraction`s: its
+data are scaled once by the LCM of their denominators, every comparison is
+made on the scaled integers (by cross-multiplication where a ratio is
+compared), and the answers are divided back once at the end.  Scaling by a
+positive factor changes no comparison, so the pivots and answers are the
+ones a computation in fractions would give.  The flow takes the int costs
+that the seminorm puts over its common scale, and returns an int cost and
+int potentials over that same scale.
 
 Every solve returns the optimum, a primal witness, and a dual vector; the
 pair is certified by exact feasibility and strong duality, so callers never
@@ -168,35 +170,14 @@ def _certify(c: list[int], rows: list[list[tuple[int, int]]], b: list[int], X: l
 # ---------------------------------------------------------------------------
 
 
-class _FlowNetwork:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add(self, u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return idx
-
-
 INF_CAP = 1 << 60
 
 
 def min_cost_flow(
     n: int,
-    arcs: list[tuple[int, int, int, int | Fraction]],
+    arcs: list[tuple[int, int, int, int]],
     supplies: list[int],
-) -> tuple[Fraction, list[int], list[Fraction]]:
+) -> tuple[int, list[int], list[int]]:
     """Exact min-cost flow meeting integer supplies (positive = source).
 
     Returns (total cost, per-arc flow, node potentials).  Potentials are
@@ -213,35 +194,39 @@ def min_cost_flow(
     optimal duals are the same set for all of them, and the root distances
     are its greatest element that is <= 0.
 
-    Costs are scaled to integers by the LCM of their denominators (1 when
-    they are all ints already, as the seminorm builds them); paths, flows
-    and potentials are computed on those and divided back once.
+    Costs are ints, as the seminorm builds them, so the cost and the
+    potentials are ints too.
     """
     if sum(supplies) != 0:
         raise LpError("supplies must balance")
-    scale = math.lcm(*(cost.denominator for (_, _, _, cost) in arcs))
-    net = _FlowNetwork(n + 2)
+    size = n + 2
     source, sink = n, n + 1
-    arc_ids = [
-        net.add(u, v, cap, cost.numerator * (scale // cost.denominator))
-        for (u, v, cap, cost) in arcs
-    ]
-    total = 0
+    edges = list(arcs)
     for v, s in enumerate(supplies):
         if s > 0:
-            net.add(source, v, s, 0)
-            total += s
+            edges.append((source, v, s, 0))
         elif s < 0:
-            net.add(v, sink, -s, 0)
+            edges.append((v, sink, -s, 0))
+    # Arc k is residual arc 2k and its reverse 2k + 1, so e ^ 1 flips an arc.
+    head: list[list[int]] = [[] for _ in range(size)]
+    to: list[int] = []
+    cap: list[int] = []
+    cost: list[int] = []
+    for u, v, c, w in edges:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+        cost += (w, -w)
+    total = sum(s for s in supplies if s > 0)
 
-    head, to, cap, cost = net.head, net.to, net.cap, net.cost
     sent = 0
     while sent < total:
-        dist = [None] * net.n
+        dist = [None] * size
         dist[source] = 0
-        # Bellman-Ford (queue form) on the scaled integer costs.
+        # Bellman-Ford (queue form).
         queue = deque([source])
-        in_queue = [False] * net.n
+        in_queue = [False] * size
         in_queue[source] = True
         while queue:
             u = queue.popleft()
@@ -261,18 +246,14 @@ def min_cost_flow(
             raise LpError("flow infeasible")
         sent += _tight_max_flow(head, to, cap, cost, dist, source, sink)
 
-    cost_total = 0
-    flows = []
-    for idx in arc_ids:
-        f = cap[idx ^ 1]
-        flows.append(f)
-        cost_total += cost[idx] * f
+    flows = cap[1:2 * len(arcs):2]  # the reverse arcs' capacities
+    cost_total = sum(arc[3] * f for arc, f in zip(arcs, flows))
 
     # Potentials via Bellman-Ford from a virtual root connected to all nodes.
-    pot = [0] * net.n
-    for _ in range(net.n):
+    pot = [0] * size
+    for _ in range(size):
         changed = False
-        for u in range(net.n):
+        for u in range(size):
             pu = pot[u]
             for e in head[u]:
                 if cap[e] > 0:
@@ -285,7 +266,7 @@ def min_cost_flow(
             break
     else:
         raise LpError("negative cycle in optimal residual graph")
-    return Fraction(cost_total, scale), flows, [Fraction(pv, scale) for pv in pot[:n]]
+    return cost_total, flows, pot[:n]
 
 
 def _tight_max_flow(head, to, cap, cost, dist, source: int, sink: int) -> int:

@@ -58,9 +58,6 @@ from .groups import (
     word_ball,
 )
 
-INF = float("inf")
-
-
 @dataclass
 class BipartiteInstance:
     left: FiniteWindow
@@ -238,6 +235,8 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
     n_left = len(adjacency)
     match_left = [-1] * n_left
     match_right = [-1] * n_right
+    # BFS level of each left vertex, -1 where unreached or a dead end: a
+    # live level is >= 0, so no dist[u] + 1 of a live u equals the sentinel.
     dist = [0] * n_left
 
     def bfs() -> bool:
@@ -247,7 +246,7 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
                 dist[u] = 0
                 queue.append(u)
             else:
-                dist[u] = INF
+                dist[u] = -1
         found = False
         while queue:
             u = queue.popleft()
@@ -255,7 +254,7 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
                 w = match_right[v]
                 if w < 0:
                     found = True
-                elif dist[w] == INF:
+                elif dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return found
@@ -283,7 +282,7 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
                     advanced = True
                     break
             if not advanced:
-                dist[u] = INF
+                dist[u] = -1
                 stack.pop()
                 if pending:
                     pending.pop()
@@ -333,14 +332,6 @@ def max_matching(instance: BipartiteInstance) -> MatchingResult:
     )
     result.check_valid()
     return result
-
-
-def perfect_matching(instance: BipartiteInstance) -> tuple[Optional[dict[int, int]], Optional[tuple[int, ...]]]:
-    """Full-domain pairing if Hall's condition holds, else a violating set."""
-    result = max_matching(instance)
-    if result.perfect:
-        return result.pairing, None
-    return None, result.witness
 
 
 def brute_force_matching_number(instance: BipartiteInstance) -> int:

@@ -34,8 +34,12 @@ underlying counting arguments were transcribed correctly.  The two table
 builders run their deviation scan through `verify_perturbation`, the same
 check that re-verifies a table loaded from file; `build_perturbation` hands
 that report on as `AssembledPerturbation.report`.  `PerturbedAction.from_json`
-is the one loader of a table file: every malformed field, and a row table
-that is not one, is a `CertificateError` naming the field.
+is the one loader of a table file: every malformed field is a
+`CertificateError` naming the field.  The table itself is checked on
+construction, also when loaded: a row table that is not one is refused at
+`rows`, and a true `involution` flag at `involution[<g>]` unless g has a
+row and psi(g) squares to the identity on the window, so a table file
+carries no involution claim that its rows do not keep.
 """
 
 from __future__ import annotations
@@ -106,6 +110,12 @@ class PerturbedAction:
     per g, the preimage index of each window point (None where no point maps
     to it); it is built from the rows at construction, so rows are not to be
     changed afterwards.
+
+    Construction checks the table: a row of the wrong length, an index out
+    of range or a row that is not injective is a CertificateError at
+    `rows`, and a true flag whose g has no row, or whose psi(g) does not
+    square to the identity wherever it is defined on the window, one at
+    `involution[<g>]`.
     """
 
     window: FiniteWindow
@@ -118,22 +128,35 @@ class PerturbedAction:
     inverse_rows: dict[Any, list[Optional[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.window)
+        n, model = len(self.window), self.window.model
         self.inverse_rows = {}
         for g, row in self.rows.items():
-            name = self.window.model.format_data(g)
+            name = model.format_data(g)
             if len(row) != n:
-                raise ValueError(f"row of {name} has length {len(row)}, expected {n}")
+                raise CertificateError("rows", f"row of {name} has length {len(row)}, expected {n}")
             if any(j is not None and not 0 <= j < n for j in row):
-                raise ValueError(f"row of {name} has an index outside 0 <= j < {n}")
+                raise CertificateError("rows", f"row of {name} has an index outside 0 <= j < {n}")
             inverse: list[Optional[int]] = [None] * n
             for i, j in enumerate(row):
                 if j is None:
                     continue
                 if inverse[j] is not None:
-                    raise ValueError(f"row of {name} not injective")
+                    raise CertificateError("rows", f"row of {name} not injective")
                 inverse[j] = i
             self.inverse_rows[g] = inverse
+        mul, index, points = model._mul_data, self.window.positions, self.window.payloads
+        for g in (g for g, flag in self.involution.items() if flag):
+            at, row = f"involution[{model.format_data(g)}]", self.rows.get(g)
+            if row is None:
+                raise CertificateError(at, "flags an element with no row")
+            # psi(g) sends y to row[pre[y]], pre[y] the index of g^-1 y (None outside the window)
+            g_inv = model._inv_data(g)
+            pre = [index.get(mul(g_inv, y)) for y in points]
+            for y, h in enumerate(pre):
+                once = None if h is None else row[h]
+                if once is not None and (pre[once] is None or row[pre[once]] != y):
+                    raise CertificateError(at, "psi(g) does not square to the identity at "
+                                           f"{model.format_data(points[y])}")
 
     def apply(self, g, x):
         """The payload alpha(g)(x) of payloads g and x; None where g has no
@@ -157,9 +180,7 @@ class PerturbedAction:
     @classmethod
     def from_json(cls, obj: dict, model: GroupModel) -> "PerturbedAction":
         """Parse an action; every malformed field is a CertificateError
-        naming it, and a row table that is not one (a row of the wrong
-        length, an index out of range, a row that is not injective) one at
-        `rows`."""
+        naming it, and so is a table that fails construction's checks."""
         require_fields(obj, ("window", "pool", "rows", "radius"), ("involution", "folner_windows", "folner_pools"))
         rows, involution = obj["rows"], obj.get("involution", {})
         if not isinstance(rows, dict) or not all(isinstance(row, list) for row in rows.values()):
@@ -183,11 +204,8 @@ class PerturbedAction:
         for k, v in involution.items():
             flags[parse_key(k, model, flags, f"involution[{k}]")] = parse_bool(v, f"involution[{k}]")
         folner_pools = _windows_json(obj.get("folner_pools", []), model, "folner_pools")
-        try:
-            return cls(window=window, pool=pool, rows=table, radius=radius, involution=flags,
-                       folner_windows=folner_windows, folner_pools=folner_pools)
-        except ValueError as exc:  # the row table's own checks
-            raise CertificateError("rows", str(exc)) from None
+        return cls(window=window, pool=pool, rows=table, radius=radius, involution=flags,
+                   folner_windows=folner_windows, folner_pools=folner_pools)
 
 
 def _windows_json(items, model: GroupModel, field: str) -> list[FiniteWindow]:
@@ -578,10 +596,7 @@ def build_perturbation(
                     raise ConstructionError("swap pieces overlap across packages")
                 psi[x] = y
                 psi[y] = x
-        for x in index:
-            if psi[psi[x]] != x:
-                raise ConstructionError("correction is not an involution")
-        involution[g] = True
+        involution[g] = True  # checked by the table on construction
         row: list[Optional[int]] = []
         for h in index:
             gh = mul(g, h)

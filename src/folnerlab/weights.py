@@ -268,19 +268,16 @@ def _seminorm_lp(
         arcs.append((bank, v, INF_CAP, destroy))
     supplies = scaled + [-sum(scaled)]
     cost, _flows, pot = min_cost_flow(n + 1, arcs, supplies)
-    # integer costs give an integer cost and integer potentials
-    top = pot[bank].numerator
-    f_unit = [top - p.numerator for p in pot[:n]]  # the witness times `unit`
-    if sum(m * v for m, v in zip(scaled, f_unit)) != cost.numerator:
+    f_unit = [pot[bank] - p for p in pot[:n]]  # the witness times `unit`
+    if sum(m * v for m, v in zip(scaled, f_unit)) != cost:
         raise LpError("flow duality certificate failed")
-    return Fraction(cost.numerator, denom * unit), [Fraction(v, unit) for v in f_unit], 0, "flow"
+    return Fraction(cost, denom * unit), [Fraction(v, unit) for v in f_unit], 0, "flow"
 
 
 def lipschitz_seminorm(
     a: FiniteWeight,
     metric: InvariantPseudoMetric,
     bounds: tuple[Fraction, Fraction] = (Fraction(-1), Fraction(1)),
-    support_cap: int = SUPPORT_CAP,
 ) -> SeminormResult:
     """Exact seminorm sup { a(f) : f Lipschitz for the metric, f in bounds }.
 
@@ -296,8 +293,8 @@ def lipschitz_seminorm(
         raise ValueError("asymmetric bounds need a weight with zero total mass")
     if len(a) == 0:
         return SeminormResult(value=ZERO, witness=[], pivots=0, engine="trivial")
-    if len(a) > support_cap:
-        raise SupportSizeError(f"support {len(a)} exceeds cap {support_cap}")
+    if len(a) > SUPPORT_CAP:
+        raise SupportSizeError(f"support {len(a)} exceeds cap {SUPPORT_CAP}")
 
     near, scale = near_pairs(a.support, metric, hi - lo)
     pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]

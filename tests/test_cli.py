@@ -385,6 +385,17 @@ def test_suite_selected_criteria(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_suite_manifest_lists_the_files_the_criteria_write(tmp_path, capsys):
+    # criteria 9 and 11 write their own certificates: the manifest lists
+    # them beside the report, also on a second run that rewrites them
+    out = tmp_path / "out"
+    for _ in range(2):
+        assert run(["suite", "--criteria", "9,11", "--out-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["free_paradox_certificate.json", "precompact_circle.json", "report.csv"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["artifacts"], "manifest.json"])
+
+
 def test_suite_detects_injected_fault(monkeypatch, capsys):
     # dropping one matched pair must make the Hall-identity row fail
     from folnerlab import matching as matching_mod
@@ -1027,6 +1038,11 @@ FIELD_ERRORS = {
                               "params.action.involution[zz]", "Invalid literal for Fraction: 'zz'"),
     "action-involution=0": (VERIFY, {"action": {**GOOD_ACTION, "involution": {"1/2": 0}}},
                             "params.action.involution[1/2]", "expected a JSON boolean, got 0"),
+    # a true flag on a row whose correction has order 4 used to verify with exit 0
+    "action-involution-order-4": (VERIFY, {"action": {"window": ["0", "1/4", "1/2", "3/4"], "pool": ["1/4"],
+                                                      "rows": {"1/4": [2, 3, 0, 1]}, "radius": "1/2",
+                                                      "involution": {"1/4": True}}},
+                                  "params.action.involution[1/4]", "psi(g) does not square to the identity at 0"),
     "max_pieces=-2": (PARADOX_SEARCH, {"max_pieces": -2}, "params.max_pieces", "must be at least 4"),
     "paradox-budget=0": (PARADOX_SEARCH, {"budget": 0}, "params.budget", "budget must be positive"),
     "paradox-budget=-5": (PARADOX_SEARCH, {"budget": -5}, "params.budget", "budget must be positive"),

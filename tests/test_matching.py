@@ -33,7 +33,6 @@ from folnerlab.matching import (
     build_graph,
     max_matching,
     near_pairs,
-    perfect_matching,
 )
 
 from fraction_oracles import fraction_eval
@@ -88,14 +87,14 @@ def test_mu_matches_brute_force(adjacency):
 @given(adjacency_lists)
 def test_perfect_iff_hall(adjacency):
     inst = _instance(adjacency, 8)
-    pairing, violating = perfect_matching(inst)
+    result = max_matching(inst)
     hall = exhaustive_deficiency(adjacency) == 0
-    assert (pairing is not None) == hall
-    if pairing is None:
+    assert result.perfect == hall
+    if not result.perfect:
         nbhd = set()
-        for i in violating:
+        for i in result.witness:
             nbhd.update(adjacency[i])
-        assert len(violating) > len(nbhd)
+        assert len(result.witness) > len(nbhd)
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,8 +132,7 @@ def test_star_instance():
     assert result.mu == 1
     assert set(result.witness) == {0, 1, 2}
     assert result.witness_deficiency() == 2
-    pairing, violating = perfect_matching(inst)
-    assert pairing is None and len(violating) == 3
+    assert not result.perfect and len(result.witness) == 3
 
 
 def test_complete_bipartite():
@@ -161,8 +159,7 @@ def test_build_graph_circle_rotation():
     result = max_matching(inst)
     assert result.mu == 2
     assert result.mu == brute_force_matching_number(inst)
-    pairing, _ = perfect_matching(inst)
-    assert pairing is not None
+    assert result.perfect
 
 
 def test_build_graph_empty_left():

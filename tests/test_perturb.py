@@ -13,6 +13,7 @@ from group_oracles import union_find_orbits
 from folnerlab import perturb
 from folnerlab.groups import (
     ArcMetric,
+    CertificateError,
     DiscreteMetric,
     Entourage,
     ScaledMetric,
@@ -471,6 +472,19 @@ def test_perturbed_action_from_json_rejects_nonboolean_involution(flag):
     assert loaded.involution == {Fraction(1, 4): False}
     with pytest.raises(ValueError, match=r"involution\[1/4\]"):
         PerturbedAction.from_json({**payload, "involution": {"1/4": flag}}, C)
+
+
+@pytest.mark.parametrize("rows, flags, at, reason", [
+    # alpha(1/4) adds 1/2, so psi(1/4) adds 1/4 and has order 4
+    ({"1/4": [2, 3, 0, 1]}, {"1/4": True}, "involution[1/4]", "psi(g) does not square to the identity at 0"),
+    ({"1/4": [1, 2, 3, 0]}, {"1/4": True, "1/2": True}, "involution[1/2]", "flags an element with no row"),
+], ids=["non-involutive-row", "flag-without-row"])
+def test_perturbed_action_from_json_checks_true_involution_flags(rows, flags, at, reason):
+    payload = {"window": grid_sample(C, 4).to_json(), "pool": ["1/4"], "rows": rows, "radius": "1/2"}
+    PerturbedAction.from_json({**payload, "involution": {k: False for k in flags}}, C)  # a false flag claims nothing
+    with pytest.raises(CertificateError) as caught:
+        PerturbedAction.from_json({**payload, "involution": flags}, C)
+    assert (caught.value.path, caught.value.reason) == (at, reason)
 
 
 def _circle_points(top_denominator):

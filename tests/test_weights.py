@@ -179,11 +179,11 @@ def test_seminorm_witness_feasible_and_optimal():
 
 
 def test_seminorm_support_cap():
-    from folnerlab.weights import SupportSizeError
+    from folnerlab.weights import SUPPORT_CAP, SupportSizeError
 
-    big = FiniteWeight(Z, [((i,), Fraction(1)) for i in range(30)])
-    with pytest.raises(SupportSizeError):
-        lipschitz_seminorm(big, WordMetric(Z), support_cap=10)
+    big = FiniteWeight(Z, [((i,), Fraction(1)) for i in range(SUPPORT_CAP + 1)])
+    with pytest.raises(SupportSizeError, match=f"support {SUPPORT_CAP + 1} exceeds cap {SUPPORT_CAP}"):
+        lipschitz_seminorm(big, WordMetric(Z))
 
 
 def test_flow_and_simplex_engines_agree():
