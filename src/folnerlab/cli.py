@@ -7,7 +7,8 @@ shared engine, and writes three kinds of artifact into the output
 directory: certificate JSON (canonical: sorted keys, exact rationals as
 strings, no timestamps), a report CSV, and a manifest carrying the config
 hash, versions, and wall time.  Timing lives only in the manifest so that
-certificates stay byte-reproducible.
+certificates stay byte-reproducible.  Only this module writes files: the
+suite's criteria hand theirs back in their rows, and `Artifacts` writes them.
 
 Each task, and each mode of a task, declares its fields once in `TASKS`: a
 name, a parser and a default or `REQUIRED`.  `_load` applies these tables to
@@ -23,11 +24,10 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import platform
-import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -64,7 +64,6 @@ from .groups import (
     parse_radius,
     parse_window,
     require_fields,
-    write_canonical_json,
 )
 from .matching import build_graph, max_matching
 from .paradox import (
@@ -240,25 +239,19 @@ class Artifacts:
         self.written: list[str] = []
 
     def write_json(self, name: str, payload) -> None:
-        if self.out_dir is not None:
-            write_canonical_json(self.out_dir, name, payload)
-            self.written.append(name)
-
-    def move_in(self, path: Path) -> None:
-        """Move a file written elsewhere into the output directory."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        shutil.move(path, self.out_dir / path.name)
-        self.written.append(path.name)
+        self._write(name, canonical_json(payload))
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> None:
-        if self.out_dir is None:
-            return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.out_dir / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        self.written.append(name)
+        text = io.StringIO()
+        csv.writer(text).writerows([header, *rows])
+        self._write(name, text.getvalue())
+
+    def _write(self, name: str, text: str) -> None:
+        """Write one artifact; with no directory nothing is written."""
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / name).write_text(text, encoding="utf-8", newline="")
+            self.written.append(name)
 
 
 def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
@@ -268,9 +261,9 @@ def _manifest(config: dict, artifacts: Artifacts, wall: float) -> None:
         "package_version": __version__,
         "python_version": platform.python_version(),
         "wall_time_s": wall,
-        "artifacts": sorted(a for a in artifacts.written),
+        "artifacts": sorted(artifacts.written),
     }
-    write_canonical_json(artifacts.out_dir, "manifest.json", payload)
+    artifacts.write_json("manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +483,10 @@ def _run_scenarios(s: SimpleNamespace, artifacts: Artifacts) -> int:
 
 
 def _run_suite(s: SimpleNamespace, artifacts: Artifacts) -> int:
-    # The criteria write their own files: they run in a fresh directory, and
-    # each file they leave there is moved out and listed in the manifest.
-    with tempfile.TemporaryDirectory() as tmp:
-        results = run_suite(out_dir=Path(tmp) if artifacts.out_dir else None, numbers=s.params.criteria)
-        for path in sorted(Path(tmp).iterdir()):
-            artifacts.move_in(path)
+    results = run_suite(numbers=s.params.criteria)
+    for r in results:
+        for name, payload in r.files.items():
+            artifacts.write_json(name, payload)
     artifacts.write_csv("report.csv", ["criterion", "name", "passed", "measured"],
                         [[r.number, r.name, r.passed, r.measured] for r in results])
     for r in results:

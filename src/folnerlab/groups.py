@@ -35,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Optional
 
 WINDOW_CAP = 100_000
@@ -160,15 +159,6 @@ def _json_text(value, line: str) -> str:
         items = (encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
         return "{" + inner + sep.join(items) + line + "}" if value else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def write_canonical_json(out_dir: Optional[Path], name: str, payload) -> None:
-    """Write `canonical_json(payload)` to out_dir/name, creating the
-    directory; with no directory nothing is written."""
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
 
 
 def parse_bool(value, field: str) -> bool:

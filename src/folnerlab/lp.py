@@ -12,14 +12,11 @@ exactly:
   large for the time budget.  Each phase runs one shortest-path pass and
   then a blocking flow along every residual arc that is tight under it.
 
-Both compute on integers.  The simplex takes and returns `Fraction`s: its
-data are scaled once by the LCM of their denominators, every comparison is
-made on the scaled integers (by cross-multiplication where a ratio is
-compared), and the answers are divided back once at the end.  Scaling by a
-positive factor changes no comparison, so the pivots and answers are the
-ones a computation in fractions would give.  The flow takes the int costs
-that the seminorm puts over its common scale, and returns an int cost and
-int potentials over that same scale.
+Both compute on integers.  The simplex takes an integer system and returns
+its primal and dual over the final tableau's denominator; the flow takes
+int costs and returns an int cost, the flow and int potentials.  The
+seminorm puts its system over one unit once and hands the same ints to
+either engine, so neither scales anything.
 
 Every solve returns the optimum, a primal witness, and a dual vector; the
 pair is certified by exact feasibility and strong duality, so callers never
@@ -30,12 +27,8 @@ that is <= 0, the same for every optimal flow.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-
-ZERO = Fraction(0)
 
 
 class LpError(ValueError):
@@ -44,48 +37,45 @@ class LpError(ValueError):
 
 @dataclass
 class LpSolution:
-    value: Fraction
-    x: list[Fraction]
-    duals: list[Fraction]
+    """An optimum over the final denominator D > 0: the primal is X/D and
+    the duals are Y/D."""
+
+    X: list[int]
+    Y: list[int]
+    D: int
     pivots: int
 
 
-def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: list[Fraction]) -> LpSolution:
-    """Dense-tableau simplex (Bland's rule) for max c.x, Ax <= b, x >= 0, b >= 0.
+def simplex_max(c: list[int], rows: list[list[tuple[int, int]]], b: list[int]) -> LpSolution:
+    """Dense-tableau simplex (Bland's rule) for max c.x, Ax <= b, x >= 0, b >= 0,
+    on integer data.
 
     Rows are sparse (index, coefficient) lists.  The all-slack basis is
     feasible because b >= 0, so no phase-1 is needed.
 
-    The tableau is kept in integers: A, b and c are scaled by the LCMs of
-    their denominators, and every true entry is the stored one over a
-    running denominator D.  Edmonds-Bareiss pivots keep it integral, and
-    the ratio test compares by cross-multiplication, so the pivot sequence
-    is the one the same tableau would take in fractions.  The optimum is
-    certified on the final tableau, also in integers (`_certify`).
+    Every true tableau entry is the stored int over a running denominator
+    D.  Edmonds-Bareiss pivots keep it integral, and the ratio test
+    compares by cross-multiplication, so the pivot sequence is the one the
+    same tableau would take in fractions.  Scaling A and b, or c, by a
+    positive factor changes no pivot.  The optimum is certified on the final
+    tableau, also in integers (`_certify`).
     """
-    n = len(c)
-    m = len(rows)
+    n, m = len(c), len(rows)
     if any(rhs < 0 for rhs in b):
         raise LpError("simplex_max requires b >= 0")
-    scale_a = math.lcm(*(coef.denominator for coeffs in rows for _, coef in coeffs))
-    scale_b = math.lcm(*(rhs.denominator for rhs in b))
-    scale_c = math.lcm(*(cj.denominator for cj in c))
-    int_rows = [[(j, coef.numerator * (scale_a // coef.denominator)) for j, coef in coeffs] for coeffs in rows]
-    int_b = [rhs.numerator * (scale_b // rhs.denominator) for rhs in b]
-    int_c = [cj.numerator * (scale_c // cj.denominator) for cj in c]
     # tableau[i] has n structural coefficients, m slacks, and the rhs.
     width = n + m + 1
     tableau = []
-    for i, coeffs in enumerate(int_rows):
+    for i, coeffs in enumerate(rows):
         row = [0] * width
         for j, coef in coeffs:
             row[j] = coef
         row[n + i] = 1
-        row[-1] = int_b[i]
+        row[-1] = b[i]
         tableau.append(row)
     obj = [0] * width
     for j in range(n):
-        obj[j] = -int_c[j]
+        obj[j] = -c[j]
     basis = [n + i for i in range(m)]
 
     D = 1  # positive: it is always the last pivot
@@ -131,19 +121,16 @@ def simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: li
         if var < n:
             X[var] = tableau[i][-1]
     Y = obj[n:n + m]
-    objective = _certify(int_c, int_rows, int_b, X, Y, D)
-    x = [Fraction(Xj * scale_a, D * scale_b) if Xj else ZERO for Xj in X]
-    duals = [Fraction(Yi * scale_a, D * scale_c) if Yi else ZERO for Yi in Y]
-    value = Fraction(objective * scale_a, D * scale_b * scale_c)
-    return LpSolution(value=value, x=x, duals=duals, pivots=pivots)
+    _certify(c, rows, b, X, Y, D)
+    return LpSolution(X=X, Y=Y, D=D, pivots=pivots)
 
 
 def _certify(c: list[int], rows: list[list[tuple[int, int]]], b: list[int], X: list[int], Y: list[int], D: int) -> int:
     """Optimality certificate of the final tableau, checked on integers.
 
-    In the scaled system the primal is X/D and the duals are Y/D (D > 0), so
-    primal feasibility is sum A.X <= b.D, dual feasibility sum Y.A >= c.D,
-    and strong duality c.X = Y.b.  Returns c.X, the objective times D.
+    The primal is X/D and the duals are Y/D (D > 0), so primal feasibility
+    is sum A.X <= b.D, dual feasibility sum Y.A >= c.D, and strong duality
+    c.X = Y.b.  Returns c.X, the objective times D.
     """
     for coeffs, rhs in zip(rows, b):
         if sum(coef * X[j] for j, coef in coeffs) > rhs * D:

@@ -36,10 +36,9 @@ check that re-verifies a table loaded from file; `build_perturbation` hands
 that report on as `AssembledPerturbation.report`.  `PerturbedAction.from_json`
 is the one loader of a table file: every malformed field is a
 `CertificateError` naming the field.  The table itself is checked on
-construction, also when loaded: a row table that is not one is refused at
-`rows`, and a true `involution` flag at `involution[<g>]` unless g has a
-row and psi(g) squares to the identity on the window, so a table file
-carries no involution claim that its rows do not keep.
+construction, also when loaded (see `PerturbedAction`), so a table file
+carries no pool element, mover or involution claim that its rows do not
+keep.
 """
 
 from __future__ import annotations
@@ -111,11 +110,12 @@ class PerturbedAction:
     to it); it is built from the rows at construction, so rows are not to be
     changed afterwards.
 
-    Construction checks the table: a row of the wrong length, an index out
-    of range or a row that is not injective is a CertificateError at
-    `rows`, and a true flag whose g has no row, or whose psi(g) does not
-    square to the identity wherever it is defined on the window, one at
-    `involution[<g>]`.
+    Construction checks the table; each refusal is a CertificateError at its
+    field.  `pool`: a pool element with no row.  `rows`: a row for an element
+    outside the pool, of the wrong length, with an index out of range, or not
+    injective.  `folner_pools[k]`: an element other than the identity with no
+    row.  `involution[<g>]`: a true flag whose g has no row, or whose psi(g)
+    does not square to the identity wherever it is defined on the window.
     """
 
     window: FiniteWindow
@@ -128,10 +128,15 @@ class PerturbedAction:
     inverse_rows: dict[Any, list[Optional[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, model = len(self.window), self.window.model
+        n, model, pool = len(self.window), self.window.model, self.pool.positions
+        for g in pool:
+            if g not in self.rows:
+                raise CertificateError("pool", f"{model.format_data(g)} has no row")
         self.inverse_rows = {}
         for g, row in self.rows.items():
             name = model.format_data(g)
+            if g not in pool:
+                raise CertificateError("rows", f"row of {name} for an element outside the pool")
             if len(row) != n:
                 raise CertificateError("rows", f"row of {name} has length {len(row)}, expected {n}")
             if any(j is not None and not 0 <= j < n for j in row):
@@ -144,6 +149,10 @@ class PerturbedAction:
                     raise CertificateError("rows", f"row of {name} not injective")
                 inverse[j] = i
             self.inverse_rows[g] = inverse
+        for k, folner_pool in enumerate(self.folner_pools):
+            for g in folner_pool.positions:
+                if g != model.identity_data and g not in self.rows:
+                    raise CertificateError(f"folner_pools[{k}]", f"{model.format_data(g)} has no row")
         mul, index, points = model._mul_data, self.window.positions, self.window.payloads
         for g in (g for g, flag in self.involution.items() if flag):
             at, row = f"involution[{model.format_data(g)}]", self.rows.get(g)
@@ -290,7 +299,7 @@ def verify_perturbation(action: PerturbedAction, U: Entourage) -> PerturbationRe
     ratios = []
     for idx, F in enumerate(action.folner_windows):
         if idx < len(action.folner_pools):
-            movers = [g for g in action.folner_pools[idx].positions if g in action.rows]
+            movers = action.folner_pools[idx].payloads
         else:
             movers = list(action.rows)
         image = set(F.positions)

@@ -7,9 +7,11 @@ criterion's number and name from the `CRITERIA` table and the time the
 call took, so a criterion states none of these itself.  The CLI `suite`
 subcommand and the pytest acceptance module both run `run_suite`, so the
 command line and the test suite cannot drift apart.
-Criteria that emit certificates take an output directory and write
-canonical JSON (sorted keys, no timestamps), which the determinism check
-compares byte for byte across fresh runs.
+Every criterion takes a dict and puts each file it emits there, name to
+JSON payload; it writes nothing.  `run_suite` hands each criterion's files
+back in its row, and the CLI writes them.  The determinism check compares
+the `canonical_json` text of two in-process runs of the emitting criteria,
+which is the text the CLI writes.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from .folner import (
     FolnerCertificate,
@@ -34,10 +35,10 @@ from .groups import (
     ArcMetric,
     Entourage,
     WordMetric,
+    canonical_json,
     grid_sample,
     make_model,
     window,
-    write_canonical_json,
 )
 from .matching import BipartiteInstance, brute_force_matching_number, max_matching
 from .paradox import f2_standard_certificate, search_small_paradox, verify_on_window
@@ -55,6 +56,7 @@ class CriterionResult:
     passed: bool
     measured: str
     elapsed: float
+    files: dict[str, Any]  # the files the criterion emitted, name -> JSON payload
 
     def row(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -105,7 +107,7 @@ def _exhaustive_deficiency(instance: BipartiteInstance) -> int:
     return worst
 
 
-def criterion_01_hall_identity(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_01_hall_identity(files: dict) -> tuple[bool, str]:
     instances = _random_instances(500, seed=74021)
     checked = 0
     for inst in instances:
@@ -116,7 +118,7 @@ def criterion_01_hall_identity(out_dir: Optional[Path] = None) -> tuple[bool, st
     return True, f"{checked} instances exact"
 
 
-def criterion_02_perfect_matching(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_02_perfect_matching(files: dict) -> tuple[bool, str]:
     instances = _random_instances(500, seed=74021)
     for k, inst in enumerate(instances):
         result = max_matching(inst)
@@ -144,7 +146,7 @@ def _lattice_setup():
     return Z2, E, U
 
 
-def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[bool, str, list[FolnerCertificate]]:
+def criterion_03_lattice_boxes(files: dict) -> tuple[bool, str, list[FolnerCertificate]]:
     Z2, E, U = _lattice_setup()
     certs = []
     for n in range(2, 31):
@@ -159,7 +161,7 @@ def criterion_03_lattice_boxes(out_dir: Optional[Path] = None) -> tuple[bool, st
     expected = _box(Z2, 10)
     ok = search.found and search.certificate.F == expected
     if ok:
-        write_canonical_json(out_dir, "lattice_box_search.json", search.to_json())
+        files["lattice_box_search.json"] = search.to_json()
     measured = "defects 1-1/n for n=2..30; search returned the 10x10 box" if ok else "search missed the 10x10 box"
     return ok, measured, certs
 
@@ -193,7 +195,7 @@ def _free_mul(w1: tuple[int, ...], w2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[bool, str, list[FolnerCertificate]]:
+def criterion_04_free_profile(files: dict) -> tuple[bool, str, list[FolnerCertificate]]:
     F2 = make_model("free", rank=2)
     E = window(F2, [F2.parse("a"), F2.parse("b")])
     U = Entourage(WordMetric(F2), ZERO)
@@ -215,7 +217,7 @@ def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[bool, str
     search = folner_search(E, U, Fraction(3, 5), strategy="balls", budget=6)
     ok = (not search.found) and search.best_theta < Fraction(51, 100)
     if ok:
-        write_canonical_json(out_dir, "free_ball_search.json", search.to_json())
+        files["free_ball_search.json"] = search.to_json()
     measured = (
         f"defects match (3^n-1)/(2*3^n-1); search best {search.best_theta} < 0.51, target not met"
         if ok
@@ -224,7 +226,7 @@ def criterion_04_free_profile(out_dir: Optional[Path] = None) -> tuple[bool, str
     return ok, measured, certs
 
 
-def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[bool, str, list[FolnerCertificate]]:
+def criterion_05_circle_rotation(files: dict) -> tuple[bool, str, list[FolnerCertificate]]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(1, 24))
     F = grid_sample(C, 12)
@@ -245,14 +247,12 @@ def criterion_05_circle_rotation(out_dir: Optional[Path] = None) -> tuple[bool, 
     if theta2 != Fraction(oracle, len(F)):
         return False, f"off-grid defect {theta2} vs oracle {oracle}/12", certs
     certs.append(cert2)
-    write_canonical_json(out_dir, "circle_rotation_certificates.json", [cert.to_json(), cert2.to_json()])
+    files["circle_rotation_certificates.json"] = [cert.to_json(), cert2.to_json()]
     measured = f"aligned defect 1 (identity matching); off-grid defect {theta2} equals the exhaustive oracle"
     return True, measured, certs
 
 
-def criterion_06_seminorm_bridge(
-    certs: list[FolnerCertificate], out_dir: Optional[Path] = None
-) -> tuple[bool, str]:
+def criterion_06_seminorm_bridge(certs: list[FolnerCertificate], files: dict) -> tuple[bool, str]:
     checked = 0
     worst_gap = None
     for cert in certs:
@@ -285,7 +285,7 @@ def _brute_force_two_point(mu_x: Fraction, mu_y: Fraction, d: Fraction, step: Fr
     return -(mu_x + mu_y) + step * best / q
 
 
-def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_07_seminorm_oracle(files: dict) -> tuple[bool, str]:
     """Two-point seminorms against min(2, d), with each distance d from its
     closed form, not from the package's metric kernel: the arc
     min(|x - y|, 1 - |x - y|) on the circle, |x - y|_1 on Z^2, and on F_2
@@ -333,7 +333,7 @@ def criterion_07_seminorm_oracle(out_dir: Optional[Path] = None) -> tuple[bool, 
     return True, f"100 pairs match min(2, d); {grid_checked} grid cross-checks; optima dual-certified in-solver"
 
 
-def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_08_uniform_approx(files: dict) -> tuple[bool, str]:
     rng = random.Random(90125)
     C = make_model("circle")
     arc = ArcMetric(C)
@@ -359,7 +359,7 @@ def criterion_08_uniform_approx(out_dir: Optional[Path] = None) -> tuple[bool, s
 # ---------------------------------------------------------------------------
 
 
-def criterion_09_precompact(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_09_precompact(files: dict) -> tuple[bool, str]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(7, 20))
     result = precompact_perturbation(U, grid_sample(C, 60), grid_sample(C, 12))
@@ -370,7 +370,7 @@ def criterion_09_precompact(out_dir: Optional[Path] = None) -> tuple[bool, str]:
         and result.order_bound % result.group_order == 0
         and report.entries_checked == 60 * 12
     )
-    write_canonical_json(out_dir, "precompact_circle.json", result.to_json())
+    files["precompact_circle.json"] = result.to_json()
     return (
         ok,
         f"|F|={len(result.centers)}, order {result.group_order} divides {result.order_bound}, "
@@ -378,7 +378,7 @@ def criterion_09_precompact(out_dir: Optional[Path] = None) -> tuple[bool, str]:
     )
 
 
-def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_10_assembly(files: dict) -> tuple[bool, str]:
     C = make_model("circle")
     U = Entourage(ArcMetric(C), Fraction(1, 10))
     family = [
@@ -393,7 +393,7 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
         len(p.D) >= (1 - Fraction(1, p.multiplicity)) * len(p.F) for p in assembled.placements
     )
     ok = report.ok and involutions and cores_ok
-    write_canonical_json(out_dir, "assembled_perturbation.json", assembled.action.to_json())
+    files["assembled_perturbation.json"] = assembled.action.to_json()
     return (
         ok,
         f"0 violations of {report.entries_checked} entries; involutions hold; "
@@ -406,7 +406,7 @@ def criterion_10_assembly(out_dir: Optional[Path] = None) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def criterion_11_free_paradox(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_11_free_paradox(files: dict) -> tuple[bool, str]:
     F2 = make_model("free", rank=2)
     cert = f2_standard_certificate(F2)
     for n in range(1, 9):
@@ -418,11 +418,11 @@ def criterion_11_free_paradox(out_dir: Optional[Path] = None) -> tuple[bool, str
     corrupted.b_pieces[0] = {"op": "first_letter", "letter": "a"}
     bad = verify_on_window(corrupted, grid_sample(F2, 4))
     ok = bad.interior_violations >= 1
-    write_canonical_json(out_dir, "free_paradox_certificate.json", cert.to_json())
+    files["free_paradox_certificate.json"] = cert.to_json()
     return ok, f"zero interior violations through radius 8 (|B_8|={len(ball)}); corruption flagged {bad.interior_violations}"
 
 
-def criterion_12_amenable_control(out_dir: Optional[Path] = None) -> tuple[bool, str]:
+def criterion_12_amenable_control(files: dict) -> tuple[bool, str]:
     Z = make_model("lattice", dim=1)
     win = window(Z, [(i,) for i in range(-10, 11)])
     pool = window(Z, [(-1,), (0,), (1,)])
@@ -438,7 +438,7 @@ def criterion_12_amenable_control(out_dir: Optional[Path] = None) -> tuple[bool,
 # ---------------------------------------------------------------------------
 
 
-# The criteria that write certificate files; criterion 13 runs each twice.
+# The criteria that emit certificate files; criterion 13 runs each twice.
 CERTIFICATE_WRITERS = (
     criterion_03_lattice_boxes,
     criterion_04_free_profile,
@@ -449,23 +449,20 @@ CERTIFICATE_WRITERS = (
 )
 
 
-def criterion_13_determinism(out_dir: Optional[Path] = None) -> tuple[bool, str]:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        first = Path(tmp) / "run1"
-        second = Path(tmp) / "run2"
-        for target in (first, second):
-            for writer in CERTIFICATE_WRITERS:
-                writer(target)
-        names1 = sorted(p.name for p in first.glob("*.json"))
-        names2 = sorted(p.name for p in second.glob("*.json"))
-        if names1 != names2 or not names1:
-            return False, "certificate sets differ"
-        for name in names1:
-            if (first / name).read_bytes() != (second / name).read_bytes():
-                return False, f"{name} differs between runs"
-    return True, f"{len(names1)} certificate files byte-identical across two runs"
+def criterion_13_determinism(files: dict) -> tuple[bool, str]:
+    texts = []
+    for _ in range(2):
+        emitted: dict = {}
+        for writer in CERTIFICATE_WRITERS:
+            writer(emitted)
+        texts.append({name: canonical_json(payload) for name, payload in emitted.items()})
+    first, second = texts
+    if sorted(first) != sorted(second) or not first:
+        return False, "certificate sets differ"
+    for name in sorted(first):
+        if first[name] != second[name]:
+            return False, f"{name} differs between runs"
+    return True, f"{len(first)} certificate files byte-identical across two runs"
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +492,9 @@ BRIDGE = 6
 BRIDGE_SOURCES = {3, 4, 5}
 
 
-def run_suite(out_dir: Optional[Path] = None, numbers: Optional[list[int]] = None) -> list[CriterionResult]:
-    """Run the requested criteria (all by default) and return their rows."""
+def run_suite(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
+    """Run the requested criteria (all by default) and return their rows,
+    each with the files its criterion emitted."""
     wanted = {number for number, _, _ in CRITERIA} if numbers is None else set(numbers)
     needed = wanted | BRIDGE_SOURCES if BRIDGE in wanted else wanted
     results: list[CriterionResult] = []
@@ -505,16 +503,17 @@ def run_suite(out_dir: Optional[Path] = None, numbers: Optional[list[int]] = Non
         if number not in needed:
             continue
         started = time.time()
+        files: dict = {}
         try:
             if number in BRIDGE_SOURCES:
-                passed, measured, certs = criterion(out_dir)
+                passed, measured, certs = criterion(files)
                 shared_certs.extend(certs)
             elif number == BRIDGE:
-                passed, measured = criterion(shared_certs, out_dir)
+                passed, measured = criterion(shared_certs, files)
             else:
-                passed, measured = criterion(out_dir)
+                passed, measured = criterion(files)
         except Exception as exc:  # criterion failures are rows, not crashes
             passed, measured = False, f"error: {exc}"
         if number in wanted:
-            results.append(CriterionResult(number, name, passed, measured, time.time() - started))
+            results.append(CriterionResult(number, name, passed, measured, time.time() - started, files))
     return results

@@ -27,7 +27,8 @@ and a decomposing midpoint of a near pair is near both ends.  So pruning, the
 LP and the final witness check read one sparse near-pair table per call
 (`matching.near_pairs`: for each point, its near neighbours and their
 distances as ints over one common scale), which lists the word metric's near
-pairs from the word ball instead of measuring every pair.
+pairs from the word ball instead of measuring every pair.  The LP is stated
+once on ints (`_seminorm_lp`), and both engines and `_check_witness` read it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ SIMPLEX_ROW_LIMIT = 320
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
 
 
 class SupportSizeError(ValueError):
@@ -225,53 +225,44 @@ def _seminorm_lp(
     scale: int,
     lo: Fraction,
     hi: Fraction,
-) -> tuple[Fraction, list[Fraction], int, str]:
+) -> tuple[Fraction, list[int], int, int, str]:
     """Solve max mu.f over the Lipschitz polytope with box [lo, hi]; each
-    pair (i, j, d) bounds |f_i - f_j| by d / scale."""
+    pair (i, j, d) bounds |f_i - f_j| by d / scale.  Either engine takes one
+    integer system: the weights over their common denominator, and the box
+    and distances over `unit`, a common multiple of `scale` and the box's
+    denominators.  Returns (value, witness as ints over den, den, pivots,
+    engine)."""
     n = len(mu)
-    span = hi - lo
-    row_count = 2 * len(pairs) + n
-    if row_count <= SIMPLEX_ROW_LIMIT:
-        # substitute x = f - lo >= 0
-        rows: list[list[tuple[int, Fraction]]] = []
-        b: list[Fraction] = []
-        for i in range(n):
-            rows.append([(i, ONE)])
-            b.append(span)
-        for i, j, d in pairs:
-            d = Fraction(d, scale)
-            rows.append([(i, ONE), (j, MINUS_ONE)])
-            b.append(d)
-            rows.append([(j, ONE), (i, MINUS_ONE)])
-            b.append(d)
-        sol = simplex_max(mu, rows, b)
-        f = [x + lo for x in sol.x]
-        value = sum(m * v for m, v in zip(mu, f))
-        return value, f, sol.pivots, "simplex"
-
-    # Min-cost-flow dual: transport with creation/destruction priced by the
-    # box.  Supplies are mu times its common denominator, and arc costs are
-    # ints over one common scale of the distances and the box; both are
-    # divided back once at the end.
     denom = math.lcm(*(m.denominator for m in mu))
-    scaled = [m.numerator * (denom // m.denominator) for m in mu]
+    weights = [m.numerator * (denom // m.denominator) for m in mu]
     unit = math.lcm(scale, lo.denominator, hi.denominator)
     step = unit // scale
-    create, destroy = hi.numerator * (unit // hi.denominator), -lo.numerator * (unit // lo.denominator)
-    bank = n
-    arcs: list[tuple[int, int, int, int]] = []
-    for i, j, d in pairs:
-        arcs.append((i, j, INF_CAP, d * step))
-        arcs.append((j, i, INF_CAP, d * step))
-    for v in range(n):
-        arcs.append((v, bank, INF_CAP, create))
-        arcs.append((bank, v, INF_CAP, destroy))
-    supplies = scaled + [-sum(scaled)]
-    cost, _flows, pot = min_cost_flow(n + 1, arcs, supplies)
-    f_unit = [pot[bank] - p for p in pot[:n]]  # the witness times `unit`
-    if sum(m * v for m, v in zip(scaled, f_unit)) != cost:
-        raise LpError("flow duality certificate failed")
-    return Fraction(cost, denom * unit), [Fraction(v, unit) for v in f_unit], 0, "flow"
+    low, high = lo.numerator * (unit // lo.denominator), hi.numerator * (unit // hi.denominator)
+    if 2 * len(pairs) + n <= SIMPLEX_ROW_LIMIT:
+        # substitute x = f - lo >= 0
+        rows = [[(i, 1)] for i in range(n)]
+        b = [high - low] * n
+        for i, j, d in pairs:
+            rows += [(i, 1), (j, -1)], [(j, 1), (i, -1)]
+            b += d * step, d * step
+        sol = simplex_max(weights, rows, b)
+        shift = low * sol.D
+        f, den, pivots, engine = [x + shift for x in sol.X], sol.D * unit, sol.pivots, "simplex"
+        objective = sum(w * v for w, v in zip(weights, f))
+    else:
+        # Min-cost-flow dual: transport with creation/destruction priced by
+        # the box; the witness is read from the potentials.
+        bank = n
+        arcs: list[tuple[int, int, int, int]] = []
+        for i, j, d in pairs:
+            arcs += (i, j, INF_CAP, d * step), (j, i, INF_CAP, d * step)
+        for v in range(n):
+            arcs += (v, bank, INF_CAP, high), (bank, v, INF_CAP, -low)
+        objective, _flows, pot = min_cost_flow(n + 1, arcs, weights + [-sum(weights)])
+        f, den, pivots, engine = [pot[bank] - p for p in pot[:n]], unit, 0, "flow"
+        if sum(w * v for w, v in zip(weights, f)) != objective:
+            raise LpError("flow duality certificate failed")
+    return Fraction(objective, denom * den), f, den, pivots, engine
 
 
 def lipschitz_seminorm(
@@ -298,33 +289,30 @@ def lipschitz_seminorm(
 
     near, scale = near_pairs(a.support, metric, hi - lo)
     pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
-    value, f, pivots, engine = _seminorm_lp(list(a.weights), pairs, scale, lo, hi)
+    value, f, den, pivots, engine = _seminorm_lp(list(a.weights), pairs, scale, lo, hi)
 
-    _check_witness(f, near, scale, lo, hi)
-    return SeminormResult(value=value, witness=f, pivots=pivots, engine=engine)
+    _check_witness(f, den, near, scale, lo, hi)
+    return SeminormResult(value=value, witness=[Fraction(v, den) for v in f], pivots=pivots, engine=engine)
 
 
-def _check_witness(f: list[Fraction], near: list[dict[int, int]], scale: int, lo: Fraction, hi: Fraction) -> None:
-    """f lies in [lo, hi] and |f_i - f_j| <= near[i][j] / scale for every
-    near pair.
+def _check_witness(f: list[int], den: int, near: list[dict[int, int]], scale: int, lo: Fraction, hi: Fraction) -> None:
+    """The witness f, ints over den, lies in [lo, hi] and has
+    |f_i - f_j| <= near[i][j] / scale for every near pair.
 
     This checks the whole feasible set, not a relaxation of it: the near
     table holds every pair closer than hi - lo, and for any farther pair
     the box already gives |f_i - f_j| <= hi - lo <= d_ij.  The box is
-    checked at every point first, then the near pairs.  The values are put
-    over their common denominator and every test is an exact integer
-    cross-multiplication.
+    checked at every point first, then the near pairs.  Every test is an
+    exact integer cross-multiplication.
     """
-    den = math.lcm(*(v.denominator for v in f))
-    ints = [v.numerator * (den // v.denominator) for v in f]
     low, high = lo.numerator * den, hi.numerator * den
-    for v in ints:
+    for v in f:
         if v * lo.denominator < low or v * hi.denominator > high:
             raise LpError("witness escapes bounds")
     for i, row in enumerate(near):
-        v = ints[i]
+        v = f[i]
         for j, d in row.items():
-            if j > i and abs(v - ints[j]) * scale > d * den:
+            if j > i and abs(v - f[j]) * scale > d * den:
                 raise LpError("witness violates a Lipschitz constraint")
 
 

@@ -18,14 +18,26 @@ torus, 0/1, and a scale factor times the base).
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from folnerlab.groups import CircleModel
-from folnerlab.lp import LpError, LpSolution
+from folnerlab.lp import LpError
 from folnerlab.perturb import PerturbationReport, Violation
 
 ZERO = Fraction(0)
+
+
+@dataclass
+class FractionLpSolution:
+    """An LP optimum in Fractions: the value, the primal x, the duals and
+    the pivot count."""
+
+    value: Fraction
+    x: list[Fraction]
+    duals: list[Fraction]
+    pivots: int
 
 
 def _arc(a: Fraction, b: Fraction) -> Fraction:
@@ -48,7 +60,7 @@ def fraction_eval(metric, x, y) -> Fraction:
     raise ValueError(f"unknown metric rule {metric.rule!r}")
 
 
-def fraction_simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: list[Fraction]) -> LpSolution:
+def fraction_simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]]], b: list[Fraction]) -> FractionLpSolution:
     """Dense-tableau simplex (Bland's rule) for max c.x, Ax <= b, x >= 0, b >= 0.
 
     Rows are sparse (index, coefficient) lists.  The all-slack basis is
@@ -116,12 +128,12 @@ def fraction_simplex_max(c: list[Fraction], rows: list[list[tuple[int, Fraction]
             x[var] = tableau[i][-1]
     duals = [obj[n + i] for i in range(m)]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    sol = LpSolution(value=value, x=x, duals=duals, pivots=pivots)
+    sol = FractionLpSolution(value=value, x=x, duals=duals, pivots=pivots)
     fraction_verify(sol, c, rows, b)
     return sol
 
 
-def fraction_verify(sol: LpSolution, c, rows, b) -> None:
+def fraction_verify(sol: FractionLpSolution, c, rows, b) -> None:
     """Exact optimality certificate: primal/dual feasibility + equal objectives."""
     n = len(c)
     for (coeffs, rhs) in zip(rows, b):

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folnerlab import cli
+from folnerlab import cli, suite
 from folnerlab.cli import ConfigError, _config_from_flags, _parser, main, run_scenario_config
 from folnerlab.folner import FolnerCertificate
 from folnerlab.groups import CertificateError, make_model
@@ -415,6 +416,36 @@ def test_suite_detects_injected_fault(monkeypatch, capsys):
     code = run(["suite", "--criteria", "1"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def _steady(files):
+    files["steady.json"] = {"value": "1/2"}
+
+
+def test_determinism_criterion_catches_a_payload_that_changes(monkeypatch):
+    calls = itertools.count()
+
+    def drifting(files):
+        files["drift.json"] = {"call": next(calls)}
+
+    monkeypatch.setattr(suite, "CERTIFICATE_WRITERS", (_steady,))
+    (row,) = suite.run_suite(numbers=[13])
+    assert (row.passed, row.measured) == (True, "1 certificate files byte-identical across two runs")
+    monkeypatch.setattr(suite, "CERTIFICATE_WRITERS", (_steady, drifting))
+    (row,) = suite.run_suite(numbers=[13])
+    assert (row.passed, row.measured) == (False, "drift.json differs between runs")
+
+
+def test_determinism_criterion_catches_a_file_emitted_once(monkeypatch):
+    calls = itertools.count()
+
+    def once(files):
+        if next(calls) == 0:
+            files["once.json"] = {}
+
+    monkeypatch.setattr(suite, "CERTIFICATE_WRITERS", (_steady, once))
+    (row,) = suite.run_suite(numbers=[13])
+    assert (row.passed, row.measured) == (False, "certificate sets differ")
 
 
 def test_defect_crosscheck_column(tmp_path):
@@ -1043,6 +1074,11 @@ FIELD_ERRORS = {
                                                       "rows": {"1/4": [2, 3, 0, 1]}, "radius": "1/2",
                                                       "involution": {"1/4": True}}},
                                   "params.action.involution[1/4]", "psi(g) does not square to the identity at 0"),
+    # a table with no row for its pool used to verify with exit 0 and ratio 1
+    "action-pool-without-row": (VERIFY, {"action": {"window": ["0", "1/4", "1/2", "3/4"], "pool": ["1/2"],
+                                                    "rows": {"1/4": [1, 2, 3, 0]}, "radius": "1/2",
+                                                    "folner_windows": [["0"]], "folner_pools": [["1/2"]]}},
+                                "params.action.pool", "1/2 has no row"),
     "max_pieces=-2": (PARADOX_SEARCH, {"max_pieces": -2}, "params.max_pieces", "must be at least 4"),
     "paradox-budget=0": (PARADOX_SEARCH, {"budget": 0}, "params.budget", "budget must be positive"),
     "paradox-budget=-5": (PARADOX_SEARCH, {"budget": -5}, "params.budget", "budget must be positive"),
@@ -1577,7 +1613,7 @@ def test_mutated_config_exits_0_or_2_or_names_its_field(data):
     path = data.draw(st.sampled_from(list(_field_paths(config))))
     value = data.draw(st.sampled_from(MUTATIONS))
     _mutate(config, path, value)
-    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "run_suite", lambda out_dir, numbers: []), \
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "run_suite", lambda numbers: []), \
             contextlib.redirect_stdout(io.StringIO()):
         try:
             code = run_scenario_config(config, out_dir=Path(out))

@@ -1,7 +1,11 @@
 """Exact LP engines: simplex against brute-force vertex checks, the flow
 solver against the simplex, both integer engines against the Fraction
 engines they replaced, and the simplex's integer certificate against the
-Fraction check it replaced."""
+Fraction check it replaced.
+
+`simplex_max` takes ints.  A Fraction LP is scaled to ints here, in
+`_scaled_simplex`: one LCM for A and b together, so x is unchanged, and
+one LCM for c; its answers are read back in Fractions."""
 
 import math
 import random
@@ -9,44 +13,45 @@ from fractions import Fraction
 
 import pytest
 
-from folnerlab.lp import LpError, LpSolution, _certify, min_cost_flow, simplex_max
+from folnerlab.lp import LpError, _certify, min_cost_flow, simplex_max
 
-from fraction_oracles import fraction_min_cost_flow, fraction_simplex_max, fraction_verify
+from fraction_oracles import FractionLpSolution, fraction_min_cost_flow, fraction_simplex_max, fraction_verify
+
+
+def _scaled_simplex(c, rows, b) -> FractionLpSolution:
+    """`simplex_max` on the Fraction LP max c.x, Ax <= b, put on ints by one
+    LCM k of A and b and one LCM s of c.  The primal of the scaled system is
+    x itself, and its duals are the true duals times s / k."""
+    k = math.lcm(*(coef.denominator for row in rows for _, coef in row), *(v.denominator for v in b))
+    s = math.lcm(*(cj.denominator for cj in c))
+    sol = simplex_max([int(cj * s) for cj in c], [[(j, int(coef * k)) for j, coef in row] for row in rows],
+                      [int(v * k) for v in b])
+    x = [Fraction(X, sol.D) for X in sol.X]
+    duals = [Fraction(Y * k, sol.D * s) for Y in sol.Y]
+    return FractionLpSolution(sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)), x, duals, sol.pivots)
 
 
 def test_simplex_simple_box():
     # max x + y st x <= 2, y <= 3
-    sol = simplex_max(
-        [Fraction(1), Fraction(1)],
-        [[(0, Fraction(1))], [(1, Fraction(1))]],
-        [Fraction(2), Fraction(3)],
-    )
-    assert sol.value == 5
-    assert sol.x == [Fraction(2), Fraction(3)]
+    sol = simplex_max([1, 1], [[(0, 1)], [(1, 1)]], [2, 3])
+    assert Fraction(sol.X[0] + sol.X[1], sol.D) == 5
+    assert [Fraction(X, sol.D) for X in sol.X] == [2, 3]
 
 
 def test_simplex_coupled():
     # max 2x + y st x + y <= 4, x <= 3
-    sol = simplex_max(
-        [Fraction(2), Fraction(1)],
-        [[(0, Fraction(1)), (1, Fraction(1))], [(0, Fraction(1))]],
-        [Fraction(4), Fraction(3)],
-    )
-    assert sol.value == 7
+    sol = simplex_max([2, 1], [[(0, 1), (1, 1)], [(0, 1)]], [4, 3])
+    assert Fraction(2 * sol.X[0] + sol.X[1], sol.D) == 7
 
 
 def test_simplex_unbounded():
     with pytest.raises(LpError):
-        simplex_max([Fraction(1)], [[(0, Fraction(-1))]], [Fraction(1)])
+        simplex_max([1], [[(0, -1)]], [1])
 
 
 def test_simplex_degenerate_rhs():
-    sol = simplex_max(
-        [Fraction(1)],
-        [[(0, Fraction(1))], [(0, Fraction(1))]],
-        [Fraction(0), Fraction(2)],
-    )
-    assert sol.value == 0
+    sol = simplex_max([1], [[(0, 1)], [(0, 1)]], [0, 2])
+    assert sol.X == [0]
 
 
 def test_simplex_random_against_vertex_enumeration():
@@ -64,7 +69,7 @@ def test_simplex_random_against_vertex_enumeration():
         for j in range(n):
             rows.append([(j, Fraction(1))])
             b.append(Fraction(4))
-        sol = simplex_max(c, rows, b)
+        sol = _scaled_simplex(c, rows, b)
         fraction_verify(sol, c, rows, b)
 
         # brute force over a fine grid of the box (quarters), feasible only
@@ -113,7 +118,7 @@ def test_flow_matches_simplex_on_transport():
             b.append(dist)
             rows.append([(j, Fraction(1)), (i, Fraction(-1))])
             b.append(dist)
-        sol = simplex_max(c, rows, b)
+        sol = _scaled_simplex(c, rows, b)
         lp_value = sol.value + sum(ci * Fraction(-1) for ci in c)  # shift back f = x - 1
 
         bank = n
@@ -153,11 +158,11 @@ def _outcome(engine, *args):
 
 
 def _assert_simplex_agrees(c, rows, b):
-    got = _outcome(simplex_max, c, rows, b)
+    got = _outcome(_scaled_simplex, c, rows, b)
     assert got == _outcome(fraction_simplex_max, c, rows, b)
     if got[0] != "error":
         # the integer certificate's optimum also passes the Fraction check
-        fraction_verify(LpSolution(*got), c, rows, b)
+        fraction_verify(FractionLpSolution(*got), c, rows, b)
     return got
 
 
@@ -339,8 +344,8 @@ def test_flow_matches_fraction_engine_on_bench_scale_boxes(rows, cols):
 
 
 def test_integer_certificate_matches_fraction_check_on_tampered_optima():
-    # Integer data, so the scaled system is the system itself; each optimum
-    # is checked as found and with one entry of X or Y moved by one unit.
+    # Each optimum, as the final tableau's X, Y over D, is checked as found
+    # and with one entry of X or Y moved by one unit.
     rng = random.Random(7006)
     outcomes = set()
     for _ in range(300):
@@ -350,17 +355,15 @@ def test_integer_certificate_matches_fraction_check_on_tampered_optima():
         b = [rng.randint(0, 5) for _ in rows]
         rows += [[(j, 1)] for j in range(n)]
         b += [rng.randint(0, 4) for _ in range(n)]
-        sol = simplex_max([Fraction(v) for v in c], [[(j, Fraction(a)) for j, a in r] for r in rows],
-                          [Fraction(v) for v in b])
-        D = math.lcm(*(v.denominator for v in sol.x + sol.duals))
-        X, Y = [int(v * D) for v in sol.x], [int(v * D) for v in sol.duals]
+        sol = simplex_max(c, rows, b)
+        X, Y, D = list(sol.X), list(sol.Y), sol.D
         if rng.random() < 0.8:
             vec = X if rng.random() < 0.5 else Y
             vec[rng.randrange(len(vec))] += rng.choice((-1, 1))
         x, y = [Fraction(v, D) for v in X], [Fraction(v, D) for v in Y]
         value = sum(cj * xj for cj, xj in zip(c, x))
         try:
-            fraction_verify(LpSolution(value, x, y, 0), c, rows, b)
+            fraction_verify(FractionLpSolution(value, x, y, 0), c, rows, b)
             expected = value * D  # the certificate returns the objective times D
         except LpError as exc:
             expected = str(exc)

@@ -487,6 +487,23 @@ def test_perturbed_action_from_json_checks_true_involution_flags(rows, flags, at
     assert (caught.value.path, caught.value.reason) == (at, reason)
 
 
+@pytest.mark.parametrize("fields, at, reason", [
+    # a table whose one pool element has no row used to verify with ratio 1
+    ({"pool": ["1/2"], "rows": {"1/4": [1, 2, 3, 0]}, "folner_windows": [["0"]], "folner_pools": [["1/2"]]},
+     "pool", "1/2 has no row"),
+    ({"rows": {"1/4": [1, 2, 3, 0], "1/2": [2, 3, 0, 1]}}, "rows", "row of 1/2 for an element outside the pool"),
+    ({"folner_windows": [["0"]], "folner_pools": [["0", "1/2"]]}, "folner_pools[0]", "1/2 has no row"),
+], ids=["pool-without-row", "row-outside-pool", "folner-pool-without-row"])
+def test_perturbed_action_pool_is_the_rows_keys(fields, at, reason):
+    payload = {"window": grid_sample(C, 4).to_json(), "pool": ["1/4"], "rows": {"1/4": [1, 2, 3, 0]}, "radius": "1/2"}
+    # the identity may sit in a Folner pool without a row, and moves nothing
+    action = PerturbedAction.from_json({**payload, "folner_windows": [["0"]], "folner_pools": [["0", "1/4"]]}, C)
+    assert verify_perturbation(action, Entourage(ARC, Fraction(1, 2))).rosenblatt == [(0, Fraction(2))]
+    with pytest.raises(CertificateError) as caught:
+        PerturbedAction.from_json({**payload, **fields}, C)
+    assert (caught.value.path, caught.value.reason) == (at, reason)
+
+
 def _circle_points(top_denominator):
     return st.integers(1, top_denominator).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
 

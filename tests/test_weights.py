@@ -36,6 +36,7 @@ from fraction_oracles import (
     fraction_eval,
     fraction_min_cost_flow,
     fraction_pair_constraints,
+    fraction_simplex_max,
 )
 from group_oracles import dense_distance_matrix
 
@@ -266,6 +267,13 @@ def test_pair_constraints_match_fraction_version_on_pseudo_metrics():
         assert _pair_constraints(_near(dmat, int(span * scale))) == expected
 
 
+def _check(f, near, scale, lo, hi):
+    """`_check_witness` on a Fraction witness, put over its common
+    denominator here."""
+    den = math.lcm(*(v.denominator for v in f))
+    _check_witness([int(v * den) for v in f], den, near, scale, lo, hi)
+
+
 def test_check_witness_rejects_one_unit_past_a_bound():
     # two points at distance 2/5 on the circle, box [-1, 1]
     points = [C.element(0), C.element(Fraction(2, 5))]
@@ -273,16 +281,16 @@ def test_check_witness_rejects_one_unit_past_a_bound():
     _, dmat, scale = _scaled_distances(points, ArcMetric(C), hi - lo)
     near = _near(dmat, (hi - lo) * scale)
     unit = Fraction(1, scale)
-    _check_witness([Fraction(0), Fraction(2, 5)], near, scale, lo, hi)
+    _check([Fraction(0), Fraction(2, 5)], near, scale, lo, hi)
     with pytest.raises(LpError, match="Lipschitz"):
-        _check_witness([Fraction(0), Fraction(2, 5) + unit], near, scale, lo, hi)
+        _check([Fraction(0), Fraction(2, 5) + unit], near, scale, lo, hi)
     with pytest.raises(LpError, match="Lipschitz"):
-        _check_witness([Fraction(2, 5) + unit, Fraction(0)], near, scale, lo, hi)
-    _check_witness([hi, hi], near, scale, lo, hi)
+        _check([Fraction(2, 5) + unit, Fraction(0)], near, scale, lo, hi)
+    _check([hi, hi], near, scale, lo, hi)
     with pytest.raises(LpError, match="bounds"):
-        _check_witness([hi + unit, hi + unit], near, scale, lo, hi)
+        _check([hi + unit, hi + unit], near, scale, lo, hi)
     with pytest.raises(LpError, match="bounds"):
-        _check_witness([lo - unit, lo - unit], near, scale, lo, hi)
+        _check([lo - unit, lo - unit], near, scale, lo, hi)
 
 
 def test_check_witness_rejects_a_real_witness_raised_one_unit_too_far():
@@ -300,13 +308,13 @@ def test_check_witness_rejects_a_real_witness_raised_one_unit_too_far():
             dist, dmat, scale = _scaled_distances(support, metric, hi - lo)
             near = _near(dmat, (hi - lo) * scale)
             unit = Fraction(1, scale)
-            _check_witness(f, near, scale, lo, hi)
+            _check(f, near, scale, lo, hi)
             for j in range(len(f)):
                 # the largest feasible value at j, the others fixed
                 top = min([hi] + [f[i] + dist(i, j) for i in range(len(f)) if i != j])
-                _check_witness(f[:j] + [top] + f[j + 1:], near, scale, lo, hi)
+                _check(f[:j] + [top] + f[j + 1:], near, scale, lo, hi)
                 with pytest.raises(LpError):
-                    _check_witness(f[:j] + [top + unit] + f[j + 1:], near, scale, lo, hi)
+                    _check(f[:j] + [top + unit] + f[j + 1:], near, scale, lo, hi)
 
 
 def _dense_check(f, dmat, scale, lo, hi):
@@ -372,7 +380,7 @@ def test_sparse_witness_check_agrees_with_the_dense_check():
             for j, v in moves:
                 tampered = f[:j] + [v] + f[j + 1:]
                 want = _check_outcome(_dense_check, tampered, dmat, scale, lo, hi)
-                assert _check_outcome(_check_witness, tampered, near, scale, lo, hi) == want
+                assert _check_outcome(_check, tampered, near, scale, lo, hi) == want
                 outcomes[want] = outcomes.get(want, 0) + 1
     assert set(outcomes) == {"valid", "witness escapes bounds", "witness violates a Lipschitz constraint"}
     assert min(outcomes.values()) > 200
@@ -380,7 +388,7 @@ def test_sparse_witness_check_agrees_with_the_dense_check():
 
 def _fraction_flow_side(mu, pairs, lo, hi):
     """The flow side of `_seminorm_lp` as it ran on Fraction arcs, through
-    the Fraction min-cost flow: (value, witness)."""
+    the Fraction min-cost flow: (value, witness, pivots)."""
     n, bank = len(mu), len(mu)
     denom = math.lcm(*(m.denominator for m in mu))
     scaled = [int(m * denom) for m in mu]
@@ -390,25 +398,43 @@ def _fraction_flow_side(mu, pairs, lo, hi):
     for v in range(n):
         arcs += [(v, bank, INF_CAP, hi), (bank, v, INF_CAP, -lo)]
     cost, _, pot = fraction_min_cost_flow(n + 1, arcs, scaled + [-sum(scaled)])
-    return cost / denom, [pot[bank] - pot[v] for v in range(n)]
+    return cost / denom, [pot[bank] - pot[v] for v in range(n)], 0
+
+
+def _fraction_simplex_side(mu, pairs, lo, hi):
+    """The simplex side of `_seminorm_lp` as it ran on Fraction rows, through
+    the Fraction simplex: (value, witness, pivots)."""
+    rows, b = [[(i, ONE)] for i in range(len(mu))], [hi - lo] * len(mu)
+    for i, j, d in pairs:
+        rows += [(i, ONE), (j, -ONE)], [(j, ONE), (i, -ONE)]
+        b += d, d
+    sol = fraction_simplex_max(mu, rows, b)
+    f = [x + lo for x in sol.x]
+    return sum(m * v for m, v in zip(mu, f)), f, sol.pivots
 
 
 def test_integer_flow_arcs_match_fraction_arcs(monkeypatch):
+    # Both engines on the seminorm's one integer system against the Fraction
+    # rows and arcs they ran on before: the same value, witness and pivots.
     import folnerlab.weights as wmod
 
-    monkeypatch.setattr(wmod, "SIMPLEX_ROW_LIMIT", 0)  # every solve on the flow engine
+    simplex_limit = wmod.SIMPLEX_ROW_LIMIT
     rng = random.Random(7105)
-    solved = 0
+    solved = {"simplex": 0, "flow": 0}
     for a, metric in _witness_cases(rng):
         mu = list(a.weights)
         for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(-1, 3), Fraction(1, 2))):
             near, scale = near_pairs(a.support, metric, hi - lo)
             pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
-            value, f, pivots, engine = _seminorm_lp(mu, pairs, scale, lo, hi)
-            assert engine == "flow" and pivots == 0
-            assert (value, f) == _fraction_flow_side(mu, [(i, j, Fraction(d, scale)) for i, j, d in pairs], lo, hi)
-            solved += 1
-    assert solved > 100
+            fraction_pairs = [(i, j, Fraction(d, scale)) for i, j, d in pairs]
+            for limit, engine, oracle in ((simplex_limit, "simplex", _fraction_simplex_side),
+                                          (0, "flow", _fraction_flow_side)):
+                monkeypatch.setattr(wmod, "SIMPLEX_ROW_LIMIT", limit)
+                value, f, den, pivots, ran = _seminorm_lp(mu, pairs, scale, lo, hi)
+                assert ran == engine
+                assert (value, [Fraction(v, den) for v in f], pivots) == oracle(mu, fraction_pairs, lo, hi)
+                solved[engine] += 1
+    assert min(solved.values()) > 100
 
 
 def test_grid_oracle_matches_fraction_scan():
