@@ -190,6 +190,7 @@ _resolution = _checked(_integer, lambda n: n >= 1, "resolution must be >= 1")
 _max_pieces = _checked(_integer, lambda n: n >= MIN_PIECES,
                        f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
 _defect_window = _checked(_load_window, len, "defect of an empty window")
+_search_pool = _checked(_load_window, len, "search of an empty pool")
 _criterion = _checked(_integer, lambda n: n in {number for number, _, _ in CRITERIA}, "unknown criterion {}")
 _criteria = functools.partial(_integers, item=_criterion)
 _not_standard = _checked(_boolean, lambda standard: not standard, "give a certificate or standard: true, not both")
@@ -556,7 +557,7 @@ TASKS: dict[str, Mode | tuple[Callable[[dict], Any], dict[str, Mode]]] = {
                                                   "standard": (_not_standard, False), **PARADOX_VERIFY}),
         "standard": Mode(_run_paradox_verify, {"standard": (_standard_certificate, REQUIRED), **PARADOX_VERIFY}),
     }),
-    "paradox-search": Mode(_run_paradox_search, {"pool": (_load_window, REQUIRED),
+    "paradox-search": Mode(_run_paradox_search, {"pool": (_search_pool, REQUIRED),
                                                  "max_pieces": (_max_pieces, REQUIRED), **WINDOW_OR_GRID,
                                                  "budget": (_budget, PARADOX_BUDGET)}),
     "suite": (lambda params: "scenarios" if "scenarios" in params else "criteria", {

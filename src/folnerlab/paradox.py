@@ -13,15 +13,18 @@ window points are covered exactly once.  It works on window indices: each
 translator word is folded once into the payload of its inverse and becomes
 one column of preimage indices, and each piece's classifier is evaluated
 once over the whole window into a column of verdicts, node by node, with
-`and`, `or` and `not` combining whole columns.  One recursive pass,
-`_compile`, checks a tree and builds its evaluator, so the grammar is
-stated once.  Every op that depends on the model (`first_letter` and
-`power` on free groups, `residue` on integer coordinates) is decided there,
-at load, and a tree deeper than `CLASSIFIER_DEPTH_CAP` is refused at the
-first node past it, so verification cannot fail on a loaded tree.  A
-point whose preimages leave the window is a boundary defect, never a
-violation: finite windows cannot witness an infinite covering, and the
-report keeps that distinction explicit.
+`and`, `or` and `not` combining whole columns.  Each equation gathers its
+terms' verdicts through their preimage columns and sums them on packed
+lanes, one big int with a lane of bytes per point wide enough for the
+equation's term count.  One recursive pass, `_compile`, checks a tree and
+builds its evaluator, so the grammar is stated once.  Every op that
+depends on the model (`first_letter` and `power` on free groups, `residue`
+on integer coordinates) is decided there, at load, and a tree deeper than
+`CLASSIFIER_DEPTH_CAP` is refused at the first node past it, so
+verification cannot fail on a loaded tree.  A point whose preimages leave
+the window is a boundary defect, never a violation: finite windows cannot
+witness an infinite covering, and the report keeps that distinction
+explicit.
 
 `search_small_paradox` looks for piece assignments on a window minimizing
 the interior violations of the combined covering equation at each piece
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations_with_replacement, repeat
+from functools import cached_property, reduce
+from itertools import combinations_with_replacement, compress, islice, repeat
 from operator import add, and_, eq, gt, itemgetter, lt, or_
 from typing import Callable, Optional
 
@@ -53,6 +56,7 @@ from .groups import (
 from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
+_NONZERO = bytes([0] + [1] * 255)  # a translate table: byte 0 to 0, any other to 1
 MIN_PIECES = 4
 # Default DP nodes a `search_small_paradox` run may spend.
 PARADOX_BUDGET = 2_000_000
@@ -72,7 +76,10 @@ class _Columns:
 
     A column holds one verdict per window point, in `positions` order, as
     0/1 bytes packed into a Python int (byte i for point i), so `and`, `or`
-    and `not` combine whole columns with `&`, `|` and `^`.
+    and `not` combine whole columns with `&`, `|` and `^`.  The free-group
+    ops read views built once per window, on first use: `heads`, each
+    point's first letter code (0 for the identity), and `lengths`, the word
+    lengths present, at which `power` looks up the letter's powers.
     """
 
     def __init__(self, window: FiniteWindow):
@@ -80,23 +87,41 @@ class _Columns:
         self.payloads = list(window.positions)
         self.size = len(self.payloads)
         self.ones = int.from_bytes(b"\x01" * self.size, "little")
-        self._names: Optional[dict[str, int]] = None
 
     @staticmethod
     def pack(verdicts) -> int:
         """A column from one truth value per window point."""
         return int.from_bytes(bytes(verdicts), "little")
 
+    @cached_property
+    def heads(self) -> list[int]:
+        return [p[0] if p else 0 for p in self.payloads]
+
+    @cached_property
+    def lengths(self) -> set[int]:
+        return set(map(len, self.payloads))
+
     def identity(self) -> int:
         at = self.window.positions.get(self.window.model.identity_data)
         return 0 if at is None else 1 << 8 * at
 
     def members(self, elements: list[str]) -> int:
-        if self._names is None:
-            self._names = {text: i for i, text in enumerate(self.window.to_json())}
+        return self._hits(map(self._names.get, elements))
+
+    def powers(self, code: int) -> int:
+        """The points (code,)*k: the non-negative powers of the signed letter."""
+        return self._hits(self.window.positions.get((code,) * k) for k in self.lengths)
+
+    @cached_property
+    def _names(self) -> dict[str, int]:
+        return {text: i for i, text in enumerate(self.window.to_json())}
+
+    def _hits(self, indices) -> int:
+        """The column true at the given point indices; None entries are skipped."""
         hits = bytearray(self.size)
-        for text in set(elements).intersection(self._names):
-            hits[self._names[text]] = 1
+        for at in indices:
+            if at is not None:
+                hits[at] = 1
         return int.from_bytes(hits, "little")
 
 
@@ -151,10 +176,8 @@ def _compile(clf, model: GroupModel, path: str, depth: int = 1) -> Callable[[_Co
             raise CertificateError(f"{path}.letter", f"{letter!r} is not a letter of {model!r}")
         code = model.letters[letter]
         if op == "first_letter":
-            head = (code,)
-            return lambda cols: cols.pack([p[:1] == head for p in cols.payloads])
-        # non-negative powers of the signed letter, identity included
-        return lambda cols: cols.pack([p.count(code) == len(p) for p in cols.payloads])
+            return lambda cols: cols.pack(map(code.__eq__, cols.heads))
+        return lambda cols: cols.powers(code)
     if op not in ("coord_sign", "residue"):
         raise CertificateError(f"{path}.op", f"unknown classifier op {op!r}")
     # a tuple payload has one coordinate per entry (a free word has none); a
@@ -371,8 +394,8 @@ def _preimages(window: FiniteWindow, word: Word) -> list[int]:
     if isinstance(model, FreeGroupModel):
         w = model._canonical([-letter for g in word for letter in reversed(g)])
         if len(w) == 1:
-            inverse = (-w[0],)
-            return [get(y[1:] if y[:1] == inverse else w + y, -1) for y in index]
+            inverse = -w[0]
+            return [get(y[1:] if y and y[0] == inverse else w + y, -1) for y in index]
     else:
         inv, mul = model._inv_data, model._mul_data
         w = inv(word[0])
@@ -411,8 +434,12 @@ def verify_on_window(
     and stays inside); checkable points covered other than exactly once are
     interior violations.  Each piece's classifier is checked again, at
     `A[i]` or `B[j]`, and evaluated once over the whole window into a
-    verdict column (see `_Columns`); each equation then reads the piece
-    columns through its preimage columns.
+    verdict column (see `_Columns`).  Each word becomes one preimage column
+    and one boundary mask of the points whose preimage leaves the window.
+    An equation gathers each term's verdicts through its word's column and
+    sums the terms as one Python int, each point in a lane of bytes wide
+    enough for the equation's term count, so no lane overflows; the
+    checkable points, the violations and the samples are read off the sum.
     """
     if window.model is not cert.model:
         raise ModelMismatchError(f"window of {window.model.kind} used in {cert.model.kind}")
@@ -420,41 +447,37 @@ def verify_on_window(
     kernel = _Columns(window)
     pieces = [(f"A[{i}]", clf) for i, clf in enumerate(cert.a_pieces)]
     pieces += [(f"B[{j}]", clf) for j, clf in enumerate(cert.b_pieces)]
-    compiled = [_compile(clf, cert.model, path)(kernel).to_bytes(n, "little") for path, clf in pieces]
-    columns: dict[Word, list[int]] = {}
+    verdicts = [_compile(clf, cert.model, path)(kernel).to_bytes(n, "little") for path, clf in pieces]
+    # per word: its preimage column (None for the identity) and boundary mask
+    columns: dict[Word, tuple[Optional[list[int]], int]] = {}
     reports = []
     for name, terms in cert.equations():
-        for word, _ in terms:
+        width = max(1, -(-len(terms).bit_length() // 8))
+        total = boundary = 0
+        for word, piece in terms:
             if word not in columns:
-                columns[word] = (
-                    _preimages(window, word)
-                    if action is None
-                    else _action_preimages(action, window, word)
-                )
-        term_columns = [columns[word] for word, _ in terms]
-        # the least preimage index of each point over the terms: -1 marks a
-        # boundary point
-        if len(term_columns) > 1:
-            lows = list(map(min, *term_columns))
-        else:
-            lows = term_columns[0] if term_columns else [0] * n
-        counts = [0] * n
-        for column, (_, piece) in zip(term_columns, terms):
-            # boundary points read the last verdict through -1; they are skipped below
-            counts = list(map(add, counts, map(compiled[piece].__getitem__, column)))
-        interior = [x for x, low in enumerate(lows) if low >= 0]
-        bad = [x for x in interior if counts[x] != 1]
-        reports.append(
-            EquationReport(
-                name=name,
-                window_size=n,
-                checkable=len(interior),
-                exactly_once=len(interior) - len(bad),
-                interior_violations=len(bad),
-                boundary_defects=n - len(interior),
-                samples=[(cert.model.format_data(window.payloads[x]), counts[x]) for x in bad[:_VIOLATION_SAMPLES]],
-            )
-        )
+                column = None if not word else (
+                    _preimages(window, word) if action is None else _action_preimages(action, window, word))
+                edge = 0 if column is None or -1 not in column else _Columns.pack(map((-1).__eq__, column))
+                columns[word] = column, edge
+            column, edge = columns[word]
+            boundary |= edge
+            # boundary points read the last verdict through -1; they are masked below
+            hits = verdicts[piece] if column is None else bytes(map(verdicts[piece].__getitem__, column))
+            if width > 1:
+                hits, lanes = bytearray(n * width), hits
+                hits[::width] = lanes
+            total += int.from_bytes(hits, "little")
+        # a lane is zero after the xor exactly when its point is covered once
+        off = (total ^ int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")).to_bytes(n * width, "little")
+        off = off.translate(_NONZERO)
+        bad = reduce(or_, [int.from_bytes(off[k::width], "little") for k in range(width)]) & ~boundary
+        checkable, violations = n - boundary.bit_count(), bad.bit_count()
+        counts = total.to_bytes(n * width, "little")
+        samples = [(cert.model.format_data(window.payloads[x]),
+                    int.from_bytes(counts[x * width:(x + 1) * width], "little"))
+                   for x in islice(compress(range(n), bad.to_bytes(n, "little")), _VIOLATION_SAMPLES)]
+        reports.append(EquationReport(name, n, checkable, checkable - violations, violations, n - checkable, samples))
     return WindowReport(equations=reports)
 
 

@@ -1056,6 +1056,8 @@ FIELD_ERRORS = {
     "defect-crosscheck='false'": (DEFECT, {"crosscheck": "false"}, "params.crosscheck", "expected a JSON boolean"),
     "search-crosscheck=1": (SEARCH, {"crosscheck": 1}, "params.crosscheck", "expected a JSON boolean"),
     "max_pieces=3": (PARADOX_SEARCH, {"max_pieces": 3}, "params.max_pieces", "must be at least 4"),
+    # an empty pool tries no combination, so it is no finished search
+    "paradox-search-pool-empty": (PARADOX_SEARCH, {"pool": []}, "params.pool", "search of an empty pool"),
     # action entries that do not parse used to be named only as `params.action`
     "action-radius='zz'": (VERIFY, {"action": {**GOOD_ACTION, "radius": "zz"}}, "params.action.radius",
                            "Invalid literal for Fraction: 'zz'"),

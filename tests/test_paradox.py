@@ -780,6 +780,47 @@ def test_classifier_evaluated_once_per_piece_and_point(monkeypatch):
     ])
 
 
+def _holds_at(clf, win):
+    """The points of `win`, as text, where the compiled classifier holds."""
+    column = paradox._compile(clf, win.model, "classifier")(paradox._Columns(win))
+    return {text for text, v in zip(win.to_json(), column.to_bytes(len(win), "little")) if v}
+
+
+GAPPED_WINDOWS = {
+    # A,A,A without A,A: the power lookup must go on past a missing power
+    "gapped": ["e", "A", "A,A,A", "a", "A,b", "b,A,A,A"],
+    "no-identity": ["A", "A,A", "a", "b,A", "B"],
+    "identity-only": ["e"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAPPED_WINDOWS))
+def test_power_and_first_letter_on_gapped_free_windows(name):
+    win = window(F2, [F2.parse(text) for text in GAPPED_WINDOWS[name]])
+    powers_of_a_inverse = {"gapped": {"e", "A", "A,A,A"}, "no-identity": {"A", "A,A"}, "identity-only": {"e"}}
+    assert _holds_at({"op": "power", "letter": "A"}, win) == powers_of_a_inverse[name]
+    for op in ("power", "first_letter"):
+        for letter in "aAbB":
+            clf = {"op": op, "letter": letter}
+            assert _holds_at(clf, win) == {F2.format(x) for x in win if evaluate(clf, x)}
+    _assert_matches_oracle(f2_standard_certificate(F2), win)
+
+
+@pytest.mark.parametrize("pieces", [0, 255, 256, 257, 513])
+def test_count_lanes_hold_every_term_count(pieces):
+    # the a-partition sums `pieces` true terms at every point: a count past
+    # 255 needs a lane wider than one byte, and 257 = 1 mod 256 would read
+    # as covered once in a byte lane
+    a = F2.parse_data("a")
+    cert = ParadoxCertificate(F2, "tarski", [() if i % 2 else (a,) for i in range(pieces)],
+                              [{"op": "true"}] * pieces, [(a,)], [{"op": "true"}])
+    win = grid_sample(F2, 2)
+    report = _assert_matches_oracle(cert, win)
+    partition = report["equations"][0]
+    assert partition["interior_violations"] == len(win)
+    assert {sample["count"] for sample in partition["samples"]} == {pieces}
+
+
 # --- the search, pinned to its recorded outputs ------------------------------------
 
 
