@@ -30,8 +30,10 @@ explicit.
 the interior violations of the combined covering equation at each piece
 count.  Its reports are one-sided: a positive minimum refutes zero-defect
 assignments at that scale, a zero minimum claims nothing about the group.
-A translator combination is solved exactly only while it can still beat the
-best defect found so far; the budget it is charged does not depend on that.
+Each translator combination is read through its counting floor first: a
+combination whose floor reaches the best defect found so far is skipped
+unbuilt, and a positive floor already refutes a tiling, so the zero-cost
+descent runs only at floor 0.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .perturb import PerturbedAction
 _VIOLATION_SAMPLES = 10
 _NONZERO = bytes([0] + [1] * 255)  # a translate table: byte 0 to 0, any other to 1
 MIN_PIECES = 4
-# Default DP nodes a `search_small_paradox` run may spend.
+# Default budget of a `search_small_paradox` run: one node per translator
+# combination, per step of the zero-cost descent and per assignment DP state.
 PARADOX_BUDGET = 2_000_000
 DP_STATE_CAP = 300_000
 
@@ -588,6 +591,15 @@ class _Family:
             self.cover[src] = max(self.cover[src], count)
 
 
+def _floor(a: _Family, b: _Family) -> int:
+    """The counting floor of the combo of families `a` and `b`: a lower
+    bound on the cost of each of its labelings.  A target costs at least
+    1 - (its matches), and a source matches at most `cover` targets under
+    its one label, so every labeling costs at least the checkable targets
+    less the sum of the sources' covers."""
+    return max(0, a.checkable + b.checkable - sum(map(max, a.cover, b.cover)))
+
+
 class _AssignmentProblem:
     """Best piece labeling of a window for fixed translator families.
 
@@ -595,16 +607,15 @@ class _AssignmentProblem:
     by the A-words, the rest pieces translated by the B-words.  Each cover
     equation scores its checkable targets once their last influencing
     preimage is labeled; the two families' `_Family` set-ups are merged
-    here.  A target costs at least 1 - (its matches), and a source matches
-    at most `cover` targets, so `floor`, the checkable targets less the
-    sum of the sources' covers, bounds every labeling's cost from below.
-    Three passes: an exact-cover style descent that only accepts
-    zero-cost steps (settling the zero-defect case), a greedy incumbent,
-    and a bottom-up dynamic program whose state at element k is the labels
-    of `live_at[k]`, the sources still able to influence unscored targets.
-    No labeling is forbidden, so every label tuple of `live_at[k]` is a
-    state; the program charges the budget one node per state, all at once,
-    and is exact when the budget covers them.
+    here, and `floor` is their counting floor (see `_floor`).  Up to three
+    passes, chosen by `_solve_combo`: an exact-cover style descent that
+    only accepts zero-cost steps (settling the zero-defect case, and run
+    only at floor 0, since a positive floor already refutes a tiling), a
+    greedy incumbent, and a bottom-up dynamic program whose state at
+    element k is the labels of `live_at[k]`, the sources still able to
+    influence unscored targets.  No labeling is forbidden, so every label
+    tuple of `live_at[k]` is a state; the program charges the budget one
+    node per state, all at once, and is exact when the budget covers them.
     """
 
     def __init__(self, n: int, a: _Family, b: _Family, budget: _Budget):
@@ -616,7 +627,7 @@ class _AssignmentProblem:
         self.budget = budget
         self.choices = list(range(self.p))
         self.checkable = a.checkable + b.checkable
-        self.floor = max(0, self.checkable - sum(map(max, a.cover, b.cover)))
+        self.floor = _floor(a, b)
         self.finalize_at = list(map(add, a.finalize_at, b.finalize_at))
         live_until = list(map(max, a.live_until, b.live_until))
 
@@ -653,18 +664,19 @@ class _AssignmentProblem:
 
         True when a tiling (zero-defect labeling) is found; False when the
         full exploration proves none exists; None when the step cap ends
-        the attempt first.
+        the attempt first.  Each step is one budget node, the step past the
+        cap included; the steps are charged together at the end, and a
+        step past the budget ends the descent with `_BudgetExhausted`.
         """
-        n, p, labels, finalize_at, spend = self.n, self.p, self.labels, self.finalize_at, self.budget.spend
+        n, p, labels, finalize_at = self.n, self.p, self.labels, self.finalize_at
+        stop = min(cap, self.budget.limit - self.budget.used)
         steps = 0
         k = 0
         iters: list[int] = [0]
         while 0 <= k < n:
-            if not spend():
-                raise _BudgetExhausted
             steps += 1
-            if steps > cap:
-                return None
+            if steps > stop:
+                break
             label = iters[k]
             if label >= p:
                 iters.pop()
@@ -685,7 +697,9 @@ class _AssignmentProblem:
                 k += 1
                 if k < n:
                     iters.append(0)
-        return k == n
+        if not self.budget.spend_many(steps):
+            raise _BudgetExhausted
+        return None if steps > cap else k == n
 
     def greedy(self) -> tuple[int, list[int]]:
         total = 0
@@ -702,7 +716,7 @@ class _AssignmentProblem:
             total += best_cost
         return total, self.labels.copy()
 
-    def exact(self, bound: Optional[int] = None, floor: int = 0) -> int:
+    def exact(self, bound: Optional[int] = None) -> int:
         """Minimum total step cost; leaves the minimizing labels in `labels`.
 
         Every labeling is allowed, so the states at layer k are all
@@ -717,8 +731,7 @@ class _AssignmentProblem:
         forward, taking at each k the first label that keeps to the optimum.
 
         With a `bound`, the program stops once the minimum cannot fall below
-        it, after charging the budget in full: at once when `floor`, a lower
-        bound on the minimum, reaches it, else at the first layer whose least
+        it, after charging the budget in full: at the first layer whose least
         value reaches it (step costs are non-negative, so that value bounds
         the minimum).  It then returns that lower bound, which is at least
         `bound`, and leaves `labels` unspecified.
@@ -726,8 +739,6 @@ class _AssignmentProblem:
         n, p, live_at = self.n, self.p, self.live_at
         if not self.budget.spend_many(sum(p ** len(live_at[k]) for k in range(n))):
             raise _BudgetExhausted
-        if bound is not None and floor >= bound:
-            return floor
         zeros = [0] * p
         values: list[list[int]] = [[] for _ in range(n)] + [[0]]
         for k in range(n - 1, -1, -1):
@@ -796,28 +807,28 @@ def _packed_cost(packed: int, bases: list[int]) -> int:
 
 
 def _solve_combo(problem: _AssignmentProblem, zero_cap: int, bound: Optional[int]) -> tuple[int, list[int], bool]:
-    """(defect, labels, exact) for one translator combination.  Only a
-    defect below `bound` (the search's incumbent) is reported exactly; a
-    combo proven unable to beat it reports some defect >= bound, with labels
-    that are not kept.  The budget spent does not depend on `bound`: only
-    the greedy pass, which is free, may be skipped."""
-    zero = problem.zero_search(zero_cap)
-    if zero:
-        return 0, problem.labels.copy(), True
-    floor = max(problem.floor, 1 if zero is False else 0)
-    if bound is not None and floor >= max(bound, 2):
-        # the greedy incumbent is neither 0 nor 1, so the program runs, and
-        # it would not be kept
-        incumbent, labels = floor, []
-    else:
-        incumbent, labels = problem.greedy()
-        if incumbent == 0:
-            return 0, labels, True
-        if zero is False and incumbent == 1:
-            return 1, labels, True  # tilings exhaustively ruled out, so 1 is optimal
+    """(defect, labels, exact) for one translator combination whose
+    counting floor is below `bound` (the search's incumbent), if there is
+    one.  A positive floor refutes a tiling, so only a combo at floor 0 runs
+    the zero-cost descent, and a descent that rules tilings out raises the
+    floor to 1.  Only a defect below `bound` is reported exactly; a combo
+    the program proves unable to beat it reports some defect >= bound, with
+    labels that are not kept."""
+    floor = problem.floor
+    if floor == 0:
+        zero = problem.zero_search(zero_cap)
+        if zero:
+            return 0, problem.labels.copy(), True
+        if zero is False:
+            floor = 1
+    incumbent, labels = problem.greedy()
+    if incumbent == 0:
+        return 0, labels, True
+    if floor == incumbent == 1:
+        return 1, labels, True  # tilings ruled out, so 1 is optimal
     if problem.dp_tractable():
         try:
-            minimum = problem.exact(bound, floor)
+            minimum = problem.exact(bound)
             return minimum, problem.labels.copy(), True
         except _BudgetExhausted:
             pass
@@ -833,9 +844,13 @@ def search_small_paradox(
     """Best (lowest interior defect) piece assignment per piece count.
 
     Piece counts run from four, the least any group paradox can use.  All
-    translator multisets from the pool are tried; assignments are searched
-    exactly, so with the budget intact each reported defect is the true
-    minimum at that piece count.
+    translator multisets from the pool are tried, each charged one budget
+    node; one whose counting floor reaches the best defect found so far at
+    its piece count is skipped, since it cannot beat it.  Assignments are
+    searched exactly, so with the budget intact each reported defect is the
+    true minimum at that piece count.  A refused charge ends the search:
+    the piece count it ends keeps its best so far, and later piece counts
+    are reported unsearched.
     """
     n = len(window)
     identity = window.model.identity_data
@@ -855,11 +870,9 @@ def search_small_paradox(
             families[key] = _Family(n, [rows[g] for g in words], offset)
         return families[key]
 
-    tracker = _Budget(budget)
-    zero_cap = max(500, 25 * n)
-    reports: list[PieceCountReport] = []
-    for pieces in range(MIN_PIECES, max_pieces + 1):
-        combos = []
+    def combos(pieces: int) -> list[tuple[tuple, tuple]]:
+        """The (A, B) family pairs of a piece count, in search order."""
+        found = []
         for m in range(1, pieces // 2 + 1):
             nb = pieces - m  # families are interchangeable, so m <= nb
             a_options = options(m, 0)
@@ -868,40 +881,40 @@ def search_small_paradox(
                 for bi, b in enumerate(b_options):
                     if m == nb and bi < ai:
                         continue
-                    combos.append((a, b))
+                    found.append((a, b))
         # identity-bearing families first: tilings almost always keep a piece
         # in place, and hitting one early settles the piece count at zero
-        combos.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
+        found.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
+        return found
 
-        best_defect: Optional[int] = None
-        best_cert: Optional[ParadoxCertificate] = None
-        best_checkable = 0
-        exhausted = True
-        try:
-            for a, b in combos:
-                problem = _AssignmentProblem(n, family(*a), family(*b), tracker)
-                defect, labels, exact = _solve_combo(problem, zero_cap, best_defect)
-                if not exact:
-                    exhausted = False
-                if best_defect is None or defect < best_defect:
-                    best_defect = defect
-                    best_checkable = problem.checkable
-                    best_cert = _table_certificate(window, a[0], b[0], labels)
-                if best_defect == 0:
-                    break  # zero is the floor; this piece count is settled
-        except _BudgetExhausted:
-            exhausted = False
-        if best_defect == 0:
+    tracker = _Budget(budget)
+    zero_cap = max(500, 25 * n)
+    # each report holds its piece count's incumbent; one the budget never
+    # reaches stays unsearched: no defect, not exhausted
+    reports = [PieceCountReport(pieces, None, 0, None, False) for pieces in range(MIN_PIECES, max_pieces + 1)]
+    try:
+        for report in reports:
             exhausted = True
-        reports.append(
-            PieceCountReport(
-                pieces=pieces,
-                best_defect=best_defect,
-                checkable=best_checkable,
-                certificate=best_cert,
-                exhausted=exhausted,
-            )
-        )
+            for a, b in combos(report.pieces):
+                if not tracker.spend():
+                    raise _BudgetExhausted
+                fa, fb = family(*a), family(*b)
+                if report.best_defect is not None and _floor(fa, fb) >= report.best_defect:
+                    continue
+                problem = _AssignmentProblem(n, fa, fb, tracker)
+                defect, labels, exact = _solve_combo(problem, zero_cap, report.best_defect)
+                if report.best_defect is None or defect < report.best_defect:
+                    report.best_defect, report.checkable = defect, problem.checkable
+                    report.certificate = _table_certificate(window, a[0], b[0], labels)
+                if defect == 0:
+                    break  # zero is the floor; this piece count is settled
+                if not exact:
+                    if tracker.used > tracker.limit:
+                        raise _BudgetExhausted  # the program was refused after the greedy pass
+                    exhausted = False
+            report.exhausted = exhausted or report.best_defect == 0
+    except _BudgetExhausted:
+        pass
     return ParadoxSearchReport(reports=reports, nodes_used=tracker.used, budget=budget)
 
 

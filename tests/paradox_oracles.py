@@ -17,12 +17,31 @@ rebuilds the labels forward by taking, at each element, the first label in
 oracle: the bottom-up form must return the same minimum, leave the same
 labels and charge the same budget, or raise `_BudgetExhausted` with the
 same `used`.
+
+`combo_by_combo_search` is `search_small_paradox` as it ran before it read
+each translator combination's counting floor first: every combination is
+built and runs the zero-cost descent, whatever its floor and the incumbent,
+and a search past its budget still charges one refused node per later
+combination and piece count.  Its reports must match the floor-first
+search's in everything but `nodes_used` wherever it ends within its budget.
 """
 
 import sys
+from itertools import combinations_with_replacement
+from typing import Optional
 
 from folnerlab.groups import FiniteWindow, GroupElement
-from folnerlab.paradox import _AssignmentProblem, _BudgetExhausted
+from folnerlab.paradox import (
+    MIN_PIECES,
+    ParadoxSearchReport,
+    PieceCountReport,
+    _AssignmentProblem,
+    _Budget,
+    _BudgetExhausted,
+    _Family,
+    _preimages,
+    _table_certificate,
+)
 
 
 def evaluate(clf: dict, g: GroupElement) -> bool:
@@ -106,3 +125,71 @@ def topdown_exact(problem: _AssignmentProblem) -> int:
         return minimum
     finally:
         sys.setrecursionlimit(old)
+
+
+def _solve_every_combo(problem: _AssignmentProblem, zero_cap: int, bound: Optional[int]):
+    zero = problem.zero_search(zero_cap)
+    if zero:
+        return 0, problem.labels.copy(), True
+    floor = max(problem.floor, 1 if zero is False else 0)
+    if bound is not None and floor >= max(bound, 2):
+        incumbent, labels = floor, []
+    else:
+        incumbent, labels = problem.greedy()
+        if incumbent == 0:
+            return 0, labels, True
+        if zero is False and incumbent == 1:
+            return 1, labels, True
+    if problem.dp_tractable():
+        try:
+            minimum = problem.exact(bound)
+            return minimum, problem.labels.copy(), True
+        except _BudgetExhausted:
+            pass
+    return incumbent, labels, False
+
+
+def combo_by_combo_search(window: FiniteWindow, pool: FiniteWindow, max_pieces: int, budget: int) -> ParadoxSearchReport:
+    n = len(window)
+    identity = window.model.identity_data
+    rows = {g: _preimages(window, (g,)) for g in pool.positions}
+    families: dict = {}
+
+    def family(words: tuple, offset: int) -> _Family:
+        if (words, offset) not in families:
+            families[words, offset] = _Family(n, [rows[g] for g in words], offset)
+        return families[words, offset]
+
+    tracker = _Budget(budget)
+    zero_cap = max(500, 25 * n)
+    reports = []
+    for pieces in range(MIN_PIECES, max_pieces + 1):
+        combos = []
+        for m in range(1, pieces // 2 + 1):
+            a_options = [(w, 0) for w in combinations_with_replacement(pool.positions, m)]
+            b_options = [(w, m) for w in combinations_with_replacement(pool.positions, pieces - m)]
+            for ai, a in enumerate(a_options):
+                for bi, b in enumerate(b_options):
+                    if m == pieces - m and bi < ai:
+                        continue
+                    combos.append((a, b))
+        combos.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
+
+        best_defect, best_cert, best_checkable, exhausted = None, None, 0, True
+        try:
+            for a, b in combos:
+                problem = _AssignmentProblem(n, family(*a), family(*b), tracker)
+                defect, labels, exact = _solve_every_combo(problem, zero_cap, best_defect)
+                if not exact:
+                    exhausted = False
+                if best_defect is None or defect < best_defect:
+                    best_defect, best_checkable = defect, problem.checkable
+                    best_cert = _table_certificate(window, a[0], b[0], labels)
+                if best_defect == 0:
+                    break
+        except _BudgetExhausted:
+            exhausted = False
+        if best_defect == 0:
+            exhausted = True
+        reports.append(PieceCountReport(pieces, best_defect, best_checkable, best_cert, exhausted))
+    return ParadoxSearchReport(reports=reports, nodes_used=tracker.used, budget=budget)

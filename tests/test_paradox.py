@@ -27,7 +27,7 @@ from folnerlab.paradox import (
     verify_on_window,
 )
 from folnerlab.perturb import PerturbedAction
-from paradox_oracles import evaluate, preimages, topdown_exact
+from paradox_oracles import combo_by_combo_search, evaluate, preimages, topdown_exact
 
 F2 = make_model("free", rank=2)
 F3 = make_model("free", rank=3)
@@ -243,7 +243,7 @@ def test_search_budget_partial_report():
     pool = window(Z, [(-1,), (0,), (1,)])
     report = search_small_paradox(win, pool, max_pieces=6, budget=300)
     assert not report.exhausted
-    assert report.nodes_used <= 300 + 50
+    assert report.nodes_used <= 300 + 1
 
 
 def test_search_report_json():
@@ -840,20 +840,20 @@ def _search_cases():
 # name -> (nodes_used, [(pieces, best_defect, checkable, exhausted)], sha256 of to_json())
 SEARCH_PINS = {
     "z": (
-        52460,
+        4180,
         [(4, 3, 12, True), (5, 3, 12, True)],
-        "d6620b37c79ba640bd6af914055de4be7bf38f875cc872f361b6c68c4e2bab04",
+        "ea71ed0ea8e10d1eed4d4a87f517f90a6d548446d1e107c53d34261fbfe4f796",
     ),
-    "z2": (9913, [(4, 1, 12, True)], "c763bceabcd1b5a89921db713fac35f7fc1b78d3f1b7348aedc0032f098f5c85"),
+    "z2": (651, [(4, 1, 12, True)], "1c5086a28735c1d78f053d34e431b6876b7de1e4dd41f0facbbe4245739f0abf"),
     "f2": (
-        1211,
+        126,
         [(4, 0, 4, True), (5, 0, 4, True)],
-        "7abf36f9d4c9db3dba0484e13e8074f060e0baa1f4c2ba5bba35ce08bf00d2b1",
+        "576d066efa6ad420a97d5af3f8107198eccf6fca6381c95bbe05dbcaf7064a79",
     ),
     "budget": (
-        304,
+        301,
         [(4, 19, 40, False), (5, None, 0, False), (6, None, 0, False)],
-        "08c51aca0f690229ddb44ae804fb99e0b67e7afd38025734dff11da95b4557e3",
+        "c1fd5d8df9e5e6505ddbf2a2bd1621a0ce7f75a0d8cd5c4069083f2136711f0b",
     ),
 }
 
@@ -865,6 +865,53 @@ def test_search_pinned_outputs(case):
     rows = [(r["pieces"], r["best_defect"], r["checkable"], r["exhausted"]) for r in payload["per_piece_count"]]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert (payload["nodes_used"], rows, digest) == SEARCH_PINS[name]
+
+
+@pytest.mark.parametrize("case", list(_search_cases()), ids=lambda c: c[0])
+def test_search_work_count(case, monkeypatch):
+    # the budget is one node per combo reached, the descent's steps and the
+    # program's states; the descent runs only at floor 0, and a problem is
+    # built only while its floor can beat the incumbent
+    name, win, pool, pieces, budget = case
+    log = {"charges": 0, "refused": 0, "built": 0, "solved": 0, "descent": 0, "dp": 0}
+    spend, build = _Budget.spend, _AssignmentProblem.__init__
+    descend, exact, solve = _AssignmentProblem.zero_search, _AssignmentProblem.exact, paradox._solve_combo
+
+    def charge(tracker):
+        log["charges"] += 1
+        ok = spend(tracker)
+        log["refused"] += not ok
+        return ok
+
+    def counted_build(problem, *args):
+        log["built"] += 1
+        build(problem, *args)
+
+    def metered(method, key):
+        def spy(problem, *args):
+            if method is descend:
+                assert problem.floor == 0
+            before = problem.budget.used
+            try:
+                return method(problem, *args)
+            finally:
+                log[key] += problem.budget.used - before
+        return spy
+
+    def bounded_solve(problem, cap, bound):
+        assert bound is None or problem.floor < bound
+        log["solved"] += 1
+        return solve(problem, cap, bound)
+
+    monkeypatch.setattr(_Budget, "spend", charge)
+    monkeypatch.setattr(_AssignmentProblem, "__init__", counted_build)
+    monkeypatch.setattr(_AssignmentProblem, "zero_search", metered(descend, "descent"))
+    monkeypatch.setattr(_AssignmentProblem, "exact", metered(exact, "dp"))
+    monkeypatch.setattr(paradox, "_solve_combo", bounded_solve)
+    report = search_small_paradox(win, pool, max_pieces=pieces, budget=budget)
+    assert report.nodes_used == log["charges"] + log["descent"] + log["dp"]
+    assert log["built"] == log["solved"] < log["charges"]
+    assert log["refused"] <= 1 and (report.nodes_used > budget) == (name == "budget")
 
 
 # --- the assignment DP against its top-down form -----------------------------------
@@ -936,17 +983,15 @@ def test_exact_matches_topdown_oracle(seed):
         want = _run_exact(topdown_exact, n, rows[:m], rows[m:], limit, used)
         got = _run_exact(_AssignmentProblem.exact, n, rows[:m], rows[m:], limit, used)
         assert got == want, (n, rows[:m], rows[m:], limit, used)
-        # with a bound and a lower-bound floor: the same budget and the same
-        # exhaustion; the same minimum and labels below the bound, else a
-        # value at least the bound
+        # with a bound: the same budget and the same exhaustion; the same
+        # minimum and labels below the bound, else a value at least the bound
         solved = want[0] != "exhausted"
         if solved:
             assert problem.floor <= want[0]
         bound = rng.choice([rng.randint(1, 8), want[0] + rng.randint(0, 1) if solved else 1])
-        floor = rng.choice([0, problem.floor, rng.randint(0, want[0]) if solved else 0])
-        bounded = _run_exact(lambda pr: pr.exact(bound, floor), n, rows[:m], rows[m:], limit, used)
+        bounded = _run_exact(lambda pr: pr.exact(bound), n, rows[:m], rows[m:], limit, used)
         if not solved or want[0] < bound:
-            assert bounded == want, (n, rows[:m], rows[m:], limit, used, bound, floor)
+            assert bounded == want, (n, rows[:m], rows[m:], limit, used, bound)
         else:
             assert bounded[0] >= bound and bounded[2] == want[2]
             seen["cut"] += 1
@@ -1002,18 +1047,27 @@ def _search_bound_cases():
         yield win, pool, pieces, budget
 
 
-def test_search_bound_changes_no_output(monkeypatch):
-    solve = paradox._solve_combo
+def test_search_bound_changes_no_output():
+    # the floor-first search against the oracle that builds every combo and
+    # runs its descent: the same reports but for `nodes_used` wherever the
+    # oracle ends within its budget; past it, at most one refused node, and
+    # every certificate re-verifies at its reported defect either way
     seen = {"positive": 0, "budget ran out": 0}
     for win, pool, pieces, budget in _search_bound_cases():
-        bounded = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
-        with monkeypatch.context() as patch:
-            patch.setattr(paradox, "_solve_combo", lambda problem, cap, bound: solve(problem, cap, None))
-            plain = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
-        assert bounded == plain
-        rows = plain["per_piece_count"]
-        seen["positive"] += any((r["best_defect"] or 0) > 0 for r in rows)
-        seen["budget ran out"] += plain["nodes_used"] > budget
+        report = search_small_paradox(win, pool, max_pieces=pieces, budget=budget)
+        oracle = combo_by_combo_search(win, pool, pieces, budget).to_json()
+        payload = report.to_json()
+        assert payload["nodes_used"] <= budget + 1
+        if oracle["nodes_used"] <= budget:
+            assert {**payload, "nodes_used": None} == {**oracle, "nodes_used": None}
+        else:
+            seen["budget ran out"] += 1
+        for row in report.reports:
+            if row.certificate is not None:
+                check = verify_on_window(row.certificate, win)
+                assert check.interior_violations == row.best_defect
+                assert sum(e.checkable for e in check.equations) == len(win) + row.checkable
+        seen["positive"] += any((r.best_defect or 0) > 0 for r in report.reports)
     assert min(seen.values()) > 0
 
 
