@@ -6,11 +6,12 @@ Two engines solve the same maximization problem
 
 exactly:
 
-* a dense-tableau simplex with Bland's rule (the default for small systems),
+* an integer-tableau simplex with Bland's rule (the default for small
+  systems) whose pivots rewrite only the entries they change,
 * a primal-dual min-cost flow specialised to the Lipschitz seminorm systems
   produced by :mod:`folnerlab.weights`, used once the tableau would be too
-  large for the time budget.  Each phase runs one shortest-path pass and
-  then a blocking flow along every residual arc that is tight under it.
+  large for the time budget.  Each phase runs one shortest-path pass
+  (`_relax`) and then a blocking flow along every residual arc tight under it.
 
 Both compute on integers.  The simplex takes an integer system and returns
 its primal and dual over the final tableau's denominator; the flow takes
@@ -47,8 +48,8 @@ class LpSolution:
 
 
 def simplex_max(c: list[int], rows: list[list[tuple[int, int]]], b: list[int]) -> LpSolution:
-    """Dense-tableau simplex (Bland's rule) for max c.x, Ax <= b, x >= 0, b >= 0,
-    on integer data.
+    """Integer-tableau simplex (Bland's rule) for max c.x, Ax <= b, x >= 0,
+    b >= 0, on integer data.
 
     Rows are sparse (index, coefficient) lists.  The all-slack basis is
     feasible because b >= 0, so no phase-1 is needed.
@@ -57,7 +58,10 @@ def simplex_max(c: list[int], rows: list[list[tuple[int, int]]], b: list[int]) -
     D.  Edmonds-Bareiss pivots keep it integral, and the ratio test
     compares by cross-multiplication, so the pivot sequence is the one the
     same tableau would take in fractions.  Scaling A and b, or c, by a
-    positive factor changes no pivot.  The optimum is certified on the final
+    positive factor changes no pivot.  A pivot rewrites only the rows (and
+    the objective row) with a nonzero entering coefficient, and, while the
+    pivot p equals D, only the pivot row's nonzero columns: every other
+    entry v becomes (p*v)//D = v.  The optimum is certified on the final
     tableau, also in integers (`_certify`).
     """
     n, m = len(c), len(rows)
@@ -76,6 +80,7 @@ def simplex_max(c: list[int], rows: list[list[tuple[int, int]]], b: list[int]) -
     obj = [0] * width
     for j in range(n):
         obj[j] = -c[j]
+    tableau.append(obj)  # pivots rewrite it with the rows; ratio tests skip it
     basis = [n + i for i in range(m)]
 
     D = 1  # positive: it is always the last pivot
@@ -104,15 +109,12 @@ def simplex_max(c: list[int], rows: list[list[tuple[int, int]]], b: list[int]) -
         pivots += 1
         piv_row = tableau[leave]
         p = piv_row[enter]
-        for i in range(m):
-            if i != leave:
-                row = tableau[i]
-                factor = row[enter]
-                if factor or p != D:
-                    tableau[i] = [(p * v - factor * q) // D for v, q in zip(row, piv_row)]
-        factor = obj[enter]
-        if factor or p != D:
-            obj = [(p * v - factor * q) // D for v, q in zip(obj, piv_row)]
+        cols = [(j, q) for j, q in enumerate(piv_row) if q] if p == D else list(enumerate(piv_row))
+        for row in tableau:
+            factor = row[enter]
+            if (factor or p != D) and row is not piv_row:
+                for j, q in cols:
+                    row[j] = (p * row[j] - factor * q) // D
         D = p
         basis[leave] = enter
 
@@ -168,8 +170,8 @@ def min_cost_flow(
     """Exact min-cost flow meeting integer supplies (positive = source).
 
     Returns (total cost, per-arc flow, node potentials).  Potentials are
-    Bellman-Ford distances in the final residual graph from a root with
-    residual arcs to every node, so reduced costs are >= 0: they are the
+    the `_relax` distances in the final residual graph from a virtual root
+    with a 0 arc to every node, so reduced costs are >= 0: they are the
     exact dual certificate.
 
     The flow is found in primal-dual phases.  Each phase computes shortest
@@ -211,24 +213,7 @@ def min_cost_flow(
     while sent < total:
         dist = [None] * size
         dist[source] = 0
-        # Bellman-Ford (queue form).
-        queue = deque([source])
-        in_queue = [False] * size
-        in_queue[source] = True
-        while queue:
-            u = queue.popleft()
-            in_queue[u] = False
-            du = dist[u]
-            for e in head[u]:
-                if cap[e] > 0:
-                    v = to[e]
-                    nd = du + cost[e]
-                    dv = dist[v]
-                    if dv is None or nd < dv:
-                        dist[v] = nd
-                        if not in_queue[v]:
-                            queue.append(v)
-                            in_queue[v] = True
+        _relax(head, to, cap, cost, dist, [source])
         if dist[sink] is None:
             raise LpError("flow infeasible")
         sent += _tight_max_flow(head, to, cap, cost, dist, source, sink)
@@ -236,24 +221,38 @@ def min_cost_flow(
     flows = cap[1:2 * len(arcs):2]  # the reverse arcs' capacities
     cost_total = sum(arc[3] * f for arc, f in zip(arcs, flows))
 
-    # Potentials via Bellman-Ford from a virtual root connected to all nodes.
     pot = [0] * size
-    for _ in range(size):
-        changed = False
-        for u in range(size):
-            pu = pot[u]
-            for e in head[u]:
-                if cap[e] > 0:
-                    v = to[e]
-                    nd = pu + cost[e]
-                    if nd < pot[v]:
-                        pot[v] = nd
-                        changed = True
-        if not changed:
-            break
-    else:
-        raise LpError("negative cycle in optimal residual graph")
+    _relax(head, to, cap, cost, pot, range(size))
     return cost_total, flows, pot[:n]
+
+
+def _relax(head, to, cap, cost, dist, starts) -> None:
+    """Queue-based Bellman-Ford: lower `dist` in place (None = unreached)
+    along residual arcs (cap > 0) from the nodes `starts` until no arc
+    relaxes.  Without a negative cycle no node is queued more than
+    len(head) times, so one that is raises LpError."""
+    size = len(head)
+    queue = deque(starts)
+    in_queue, queued = [False] * size, [0] * size
+    for u in queue:
+        in_queue[u], queued[u] = True, 1
+    while queue:
+        u = queue.popleft()
+        in_queue[u] = False
+        du = dist[u]
+        for e in head[u]:
+            if cap[e] > 0:
+                v = to[e]
+                nd = du + cost[e]
+                dv = dist[v]
+                if dv is None or nd < dv:
+                    dist[v] = nd
+                    if not in_queue[v]:
+                        queued[v] += 1
+                        if queued[v] > size:
+                            raise LpError("negative cycle in optimal residual graph")
+                        queue.append(v)
+                        in_queue[v] = True
 
 
 def _tight_max_flow(head, to, cap, cost, dist, source: int, sink: int) -> int:

@@ -254,22 +254,31 @@ def fraction_min_cost_flow(
 
     # Potentials via Bellman-Ford from a virtual root connected to all nodes.
     pot: list[Fraction] = [ZERO] * net.n
-    for _ in range(net.n):
+    fraction_bellman_ford(net.head, net.to, net.cap, net.cost, pot)
+    return cost_total, flows, pot[:n]
+
+
+def fraction_bellman_ford(head, to, cap, cost, dist) -> None:
+    """Full-sweep Bellman-Ford over the residual arcs (cap > 0), lowering
+    `dist` in place (None = unreached).  A sweep that still changes a
+    distance after len(head) - 1 others means a negative cycle."""
+    size = len(head)
+    for _ in range(size):
         changed = False
-        for u in range(net.n):
-            pu = pot[u]
-            for e in net.head[u]:
-                if net.cap[e] > 0:
-                    v = net.to[e]
-                    nd = pu + net.cost[e]
-                    if nd < pot[v]:
-                        pot[v] = nd
+        for u in range(size):
+            du = dist[u]
+            if du is None:
+                continue
+            for e in head[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    nd = du + cost[e]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
                         changed = True
         if not changed:
-            break
-    else:
-        raise LpError("negative cycle in optimal residual graph")
-    return cost_total, flows, pot[:n]
+            return
+    raise LpError("negative cycle in optimal residual graph")
 
 
 def fraction_pair_constraints(

@@ -13,9 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from folnerlab.lp import LpError, _certify, min_cost_flow, simplex_max
+from folnerlab.lp import LpError, _certify, _relax, min_cost_flow, simplex_max
 
-from fraction_oracles import FractionLpSolution, fraction_min_cost_flow, fraction_simplex_max, fraction_verify
+from fraction_oracles import (
+    FractionLpSolution,
+    fraction_bellman_ford,
+    fraction_min_cost_flow,
+    fraction_simplex_max,
+    fraction_verify,
+)
+
+ONE = Fraction(1)
 
 
 def _scaled_simplex(c, rows, b) -> FractionLpSolution:
@@ -228,6 +236,16 @@ def test_simplex_matches_fraction_engine_with_non_unit_pivots():
     assert pivots == 2
 
 
+def test_simplex_rewrites_every_column_until_the_pivot_equals_d():
+    # max x + y st 2x <= 2, y <= 1.  Pivot 1 is p = 2 against D = 1, so
+    # every entry of every row changes; pivot 2 is p = D = 2, so only the
+    # pivot row's nonzero columns of the rows with a nonzero y change.
+    sol = simplex_max([1, 1], [[(0, 2)], [(1, 1)]], [2, 1])
+    assert (sol.X, sol.Y, sol.D, sol.pivots) == ([2, 2], [1, 2], 2, 2)
+    value, x, duals, pivots = _assert_simplex_agrees([ONE, ONE], [[(0, Fraction(2))], [(1, ONE)]], [Fraction(2), ONE])
+    assert (value, x, duals, pivots) == (2, [ONE, ONE], [Fraction(1, 2), ONE], 2)
+
+
 def _seminorm_system(rng, n):
     """A Lipschitz-and-box LP in the seminorm's shape, and its flow dual."""
     d = {}
@@ -341,6 +359,51 @@ def test_flow_matches_fraction_engine_on_bench_scale_boxes(rows, cols):
         oracle_cost, _, oracle_pot = fraction_min_cost_flow(n, arcs, supplies)
         assert (cost, pot) == (oracle_cost, oracle_pot)
         _assert_flow_valid(n, arcs, supplies, cost, flows)
+
+
+def _residual(size, arcs):
+    """Residual lists of (u, v, cap, cost) arcs as `min_cost_flow` keeps
+    them: arc k is 2k and its reverse, of capacity 0, is 2k + 1."""
+    head, to, cap, cost = [[] for _ in range(size)], [], [], []
+    for u, v, c, w in arcs:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+        cost += (w, -w)
+    return head, to, cap, cost
+
+
+def test_relax_refuses_a_negative_cycle():
+    # 0 -> 1 -> 2 -> 0 costs 1 + 1 - 3 = -1; no valid seminorm reaches this
+    graph = _residual(3, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 0, 1, -3)])
+    for dist, starts in (([0, None, None], [0]), ([0, 0, 0], range(3))):
+        with pytest.raises(LpError, match="^negative cycle in optimal residual graph$"):
+            _relax(*graph, list(dist), starts)
+        with pytest.raises(LpError, match="^negative cycle in optimal residual graph$"):
+            fraction_bellman_ford(*graph, list(dist))
+
+
+def test_relax_matches_full_sweep_bellman_ford():
+    # cost = nonnegative part + p(u) - p(v): negative arcs, no negative
+    # cycle; arcs of capacity 0 are not residual and must not relax
+    rng = random.Random(7007)
+    for _ in range(300):
+        size = rng.randint(2, 8)
+        p = [rng.randint(-9, 9) for _ in range(size)]
+        arcs = []
+        for _ in range(rng.randint(1, 20)):
+            u, v = rng.sample(range(size), 2)
+            arcs.append((u, v, rng.choice((0, 1, 3)), rng.randint(0, 6) + p[u] - p[v]))
+        graph = _residual(size, arcs)
+        source = rng.randrange(size)
+        single = [None] * size
+        single[source] = 0
+        for dist, starts in ((single, [source]), ([0] * size, range(size))):
+            got, want = list(dist), list(dist)
+            _relax(*graph, got, starts)
+            fraction_bellman_ford(*graph, want)
+            assert got == want
 
 
 def test_integer_certificate_matches_fraction_check_on_tampered_optima():

@@ -437,6 +437,26 @@ def test_integer_flow_arcs_match_fraction_arcs(monkeypatch):
     assert min(solved.values()) > 100
 
 
+@pytest.mark.parametrize("side,rows", [(6, 156), (7, 217), (8, 288)])
+def test_simplex_matches_fraction_engine_on_bench_scale_boxes(side, rows):
+    # Full side x side boxes of Z^2; 8 x 8 is the largest under the
+    # simplex's row limit, so this is the simplex at the bench's largest size.
+    import folnerlab.weights as wmod
+
+    Z2 = make_model("lattice", dim=2)
+    rng = random.Random(7106 + side)
+    points = [(i, j) for i in range(side) for j in range(side)]
+    a = FiniteWeight(Z2, [(g, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))) for g in points])
+    mu = list(a.weights)
+    near, scale = near_pairs(a.support, WordMetric(Z2), Fraction(2))
+    pairs = [(i, j, near[i][j]) for i, j in _pair_constraints(near)]
+    assert len(mu) + 2 * len(pairs) == rows <= wmod.SIMPLEX_ROW_LIMIT
+    value, f, den, pivots, engine = _seminorm_lp(mu, pairs, scale, -ONE, ONE)
+    assert engine == "simplex"
+    fraction_pairs = [(i, j, Fraction(d, scale)) for i, j, d in pairs]
+    assert (value, [Fraction(v, den) for v in f], pivots) == _fraction_simplex_side(mu, fraction_pairs, -ONE, ONE)
+
+
 def test_grid_oracle_matches_fraction_scan():
     masses = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 7)]
     distances = [Fraction(0), Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), Fraction(1), Fraction(3), Fraction(3, 2)]
