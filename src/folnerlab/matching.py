@@ -3,18 +3,21 @@ deficiency witnesses.
 
 An instance pairs x in E with y in F whenever y x^-1 lies in the entourage,
 that is y = u x for some u in U.  `build_graph` divides the scale factors out
-of the radius and then lists each row directly by the base metric, reading
-only the windows' payload -> index tables:
+of the radius and then lists each row directly by the base metric, as a list
+of indices of F, reading only the windows' payload -> index tables:
 
+- word or discrete metric below radius 1: x itself if x is in F, one lookup
+  with no product, since both rules put every u != e at distance >= 1;
 - word metric on a discrete model: the word ball of the radius is applied to
-  x and looked up in F.  The ball is enumerated once per (model, radius,
-  |F|) and kept in a small memo, so the g-loops of `topological_defect` and
-  of a certificate's `verify` do not rebuild it per g.  Where the law keeps
-  the payload order (lattice, Heisenberg) the row comes out sorted;
+  x and each product looked up in F.  The ball is enumerated once per
+  (model, radius, |F|) and kept in a small memo, so the g-loops of
+  `topological_defect` and of a certificate's `verify` do not rebuild it per
+  g.  Where the law keeps the payload order (lattice, Heisenberg) the row
+  comes out sorted;
 - arc metric on the circle: a closed interval [x - r, x + r] mod 1, cut out
   of F's sorted points by bisection over ints at one common denominator
   (all of F once r >= 1/2);
-- discrete metric: all of F once r >= 1, otherwise x itself if x is in F.
+- discrete metric: all of F once r >= 1.
 
 Every pair is tested only when the word ball is larger than F, and for the
 arc metric on the torus, with distances from `groups.integer_metric` on
@@ -28,8 +31,10 @@ window closer than a width, each with its distance as an int over the
 kernel's scale, from the same ball memo where the word ball applies.
 
 The matching number is computed by Hopcroft-Karp with deterministic vertex
-order; the deficiency witness is the set of left vertices reachable by
-alternating paths from the unmatched ones, which maximizes |S| - |N(S)|.
+order, its first phase one greedy pass: each left vertex in order takes the
+first free vertex of its row.  The deficiency witness is the set of left
+vertices reachable by alternating paths from the unmatched ones, which
+maximizes |S| - |N(S)|.
 A stored result needs no re-solve: `check_valid` shows that its pairing is
 a matching with mu = |E| - (|S| - |N(S)|), and every matching has at most
 |E| - |S| + |N(S)| edges, so mu is the matching number.
@@ -137,10 +142,20 @@ def _listed_rows(
     metric, listed without testing pairs; None where only the pair test applies."""
     model, n = E.model, len(F)
     index = F.positions
-    if metric.rule == "discrete":
-        if radius >= 1:
-            return [list(range(n)) for _ in range(len(E))]
+    if metric.rule in ("discrete", "word") and radius < 1:
+        # both rules put every u != e at distance >= 1 from e
         return [[index[x]] if x in index else [] for x in E.positions]
+    if metric.rule == "discrete":
+        return [list(range(n)) for _ in range(len(E))]
+    if metric.rule == "word":
+        # Word lengths on the discrete models are BFS distances over the same
+        # generators that `word_ball` walks.
+        ball = _ball(model, math.floor(radius), n)
+        if ball is None:
+            return None
+        mul = model._mul_data
+        rows = [[j for u in ball if (j := index.get(mul(u, x))) is not None] for x in E.positions]
+        return rows if model.ordered_law else [sorted(row) for row in rows]
     if metric.rule == "arc" and isinstance(model, CircleModel):
         if radius >= Fraction(1, 2):
             return [list(range(n)) for _ in range(len(E))]
@@ -158,28 +173,7 @@ def _listed_rows(
                 + list(range(bisect_left(points, lo + scale), n))
             )
         return rows
-    if metric.rule == "word":
-        # Word lengths on the discrete models are BFS distances over the same
-        # generators that `word_ball` walks.
-        rows = _ball_rows(model, E.positions, index, math.floor(radius), model._length_data)
-        return None if rows is None else [list(row) for row in rows]
     return None
-
-
-def _ball_rows(model: GroupModel, points, index: dict, radius: int, length) -> Optional[list[dict[int, int]]]:
-    """For each payload x in `points`, `{j: length(u)}` over the word ball u
-    of `radius` with u * x at index j, in ascending j; None where the ball is
-    larger than the table (the pair test is then cheaper)."""
-    ball = _ball(model, radius, len(index))
-    if ball is None:
-        return None
-    mul, ordered = model._mul_data, model.ordered_law
-    sized = [(u, length(u)) for u in ball]
-    rows = []
-    for x in points:
-        row = {j: d for u, d in sized if (j := index.get(mul(u, x))) is not None}
-        rows.append(row if ordered else dict(sorted(row.items())))
-    return rows
 
 
 def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) -> tuple[list[dict[int, int]], int]:
@@ -191,22 +185,25 @@ def near_pairs(S: FiniteWindow, metric: InvariantPseudoMetric, width: Fraction) 
     lengths are at most ceil(width / c) - 1, c the product of its scale
     factors; so on the discrete models that word ball is applied to each
     point and looked up in S, with the distance of each ball element u to
-    the identity, by the `_ball_rows` that `_listed_rows` lists graph rows
-    with.  Every pair is measured where the ball is larger than S or the
-    rule is not a word metric.
+    the identity, from the ball memo that `_listed_rows` reads.  Every pair
+    is measured where the ball is larger than S or the rule is not a word
+    metric.
     """
     if metric.model is not S.model:
         raise ModelMismatchError("window and metric over different models")
     model, index = S.model, S.positions
     base, factor = unscaled(metric)
     scale, (codes,), _, dist = integer_metric(metric, index)
-    if base.rule == "word":
-        e = model.identity_data
-        rows = _ball_rows(model, index, index, math.ceil(width / factor) - 1, lambda u: dist(u, e))
-        if rows is not None:
-            for i, row in enumerate(rows):
-                del row[i]  # the identity's own entry, at distance 0
-            return rows, scale
+    ball = _ball(model, math.ceil(width / factor) - 1, len(index)) if base.rule == "word" else None
+    if ball is not None:
+        mul, e = model._mul_data, model.identity_data
+        sized = [(u, dist(u, e)) for u in ball]
+        rows = []
+        for i, x in enumerate(index):
+            row = {j: d for u, d in sized if (j := index.get(mul(u, x))) is not None}
+            del row[i]  # the identity's own entry, at distance 0
+            rows.append(row if model.ordered_law else dict(sorted(row.items())))
+        return rows, scale
     bound = math.ceil(width * scale)  # an int distance is below width * scale iff it is below this
     n = len(codes)
     rows = [{} for _ in range(n)]
@@ -288,6 +285,15 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
                     pending.pop()
         return False
 
+    # The first phase, as one greedy pass: every left vertex is free at
+    # level 0, so no alternating path can pass a matched vertex (its level
+    # is 0, not 1) and each search takes the first free v of its row or fails.
+    for u, row in enumerate(adjacency):
+        for v in row:
+            if match_right[v] < 0:
+                match_left[u] = v
+                match_right[v] = u
+                break
     while bfs():
         for u in range(n_left):
             if match_left[u] < 0:

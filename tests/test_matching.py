@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from folnerlab.matching import (
 
 from fraction_oracles import fraction_eval
 from group_oracles import dense_distance_matrix
+from matching_oracles import phased_hopcroft_karp
 
 Z = make_model("lattice", dim=1)
 C = make_model("circle")
@@ -124,6 +126,22 @@ def test_non_maximum_matching_fails_with_every_witness(adjacency, data):
     short = MatchingResult(instance=inst, pairing=pairing, mu=len(pairing), witness=witness, perfect=False)
     with pytest.raises(ValueError, match="Hall identity violated"):
         short.check_valid()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_greedy_first_phase_matches_phased_hopcroft_karp(data):
+    # Rows of any length, empty ones too, in any order: the greedy first
+    # phase must leave the later phases exactly the matching they had.
+    n_right = data.draw(st.integers(0, 12))
+    columns = st.integers(0, n_right - 1) if n_right else st.nothing()
+    adjacency = data.draw(st.lists(st.lists(columns, unique=True), max_size=12))
+    assert matching._hopcroft_karp(adjacency, n_right) == phased_hopcroft_karp(adjacency, n_right)
+    inst = _instance(adjacency, n_right)
+    fast = max_matching(inst)
+    with mock.patch.object(matching, "_hopcroft_karp", phased_hopcroft_karp):
+        slow = max_matching(inst)
+    assert (fast.pairing, fast.mu, fast.witness, fast.perfect) == (slow.pairing, slow.mu, slow.witness, slow.perfect)
 
 
 def test_star_instance():
@@ -279,19 +297,29 @@ def test_listed_rows_match_pair_rows(name, data):
 
 
 def test_word_radius_one_lists_rows_without_pair_tests(monkeypatch):
-    calls = []
+    kernels, calls, products = [], [], []
     kernel = matching.integer_metric
 
     def spy(metric, *payload_groups):  # counts every pair the kernel measures
+        kernels.append(metric)
         scale, codes, mul, dist = kernel(metric, *payload_groups)
         return scale, codes, mul, lambda a, b: calls.append((a, b)) or dist(a, b)
 
     monkeypatch.setattr(matching, "integer_metric", spy)
     Z2 = make_model("lattice", dim=2)
     box = window(Z2, [(i, j) for i in range(30) for j in range(30)])
+    shifted = translate_window(Z2.element((1, 0)), box)
+    _ball(Z2, 1, len(shifted))  # the memo holds the ball before products are counted
+    law = Z2._mul_data
+    monkeypatch.setattr(Z2, "_mul_data", lambda a, b: products.append(a) or law(a, b))
     U = Entourage(WordMetric(Z2), Fraction(1))
-    inst = build_graph(box, translate_window(Z2.element((1, 0)), box), U)
-    assert calls == []
+    for radius in (Fraction(0), Fraction(1, 2)):
+        # a radius below 1 is the identity alone: x is looked up in F
+        assert build_graph(box, shifted, U.with_radius(radius)).edge_count() == 870
+    assert products == []
+    inst = build_graph(box, shifted, U)
+    assert len(products) == 5 * 900  # one product per ball element and point
+    assert kernels == [] and calls == []
     # x + u lies in the shifted box for u = 0, +-e1, +-e2: 870 + 900 + 840 + 841 + 841
     assert inst.edge_count() == 4292
     # a word ball larger than F still takes the pair test
