@@ -191,6 +191,7 @@ _max_pieces = _checked(_integer, lambda n: n >= MIN_PIECES,
                        f"must be at least {MIN_PIECES}, the least pieces a paradox can use")
 _defect_window = _checked(_load_window, len, "defect of an empty window")
 _search_pool = _checked(_load_window, len, "search of an empty pool")
+_search_window = _checked(_load_window, len, "search of an empty window")
 _criterion = _checked(_integer, lambda n: n in {number for number, _, _ in CRITERIA}, "unknown criterion {}")
 _criteria = functools.partial(_integers, item=_criterion)
 _not_standard = _checked(_boolean, lambda standard: not standard, "give a certificate or standard: true, not both")
@@ -559,6 +560,7 @@ TASKS: dict[str, Mode | tuple[Callable[[dict], Any], dict[str, Mode]]] = {
     }),
     "paradox-search": Mode(_run_paradox_search, {"pool": (_search_pool, REQUIRED),
                                                  "max_pieces": (_max_pieces, REQUIRED), **WINDOW_OR_GRID,
+                                                 "window": (_search_window, None),
                                                  "budget": (_budget, PARADOX_BUDGET)}),
     "suite": (lambda params: "scenarios" if "scenarios" in params else "criteria", {
         "criteria": Mode(_run_suite, {"criteria": (_criteria, None)}, SUITE_ENVELOPE),

@@ -33,7 +33,13 @@ assignments at that scale, a zero minimum claims nothing about the group.
 Each translator combination is read through its counting floor first: a
 combination whose floor reaches the best defect found so far is skipped
 unbuilt, and a positive floor already refutes a tiling, so the zero-cost
-descent runs only at floor 0.
+descent runs only at floor 0.  On preimage rows a floor is a popcount of
+two source masks, and a family builds its scoring lists only once a combo
+reaches a problem.  A combination whose greedy labeling meets its floor is
+settled without the assignment DP, though the budget is still charged the
+DP's states; the DP rebuilds the labels of such a combination only if it
+ends as its piece count's best, and each piece count builds one table
+certificate, for its final best.
 """
 
 from __future__ import annotations
@@ -561,34 +567,68 @@ class _Family:
 
     A window index t is a checkable target of the family when its preimage
     under every word stays in the window.  Its influencers are the pairs
-    (row[t], offset + piece), and it is scored once its last influencer is
-    labeled: `finalize_at[k]` lists the influencer lists of the targets
-    whose last source is k, in target order, and `live_until[src]` is the
-    last such k over the targets that `src` influences (-1 for none).
-    `cover[src]` is the most targets that `src` matches under any one
-    label (at most 1 when the rows are injective, as preimage rows are)."""
+    (row[t], offset + piece).  Construction reads only what the counting
+    floor needs (see `_floor`): `checkable`, and each source's cover, the
+    most targets it matches under any one label.  On rows injective over
+    the checkable targets, as preimage rows are, a cover is 0/1: `cover`
+    is None and `sources` is the bit mask of the indices that influence
+    some checkable target.  A family with a row that repeats a source
+    keeps the counted `cover[src]` instead.
+
+    `schedule`, built on first use, since only a family passed to an
+    `_AssignmentProblem` needs it, is the pair (finalize_at, live_until):
+    a target is scored once its last influencer is labeled, so
+    `finalize_at[k]` lists the influencer lists of the targets whose last
+    source is k, in target order, and `live_until[src]` is the last such k
+    over the targets that `src` influences (-1 for none)."""
 
     def __init__(self, n: int, rows: list[list[int]], offset: int):
+        self.n = n
+        self.rows = rows
+        self.offset = offset
         self.size = len(rows)
-        self.checkable = 0
-        self.finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
-        self.live_until = [-1] * n
-        labels = range(offset, offset + len(rows))
+        self.targets = [t for t, sources in enumerate(zip(*rows)) if min(sources) >= 0]
+        self.checkable = len(self.targets)
+        self.sources = 0
+        self.cover: Optional[list[int]] = None
+        bit = (1).__lshift__
+        for row in rows:
+            # a sum of distinct powers of two has one bit per term, and a
+            # repeated source carries, so the count checks injectivity
+            image = sum(map(bit, map(row.__getitem__, self.targets)))
+            if image.bit_count() != self.checkable:
+                self.cover = self._counted_cover()
+                break
+            self.sources |= image
+
+    def _counted_cover(self) -> list[int]:
         hits: Counter[tuple[int, int]] = Counter()
-        for sources in zip(*rows):
-            if min(sources) < 0:
-                continue
-            self.checkable += 1
-            last = max(sources)
-            infl = list(zip(sources, labels))
-            self.finalize_at[last].append(infl)
-            hits.update(infl)
-            for src in sources:
-                if self.live_until[src] < last:
-                    self.live_until[src] = last
-        self.cover = [0] * n
+        for row, label in zip(self.rows, range(self.offset, self.offset + self.size)):
+            hits.update(zip(map(row.__getitem__, self.targets), repeat(label)))
+        cover = [0] * self.n
         for (src, _), count in hits.items():
-            self.cover[src] = max(self.cover[src], count)
+            cover[src] = max(cover[src], count)
+        return cover
+
+    def covers(self) -> list[int]:
+        """Each source's cover, 0/1 off the `sources` mask on injective rows."""
+        if self.cover is not None:
+            return self.cover
+        return [self.sources >> src & 1 for src in range(self.n)]
+
+    @cached_property
+    def schedule(self) -> tuple[list[list[list[tuple[int, int]]]], list[int]]:
+        finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(self.n)]
+        live_until = [-1] * self.n
+        labels = range(self.offset, self.offset + self.size)
+        for t in self.targets:
+            sources = [row[t] for row in self.rows]
+            last = max(sources)
+            finalize_at[last].append(list(zip(sources, labels)))
+            for src in sources:
+                if live_until[src] < last:
+                    live_until[src] = last
+        return finalize_at, live_until
 
 
 def _floor(a: _Family, b: _Family) -> int:
@@ -596,8 +636,13 @@ def _floor(a: _Family, b: _Family) -> int:
     bound on the cost of each of its labelings.  A target costs at least
     1 - (its matches), and a source matches at most `cover` targets under
     its one label, so every labeling costs at least the checkable targets
-    less the sum of the sources' covers."""
-    return max(0, a.checkable + b.checkable - sum(map(max, a.cover, b.cover)))
+    less the sum of the sources' covers.  With 0/1 covers on both sides
+    that sum is the popcount of the two source masks' union."""
+    if a.cover is None and b.cover is None:
+        covered = (a.sources | b.sources).bit_count()
+    else:
+        covered = sum(map(max, a.covers(), b.covers()))
+    return max(0, a.checkable + b.checkable - covered)
 
 
 class _AssignmentProblem:
@@ -606,16 +651,19 @@ class _AssignmentProblem:
     Every element takes one label: the first m labels are pieces translated
     by the A-words, the rest pieces translated by the B-words.  Each cover
     equation scores its checkable targets once their last influencing
-    preimage is labeled; the two families' `_Family` set-ups are merged
-    here, and `floor` is their counting floor (see `_floor`).  Up to three
-    passes, chosen by `_solve_combo`: an exact-cover style descent that
-    only accepts zero-cost steps (settling the zero-defect case, and run
-    only at floor 0, since a positive floor already refutes a tiling), a
-    greedy incumbent, and a bottom-up dynamic program whose state at
+    preimage is labeled; the two families' `_Family.schedule` lists are
+    merged here, and `floor` is their counting floor (see `_floor`).  Up
+    to three passes, chosen by `_solve_combo`: an exact-cover style descent
+    that only accepts zero-cost steps (settling the zero-defect case, and
+    run only at floor 0, since a positive floor already refutes a tiling),
+    a greedy incumbent, and a bottom-up dynamic program whose state at
     element k is the labels of `live_at[k]`, the sources still able to
     influence unscored targets.  No labeling is forbidden, so every label
-    tuple of `live_at[k]` is a state; the program charges the budget one
-    node per state, all at once, and is exact when the budget covers them.
+    tuple of `live_at[k]` is a state; `charge_states` charges the budget
+    one node per state, all at once, and the program is exact when the
+    budget covers them.  `exact` charges and runs the program, `solve`
+    runs it uncharged: a combo settled at its floor is charged without the
+    program, and runs it later, at most once, for its labels.
     """
 
     def __init__(self, n: int, a: _Family, b: _Family, budget: _Budget):
@@ -628,8 +676,9 @@ class _AssignmentProblem:
         self.choices = list(range(self.p))
         self.checkable = a.checkable + b.checkable
         self.floor = _floor(a, b)
-        self.finalize_at = list(map(add, a.finalize_at, b.finalize_at))
-        live_until = list(map(max, a.live_until, b.live_until))
+        (a_final, a_live), (b_final, b_live) = a.schedule, b.schedule
+        self.finalize_at = list(map(add, a_final, b_final))
+        live_until = list(map(max, a_live, b_live))
 
         # live_at[k]: the labeled sources (src < k) that still influence a
         # target finalized at k or later; their labels are the DP state at k
@@ -721,8 +770,9 @@ class _AssignmentProblem:
 
         Every labeling is allowed, so the states at layer k are all
         p^|live_at[k]| label tuples of `live_at[k]`.  The budget is charged
-        one node per state, all layers up front, and `_BudgetExhausted` is
-        raised before any array is built.  A state's index is its labels
+        one node per state, all layers up front (`charge_states`), and
+        `_BudgetExhausted` is raised before any array is built; the program
+        itself is `solve`.  A state's index is its labels
         read as base-p digits over `live_at[k]`, first source most
         significant.  Layers are solved from the last one back: per label
         at k, a column over the layer's states of step cost plus the next
@@ -736,9 +786,19 @@ class _AssignmentProblem:
         the minimum).  It then returns that lower bound, which is at least
         `bound`, and leaves `labels` unspecified.
         """
-        n, p, live_at = self.n, self.p, self.live_at
-        if not self.budget.spend_many(sum(p ** len(live_at[k]) for k in range(n))):
+        if not self.charge_states():
             raise _BudgetExhausted
+        return self.solve(bound)
+
+    def charge_states(self) -> bool:
+        """Charge the budget one node per state of the program, all layers
+        at once; False when the charge is refused."""
+        p = self.p
+        return self.budget.spend_many(sum(p ** len(live) for live in self.live_at[:self.n]))
+
+    def solve(self, bound: Optional[int] = None) -> int:
+        """The program of `exact`, without its charge."""
+        n, p, live_at = self.n, self.p, self.live_at
         zeros = [0] * p
         values: list[list[int]] = [[] for _ in range(n)] + [[0]]
         for k in range(n - 1, -1, -1):
@@ -806,13 +866,18 @@ def _packed_cost(packed: int, bases: list[int]) -> int:
     return cost
 
 
-def _solve_combo(problem: _AssignmentProblem, zero_cap: int, bound: Optional[int]) -> tuple[int, list[int], bool]:
+def _solve_combo(problem: _AssignmentProblem, zero_cap: int,
+                 bound: Optional[int]) -> tuple[int, Optional[list[int]], bool]:
     """(defect, labels, exact) for one translator combination whose
     counting floor is below `bound` (the search's incumbent), if there is
     one.  A positive floor refutes a tiling, so only a combo at floor 0 runs
     the zero-cost descent, and a descent that rules tilings out raises the
-    floor to 1.  Only a defect below `bound` is reported exactly; a combo
-    the program proves unable to beat it reports some defect >= bound, with
+    floor to 1.  A greedy labeling that meets the floor is optimal: at floor
+    1 (or 0) its labels are kept; above 1 the program's states are still
+    charged, as if it ran, and the labels come back None, left for the
+    program to rebuild (`solve`) should this combo end as its piece count's
+    best.  Only a defect below `bound` is reported exactly; a combo the
+    program proves unable to beat it reports some defect >= bound, with
     labels that are not kept."""
     floor = problem.floor
     if floor == 0:
@@ -827,11 +892,15 @@ def _solve_combo(problem: _AssignmentProblem, zero_cap: int, bound: Optional[int
     if floor == incumbent == 1:
         return 1, labels, True  # tilings ruled out, so 1 is optimal
     if problem.dp_tractable():
-        try:
-            minimum = problem.exact(bound)
-            return minimum, problem.labels.copy(), True
-        except _BudgetExhausted:
-            pass
+        if incumbent == floor:
+            if problem.charge_states():
+                return incumbent, None, True
+        else:
+            try:
+                minimum = problem.exact(bound)
+                return minimum, problem.labels.copy(), True
+            except _BudgetExhausted:
+                pass
     return incumbent, labels, False
 
 
@@ -850,7 +919,8 @@ def search_small_paradox(
     searched exactly, so with the budget intact each reported defect is the
     true minimum at that piece count.  A refused charge ends the search:
     the piece count it ends keeps its best so far, and later piece counts
-    are reported unsearched.
+    are reported unsearched.  Each piece count's table certificate is
+    built once, after the search, from its final best's labels.
     """
     n = len(window)
     identity = window.model.identity_data
@@ -892,8 +962,10 @@ def search_small_paradox(
     # each report holds its piece count's incumbent; one the budget never
     # reaches stays unsearched: no defect, not exhausted
     reports = [PieceCountReport(pieces, None, 0, None, False) for pieces in range(MIN_PIECES, max_pieces + 1)]
+    # per report, its incumbent's (A-words, B-words, labels, problem)
+    winners: list[Optional[tuple]] = [None] * len(reports)
     try:
-        for report in reports:
+        for i, report in enumerate(reports):
             exhausted = True
             for a, b in combos(report.pieces):
                 if not tracker.spend():
@@ -905,7 +977,7 @@ def search_small_paradox(
                 defect, labels, exact = _solve_combo(problem, zero_cap, report.best_defect)
                 if report.best_defect is None or defect < report.best_defect:
                     report.best_defect, report.checkable = defect, problem.checkable
-                    report.certificate = _table_certificate(window, a[0], b[0], labels)
+                    winners[i] = a[0], b[0], labels, problem
                 if defect == 0:
                     break  # zero is the floor; this piece count is settled
                 if not exact:
@@ -915,6 +987,13 @@ def search_small_paradox(
             report.exhausted = exhausted or report.best_defect == 0
     except _BudgetExhausted:
         pass
+    for report, winner in zip(reports, winners):
+        if winner is not None:
+            a_words, b_words, labels, problem = winner
+            if labels is None:  # settled at its floor, its states charged then
+                problem.solve()
+                labels = problem.labels
+            report.certificate = _table_certificate(window, a_words, b_words, labels)
     return ParadoxSearchReport(reports=reports, nodes_used=tracker.used, budget=budget)
 
 

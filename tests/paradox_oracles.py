@@ -24,9 +24,19 @@ built and runs the zero-cost descent, whatever its floor and the incumbent,
 and a search past its budget still charges one refused node per later
 combination and piece count.  Its reports must match the floor-first
 search's in everything but `nodes_used` wherever it ends within its budget.
+
+`floor_first_search` is `search_small_paradox` as it ran before it settled
+combos at their floor without the program: every combo whose floor is below
+the incumbent and whose greedy labeling does not decide it runs `exact`,
+and every improvement builds its table certificate.  Its floor is the
+counting floor, `counting_floor`, summed from per-source covers counted
+over every (source, label) pair, as `_Family` counted them before it read
+0/1 covers off source masks.  Its `to_json()`, `nodes_used` included, must
+match the search's on every input.
 """
 
 import sys
+from collections import Counter
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -192,4 +202,92 @@ def combo_by_combo_search(window: FiniteWindow, pool: FiniteWindow, max_pieces: 
         if best_defect == 0:
             exhausted = True
         reports.append(PieceCountReport(pieces, best_defect, best_checkable, best_cert, exhausted))
+    return ParadoxSearchReport(reports=reports, nodes_used=tracker.used, budget=budget)
+
+
+def counting_floor(n: int, a: _Family, b: _Family) -> int:
+    """The counting floor of a combo, each source's cover counted as the
+    most checkable targets it matches under one label."""
+    covers = []
+    for family in (a, b):
+        hits: Counter = Counter()
+        for sources in zip(*family.rows):
+            if min(sources) >= 0:
+                hits.update(zip(sources, range(family.offset, family.offset + family.size)))
+        cover = [0] * n
+        for (src, _), count in hits.items():
+            cover[src] = max(cover[src], count)
+        covers.append(cover)
+    return max(0, a.checkable + b.checkable - sum(map(max, *covers)))
+
+
+def _solve_floor_first(problem: _AssignmentProblem, floor: int, zero_cap: int, bound: Optional[int]):
+    if floor == 0:
+        zero = problem.zero_search(zero_cap)
+        if zero:
+            return 0, problem.labels.copy(), True
+        if zero is False:
+            floor = 1
+    incumbent, labels = problem.greedy()
+    if incumbent == 0:
+        return 0, labels, True
+    if floor == incumbent == 1:
+        return 1, labels, True
+    if problem.dp_tractable():
+        try:
+            minimum = problem.exact(bound)
+            return minimum, problem.labels.copy(), True
+        except _BudgetExhausted:
+            pass
+    return incumbent, labels, False
+
+
+def floor_first_search(window: FiniteWindow, pool: FiniteWindow, max_pieces: int, budget: int) -> ParadoxSearchReport:
+    n = len(window)
+    identity = window.model.identity_data
+    rows = {g: _preimages(window, (g,)) for g in pool.positions}
+    families: dict = {}
+
+    def family(words: tuple, offset: int) -> _Family:
+        if (words, offset) not in families:
+            families[words, offset] = _Family(n, [rows[g] for g in words], offset)
+        return families[words, offset]
+
+    tracker = _Budget(budget)
+    zero_cap = max(500, 25 * n)
+    reports = [PieceCountReport(pieces, None, 0, None, False) for pieces in range(MIN_PIECES, max_pieces + 1)]
+    try:
+        for report in reports:
+            combos = []
+            for m in range(1, report.pieces // 2 + 1):
+                a_options = [(w, 0) for w in combinations_with_replacement(pool.positions, m)]
+                b_options = [(w, m) for w in combinations_with_replacement(pool.positions, report.pieces - m)]
+                for ai, a in enumerate(a_options):
+                    for bi, b in enumerate(b_options):
+                        if m == report.pieces - m and bi < ai:
+                            continue
+                        combos.append((a, b))
+            combos.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
+            exhausted = True
+            for a, b in combos:
+                if not tracker.spend():
+                    raise _BudgetExhausted
+                fa, fb = family(*a), family(*b)
+                floor = counting_floor(n, fa, fb)
+                if report.best_defect is not None and floor >= report.best_defect:
+                    continue
+                problem = _AssignmentProblem(n, fa, fb, tracker)
+                defect, labels, exact = _solve_floor_first(problem, floor, zero_cap, report.best_defect)
+                if report.best_defect is None or defect < report.best_defect:
+                    report.best_defect, report.checkable = defect, problem.checkable
+                    report.certificate = _table_certificate(window, a[0], b[0], labels)
+                if defect == 0:
+                    break
+                if not exact:
+                    if tracker.used > tracker.limit:
+                        raise _BudgetExhausted
+                    exhausted = False
+            report.exhausted = exhausted or report.best_defect == 0
+    except _BudgetExhausted:
+        pass
     return ParadoxSearchReport(reports=reports, nodes_used=tracker.used, budget=budget)

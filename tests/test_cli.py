@@ -1058,6 +1058,8 @@ FIELD_ERRORS = {
     "max_pieces=3": (PARADOX_SEARCH, {"max_pieces": 3}, "params.max_pieces", "must be at least 4"),
     # an empty pool tries no combination, so it is no finished search
     "paradox-search-pool-empty": (PARADOX_SEARCH, {"pool": []}, "params.pool", "search of an empty pool"),
+    # an empty window has no checkable target, so every combo scores zero
+    "paradox-search-window-empty": (PARADOX_SEARCH, {"window": []}, "params.window", "search of an empty window"),
     # action entries that do not parse used to be named only as `params.action`
     "action-radius='zz'": (VERIFY, {"action": {**GOOD_ACTION, "radius": "zz"}}, "params.action.radius",
                            "Invalid literal for Fraction: 'zz'"),

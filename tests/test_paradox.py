@@ -20,6 +20,7 @@ from folnerlab.paradox import (
     _Budget,
     _BudgetExhausted,
     _Family,
+    _floor,
     _preimages,
     evaluate_classifier,
     f2_standard_certificate,
@@ -27,7 +28,14 @@ from folnerlab.paradox import (
     verify_on_window,
 )
 from folnerlab.perturb import PerturbedAction
-from paradox_oracles import combo_by_combo_search, evaluate, preimages, topdown_exact
+from paradox_oracles import (
+    combo_by_combo_search,
+    counting_floor,
+    evaluate,
+    floor_first_search,
+    preimages,
+    topdown_exact,
+)
 
 F2 = make_model("free", rank=2)
 F3 = make_model("free", rank=3)
@@ -873,9 +881,12 @@ def test_search_work_count(case, monkeypatch):
     # program's states; the descent runs only at floor 0, and a problem is
     # built only while its floor can beat the incumbent
     name, win, pool, pieces, budget = case
-    log = {"charges": 0, "refused": 0, "built": 0, "solved": 0, "descent": 0, "dp": 0}
-    spend, build = _Budget.spend, _AssignmentProblem.__init__
-    descend, exact, solve = _AssignmentProblem.zero_search, _AssignmentProblem.exact, paradox._solve_combo
+    log = {"charges": 0, "refused": 0, "built": 0, "solved": 0, "descent": 0, "dp": 0,
+           "programs": 0, "exact": 0, "certificates": 0}
+    spend, build, make_family = _Budget.spend, _AssignmentProblem.__init__, _Family.__init__
+    descend, charge_states, solve = _AssignmentProblem.zero_search, _AssignmentProblem.charge_states, paradox._solve_combo
+    exact, certify = _AssignmentProblem.exact, paradox._table_certificate
+    families, passed = [], set()
 
     def charge(tracker):
         log["charges"] += 1
@@ -883,9 +894,14 @@ def test_search_work_count(case, monkeypatch):
         log["refused"] += not ok
         return ok
 
-    def counted_build(problem, *args):
+    def counted_build(problem, n, a, b, tracker):
         log["built"] += 1
-        build(problem, *args)
+        passed.update((id(a), id(b)))
+        build(problem, n, a, b, tracker)
+
+    def counted_family(family, *args):
+        families.append(family)
+        make_family(family, *args)
 
     def metered(method, key):
         def spy(problem, *args):
@@ -896,7 +912,16 @@ def test_search_work_count(case, monkeypatch):
                 return method(problem, *args)
             finally:
                 log[key] += problem.budget.used - before
+                log["programs"] += method is charge_states
         return spy
+
+    def counted_exact(problem, *args):
+        log["exact"] += 1
+        return exact(problem, *args)
+
+    def counted_certificate(*args):
+        log["certificates"] += 1
+        return certify(*args)
 
     def bounded_solve(problem, cap, bound):
         assert bound is None or problem.floor < bound
@@ -905,13 +930,25 @@ def test_search_work_count(case, monkeypatch):
 
     monkeypatch.setattr(_Budget, "spend", charge)
     monkeypatch.setattr(_AssignmentProblem, "__init__", counted_build)
+    monkeypatch.setattr(_Family, "__init__", counted_family)
     monkeypatch.setattr(_AssignmentProblem, "zero_search", metered(descend, "descent"))
-    monkeypatch.setattr(_AssignmentProblem, "exact", metered(exact, "dp"))
+    monkeypatch.setattr(_AssignmentProblem, "charge_states", metered(charge_states, "dp"))
+    monkeypatch.setattr(_AssignmentProblem, "exact", counted_exact)
+    monkeypatch.setattr(paradox, "_table_certificate", counted_certificate)
     monkeypatch.setattr(paradox, "_solve_combo", bounded_solve)
     report = search_small_paradox(win, pool, max_pieces=pieces, budget=budget)
     assert report.nodes_used == log["charges"] + log["descent"] + log["dp"]
     assert log["built"] == log["solved"] < log["charges"]
     assert log["refused"] <= 1 and (report.nodes_used > budget) == (name == "budget")
+    # one table certificate per piece count that has one, and the set-up
+    # lists of exactly the families passed to a problem
+    assert log["certificates"] == sum(r.certificate is not None for r in report.reports)
+    assert {id(f) for f in families if "schedule" in vars(f)} == passed
+    if name == "z":
+        # combos settled at their floor are charged the program's states
+        # without running it, and the floor alone settles most families
+        assert log["exact"] < log["programs"]
+        assert len(passed) < len(families)
 
 
 # --- the assignment DP against its top-down form -----------------------------------
@@ -1069,6 +1106,77 @@ def test_search_bound_changes_no_output():
                 assert sum(e.checkable for e in check.equations) == len(win) + row.checkable
         seen["positive"] += any((r.best_defect or 0) > 0 for r in report.reports)
     assert min(seen.values()) > 0
+
+
+def test_mask_floor_matches_counting_floor():
+    # the popcount of the source masks is the counted floor wherever every
+    # row is injective over its checkable targets; a row that repeats a
+    # source keeps its counted covers
+    rng = random.Random(17)
+    paths = set()
+    for trial in range(400):
+        n, p = rng.randint(1, 12), rng.randint(2, 6)
+        m = rng.randint(1, p // 2)
+        if trial % 2:
+            rows = _random_rows(rng, n, p)
+        else:
+            rows = [[rng.randint(-1, n - 1) for _ in range(n)] for _ in range(p)]
+        a, b = _Family(n, rows[:m], 0), _Family(n, rows[m:], m)
+        assert _floor(a, b) == counting_floor(n, a, b), (n, rows[:m], rows[m:])
+        paths.add((a.cover is None, b.cover is None))
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _search_oracle_cases():
+    rng = random.Random(20261021)
+    for trial in range(300):
+        model = (Z, Z2, F2)[trial % 3]
+        if model is Z:
+            lo = rng.randint(-5, 5)
+            win = window(Z, [(v,) for v in range(lo, lo + rng.randint(1, 10))])
+            pool = window(Z, rng.sample([(-2,), (-1,), (0,), (1,), (2,), (3,)], rng.randint(2, 3)))
+        elif model is Z2:
+            box = [(i, j) for i in range(3) for j in range(4)]
+            win = window(Z2, rng.sample(box, rng.randint(2, 9)))
+            pool = window(Z2, rng.sample([(0, 0), (0, 1), (1, 0), (1, 1), (-1, 0), (0, -1)], rng.randint(2, 3)))
+        else:
+            extra = rng.sample(["a,a", "a,b", "b,a", "a,B", "B,B", "A,b", "b,b"], rng.randint(0, 3))
+            win = window(F2, list(grid_sample(F2, 1)) + [F2.parse(w) for w in extra])
+            pool = window(F2, [F2.parse(w) for w in rng.sample(["a", "A", "b", "B", "e", "a,b"], rng.randint(2, 3))])
+        pieces = 5 if trial % 5 == 0 else 4
+        budget = rng.choice([2_000_000, rng.randint(20, 400), rng.randint(400, 5000)])
+        yield win, pool, pieces, budget
+
+
+def test_search_matches_floor_first_oracle(monkeypatch):
+    # combos settled at their floor without the program, and one table
+    # certificate per piece count, against the loop that ran `exact` on
+    # them and built a certificate per improvement: the same `to_json()`,
+    # `nodes_used` included
+    calls = {"solve": 0, "exact": 0}
+    solve, exact = _AssignmentProblem.solve, _AssignmentProblem.exact
+
+    def counted(method, key):
+        def spy(problem, *args):
+            calls[key] += 1
+            return method(problem, *args)
+        return spy
+
+    monkeypatch.setattr(_AssignmentProblem, "solve", counted(solve, "solve"))
+    monkeypatch.setattr(_AssignmentProblem, "exact", counted(exact, "exact"))
+    seen = {"cases": 0, "pending": 0, "refused": 0, "positive": 0}
+    for win, pool, pieces, budget in _search_oracle_cases():
+        before = dict(calls)
+        got = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
+        # a solve outside `exact` rebuilds a winner's labels
+        seen["pending"] += (calls["solve"] - before["solve"]) - (calls["exact"] - before["exact"])
+        want = floor_first_search(win, pool, pieces, budget).to_json()
+        assert got == want, (win.to_json(), pool.to_json(), pieces, budget)
+        seen["cases"] += 1
+        seen["refused"] += got["nodes_used"] > budget
+        seen["positive"] += any((r["best_defect"] or 0) > 1 for r in got["per_piece_count"])
+    assert seen["cases"] >= 300
+    assert min(seen.values()) > 0, seen
 
 
 def test_exact_charges_one_node_per_state():
