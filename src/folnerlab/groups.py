@@ -283,6 +283,16 @@ class GroupModel:
         }
 
 
+def _dimension(kind: str, dim: int) -> int:
+    """`dim` of a lattice or torus model, refused unless it is at least 1 and
+    the descriptor's 2 * dim generators of dim coordinates each, 2 * dim^2
+    coordinates, stay within WINDOW_CAP."""
+    top = math.isqrt(WINDOW_CAP // 2)
+    if not 1 <= dim <= top:
+        raise ValueError(f"{kind} dimension must be between 1 and {top}")
+    return dim
+
+
 class LatticeModel(GroupModel):
     """Free abelian lattice of a fixed dimension, elements as integer vectors."""
 
@@ -291,9 +301,7 @@ class LatticeModel(GroupModel):
     ordered_law = True  # x -> a + x keeps the lexicographic order
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("lattice dimension must be >= 1")
-        self.dim = dim
+        self.dim = _dimension("lattice", dim)
         self.identity_data = (0,) * dim
 
     def params(self) -> dict:
@@ -485,9 +493,7 @@ class TorusModel(GroupModel):
     abelian = True
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("torus dimension must be >= 1")
-        self.dim = dim
+        self.dim = _dimension("torus", dim)
         self.identity_data = (Fraction(0),) * dim
 
     def params(self) -> dict:

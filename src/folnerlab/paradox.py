@@ -33,18 +33,18 @@ assignments at that scale, a zero minimum claims nothing about the group.
 Each translator combination is read through its counting floor first: a
 combination whose floor reaches the best defect found so far is skipped
 unbuilt, and a positive floor already refutes a tiling, so the zero-cost
-descent runs only at floor 0.  On preimage rows a floor is a popcount of
-two source masks, and a family builds its scoring lists only once a combo
-reaches a problem.  A combination whose greedy labeling meets its floor is
-settled without the assignment DP, though the budget is still charged the
-DP's states; the DP rebuilds the labels of such a combination only if it
-ends as its piece count's best, and each piece count builds one table
-certificate, for its final best.
+descent runs only at floor 0.  Search rows are preimage rows, injective
+over their checkable targets, and a family refuses any other, so a floor is
+a popcount of two source masks; a family builds its scoring lists only
+once a combo reaches a problem.  A combination whose greedy labeling meets
+its floor is settled without the assignment DP, though the budget is still
+charged the DP's states; the DP rebuilds the labels of such a combination
+only if it ends as its piece count's best, and each piece count builds one
+table certificate, for its final best.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, compress, islice, repeat
@@ -542,12 +542,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-    def spend_many(self, count: int) -> bool:
-        """`count` calls of `spend` that stop at the first refusal."""
+    def spend(self, count: int = 1) -> bool:
+        """`count` one-node charges that stop at the first refusal."""
         if count == 0 or self.used + count <= self.limit:
             self.used += count
             return True
@@ -568,12 +564,11 @@ class _Family:
     A window index t is a checkable target of the family when its preimage
     under every word stays in the window.  Its influencers are the pairs
     (row[t], offset + piece).  Construction reads only what the counting
-    floor needs (see `_floor`): `checkable`, and each source's cover, the
-    most targets it matches under any one label.  On rows injective over
-    the checkable targets, as preimage rows are, a cover is 0/1: `cover`
-    is None and `sources` is the bit mask of the indices that influence
-    some checkable target.  A family with a row that repeats a source
-    keeps the counted `cover[src]` instead.
+    floor needs (see `_floor`): `checkable`, and `sources`, the bit mask of
+    the indices that influence some checkable target.  Every row must be
+    injective over the checkable targets, as preimage rows are, since
+    x -> w^-1 x is; a row that repeats a checkable source is refused with
+    `ValueError`.
 
     `schedule`, built on first use, since only a family passed to an
     `_AssignmentProblem` needs it, is the pair (finalize_at, live_until):
@@ -590,31 +585,14 @@ class _Family:
         self.targets = [t for t, sources in enumerate(zip(*rows)) if min(sources) >= 0]
         self.checkable = len(self.targets)
         self.sources = 0
-        self.cover: Optional[list[int]] = None
         bit = (1).__lshift__
         for row in rows:
             # a sum of distinct powers of two has one bit per term, and a
             # repeated source carries, so the count checks injectivity
             image = sum(map(bit, map(row.__getitem__, self.targets)))
             if image.bit_count() != self.checkable:
-                self.cover = self._counted_cover()
-                break
+                raise ValueError("a translator row repeats a checkable source")
             self.sources |= image
-
-    def _counted_cover(self) -> list[int]:
-        hits: Counter[tuple[int, int]] = Counter()
-        for row, label in zip(self.rows, range(self.offset, self.offset + self.size)):
-            hits.update(zip(map(row.__getitem__, self.targets), repeat(label)))
-        cover = [0] * self.n
-        for (src, _), count in hits.items():
-            cover[src] = max(cover[src], count)
-        return cover
-
-    def covers(self) -> list[int]:
-        """Each source's cover, 0/1 off the `sources` mask on injective rows."""
-        if self.cover is not None:
-            return self.cover
-        return [self.sources >> src & 1 for src in range(self.n)]
 
     @cached_property
     def schedule(self) -> tuple[list[list[list[tuple[int, int]]]], list[int]]:
@@ -634,15 +612,11 @@ class _Family:
 def _floor(a: _Family, b: _Family) -> int:
     """The counting floor of the combo of families `a` and `b`: a lower
     bound on the cost of each of its labelings.  A target costs at least
-    1 - (its matches), and a source matches at most `cover` targets under
-    its one label, so every labeling costs at least the checkable targets
-    less the sum of the sources' covers.  With 0/1 covers on both sides
-    that sum is the popcount of the two source masks' union."""
-    if a.cover is None and b.cover is None:
-        covered = (a.sources | b.sources).bit_count()
-    else:
-        covered = sum(map(max, a.covers(), b.covers()))
-    return max(0, a.checkable + b.checkable - covered)
+    1 - (its matches), and a source, under its one label, matches at most
+    one target (the rows are injective), and none unless it is in the
+    source mask of `a` or of `b`.  So every labeling costs at least the
+    checkable targets less the popcount of the two masks' union."""
+    return max(0, a.checkable + b.checkable - (a.sources | b.sources).bit_count())
 
 
 class _AssignmentProblem:
@@ -652,18 +626,18 @@ class _AssignmentProblem:
     by the A-words, the rest pieces translated by the B-words.  Each cover
     equation scores its checkable targets once their last influencing
     preimage is labeled; the two families' `_Family.schedule` lists are
-    merged here, and `floor` is their counting floor (see `_floor`).  Up
-    to three passes, chosen by `_solve_combo`: an exact-cover style descent
+    merged here.  Up to three passes, chosen by `_solve_combo` from the
+    combo's counting floor (see `_floor`): an exact-cover style descent
     that only accepts zero-cost steps (settling the zero-defect case, and
     run only at floor 0, since a positive floor already refutes a tiling),
     a greedy incumbent, and a bottom-up dynamic program whose state at
     element k is the labels of `live_at[k]`, the sources still able to
     influence unscored targets.  No labeling is forbidden, so every label
     tuple of `live_at[k]` is a state; `charge_states` charges the budget
-    one node per state, all at once, and the program is exact when the
-    budget covers them.  `exact` charges and runs the program, `solve`
-    runs it uncharged: a combo settled at its floor is charged without the
-    program, and runs it later, at most once, for its labels.
+    one node per state, all at once, and the program, `solve`, is exact
+    when the budget covers them.  `solve` itself charges nothing: a combo
+    settled at its floor is charged without the program, and runs it
+    later, at most once, for its labels.
     """
 
     def __init__(self, n: int, a: _Family, b: _Family, budget: _Budget):
@@ -675,7 +649,6 @@ class _AssignmentProblem:
         self.budget = budget
         self.choices = list(range(self.p))
         self.checkable = a.checkable + b.checkable
-        self.floor = _floor(a, b)
         (a_final, a_live), (b_final, b_live) = a.schedule, b.schedule
         self.finalize_at = list(map(add, a_final, b_final))
         live_until = list(map(max, a_live, b_live))
@@ -746,7 +719,7 @@ class _AssignmentProblem:
                 k += 1
                 if k < n:
                     iters.append(0)
-        if not self.budget.spend_many(steps):
+        if not self.budget.spend(steps):
             raise _BudgetExhausted
         return None if steps > cap else k == n
 
@@ -765,39 +738,33 @@ class _AssignmentProblem:
             total += best_cost
         return total, self.labels.copy()
 
-    def exact(self, bound: Optional[int] = None) -> int:
-        """Minimum total step cost; leaves the minimizing labels in `labels`.
-
-        Every labeling is allowed, so the states at layer k are all
-        p^|live_at[k]| label tuples of `live_at[k]`.  The budget is charged
-        one node per state, all layers up front (`charge_states`), and
-        `_BudgetExhausted` is raised before any array is built; the program
-        itself is `solve`.  A state's index is its labels
-        read as base-p digits over `live_at[k]`, first source most
-        significant.  Layers are solved from the last one back: per label
-        at k, a column over the layer's states of step cost plus the next
-        layer's value, and the layer's values are the columns' pointwise
-        min.  Only the value arrays are kept; the labels are then rebuilt
-        forward, taking at each k the first label that keeps to the optimum.
-
-        With a `bound`, the program stops once the minimum cannot fall below
-        it, after charging the budget in full: at the first layer whose least
-        value reaches it (step costs are non-negative, so that value bounds
-        the minimum).  It then returns that lower bound, which is at least
-        `bound`, and leaves `labels` unspecified.
-        """
-        if not self.charge_states():
-            raise _BudgetExhausted
-        return self.solve(bound)
-
     def charge_states(self) -> bool:
         """Charge the budget one node per state of the program, all layers
         at once; False when the charge is refused."""
         p = self.p
-        return self.budget.spend_many(sum(p ** len(live) for live in self.live_at[:self.n]))
+        return self.budget.spend(sum(p ** len(live) for live in self.live_at[:self.n]))
 
     def solve(self, bound: Optional[int] = None) -> int:
-        """The program of `exact`, without its charge."""
+        """Minimum total step cost; leaves the minimizing labels in `labels`.
+
+        Every labeling is allowed, so the states at layer k are all
+        p^|live_at[k]| label tuples of `live_at[k]`.  The program charges
+        no budget: its caller charges one node per state first, all layers
+        at once (`charge_states`), and runs it only when the charge is
+        granted.  A state's index is its labels read as base-p digits over
+        `live_at[k]`, first source most significant.  Layers are solved
+        from the last one back: per label at k, a column over the layer's
+        states of step cost plus the next layer's value, and the layer's
+        values are the columns' pointwise min.  Only the value arrays are
+        kept; the labels are then rebuilt forward, taking at each k the
+        first label that keeps to the optimum.
+
+        With a `bound`, the program stops once the minimum cannot fall below
+        it: at the first layer whose least value reaches it (step costs are
+        non-negative, so that value bounds the minimum).  It then returns
+        that lower bound, which is at least `bound`, and leaves `labels`
+        unspecified.
+        """
         n, p, live_at = self.n, self.p, self.live_at
         zeros = [0] * p
         values: list[list[int]] = [[] for _ in range(n)] + [[0]]
@@ -866,20 +833,22 @@ def _packed_cost(packed: int, bases: list[int]) -> int:
     return cost
 
 
-def _solve_combo(problem: _AssignmentProblem, zero_cap: int,
+def _solve_combo(problem: _AssignmentProblem, floor: int, zero_cap: int,
                  bound: Optional[int]) -> tuple[int, Optional[list[int]], bool]:
     """(defect, labels, exact) for one translator combination whose
-    counting floor is below `bound` (the search's incumbent), if there is
-    one.  A positive floor refutes a tiling, so only a combo at floor 0 runs
-    the zero-cost descent, and a descent that rules tilings out raises the
-    floor to 1.  A greedy labeling that meets the floor is optimal: at floor
-    1 (or 0) its labels are kept; above 1 the program's states are still
-    charged, as if it ran, and the labels come back None, left for the
-    program to rebuild (`solve`) should this combo end as its piece count's
-    best.  Only a defect below `bound` is reported exactly; a combo the
-    program proves unable to beat it reports some defect >= bound, with
-    labels that are not kept."""
-    floor = problem.floor
+    counting `floor` (see `_floor`) is below `bound` (the search's
+    incumbent), if there is one.  A positive floor refutes a tiling, so
+    only a combo at floor 0 runs the zero-cost descent, and a descent that
+    rules tilings out raises the floor to 1.  A greedy labeling that meets
+    the floor is optimal: at floor 1 (or 0) its labels are kept.  Any
+    other combo charges the program's states (`charge_states`); an
+    intractable program or a refused charge returns the greedy labeling,
+    not exact.  Once charged, a greedy labeling at its floor comes back with
+    labels None, left for the program to rebuild (`solve`) should this
+    combo end as its piece count's best; the rest run the program.  Only a
+    defect below `bound` is reported exactly; a combo the program proves
+    unable to beat it reports some defect >= bound, with labels that are
+    not kept."""
     if floor == 0:
         zero = problem.zero_search(zero_cap)
         if zero:
@@ -891,16 +860,10 @@ def _solve_combo(problem: _AssignmentProblem, zero_cap: int,
         return 0, labels, True
     if floor == incumbent == 1:
         return 1, labels, True  # tilings ruled out, so 1 is optimal
-    if problem.dp_tractable():
+    if problem.dp_tractable() and problem.charge_states():
         if incumbent == floor:
-            if problem.charge_states():
-                return incumbent, None, True
-        else:
-            try:
-                minimum = problem.exact(bound)
-                return minimum, problem.labels.copy(), True
-            except _BudgetExhausted:
-                pass
+            return incumbent, None, True
+        return problem.solve(bound), problem.labels.copy(), True
     return incumbent, labels, False
 
 
@@ -927,11 +890,6 @@ def search_small_paradox(
     rows = {g: _preimages(window, (g,)) for g in pool.positions}
     families: dict[tuple, _Family] = {}
 
-    def options(size: int, offset: int) -> list[tuple[tuple, int]]:
-        """The translator multisets of `size` pool payloads, in pool order,
-        each with the label `offset` of its family."""
-        return [(words, offset) for words in combinations_with_replacement(pool.positions, size)]
-
     def family(words: tuple, offset: int) -> _Family:
         """The family set-up of `words` at label `offset`, built the first
         time a combo reaches it and shared for the rest of the search."""
@@ -941,17 +899,18 @@ def search_small_paradox(
         return families[key]
 
     def combos(pieces: int) -> list[tuple[tuple, tuple]]:
-        """The (A, B) family pairs of a piece count, in search order."""
+        """The (A, B) family pairs of a piece count, in search order, each
+        family a (pool multiset in pool order, label offset) pair."""
         found = []
         for m in range(1, pieces // 2 + 1):
             nb = pieces - m  # families are interchangeable, so m <= nb
-            a_options = options(m, 0)
-            b_options = options(nb, m)
+            a_options = list(combinations_with_replacement(pool.positions, m))
+            b_options = list(combinations_with_replacement(pool.positions, nb))
             for ai, a in enumerate(a_options):
                 for bi, b in enumerate(b_options):
                     if m == nb and bi < ai:
                         continue
-                    found.append((a, b))
+                    found.append(((a, 0), (b, m)))
         # identity-bearing families first: tilings almost always keep a piece
         # in place, and hitting one early settles the piece count at zero
         found.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
@@ -971,10 +930,11 @@ def search_small_paradox(
                 if not tracker.spend():
                     raise _BudgetExhausted
                 fa, fb = family(*a), family(*b)
-                if report.best_defect is not None and _floor(fa, fb) >= report.best_defect:
+                floor = _floor(fa, fb)
+                if report.best_defect is not None and floor >= report.best_defect:
                     continue
                 problem = _AssignmentProblem(n, fa, fb, tracker)
-                defect, labels, exact = _solve_combo(problem, zero_cap, report.best_defect)
+                defect, labels, exact = _solve_combo(problem, floor, zero_cap, report.best_defect)
                 if report.best_defect is None or defect < report.best_defect:
                     report.best_defect, report.checkable = defect, problem.checkable
                     winners[i] = a[0], b[0], labels, problem

@@ -9,14 +9,14 @@ payloads) computed on `GroupElement`s, one inverse and one product per
 entry of the word at every point, as `_preimages` ran before it folded the
 word into one payload.
 
-`topdown_exact` is the memoized recursion that `_AssignmentProblem.exact`
-ran before it became a bottom-up program over dense per-layer arrays.  It
+`topdown_exact` is the memoized recursion that the assignment program ran
+before it became a bottom-up program over dense per-layer arrays.  It
 charges one budget node the first time it meets each (layer, state) pair and
 rebuilds the labels forward by taking, at each element, the first label in
 `choices` order that keeps to the optimum.  It is kept unchanged as an
-oracle: the bottom-up form must return the same minimum, leave the same
-labels and charge the same budget, or raise `_BudgetExhausted` with the
-same `used`.
+oracle: the bottom-up form, `charge_then_solve`, must return the same
+minimum, leave the same labels and charge the same budget, or raise
+`_BudgetExhausted` with the same `used`.
 
 `combo_by_combo_search` is `search_small_paradox` as it ran before it read
 each translator combination's counting floor first: every combination is
@@ -27,12 +27,15 @@ search's in everything but `nodes_used` wherever it ends within its budget.
 
 `floor_first_search` is `search_small_paradox` as it ran before it settled
 combos at their floor without the program: every combo whose floor is below
-the incumbent and whose greedy labeling does not decide it runs `exact`,
-and every improvement builds its table certificate.  Its floor is the
-counting floor, `counting_floor`, summed from per-source covers counted
-over every (source, label) pair, as `_Family` counted them before it read
-0/1 covers off source masks.  Its `to_json()`, `nodes_used` included, must
-match the search's on every input.
+the incumbent and whose greedy labeling does not decide it runs
+`charge_then_solve`, and every improvement builds its table certificate.
+Its floor is the counting floor, `counting_floor`, summed from per-source
+covers counted over every (source, label) pair, as `_Family` counted them
+before it read 0/1 covers off source masks.  Its `to_json()`, `nodes_used`
+included, must match the search's on every input.
+
+`charge_then_solve` is the program's one entry with its charge, as the
+search makes it: `charge_states` and, when the charge is granted, `solve`.
 """
 
 import sys
@@ -49,6 +52,7 @@ from folnerlab.paradox import (
     _Budget,
     _BudgetExhausted,
     _Family,
+    _floor,
     _preimages,
     _table_certificate,
 )
@@ -137,11 +141,19 @@ def topdown_exact(problem: _AssignmentProblem) -> int:
         sys.setrecursionlimit(old)
 
 
-def _solve_every_combo(problem: _AssignmentProblem, zero_cap: int, bound: Optional[int]):
+def charge_then_solve(problem: _AssignmentProblem, bound: Optional[int] = None) -> int:
+    """The program with its charge: one node per state, all layers first,
+    and `_BudgetExhausted` before any array is built when it is refused."""
+    if not problem.charge_states():
+        raise _BudgetExhausted
+    return problem.solve(bound)
+
+
+def _solve_every_combo(problem: _AssignmentProblem, floor: int, zero_cap: int, bound: Optional[int]):
     zero = problem.zero_search(zero_cap)
     if zero:
         return 0, problem.labels.copy(), True
-    floor = max(problem.floor, 1 if zero is False else 0)
+    floor = max(floor, 1 if zero is False else 0)
     if bound is not None and floor >= max(bound, 2):
         incumbent, labels = floor, []
     else:
@@ -152,7 +164,7 @@ def _solve_every_combo(problem: _AssignmentProblem, zero_cap: int, bound: Option
             return 1, labels, True
     if problem.dp_tractable():
         try:
-            minimum = problem.exact(bound)
+            minimum = charge_then_solve(problem, bound)
             return minimum, problem.labels.copy(), True
         except _BudgetExhausted:
             pass
@@ -188,8 +200,9 @@ def combo_by_combo_search(window: FiniteWindow, pool: FiniteWindow, max_pieces: 
         best_defect, best_cert, best_checkable, exhausted = None, None, 0, True
         try:
             for a, b in combos:
-                problem = _AssignmentProblem(n, family(*a), family(*b), tracker)
-                defect, labels, exact = _solve_every_combo(problem, zero_cap, best_defect)
+                fa, fb = family(*a), family(*b)
+                problem = _AssignmentProblem(n, fa, fb, tracker)
+                defect, labels, exact = _solve_every_combo(problem, _floor(fa, fb), zero_cap, best_defect)
                 if not exact:
                     exhausted = False
                 if best_defect is None or defect < best_defect:
@@ -235,7 +248,7 @@ def _solve_floor_first(problem: _AssignmentProblem, floor: int, zero_cap: int, b
         return 1, labels, True
     if problem.dp_tractable():
         try:
-            minimum = problem.exact(bound)
+            minimum = charge_then_solve(problem, bound)
             return minimum, problem.labels.copy(), True
         except _BudgetExhausted:
             pass

@@ -1058,6 +1058,9 @@ FIELD_ERRORS = {
     "max_pieces=3": (PARADOX_SEARCH, {"max_pieces": 3}, "params.max_pieces", "must be at least 4"),
     # an empty pool tries no combination, so it is no finished search
     "paradox-search-pool-empty": (PARADOX_SEARCH, {"pool": []}, "params.pool", "search of an empty pool"),
+    # a huge dim used to end in a MemoryError traceback building the identity
+    "lattice-dim-huge": ({**DEFECT, "model": {"kind": "lattice", "params": {"dim": 10**9}}}, {},
+                         "model.params.dim", "lattice dimension must be between 1 and 223"),
     # an empty window has no checkable target, so every combo scores zero
     "paradox-search-window-empty": (PARADOX_SEARCH, {"window": []}, "params.window", "search of an empty window"),
     # action entries that do not parse used to be named only as `params.action`

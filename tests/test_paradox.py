@@ -29,6 +29,7 @@ from folnerlab.paradox import (
 )
 from folnerlab.perturb import PerturbedAction
 from paradox_oracles import (
+    charge_then_solve,
     combo_by_combo_search,
     counting_floor,
     evaluate,
@@ -551,7 +552,9 @@ def _translator_pool(rng, model):
 @pytest.mark.parametrize("model", PREIMAGE_MODELS, ids=repr)
 def test_folded_preimage_column_matches_the_element_loop(model):
     # the word folded into one payload against one inverse and one product
-    # per entry at every point, on seeded words of up to six entries
+    # per entry at every point, on seeded words of up to six entries; each
+    # column is injective off its -1 entries, as x -> w^-1 x is, which the
+    # search's families rely on
     rng = random.Random(f"preimages:{model!r}")
     base = list((word_ball(model, 3) if model.discrete else grid_sample(model, 12)).positions)
     pool = _translator_pool(rng, model)
@@ -559,7 +562,10 @@ def test_folded_preimage_column_matches_the_element_loop(model):
         win = window(model, rng.sample(base, rng.randint(1, len(base))))
         for _ in range(10):
             word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
-            assert _preimages(win, word) == preimages(win, word), word
+            column = _preimages(win, word)
+            assert column == preimages(win, word), word
+            inside = [j for j in column if j != -1]
+            assert len(set(inside)) == len(inside), word
 
 
 @pytest.mark.parametrize("model", [F2, Z, make_model("heisenberg"), C], ids=repr)
@@ -882,15 +888,16 @@ def test_search_work_count(case, monkeypatch):
     # built only while its floor can beat the incumbent
     name, win, pool, pieces, budget = case
     log = {"charges": 0, "refused": 0, "built": 0, "solved": 0, "descent": 0, "dp": 0,
-           "programs": 0, "exact": 0, "certificates": 0}
+           "programs": 0, "runs": 0, "certificates": 0, "inside": 0, "floor": None}
     spend, build, make_family = _Budget.spend, _AssignmentProblem.__init__, _Family.__init__
     descend, charge_states, solve = _AssignmentProblem.zero_search, _AssignmentProblem.charge_states, paradox._solve_combo
-    exact, certify = _AssignmentProblem.exact, paradox._table_certificate
+    run_program, certify = _AssignmentProblem.solve, paradox._table_certificate
     families, passed = [], set()
 
-    def charge(tracker):
-        log["charges"] += 1
-        ok = spend(tracker)
+    def charge(tracker, *args):
+        # a charge made outside the descent and the program is a combo's
+        log["charges"] += not log["inside"]
+        ok = spend(tracker, *args)
         log["refused"] += not ok
         return ok
 
@@ -906,34 +913,42 @@ def test_search_work_count(case, monkeypatch):
     def metered(method, key):
         def spy(problem, *args):
             if method is descend:
-                assert problem.floor == 0
+                assert log["floor"] == 0
             before = problem.budget.used
+            log["inside"] += 1
             try:
                 return method(problem, *args)
             finally:
+                log["inside"] -= 1
                 log[key] += problem.budget.used - before
                 log["programs"] += method is charge_states
         return spy
 
-    def counted_exact(problem, *args):
-        log["exact"] += 1
-        return exact(problem, *args)
+    def counted_run(problem, *args):
+        # a run inside `_solve_combo` follows its charge; a later one
+        # rebuilds the labels of a combo settled at its floor
+        log["runs"] += log["floor"] is not None
+        return run_program(problem, *args)
 
     def counted_certificate(*args):
         log["certificates"] += 1
         return certify(*args)
 
-    def bounded_solve(problem, cap, bound):
-        assert bound is None or problem.floor < bound
+    def bounded_solve(problem, floor, cap, bound):
+        assert bound is None or floor < bound
         log["solved"] += 1
-        return solve(problem, cap, bound)
+        log["floor"] = floor
+        try:
+            return solve(problem, floor, cap, bound)
+        finally:
+            log["floor"] = None
 
     monkeypatch.setattr(_Budget, "spend", charge)
     monkeypatch.setattr(_AssignmentProblem, "__init__", counted_build)
     monkeypatch.setattr(_Family, "__init__", counted_family)
     monkeypatch.setattr(_AssignmentProblem, "zero_search", metered(descend, "descent"))
     monkeypatch.setattr(_AssignmentProblem, "charge_states", metered(charge_states, "dp"))
-    monkeypatch.setattr(_AssignmentProblem, "exact", counted_exact)
+    monkeypatch.setattr(_AssignmentProblem, "solve", counted_run)
     monkeypatch.setattr(paradox, "_table_certificate", counted_certificate)
     monkeypatch.setattr(paradox, "_solve_combo", bounded_solve)
     report = search_small_paradox(win, pool, max_pieces=pieces, budget=budget)
@@ -947,7 +962,7 @@ def test_search_work_count(case, monkeypatch):
     if name == "z":
         # combos settled at their floor are charged the program's states
         # without running it, and the floor alone settles most families
-        assert log["exact"] < log["programs"]
+        assert log["runs"] < log["programs"]
         assert len(passed) < len(families)
 
 
@@ -967,12 +982,17 @@ def test_spend_many_matches_repeated_spend():
         limit, used, count = rng.randint(0, 30), rng.randint(0, 40), rng.randint(0, 40)
         many, one = _Budget(limit), _Budget(limit)
         many.used = one.used = used
-        assert (many.spend_many(count), many.used) == (_spend_one_by_one(one, count), one.used)
+        assert (many.spend(count), many.used) == (_spend_one_by_one(one, count), one.used)
 
 
 def _problem(n, a_rows, b_rows, budget):
     """The assignment problem of two families given by their preimage rows."""
     return _AssignmentProblem(n, _Family(n, a_rows, 0), _Family(n, b_rows, len(a_rows)), budget)
+
+
+def _combo_floor(n, a_rows, b_rows):
+    """The counting floor of the combo of two families given by their rows."""
+    return _floor(_Family(n, a_rows, 0), _Family(n, b_rows, len(a_rows)))
 
 
 def _random_rows(rng, n, p):
@@ -1018,15 +1038,15 @@ def test_exact_matches_topdown_oracle(seed):
         limit = rng.choice([10**9, states, states - 1, rng.randint(0, states)])
         used = rng.choice([0, 0, rng.randint(1, 60)])
         want = _run_exact(topdown_exact, n, rows[:m], rows[m:], limit, used)
-        got = _run_exact(_AssignmentProblem.exact, n, rows[:m], rows[m:], limit, used)
+        got = _run_exact(charge_then_solve, n, rows[:m], rows[m:], limit, used)
         assert got == want, (n, rows[:m], rows[m:], limit, used)
         # with a bound: the same budget and the same exhaustion; the same
         # minimum and labels below the bound, else a value at least the bound
         solved = want[0] != "exhausted"
         if solved:
-            assert problem.floor <= want[0]
+            assert _combo_floor(n, rows[:m], rows[m:]) <= want[0]
         bound = rng.choice([rng.randint(1, 8), want[0] + rng.randint(0, 1) if solved else 1])
-        bounded = _run_exact(lambda pr: pr.exact(bound), n, rows[:m], rows[m:], limit, used)
+        bounded = _run_exact(lambda pr: charge_then_solve(pr, bound), n, rows[:m], rows[m:], limit, used)
         if not solved or want[0] < bound:
             assert bounded == want, (n, rows[:m], rows[m:], limit, used, bound)
         else:
@@ -1042,11 +1062,26 @@ def test_exact_matches_topdown_oracle(seed):
     assert seen["solved"] - seen["cut"] > 0
 
 
+def _repeats_a_source(rows):
+    """Whether some row sends two of the family's checkable targets, where
+    every row stays in the window, to one source."""
+    targets = [t for t, sources in enumerate(zip(*rows)) if min(sources) >= 0]
+    return any(len({row[t] for t in targets}) < len(targets) for row in rows)
+
+
+def test_family_refuses_a_row_that_repeats_a_source():
+    with pytest.raises(ValueError, match="^a translator row repeats a checkable source$"):
+        _Family(3, [[0, 1, 2], [0, 0, 1]], 0)
+    # target 1 is not checkable, so the last row's repeat of 1 there is no fault
+    family = _Family(3, [[0, 1, 2], [0, -1, 2], [1, 1, 2]], 0)
+    assert (family.targets, family.sources) == ([0, 2], 0b111)
+
+
 def test_counting_floor_bounds_the_minimum():
     # preimage rows are injective, where a source matches at most one
-    # target per label; arbitrary rows check the general cover count
+    # target per label; arbitrary rows that repeat a source are refused
     rng = random.Random(13)
-    tight = 0
+    tight = refused = 0
     for trial in range(200):
         n, p = rng.randint(1, 9), rng.randint(2, 5)
         m = rng.randint(1, p // 2)
@@ -1054,13 +1089,19 @@ def test_counting_floor_bounds_the_minimum():
             rows = _random_rows(rng, n, p)
         else:
             rows = [[rng.randint(-1, n - 1) for _ in range(n)] for _ in range(p)]
+        if _repeats_a_source(rows[:m]) or _repeats_a_source(rows[m:]):
+            with pytest.raises(ValueError, match="^a translator row repeats a checkable source$"):
+                _problem(n, rows[:m], rows[m:], _Budget(10**9))
+            refused += 1
+            continue
         problem = _problem(n, rows[:m], rows[m:], _Budget(10**9))
         if p ** problem.live_peak > 1000:
             continue
         minimum = topdown_exact(problem)
-        assert 0 <= problem.floor <= minimum, (n, rows[:m], rows[m:])
-        tight += 0 < problem.floor == minimum
-    assert tight > 0
+        floor = _combo_floor(n, rows[:m], rows[m:])
+        assert 0 <= floor <= minimum, (n, rows[:m], rows[m:])
+        tight += 0 < floor == minimum
+    assert tight > 0 and refused > 0
 
 
 def _search_bound_cases():
@@ -1110,8 +1151,8 @@ def test_search_bound_changes_no_output():
 
 def test_mask_floor_matches_counting_floor():
     # the popcount of the source masks is the counted floor wherever every
-    # row is injective over its checkable targets; a row that repeats a
-    # source keeps its counted covers
+    # row is injective over its checkable targets; a family with a row that
+    # repeats a source is refused
     rng = random.Random(17)
     paths = set()
     for trial in range(400):
@@ -1121,9 +1162,16 @@ def test_mask_floor_matches_counting_floor():
             rows = _random_rows(rng, n, p)
         else:
             rows = [[rng.randint(-1, n - 1) for _ in range(n)] for _ in range(p)]
-        a, b = _Family(n, rows[:m], 0), _Family(n, rows[m:], m)
-        assert _floor(a, b) == counting_floor(n, a, b), (n, rows[:m], rows[m:])
-        paths.add((a.cover is None, b.cover is None))
+        families = []
+        for family_rows, offset in ((rows[:m], 0), (rows[m:], m)):
+            if _repeats_a_source(family_rows):
+                with pytest.raises(ValueError, match="^a translator row repeats a checkable source$"):
+                    _Family(n, family_rows, offset)
+            else:
+                families.append(_Family(n, family_rows, offset))
+        if len(families) == 2:
+            assert _floor(*families) == counting_floor(n, *families), (n, rows[:m], rows[m:])
+        paths.add((not _repeats_a_source(rows[:m]), not _repeats_a_source(rows[m:])))
     assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -1150,26 +1198,31 @@ def _search_oracle_cases():
 
 def test_search_matches_floor_first_oracle(monkeypatch):
     # combos settled at their floor without the program, and one table
-    # certificate per piece count, against the loop that ran `exact` on
-    # them and built a certificate per improvement: the same `to_json()`,
-    # `nodes_used` included
-    calls = {"solve": 0, "exact": 0}
-    solve, exact = _AssignmentProblem.solve, _AssignmentProblem.exact
+    # certificate per piece count, against the loop that charged and ran
+    # the program on them and built a certificate per improvement: the same
+    # `to_json()`, `nodes_used` included
+    calls = {"combo": 0, "pending": 0}
+    solve, solve_combo = _AssignmentProblem.solve, paradox._solve_combo
 
-    def counted(method, key):
-        def spy(problem, *args):
-            calls[key] += 1
-            return method(problem, *args)
-        return spy
+    def counted_solve(problem, *args):
+        # a solve outside `_solve_combo` rebuilds a winner's labels
+        calls["pending"] += not calls["combo"]
+        return solve(problem, *args)
 
-    monkeypatch.setattr(_AssignmentProblem, "solve", counted(solve, "solve"))
-    monkeypatch.setattr(_AssignmentProblem, "exact", counted(exact, "exact"))
+    def counted_combo(*args):
+        calls["combo"] += 1
+        try:
+            return solve_combo(*args)
+        finally:
+            calls["combo"] -= 1
+
+    monkeypatch.setattr(_AssignmentProblem, "solve", counted_solve)
+    monkeypatch.setattr(paradox, "_solve_combo", counted_combo)
     seen = {"cases": 0, "pending": 0, "refused": 0, "positive": 0}
     for win, pool, pieces, budget in _search_oracle_cases():
-        before = dict(calls)
+        before = calls["pending"]
         got = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
-        # a solve outside `exact` rebuilds a winner's labels
-        seen["pending"] += (calls["solve"] - before["solve"]) - (calls["exact"] - before["exact"])
+        seen["pending"] += calls["pending"] - before
         want = floor_first_search(win, pool, pieces, budget).to_json()
         assert got == want, (win.to_json(), pool.to_json(), pieces, budget)
         seen["cases"] += 1
@@ -1184,11 +1237,11 @@ def test_exact_charges_one_node_per_state():
     rows = _random_rows(rng, 10, 5)
     problem = _problem(10, rows[:2], rows[2:], _Budget(10**9))
     states = sum(5 ** len(problem.live_at[k]) for k in range(10))
-    problem.exact()
+    charge_then_solve(problem)
     assert problem.budget.used == states
     short = _problem(10, rows[:2], rows[2:], _Budget(states - 1))
     with pytest.raises(_BudgetExhausted):
-        short.exact()
+        charge_then_solve(short)
     assert short.budget.used == states
 
 
