@@ -708,7 +708,7 @@ def _parser() -> argparse.ArgumentParser:
     p_paradox.add_argument("--max-pieces", type=int, default=MIN_PIECES)
     p_paradox.add_argument(
         "--budget", type=int,
-        help=f"nodes to spend: one per translator combination, descent step and DP state (default {PARADOX_BUDGET})",
+        help=f"nodes to spend: one per translator combination (default {PARADOX_BUDGET})",
     )
 
     p_suite = _command(sub, "suite", "run the built-in verification suite", "suite", with_model=False)

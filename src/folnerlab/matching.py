@@ -32,9 +32,12 @@ kernel's scale, from the same ball memo where the word ball applies.
 
 The matching number is computed by Hopcroft-Karp with deterministic vertex
 order, its first phase one greedy pass: each left vertex in order takes the
-first free vertex of its row.  The deficiency witness is the set of left
-vertices reachable by alternating paths from the unmatched ones, which
-maximizes |S| - |N(S)|.
+first free vertex of its row.  Given a priority prefix of rows, it matches
+the prefix alone first and then lets the other rows augment: the paradox
+search reads the least defect of a translator combo off such a matching,
+with the points that every label lands on a target first.  The deficiency
+witness is the set of left vertices reachable by alternating paths from the
+unmatched ones, which maximizes |S| - |N(S)|.
 A stored result needs no re-solve: `check_valid` shows that its pairing is
 a matching with mu = |E| - (|S| - |N(S)|), and every matching has at most
 |E| - |S| + |N(S)| edges, so mu is the matching number.
@@ -227,8 +230,15 @@ def _ball(model: GroupModel, radius: int, cap: int) -> Optional[tuple]:
         return None
 
 
-def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:
-    """Return (match_left, match_right) with -1 for unmatched."""
+def _hopcroft_karp(adjacency: list[list[int]], n_right: int, prefix: int = 0) -> tuple[list[int], list[int]]:
+    """Return (match_left, match_right) with -1 for unmatched.
+
+    With a `prefix`, the first `prefix` rows are matched first, on their
+    own, and every row then augments that matching.  An augmenting path
+    keeps each matched left vertex matched, so the result is a maximum
+    matching that also matches as many prefix rows as any matching can: the
+    matchable row sets form a transversal matroid, on which this greedy
+    order is optimal (Edmonds-Fulkerson)."""
     n_left = len(adjacency)
     match_left = [-1] * n_left
     match_right = [-1] * n_right
@@ -236,10 +246,10 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
     # live level is >= 0, so no dist[u] + 1 of a live u equals the sentinel.
     dist = [0] * n_left
 
-    def bfs() -> bool:
+    def bfs(limit: int) -> bool:
         queue = deque()
         for u in range(n_left):
-            if match_left[u] < 0:
+            if match_left[u] < 0 and u < limit:
                 dist[u] = 0
                 queue.append(u)
             else:
@@ -285,19 +295,22 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[list[int],
                     pending.pop()
         return False
 
-    # The first phase, as one greedy pass: every left vertex is free at
-    # level 0, so no alternating path can pass a matched vertex (its level
-    # is 0, not 1) and each search takes the first free v of its row or fails.
-    for u, row in enumerate(adjacency):
-        for v in row:
-            if match_right[v] < 0:
-                match_left[u] = v
-                match_right[v] = u
-                break
-    while bfs():
-        for u in range(n_left):
+    for limit in (prefix, n_left) if 0 < prefix < n_left else (n_left,):
+        # The first phase, as one greedy pass: every left vertex below the
+        # limit that is still free takes the first free v of its row.  With
+        # every vertex free, as on a first pass, no alternating path can pass
+        # a matched vertex (its level is 0, not 1), so this is the phase.
+        for u in range(limit):
             if match_left[u] < 0:
-                dfs(u)
+                for v in adjacency[u]:
+                    if match_right[v] < 0:
+                        match_left[u] = v
+                        match_right[v] = u
+                        break
+        while bfs(limit):
+            for u in range(limit):
+                if match_left[u] < 0:
+                    dfs(u)
     return match_left, match_right
 
 

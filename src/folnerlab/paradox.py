@@ -30,17 +30,19 @@ explicit.
 the interior violations of the combined covering equation at each piece
 count.  Its reports are one-sided: a positive minimum refutes zero-defect
 assignments at that scale, a zero minimum claims nothing about the group.
-Each translator combination is read through its counting floor first: a
-combination whose floor reaches the best defect found so far is skipped
-unbuilt, and a positive floor already refutes a tiling, so the zero-cost
-descent runs only at floor 0.  Search rows are preimage rows, injective
-over their checkable targets, and a family refuses any other, so a floor is
-a popcount of two source masks; a family builds its scoring lists only
-once a combo reaches a problem.  A combination whose greedy labeling meets
-its floor is settled without the assignment DP, though the budget is still
-charged the DP's states; the DP rebuilds the labels of such a combination
-only if it ends as its piece count's best, and each piece count builds one
-table certificate, for its final best.
+Translator combinations are generated one at a time, each charged one
+budget node, and read through their counting floor first: a combination
+whose floor reaches the best defect found so far is skipped unbuilt.
+Search rows are preimage rows, injective over their checkable targets, and
+a family refuses any other, so a floor is a popcount of two source masks
+and each point, under one label, lands on at most one target.  Any other
+combination is solved exactly by one bipartite matching from points to
+targets, the finite form of the Hall's-theorem argument behind the
+topological Whyte theorem: a labeling covers a target by landing a point
+on it, and the least cost is read off a maximum matching that first
+matches the points every label lands (`_Matching`).  Each piece count
+builds one table certificate, for its final best, from the
+lexicographically least labeling at its minimum (`_least_labels`).
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, compress, islice, repeat
-from operator import add, and_, eq, gt, itemgetter, lt, or_
-from typing import Callable, Optional
+from operator import add, and_, eq, gt, itemgetter, lt, not_, or_
+from typing import Callable, Iterator, Optional, Sequence
 
 from .groups import (
     CertificateError,
@@ -61,15 +63,15 @@ from .groups import (
     parse_payload,
     require_fields,
 )
+from .matching import _hopcroft_karp
 from .perturb import PerturbedAction
 
 _VIOLATION_SAMPLES = 10
 _NONZERO = bytes([0] + [1] * 255)  # a translate table: byte 0 to 0, any other to 1
 MIN_PIECES = 4
 # Default budget of a `search_small_paradox` run: one node per translator
-# combination, per step of the zero-cost descent and per assignment DP state.
+# combination.
 PARADOX_BUDGET = 2_000_000
-DP_STATE_CAP = 300_000
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +544,13 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, count: int = 1) -> bool:
-        """`count` one-node charges that stop at the first refusal."""
-        if count == 0 or self.used + count <= self.limit:
-            self.used += count
+    def spend(self) -> bool:
+        """Charge one node: True while the limit allows it, else False,
+        with `used` one past the limit."""
+        if self.used < self.limit:
+            self.used += 1
             return True
-        self.used = max(self.used, self.limit) + 1
+        self.used = self.limit + 1
         return False
 
 
@@ -562,20 +565,21 @@ class _Family:
     shares it across combos.
 
     A window index t is a checkable target of the family when its preimage
-    under every word stays in the window.  Its influencers are the pairs
-    (row[t], offset + piece).  Construction reads only what the counting
-    floor needs (see `_floor`): `checkable`, and `sources`, the bit mask of
-    the indices that influence some checkable target.  Every row must be
-    injective over the checkable targets, as preimage rows are, since
-    x -> w^-1 x is; a row that repeats a checkable source is refused with
-    `ValueError`.
+    under every word stays in the window; a point s labeled piece i of the
+    family lands on the target t with rows[i][t] == s, if there is one.
+    Construction reads only what the counting floor needs (see `_floor`):
+    `checkable`, and `sources`, the bit mask of the points that land on
+    some target.  Every row must be injective over the checkable targets,
+    as preimage rows are, since x -> w^-1 x is, so a point lands on at most
+    one target per label; a row that repeats a checkable source is refused
+    with `ValueError`.
 
-    `schedule`, built on first use, since only a family passed to an
-    `_AssignmentProblem` needs it, is the pair (finalize_at, live_until):
-    a target is scored once its last influencer is labeled, so
-    `finalize_at[k]` lists the influencer lists of the targets whose last
-    source is k, in target order, and `live_until[src]` is the last such k
-    over the targets that `src` influences (-1 for none)."""
+    The matching's views are built on first use, since only a family
+    whose combo reaches a matching needs them: `landing`, per point and
+    label of the family, the id of the target it lands on, or -1; `hits`,
+    per point, the ids it lands on; and `full`, whether every label of the
+    family lands it.  A target id is t in an A-family (offset 0) and n + t
+    in a B-family, so the two families of a combo never share one."""
 
     def __init__(self, n: int, rows: list[list[int]], offset: int):
         self.n = n
@@ -595,18 +599,21 @@ class _Family:
             self.sources |= image
 
     @cached_property
-    def schedule(self) -> tuple[list[list[list[tuple[int, int]]]], list[int]]:
-        finalize_at: list[list[list[tuple[int, int]]]] = [[] for _ in range(self.n)]
-        live_until = [-1] * self.n
-        labels = range(self.offset, self.offset + self.size)
-        for t in self.targets:
-            sources = [row[t] for row in self.rows]
-            last = max(sources)
-            finalize_at[last].append(list(zip(sources, labels)))
-            for src in sources:
-                if live_until[src] < last:
-                    live_until[src] = last
-        return finalize_at, live_until
+    def landing(self) -> list[list[int]]:
+        base = self.n if self.offset else 0
+        landing = [[-1] * self.size for _ in range(self.n)]
+        for i, row in enumerate(self.rows):
+            for t in self.targets:
+                landing[row[t]][i] = base + t
+        return landing
+
+    @cached_property
+    def hits(self) -> list[list[int]]:
+        return [[t for t in landed if t >= 0] for landed in self.landing]
+
+    @cached_property
+    def full(self) -> list[bool]:
+        return [-1 not in landed for landed in self.landing]
 
 
 def _floor(a: _Family, b: _Family) -> int:
@@ -619,252 +626,103 @@ def _floor(a: _Family, b: _Family) -> int:
     return max(0, a.checkable + b.checkable - (a.sources | b.sources).bit_count())
 
 
-class _AssignmentProblem:
-    """Best piece labeling of a window for fixed translator families.
+class _Matching:
+    """The least cost of a labeling of the combo of families `a` (labels
+    from 0) and `b` (labels from a.size) whose first labels are `fixed`,
+    read off one matching, and a labeling at that cost (`labels`).
 
-    Every element takes one label: the first m labels are pieces translated
-    by the A-words, the rest pieces translated by the B-words.  Each cover
-    equation scores its checkable targets once their last influencing
-    preimage is labeled; the two families' `_Family.schedule` lists are
-    merged here.  Up to three passes, chosen by `_solve_combo` from the
-    combo's counting floor (see `_floor`): an exact-cover style descent
-    that only accepts zero-cost steps (settling the zero-defect case, and
-    run only at floor 0, since a positive floor already refutes a tiling),
-    a greedy incumbent, and a bottom-up dynamic program whose state at
-    element k is the labels of `live_at[k]`, the sources still able to
-    influence unscored targets.  No labeling is forbidden, so every label
-    tuple of `live_at[k]` is a state; `charge_states` charges the budget
-    one node per state, all at once, and the program, `solve`, is exact
-    when the budget covers them.  `solve` itself charges nothing: a combo
-    settled at its floor is charged without the program, and runs it
-    later, at most once, for its labels.
-    """
+    A target landed on c times costs |c - 1|.  A target that the fixed
+    points land on h >= 1 times costs h - 1, plus one per free point that
+    lands there too; the other T targets sum to T + L - 2C over the L free
+    points that land on one of them and the C of them covered.  So, with a
+    point *forced* when every label lands it somewhere, the least cost is
+    the fixed part plus T + |forced| - max(|M| + |M & forced|) over the
+    matchings M of free points to those T targets, one edge per label that
+    lands a point on one.  Hopcroft-Karp with the forced points as its
+    priority prefix attains that maximum."""
 
-    def __init__(self, n: int, a: _Family, b: _Family, budget: _Budget):
-        """`a`/`b`: the set-ups of the A-family (labels from 0) and the
-        B-family (labels from a.size) over a window of n points."""
-        self.n = n
-        self.m = a.size
-        self.p = a.size + b.size
-        self.budget = budget
-        self.choices = list(range(self.p))
-        self.checkable = a.checkable + b.checkable
-        (a_final, a_live), (b_final, b_live) = a.schedule, b.schedule
-        self.finalize_at = list(map(add, a_final, b_final))
-        live_until = list(map(max, a_live, b_live))
+    def __init__(self, a: _Family, b: _Family, fixed: Sequence[int] = ()):
+        self.a, self.b, self.fixed = a, b, fixed
+        n, m, k = a.n, a.size, len(fixed)
+        hit: dict[int, int] = {}
+        for s, label in enumerate(fixed):
+            t = a.landing[s][label] if label < m else b.landing[s][label - m]
+            if t >= 0:
+                hit[t] = hit.get(t, 0) + 1
+        full = list(map(and_, a.full[k:], b.full[k:]))
+        forced = sum(full)
+        self.order = list(compress(range(k, n), full)) + list(compress(range(k, n), map(not_, full)))
+        a_hits, b_hits = a.hits, b.hits
+        if hit:
+            rows = [[t for t in a_hits[s] + b_hits[s] if t not in hit] for s in self.order]
+        else:
+            rows = list(map(add, map(a_hits.__getitem__, self.order), map(b_hits.__getitem__, self.order)))
+        self.match = _hopcroft_karp(rows, 2 * n, forced)[0]
+        weight = n - k - self.match.count(-1) + forced - self.match[:forced].count(-1)
+        self.cost = a.checkable + b.checkable + sum(hit.values()) - 2 * len(hit) + forced - weight
 
-        # live_at[k]: the labeled sources (src < k) that still influence a
-        # target finalized at k or later; their labels are the DP state at k
-        self.live_at: list[list[int]] = [[] for _ in range(n + 1)]
-        for src in range(n):
-            for k in range(src + 1, live_until[src] + 1):
-                self.live_at[k].append(src)
-        self.live_peak = max(len(live) for live in self.live_at)
-        self.labels = [0] * n
+    def labels(self) -> list[int]:
+        """The fixed labels, then per free point the least label that
+        lands it on its matched target, or else the least label that lands
+        it nowhere, or 0 if it is forced."""
+        labels = list(self.fixed) + [0] * (self.a.n - len(self.fixed))
+        for s, t in zip(self.order, self.match):
+            landed = self.a.landing[s] + self.b.landing[s]
+            if t in landed:
+                labels[s] = landed.index(t)
+        return labels
 
-    def dp_tractable(self) -> bool:
-        """Whether the dynamic program's widest layer fits DP_STATE_CAP."""
-        states = 1
-        for _ in range(self.live_peak):
-            states *= self.p
-            if states > DP_STATE_CAP:
-                return False
-        return True
 
-    def _step_cost(self, k: int) -> int:
-        cost = 0
-        labels = self.labels
-        for infl in self.finalize_at[k]:
-            count = 0
-            for src, piece in infl:
-                count += labels[src] == piece
-            cost += count - 1 if count >= 1 else 1
-        return cost
+def _least_labels(a: _Family, b: _Family, cost: int) -> list[int]:
+    """The lexicographically least labeling of the combo at its least
+    `cost`.  Point by point, each label below the current labeling's is
+    tried with the labels before it fixed (`_Matching`), and the first that
+    keeps the cost is kept, with the labeling that solves it.
 
-    def zero_search(self, cap: int) -> Optional[bool]:
-        """Backtracking that accepts only zero-cost steps.
-
-        True when a tiling (zero-defect labeling) is found; False when the
-        full exploration proves none exists; None when the step cap ends
-        the attempt first.  Each step is one budget node, the step past the
-        cap included; the steps are charged together at the end, and a
-        step past the budget ends the descent with `_BudgetExhausted`.
-        """
-        n, p, labels, finalize_at = self.n, self.p, self.labels, self.finalize_at
-        stop = min(cap, self.budget.limit - self.budget.used)
-        steps = 0
-        k = 0
-        iters: list[int] = [0]
-        while 0 <= k < n:
-            steps += 1
-            if steps > stop:
-                break
-            label = iters[k]
-            if label >= p:
-                iters.pop()
-                k -= 1
-                if k >= 0:
-                    iters[k] += 1
+    A label that lands point k nowhere, or on a target the fixed labels
+    already land on, takes k out of the matching of the free points.  It
+    keeps the cost exactly when some best matching leaves k out, so one
+    solve decides every such label at k; and never if k is not forced and
+    lands on such a target, since that adds a landing that covers nothing."""
+    labels = _Matching(a, b).labels()
+    hit = {-1}  # the targets the fixed labels land on, and "nowhere"
+    for k in range(a.n):
+        forced = a.full[k] and b.full[k]
+        landed = a.landing[k] + b.landing[k]
+        droppable = None
+        for label in range(labels[k]):
+            t = landed[label]
+            if t in hit and (droppable is False or (t >= 0 and not forced)):
                 continue
-            labels[k] = label
-            # zero cost: every target scored here is matched exactly once
-            for infl in finalize_at[k]:
-                count = 0
-                for src, piece in infl:
-                    count += labels[src] == piece
-                if count != 1:
-                    iters[k] += 1
-                    break
-            else:
-                k += 1
-                if k < n:
-                    iters.append(0)
-        if not self.budget.spend(steps):
-            raise _BudgetExhausted
-        return None if steps > cap else k == n
-
-    def greedy(self) -> tuple[int, list[int]]:
-        total = 0
-        for k in range(self.n):
-            best_cost, best_label = None, 0
-            for label in self.choices:
-                self.labels[k] = label
-                cost = self._step_cost(k)
-                if best_cost is None or cost < best_cost:
-                    best_cost, best_label = cost, label
-                if cost == 0:
-                    break
-            self.labels[k] = best_label
-            total += best_cost
-        return total, self.labels.copy()
-
-    def charge_states(self) -> bool:
-        """Charge the budget one node per state of the program, all layers
-        at once; False when the charge is refused."""
-        p = self.p
-        return self.budget.spend(sum(p ** len(live) for live in self.live_at[:self.n]))
-
-    def solve(self, bound: Optional[int] = None) -> int:
-        """Minimum total step cost; leaves the minimizing labels in `labels`.
-
-        Every labeling is allowed, so the states at layer k are all
-        p^|live_at[k]| label tuples of `live_at[k]`.  The program charges
-        no budget: its caller charges one node per state first, all layers
-        at once (`charge_states`), and runs it only when the charge is
-        granted.  A state's index is its labels read as base-p digits over
-        `live_at[k]`, first source most significant.  Layers are solved
-        from the last one back: per label at k, a column over the layer's
-        states of step cost plus the next layer's value, and the layer's
-        values are the columns' pointwise min.  Only the value arrays are
-        kept; the labels are then rebuilt forward, taking at each k the
-        first label that keeps to the optimum.
-
-        With a `bound`, the program stops once the minimum cannot fall below
-        it: at the first layer whose least value reaches it (step costs are
-        non-negative, so that value bounds the minimum).  It then returns
-        that lower bound, which is at least `bound`, and leaves `labels`
-        unspecified.
-        """
-        n, p, live_at = self.n, self.p, self.live_at
-        zeros = [0] * p
-        values: list[list[int]] = [[] for _ in range(n)] + [[0]]
-        for k in range(n - 1, -1, -1):
-            # per source, per label: its share of the next state's index,
-            # and its matches of the targets finalized here, packed as
-            # mixed-radix digits (one digit per target, base len(infl) + 1)
-            following = live_at[k + 1]
-            top = len(following) - 1
-            shift = {src: [d * p ** (top - j) for d in range(p)] for j, src in enumerate(following)}
-            matches: dict[int, list[int]] = {}
-            bases = []
-            scale = 1
-            for infl in self.finalize_at[k]:
-                for src, piece in infl:
-                    matches.setdefault(src, [0] * p)[piece] += scale
-                bases.append(len(infl) + 1)
-                scale *= len(infl) + 1
-            # per state of layer k, in index order: both, summed over live_at[k]
-            nxt = packed = [0]
-            for src in live_at[k]:
-                step, match = shift.get(src, zeros), matches.get(src, zeros)
-                nxt = [i + d for i in nxt for d in step]
-                packed = [c + d for c in packed for d in match]
-            # one lazy column of step cost plus next value per label at k
-            step, match = shift.get(k, zeros), matches.get(k, zeros)
-            cost = {c: _packed_cost(c, bases) for c in {c + d for c in set(packed) for d in match}}
-            after = values[k + 1]
-            columns = [
-                map(
-                    add,
-                    map(cost.__getitem__, map(add, packed, repeat(m))),
-                    map(after.__getitem__, map(add, nxt, repeat(d))),
-                )
-                for d, m in zip(step, match)
-            ]
-            values[k] = list(map(min, zip(*columns)))
-            if bound is not None and min(values[k]) >= bound:
-                return min(values[k])
-
-        labels = self.labels
-        target = values[0][0]
-        for k in range(n):
-            after = values[k + 1]
-            for label in self.choices:
-                labels[k] = label
-                state = 0
-                for src in live_at[k + 1]:
-                    state = state * p + labels[src]
-                rest = after[state]
-                if self._step_cost(k) + rest == target:
-                    target = rest
-                    break
-            else:
-                raise AssertionError("reconstruction failed")
-        return values[0][0]
+            trial = _Matching(a, b, labels[:k] + [label])
+            if t in hit:
+                droppable = trial.cost == cost
+            if trial.cost == cost:
+                labels = trial.labels()
+                break
+        hit.add(landed[labels[k]])
+    return labels
 
 
-def _packed_cost(packed: int, bases: list[int]) -> int:
-    """Step cost of match counts packed as mixed-radix digits over `bases`:
-    a target matched `count` times costs |count - 1|."""
-    cost = 0
-    for base in bases:
-        packed, count = divmod(packed, base)
-        cost += abs(count - 1)
-    return cost
-
-
-def _solve_combo(problem: _AssignmentProblem, floor: int, zero_cap: int,
-                 bound: Optional[int]) -> tuple[int, Optional[list[int]], bool]:
-    """(defect, labels, exact) for one translator combination whose
-    counting `floor` (see `_floor`) is below `bound` (the search's
-    incumbent), if there is one.  A positive floor refutes a tiling, so
-    only a combo at floor 0 runs the zero-cost descent, and a descent that
-    rules tilings out raises the floor to 1.  A greedy labeling that meets
-    the floor is optimal: at floor 1 (or 0) its labels are kept.  Any
-    other combo charges the program's states (`charge_states`); an
-    intractable program or a refused charge returns the greedy labeling,
-    not exact.  Once charged, a greedy labeling at its floor comes back with
-    labels None, left for the program to rebuild (`solve`) should this
-    combo end as its piece count's best; the rest run the program.  Only a
-    defect below `bound` is reported exactly; a combo the program proves
-    unable to beat it reports some defect >= bound, with labels that are
-    not kept."""
-    if floor == 0:
-        zero = problem.zero_search(zero_cap)
-        if zero:
-            return 0, problem.labels.copy(), True
-        if zero is False:
-            floor = 1
-    incumbent, labels = problem.greedy()
-    if incumbent == 0:
-        return 0, labels, True
-    if floor == incumbent == 1:
-        return 1, labels, True  # tilings ruled out, so 1 is optimal
-    if problem.dp_tractable() and problem.charge_states():
-        if incumbent == floor:
-            return incumbent, None, True
-        return problem.solve(bound), problem.labels.copy(), True
-    return incumbent, labels, False
+def _combos(pool: FiniteWindow, pieces: int) -> Iterator[tuple[tuple, tuple]]:
+    """The (A, B) family pairs of a piece count, in search order and one
+    at a time, each family a (pool multiset in pool order, label offset)
+    pair.  Families are interchangeable, so A takes m <= pieces - m words,
+    and where m = pieces - m, B starts at A's own multiset.  Combos whose
+    families both hold the identity come first, then those with one, then
+    the rest: tilings almost always keep a piece in place, and hitting one
+    early settles the piece count at zero."""
+    words = pool.positions
+    identity = pool.model.identity_data
+    for missing in (0, 1, 2) if identity in words else (2,):
+        for m in range(1, pieces // 2 + 1):
+            nb = pieces - m
+            for ai, a in enumerate(combinations_with_replacement(words, m)):
+                left = missing - (identity not in a)
+                if 0 <= left <= 1:
+                    for b in islice(combinations_with_replacement(words, nb), ai if m == nb else 0, None):
+                        if (identity not in b) == left:
+                            yield (a, 0), (b, m)
 
 
 def search_small_paradox(
@@ -878,15 +736,15 @@ def search_small_paradox(
     Piece counts run from four, the least any group paradox can use.  All
     translator multisets from the pool are tried, each charged one budget
     node; one whose counting floor reaches the best defect found so far at
-    its piece count is skipped, since it cannot beat it.  Assignments are
-    searched exactly, so with the budget intact each reported defect is the
-    true minimum at that piece count.  A refused charge ends the search:
-    the piece count it ends keeps its best so far, and later piece counts
-    are reported unsearched.  Each piece count's table certificate is
-    built once, after the search, from its final best's labels.
+    its piece count is skipped, since it cannot beat it, and any other is
+    solved exactly by one matching (`_Matching`).  So with the budget intact
+    each reported defect is the true minimum at that piece count.  A
+    refused charge ends the search: the piece count it ends keeps its best
+    so far, and later piece counts are reported unsearched.  Each piece
+    count's table certificate is built once, after the search, from the
+    lexicographically least labeling of its final best (`_least_labels`).
     """
     n = len(window)
-    identity = window.model.identity_data
     rows = {g: _preimages(window, (g,)) for g in pool.positions}
     families: dict[tuple, _Family] = {}
 
@@ -898,61 +756,33 @@ def search_small_paradox(
             families[key] = _Family(n, [rows[g] for g in words], offset)
         return families[key]
 
-    def combos(pieces: int) -> list[tuple[tuple, tuple]]:
-        """The (A, B) family pairs of a piece count, in search order, each
-        family a (pool multiset in pool order, label offset) pair."""
-        found = []
-        for m in range(1, pieces // 2 + 1):
-            nb = pieces - m  # families are interchangeable, so m <= nb
-            a_options = list(combinations_with_replacement(pool.positions, m))
-            b_options = list(combinations_with_replacement(pool.positions, nb))
-            for ai, a in enumerate(a_options):
-                for bi, b in enumerate(b_options):
-                    if m == nb and bi < ai:
-                        continue
-                    found.append(((a, 0), (b, m)))
-        # identity-bearing families first: tilings almost always keep a piece
-        # in place, and hitting one early settles the piece count at zero
-        found.sort(key=lambda ab: (identity not in ab[0][0]) + (identity not in ab[1][0]))
-        return found
-
     tracker = _Budget(budget)
-    zero_cap = max(500, 25 * n)
     # each report holds its piece count's incumbent; one the budget never
     # reaches stays unsearched: no defect, not exhausted
     reports = [PieceCountReport(pieces, None, 0, None, False) for pieces in range(MIN_PIECES, max_pieces + 1)]
-    # per report, its incumbent's (A-words, B-words, labels, problem)
+    # per report, its incumbent's (A-words, B-words, A-family, B-family)
     winners: list[Optional[tuple]] = [None] * len(reports)
     try:
         for i, report in enumerate(reports):
-            exhausted = True
-            for a, b in combos(report.pieces):
+            for a, b in _combos(pool, report.pieces):
                 if not tracker.spend():
                     raise _BudgetExhausted
                 fa, fb = family(*a), family(*b)
-                floor = _floor(fa, fb)
-                if report.best_defect is not None and floor >= report.best_defect:
+                if report.best_defect is not None and _floor(fa, fb) >= report.best_defect:
                     continue
-                problem = _AssignmentProblem(n, fa, fb, tracker)
-                defect, labels, exact = _solve_combo(problem, floor, zero_cap, report.best_defect)
+                defect = _Matching(fa, fb).cost
                 if report.best_defect is None or defect < report.best_defect:
-                    report.best_defect, report.checkable = defect, problem.checkable
-                    winners[i] = a[0], b[0], labels, problem
-                if defect == 0:
-                    break  # zero is the floor; this piece count is settled
-                if not exact:
-                    if tracker.used > tracker.limit:
-                        raise _BudgetExhausted  # the program was refused after the greedy pass
-                    exhausted = False
-            report.exhausted = exhausted or report.best_defect == 0
+                    report.best_defect, report.checkable = defect, fa.checkable + fb.checkable
+                    winners[i] = a[0], b[0], fa, fb
+                    if defect == 0:
+                        break  # zero is the floor; this piece count is settled
+            report.exhausted = True
     except _BudgetExhausted:
         pass
     for report, winner in zip(reports, winners):
         if winner is not None:
-            a_words, b_words, labels, problem = winner
-            if labels is None:  # settled at its floor, its states charged then
-                problem.solve()
-                labels = problem.labels
+            a_words, b_words, fa, fb = winner
+            labels = _least_labels(fa, fb, report.best_defect)
             report.certificate = _table_certificate(window, a_words, b_words, labels)
     return ParadoxSearchReport(reports=reports, nodes_used=tracker.used, budget=budget)
 

@@ -144,6 +144,24 @@ def test_greedy_first_phase_matches_phased_hopcroft_karp(data):
     assert (fast.pairing, fast.mu, fast.witness, fast.perfect) == (slow.pairing, slow.mu, slow.witness, slow.perfect)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prefixed_hopcroft_karp_is_maximum_and_matches_most_prefix_rows(data):
+    # Rows of any length, repeats and empty ones too: with a priority
+    # prefix the matching is still a maximum one, and it matches as many
+    # prefix rows as the prefix alone can match.
+    n_right = data.draw(st.integers(1, 8))
+    adjacency = data.draw(st.lists(st.lists(st.integers(0, n_right - 1), max_size=4), max_size=9))
+    prefix = data.draw(st.integers(0, len(adjacency)))
+    match_left, match_right = matching._hopcroft_karp(adjacency, n_right, prefix)
+    assert all(v < 0 or (v in adjacency[u] and match_right[v] == u) for u, v in enumerate(match_left))
+    assert sum(v >= 0 for v in match_left) == sum(u >= 0 for u in match_right)
+    assert sum(v >= 0 for v in match_left) == brute_force_matching_number(_instance(adjacency, n_right))
+    assert sum(v >= 0 for v in match_left[:prefix]) == brute_force_matching_number(_instance(adjacency[:prefix], n_right))
+    if prefix == 0:
+        assert (match_left, match_right) == phased_hopcroft_karp(adjacency, n_right)
+
+
 def test_star_instance():
     inst = _instance([[0], [0], [0]], 1)
     result = max_matching(inst)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from operator import and_
 
 import pytest
 
@@ -16,11 +17,12 @@ from folnerlab.paradox import (
     CLASSIFIER_DEPTH_CAP,
     CertificateError,
     ParadoxCertificate,
-    _AssignmentProblem,
     _Budget,
-    _BudgetExhausted,
     _Family,
+    _combos,
     _floor,
+    _least_labels,
+    _Matching,
     _preimages,
     evaluate_classifier,
     f2_standard_certificate,
@@ -29,12 +31,14 @@ from folnerlab.paradox import (
 )
 from folnerlab.perturb import PerturbedAction
 from paradox_oracles import (
-    charge_then_solve,
+    AssignmentProblem,
     combo_by_combo_search,
+    combo_list,
     counting_floor,
     evaluate,
     floor_first_search,
     preimages,
+    spend_many,
     topdown_exact,
 )
 
@@ -854,20 +858,20 @@ def _search_cases():
 # name -> (nodes_used, [(pieces, best_defect, checkable, exhausted)], sha256 of to_json())
 SEARCH_PINS = {
     "z": (
-        4180,
+        156,
         [(4, 3, 12, True), (5, 3, 12, True)],
-        "ea71ed0ea8e10d1eed4d4a87f517f90a6d548446d1e107c53d34261fbfe4f796",
+        "227f48d57cdd30134c32ac8935989aa6a001f8612a8e81f0c7cad7f52bef7d27",
     ),
-    "z2": (651, [(4, 1, 12, True)], "1c5086a28735c1d78f053d34e431b6876b7de1e4dd41f0facbbe4245739f0abf"),
+    "z2": (51, [(4, 1, 12, True)], "187b5e9a17d2db3a48d72dc880c20968608193e118d673a8e08c405ca2011d74"),
     "f2": (
-        126,
+        42,
         [(4, 0, 4, True), (5, 0, 4, True)],
-        "576d066efa6ad420a97d5af3f8107198eccf6fca6381c95bbe05dbcaf7064a79",
+        "689fc02b1bdd92da6f5f136ec19c5d42c5d092c5cd4ec82048bf156ccb0058c0",
     ),
     "budget": (
         301,
-        [(4, 19, 40, False), (5, None, 0, False), (6, None, 0, False)],
-        "c1fd5d8df9e5e6505ddbf2a2bd1621a0ce7f75a0d8cd5c4069083f2136711f0b",
+        [(4, 17, 38, True), (5, 17, 38, True), (6, 17, 38, False)],
+        "0a234a70953b396281353284886e4727abf3a04b56ce2c3474d2bf2b7b358fad",
     ),
 }
 
@@ -883,90 +887,83 @@ def test_search_pinned_outputs(case):
 
 @pytest.mark.parametrize("case", list(_search_cases()), ids=lambda c: c[0])
 def test_search_work_count(case, monkeypatch):
-    # the budget is one node per combo reached, the descent's steps and the
-    # program's states; the descent runs only at floor 0, and a problem is
-    # built only while its floor can beat the incumbent
+    # the budget is one node per combo reached, plus one on a refusal, which
+    # ends the search; a reached combo is solved by one matching unless its
+    # floor reaches the incumbent, a zero ends its piece count, and only the
+    # families of a solved combo build their landing lists
     name, win, pool, pieces, budget = case
-    log = {"charges": 0, "refused": 0, "built": 0, "solved": 0, "descent": 0, "dp": 0,
-           "programs": 0, "runs": 0, "certificates": 0, "inside": 0, "floor": None}
-    spend, build, make_family = _Budget.spend, _AssignmentProblem.__init__, _Family.__init__
-    descend, charge_states, solve = _AssignmentProblem.zero_search, _AssignmentProblem.charge_states, paradox._solve_combo
-    run_program, certify = _AssignmentProblem.solve, paradox._table_certificate
-    families, passed = [], set()
+    events, families, solved, rebuilding = [], [], set(), []
+    spend, combos, floor, solve = _Budget.spend, paradox._combos, paradox._floor, _Matching.__init__
+    least, make_family = paradox._least_labels, _Family.__init__
 
-    def charge(tracker, *args):
-        # a charge made outside the descent and the program is a combo's
-        log["charges"] += not log["inside"]
-        ok = spend(tracker, *args)
-        log["refused"] += not ok
+    def counted_combos(pool, pieces):
+        for combo in combos(pool, pieces):
+            events.append(["combo", pieces])
+            yield combo
+
+    def charge(tracker):
+        ok = spend(tracker)
+        events[-1].append(ok)
         return ok
 
-    def counted_build(problem, n, a, b, tracker):
-        log["built"] += 1
-        passed.update((id(a), id(b)))
-        build(problem, n, a, b, tracker)
+    def counted_floor(a, b):
+        events.append(["floor", floor(a, b)])
+        return events[-1][1]
+
+    def counted_solve(matching, a, b, fixed=()):
+        solve(matching, a, b, fixed)
+        if not rebuilding:
+            solved.update((id(a), id(b)))
+            events.append(["solve", matching.cost])
+
+    def counted_least(a, b, cost):
+        assert {id(a), id(b)} <= solved
+        rebuilding.append(cost)
+        return least(a, b, cost)
 
     def counted_family(family, *args):
         families.append(family)
         make_family(family, *args)
 
-    def metered(method, key):
-        def spy(problem, *args):
-            if method is descend:
-                assert log["floor"] == 0
-            before = problem.budget.used
-            log["inside"] += 1
-            try:
-                return method(problem, *args)
-            finally:
-                log["inside"] -= 1
-                log[key] += problem.budget.used - before
-                log["programs"] += method is charge_states
-        return spy
-
-    def counted_run(problem, *args):
-        # a run inside `_solve_combo` follows its charge; a later one
-        # rebuilds the labels of a combo settled at its floor
-        log["runs"] += log["floor"] is not None
-        return run_program(problem, *args)
-
-    def counted_certificate(*args):
-        log["certificates"] += 1
-        return certify(*args)
-
-    def bounded_solve(problem, floor, cap, bound):
-        assert bound is None or floor < bound
-        log["solved"] += 1
-        log["floor"] = floor
-        try:
-            return solve(problem, floor, cap, bound)
-        finally:
-            log["floor"] = None
-
+    monkeypatch.setattr(paradox, "_combos", counted_combos)
     monkeypatch.setattr(_Budget, "spend", charge)
-    monkeypatch.setattr(_AssignmentProblem, "__init__", counted_build)
+    monkeypatch.setattr(paradox, "_floor", counted_floor)
+    monkeypatch.setattr(_Matching, "__init__", counted_solve)
+    monkeypatch.setattr(paradox, "_least_labels", counted_least)
     monkeypatch.setattr(_Family, "__init__", counted_family)
-    monkeypatch.setattr(_AssignmentProblem, "zero_search", metered(descend, "descent"))
-    monkeypatch.setattr(_AssignmentProblem, "charge_states", metered(charge_states, "dp"))
-    monkeypatch.setattr(_AssignmentProblem, "solve", counted_run)
-    monkeypatch.setattr(paradox, "_table_certificate", counted_certificate)
-    monkeypatch.setattr(paradox, "_solve_combo", bounded_solve)
     report = search_small_paradox(win, pool, max_pieces=pieces, budget=budget)
-    assert report.nodes_used == log["charges"] + log["descent"] + log["dp"]
-    assert log["built"] == log["solved"] < log["charges"]
-    assert log["refused"] <= 1 and (report.nodes_used > budget) == (name == "budget")
-    # one table certificate per piece count that has one, and the set-up
-    # lists of exactly the families passed to a problem
-    assert log["certificates"] == sum(r.certificate is not None for r in report.reports)
-    assert {id(f) for f in families if "schedule" in vars(f)} == passed
+
+    reached = [event for event in events if event[0] == "combo"]
+    refused = sum(not granted for _, _, granted in reached)
+    assert report.nodes_used == len(reached) and refused == (name == "budget") and refused <= 1
+    # replay the events: each combo's floor and solve against the incumbent
+    # of its piece count, which no combo follows once it is zero
+    best, current, skipped = None, None, 0
+    for at, (kind, *rest) in enumerate(events):
+        if kind != "combo":
+            continue
+        pieces_now, granted = rest
+        if pieces_now != current:
+            current, best = pieces_now, None
+        assert best != 0
+        after = events[at + 1:at + 3]
+        after = after[:next((i for i, e in enumerate(after) if e[0] == "combo"), len(after))]
+        if not granted:
+            assert after == [] and at == len(events) - 1
+            continue
+        if best is None:
+            assert [e[0] for e in after] == ["solve"]
+        else:
+            assert after[0][0] == "floor"
+            assert [e[0] for e in after[1:]] == (["solve"] if after[0][1] < best else [])
+            skipped += len(after) == 1
+        if after[-1][0] == "solve" and (best is None or after[-1][1] < best):
+            best = after[-1][1]
+    # one label rebuild, at the final best, per piece count that has one
+    assert rebuilding == [r.best_defect for r in report.reports if r.certificate is not None]
+    assert {id(f) for f in families if "landing" in vars(f)} == solved
     if name == "z":
-        # combos settled at their floor are charged the program's states
-        # without running it, and the floor alone settles most families
-        assert log["runs"] < log["programs"]
-        assert len(passed) < len(families)
-
-
-# --- the assignment DP against its top-down form -----------------------------------
+        assert skipped > 0 and len(solved) < len(families)
 
 
 def _spend_one_by_one(budget, count):
@@ -977,17 +974,21 @@ def _spend_one_by_one(budget, count):
 
 
 def test_spend_many_matches_repeated_spend():
+    # the DP oracle's bulk charge against one-node charges
     rng = random.Random(7)
     for _ in range(500):
         limit, used, count = rng.randint(0, 30), rng.randint(0, 40), rng.randint(0, 40)
         many, one = _Budget(limit), _Budget(limit)
         many.used = one.used = used
-        assert (many.spend(count), many.used) == (_spend_one_by_one(one, count), one.used)
+        assert (spend_many(many, count), many.used) == (_spend_one_by_one(one, count), one.used)
+
+
+# --- the matching against the assignment DP ----------------------------------------
 
 
 def _problem(n, a_rows, b_rows, budget):
-    """The assignment problem of two families given by their preimage rows."""
-    return _AssignmentProblem(n, _Family(n, a_rows, 0), _Family(n, b_rows, len(a_rows)), budget)
+    """The DP oracle's assignment problem of two families given by their preimage rows."""
+    return AssignmentProblem(n, _Family(n, a_rows, 0), _Family(n, b_rows, len(a_rows)), budget)
 
 
 def _combo_floor(n, a_rows, b_rows):
@@ -1012,54 +1013,78 @@ def _random_rows(rng, n, p):
     return [list(rng.choice(distinct)) for _ in range(p)]
 
 
-def _run_exact(solve, n, a_rows, b_rows, limit, used):
-    budget = _Budget(limit)
-    budget.used = used
-    problem = _problem(n, a_rows, b_rows, budget)
-    try:
-        minimum = solve(problem)
-    except _BudgetExhausted:
-        return "exhausted", budget.used
-    return minimum, problem.labels, budget.used
+def _window_rows(rng, p):
+    """The preimage rows of p translators, drawn with repeats from a small
+    pool, on a seeded window of Z, Z^2 or F_2."""
+    model = rng.choice((Z, Z2, F2))
+    if model is Z:
+        win = window(Z, [(v,) for v in rng.sample(range(-4, 5), rng.randint(1, 8))])
+        pool = [(v,) for v in range(-2, 3)]
+    elif model is Z2:
+        win = window(Z2, rng.sample([(i, j) for i in range(3) for j in range(3)], rng.randint(1, 8)))
+        pool = [(0, 0), (0, 1), (1, 0), (-1, 0), (1, 1)]
+    else:
+        extra = rng.sample(["a,a", "a,b", "b,a", "a,B", "B,B", "A,b"], rng.randint(0, 3))
+        win = window(F2, list(grid_sample(F2, 1)) + [F2.parse(w) for w in extra])
+        pool = [F2.parse_data(w) for w in ("e", "a", "A", "b", "B")]
+    return len(win), [_preimages(win, (rng.choice(pool),)) for _ in range(p)]
+
+
+def _labeling_cost(a, b, labels):
+    """The interior defect of a labeling, counted target by target: a
+    checkable target landed on c times costs |c - 1|."""
+    cost = 0
+    for family in (a, b):
+        for t in family.targets:
+            c = sum(labels[row[t]] == family.offset + i for i, row in enumerate(family.rows))
+            cost += abs(c - 1)
+    return cost
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_matches_topdown_oracle(seed):
+    # the matching's minimum, with and without a fixed prefix of labels,
+    # and the lexicographically least labeling at the minimum, against the
+    # DP oracle's; every labeling re-scores to its reported cost
     rng = random.Random(f"exact:{seed}")
-    seen = {"p": set(), "repeated": 0, "outside": 0, "preset": 0, "exhausted": 0, "solved": 0, "cut": 0}
-    while seen["solved"] < 120:
-        n, p = rng.randint(1, 12), rng.randint(2, 7)
+    seen = {"p": set(), "window": 0, "forced": 0, "outside": 0, "repeated": 0, "prefix": 0, "positive": 0}
+    solved = 0
+    while solved < 120:
+        p = rng.randint(2, 6)
         m = rng.randint(1, p // 2)
-        rows = _random_rows(rng, n, p)
-        problem = _problem(n, rows[:m], rows[m:], _Budget(0))
+        if rng.random() < 0.5:
+            n, rows = _window_rows(rng, p)
+            seen["window"] += 1
+        else:
+            n = rng.randint(1, 10)
+            rows = _random_rows(rng, n, p)
+        a, b = _Family(n, rows[:m], 0), _Family(n, rows[m:], m)
+        problem = AssignmentProblem(n, a, b, _Budget(10**9))
         if p ** problem.live_peak > 1000:
             continue
-        states = sum(p ** len(problem.live_at[k]) for k in range(n))
-        limit = rng.choice([10**9, states, states - 1, rng.randint(0, states)])
-        used = rng.choice([0, 0, rng.randint(1, 60)])
-        want = _run_exact(topdown_exact, n, rows[:m], rows[m:], limit, used)
-        got = _run_exact(charge_then_solve, n, rows[:m], rows[m:], limit, used)
-        assert got == want, (n, rows[:m], rows[m:], limit, used)
-        # with a bound: the same budget and the same exhaustion; the same
-        # minimum and labels below the bound, else a value at least the bound
-        solved = want[0] != "exhausted"
-        if solved:
-            assert _combo_floor(n, rows[:m], rows[m:]) <= want[0]
-        bound = rng.choice([rng.randint(1, 8), want[0] + rng.randint(0, 1) if solved else 1])
-        bounded = _run_exact(lambda pr: charge_then_solve(pr, bound), n, rows[:m], rows[m:], limit, used)
-        if not solved or want[0] < bound:
-            assert bounded == want, (n, rows[:m], rows[m:], limit, used, bound)
-        else:
-            assert bounded[0] >= bound and bounded[2] == want[2]
-            seen["cut"] += 1
+        want = topdown_exact(problem)
+        solution = _Matching(a, b)
+        cost, labels = solution.cost, solution.labels()
+        assert cost == want == _labeling_cost(a, b, labels), (n, rows, m)
+        assert _least_labels(a, b, cost) == problem.labels, (n, rows, m)
+        # a prefix: the optimum's own, or one with a label changed
+        fixed = list(problem.labels[:rng.randint(0, n)])
+        if fixed and rng.random() < 0.7:
+            fixed[rng.randrange(len(fixed))] = rng.randrange(p)
+        want_fixed = topdown_exact(AssignmentProblem(n, a, b, _Budget(10**9)), fixed)
+        solution = _Matching(a, b, fixed)
+        cost_fixed, labels_fixed = solution.cost, solution.labels()
+        assert cost_fixed == want_fixed == _labeling_cost(a, b, labels_fixed), (n, rows, m, fixed)
+        assert labels_fixed[:len(fixed)] == fixed
+        solved += 1
         seen["p"].add(p)
-        seen["repeated"] += len({tuple(r) for r in rows}) < p
-        seen["outside"] += any(-1 in r for r in rows)
-        seen["preset"] += used > 0
-        seen["exhausted" if want[0] == "exhausted" else "solved"] += 1
-    assert seen["p"] == set(range(2, 8))
-    assert min(seen["repeated"], seen["outside"], seen["preset"], seen["exhausted"], seen["cut"]) > 0
-    assert seen["solved"] - seen["cut"] > 0
+        seen["forced"] += any(map(and_, a.full, b.full))
+        seen["outside"] += any(-1 in row for row in rows)
+        seen["repeated"] += len({tuple(row) for row in rows}) < p
+        seen["prefix"] += want_fixed > want
+        seen["positive"] += want > 0
+    assert seen.pop("p") == set(range(2, 7))
+    assert min(seen.values()) > 0, seen
 
 
 def _repeats_a_source(rows):
@@ -1196,53 +1221,73 @@ def _search_oracle_cases():
         yield win, pool, pieces, budget
 
 
-def test_search_matches_floor_first_oracle(monkeypatch):
-    # combos settled at their floor without the program, and one table
-    # certificate per piece count, against the loop that charged and ran
-    # the program on them and built a certificate per improvement: the same
-    # `to_json()`, `nodes_used` included
-    calls = {"combo": 0, "pending": 0}
-    solve, solve_combo = _AssignmentProblem.solve, paradox._solve_combo
-
-    def counted_solve(problem, *args):
-        # a solve outside `_solve_combo` rebuilds a winner's labels
-        calls["pending"] += not calls["combo"]
-        return solve(problem, *args)
-
-    def counted_combo(*args):
-        calls["combo"] += 1
-        try:
-            return solve_combo(*args)
-        finally:
-            calls["combo"] -= 1
-
-    monkeypatch.setattr(_AssignmentProblem, "solve", counted_solve)
-    monkeypatch.setattr(paradox, "_solve_combo", counted_combo)
-    seen = {"cases": 0, "pending": 0, "refused": 0, "positive": 0}
+def test_search_matches_floor_first_oracle():
+    # the matching search against the DP search it replaced: the same rows
+    # and certificates wherever the DP search ends within its budget, which
+    # also reaches every combo the matching search reaches
+    seen = {"compared": 0, "refused": 0, "positive": 0, "budget ran out": 0}
     for win, pool, pieces, budget in _search_oracle_cases():
-        before = calls["pending"]
         got = search_small_paradox(win, pool, max_pieces=pieces, budget=budget).to_json()
-        seen["pending"] += calls["pending"] - before
         want = floor_first_search(win, pool, pieces, budget).to_json()
-        assert got == want, (win.to_json(), pool.to_json(), pieces, budget)
-        seen["cases"] += 1
+        assert got["nodes_used"] <= budget + 1
+        if want["nodes_used"] <= budget:
+            assert got["nodes_used"] <= want["nodes_used"]
+            assert {**got, "nodes_used": None} == {**want, "nodes_used": None}, (win.to_json(), pool.to_json(), pieces, budget)
+            seen["compared"] += 1
+        else:
+            seen["budget ran out"] += 1
         seen["refused"] += got["nodes_used"] > budget
         seen["positive"] += any((r["best_defect"] or 0) > 1 for r in got["per_piece_count"])
-    assert seen["cases"] >= 300
     assert min(seen.values()) > 0, seen
 
 
-def test_exact_charges_one_node_per_state():
-    rng = random.Random(11)
-    rows = _random_rows(rng, 10, 5)
-    problem = _problem(10, rows[:2], rows[2:], _Budget(10**9))
-    states = sum(5 ** len(problem.live_at[k]) for k in range(10))
-    charge_then_solve(problem)
-    assert problem.budget.used == states
-    short = _problem(10, rows[:2], rows[2:], _Budget(states - 1))
-    with pytest.raises(_BudgetExhausted):
-        charge_then_solve(short)
-    assert short.budget.used == states
+def test_lazy_combos_match_the_sorted_list():
+    # the combos, generated one at a time in three passes by how many of
+    # their families hold the identity, against the list built and sorted whole
+    rng = random.Random(20261022)
+    candidates = {
+        Z: [(v,) for v in range(-3, 4)],
+        Z2: [(i, j) for i in range(-1, 2) for j in range(-1, 2)],
+        F2: [F2.parse_data(w) for w in ("e", "a", "A", "b", "B", "a,b", "B,a")],
+    }
+    with_identity = 0
+    for trial in range(60):
+        model = (Z, Z2, F2)[trial % 3]
+        pool = window(model, rng.sample(candidates[model], rng.randint(1, 5)))
+        pieces = rng.randint(4, 6)
+        assert list(_combos(pool, pieces)) == combo_list(pool, model.identity_data, pieces)
+        with_identity += model.identity_data in pool.positions
+    assert 0 < with_identity < 60
+
+
+def test_huge_pool_search_ends_on_its_budget():
+    # a 100-element pool has 29,923,775 combos at four pieces; they are
+    # generated as the search reaches them, so the budget ends the search
+    # on a wide window, and a 7-point one settles at its first combo, whose
+    # B-family leaves the window and so has no target
+    pool = window(Z, [(v,) for v in range(-50, 50)])
+    wide = window(Z, [(v,) for v in range(-60, 61)])
+    report = search_small_paradox(wide, pool, max_pieces=4, budget=20)
+    assert (report.nodes_used, report.reports[0].best_defect, report.exhausted) == (21, 71, False)
+    narrow = window(Z, [(v,) for v in range(-3, 4)])
+    report = search_small_paradox(narrow, pool, max_pieces=4, budget=20)
+    assert (report.nodes_used, report.reports[0].best_defect, report.reports[0].checkable) == (1, 0, 7)
+    assert report.exhausted
+
+
+@pytest.mark.parametrize("side, pool, rows", [
+    (4, [(0, 0), (1, 0), (0, 1), (-1, 0)], [(4, 0, 16, True), (5, 0, 16, True)]),
+    (10, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], [(4, 60, 160, True), (5, 52, 152, True)]),
+], ids=["box4", "box10"])
+def test_search_exact_past_the_assignment_dp(side, pool, rows):
+    # minima the assignment DP did not reach: on the 4x4 box it reported
+    # (5, 2, 18, False) after 1,473,796 nodes, and on the 10x10 box it
+    # spent the whole default budget; one matching per combo settles both
+    win = window(Z2, [(i, j) for i in range(side) for j in range(side)])
+    report = search_small_paradox(win, window(Z2, pool), max_pieces=5)
+    assert [(r.pieces, r.best_defect, r.checkable, r.exhausted) for r in report.reports] == rows
+    for row in report.reports:
+        assert verify_on_window(row.certificate, win).interior_violations == row.best_defect
 
 
 # --- certificate and classifier schema ---------------------------------------------
